@@ -1,6 +1,6 @@
-// Package blas provides the pure-Go dense kernels SummaGen's local
-// computation stage calls in place of the vendor DGEMM routines
-// (Intel MKL, CUBLAS) used by the paper's testbed.
+// Package blas provides the dense kernels SummaGen's local computation
+// stage calls in place of the vendor DGEMM routines (Intel MKL, CUBLAS) used
+// by the paper's testbed.
 //
 // Two kernels are provided: a straightforward reference implementation
 // used as the correctness oracle, and a cache-blocked, packing,
@@ -11,6 +11,29 @@
 //
 // with explicit leading dimensions, matching the (m, n, k, lda, ldb, ldc)
 // calling convention of the C code in the paper.
+//
+// The blocked kernel's arithmetic is one contract on every path. After
+// C = beta*C, for each panel of blockKC consecutive k (panels counted from
+// k = 0), every element gets
+//
+//	acc = 0; acc = fma(alpha*A[i,l], B[l,j], acc) for l in the panel, in order; C[i,j] += acc
+//
+// with alpha*A[i,l] rounded once when A is packed. The register-tiled
+// micro-kernel does this for a 4×8 tile of C at a time: an AVX2/FMA assembly
+// body on amd64 CPUs that have it (checked once at start-up), a math.FMA body
+// everywhere else and under the noasm build tag, fringe tiles through the
+// same body on a padded copy. The two bodies are bit-identical, and C[i,j]
+// depends only on row i of A, column j of B and blockKC: not on m, n, the
+// position of a tile, the number of workers, or how a caller cuts C into
+// sub-rectangles. Results differ in the last bits from the unfused 4×4
+// kernel of earlier builds, so digests compare only within one build.
+//
+// The math.FMA body is fast only where the compiler turns math.FMA into one
+// instruction (arm64, ppc64le, s390x, riscv64, and amd64 with FMA when the
+// assembly is tagged out). On amd64 CPUs without FMA, and on architectures
+// with no fused multiply-add, math.FMA is a software routine and the blocked
+// kernel runs several times slower than the unfused scalar kernel it
+// replaced; the bits are still the same.
 package blas
 
 import (
@@ -31,14 +54,25 @@ const (
 
 // Blocking parameters for the packed kernel. MC×KC panels of A and KC×NC
 // panels of B are packed into contiguous buffers; the micro-kernel updates
-// 4×4 register tiles. Sizes are chosen for typical L1/L2 footprints.
+// microM×microN register tiles (8 YMM accumulators on amd64). One KC×microN
+// strip of B (16 KiB) and one microM×KC strip of A (8 KiB) stay in L1 while
+// a tile runs; the MC×KC panel of A (256 KiB) stays in L2. MC 64–256, KC
+// 128–512 and NC 256–1024 all measured within noise of each other on the
+// 2-vCPU Xeon this was tuned on.
 const (
-	blockMC = 128
-	blockKC = 256
-	blockNC = 512
-	microM  = 4
-	microN  = 4
+	blockMC = 128 // multiple of microM
+	blockKC = 256 // part of the rounding contract: changing it changes the bits
+	blockNC = 512 // multiple of microN
+	microM  = 4   // the micro-kernel bodies and packA are written out for a
+	microN  = 8   // 4×8 tile; these name it, they do not set it
 )
+
+// parallelMinWork is the number of multiply-adds a worker must have before
+// blockedMul starts one. Measured on a 2-vCPU Xeon VM (35 GFLOP/s per core):
+// handing a goroutine to an idle P takes 70 µs at best, so two workers lose
+// to one at 160³ (29 vs 32 GFLOP/s), break even at 192³ (7.1 M multiply-adds)
+// and win from 224³ (44 vs 32) and 260×180×512 (48 vs 32) up.
+const parallelMinWork = 1 << 22
 
 func checkGemmArgs(m, n, k, lda, ldb, ldc int, a, b, c []float64) error {
 	switch {
@@ -115,70 +149,85 @@ func scaleC(m, n int, beta float64, c []float64, ldc int) {
 }
 
 // naiveMul adds alpha*A*B to C with an i-k-j loop order (unit-stride inner
-// loop over B and C rows).
+// loop over B and C rows). Zeros of A are multiplied like any other value,
+// so 0·Inf and 0·NaN reach C as they do in the blocked kernel.
 func naiveMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*lda : i*lda+k]
 		crow := c[i*ldc : i*ldc+n]
 		for l := 0; l < k; l++ {
 			av := alpha * arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := b[l*ldb : l*ldb+n]
-			for j := range brow {
+			brow := b[l*ldb : l*ldb+n][:len(crow)]
+			for j := range crow {
 				crow[j] += av * brow[j]
 			}
 		}
 	}
 }
 
-// blockedMul adds alpha*A*B to C using MC/KC/NC panel blocking with packed
-// panels and a 4×4 micro-kernel. Row-panels of C are processed by a pool of
-// workers; each worker owns disjoint rows of C so no synchronization on C is
-// needed within one (kc, nc) panel pair.
-func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	workers := runtime.GOMAXPROCS(0)
-	if small := (m*n*k + 1<<17 - 1) / (1 << 17); small < workers {
-		workers = small // don't spin up goroutines for tiny products
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// panelPool recycles packed-panel buffers across calls and workers. A buffer
+// that is too small for the request is dropped and replaced, so the pool
+// converges on the largest panels the process actually multiplies.
+var panelPool sync.Pool
 
+func getPanel(n int) *[]float64 {
+	if p, _ := panelPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+// roundUp rounds n up to a multiple of to.
+func roundUp(n, to int) int { return (n + to - 1) / to * to }
+
+// blockedMul adds alpha*A*B to C with the packed kernel, sharing the rows of
+// C out to workers when the product is large enough to pay for them. Each
+// worker runs the whole serial algorithm on its own rows (packing B for
+// itself: same elapsed time as packing it once while the others wait, and no
+// hand-off per panel); any split of the rows gives the same bits, see
+// macroKernel. That trade was measured with two workers only. B-packing work
+// and pooled memory (1 MiB of packed B and 256 KiB of packed A per worker)
+// both grow with the worker count, and an in-process engine runs one
+// blockedMul per rank at once, so on a many-core host a packed B shared by
+// the workers may win; re-measure there before trusting it.
+func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	workers := int(min(int64(runtime.GOMAXPROCS(0)), int64(m)*int64(n)*int64(k)/parallelMinWork))
+	if workers <= 1 {
+		blockedMulRows(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		return
+	}
+	rows := roundUp((m+workers-1)/workers, microM)
+	var wg sync.WaitGroup
+	for r := rows; r < m; r += rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blockedMulRows(min(rows, m-r), n, k, alpha, a[r*lda:], lda, b, ldb, c[r*ldc:], ldc)
+		}()
+	}
+	blockedMulRows(min(rows, m), n, k, alpha, a, lda, b, ldb, c, ldc)
+	wg.Wait()
+}
+
+// blockedMulRows is the serial MC/KC/NC panel loop around packA, packB and
+// macroKernel.
+func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	pa := getPanel(roundUp(min(m, blockMC), microM) * min(k, blockKC))
+	defer panelPool.Put(pa)
+	pb := getPanel(min(k, blockKC) * roundUp(min(n, blockNC), microN))
+	defer panelPool.Put(pb)
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
-			packedB := packB(b[pc*ldb+jc:], ldb, kc, nc)
-			if workers == 1 {
-				packedA := make([]float64, blockMC*blockKC)
-				for ic := 0; ic < m; ic += blockMC {
-					mc := min(blockMC, m-ic)
-					packA(packedA, a[ic*lda+pc:], lda, mc, kc, alpha)
-					macroKernel(mc, nc, kc, packedA, packedB, c[ic*ldc+jc:], ldc)
-				}
-				continue
-			}
-			var wg sync.WaitGroup
-			next := make(chan int, (m+blockMC-1)/blockMC)
+			packB(*pb, b[pc*ldb+jc:], ldb, kc, nc)
 			for ic := 0; ic < m; ic += blockMC {
-				next <- ic
+				mc := min(blockMC, m-ic)
+				packA(*pa, a[ic*lda+pc:], lda, mc, kc, alpha)
+				macroKernel(mc, nc, kc, *pa, *pb, c[ic*ldc+jc:], ldc)
 			}
-			close(next)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					packedA := make([]float64, blockMC*blockKC)
-					for ic := range next {
-						mc := min(blockMC, m-ic)
-						packA(packedA, a[ic*lda+pc:], lda, mc, kc, alpha)
-						macroKernel(mc, nc, kc, packedA, packedB, c[ic*ldc+jc:], ldc)
-					}
-				}()
-			}
-			wg.Wait()
 		}
 	}
 }
@@ -186,133 +235,59 @@ func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 // packA packs an mc×kc panel of A (scaled by alpha) into micro-panels of
 // microM rows: for each row-strip of height microM, the kc columns are laid
 // out column-by-column so the micro-kernel streams them with unit stride.
+// Rows past mc in the last strip repeat row mc-1; what the micro-kernel makes
+// of them lands in the part of a fringe tile that macroKernel drops.
 func packA(dst []float64, a []float64, lda, mc, kc int, alpha float64) {
-	idx := 0
+	last := mc - 1
 	for i := 0; i < mc; i += microM {
-		ib := min(microM, mc-i)
-		for l := 0; l < kc; l++ {
-			for ii := 0; ii < ib; ii++ {
-				dst[idx] = alpha * a[(i+ii)*lda+l]
-				idx++
-			}
-			for ii := ib; ii < microM; ii++ {
-				dst[idx] = 0
-				idx++
-			}
+		strip := dst[i*kc : (i+microM)*kc]
+		r0, r1 := a[i*lda:][:kc], a[min(i+1, last)*lda:][:kc]
+		r2, r3 := a[min(i+2, last)*lda:][:kc], a[min(i+3, last)*lda:][:kc]
+		for l := range r0 {
+			d := strip[l*microM : (l+1)*microM]
+			d[0], d[1], d[2], d[3] = alpha*r0[l], alpha*r1[l], alpha*r2[l], alpha*r3[l]
 		}
 	}
 }
 
-// packB packs a kc×nc panel of B into micro-panels of microN columns.
-func packB(b []float64, ldb, kc, nc int) []float64 {
-	dst := make([]float64, kc*((nc+microN-1)/microN)*microN)
-	idx := 0
+// packB packs a kc×nc panel of B into micro-panels of microN columns, the
+// columns past nc in the last one zero.
+func packB(dst []float64, b []float64, ldb, kc, nc int) {
+	for j := 0; j < nc; j += microN {
+		strip := dst[j*kc : (j+microN)*kc]
+		cols := min(microN, nc-j)
+		for l := 0; l < kc; l++ {
+			d := strip[l*microN : (l+1)*microN]
+			clear(d[copy(d, b[l*ldb+j:][:cols]):])
+		}
+	}
+}
+
+// macroKernel multiplies packed panels into C. Fringe tiles go through the
+// same micro-kernel on a full-size copy of the tile (the packed panels are
+// padded to full strips) and only the rows and columns that exist are copied
+// back, so an element of C gets the same arithmetic wherever the tile grid
+// happens to put it.
+func macroKernel(mc, nc, kc int, packedA, packedB []float64, c []float64, ldc int) {
 	for j := 0; j < nc; j += microN {
 		jb := min(microN, nc-j)
-		for l := 0; l < kc; l++ {
-			for jj := 0; jj < jb; jj++ {
-				dst[idx] = b[l*ldb+j+jj]
-				idx++
-			}
-			for jj := jb; jj < microN; jj++ {
-				dst[idx] = 0
-				idx++
-			}
-		}
-	}
-	return dst
-}
-
-// macroKernel multiplies packed panels into C.
-func macroKernel(mc, nc, kc int, packedA, packedB []float64, c []float64, ldc int) {
-	for i := 0; i < mc; i += microM {
-		ib := min(microM, mc-i)
-		aPanel := packedA[(i/microM)*kc*microM:]
-		for j := 0; j < nc; j += microN {
-			jb := min(microN, nc-j)
-			bPanel := packedB[(j/microN)*kc*microN:]
+		bPanel := packedB[j*kc : (j+microN)*kc]
+		for i := 0; i < mc; i += microM {
+			ib := min(microM, mc-i)
+			aPanel := packedA[i*kc : (i+microM)*kc]
+			ct := c[i*ldc+j:]
 			if ib == microM && jb == microN {
-				microKernel4x4(kc, aPanel, bPanel, c[i*ldc+j:], ldc)
-			} else {
-				microKernelEdge(kc, ib, jb, aPanel, bPanel, c[i*ldc+j:], ldc)
+				microKernel(kc, aPanel, bPanel, ct, ldc)
+				continue
+			}
+			var tile [microM * microN]float64
+			for ii := 0; ii < ib; ii++ {
+				copy(tile[ii*microN:ii*microN+jb], ct[ii*ldc:])
+			}
+			microKernel(kc, aPanel, bPanel, tile[:], microN)
+			for ii := 0; ii < ib; ii++ {
+				copy(ct[ii*ldc:ii*ldc+jb], tile[ii*microN:])
 			}
 		}
 	}
-}
-
-// microKernel4x4 computes a full 4×4 tile: C[0:4,0:4] += Ap · Bp where the
-// packed panels step microM (resp. microN) elements per k iteration.
-func microKernel4x4(kc int, ap, bp []float64, c []float64, ldc int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	var c20, c21, c22, c23 float64
-	var c30, c31, c32, c33 float64
-	for l := 0; l < kc; l++ {
-		a0, a1, a2, a3 := ap[l*microM], ap[l*microM+1], ap[l*microM+2], ap[l*microM+3]
-		b0, b1, b2, b3 := bp[l*microN], bp[l*microN+1], bp[l*microN+2], bp[l*microN+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	c[0] += c00
-	c[1] += c01
-	c[2] += c02
-	c[3] += c03
-	c[ldc] += c10
-	c[ldc+1] += c11
-	c[ldc+2] += c12
-	c[ldc+3] += c13
-	c[2*ldc] += c20
-	c[2*ldc+1] += c21
-	c[2*ldc+2] += c22
-	c[2*ldc+3] += c23
-	c[3*ldc] += c30
-	c[3*ldc+1] += c31
-	c[3*ldc+2] += c32
-	c[3*ldc+3] += c33
-}
-
-// microKernelEdge handles partial tiles at the panel fringe.
-func microKernelEdge(kc, ib, jb int, ap, bp []float64, c []float64, ldc int) {
-	var acc [microM][microN]float64
-	for l := 0; l < kc; l++ {
-		for ii := 0; ii < ib; ii++ {
-			av := ap[l*microM+ii]
-			for jj := 0; jj < jb; jj++ {
-				acc[ii][jj] += av * bp[l*microN+jj]
-			}
-		}
-	}
-	for ii := 0; ii < ib; ii++ {
-		for jj := 0; jj < jb; jj++ {
-			c[ii*ldc+jj] += acc[ii][jj]
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

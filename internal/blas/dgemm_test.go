@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,9 +150,14 @@ func TestNaiveMatchesOracle(t *testing.T) {
 
 func TestBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	// Sizes chosen to cross the MC/KC/NC panel boundaries and exercise
-	// edge micro-tiles.
-	for _, dims := range [][3]int{{1, 1, 1}, {4, 4, 4}, {5, 3, 2}, {130, 50, 70}, {129, 513, 257}, {257, 130, 300}} {
+	// Sizes chosen to sit on and either side of the micro-tile and the
+	// MC/KC/NC panel boundaries; the last two are large enough for the
+	// multi-worker path.
+	for _, dims := range [][3]int{
+		{1, 1, 1}, {microM, microN, 4}, {microM - 1, microN - 1, 2}, {microM + 1, microN + 1, 3},
+		{130, 50, 70}, {blockMC, blockNC, blockKC}, {blockMC + 1, blockNC + 1, blockKC + 1},
+		{2*blockMC + 3, blockNC - 1, 2*blockKC - 1},
+	} {
 		m, n, k := dims[0], dims[1], dims[2]
 		a := randSlice(m*k, rng)
 		b := randSlice(k*n, rng)
@@ -192,7 +198,14 @@ func TestDgemmStridedOperands(t *testing.T) {
 // Property: blocked kernel agrees with the reference on random shapes,
 // alphas, betas, and strides.
 func TestQuickBlockedEqualsNaive(t *testing.T) {
-	f := func(seed int64, m8, n8, k8, pad uint8, alpha, beta float64) bool {
+	// Small draws are all fringe tiles; wide ones reach a little past MC, NC
+	// and KC, so some cross each.
+	t.Run("small", func(t *testing.T) { quickBlockedEqualsNaive(t, 200, 20, 20, 20) })
+	t.Run("wide", func(t *testing.T) { quickBlockedEqualsNaive(t, 100, blockMC+20, blockNC+20, blockKC+20) })
+}
+
+func quickBlockedEqualsNaive(t *testing.T, draws, maxM, maxN, maxK int) {
+	f := func(seed int64, m16, n16, k16 uint16, pad uint8, alpha, beta float64) bool {
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.IsNaN(beta) || math.IsInf(beta, 0) {
 			return true
 		}
@@ -200,9 +213,9 @@ func TestQuickBlockedEqualsNaive(t *testing.T) {
 		alpha = math.Mod(alpha, 3)
 		beta = math.Mod(beta, 3)
 		rng := rand.New(rand.NewSource(seed))
-		m := int(m8%20) + 1
-		n := int(n8%20) + 1
-		k := int(k8%20) + 1
+		m := int(m16)%maxM + 1
+		n := int(n16)%maxN + 1
+		k := int(k16)%maxK + 1
 		lda := k + int(pad%3)
 		ldb := n + int(pad%2)
 		ldc := n + int(pad%4)
@@ -218,8 +231,102 @@ func TestQuickBlockedEqualsNaive(t *testing.T) {
 		}
 		return approxEq(c1, c2, 1e-10)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: draws}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameBits reports the first index at which a and b differ as bit patterns.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)", what, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
+		}
+	}
+}
+
+// cuts returns 0 = c[0] < c[1] < … = n with random interior points.
+func cuts(n int, rng *rand.Rand) []int {
+	c := []int{0}
+	for c[len(c)-1] < n {
+		c = append(c, min(n, c[len(c)-1]+1+rng.Intn(max(1, n/2))))
+	}
+	return c
+}
+
+// The blas-level statement of "digests are layout-independent": one Dgemm
+// over all of C and the same product computed sub-rectangle by sub-rectangle,
+// on a random grid whose lines are not multiples of the micro-tile, agree to
+// the bit. The last size runs the whole product on several workers and over
+// more than one KC panel.
+func TestDgemmTilingInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dims := [][3]int{{2*blockMC + 7, blockNC + 13, 2*blockKC + 5}}
+	for i := 0; i < 40; i++ {
+		dims = append(dims, [3]int{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
+	}
+	for _, d := range dims {
+		m, n, k := d[0], d[1], d[2]
+		lda, ldb, ldc := k+rng.Intn(3), n+rng.Intn(3), n+rng.Intn(3)
+		a, b, c0 := randSlice(m*lda, rng), randSlice(k*ldb, rng), randSlice(m*ldc, rng)
+		whole := append([]float64(nil), c0...)
+		if err := Dgemm(m, n, k, 0.7, a, lda, b, ldb, 1.3, whole, ldc); err != nil {
+			t.Fatal(err)
+		}
+		tiled := append([]float64(nil), c0...)
+		rows, cols := cuts(m, rng), cuts(n, rng)
+		for ri := 1; ri < len(rows); ri++ {
+			for ci := 1; ci < len(cols); ci++ {
+				r0, c0 := rows[ri-1], cols[ci-1]
+				if err := Dgemm(rows[ri]-r0, cols[ci]-c0, k, 0.7, a[r0*lda:], lda, b[c0:], ldb, 1.3, tiled[r0*ldc+c0:], ldc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sameBits(t, fmt.Sprintf("%v cut at rows %v cols %v", d, rows, cols), tiled, whole)
+	}
+}
+
+// Both kernels propagate non-finite values the same way, a zero in A
+// included: 0·Inf and 0·NaN are NaN, not skipped.
+func TestKernelsPropagateNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m, n, k := 9, 11, 7
+	a, b := randSlice(m*k, rng), randSlice(k*n, rng)
+	a[2*k+3] = 0           // meets the Inf below: row 2, column 5 must be NaN
+	b[3*n+5] = math.Inf(1) // column 5 is ±Inf or NaN in every row
+	b[6*n+1] = math.NaN()  // column 1 is NaN in every row
+	at, bt := make([]float64, k*m), make([]float64, n*k)
+	for i := 0; i < m; i++ {
+		for l := 0; l < k; l++ {
+			at[l*m+i] = a[i*k+l]
+		}
+	}
+	for l := 0; l < k; l++ {
+		for j := 0; j < n; j++ {
+			bt[j*k+l] = b[l*n+j]
+		}
+	}
+	naive, blocked, trans := make([]float64, m*n), make([]float64, m*n), make([]float64, m*n)
+	if err := DgemmKernel(KernelNaive, m, n, k, 1, a, k, b, n, 0, naive, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := DgemmKernel(KernelBlocked, m, n, k, 1, a, k, b, n, 0, blocked, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := DgemmTrans(Trans, Trans, m, n, k, 1, at, m, bt, k, 0, trans, n); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(naive[2*n+5]) || !math.IsNaN(naive[1]) {
+		t.Fatalf("reference kernel dropped 0·Inf or NaN: C[2,5]=%v C[0,1]=%v", naive[2*n+5], naive[1])
+	}
+	for i, want := range naive {
+		for name, got := range map[string]float64{"blocked": blocked[i], "trans": trans[i]} {
+			if math.IsNaN(got) != math.IsNaN(want) || (!math.IsNaN(want) && math.Abs(got-want) > 1e-12 && got != want) {
+				t.Fatalf("%s C[%d] = %v, reference has %v", name, i, got, want)
+			}
+		}
 	}
 }
 
@@ -246,21 +353,25 @@ func TestLevel1(t *testing.T) {
 	}
 }
 
-func BenchmarkDgemmNaive256(b *testing.B)   { benchDgemm(b, KernelNaive, 256) }
-func BenchmarkDgemmBlocked256(b *testing.B) { benchDgemm(b, KernelBlocked, 256) }
-func BenchmarkDgemmBlocked512(b *testing.B) { benchDgemm(b, KernelBlocked, 512) }
+func BenchmarkDgemmNaive256(b *testing.B)   { benchDgemm(b, KernelNaive, 256, 256, 256) }
+func BenchmarkDgemmBlocked256(b *testing.B) { benchDgemm(b, KernelBlocked, 256, 256, 256) }
+func BenchmarkDgemmBlocked512(b *testing.B) { benchDgemm(b, KernelBlocked, 512, 512, 512) }
 
-func benchDgemm(b *testing.B, kern Kernel, n int) {
+// A rank's cell of the N=512 square-corner layout: fringes in both
+// directions, two KC panels.
+func BenchmarkDgemmBlockedCell(b *testing.B) { benchDgemm(b, KernelBlocked, 260, 180, 512) }
+
+func benchDgemm(b *testing.B, kern Kernel, m, n, k int) {
 	rng := rand.New(rand.NewSource(1))
-	a := randSlice(n*n, rng)
-	bb := randSlice(n*n, rng)
-	c := make([]float64, n*n)
-	b.SetBytes(int64(8 * 3 * n * n))
+	a := randSlice(m*k, rng)
+	bb := randSlice(k*n, rng)
+	c := make([]float64, m*n)
+	b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := DgemmKernel(kern, n, n, n, 1, a, n, bb, n, 0, c, n); err != nil {
+		if err := DgemmKernel(kern, m, n, k, 1, a, k, bb, n, 0, c, n); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(GemmFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	b.ReportMetric(GemmFlops(m, n, k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }

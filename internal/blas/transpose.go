@@ -87,9 +87,6 @@ func DgemmTrans(transA, transB Transpose, m, n, k int, alpha float64, a []float6
 			crow := c[i*ldc : i*ldc+n]
 			for l := l0; l < lEnd; l++ {
 				av := alpha * at(i, l)
-				if av == 0 {
-					continue
-				}
 				if transB == NoTrans {
 					brow := b[l*ldb : l*ldb+n]
 					for j := range brow {

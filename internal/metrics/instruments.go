@@ -87,9 +87,7 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket histogram that owns its synchronization:
 // Observe takes an internal mutex, so callers never coordinate access
-// themselves. (Its predecessor, stats.Histogram, pushed locking onto the
-// caller by convention — a footgun this type removes.) Observe is
-// allocation-free.
+// themselves. Observe is allocation-free.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // finite upper bounds, ascending

@@ -7,13 +7,18 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netmpi"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
+// latencyBounds spans 100µs to ~100s in roughly 1-2.5-5 steps — suitable
+// for GEMM service latencies from tiny in-process jobs to paper-scale runs.
+var latencyBounds = []float64{
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
+}
+
 // metricsRegistry owns the server's instrument handles on the shared
-// metrics.Registry. Latency histograms are metrics.Histogram — internally
-// synchronized, unlike the stats.Histogram it replaced, so there is no
-// external mutex to hold (and no locking convention to document).
+// metrics.Registry. Latency histograms are metrics.Histogram, which is
+// internally synchronized: there is no external mutex to hold.
 // Families whose totals live in another subsystem's snapshot (the
 // scheduler's counters, the netmpi transport stats) register as
 // collect-backed instruments reading the snapshot cached by the
@@ -87,17 +92,17 @@ func newMetricsRegistry(reg *metrics.Registry, events *metrics.EventLog) *metric
 
 	m.failures = reg.CounterVec("summagen_job_failures_total", "kind")
 	m.byRuntime = reg.CounterVec("summagen_jobs_by_runtime_total", "runtime")
-	m.latency = reg.HistogramVec("summagen_job_latency_seconds", stats.DefaultLatencyBounds, "shape")
+	m.latency = reg.HistogramVec("summagen_job_latency_seconds", latencyBounds, "shape")
 	m.rankStage = reg.CounterVec("summagen_rank_stage_seconds_total", "rank", "stage")
 	m.rankGflops = reg.GaugeVec("summagen_rank_dgemm_gflops", "rank")
 	m.imbalance = reg.GaugeVec("summagen_rank_imbalance_ratio", "shape")
 	m.slowest = reg.CounterVec("summagen_rank_slowest_total", "rank")
-	m.recoveryLatency = reg.Histogram("summagen_recovery_seconds", stats.DefaultLatencyBounds)
+	m.recoveryLatency = reg.Histogram("summagen_recovery_seconds", latencyBounds)
 
 	registerNetCollectors(m)
 
 	m.sloRequests = reg.CounterVec("summagen_slo_requests_total", "tenant", "class", "outcome")
-	m.sloLatency = reg.HistogramVec("summagen_slo_latency_seconds", stats.DefaultLatencyBounds, "tenant", "class")
+	m.sloLatency = reg.HistogramVec("summagen_slo_latency_seconds", latencyBounds, "tenant", "class")
 	return m
 }
 
