@@ -13,6 +13,11 @@
 //     deterministic, so any increase beyond -max-regress (plus a slack of
 //     two allocations for size-class boundary flips) fails the run on any
 //     hardware.
+//   - B/op is gated the same way, with a slack of 16 KiB: warm-up
+//     allocations (the first multiply fills the slab pool) are amortised
+//     over however many iterations the run took, which moves B/op by a few
+//     KiB between identical builds, while the regression this gate exists
+//     for — a working matrix allocated per call again — is megabytes.
 //   - ns/op is gated only when the current `cpu:` line matches the
 //     baseline's: wall-time comparisons across different CI machine types
 //     measure the fleet, not the change. A mismatch is reported, not failed.
@@ -195,6 +200,10 @@ func writeBaseline(path string, p *parsed, description, command string) error {
 // identical builds.
 const allocSlack = 2
 
+// bytesSlack absorbs the run-length-dependent amortisation of warm-up
+// allocations in B/op.
+const bytesSlack = 16 << 10
+
 func compare(base *Baseline, p *parsed, gate *regexp.Regexp, maxRegress float64) (failures []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -203,7 +212,7 @@ func compare(base *Baseline, p *parsed, gate *regexp.Regexp, maxRegress float64)
 	sort.Strings(names)
 	cpuMatch := base.CPU != "" && base.CPU == p.cpu
 	if !cpuMatch {
-		fmt.Printf("note: cpu mismatch (baseline %q, current %q) — ns/op gate skipped, allocs/op still enforced\n",
+		fmt.Printf("note: cpu mismatch (baseline %q, current %q) — ns/op gate skipped, allocs/op and B/op still enforced\n",
 			base.CPU, p.cpu)
 	}
 	for _, name := range names {
@@ -221,6 +230,11 @@ func compare(base *Baseline, p *parsed, gate *regexp.Regexp, maxRegress float64)
 			failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %d → %d (limit %d)",
 				name, want.MedianAllocsPerOp, got.MedianAllocsPerOp, limit))
 		}
+		bytesLimit := int64(float64(want.MedianBytesPerOp)*(1+maxRegress)) + bytesSlack
+		if got.MedianBytesPerOp > bytesLimit {
+			failures = append(failures, fmt.Sprintf("%s: B/op regressed %d → %d (limit %d)",
+				name, want.MedianBytesPerOp, got.MedianBytesPerOp, bytesLimit))
+		}
 		if cpuMatch && want.MedianNsPerOp > 0 {
 			nsLimit := want.MedianNsPerOp * (1 + maxRegress)
 			if got.MedianNsPerOp > nsLimit {
@@ -229,8 +243,9 @@ func compare(base *Baseline, p *parsed, gate *regexp.Regexp, maxRegress float64)
 					100*(got.MedianNsPerOp/want.MedianNsPerOp-1)))
 			}
 		}
-		fmt.Printf("%-48s ns/op %12.0f (base %12.0f)  allocs/op %6d (base %6d)\n",
-			name, got.MedianNsPerOp, want.MedianNsPerOp, got.MedianAllocsPerOp, want.MedianAllocsPerOp)
+		fmt.Printf("%-48s ns/op %12.0f (base %12.0f)  B/op %9d (base %9d)  allocs/op %6d (base %6d)\n",
+			name, got.MedianNsPerOp, want.MedianNsPerOp, got.MedianBytesPerOp, want.MedianBytesPerOp,
+			got.MedianAllocsPerOp, want.MedianAllocsPerOp)
 	}
 	return failures
 }

@@ -92,6 +92,22 @@ func TestCompareGatesRegressions(t *testing.T) {
 		t.Fatalf("allocs/op must gate on any cpu, got %v", f)
 	}
 
+	// B/op gates on any cpu: kilobytes of amortisation noise pass, a per-op
+	// working matrix coming back does not.
+	base.Benchmarks["BenchmarkSummaGen/obs=off"] = BaselineEntry{MedianNsPerOp: 10_000_000, MedianBytesPerOp: 24_000, MedianAllocsPerOp: 400}
+	withBytes := func(b int64) *parsed {
+		p := mk(10_000_000, 400)
+		p.cpu = "OtherCPU"
+		p.samples["BenchmarkSummaGen/obs=off"][0].bytesPerOp = b
+		return p
+	}
+	if f := compare(base, withBytes(30_000), gate, 0.10); len(f) != 0 {
+		t.Fatalf("B/op within 10%% + slack must pass, got %v", f)
+	}
+	if f := compare(base, withBytes(5_850_000), gate, 0.10); len(f) != 1 {
+		t.Fatalf("a per-op slab (24 KB → 5.85 MB B/op) must fail, got %v", f)
+	}
+
 	// A gated benchmark missing from the run is itself a failure.
 	missing := &parsed{cpu: "TestCPU @ 2.10GHz", samples: map[string][]sample{}}
 	if f := compare(base, missing, gate, 0.10); len(f) != 1 {

@@ -11,7 +11,7 @@ import (
 //
 // rankMainOverlap pipelines the three SUMMA stages instead of running them
 // back to back: a dedicated communication goroutine executes the exact
-// sequential broadcast schedule (horizontalA then verticalB — every rank
+// sequential broadcast schedule (stage A then stage B — every rank
 // issues every collective in the same deterministic global order, so MPI
 // ordering rules still hold), and the calling goroutine runs the DGEMMs,
 // gating each owned cell (i,j) on the readiness of WA row band i and WB
@@ -35,7 +35,11 @@ import (
 //   - On compute success every waited-on band channel was closed, which
 //     means the comm goroutine is past its last broadcast; waiting for
 //     commDone is deadlock-free and surfaces any trailing comm error.
-func rankMainOverlap(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matrix.Dense) error {
+//
+// quiesced reports whether the comm goroutine was seen to have exited, i.e.
+// whether nothing can write WA or WB any more and the caller may recycle
+// them; it is false exactly on the error path that does not wait.
+func rankMainOverlap(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matrix.Dense) (quiesced bool, err error) {
 	l := cfg.Layout
 	rank := p.Rank()
 
@@ -67,20 +71,10 @@ func rankMainOverlap(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matri
 				commErr = fmt.Errorf("core: comm goroutine panicked: %v", rec)
 			}
 		}()
-		sp := cfg.Span.Child("bcastA").OnRank(rank)
-		if err := horizontalA(p, cfg, ws, a, wa, func(i int) { close(rowReady[i]) }); err != nil {
-			sp.Str("error", err.Error()).End()
-			commErr = fmt.Errorf("horizontal stage: %w", err)
+		if commErr = commStage(p, cfg, ws, axisA, a, wa, func(i int) { close(rowReady[i]) }); commErr != nil {
 			return
 		}
-		sp.End()
-		sp = cfg.Span.Child("bcastB").OnRank(rank)
-		if err := verticalB(p, cfg, ws, b, wb, func(j int) { close(colReady[j]) }); err != nil {
-			sp.Str("error", err.Error()).End()
-			commErr = fmt.Errorf("vertical stage: %w", err)
-			return
-		}
-		sp.End()
+		commErr = commStage(p, cfg, ws, axisB, b, wb, func(j int) { close(colReady[j]) })
 	}()
 
 	// wait gates cell (i,j) on both of its input bands. The cell's owner
@@ -108,18 +102,16 @@ func rankMainOverlap(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matri
 		case <-commDone:
 			if err == commErr { //nolint:errorlint // pointer identity: was this commErr surfaced via wait?
 				// Already wrapped with the failing broadcast stage.
-				return err
+				return true, err
 			}
+			return true, fmt.Errorf("compute stage: %w", err)
 		default:
 			// Comm goroutine still running — see the invariant above:
 			// do not wait for it here.
+			return false, fmt.Errorf("compute stage: %w", err)
 		}
-		return fmt.Errorf("compute stage: %w", err)
 	}
 	sp.End()
 	<-commDone
-	if commErr != nil {
-		return commErr
-	}
-	return nil
+	return true, commErr
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/matrix"
 	"repro/internal/mpi"
 )
 
@@ -39,10 +40,20 @@ type Proc interface {
 
 // Comm is a communicator over a subset of ranks.
 type Comm interface {
-	// Bcast broadcasts the root's buffer to all members; see
-	// mpi.Comm.Bcast for the buffer conventions. It returns an error —
-	// never hangs — when a member has been declared failed.
-	Bcast(p Proc, buf []float64, count, root int) ([]float64, error)
+	// BcastPanel broadcasts the root's dst.Rows×dst.Cols panel src into
+	// every member's dst, the root's own included; src is read on the
+	// root only. How the elements travel is the runtime's business (the
+	// in-process runtime lets receivers copy straight out of the root's
+	// view, the TCP runtime packs one frame), so the engine never stages a
+	// panel itself. The root's src must stay unwritten until the runtime's
+	// Run returns — the engine only ever passes views of its read-only A
+	// and B. Panels with nil Data carry dimensions only (SimulatedMode):
+	// the runtime charges its clocks for the bytes and moves nothing. It
+	// returns an error — never hangs — when a member has been declared
+	// failed. A member whose dimensions disagree with the root's is a bug
+	// the runtime reports (netmpi with a *LengthMismatchError, mpi with a
+	// rank panic) instead of copying what fits.
+	BcastPanel(p Proc, src, dst matrix.Dense, root int) error
 	// RankOf maps a world rank to a communicator rank (-1 if absent).
 	RankOf(worldRank int) int
 }
@@ -83,10 +94,10 @@ type mpiComm struct{ c *mpi.Comm }
 
 func (m mpiComm) RankOf(worldRank int) int { return m.c.RankOf(worldRank) }
 
-// Bcast converts the in-process runtime's abort panic (raised when
+// BcastPanel converts the in-process runtime's abort panic (raised when
 // another rank fails mid-collective) into a returned error, matching the
 // netmpi adapter's semantics so the engine wraps it with stage context.
-func (m mpiComm) Bcast(p Proc, buf []float64, count, root int) (res []float64, err error) {
+func (m mpiComm) BcastPanel(p Proc, src, dst matrix.Dense, root int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if pf, ok := rec.(*mpi.PeerFailedError); ok {
@@ -96,5 +107,6 @@ func (m mpiComm) Bcast(p Proc, buf []float64, count, root int) (res []float64, e
 			panic(rec)
 		}
 	}()
-	return m.c.Bcast(p.(mpiProc).p, buf, count, root), nil
+	m.c.BcastPanel(p.(mpiProc).p, src, dst, root)
+	return nil
 }

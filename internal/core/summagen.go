@@ -22,6 +22,17 @@
 // virtual clocks: computation advances rank clocks by workload/FPM-speed
 // for the platform's devices and communications by the Hockney model, so
 // paper-scale problems (N ≈ 38k) run in milliseconds.
+//
+// Stages 1 and 2 are one routine (assembleBands) run over an axis, and they
+// move each element once per receiving rank: a cell's owner hands the
+// runtime its view of A or B, every member its view of WA or WB
+// (Comm.BcastPanel), and nothing is packed, cloned or unpacked on the
+// engine's side. WA and WB are recycled through a process-wide slab pool
+// (slab.go), un-zeroed — a steady-state multiply allocates nothing that
+// grows with N² — and go back to it only when no goroutine of the rank can
+// still write them. A and B are read-only to the engine, and the caller must
+// not write them while a multiply runs: the in-process runtime lets
+// receivers copy out of the owner's memory after the owner has moved on.
 package core
 
 import (
@@ -289,31 +300,39 @@ func buildWorkingSet(l *partition.Layout, rank int) *workingSet {
 
 func rankMain(p Proc, cfg *Config, a, b, c *matrix.Dense) error {
 	l := cfg.Layout
-	rank := p.Rank()
-	ws := buildWorkingSet(l, rank)
-	real := cfg.Mode == RealMode
-
-	var wa, wb *matrix.Dense
-	if real {
-		wa = matrix.New(ws.waRows, l.N)
-		wb = matrix.New(l.N, ws.wbCols)
+	ws := buildWorkingSet(l, p.Rank())
+	if cfg.Mode != RealMode {
+		return rankMainSequential(p, cfg, ws, nil, nil, nil, nil, nil)
 	}
+	// WA and WB come from the slab pool un-zeroed and go back only when no
+	// goroutine of this rank can still write them (see slab.go).
+	sa, sb := getSlab(ws.waRows*l.N), getSlab(l.N*ws.wbCols)
+	wa := &matrix.Dense{Rows: ws.waRows, Cols: l.N, Stride: l.N, Data: *sa}
+	wb := &matrix.Dense{Rows: l.N, Cols: ws.wbCols, Stride: ws.wbCols, Data: *sb}
+	var err error
+	quiesced := true
 	if cfg.overlapEnabled() {
-		return rankMainOverlap(p, cfg, ws, a, b, c, wa, wb)
+		quiesced, err = rankMainOverlap(p, cfg, ws, a, b, c, wa, wb)
+	} else {
+		err = rankMainSequential(p, cfg, ws, a, b, c, wa, wb)
 	}
-	sp := cfg.Span.Child("bcastA").OnRank(rank)
-	if err := horizontalA(p, cfg, ws, a, wa, nil); err != nil {
-		sp.Str("error", err.Error()).End()
-		return fmt.Errorf("horizontal stage: %w", err)
+	if quiesced {
+		putSlab(sa)
+		putSlab(sb)
 	}
-	sp.End()
-	sp = cfg.Span.Child("bcastB").OnRank(rank)
-	if err := verticalB(p, cfg, ws, b, wb, nil); err != nil {
-		sp.Str("error", err.Error()).End()
-		return fmt.Errorf("vertical stage: %w", err)
+	return err
+}
+
+// rankMainSequential runs the three stages back to back on the calling
+// goroutine.
+func rankMainSequential(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matrix.Dense) error {
+	if err := commStage(p, cfg, ws, axisA, a, wa, nil); err != nil {
+		return err
 	}
-	sp.End()
-	sp = cfg.Span.Child("dgemm").OnRank(rank)
+	if err := commStage(p, cfg, ws, axisB, b, wb, nil); err != nil {
+		return err
+	}
+	sp := cfg.Span.Child("dgemm").OnRank(p.Rank())
 	if err := localCompute(p, cfg, ws, wa, wb, c, sp, nil); err != nil {
 		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("compute stage: %w", err)
@@ -322,124 +341,111 @@ func rankMain(p Proc, cfg *Config, a, b, c *matrix.Dense) error {
 	return nil
 }
 
-// horizontalA implements stage 1: gather all needed rows of A into WA.
-// onRow, when non-nil, is invoked after each participating grid row's band
-// of WA is fully assembled — the overlap pipeline's readiness signal.
-func horizontalA(p Proc, cfg *Config, ws *workingSet, a, wa *matrix.Dense, onRow func(i int)) error {
+// axis selects the operand a communication stage assembles. Stage 1 (A
+// into WA along grid rows) and stage 2 (B into WB along grid columns) are
+// the same loop with rows and columns exchanged.
+type axis int
+
+const (
+	axisA axis = iota // horizontal: bands are grid rows, broadcast over row communicators
+	axisB             // vertical: bands are grid columns, broadcast over column communicators
+)
+
+func (ax axis) spanName() string {
+	if ax == axisA {
+		return "bcastA"
+	}
+	return "bcastB"
+}
+
+func (ax axis) String() string {
+	if ax == axisA {
+		return "horizontal"
+	}
+	return "vertical"
+}
+
+// commStage runs one communication stage under its span and tags a failure
+// with the stage.
+func commStage(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense, onBand func(int)) error {
+	sp := cfg.Span.Child(ax.spanName()).OnRank(p.Rank())
+	if err := assembleBands(p, cfg, ws, ax, m, wm, onBand); err != nil {
+		sp.Str("error", err.Error()).End()
+		return fmt.Errorf("%v stage: %w", ax, err)
+	}
+	sp.End()
+	return nil
+}
+
+// assembleBands implements stages 1 and 2: for every band (grid row of A,
+// grid column of B) this rank owns a cell in, gather the band of the global
+// operand m into the working matrix wm. Each cell is broadcast by its owner
+// over the band's communicator straight from the owner's view of m into
+// every member's view of wm — no staging buffer on this side of the
+// runtime; a band owned by one rank alone is copied locally with no
+// communication (the paper's special case). In SimulatedMode m and wm are
+// nil and the panels carry dimensions only. onBand, when non-nil, is invoked
+// after each band is fully assembled — the overlap pipeline's readiness
+// signal.
+func assembleBands(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense, onBand func(int)) error {
 	l := cfg.Layout
 	rank := p.Rank()
-	real := cfg.Mode == RealMode
-	for i := 0; i < l.GridRows; i++ {
-		if !l.OwnsInRow(rank, i) {
+	bands, cross := l.GridRows, l.GridCols
+	owns, procsOf, ownerAt := l.OwnsInRow, l.RowProcs, l.OwnerAt
+	if ax == axisB {
+		bands, cross = cross, bands
+		owns, procsOf = l.OwnsInCol, l.ColProcs
+		ownerAt = func(b, x int) int { return l.OwnerAt(x, b) }
+	}
+	// panels returns the views of m and wm covering band b's cells
+	// [x0, x1) along the band.
+	panels := func(b, x0, x1 int) (src, dst matrix.Dense) {
+		var r0, c0, h, w, dr, dc int
+		if ax == axisA {
+			r0, c0 = l.RowStart(b), l.ColStart(x0)
+			h, w = l.RowHeights[b], l.ColStart(x1)-c0
+			dr, dc = ws.rowOff[b], c0
+		} else {
+			r0, c0 = l.RowStart(x0), l.ColStart(b)
+			h, w = l.RowStart(x1)-r0, l.ColWidths[b]
+			dr, dc = r0, ws.colOff[b]
+		}
+		if m == nil {
+			return matrix.Dense{Rows: h, Cols: w}, matrix.Dense{Rows: h, Cols: w}
+		}
+		return subPanel(m, r0, c0, h, w), subPanel(wm, dr, dc, h, w)
+	}
+	for b := 0; b < bands; b++ {
+		if !owns(rank, b) {
 			continue
 		}
-		procs := l.RowProcs(i)
-		h := l.RowHeights[i]
-		if len(procs) == 1 {
-			// Whole sub-partition row owned locally: plain copy, no
-			// communication (the paper's special case).
-			if real {
-				src := a.MustView(l.RowStart(i), 0, h, l.N)
-				dst := wa.MustView(ws.rowOff[i], 0, h, l.N)
-				if err := matrix.CopyBlock(dst, src, h, l.N); err != nil {
+		if procs := procsOf(b); len(procs) == 1 {
+			if src, dst := panels(b, 0, cross); m != nil {
+				if err := matrix.CopyBlock(&dst, &src, dst.Rows, dst.Cols); err != nil {
 					return err
 				}
 			}
-			if onRow != nil {
-				onRow(i)
-			}
-			continue
-		}
-		comm := p.Split(procs)
-		for j := 0; j < l.GridCols; j++ {
-			owner := l.OwnerAt(i, j)
-			w := l.ColWidths[j]
-			root := comm.RankOf(owner)
-			if !real {
-				if _, err := comm.Bcast(p, nil, h*w, root); err != nil {
+		} else {
+			comm := p.Split(procs)
+			for x := 0; x < cross; x++ {
+				src, dst := panels(b, x, x+1)
+				if err := comm.BcastPanel(p, src, dst, comm.RankOf(ownerAt(b, x))); err != nil {
 					return err
 				}
-				continue
-			}
-			var buf []float64
-			if owner == rank {
-				src := a.MustView(l.RowStart(i), l.ColStart(j), h, w)
-				buf = matrix.PackBlock(make([]float64, 0, h*w), src, h, w)
-			} else {
-				buf = make([]float64, h*w)
-			}
-			if _, err := comm.Bcast(p, buf, h*w, root); err != nil {
-				return err
-			}
-			dst := wa.MustView(ws.rowOff[i], l.ColStart(j), h, w)
-			if err := matrix.UnpackBlock(dst, buf, h, w); err != nil {
-				return err
 			}
 		}
-		if onRow != nil {
-			onRow(i)
+		if onBand != nil {
+			onBand(b)
 		}
 	}
 	return nil
 }
 
-// verticalB implements stage 2: gather all needed columns of B into WB.
-// onCol, when non-nil, is invoked after each participating grid column's
-// band of WB is fully assembled.
-func verticalB(p Proc, cfg *Config, ws *workingSet, b, wb *matrix.Dense, onCol func(j int)) error {
-	l := cfg.Layout
-	rank := p.Rank()
-	real := cfg.Mode == RealMode
-	for j := 0; j < l.GridCols; j++ {
-		if !l.OwnsInCol(rank, j) {
-			continue
-		}
-		procs := l.ColProcs(j)
-		w := l.ColWidths[j]
-		if len(procs) == 1 {
-			if real {
-				src := b.MustView(0, l.ColStart(j), l.N, w)
-				dst := wb.MustView(0, ws.colOff[j], l.N, w)
-				if err := matrix.CopyBlock(dst, src, l.N, w); err != nil {
-					return err
-				}
-			}
-			if onCol != nil {
-				onCol(j)
-			}
-			continue
-		}
-		comm := p.Split(procs)
-		for i := 0; i < l.GridRows; i++ {
-			owner := l.OwnerAt(i, j)
-			h := l.RowHeights[i]
-			root := comm.RankOf(owner)
-			if !real {
-				if _, err := comm.Bcast(p, nil, h*w, root); err != nil {
-					return err
-				}
-				continue
-			}
-			var buf []float64
-			if owner == rank {
-				src := b.MustView(l.RowStart(i), l.ColStart(j), h, w)
-				buf = matrix.PackBlock(make([]float64, 0, h*w), src, h, w)
-			} else {
-				buf = make([]float64, h*w)
-			}
-			if _, err := comm.Bcast(p, buf, h*w, root); err != nil {
-				return err
-			}
-			dst := wb.MustView(l.RowStart(i), ws.colOff[j], h, w)
-			if err := matrix.UnpackBlock(dst, buf, h, w); err != nil {
-				return err
-			}
-		}
-		if onCol != nil {
-			onCol(j)
-		}
-	}
-	return nil
+// subPanel returns the h×w view of m at (r0, c0), clipped to exactly the
+// elements it spans (layouts have no empty rows or columns).
+func subPanel(m *matrix.Dense, r0, c0, h, w int) matrix.Dense {
+	off := r0*m.Stride + c0
+	return matrix.Dense{Rows: h, Cols: w, Stride: m.Stride, Data: m.Data[off : off+(h-1)*m.Stride+w]}
 }
 
 // localCompute implements stage 3: one DGEMM per owned sub-partition.

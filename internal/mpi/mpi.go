@@ -21,11 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/hockney"
+	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -66,7 +67,7 @@ type World struct {
 	start time.Time
 
 	commMu sync.Mutex
-	comms  map[string]*Comm
+	comms  []*Comm // sub-communicators created by Split; a handful per world
 
 	p2pMu sync.Mutex
 	p2p   map[p2pKey]chan p2pMsg
@@ -145,7 +146,6 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w := &World{
 		cfg:     cfg,
-		comms:   map[string]*Comm{},
 		p2p:     map[p2pKey]chan p2pMsg{},
 		abortCh: make(chan struct{}),
 	}
@@ -379,37 +379,83 @@ type Comm struct {
 	world *World
 	ranks []int // world ranks, ascending
 
-	mu      sync.Mutex
-	in      chan contribution
-	outs    map[int]chan result // keyed by comm rank
-	nextSeq int
+	// link is the slowest pairwise link among the members and labels[op]
+	// the trace label "<op>@<ranks>"; both depend only on the membership,
+	// so they are computed once here instead of on every collective of
+	// every rank.
+	link   hockney.Link
+	labels [numOps]string
+
+	in   chan contribution
+	outs []chan result // indexed by comm rank
+	// contribs is the coordinator's gather scratch. Only comm rank 0 touches
+	// it, and it finishes distributing one collective's results before it
+	// can enter the next, so one slice serves every collective on the comm.
+	contribs []contribution
 }
 
+// collOp names a collective. The rendezvous, the cost model and the trace
+// label all switch on it.
+type collOp uint8
+
+const (
+	opBcast collOp = iota
+	// opPanel is BcastPanel: a broadcast whose payload is the root's own
+	// strided view, handed to the receivers uncloned. It is a "bcast" to
+	// the cost model and on the Timeline.
+	opPanel
+	opBarrier
+	opSplit
+	opAllreduceMax
+	opAllreduceSum
+	opReduceVecSum
+	opAllgather
+	opGather
+	opScatter
+	numOps
+)
+
+var opNames = [numOps]string{
+	opBcast: "bcast", opPanel: "bcast", opBarrier: "barrier", opSplit: "split",
+	opAllreduceMax: "allreduce-max", opAllreduceSum: "allreduce-sum",
+	opReduceVecSum: "reduce-vec-sum", opAllgather: "allgather",
+	opGather: "gather", opScatter: "scatter",
+}
+
+// contribution is what one member deposits at the rendezvous. The caller
+// fills op and the payload fields; collective adds commRank and clock.
 type contribution struct {
 	commRank int
 	clock    float64
+	op       collOp
 	data     []float64
+	stride   int // opPanel: row stride of data
 	bytes    int
-	op       string
 	value    float64
 }
 
 type result struct {
 	clock  float64
 	data   []float64
+	stride int
 	bytes  int
 	value  float64
-	newest float64
 }
 
 func newComm(w *World, ranks []int) *Comm {
 	c := &Comm{
-		world: w,
-		ranks: append([]int(nil), ranks...),
-		in:    make(chan contribution, len(ranks)),
-		outs:  map[int]chan result{},
+		world:    w,
+		ranks:    append([]int(nil), ranks...),
+		link:     w.worstLinkAmong(ranks),
+		in:       make(chan contribution, len(ranks)),
+		outs:     make([]chan result, len(ranks)),
+		contribs: make([]contribution, len(ranks)),
 	}
-	for i := range ranks {
+	suffix := fmt.Sprintf("@%v", c.ranks)
+	for op, name := range opNames {
+		c.labels[op] = name + suffix
+	}
+	for i := range c.outs {
 		c.outs[i] = make(chan result, 1)
 	}
 	return c
@@ -440,8 +486,11 @@ func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
 // MPI_Comm_split, creation costs a small synchronization, charged to the
 // virtual clocks.
 func (p *Proc) Split(ranks []int) *Comm {
-	rs := append([]int(nil), ranks...)
-	sort.Ints(rs)
+	rs := ranks
+	if !slices.IsSorted(rs) {
+		rs = slices.Clone(ranks)
+		slices.Sort(rs)
+	}
 	found := false
 	for _, r := range rs {
 		if r == p.rank {
@@ -454,18 +503,23 @@ func (p *Proc) Split(ranks []int) *Comm {
 	if !found {
 		panic(fmt.Sprintf("mpi: rank %d calling Split on group %v it does not belong to", p.rank, rs))
 	}
-	key := fmt.Sprint(rs)
 	w := p.world
 	w.commMu.Lock()
-	c, ok := w.comms[key]
-	if !ok {
+	var c *Comm
+	for _, have := range w.comms {
+		if slices.Equal(have.ranks, rs) {
+			c = have
+			break
+		}
+	}
+	if c == nil {
 		c = newComm(w, rs)
-		w.comms[key] = c
+		w.comms = append(w.comms, c)
 	}
 	w.commMu.Unlock()
 	// Creation synchronization: a barrier-weight collective, charged once
 	// per Split call (MPI_Comm_split is collective).
-	c.collective(p, "split", nil, 0, 0, 0)
+	c.collective(p, contribution{op: opSplit}, 0)
 	return c
 }
 
@@ -473,28 +527,30 @@ func (p *Proc) Split(ranks []int) *Comm {
 // deposit contributions; comm-rank 0 acts as coordinator, combining them
 // and distributing results. MPI ordering rules (all members issue
 // collectives on a comm in the same order) make this race-free.
-func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, value float64) result {
+func (c *Comm) collective(p *Proc, ct contribution, root int) result {
+	op := ct.op
 	me := c.RankOf(p.rank)
 	if me < 0 {
 		panic(fmt.Sprintf("mpi: rank %d not in communicator %v", p.rank, c.ranks))
 	}
 	if c.world.aborted() != nil {
-		c.world.abortPanic(op)
+		c.world.abortPanic(opNames[op])
 	}
 	waitStart := p.Now()
+	ct.commRank, ct.clock = me, p.clock
 	select {
-	case c.in <- contribution{commRank: me, clock: p.clock, data: data, bytes: bytes, op: op, value: value}:
+	case c.in <- ct:
 	case <-c.world.abortCh:
-		c.world.abortPanic(op)
+		c.world.abortPanic(opNames[op])
 	}
 	if me == 0 {
-		contribs := make([]contribution, c.Size())
+		contribs := c.contribs
 		for i := 0; i < c.Size(); i++ {
 			var ct contribution
 			select {
 			case ct = <-c.in:
 			case <-c.world.abortCh:
-				c.world.abortPanic(op)
+				c.world.abortPanic(opNames[op])
 			}
 			contribs[ct.commRank] = ct
 		}
@@ -505,14 +561,22 @@ func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, v
 			}
 		}
 		switch op {
-		case "bcast":
+		case opBcast, opScatter:
 			// Copy the payload so the root may reuse its buffer as soon
-			// as its Bcast returns (MPI buffer semantics).
+			// as its call returns (MPI buffer semantics). A scatter's
+			// buffer is dealt out in equal chunks at delivery, so it
+			// passes through like a broadcast.
 			if d := contribs[root].data; d != nil {
 				res.data = append([]float64(nil), d...)
 			}
 			res.bytes = contribs[root].bytes
-		case "allreduce-max":
+		case opPanel:
+			// The receivers copy straight out of the root's view: no
+			// clone, and so no reuse of the source before Run returns
+			// (see BcastPanel).
+			res.data, res.stride = contribs[root].data, contribs[root].stride
+			res.bytes = contribs[root].bytes
+		case opAllreduceMax:
 			first := true
 			for _, ct := range contribs {
 				if first || ct.value > res.value {
@@ -520,11 +584,11 @@ func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, v
 					first = false
 				}
 			}
-		case "allreduce-sum":
+		case opAllreduceSum:
 			for _, ct := range contribs {
 				res.value += ct.value
 			}
-		case "reduce-vec-sum":
+		case opReduceVecSum:
 			// Element-wise vector sum over all contributions.
 			var acc []float64
 			for _, ct := range contribs {
@@ -542,7 +606,7 @@ func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, v
 			}
 			res.data = acc
 			res.bytes = 8 * len(acc)
-		case "allgather", "gather":
+		case opAllgather, opGather:
 			// Concatenate contributions in comm-rank order.
 			var acc []float64
 			for _, ct := range contribs {
@@ -550,23 +614,17 @@ func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, v
 			}
 			res.data = acc
 			res.bytes = 8 * len(acc)
-		case "scatter":
-			// The root's buffer is dealt out in equal chunks at delivery;
-			// pass it through like a broadcast.
-			if d := contribs[root].data; d != nil {
-				res.data = append([]float64(nil), d...)
-			}
-			res.bytes = contribs[root].bytes
-		case "split", "barrier":
+		case opSplit, opBarrier:
 			// synchronization only
 		default:
-			panic("mpi: unknown collective " + op)
+			panic(fmt.Sprintf("mpi: unknown collective %d", op))
 		}
+		clear(contribs) // the scratch must not pin the members' buffers
 		for i := 0; i < c.Size(); i++ {
 			select {
 			case c.outs[i] <- res:
 			case <-c.world.abortCh:
-				c.world.abortPanic(op)
+				c.world.abortPanic(opNames[op])
 			}
 		}
 	}
@@ -574,52 +632,53 @@ func (c *Comm) collective(p *Proc, op string, data []float64, bytes, root int, v
 	select {
 	case res = <-c.outs[me]:
 	case <-c.world.abortCh:
-		c.world.abortPanic(op)
+		c.world.abortPanic(opNames[op])
 	}
-	c.applyCollectiveClock(p, op, res, waitStart, root, me)
+	c.applyCollectiveClock(p, op, res, waitStart)
 	return res
 }
 
 // applyCollectiveClock advances p's clock past the collective and records
 // trace events: idle while waiting for the slowest member, then the
 // modelled (or measured) communication itself.
-func (c *Comm) applyCollectiveClock(p *Proc, op string, res result, waitStart float64, root, me int) {
-	link := c.world.worstLinkAmong(c.ranks)
+func (c *Comm) applyCollectiveClock(p *Proc, op collOp, res result, waitStart float64) {
+	label := c.labels[op]
+	if c.world.cfg.Mode != VirtualTime {
+		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: p.Now(), Bytes: res.bytes, Label: label})
+		return
+	}
+	link := c.link
 	var cost float64
 	switch op {
-	case "bcast":
+	case opBcast, opPanel:
 		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
-	case "barrier", "split":
+	case opBarrier, opSplit:
 		cost = float64(hockney.CeilLog2(c.Size())) * link.Alpha * 2
-	case "allreduce-max", "allreduce-sum":
+	case opAllreduceMax, opAllreduceSum:
 		cost = 2 * hockney.BcastTime(c.world.cfg.BcastAlg, link, 8, c.Size())
-	case "reduce-vec-sum":
+	case opReduceVecSum:
 		// Tree reduction: log2(p) rounds of one message each.
 		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
-	case "allgather":
+	case opAllgather:
 		// Ring allgather: p-1 rounds of one block each.
 		per := res.bytes / maxInt(1, c.Size())
 		cost = float64(c.Size()-1) * link.SendTime(per)
-	case "gather", "scatter":
+	case opGather, opScatter:
 		// Binomial tree moving the full payload toward/away from the root.
 		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
 	}
-	label := fmt.Sprintf("%s@%v", op, c.ranks)
-	if c.world.cfg.Mode == VirtualTime {
-		if p.clock < res.clock {
-			p.emit(trace.Event{Rank: p.rank, Kind: trace.Idle, Start: p.clock, End: res.clock, Label: label})
-			p.clock = res.clock
-		}
-		start, end := p.Advance(cost)
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: start, End: end, Bytes: res.bytes, Label: label})
-	} else {
-		now := p.Now()
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: now, Bytes: res.bytes, Label: label})
+	if p.clock < res.clock {
+		p.emit(trace.Event{Rank: p.rank, Kind: trace.Idle, Start: p.clock, End: res.clock, Label: label})
+		p.clock = res.clock
 	}
+	start, end := p.Advance(cost)
+	p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: start, End: end, Bytes: res.bytes, Label: label})
 }
 
 // Bcast broadcasts the root's buffer to every member. On the root, buf is
-// the source; on other ranks buf (if non-nil) receives a copy. When buf is
+// the source; on other ranks buf (if non-nil) receives a copy and must be
+// exactly as long as the root's buffer — a mismatch panics rather than
+// leave a stale tail in a buffer the caller may have recycled. When buf is
 // nil on a receiver the payload is dropped (used by pure simulation). count
 // is the element count used for cost modelling when the root passes a nil
 // buffer; when the root buffer is non-nil its length wins.
@@ -636,30 +695,68 @@ func (c *Comm) Bcast(p *Proc, buf []float64, count, root int) []float64 {
 			bytes = 8 * len(buf)
 		}
 	}
-	res := c.collective(p, "bcast", data, bytes, root, 0)
-	if me != root && buf != nil && res.data != nil {
-		copy(buf, res.data)
+	res := c.collective(p, contribution{op: opBcast, data: data, bytes: bytes}, root)
+	if me == root {
 		return buf
 	}
-	if me == root {
+	if buf != nil && res.data != nil {
+		if len(buf) != len(res.data) {
+			panic(fmt.Sprintf("mpi: Bcast length mismatch: rank %d expects %d elements, root sent %d", p.rank, len(buf), len(res.data)))
+		}
+		copy(buf, res.data)
 		return buf
 	}
 	return res.data
 }
 
+// BcastPanel broadcasts the root's rows×cols panel src into every member's
+// dst (the root's included); the dimensions are dst's, and src is read on
+// the root only. Receivers copy straight out of the root's view — one
+// strided copy per member, no packing and no intermediate clone — so unlike
+// Bcast the source is NOT released when the root's call returns: it must
+// stay unwritten until World.Run returns (the engine passes views of its
+// read-only A and B). Panels with nil Data carry dimensions only: nothing
+// moves and the clocks and Timeline are charged for 8·rows·cols bytes, which
+// is how VirtualTime simulation runs the same schedule. A member whose
+// dimensions disagree with the root's panics.
+func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
+	if root < 0 || root >= c.Size() {
+		panic(fmt.Sprintf("mpi: BcastPanel root %d out of range (size %d)", root, c.Size()))
+	}
+	ct := contribution{op: opPanel, bytes: 8 * dst.Rows * dst.Cols}
+	if c.RankOf(p.rank) == root {
+		if src.Rows != dst.Rows || src.Cols != dst.Cols {
+			panic(fmt.Sprintf("mpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))
+		}
+		ct.data, ct.stride = src.Data, src.Stride
+	}
+	res := c.collective(p, ct, root)
+	if res.bytes != ct.bytes {
+		panic(fmt.Sprintf("mpi: BcastPanel length mismatch: rank %d expects %dx%d (%d bytes), root sent %d bytes",
+			p.rank, dst.Rows, dst.Cols, ct.bytes, res.bytes))
+	}
+	if dst.Data == nil || res.data == nil {
+		return
+	}
+	from := matrix.Dense{Rows: dst.Rows, Cols: dst.Cols, Stride: res.stride, Data: res.data}
+	if err := matrix.CopyBlock(&dst, &from, dst.Rows, dst.Cols); err != nil {
+		panic(err)
+	}
+}
+
 // Barrier blocks until every member arrives.
 func (c *Comm) Barrier(p *Proc) {
-	c.collective(p, "barrier", nil, 0, 0, 0)
+	c.collective(p, contribution{op: opBarrier}, 0)
 }
 
 // AllreduceMax returns the maximum of v over all members.
 func (c *Comm) AllreduceMax(p *Proc, v float64) float64 {
-	return c.collective(p, "allreduce-max", nil, 0, 0, v).value
+	return c.collective(p, contribution{op: opAllreduceMax, value: v}, 0).value
 }
 
 // AllreduceSum returns the sum of v over all members.
 func (c *Comm) AllreduceSum(p *Proc, v float64) float64 {
-	return c.collective(p, "allreduce-sum", nil, 0, 0, v).value
+	return c.collective(p, contribution{op: opAllreduceSum, value: v}, 0).value
 }
 
 // ReduceSum element-wise sums the members' buffers onto the root, which
@@ -669,7 +766,7 @@ func (c *Comm) ReduceSum(p *Proc, buf []float64, root int) []float64 {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: ReduceSum root %d out of range (size %d)", root, c.Size()))
 	}
-	res := c.collective(p, "reduce-vec-sum", buf, 8*len(buf), root, 0)
+	res := c.collective(p, contribution{op: opReduceVecSum, data: buf, bytes: 8 * len(buf)}, root)
 	if c.RankOf(p.rank) == root {
 		if buf != nil && res.data != nil {
 			copy(buf, res.data)
@@ -684,7 +781,7 @@ func (c *Comm) ReduceSum(p *Proc, buf []float64, root int) []float64 {
 // and returns the concatenation on every member. Each member receives its
 // own copy.
 func (c *Comm) Allgather(p *Proc, buf []float64) []float64 {
-	res := c.collective(p, "allgather", buf, 8*len(buf), 0, 0)
+	res := c.collective(p, contribution{op: opAllgather, data: buf, bytes: 8 * len(buf)}, 0)
 	return append([]float64(nil), res.data...)
 }
 
@@ -702,7 +799,7 @@ func (c *Comm) Gather(p *Proc, buf []float64, root int) []float64 {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: Gather root %d out of range (size %d)", root, c.Size()))
 	}
-	res := c.collective(p, "gather", buf, 8*len(buf), root, 0)
+	res := c.collective(p, contribution{op: opGather, data: buf, bytes: 8 * len(buf)}, root)
 	if c.RankOf(p.rank) == root {
 		return append([]float64(nil), res.data...)
 	}
@@ -721,7 +818,7 @@ func (c *Comm) Scatter(p *Proc, buf []float64, root int) []float64 {
 	if me == root {
 		data = buf
 	}
-	res := c.collective(p, "scatter", data, 8*len(data), root, 0)
+	res := c.collective(p, contribution{op: opScatter, data: data, bytes: 8 * len(data)}, root)
 	if res.data == nil {
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/hockney"
+	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -731,5 +732,118 @@ func TestAbortErrorStringNamesRankAndOp(t *testing.T) {
 	e := &PeerFailedError{Rank: 3, Op: "barrier", Err: errors.New("x")}
 	if got := e.Error(); !strings.Contains(got, "rank 3") || !strings.Contains(got, "barrier") {
 		t.Fatalf("unhelpful error string %q", got)
+	}
+}
+
+func TestBcastLengthMismatchPanics(t *testing.T) {
+	w := newTestWorld(t, 2, RealTime, nil)
+	err := w.Run(func(p *Proc) error {
+		// The receiver sized its buffer for 6 elements, the root sends 4:
+		// copying "what fits" would leave a stale tail.
+		n := 4
+		if p.Rank() == 1 {
+			n = 6
+		}
+		p.CommWorld().Bcast(p, make([]float64, n), n, 0)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "Bcast length mismatch") {
+		t.Fatalf("want a length-mismatch panic, got %v", err)
+	}
+}
+
+// TestBcastPanelStridedCopy: the root's strided view lands in every
+// member's strided destination, the root's own included, and only there.
+func TestBcastPanelStridedCopy(t *testing.T) {
+	const h, w, srcStride, dstStride = 3, 2, 5, 4
+	src := matrix.New(4, srcStride)
+	for i := range src.Data {
+		src.Data[i] = float64(i)
+	}
+	world := newTestWorld(t, 3, RealTime, nil)
+	err := world.Run(func(p *Proc) error {
+		dst := matrix.New(h+1, dstStride)
+		dst.Fill(-1)
+		sv := matrix.Dense{Rows: h, Cols: w, Stride: srcStride, Data: src.Data[1*srcStride+2:]}
+		dv := matrix.Dense{Rows: h, Cols: w, Stride: dstStride, Data: dst.Data[1:]}
+		if p.Rank() != 1 {
+			sv = matrix.Dense{} // read on the root only
+		}
+		p.CommWorld().BcastPanel(p, sv, dv, 1)
+		for i := 0; i < h+1; i++ {
+			for j := 0; j < dstStride; j++ {
+				want := -1.0
+				if i < h && j >= 1 && j < 1+w {
+					want = src.At(1+i, 2+j-1)
+				}
+				if got := dst.At(i, j); got != want {
+					return fmt.Errorf("rank %d dst(%d,%d) = %v, want %v", p.Rank(), i, j, got, want)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBcastPanelDimensionsOnly: panels without data move nothing and are
+// charged and traced as a bcast of 8·rows·cols bytes.
+func TestBcastPanelDimensionsOnly(t *testing.T) {
+	tl := trace.New()
+	w, err := NewWorld(Config{Procs: 2, Mode: VirtualTime, Link: hockney.Link{Alpha: 1, Beta: 0.5}, Timeline: tl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(p *Proc) error {
+		dims := matrix.Dense{Rows: 3, Cols: 4}
+		p.CommWorld().BcastPanel(p, dims, dims, 0)
+		if want := 1 + 0.5*96; math.Abs(p.Now()-want) > 1e-12 {
+			return fmt.Errorf("rank %d clock %v, want %v", p.Rank(), p.Now(), want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tl.Events() {
+		if e.Kind == trace.Comm && (e.Label != "bcast@[0 1]" || e.Bytes != 96) {
+			t.Fatalf("event %+v, want a 96-byte bcast@[0 1]", e)
+		}
+	}
+}
+
+func TestBcastPanelMismatchPanics(t *testing.T) {
+	w := newTestWorld(t, 2, RealTime, nil)
+	err := w.Run(func(p *Proc) error {
+		rows := 2 + p.Rank() // rank 1 expects a taller panel than the root sends
+		m := matrix.New(rows, 3)
+		p.CommWorld().BcastPanel(p, *m, *matrix.New(rows, 3), 0)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "BcastPanel length mismatch") {
+		t.Fatalf("want a length-mismatch panic, got %v", err)
+	}
+}
+
+// TestCollectivesAllocateNothingPerCall pins the per-collective garbage at
+// zero: the trace label and the worst link are per-Comm, and the
+// coordinator's gather scratch is reused.
+func TestCollectivesAllocateNothingPerCall(t *testing.T) {
+	w := newTestWorld(t, 1, RealTime, nil)
+	if err := w.Run(func(p *Proc) error {
+		ranks := []int{0}
+		c := p.Split(ranks)
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Split(ranks)
+			c.Barrier(p)
+			c.BcastPanel(p, matrix.Dense{Rows: 1, Cols: 1}, matrix.Dense{Rows: 1, Cols: 1}, 0)
+		})
+		if allocs != 0 {
+			return fmt.Errorf("%v allocations per Split+Barrier+BcastPanel, want 0", allocs)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package netmpi
 
 import (
 	"repro/internal/core"
+	"repro/internal/matrix"
 )
 
 // Proc adapts the endpoint to the engine's runtime contract, so
@@ -31,6 +32,6 @@ type netComm struct{ c *Comm }
 
 func (nc netComm) RankOf(worldRank int) int { return nc.c.RankOf(worldRank) }
 
-func (nc netComm) Bcast(_ core.Proc, buf []float64, count, root int) ([]float64, error) {
-	return nc.c.Bcast(buf, count, root)
+func (nc netComm) BcastPanel(_ core.Proc, src, dst matrix.Dense, root int) error {
+	return nc.c.BcastPanel(src, dst, root)
 }

@@ -56,6 +56,24 @@ func (e *CorruptFrameError) Error() string {
 		e.Peer, e.Comm, e.Tag, e.Count, e.GotCRC, e.WantCRC)
 }
 
+// LengthMismatchError reports a broadcast whose members disagree on the
+// payload length: the frame that arrived does not have the number of
+// elements this rank's buffer was sized for. It is a caller bug, never a
+// transport fault, and is reported rather than papered over with a partial
+// copy — the tail of a recycled buffer holds another multiply's data.
+type LengthMismatchError struct {
+	// Rank is the world rank that detected the mismatch.
+	Rank int
+	// Want is the element count this rank expected, Got the count the
+	// frame carried.
+	Want, Got int
+}
+
+func (e *LengthMismatchError) Error() string {
+	return fmt.Sprintf("netmpi: bcast length mismatch on rank %d: buffer holds %d elements, frame carries %d",
+		e.Rank, e.Want, e.Got)
+}
+
 // DegradedPeerError is the cause a gray-failure monitor injects when it
 // proactively fails a slow-but-alive peer (see Endpoint.FailPeer and
 // internal/grayfail). It ranks above every passively-detected cause in

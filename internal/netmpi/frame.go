@@ -122,39 +122,50 @@ func appendFrameCRC(dst []byte, comm, tag uint32, data []float64) []byte {
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
-// readFrame blocks until one full frame arrives on r. The payload is
-// decoded directly into a freshly allocated []float64 owned by the caller
-// — pooled scratch never crosses the receive path (see pool.go). With
-// withCRC set the frame must carry a valid CRC32C trailer; a mismatch
-// returns a *CorruptFrameError that still carries the header fields as
-// read (the re-request path needs the key; the caller must treat it as
+// frameScratch is a reader's fixed-size header and trailer buffer. One lives
+// on each rankConn (guarded by its read lock) so that reading a frame whose
+// payload lands in the caller's buffer allocates nothing at all.
+type frameScratch [headerBytes + crcTrailerBytes]byte
+
+// readFrame blocks until one full frame arrives on r. When the frame is the
+// one the caller is waiting for — its key equals want and it carries exactly
+// len(into) elements, into non-nil — the payload is read off r straight
+// into into and the returned slice is into itself; the CRC is checked in
+// place, and since a corrupt frame's re-request reads into the same buffer,
+// nothing the failed read left behind survives. Any other frame (another
+// key, another length, or no into at all) is decoded into a freshly
+// allocated []float64 the caller owns, because it will be parked or handed
+// out as is (see pool.go for who owns what). With withCRC set the frame must carry a valid CRC32C trailer; a mismatch
+// returns a *CorruptFrameError that still carries the header fields as read
+// (the re-request path needs the key; the caller must treat it as
 // untrusted, since the corruption may sit in the header itself).
-func readFrame(r io.Reader, withCRC bool) (frameKey, []float64, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrame(r io.Reader, sc *frameScratch, withCRC bool, want frameKey, into []float64) (frameKey, []float64, error) {
+	hdr := sc[:headerBytes]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frameKey{}, nil, err
 	}
 	key := frameKey{binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint32(hdr[4:])}
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	var data []float64
-	var view []byte
-	if count > 0 {
+	if into != nil && key == want && count == uint64(len(into)) {
+		data = into
+	} else if count > 0 {
 		data = make([]float64, count)
-		view = float64LEBytes(data)
-		if _, err := io.ReadFull(r, view); err != nil {
-			return frameKey{}, nil, err
-		}
+	}
+	view := float64LEBytes(data)
+	if _, err := io.ReadFull(r, view); err != nil {
+		return frameKey{}, nil, err
 	}
 	if withCRC {
-		var tr [crcTrailerBytes]byte
-		if _, err := io.ReadFull(r, tr[:]); err != nil {
+		tr := sc[headerBytes:]
+		if _, err := io.ReadFull(r, tr); err != nil {
 			return frameKey{}, nil, err
 		}
-		want := binary.LittleEndian.Uint32(tr[:])
-		got := crc32.Update(crc32.Update(0, castagnoli, hdr[:]), castagnoli, view)
-		if got != want {
+		claimed := binary.LittleEndian.Uint32(tr)
+		got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, view)
+		if got != claimed {
 			return key, nil, &CorruptFrameError{
-				Comm: key.comm, Tag: key.tag, Count: count, WantCRC: want, GotCRC: got,
+				Comm: key.comm, Tag: key.tag, Count: count, WantCRC: claimed, GotCRC: got,
 			}
 		}
 	}

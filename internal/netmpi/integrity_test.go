@@ -101,7 +101,7 @@ func (cc *corruptConn) Write(b []byte) (int, error) {
 func TestFrameCRCRoundTrip(t *testing.T) {
 	data := []float64{1.5, -2.25, 3.125, 0}
 	frame := appendFrameCRC(nil, 42, 7, data)
-	key, got, err := readFrame(bytes.NewReader(frame), true)
+	key, got, err := readFrame(bytes.NewReader(frame), new(frameScratch), true, frameKey{}, nil)
 	if err != nil {
 		t.Fatalf("clean frame: %v", err)
 	}
@@ -116,14 +116,14 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 
 	// Empty payloads carry (and check) a trailer too.
 	empty := appendFrameCRC(nil, 1, 2, nil)
-	if _, _, err := readFrame(bytes.NewReader(empty), true); err != nil {
+	if _, _, err := readFrame(bytes.NewReader(empty), new(frameScratch), true, frameKey{}, nil); err != nil {
 		t.Fatalf("empty frame: %v", err)
 	}
 
 	// A flipped payload bit must surface as a typed CorruptFrameError.
 	bad := append([]byte(nil), frame...)
 	bad[headerBytes+3] ^= 0x01
-	_, _, err = readFrame(bytes.NewReader(bad), true)
+	_, _, err = readFrame(bytes.NewReader(bad), new(frameScratch), true, frameKey{}, nil)
 	var cfe *CorruptFrameError
 	if !errors.As(err, &cfe) {
 		t.Fatalf("payload flip: got %v, want CorruptFrameError", err)
@@ -135,13 +135,13 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 	// A flipped trailer bit too.
 	bad = append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x80
-	if _, _, err := readFrame(bytes.NewReader(bad), true); !errors.As(err, &cfe) {
+	if _, _, err := readFrame(bytes.NewReader(bad), new(frameScratch), true, frameKey{}, nil); !errors.As(err, &cfe) {
 		t.Fatalf("trailer flip: got %v, want CorruptFrameError", err)
 	}
 
 	// The same bytes without a trailer parse as a v1 frame.
 	v1 := appendFrame(nil, 42, 7, data)
-	if _, _, err := readFrame(bytes.NewReader(v1), false); err != nil {
+	if _, _, err := readFrame(bytes.NewReader(v1), new(frameScratch), false, frameKey{}, nil); err != nil {
 		t.Fatalf("v1 frame: %v", err)
 	}
 }

@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/matrix"
 )
 
 // Config describes one rank's view of the world.
@@ -152,6 +154,7 @@ type rankConn struct {
 
 	rmu     sync.Mutex // serializes the demand-driven reader
 	pending map[frameKey][][]float64
+	rscr    frameScratch // header/trailer read buffer, guarded by rmu
 
 	// replay holds copies of recently sent small frames so a peer whose
 	// CRC check failed can ask for a retransmit through the reconnect
@@ -245,33 +248,39 @@ func (rc *rankConn) replace(c net.Conn, crc bool) bool {
 // retransmission. Only frames up to replayMaxFrameBytes are kept: the
 // caller's buffer cannot be aliased (the engine reuses send buffers), and
 // copying bulk payloads would tax the hot path the re-request feature
-// exists to protect.
+// exists to protect. The copy lands in the evicted entry's backing array
+// once the FIFO is full, so a warm connection retains without allocating.
 func (rc *rankConn) recordReplay(comm, tag uint32, data []float64) {
 	if 8*len(data) > replayMaxFrameBytes {
 		return
 	}
-	cp := append([]float64(nil), data...)
 	rc.replayMu.Lock()
+	var buf []float64
 	if len(rc.replay) == replayDepth {
+		buf = rc.replay[0].data[:0]
 		copy(rc.replay, rc.replay[1:])
 		rc.replay = rc.replay[:replayDepth-1]
 	}
-	rc.replay = append(rc.replay, replayEntry{key: frameKey{comm, tag}, data: cp})
+	rc.replay = append(rc.replay, replayEntry{key: frameKey{comm, tag}, data: append(buf, data...)})
 	rc.replayMu.Unlock()
 }
 
-// replayLookup returns the oldest retained frame matching key. Oldest
-// first: if the (rare) same key was sent twice back to back, the corrupt
-// one a receiver asks about is the earlier of the two still retained.
-func (rc *rankConn) replayLookup(key frameKey) ([]float64, bool) {
+// replayLookup copies the oldest retained frame matching key into pooled
+// staging the caller must put back (nil when none is retained). A copy, because the retained buffer is
+// overwritten by the next eviction. Oldest first: if the (rare) same key was
+// sent twice back to back, the corrupt one a receiver asks about is the
+// earlier of the two still retained.
+func (rc *rankConn) replayLookup(key frameKey) *[]float64 {
 	rc.replayMu.Lock()
 	defer rc.replayMu.Unlock()
 	for _, e := range rc.replay {
 		if e.key == key {
-			return e.data, true
+			st := getStaging(len(e.data))
+			copy(*st, e.data)
+			return st
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // noteCorrupt bumps and returns the re-request count for a frame key.
@@ -310,10 +319,12 @@ func (rc *rankConn) takeRerequest() rerequest {
 // nothing: the receiver's op deadline then escalates to job-level
 // recovery.
 func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest, crc bool) {
-	data, ok := rc.replayLookup(rr.key)
-	if !ok {
+	st := rc.replayLookup(rr.key)
+	if st == nil {
 		return
 	}
+	defer putStaging(st)
+	data := *st
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
 	if d := rc.ep.cfg.OpTimeout; d > 0 {
@@ -510,7 +521,7 @@ func (e *Endpoint) probeWait() time.Duration {
 func (e *Endpoint) awaitProbe(c net.Conn) (net.Conn, bool, rerequest, error) {
 	_ = c.SetReadDeadline(time.Now().Add(e.probeWait()))
 	cr := &captureReader{r: c}
-	key, data, err := readFrame(cr, false)
+	key, data, err := readFrame(cr, new(frameScratch), false, frameKey{}, nil)
 	_ = c.SetReadDeadline(time.Time{})
 	if err != nil {
 		if isTimeoutErr(err) {
@@ -748,14 +759,20 @@ func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64, crc 
 	if tc, ok := c.(*net.TCPConn); ok && hostLittleEndian && 8*len(data) >= writevMinPayload {
 		fb.b = appendHeader(fb.b[:0], comm, tag, len(data))
 		view := float64LEBytes(data)
+		// The iovec lives in the pooled scratch: WriteTo takes the slice's
+		// address, so a local one would be heap-allocated per frame.
+		parts := 2
 		if crc {
 			sum := crc32.Update(crc32.Update(0, castagnoli, fb.b[:headerBytes]), castagnoli, view)
 			fb.b = binary.LittleEndian.AppendUint32(fb.b, sum)
-			bufs := net.Buffers{fb.b[:headerBytes], view, fb.b[headerBytes : headerBytes+crcTrailerBytes]}
-			return bufs.WriteTo(tc)
+			fb.vec[2] = fb.b[headerBytes:]
+			parts = 3
 		}
-		bufs := net.Buffers{fb.b, view}
-		return bufs.WriteTo(tc)
+		fb.vec[0], fb.vec[1] = fb.b[:headerBytes], view
+		fb.bufs = fb.vec[:parts]
+		n, err := fb.bufs.WriteTo(tc)
+		fb.vec = [3][]byte{} // do not pin the caller's payload in the pool
+		return n, err
 	}
 	if crc {
 		fb.b = appendFrameCRC(fb.b[:0], comm, tag, data)
@@ -823,7 +840,15 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 // discarding heartbeat frames (which only serve to reset the deadline).
 // A read deadline expiry — no frame, not even a beat, within OpTimeout —
 // declares the peer failed.
-func (e *Endpoint) recv(peer int, comm, tag uint32, op string) ([]float64, error) {
+//
+// into, when non-nil, is where the caller wants the payload: if the frame
+// carries exactly len(into) elements the returned slice IS into — read off
+// the socket in place when the frame arrives while it is awaited, copied
+// from the parked frame when it arrived earlier — and recv allocates
+// nothing. A frame of any other length comes back as a slice the caller
+// owns; telling the two apart (and deciding whether a length mismatch is an
+// error) is the caller's job.
+func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) ([]float64, error) {
 	rc := e.conns[peer]
 	if rc == nil {
 		return nil, fmt.Errorf("netmpi: rank %d has no connection to rank %d", e.rank, peer)
@@ -833,7 +858,19 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, op string) ([]float64, error
 	defer rc.rmu.Unlock()
 	if q := rc.pending[want]; len(q) > 0 {
 		data := q[0]
-		rc.pending[want] = q[1:]
+		// Tags are per-collective sequence numbers, so a key is never
+		// awaited twice: drop the slot and the emptied key, or a long-lived
+		// mesh retains every frame that ever arrived early.
+		q[0] = nil
+		if len(q) == 1 {
+			delete(rc.pending, want)
+		} else {
+			rc.pending[want] = q[1:]
+		}
+		if into != nil && len(data) == len(into) {
+			copy(into, data)
+			return into, nil
+		}
 		return data, nil
 	}
 	attempt := 0
@@ -848,7 +885,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, op string) ([]float64, error
 			c.SetReadDeadline(time.Time{})
 		}
 		readStart := time.Now()
-		got, data, err := readFrame(c, crc)
+		got, data, err := readFrame(c, &rc.rscr, crc, want, into)
 		rc.stats.recvNanos.Add(time.Since(readStart).Nanoseconds())
 		if err != nil {
 			var cfe *CorruptFrameError
@@ -1003,59 +1040,115 @@ func (c *Comm) nextTag() uint32 {
 	return c.ep.commSeq[c.id]
 }
 
+// addCommSecs charges the wall time since start to the communication
+// account; collectives defer it.
+func (e *Endpoint) addCommSecs(start time.Time) {
+	e.mu.Lock()
+	e.commSecs += time.Since(start).Seconds()
+	e.mu.Unlock()
+}
+
+// bcastTree moves one contiguous payload down the MPICH binomial tree
+// rooted at comm rank root. The root passes the payload as data; every
+// other member receives its parent's frame — into into when that is non-nil
+// and the frame carries exactly len(into) elements (see recv) — and forwards
+// what it received to its children. It returns the payload. A frame that
+// does not fit a non-nil into is still forwarded, so that every member
+// sees the mismatch, and then reported as a *LengthMismatchError.
+func (c *Comm) bcastTree(tag uint32, root int, data, into []float64) ([]float64, error) {
+	k := len(c.ranks)
+	rel := (c.RankOf(c.ep.rank) - root + k) % k
+	// Receive phase.
+	mask := 1
+	for mask < k {
+		if rel&mask != 0 {
+			src := c.ranks[(rel-mask+root)%k]
+			got, err := c.ep.recv(src, c.id, tag, into, "bcast")
+			if err != nil {
+				return nil, err
+			}
+			data = got
+			break
+		}
+		mask <<= 1
+	}
+	// Send phase.
+	mask >>= 1
+	for mask > 0 {
+		if rel+mask < k {
+			dst := c.ranks[(rel+mask+root)%k]
+			if err := c.ep.send(dst, c.id, tag, data, "bcast"); err != nil {
+				return nil, err
+			}
+		}
+		mask >>= 1
+	}
+	if rel != 0 && into != nil && len(data) != len(into) {
+		return nil, &LengthMismatchError{Rank: c.ep.rank, Want: len(into), Got: len(data)}
+	}
+	return data, nil
+}
+
 // Bcast broadcasts the root's buffer over the communicator with a binomial
-// tree. On the root, buf is the source (count elements are sent, or
-// len(buf) when buf is non-nil); on receivers the payload is copied into
-// buf when non-nil and returned either way. A dead or silent peer turns
-// the broadcast into a *PeerFailedError within Config.OpTimeout.
+// tree. On the root, buf is the source; on receivers the payload lands in
+// buf when buf is non-nil — which must then be exactly as long as the
+// root's buffer, or the call fails with a *LengthMismatchError instead of
+// leaving a stale tail — and is returned either way (count is not used: the
+// frame carries the length). A dead or silent peer turns the broadcast into
+// a *PeerFailedError within Config.OpTimeout.
 func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
 	if root < 0 || root >= len(c.ranks) {
 		return nil, fmt.Errorf("netmpi: Bcast root %d out of range (size %d)", root, len(c.ranks))
 	}
-	k := len(c.ranks)
 	tag := c.nextTag()
-	start := time.Now()
-	defer func() {
-		c.ep.mu.Lock()
-		c.ep.commSecs += time.Since(start).Seconds()
-		c.ep.mu.Unlock()
-	}()
-	me := c.RankOf(c.ep.rank)
-	data := buf
-	if k > 1 {
-		rel := (me - root + k) % k
-		// Receive phase.
-		mask := 1
-		for mask < k {
-			if rel&mask != 0 {
-				src := c.ranks[(rel-mask+root)%k]
-				got, err := c.ep.recv(src, c.id, tag, "bcast")
-				if err != nil {
-					return nil, err
-				}
-				if buf != nil {
-					copy(buf, got)
-					data = buf
-				} else {
-					data = got
-				}
-				break
-			}
-			mask <<= 1
-		}
-		// Send phase.
-		mask >>= 1
-		for mask > 0 {
-			if rel+mask < k {
-				dst := c.ranks[(rel+mask+root)%k]
-				if err := c.ep.send(dst, c.id, tag, data, "bcast"); err != nil {
-					return nil, err
-				}
-			}
-			mask >>= 1
-		}
+	defer c.ep.addCommSecs(time.Now())
+	return c.bcastTree(tag, root, buf, buf)
+}
+
+// BcastPanel broadcasts the root's rows×cols panel src into every member's
+// dst, the root's included; the dimensions are dst's and src is read on the
+// root only. The root packs the panel once into pooled staging and sends
+// that one frame down the tree — same frames and bytes on the wire as a
+// Bcast of the packed panel. A receiver reads the frame off the socket
+// straight into dst when dst's rows are contiguous, otherwise into pooled
+// staging it then unpacks row by row; in steady state nothing is allocated
+// on either side. A member whose dimensions disagree with the root's fails
+// with a *LengthMismatchError.
+func (c *Comm) BcastPanel(src, dst matrix.Dense, root int) error {
+	if root < 0 || root >= len(c.ranks) {
+		return fmt.Errorf("netmpi: BcastPanel root %d out of range (size %d)", root, len(c.ranks))
 	}
-	return data, nil
+	h, w := dst.Rows, dst.Cols
+	isRoot := c.RankOf(c.ep.rank) == root
+	if isRoot && (src.Rows != h || src.Cols != w) {
+		return fmt.Errorf("netmpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, h, w)
+	}
+	tag := c.nextTag()
+	defer c.ep.addCommSecs(time.Now())
+	// The frame's buffer: dst itself for a receiver whose rows are
+	// contiguous, pooled staging otherwise.
+	direct := !isRoot && (dst.Stride == w || h == 1)
+	buf := dst.Data
+	if !direct {
+		st := getStaging(h * w)
+		defer putStaging(st)
+		buf = *st
+	}
+	buf = buf[:h*w]
+	var data []float64
+	if isRoot {
+		data = matrix.PackBlock(buf[:0], &src, h, w)
+	}
+	if _, err := c.bcastTree(tag, root, data, buf); err != nil {
+		return err
+	}
+	switch {
+	case isRoot:
+		return matrix.CopyBlock(&dst, &src, h, w)
+	case !direct:
+		return matrix.UnpackBlock(&dst, buf, h, w)
+	}
+	return nil
 }
 
 // Send transmits data to world rank `to` under the given user tag. User
@@ -1067,12 +1160,8 @@ func (e *Endpoint) Send(to, tag int, data []float64) error {
 
 // Recv blocks until a Send with the tag arrives from world rank `from`.
 func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
-	start := time.Now()
-	data, err := e.recv(from, userCommID, uint32(tag), "recv")
-	e.mu.Lock()
-	e.commSecs += time.Since(start).Seconds()
-	e.mu.Unlock()
-	return data, err
+	defer e.addCommSecs(time.Now())
+	return e.recv(from, userCommID, uint32(tag), nil, "recv")
 }
 
 // ReduceSum element-wise sums the members' equal-length buffers onto the
@@ -1101,7 +1190,7 @@ func (c *Comm) ReduceSum(buf []float64, root int) ([]float64, error) {
 			}
 			if rel+mask < k {
 				src := c.ranks[(rel+mask+root)%k]
-				got, err := c.ep.recv(src, c.id, tag, "reduce-sum")
+				got, err := c.ep.recv(src, c.id, tag, nil, "reduce-sum")
 				if err != nil {
 					return nil, err
 				}
@@ -1135,7 +1224,7 @@ func (c *Comm) Allgather(buf []float64) ([]float64, error) {
 		parts := make([][]float64, k)
 		parts[0] = append([]float64(nil), buf...)
 		for i := 1; i < k; i++ {
-			got, err := c.ep.recv(c.ranks[i], c.id, tag, "allgather")
+			got, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "allgather")
 			if err != nil {
 				return nil, err
 			}
@@ -1171,7 +1260,7 @@ func (c *Comm) Barrier() error {
 	me := c.RankOf(c.ep.rank)
 	if me == 0 {
 		for i := 1; i < k; i++ {
-			if _, err := c.ep.recv(c.ranks[i], c.id, tag, "barrier"); err != nil {
+			if _, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "barrier"); err != nil {
 				return err
 			}
 		}

@@ -115,7 +115,7 @@ func TestMeshSendRecv(t *testing.T) {
 		if err := ep.send(next, 1, 7, []float64{float64(ep.Rank())}, "test"); err != nil {
 			return err
 		}
-		got, err := ep.recv(prev, 1, 7, "test")
+		got, err := ep.recv(prev, 1, 7, nil, "test")
 		if err != nil {
 			return err
 		}
@@ -139,11 +139,11 @@ func TestRecvTagReordering(t *testing.T) {
 			}
 			return nil
 		}
-		first, err := ep.recv(0, 9, 1, "test")
+		first, err := ep.recv(0, 9, 1, nil, "test")
 		if err != nil {
 			return err
 		}
-		second, err := ep.recv(0, 9, 2, "test")
+		second, err := ep.recv(0, 9, 2, nil, "test")
 		if err != nil {
 			return err
 		}

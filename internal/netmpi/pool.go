@@ -1,11 +1,13 @@
 package netmpi
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 )
 
-// Pooled scratch for building outgoing frames.
+// Pooled scratch for building outgoing frames, and pooled staging for
+// strided panels.
 //
 // Ownership rules (DESIGN.md §11):
 //
@@ -13,12 +15,29 @@ import (
 //     putFrameBuf on every path out of the function that took it — the
 //     send and heartbeat paths do this with a defer so that timeouts,
 //     reconnect failures and epoch rejections all return the buffer.
-//   - A pooled buffer never escapes the writer: it is valid only until
-//     putFrameBuf, so nothing downstream (pending queues, stats, user
-//     code) may retain it. Receive payloads are freshly allocated per
-//     frame and owned by the caller instead.
+//   - A pooled buffer never escapes the function that checked it out: it
+//     is valid only until its put, so nothing downstream (pending queues,
+//     the replay FIFO, stats, user code) may retain it.
 //   - Buffers are returned regardless of how large they grew; the pool
 //     recycles capacity across bursts and the GC trims it between them.
+//
+// Who owns a received payload: a frame that arrives while it is awaited,
+// with the length the waiting caller sized its buffer for, is read off the
+// socket straight into that buffer — the caller's own memory, before and
+// after (Comm.Bcast's buf, or BcastPanel's destination rows or staging). Only
+// a frame nobody is waiting for yet — or of an unexpected length — is
+// decoded into a fresh allocation: it is parked in rankConn.pending and
+// handed over (copied, if the eventual caller brought a buffer) when its key
+// is awaited, at which point the queue slot and the emptied key are dropped.
+// A CRC-corrupt frame leaves garbage in the caller's buffer only until the
+// re-requested copy is read over it.
+//
+// Panel staging (getStaging/putStaging) holds one packed panel for the
+// duration of one BcastPanel call on one rank: the root packs its strided
+// source into it before the sends, a receiver whose destination rows are
+// not contiguous reads the frame into it and unpacks. send returns only once
+// the kernel has the bytes (and recordReplay has copied what it retains),
+// so the deferred put cannot race a write.
 //
 // The get/put counters exist so tests can assert the invariant: after a
 // run quiesces, checkouts and returns must balance (see FramePoolStats).
@@ -26,7 +45,12 @@ import (
 // frameBuf is one pooled scratch buffer. The pointer wrapper keeps
 // sync.Pool from allocating on every Put (interface boxing of a slice
 // header would).
-type frameBuf struct{ b []byte }
+type frameBuf struct {
+	b []byte
+	// vec backs bufs, the writev group of a large frame (see writeFrame).
+	vec  [3][]byte
+	bufs net.Buffers
+}
 
 var framePool = sync.Pool{New: func() any {
 	framePoolNews.Add(1)
@@ -63,3 +87,20 @@ func putFrameBuf(fb *frameBuf) {
 func FramePoolStats() (gets, puts, news int64) {
 	return framePoolGets.Load(), framePoolPuts.Load(), framePoolNews.Load()
 }
+
+// stagingPool recycles packed-panel staging. A buffer too small for the
+// request is dropped and replaced, so the pool converges on the largest
+// panel the process broadcasts (the blas panel pool's pattern).
+var stagingPool sync.Pool
+
+// getStaging checks out staging of exactly n elements, contents undefined.
+func getStaging(n int) *[]float64 {
+	if s, _ := stagingPool.Get().(*[]float64); s != nil && cap(*s) >= n {
+		*s = (*s)[:n]
+		return s
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+func putStaging(s *[]float64) { stagingPool.Put(s) }

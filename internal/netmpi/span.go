@@ -23,7 +23,7 @@ func (e *Endpoint) SendSpanBlob(to int, blob []byte) error {
 
 // RecvSpanBlob blocks until a span blob arrives from world rank `from`.
 func (e *Endpoint) RecvSpanBlob(from int) ([]byte, error) {
-	data, err := e.recv(from, spanCommID, spanBlobTag, "span-ship")
+	data, err := e.recv(from, spanCommID, spanBlobTag, nil, "span-ship")
 	if err != nil {
 		return nil, err
 	}

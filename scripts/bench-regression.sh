@@ -2,7 +2,7 @@
 # Bench-regression gate: run the gated benchmark suite, show a benchstat
 # summary against the committed baseline when available, and fail via
 # benchguard if the obs-off hot path or the metrics hot path regressed
-# (>10% ns/op on matching hardware, allocs/op anywhere).
+# (>10% ns/op on matching hardware, allocs/op and B/op anywhere).
 #
 #   ./scripts/bench-regression.sh              # gate against BENCH_baseline.json
 #   BENCH_COUNT=3 ./scripts/bench-regression.sh
