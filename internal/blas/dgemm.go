@@ -40,6 +40,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/slab"
 )
 
 // Kernel selects a GEMM implementation.
@@ -165,18 +168,28 @@ func naiveMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb
 	}
 }
 
-// panelPool recycles packed-panel buffers across calls and workers. A buffer
-// that is too small for the request is dropped and replaced, so the pool
-// converges on the largest panels the process actually multiplies.
-var panelPool sync.Pool
+// panelHigh holds the largest packed A and B panel any call has asked for.
+var panelHigh [2]atomic.Int64
 
-func getPanel(n int) *[]float64 {
-	if p, _ := panelPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
+// getPanel returns a recycled buffer of at least n elements for a packed
+// panel of one kind (0 for A, 1 for B). Every request is for the kind's
+// high-water size, so the panels of a kind are interchangeable — one size
+// class — and the free list holds as many as ran at once: sized per call
+// instead, panels spread over a dozen classes whose concurrency peaks each
+// arrived in their own time, long after warm-up. The high-water need, not the
+// blocking maximum, so a process that only multiplies small matrices never
+// pins full-size panels.
+func getPanel(kind, n int) []float64 {
+	high := &panelHigh[kind]
+	for {
+		h := high.Load()
+		if int64(n) <= h {
+			return slab.Get(int(h))
+		}
+		if high.CompareAndSwap(h, int64(n)) {
+			return slab.Get(n)
+		}
 	}
-	s := make([]float64, n)
-	return &s
 }
 
 // roundUp rounds n up to a multiple of to.
@@ -188,7 +201,7 @@ func roundUp(n, to int) int { return (n + to - 1) / to * to }
 // itself: same elapsed time as packing it once while the others wait, and no
 // hand-off per panel); any split of the rows gives the same bits, see
 // macroKernel. That trade was measured with two workers only. B-packing work
-// and pooled memory (1 MiB of packed B and 256 KiB of packed A per worker)
+// and panel memory (1 MiB of packed B and 256 KiB of packed A per worker)
 // both grow with the worker count, and an in-process engine runs one
 // blockedMul per rank at once, so on a many-core host a packed B shared by
 // the workers may win; re-measure there before trusting it.
@@ -212,21 +225,22 @@ func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 }
 
 // blockedMulRows is the serial MC/KC/NC panel loop around packA, packB and
-// macroKernel.
+// macroKernel. The packed panels are separate buffers: one buffer holding
+// both ran a 256³ product 1–4 % slower on the 2-vCPU Xeon.
 func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	pa := getPanel(roundUp(min(m, blockMC), microM) * min(k, blockKC))
-	defer panelPool.Put(pa)
-	pb := getPanel(min(k, blockKC) * roundUp(min(n, blockNC), microN))
-	defer panelPool.Put(pb)
+	pa := getPanel(0, roundUp(min(m, blockMC), microM)*min(k, blockKC))
+	defer slab.Put(pa)
+	pb := getPanel(1, min(k, blockKC)*roundUp(min(n, blockNC), microN))
+	defer slab.Put(pb)
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
-			packB(*pb, b[pc*ldb+jc:], ldb, kc, nc)
+			packB(pb, b[pc*ldb+jc:], ldb, kc, nc)
 			for ic := 0; ic < m; ic += blockMC {
 				mc := min(blockMC, m-ic)
-				packA(*pa, a[ic*lda+pc:], lda, mc, kc, alpha)
-				macroKernel(mc, nc, kc, *pa, *pb, c[ic*ldc+jc:], ldc)
+				packA(pa, a[ic*lda+pc:], lda, mc, kc, alpha)
+				macroKernel(mc, nc, kc, pa, pb, c[ic*ldc+jc:], ldc)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
-//go:build !race
-
 package core_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,12 +10,11 @@ import (
 	"repro/internal/partition"
 )
 
-// TestMultiplySteadyStateAllocCeiling: once the slab pool is warm, a
+// TestMultiplySteadyStateAllocCeiling: once the slab free list is warm, a
 // multiply allocates its world, its channels, its report and nothing that
 // grows with N². At N=256 the three working-matrix pairs alone are 1.4 MB
-// (what every call allocated, and zeroed, before they were pooled); the
-// ceiling is 64 KiB. Excluded under -race, where sync.Pool drops a quarter
-// of its Puts by design.
+// (what every call allocated, and zeroed, before they were recycled); the
+// ceiling is 64 KiB.
 func TestMultiplySteadyStateAllocCeiling(t *testing.T) {
 	const n, ceiling = 256, 64 << 10
 	rng := rand.New(rand.NewSource(3))
@@ -32,5 +30,48 @@ func TestMultiplySteadyStateAllocCeiling(t *testing.T) {
 	})
 	if got := res.AllocedBytesPerOp(); got > ceiling {
 		t.Fatalf("steady-state core.Multiply at N=%d allocates %d B/op over %d ops, ceiling %d", n, got, res.N, ceiling)
+	}
+}
+
+// TestRecycledBuffersSurviveGC: garbage collections cost the multiplies that
+// follow them none of their recycled buffers. After a warm-up, twelve
+// multiplies at N=512 (all four shapes, three rounds), each right after a
+// forced GC, allocate under the same 64 KiB a multiply each. With sync.Pools,
+// which the collector empties, every one of them re-allocated its slabs and
+// packed panels: half a megabyte apiece. The bound is on the total because a
+// multiply may still meet a first-ever concurrency peak (more ranks inside a
+// DGEMM at once than ever before) and allocate one more panel buffer; that
+// happens once per peak, not per GC.
+func TestRecycledBuffersSurviveGC(t *testing.T) {
+	const n, ceiling, warm, rounds = 512, 64 << 10, 4, 3
+	rng := rand.New(rand.NewSource(5))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	var cfgs []core.Config
+	for _, shape := range partition.Shapes {
+		cfgs = append(cfgs, core.Config{Layout: shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9})})
+	}
+	multiply := func(cfg core.Config) {
+		if _, err := core.Multiply(a, b, c, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < warm; round++ {
+		for _, cfg := range cfgs {
+			multiply(cfg)
+		}
+	}
+	var before, after runtime.MemStats
+	var total uint64
+	for round := 0; round < rounds; round++ {
+		for _, cfg := range cfgs {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			multiply(cfg)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if ops := uint64(rounds * len(cfgs)); total > ops*ceiling {
+		t.Fatalf("%d multiplies, each right after a GC, allocated %d B, ceiling %d B", ops, total, ops*ceiling)
 	}
 }

@@ -27,10 +27,10 @@
 // move each element once per receiving rank: a cell's owner hands the
 // runtime its view of A or B, every member its view of WA or WB
 // (Comm.BcastPanel), and nothing is packed, cloned or unpacked on the
-// engine's side. WA and WB are recycled through a process-wide slab pool
-// (slab.go), un-zeroed — a steady-state multiply allocates nothing that
-// grows with N² — and go back to it only when no goroutine of the rank can
-// still write them. A and B are read-only to the engine, and the caller must
+// engine's side. WA and WB are recycled through the process-wide slab free
+// list (internal/slab), un-zeroed — a steady-state multiply allocates nothing
+// that grows with N² — and go back to it only when no goroutine of the rank
+// can still write them. A and B are read-only to the engine, and the caller must
 // not write them while a multiply runs: the in-process runtime lets
 // receivers copy out of the owner's memory after the owner has moved on.
 package core
@@ -49,6 +49,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ooc"
 	"repro/internal/partition"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -304,11 +305,11 @@ func rankMain(p Proc, cfg *Config, a, b, c *matrix.Dense) error {
 	if cfg.Mode != RealMode {
 		return rankMainSequential(p, cfg, ws, nil, nil, nil, nil, nil)
 	}
-	// WA and WB come from the slab pool un-zeroed and go back only when no
-	// goroutine of this rank can still write them (see slab.go).
-	sa, sb := getSlab(ws.waRows*l.N), getSlab(l.N*ws.wbCols)
-	wa := &matrix.Dense{Rows: ws.waRows, Cols: l.N, Stride: l.N, Data: *sa}
-	wb := &matrix.Dense{Rows: l.N, Cols: ws.wbCols, Stride: ws.wbCols, Data: *sb}
+	// WA and WB come from the slab free list un-zeroed and go back only when
+	// no goroutine of this rank can still write them (see internal/slab).
+	sa, sb := slab.Get(ws.waRows*l.N), slab.Get(l.N*ws.wbCols)
+	wa := &matrix.Dense{Rows: ws.waRows, Cols: l.N, Stride: l.N, Data: sa}
+	wb := &matrix.Dense{Rows: l.N, Cols: ws.wbCols, Stride: ws.wbCols, Data: sb}
 	var err error
 	quiesced := true
 	if cfg.overlapEnabled() {
@@ -317,8 +318,8 @@ func rankMain(p Proc, cfg *Config, a, b, c *matrix.Dense) error {
 		err = rankMainSequential(p, cfg, ws, a, b, c, wa, wb)
 	}
 	if quiesced {
-		putSlab(sa)
-		putSlab(sb)
+		slab.Put(sa)
+		slab.Put(sb)
 	}
 	return err
 }

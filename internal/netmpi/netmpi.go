@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/slab"
 )
 
 // Config describes one rank's view of the world.
@@ -265,18 +266,18 @@ func (rc *rankConn) recordReplay(comm, tag uint32, data []float64) {
 	rc.replayMu.Unlock()
 }
 
-// replayLookup copies the oldest retained frame matching key into pooled
-// staging the caller must put back (nil when none is retained). A copy, because the retained buffer is
-// overwritten by the next eviction. Oldest first: if the (rare) same key was
-// sent twice back to back, the corrupt one a receiver asks about is the
-// earlier of the two still retained.
-func (rc *rankConn) replayLookup(key frameKey) *[]float64 {
+// replayLookup copies the oldest retained frame matching key into recycled
+// staging the caller must put back (nil when none is retained). A copy,
+// because the retained buffer is overwritten by the next eviction. Oldest
+// first: if the (rare) same key was sent twice back to back, the corrupt one
+// a receiver asks about is the earlier of the two still retained.
+func (rc *rankConn) replayLookup(key frameKey) []float64 {
 	rc.replayMu.Lock()
 	defer rc.replayMu.Unlock()
 	for _, e := range rc.replay {
 		if e.key == key {
-			st := getStaging(len(e.data))
-			copy(*st, e.data)
+			st := slab.Get(len(e.data))
+			copy(st, e.data)
 			return st
 		}
 	}
@@ -319,12 +320,11 @@ func (rc *rankConn) takeRerequest() rerequest {
 // nothing: the receiver's op deadline then escalates to job-level
 // recovery.
 func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest, crc bool) {
-	st := rc.replayLookup(rr.key)
-	if st == nil {
+	data := rc.replayLookup(rr.key)
+	if data == nil {
 		return
 	}
-	defer putStaging(st)
-	data := *st
+	defer slab.Put(data)
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
 	if d := rc.ep.cfg.OpTimeout; d > 0 {
@@ -704,6 +704,19 @@ func (e *Endpoint) FailPeer(rank int, cause error) bool {
 	}
 	e.conns[rank].fail("grayfail", cause)
 	return true
+}
+
+// Healthy reports whether the endpoint is open and no peer connection has
+// been declared failed. An endpoint that is not healthy can never finish
+// another collective; one that is can — reconnects after transient errors
+// included — which is what lets an owner keep a mesh for its next run.
+func (e *Endpoint) Healthy() bool {
+	select {
+	case <-e.done:
+		return false
+	default:
+		return !e.poisoned.Load()
+	}
 }
 
 // Rank returns this endpoint's rank.
@@ -1107,10 +1120,10 @@ func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
 
 // BcastPanel broadcasts the root's rows×cols panel src into every member's
 // dst, the root's included; the dimensions are dst's and src is read on the
-// root only. The root packs the panel once into pooled staging and sends
+// root only. The root packs the panel once into recycled staging and sends
 // that one frame down the tree — same frames and bytes on the wire as a
 // Bcast of the packed panel. A receiver reads the frame off the socket
-// straight into dst when dst's rows are contiguous, otherwise into pooled
+// straight into dst when dst's rows are contiguous, otherwise into recycled
 // staging it then unpacks row by row; in steady state nothing is allocated
 // on either side. A member whose dimensions disagree with the root's fails
 // with a *LengthMismatchError.
@@ -1126,13 +1139,12 @@ func (c *Comm) BcastPanel(src, dst matrix.Dense, root int) error {
 	tag := c.nextTag()
 	defer c.ep.addCommSecs(time.Now())
 	// The frame's buffer: dst itself for a receiver whose rows are
-	// contiguous, pooled staging otherwise.
+	// contiguous, recycled staging otherwise.
 	direct := !isRoot && (dst.Stride == w || h == 1)
 	buf := dst.Data
 	if !direct {
-		st := getStaging(h * w)
-		defer putStaging(st)
-		buf = *st
+		buf = slab.Get(h * w)
+		defer slab.Put(buf)
 	}
 	buf = buf[:h*w]
 	var data []float64

@@ -1,6 +1,7 @@
 package netmpi
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -103,6 +104,30 @@ func TestSingleRankWorld(t *testing.T) {
 	}
 	if err := c.Barrier(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHealthy: an endpoint stays healthy across collectives, and stops being
+// so once a peer is declared failed or the endpoint is closed — the test an
+// owner runs before keeping a mesh for its next run.
+func TestHealthy(t *testing.T) {
+	eps := localWorld(t, 3)
+	runAll(t, eps, func(ep *Endpoint) error { return ep.AgreeEpoch() })
+	for r, ep := range eps {
+		if !ep.Healthy() {
+			t.Fatalf("rank %d unhealthy after a clean collective", r)
+		}
+	}
+	eps[0].FailPeer(2, errors.New("condemned"))
+	if eps[0].Healthy() {
+		t.Fatal("rank 0 healthy with a failed peer")
+	}
+	if !eps[1].Healthy() {
+		t.Fatal("rank 1 lost health without any failure of its own")
+	}
+	eps[1].Close()
+	if eps[1].Healthy() {
+		t.Fatal("closed endpoint reports healthy")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Pooled scratch for building outgoing frames, and pooled staging for
+// Pooled scratch for building outgoing frames, and recycled staging for
 // strided panels.
 //
 // Ownership rules (DESIGN.md §11):
@@ -32,12 +32,13 @@ import (
 // A CRC-corrupt frame leaves garbage in the caller's buffer only until the
 // re-requested copy is read over it.
 //
-// Panel staging (getStaging/putStaging) holds one packed panel for the
-// duration of one BcastPanel call on one rank: the root packs its strided
-// source into it before the sends, a receiver whose destination rows are
-// not contiguous reads the frame into it and unpacks. send returns only once
-// the kernel has the bytes (and recordReplay has copied what it retains),
-// so the deferred put cannot race a write.
+// Panel staging (slab.Get/slab.Put, the process's one recycled-buffer free
+// list) holds one packed panel for the duration of one BcastPanel call on
+// one rank: the root packs its strided source into it before the sends, a
+// receiver whose destination rows are not contiguous reads the frame into
+// it and unpacks. send returns only once the kernel has the bytes (and
+// recordReplay has copied what it retains), so the deferred put cannot race
+// a write.
 //
 // The get/put counters exist so tests can assert the invariant: after a
 // run quiesces, checkouts and returns must balance (see FramePoolStats).
@@ -87,20 +88,3 @@ func putFrameBuf(fb *frameBuf) {
 func FramePoolStats() (gets, puts, news int64) {
 	return framePoolGets.Load(), framePoolPuts.Load(), framePoolNews.Load()
 }
-
-// stagingPool recycles packed-panel staging. A buffer too small for the
-// request is dropped and replaced, so the pool converges on the largest
-// panel the process broadcasts (the blas panel pool's pattern).
-var stagingPool sync.Pool
-
-// getStaging checks out staging of exactly n elements, contents undefined.
-func getStaging(n int) *[]float64 {
-	if s, _ := stagingPool.Get().(*[]float64); s != nil && cap(*s) >= n {
-		*s = (*s)[:n]
-		return s
-	}
-	s := make([]float64, n)
-	return &s
-}
-
-func putStaging(s *[]float64) { stagingPool.Put(s) }

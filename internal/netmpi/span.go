@@ -10,8 +10,9 @@ import "fmt"
 // span frames are accounted under PeerStats.SpanBytes* instead of the
 // data counters, keeping the comm-volume audit blind to tracing.
 
-// spanBlobTag is the tag span blobs travel under. Meshes are per-attempt
-// and each rank ships at most one blob per run, so a single tag suffices.
+// spanBlobTag is the tag span blobs travel under. A mesh serves one run at
+// a time, each rank ships at most one blob per run and rank 0 receives every
+// blob before the run ends, so a single tag suffices.
 const spanBlobTag = 0
 
 // SendSpanBlob ships an opaque blob (a serialized rank span tree) to

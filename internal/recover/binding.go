@@ -111,7 +111,8 @@ func (b *Binding) Restore(r0, c0, h, w int, dst []float64, stride int) bool {
 	return true
 }
 
-// Save implements core.Checkpointer.
+// Save implements core.Checkpointer. The cell is copied out of src once; the
+// store and the binding then share that copy, neither writing it.
 func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
 	cell := Cell{Row: r0, Col: c0, H: h, W: w, Data: make([]float64, h*w)}
 	for r := 0; r < h; r++ {

@@ -45,7 +45,11 @@ func (c Cell) validate() error {
 // CheckpointStore persists completed cells per job. Implementations must be
 // safe for concurrent use; Save is called from every rank's compute stage.
 type CheckpointStore interface {
-	// Save durably records one completed cell for the job.
+	// Save durably records one completed cell for the job. It takes
+	// ownership of cell.Data: the store may keep the slice rather than copy
+	// it (MemStore does), so the caller must not write it afterwards, and
+	// the store must not write it either — cells it returns from Load may
+	// share that memory with the caller.
 	Save(jobID string, cell Cell) error
 	// Load returns every cell recorded for the job, in deterministic
 	// order. A job with no checkpoint returns an empty slice, not an
@@ -69,16 +73,14 @@ func NewMemStore() *MemStore {
 	return &MemStore{jobs: map[string][]Cell{}}
 }
 
-// Save implements CheckpointStore.
+// Save implements CheckpointStore, keeping cell.Data itself.
 func (s *MemStore) Save(jobID string, cell Cell) error {
 	if err := cell.validate(); err != nil {
 		return err
 	}
-	cp := cell
-	cp.Data = append([]float64(nil), cell.Data...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[jobID] = append(s.jobs[jobID], cp)
+	s.jobs[jobID] = append(s.jobs[jobID], cell)
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package recover
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +62,56 @@ func TestStoreRoundtrip(t *testing.T) {
 				t.Fatalf("after Clear: %d cells, err %v", len(cells), err)
 			}
 		})
+	}
+}
+
+// TestMemStoreKeepsCallersSlice pins CheckpointStore.Save's ownership
+// contract on the in-memory store: the cell's data is kept, not copied, so a
+// checkpointed cell costs one copy (Binding.Save's, out of C) instead of two.
+func TestMemStoreKeepsCallersSlice(t *testing.T) {
+	store := NewMemStore()
+	c := cellAt(0, 0, 2, 3, 5)
+	if err := store.Save("j", c); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := store.Load("j")
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("loaded %d cells, err %v", len(cells), err)
+	}
+	if &cells[0].Data[0] != &c.Data[0] {
+		t.Fatal("MemStore copied the cell's data instead of keeping it")
+	}
+	b, err := NewBinding(store, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := []float64{1, 2, 3, 4}
+	b.Save(4, 4, 2, 2, src, 2)
+	cells, _ = store.Load("j")
+	if got := cells[1].Data; &got[0] == &src[0] || got[3] != 4 {
+		t.Fatalf("binding saved %v aliasing the engine's C", got)
+	}
+}
+
+// TestFileStoreBytesUnchanged: the SGC2 file a cell is written as is
+// byte-for-byte what earlier builds wrote (golden bytes), so the ownership
+// change in Save touches no on-disk format.
+func TestFileStoreBytesUnchanged(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cell{Row: 2, Col: 3, H: 1, W: 2, Data: []float64{1.5, -0.25}}
+	if err := fs.Save("j", c); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(fs.jobDir("j"), c.Key()+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := hex.DecodeString("5347433202000000030000000100000002000000000000000000f83f000000000000d0bf6b318130")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cell file\n got %x\nwant %x", got, want)
 	}
 }
 

@@ -42,6 +42,12 @@ type RecoverableRunner interface {
 	Recoverable() bool
 }
 
+// idleCloser is implemented by Runners that keep transport warm between
+// jobs (the netmpi runner's meshes); Scheduler.Drain closes what they hold.
+type idleCloser interface {
+	CloseIdle()
+}
+
 // runnerRecoverable reports whether r advertises recoverable failures.
 func runnerRecoverable(r Runner) bool {
 	rr, ok := r.(RecoverableRunner)
@@ -89,12 +95,14 @@ func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts Run
 	return core.Multiply(a, b, c, core.Config{Layout: plan.Layout, Kernel: r.Kernel, Checkpoint: opts.Checkpoint, Span: opts.Span, DisableOverlap: opts.DisableOverlap})
 }
 
-// NetmpiRunner executes each job over a fresh loopback TCP mesh: one
-// netmpi endpoint per rank, each running core.RunRank in its own
-// goroutine. This is the fault-tolerant runtime of PR 1 exercised under
-// service load — a rank that dies mid-collective surfaces as a
-// rank-attributed *netmpi.PeerFailedError failing the job cleanly while
-// unrelated jobs proceed.
+// NetmpiRunner executes each job over a loopback TCP mesh: one netmpi
+// endpoint per rank, each running core.RunRank in its own goroutine. This is
+// the fault-tolerant netmpi runtime exercised under service load — a rank
+// that dies mid-collective surfaces as a rank-attributed
+// *netmpi.PeerFailedError failing the job cleanly while unrelated jobs
+// proceed. Meshes outlive jobs: a first attempt leases a warm mesh off the
+// runner's free list and puts it back after a clean run (mesh.go has the
+// rules). The zero value is ready to use.
 //
 // The rank goroutines share the a, b and c matrices: the engine reads
 // only owned partitions and writes disjoint C cells per rank, so no
@@ -113,11 +121,12 @@ type NetmpiRunner struct {
 	// WrapConn, when non-nil, wraps every rank's connections — the
 	// fault-injection hook (see internal/faultinject). It receives the
 	// job id and the recovery epoch so tests can target one job's mesh
-	// and chaos hooks can confine kills to the first attempt.
+	// and chaos hooks can confine kills to the first attempt. An attempt
+	// it returns a wrapper for runs on a mesh dialled for it alone.
 	WrapConn func(jobID string, epoch, rank int) func(peer int, c net.Conn) net.Conn
 
 	// GrayFail, when non-nil, runs a gray-failure monitor alongside every
-	// mesh: each GrayInterval it samples every endpoint's per-peer RTT and
+	// run: each GrayInterval it samples every endpoint's per-peer RTT and
 	// goodput signals, feeds them to a grayfail.Detector, and when a
 	// majority of a rank's observers report its links degraded it condemns
 	// that rank via Endpoint.FailPeer — converting up-but-sick into an
@@ -129,8 +138,16 @@ type NetmpiRunner struct {
 	// HeartbeatInterval (one verdict opportunity per expected beat).
 	GrayInterval time.Duration
 
+	// Warm meshes waiting for their next job, by rank count (mesh.go).
+	meshMu sync.Mutex
+	idle   map[int][]*mesh
+	// onUse, when set (tests only), sees every run on a mesh start (after
+	// the epoch fence, before any rank computes) and end (after the mesh
+	// went back on the free list or was closed).
+	onUse func(meshUse)
+
 	// Transport-metric aggregation (see NetMetrics). Endpoint counters are
-	// folded in as each job's mesh is torn down; comm volumes only for
+	// folded in as each run on a mesh ends; comm volumes only for
 	// successful attempts, keyed by partition shape.
 	netMu           sync.Mutex
 	netPeers        map[NetPeerKey]NetPeerCounters
@@ -167,90 +184,102 @@ func (r *NetmpiRunner) dialTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// Run implements Runner: it binds one loopback listener per rank, dials
-// the full mesh, runs every rank concurrently and assembles the report
-// from the per-endpoint breakdowns.
+// meshUse is one start or end of a run on a mesh, as NetmpiRunner.onUse
+// sees it.
+type meshUse struct {
+	job      string
+	m        *mesh
+	leased   bool // the mesh came off the free list
+	done     bool // false at the start of the run, true at its end
+	returned bool // at the end: the mesh went back on the free list
+}
+
+// errStaleLease is runOn's report that a leased mesh failed the epoch fence.
+var errStaleLease = errors.New("sched: leased mesh failed the epoch fence")
+
+// Run implements Runner: it runs every rank of the plan concurrently on a
+// loopback mesh — a warm one off the free list when the attempt may lease
+// one, else a freshly dialled one — and assembles the report from what the
+// endpoints counted during this run.
 func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
 	p := plan.Layout.P
-	dialSpan := opts.Span.Child("mesh-dial").Int("ranks", int64(p))
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
-			dialSpan.Str("error", err.Error()).End()
-			return nil, fmt.Errorf("sched: netmpi listen: %w", err)
+	wraps := r.wrappers(jobID, opts.Epoch, p)
+	// Only a first attempt on unwrapped connections leases a mesh or leaves
+	// one behind: chaos and recovery attempts run on meshes of their own.
+	poolable := opts.Epoch == 0 && wraps == nil
+	m, leased, err := r.acquire(p, poolable, wraps, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := r.runOn(m, leased, poolable, jobID, plan, a, b, c, opts)
+	if errors.Is(err, errStaleLease) {
+		// The mesh went bad while it sat idle: that costs a redial, not the
+		// attempt.
+		if m, _, err = r.acquire(p, false, nil, opts); err != nil {
+			return nil, err
 		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+		rep, err = r.runOn(m, false, poolable, jobID, plan, a, b, c, opts)
 	}
+	return rep, err
+}
 
-	eps := make([]*netmpi.Endpoint, p)
-	dialErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := netmpi.Config{
-				Rank:              rank,
-				Addrs:             addrs,
-				Listener:          listeners[rank],
-				DialTimeout:       r.dialTimeout(),
-				OpTimeout:         r.opTimeout(),
-				HeartbeatInterval: r.heartbeat(),
-				MaxRetries:        r.MaxRetries,
-				Epoch:             uint32(opts.Epoch),
-				Ctx:               opts.Ctx,
-			}
-			if r.WrapConn != nil {
-				cfg.WrapConn = r.WrapConn(jobID, opts.Epoch, rank)
-			}
-			eps[rank], dialErrs[rank] = netmpi.Dial(cfg)
-		}(rank)
+// runOn runs one attempt on m, then puts m back on the free list (poolable,
+// the run succeeded and left every endpoint healthy, the job's context still
+// live) or closes it.
+func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (rep *core.Report, err error) {
+	// Cancelling the job's context closes the mesh under the run, so a drain
+	// or a job timeout cuts dials, reconnect waits and blocked frames short.
+	stop := func() bool { return true }
+	if opts.Ctx != nil {
+		stop = context.AfterFunc(opts.Ctx, m.close)
 	}
-	wg.Wait()
+	stopGray := r.startGrayMonitor(m.eps, opts.Span)
 	defer func() {
-		r.foldStats(eps)
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
+		stopGray()
+		// stop reports false once the context's close has been set off.
+		keep := stop() && poolable && err == nil && m.healthy()
+		returned := r.release(m, keep, opts.Ctx)
+		if r.onUse != nil {
+			r.onUse(meshUse{job: jobID, m: m, leased: leased, done: true, returned: returned})
 		}
 	}()
-	for rank, err := range dialErrs {
-		if err != nil {
-			dialSpan.Str("error", err.Error()).End()
-			return nil, fmt.Errorf("sched: netmpi rank %d dial: %w", rank, err)
-		}
-	}
-	dialSpan.End()
-
-	stopGray := r.startGrayMonitor(eps, opts.Span)
-	defer stopGray()
 
 	// Rank-local recording: when the attempt is observed, every rank gets
 	// its own Recorder — the distributed analogue of one process per node.
 	// Engine spans land there instead of on the shared job recorder, and
 	// are shipped back to rank 0 after the run (see collectRankTraces), so
 	// the loopback runtime exercises the same record-ship-merge path a
-	// multi-node deployment would.
+	// multi-node deployment would. A rank's root span covers the epoch
+	// fence and its run.
+	p := len(m.eps)
 	var recs []*obs.Recorder
+	roots := make([]obs.SpanHandle, p)
 	if opts.Span.Enabled() {
 		recs = make([]*obs.Recorder, p)
 		for i := range recs {
 			recs[i] = obs.NewRecorder()
+			roots[i] = recs[i].Root("rank").OnRank(i).Int("rank", int64(i))
 		}
 	}
 
 	start := time.Now()
+	// Epoch fencing doubles as a pre-compute barrier: no rank of a
+	// recovered job starts until the whole mesh agrees on the generation.
+	if err := m.fence(leased); err != nil {
+		if leased {
+			opts.Span.Str("stale_lease", err.Error())
+			return nil, errStaleLease
+		}
+		return nil, err
+	}
+	if r.onUse != nil {
+		r.onUse(meshUse{job: jobID, m: m, leased: leased})
+	}
 	runErrs := make([]error, p)
+	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
@@ -259,19 +288,11 @@ func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts
 			}()
 			runSpan := opts.Span
 			if recs != nil {
-				root := recs[rank].Root("rank").OnRank(rank).Int("rank", int64(rank))
-				defer root.End()
-				runSpan = root
+				defer roots[rank].End()
+				runSpan = roots[rank]
 			}
-			// Epoch fencing doubles as a pre-compute barrier: no rank of a
-			// recovered job starts until the whole mesh agrees on the
-			// generation.
-			if err := eps[rank].AgreeEpoch(); err != nil {
-				runErrs[rank] = err
-				return
-			}
-			runErrs[rank] = core.RunRank(eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: runSpan, DisableOverlap: opts.DisableOverlap}, a, b, c)
-		}(rank)
+			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: runSpan, DisableOverlap: opts.DisableOverlap}, a, b, c)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
@@ -280,11 +301,12 @@ func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts
 		return nil, err
 	}
 
-	r.auditVolume(plan, eps, opts.Span)
+	now := m.counters()
+	r.auditVolume(plan, m.folded, now, opts.Span)
 
-	rep := buildNetmpiReport(plan, eps, elapsed)
+	rep = buildNetmpiReport(plan, m.folded, now, elapsed)
 	if recs != nil {
-		rep.RemoteTraces = collectRankTraces(eps, recs)
+		rep.RemoteTraces = collectRankTraces(m.eps, recs)
 		var all []obs.Span
 		for _, rt := range rep.RemoteTraces {
 			all = append(all, rt.Spans...)
@@ -434,56 +456,60 @@ func collectRankTraces(eps []*netmpi.Endpoint, recs []*obs.Recorder) []obs.Remot
 	return remotes
 }
 
-// foldStats accumulates every endpoint's transport counters into the
-// runner-lifetime totals. Called exactly once per mesh, at teardown.
-func (r *NetmpiRunner) foldStats(eps []*netmpi.Endpoint) {
+// foldStats adds what every endpoint of m counted since the mesh's previous
+// run ended to the runner-lifetime totals, and moves the mesh's mark up.
+// Called exactly once per run, as the run releases the mesh, so the totals
+// are the sum over runs.
+func (r *NetmpiRunner) foldStats(m *mesh) {
+	now := m.counters()
 	r.netMu.Lock()
 	defer r.netMu.Unlock()
 	if r.netPeers == nil {
 		r.netPeers = make(map[NetPeerKey]NetPeerCounters)
 	}
-	for _, ep := range eps {
-		if ep == nil {
-			continue
-		}
-		st := ep.Stats()
-		r.netEpochRejects += uint64(st.EpochRejects)
-		for _, ps := range st.Peers {
+	for i := range now {
+		st, was := now[i].stats, m.folded[i].stats
+		r.netEpochRejects += uint64(st.EpochRejects - was.EpochRejects)
+		for j, ps := range st.Peers {
+			var w netmpi.PeerStats
+			if j < len(was.Peers) {
+				w = was.Peers[j]
+			}
 			k := NetPeerKey{Rank: st.Rank, Peer: ps.Peer}
 			c := r.netPeers[k]
-			c.BytesSent += uint64(ps.BytesSent)
-			c.BytesRecv += uint64(ps.BytesRecv)
-			c.FramesSent += uint64(ps.FramesSent)
-			c.FramesRecv += uint64(ps.FramesRecv)
-			c.SendSeconds += ps.SendSeconds
-			c.RecvSeconds += ps.RecvSeconds
-			c.Retries += uint64(ps.Retries)
-			c.Reconnects += uint64(ps.Reconnects)
-			c.Heartbeats += uint64(ps.Heartbeats)
-			c.HeartbeatDelaySeconds += ps.HeartbeatDelaySeconds
-			c.CorruptFrames += uint64(ps.CorruptFrames)
-			c.Rerequests += uint64(ps.Rerequests)
-			c.RetransmitFrames += uint64(ps.RetransmitFrames)
-			c.RetransmitBytes += uint64(ps.RetransmitBytes)
+			c.BytesSent += uint64(ps.BytesSent - w.BytesSent)
+			c.BytesRecv += uint64(ps.BytesRecv - w.BytesRecv)
+			c.FramesSent += uint64(ps.FramesSent - w.FramesSent)
+			c.FramesRecv += uint64(ps.FramesRecv - w.FramesRecv)
+			c.SendSeconds += ps.SendSeconds - w.SendSeconds
+			c.RecvSeconds += ps.RecvSeconds - w.RecvSeconds
+			c.Retries += uint64(ps.Retries - w.Retries)
+			c.Reconnects += uint64(ps.Reconnects - w.Reconnects)
+			c.Heartbeats += uint64(ps.Heartbeats - w.Heartbeats)
+			c.HeartbeatDelaySeconds += ps.HeartbeatDelaySeconds - w.HeartbeatDelaySeconds
+			c.CorruptFrames += uint64(ps.CorruptFrames - w.CorruptFrames)
+			c.Rerequests += uint64(ps.Rerequests - w.Rerequests)
+			c.RetransmitFrames += uint64(ps.RetransmitFrames - w.RetransmitFrames)
+			c.RetransmitBytes += uint64(ps.RetransmitBytes - w.RetransmitBytes)
 			r.netPeers[k] = c
 		}
 	}
+	m.folded = now
 }
 
 // auditVolume compares the partition model's predicted broadcast volume
-// against the payload bytes the mesh actually delivered, records the
-// per-shape audit, and stamps the attempt span. Only successful attempts
-// are audited: a failed attempt's observed bytes reflect a truncated run.
-func (r *NetmpiRunner) auditVolume(plan *Plan, eps []*netmpi.Endpoint, span obs.SpanHandle) {
+// against the payload bytes the mesh delivered during this run (counters
+// now against the mark was), records the per-shape audit, and stamps the
+// attempt span. Only successful attempts are audited: a failed attempt's
+// observed bytes reflect a truncated run.
+func (r *NetmpiRunner) auditVolume(plan *Plan, was, now []epCounters, span obs.SpanHandle) {
 	var predicted int64
 	for _, v := range plan.Layout.CommVolumes() {
 		predicted += int64(v) * 8
 	}
 	var observed int64
-	for _, ep := range eps {
-		if ep != nil {
-			observed += ep.Stats().TotalRecvBytes()
-		}
+	for i := range now {
+		observed += now[i].stats.TotalRecvBytes() - was[i].stats.TotalRecvBytes()
 	}
 	ratio := 0.0
 	if predicted > 0 {
@@ -578,16 +604,19 @@ func failurePriority(err error) int {
 	}
 }
 
-func buildNetmpiReport(plan *Plan, eps []*netmpi.Endpoint, elapsed float64) *core.Report {
+// buildNetmpiReport assembles the report of one run from what each endpoint
+// counted during it (counters now against the mark was).
+func buildNetmpiReport(plan *Plan, was, now []epCounters, elapsed float64) *core.Report {
 	p := plan.Layout.P
 	rep := &core.Report{N: plan.Layout.N, ExecutionTime: elapsed, PerRank: make([]trace.Breakdown, p)}
-	for rank, ep := range eps {
-		comp, comm, bytes := ep.Breakdown()
+	for rank := range now {
+		comp := now[rank].compute - was[rank].compute
+		comm := now[rank].comm - was[rank].comm
 		rep.PerRank[rank] = trace.Breakdown{
 			Rank:        rank,
 			ComputeTime: comp,
 			CommTime:    comm,
-			BytesMoved:  int(bytes),
+			BytesMoved:  int(now[rank].bytes - was[rank].bytes),
 			Finish:      elapsed,
 		}
 		if comp > rep.ComputeTime {

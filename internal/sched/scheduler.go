@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/recover"
+	"repro/internal/slab"
 )
 
 // Config parameterizes a Scheduler.
@@ -392,18 +393,22 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.lifeCancel()
-		return nil
 	case <-ctx.Done():
 		// Let the waiter goroutine stop the dispatcher whenever the
 		// backlog does finish; the caller is abandoning the drain.
-		// Canceling the life context unsticks any netmpi dial or
-		// reconnect wait so abandoned runs fail instead of leaking.
-		s.lifeCancel()
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	// Canceling the life context closes the meshes of runs still going
+	// (an abandoned drain's, a timed-out job's), so they fail instead of
+	// leaking; then the meshes waiting for a next job are closed.
+	s.lifeCancel()
+	if ic, ok := s.cfg.Runner.(idleCloser); ok {
+		ic.CloseIdle()
+	}
+	return err
 }
 
 func (s *Scheduler) viewLocked(j *job) JobView {
@@ -546,10 +551,7 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	s.mu.Unlock()
 
 	n := spec.N
-	rng := rand.New(rand.NewSource(spec.Seed))
-	a := matrix.Random(n, n, rng)
-	b := matrix.Random(n, n, rng)
-	c := matrix.New(n, n)
+	a, b, c := jobOperands(n, spec.Seed)
 
 	// jobCtx scopes the run: it dies with the scheduler's life context, and
 	// is canceled when the job reaches a terminal state in this function —
@@ -579,10 +581,25 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 			// releases the run goroutine, so its recovery loop observes the
 			// terminal state and stands down without touching the job.
 			s.finish(j, nil, "", false, fmt.Errorf("%w after %v", ErrJobTimeout, s.cfg.JobTimeout))
+			// The run goroutine may still be using the operands: they are
+			// left to the garbage collector.
 			return
 		}
 	} else {
 		res = <-resCh
+	}
+	// The run goroutine has returned. Its operands go back to the free list
+	// once the job is finished — unless an attempt failed, since a failed
+	// rank's comm goroutine may outlive its attempt (core's quiesced rule).
+	s.mu.Lock()
+	clean := res.err == nil && j.attempts == 0
+	s.mu.Unlock()
+	if clean {
+		defer func() {
+			slab.Put(a.Data)
+			slab.Put(b.Data)
+			slab.Put(c.Data)
+		}()
 	}
 	if res.err != nil {
 		s.finish(j, res.rep, "", false, res.err)
@@ -623,6 +640,24 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 		vsp.End()
 	}
 	s.finish(j, rep, digest, verified, nil)
+}
+
+// jobOperands draws a job's A, B and C from the slab free list and fills A
+// and B in place with the sequence matrix.Random draws from the job's seed,
+// so a digest does not depend on where the memory came from. C keeps
+// whatever it held: a Runner writes every element of it.
+func jobOperands(n int, seed int64) (a, b, c *matrix.Dense) {
+	var ms [3]*matrix.Dense
+	for i := range ms {
+		ms[i] = &matrix.Dense{Rows: n, Cols: n, Stride: n, Data: slab.Get(n * n)}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for _, m := range ms[:2] {
+		for i := range m.Data {
+			m.Data[i] = 2*rng.Float64() - 1
+		}
+	}
+	return ms[0], ms[1], ms[2]
 }
 
 // runWithRecovery executes the job and — when recovery is enabled and a
