@@ -358,11 +358,10 @@ func BenchmarkSummaBaseline(b *testing.B) {
 //   - obs=off / obs=on: the observability tax — the same real multiply with
 //     span recording disabled (zero SpanHandle — must not allocate) and
 //     enabled (fresh recorder per iteration, every stage and cell span
-//     recorded). BENCH_obs.json records the measured numbers.
-//   - netmpi/overlap=on|off: the comm/compute pipeline's effect over the
-//     TCP runtime — one persistent loopback mesh, b.N multiplies over it,
-//     with the pipeline enabled vs the strictly sequential stage order.
-//     BENCH_overlap.json records the measured delta.
+//     recorded).
+//   - netmpi: the same multiply over the TCP runtime — one persistent
+//     loopback mesh, b.N multiplies over it.
+//   - netmpi/wire=v1: netmpi with CRC framing off.
 func BenchmarkSummaGen(b *testing.B) {
 	n := 256
 	areas, err := balance.Proportional(n*n, []float64{1.0, 2.0, 0.9})
@@ -404,7 +403,7 @@ func BenchmarkSummaGen(b *testing.B) {
 		b.ReportMetric(float64(spans), "spans/op")
 	})
 
-	runNetmpi := func(b *testing.B, disableOverlap bool, wireVersion int) {
+	runNetmpi := func(b *testing.B, wireVersion int) {
 		const p = 3
 		listeners := make([]net.Listener, p)
 		addrs := make([]string, p)
@@ -452,9 +451,7 @@ func BenchmarkSummaGen(b *testing.B) {
 				iwg.Add(1)
 				go func(rank int) {
 					defer iwg.Done()
-					errs[rank] = core.RunRank(eps[rank].Proc(),
-						core.Config{Layout: layout, DisableOverlap: disableOverlap},
-						as[rank], bs[rank], cs[rank])
+					errs[rank] = core.RunRank(eps[rank].Proc(), core.Config{Layout: layout}, as[rank], bs[rank], cs[rank])
 				}(r)
 			}
 			iwg.Wait()
@@ -465,12 +462,11 @@ func BenchmarkSummaGen(b *testing.B) {
 			}
 		}
 	}
-	b.Run("netmpi/overlap=on", func(b *testing.B) { runNetmpi(b, false, 0) })
-	b.Run("netmpi/overlap=off", func(b *testing.B) { runNetmpi(b, true, 0) })
-	// wire=v1 pins CRC framing off (overlap on, like the default config):
-	// the delta against netmpi/overlap=on is the whole-pipeline cost of the
-	// CRC32C trailers, budgeted at <2% ns/op on the zero-copy hot path.
-	b.Run("netmpi/wire=v1", func(b *testing.B) { runNetmpi(b, false, 1) })
+	b.Run("netmpi", func(b *testing.B) { runNetmpi(b, 0) })
+	// wire=v1 pins CRC framing off: the delta against netmpi is the
+	// whole-pipeline cost of the CRC32C trailers, budgeted at <2% ns/op on
+	// the zero-copy hot path.
+	b.Run("netmpi/wire=v1", func(b *testing.B) { runNetmpi(b, 1) })
 }
 
 // BenchmarkObsDisabledHandle pins the disabled-path cost of the span layer

@@ -61,7 +61,6 @@ type opts struct {
 	verify    bool
 	layoutIn  string
 	jsonOut   bool
-	overlap   bool
 	traceOut  string
 
 	opTimeout    time.Duration
@@ -83,7 +82,6 @@ func main() {
 	flag.BoolVar(&o.verify, "verify", true, "verify this rank's C partition against a serial reference")
 	flag.StringVar(&o.layoutIn, "layout", "", "load the partition layout from this JSON file instead of computing it (ship one file to every rank)")
 	flag.BoolVar(&o.jsonOut, "json", false, "print this rank's report as JSON (the serialization shared with summagen and summagen-serve)")
-	flag.BoolVar(&o.overlap, "overlap", true, "pipeline broadcasts with DGEMMs; false restores the sequential stage order")
 	flag.StringVar(&o.traceOut, "trace", "", "write this rank's Chrome trace to this file (rank 0 merges every rank's shipped lane, clock-rebased)")
 	flag.DurationVar(&o.opTimeout, "op-timeout", 30*time.Second, "per-operation deadline before a silent peer is declared failed (0 disables)")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second, "heartbeat interval keeping slow ranks alive under -op-timeout (0 disables)")
@@ -202,7 +200,7 @@ func run(o opts) error {
 	root := rec.Root("rank").OnRank(rank).Int("rank", int64(rank)).Int("n", int64(n))
 
 	start := time.Now()
-	runErr := core.RunRank(ep.Proc(), core.Config{Layout: layout, DisableOverlap: !o.overlap, Span: root}, a, b, c)
+	runErr := core.RunRank(ep.Proc(), core.Config{Layout: layout, Span: root}, a, b, c)
 	root.End()
 	if runErr != nil {
 		// The mesh may be poisoned, so don't attempt a ship — but the

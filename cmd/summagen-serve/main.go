@@ -93,7 +93,6 @@ type options struct {
 	sloClasses       string
 
 	observe     bool
-	overlap     bool
 	enablePprof bool
 }
 
@@ -131,7 +130,6 @@ func main() {
 	flag.Float64Var(&o.sloWindowScale, "slo-window-scale", 1, "multiply every burn-rate alert window by this (smoke tests shrink alert timelines with values << 1)")
 	flag.StringVar(&o.sloClasses, "slo-classes", "", "extra SLO classes as 'name=availability:latency,...' (e.g. 'gold=0.9999:500ms,bronze=0.99:5s')")
 	flag.BoolVar(&o.observe, "obs", true, "record per-job spans (GET /jobs/{id}/trace serves them merged with the engine timeline)")
-	flag.BoolVar(&o.overlap, "overlap", true, "pipeline engine broadcasts with DGEMMs; false restores the sequential stage order")
 	flag.BoolVar(&o.enablePprof, "pprof", false, "expose /debug/pprof profiling endpoints")
 	flag.Parse()
 
@@ -227,7 +225,6 @@ func run(o options, logger *slog.Logger) error {
 			RecoveryBackoff:     o.recoverBackoff,
 			Checkpoint:          store,
 			Observe:             o.observe,
-			DisableOverlap:      !o.overlap,
 		},
 		MaxN:           o.maxN,
 		MaxVerifyN:     o.maxVerifyN,

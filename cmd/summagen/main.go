@@ -44,10 +44,9 @@ func main() {
 		repeat    = flag.Bool("repeat", false, "repeat until the mean execution time is within the paper's 95% CI / 2.5% precision (Student's t-test)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 		jsonOut   = flag.Bool("json", false, "print the report as JSON (the same serialization summagen-node and summagen-serve emit) instead of text")
-		overlap   = flag.Bool("overlap", true, "pipeline broadcasts with DGEMMs (real mode); false restores the sequential stage order")
 	)
 	flag.Parse()
-	if err := run(*n, *shapeName, *mode, *speedsArg, *useFPM, *verify, *seed, *showRanks, *showGrid, *repeat, *traceOut, *jsonOut, *overlap); err != nil {
+	if err := run(*n, *shapeName, *mode, *speedsArg, *useFPM, *verify, *seed, *showRanks, *showGrid, *repeat, *traceOut, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "summagen:", err)
 		os.Exit(1)
 	}
@@ -66,7 +65,7 @@ func parseSpeeds(arg string) ([]float64, error) {
 	return speeds, nil
 }
 
-func run(n int, shapeName, mode, speedsArg string, useFPM, verify bool, seed int64, showRanks, showGrid, repeat bool, traceOut string, jsonOut, overlap bool) error {
+func run(n int, shapeName, mode, speedsArg string, useFPM, verify bool, seed int64, showRanks, showGrid, repeat bool, traceOut string, jsonOut bool) error {
 	shape, err := partition.ParseShape(shapeName)
 	if err != nil {
 		return err
@@ -128,7 +127,7 @@ func run(n int, shapeName, mode, speedsArg string, useFPM, verify bool, seed int
 		// it buys the per-rank imbalance report plus span lanes in -trace.
 		rec = obs.NewRecorder()
 		root := rec.Root("multiply").Int("n", int64(n))
-		rep, err = core.Multiply(a, b, c, core.Config{Layout: layout, DisableOverlap: !overlap, Span: root})
+		rep, err = core.Multiply(a, b, c, core.Config{Layout: layout, Span: root})
 		root.End()
 		if err != nil {
 			return err
@@ -156,7 +155,7 @@ func run(n int, shapeName, mode, speedsArg string, useFPM, verify bool, seed int
 		b := matrix.Random(n, n, rng)
 		c := matrix.New(n, n)
 		res, err := stats.MeasureUntil(stats.DefaultProtocol(), func() (float64, error) {
-			r, err := core.Multiply(a, b, c, core.Config{Layout: layout, DisableOverlap: !overlap})
+			r, err := core.Multiply(a, b, c, core.Config{Layout: layout})
 			if err != nil {
 				return 0, err
 			}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -38,10 +39,11 @@ func TestMultiplySteadyStateAllocCeiling(t *testing.T) {
 // multiplies at N=512 (all four shapes, three rounds), each right after a
 // forced GC, allocate under the same 64 KiB a multiply each. With sync.Pools,
 // which the collector empties, every one of them re-allocated its slabs and
-// packed panels: half a megabyte apiece. The bound is on the total because a
-// multiply may still meet a first-ever concurrency peak (more ranks inside a
-// DGEMM at once than ever before) and allocate one more panel buffer; that
-// happens once per peak, not per GC.
+// packed panels: half a megabyte apiece. A multiply that meets a first-ever
+// concurrency peak (more ranks inside a DGEMM at once than ever before)
+// allocates one more panel buffer, so the warm-up runs the four shapes at
+// once, each into its own C: its peak is far above what one measured
+// multiply can reach, and the free list keeps the buffers it drew.
 func TestRecycledBuffersSurviveGC(t *testing.T) {
 	const n, ceiling, warm, rounds = 512, 64 << 10, 4, 3
 	rng := rand.New(rand.NewSource(5))
@@ -56,9 +58,20 @@ func TestRecycledBuffersSurviveGC(t *testing.T) {
 		}
 	}
 	for round := 0; round < warm; round++ {
+		var wg sync.WaitGroup
 		for _, cfg := range cfgs {
-			multiply(cfg)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := core.Multiply(a, b, matrix.New(n, n), cfg); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
+		wg.Wait()
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	var before, after runtime.MemStats
 	var total uint64

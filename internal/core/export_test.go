@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/partition"
 	"repro/internal/slab"
 )
 
@@ -12,18 +14,65 @@ import (
 // with NaN before handing it out again, for the rest of the test: a stage
 // that fails to overwrite an element some DGEMM reads then yields NaN instead
 // of silently reusing a previous multiply's (often identical) data. The
-// returned counter says how many buffers were poisoned, so a test can prove
-// it exercised recycled memory at all. Tests using it must not run in
-// parallel with other tests of the package.
-func PoisonRecycledSlabs(t testing.TB) *atomic.Int64 {
-	var poisoned atomic.Int64
-	t.Cleanup(slab.SetReuseHook(func(s []float64) {
-		poisoned.Add(1)
-		for i := range s {
-			s[i] = math.NaN()
-		}
-	}))
-	return &poisoned
+// returned log counts the poisoned buffers, so a test can prove it exercised
+// recycled memory at all, and while armed records which ones were handed
+// out. Tests using it must not run in parallel with other tests of the
+// package.
+func PoisonRecycledSlabs(t testing.TB) *ReuseLog {
+	r := &ReuseLog{}
+	t.Cleanup(slab.SetReuseHook(r.hook))
+	return r
+}
+
+// ReuseLog is the reuse hook PoisonRecycledSlabs installs.
+type ReuseLog struct {
+	poisoned atomic.Int64
+	mu       sync.Mutex
+	handed   map[*float64]int // armed: recycled buffer → length it was handed out at
+}
+
+func (r *ReuseLog) hook(s []float64) {
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	r.poisoned.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.handed != nil {
+		r.handed[&s[:1][0]] = len(s)
+	}
+}
+
+// Count returns how many recycled buffers have been poisoned.
+func (r *ReuseLog) Count() int64 { return r.poisoned.Load() }
+
+// Arm starts recording every recycled buffer handed out.
+func (r *ReuseLog) Arm() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.handed = map[*float64]int{}
+}
+
+// Disarm stops recording and returns what was handed out since Arm, keyed by
+// the buffer's first element, with the length each was handed out at.
+func (r *ReuseLog) Disarm() map[*float64]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.handed
+	r.handed = nil
+	return h
+}
+
+// WorkingMatrixLens returns the set of slab lengths the ranks of a multiply
+// under l draw for their WA and WB.
+func WorkingMatrixLens(l *partition.Layout) map[int]bool {
+	lens := map[int]bool{}
+	for r := 0; r < l.P; r++ {
+		ws := buildWorkingSet(l, r)
+		lens[ws.waRows*l.N] = true
+		lens[l.N*ws.wbCols] = true
+	}
+	return lens
 }
 
 // RandomLayout exposes the arbitrary-layout generator to the external tests.

@@ -21,6 +21,7 @@ import (
 	"repro/internal/netmpi"
 	"repro/internal/partition"
 	"repro/internal/sched"
+	"repro/internal/slab"
 )
 
 // The tests in this file are about what recycling WA and WB must never
@@ -85,25 +86,23 @@ func runRanks(eps []*netmpi.Endpoint, cfg core.Config, a, b, c *matrix.Dense) []
 	return errs
 }
 
-// engine is one way to run a multiply: a runtime and an overlap setting.
+// engine is one way to run a multiply: the sequential schedule on one of the
+// two runtimes.
 type engine struct {
-	name           string
-	tcp            bool
-	disableOverlap bool
-	meshes         map[int][]*netmpi.Endpoint // warm meshes by rank count
+	name   string
+	tcp    bool
+	meshes map[int][]*netmpi.Endpoint // warm meshes by rank count
 }
 
 func engines() []*engine {
 	return []*engine{
-		{name: "inproc/overlap"},
-		{name: "inproc/sequential", disableOverlap: true},
-		{name: "netmpi/overlap", tcp: true},
-		{name: "netmpi/sequential", tcp: true, disableOverlap: true},
+		{name: "inproc/sequential"},
+		{name: "netmpi/sequential", tcp: true},
 	}
 }
 
 func (e *engine) multiply(t *testing.T, l *partition.Layout, a, b, c *matrix.Dense) error {
-	cfg := core.Config{Layout: l, DisableOverlap: e.disableOverlap}
+	cfg := core.Config{Layout: l}
 	if !e.tcp {
 		_, err := core.Multiply(a, b, c, cfg)
 		return err
@@ -136,7 +135,7 @@ func shapeLayout(t testing.TB, shape partition.Shape, n int, speeds []float64) *
 }
 
 // TestPoisonedSlabsArbitraryLayouts is TestQuickArbitraryLayouts with every
-// recycled slab NaN-filled first, on both runtimes, overlap on and off: an
+// recycled slab NaN-filled first, on both runtimes: an
 // element of WA or WB that stages 1–2 leave unwritten and a DGEMM reads
 // turns the product into NaN.
 func TestPoisonedSlabsArbitraryLayouts(t *testing.T) {
@@ -161,7 +160,7 @@ func TestPoisonedSlabsArbitraryLayouts(t *testing.T) {
 			}
 		})
 	}
-	if poisoned.Load() == 0 {
+	if poisoned.Count() == 0 {
 		t.Fatal("no slab was ever recycled: the test covered nothing")
 	}
 }
@@ -188,19 +187,18 @@ func TestPoisonedSlabsAllShapes(t *testing.T) {
 			}
 		}
 	}
-	if poisoned.Load() == 0 {
+	if poisoned.Count() == 0 {
 		t.Fatal("no slab was ever recycled: the test covered nothing")
 	}
 }
 
 // schedDigest runs one job through a scheduler and returns its digest.
-func schedDigest(t *testing.T, runner sched.Runner, disableOverlap bool, spec sched.JobSpec) string {
+func schedDigest(t *testing.T, runner sched.Runner, spec sched.JobSpec) string {
 	t.Helper()
 	s, err := sched.New(sched.Config{
-		Planner:        &sched.Planner{Platform: device.HCLServer1()},
-		Runner:         runner,
-		SmallN:         -1,
-		DisableOverlap: disableOverlap,
+		Planner: &sched.Planner{Platform: device.HCLServer1()},
+		Runner:  runner,
+		SmallN:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,33 +220,29 @@ func schedDigest(t *testing.T, runner sched.Runner, disableOverlap bool, spec sc
 }
 
 // TestPoisonedSlabsSchedDigests: the scheduler's digests — the identity the
-// overlap, observability, recovery and chaos tests all compare — are the
-// same with poisoned recycled slabs as without, for every plan shape, on
-// both runners, overlap on and off.
+// observability, recovery and chaos tests all compare — are the same with
+// poisoned recycled slabs as without, for every plan shape, on both runners.
 func TestPoisonedSlabsSchedDigests(t *testing.T) {
 	shapes := []string{"square-corner", "square-rectangle", "block-rectangle", "1d-rectangle", "column-based"}
 	ref := map[string]string{}
 	for _, shape := range shapes {
-		ref[shape] = schedDigest(t, &sched.InprocRunner{}, true, sched.JobSpec{N: 64, Shape: shape, Seed: 9})
+		ref[shape] = schedDigest(t, &sched.InprocRunner{}, sched.JobSpec{N: 64, Shape: shape, Seed: 9})
 	}
 	poisoned := core.PoisonRecycledSlabs(t)
 	for _, shape := range shapes {
 		for _, tc := range []struct {
-			name           string
-			runner         sched.Runner
-			disableOverlap bool
+			name   string
+			runner sched.Runner
 		}{
-			{"inproc-overlap", &sched.InprocRunner{}, false},
-			{"inproc-sequential", &sched.InprocRunner{}, true},
-			{"netmpi-overlap", &sched.NetmpiRunner{OpTimeout: 10 * time.Second}, false},
-			{"netmpi-sequential", &sched.NetmpiRunner{OpTimeout: 10 * time.Second}, true},
+			{"inproc", &sched.InprocRunner{}},
+			{"netmpi", &sched.NetmpiRunner{OpTimeout: 10 * time.Second}},
 		} {
-			if got := schedDigest(t, tc.runner, tc.disableOverlap, sched.JobSpec{N: 64, Shape: shape, Seed: 9}); got != ref[shape] {
+			if got := schedDigest(t, tc.runner, sched.JobSpec{N: 64, Shape: shape, Seed: 9}); got != ref[shape] {
 				t.Errorf("%s %s: digest %q under poisoned slabs, %q without", shape, tc.name, got, ref[shape])
 			}
 		}
 	}
-	if poisoned.Load() == 0 {
+	if poisoned.Count() == 0 {
 		t.Fatal("no slab was ever recycled: the test covered nothing")
 	}
 }
@@ -330,12 +324,56 @@ func digests(t testing.TB, jobs []multiplyJob) string {
 	return sb.String()
 }
 
-// TestAbortThenReuse: ranks fail mid-stage with the comm goroutine still
-// inside its broadcast schedule — in-process (a failing kernel) and over TCP
-// (a rank's connections cut at a seeded frame) — and afterwards the same
-// process computes exactly what a fresh process computes. An aborted run
-// that recycled a slab its straggling comm goroutine was still writing would
-// corrupt one of the clean runs that follow.
+// drawable returns every recycled buffer the free list would hand out for
+// a request of n elements: it draws until Get has to allocate, then puts
+// everything back.
+func drawable(r *core.ReuseLog, n int) map[*float64]bool {
+	got := map[*float64]bool{}
+	var drawn [][]float64
+	for {
+		before := r.Count()
+		s := slab.Get(n)
+		drawn = append(drawn, s)
+		if r.Count() == before {
+			break // freshly allocated: nothing recycled is left for n
+		}
+		got[&s[:1][0]] = true
+	}
+	for _, s := range drawn {
+		slab.Put(s)
+	}
+	return got
+}
+
+// expectReturned fails the test unless every buffer of a length in lens
+// handed out since arm is back in the free list, and at least least of them
+// were handed out. (Which of a multiply's Gets find a recycled buffer depends
+// on how the ranks interleave, so least only proves the check saw some.)
+func expectReturned(t *testing.T, r *core.ReuseLog, lens map[int]bool, least int, what string) {
+	t.Helper()
+	seen, back := 0, map[int]map[*float64]bool{}
+	for buf, n := range r.Disarm() {
+		if !lens[n] {
+			continue
+		}
+		if back[n] == nil {
+			back[n] = drawable(r, n)
+		}
+		if !back[n][buf] {
+			t.Fatalf("%s: a %d-element working matrix never went back to the free list", what, n)
+		}
+		seen++
+	}
+	if seen < least {
+		t.Fatalf("%s: only %d recycled working matrices seen, want at least %d", what, seen, least)
+	}
+}
+
+// TestAbortThenReuse: ranks fail mid-run — in-process (a failing kernel) and
+// over TCP (a rank's connections cut at a seeded frame). Every rank whose
+// multiply returns an error puts its WA and WB back, so the free list hands
+// them out again; and afterwards the same process, drawing on that poisoned
+// recycled memory, computes exactly what a fresh process computes.
 func TestAbortThenReuse(t *testing.T) {
 	jobs := mixedJobs(t)
 	if os.Getenv(freshDigestsEnv) != "" {
@@ -357,14 +395,36 @@ func TestAbortThenReuse(t *testing.T) {
 	// Every rank of a square-corner layout sends within its first two
 	// frames, so the seeded kill always lands mid-broadcast.
 	kill := multiplyJob{l: shapeLayout(t, partition.SquareCorner, 48, []float64{1, 2, 0.9}), a: jobs[1].a, b: jobs[1].b}
-	core.PoisonRecycledSlabs(t)
+	killLens, jobLens := core.WorkingMatrixLens(kill.l), map[int]bool{}
+	for _, j := range jobs {
+		for n := range core.WorkingMatrixLens(j.l) {
+			jobLens[n] = true
+		}
+	}
+	reuse := core.PoisonRecycledSlabs(t)
+	clean := dialMesh(t, 3, nil)
 	for round := 0; round < 3; round++ {
+		reuse.Arm()
 		for _, j := range jobs {
 			c := matrix.New(j.l.N, j.l.N)
 			if _, err := core.Multiply(j.a, j.b, c, core.Config{Layout: j.l, Kernel: 99}); err == nil || !strings.Contains(err.Error(), "compute stage") {
 				t.Fatalf("N=%d: an invalid kernel must fail the compute stage, got %v", j.l.N, err)
 			}
 		}
+		least := 0 // round 0 draws fresh slabs; later rounds reuse the digest runs'
+		if round > 0 {
+			least = 1
+		}
+		expectReturned(t, reuse, jobLens, least, fmt.Sprintf("round %d, failing kernel", round))
+
+		// A clean run of the kill layout first, so that the failing one
+		// draws its WA and WB from the free list and the log sees them.
+		for r, err := range runRanks(clean, core.Config{Layout: kill.l}, kill.a, kill.b, matrix.New(kill.l.N, kill.l.N)) {
+			if err != nil {
+				t.Fatalf("round %d: clean rank %d: %v", round, r, err)
+			}
+		}
+		reuse.Arm()
 		plan, victim := faultinject.RandomKillPlan(int64(round+1), 3, 2)
 		plan.SkipCount = netmpi.IsHeartbeatFrame
 		inj := faultinject.New(plan)
@@ -377,6 +437,8 @@ func TestAbortThenReuse(t *testing.T) {
 		if errs[victim] == nil {
 			t.Fatalf("round %d: killed rank %d finished its multiply", round, victim)
 		}
+		expectReturned(t, reuse, killLens, 1, fmt.Sprintf("round %d, killed mesh", round))
+
 		if got := digests(t, jobs); got != fresh {
 			t.Fatalf("round %d: digests after aborted runs differ from a fresh process's\n got:\n%s want:\n%s", round, got, fresh)
 		}

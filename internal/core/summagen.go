@@ -16,6 +16,9 @@
 //     sub-partition avoids the redundant-computation hazard the paper
 //     describes for non-rectangular partitions.
 //
+// Every rank runs the three stages back to back on its own goroutine, in
+// both modes and on every runtime: one schedule, no helper goroutines.
+//
 // The engine runs in two modes. RealMode executes the numerics with the
 // pure-Go BLAS over the in-process MPI runtime, producing a verified C.
 // SimulatedMode runs the identical communication and scheduling code with
@@ -29,10 +32,11 @@
 // (Comm.BcastPanel), and nothing is packed, cloned or unpacked on the
 // engine's side. WA and WB are recycled through the process-wide slab free
 // list (internal/slab), un-zeroed — a steady-state multiply allocates nothing
-// that grows with N² — and go back to it only when no goroutine of the rank
-// can still write them. A and B are read-only to the engine, and the caller must
-// not write them while a multiply runs: the in-process runtime lets
-// receivers copy out of the owner's memory after the owner has moved on.
+// that grows with N² — and go back to it whenever the rank returns, since
+// only the rank's own goroutine ever writes them. A and B are read-only to
+// the engine, and the caller must not write them while a multiply runs: the
+// in-process runtime lets receivers copy out of the owner's memory after the
+// owner has moved on.
 package core
 
 import (
@@ -100,20 +104,10 @@ type Config struct {
 	// and checkpoint restore/save spans. The zero value disables span
 	// recording at no cost (see internal/obs).
 	Span obs.SpanHandle
-	// DisableOverlap turns off the comm/compute pipeline and restores the
-	// strictly sequential bcastA → bcastB → dgemm stage order. By default
-	// RealMode ranks prefetch: a dedicated goroutine runs the broadcast
-	// schedule while completed panel bands feed DGEMMs as they become
-	// ready (see overlap.go). Results are byte-identical either way;
-	// SimulatedMode is always sequential (virtual clocks are per-rank
-	// serial by construction).
+	// DisableOverlap has no effect: every rank runs the one sequential
+	// bcastA → bcastB → dgemm schedule. The field remains only so that
+	// existing callers keep compiling.
 	DisableOverlap bool
-}
-
-// overlapEnabled reports whether this run pipelines communication with
-// computation.
-func (c *Config) overlapEnabled() bool {
-	return c.Mode == RealMode && !c.DisableOverlap
 }
 
 // Report summarizes one execution; the fields map one-to-one to the
@@ -299,42 +293,30 @@ func buildWorkingSet(l *partition.Layout, rank int) *workingSet {
 	return ws
 }
 
+// rankMain runs one rank's three stages back to back on the calling
+// goroutine.
 func rankMain(p Proc, cfg *Config, a, b, c *matrix.Dense) error {
 	l := cfg.Layout
 	ws := buildWorkingSet(l, p.Rank())
-	if cfg.Mode != RealMode {
-		return rankMainSequential(p, cfg, ws, nil, nil, nil, nil, nil)
+	var wa, wb *matrix.Dense
+	if cfg.Mode == RealMode {
+		// WA and WB come from the slab free list un-zeroed. Only this
+		// goroutine writes them (a runtime's receivers copy into their own
+		// buffers), so they go back however the rank returns.
+		sa, sb := slab.Get(ws.waRows*l.N), slab.Get(l.N*ws.wbCols)
+		defer slab.Put(sa)
+		defer slab.Put(sb)
+		wa = &matrix.Dense{Rows: ws.waRows, Cols: l.N, Stride: l.N, Data: sa}
+		wb = &matrix.Dense{Rows: l.N, Cols: ws.wbCols, Stride: ws.wbCols, Data: sb}
 	}
-	// WA and WB come from the slab free list un-zeroed and go back only when
-	// no goroutine of this rank can still write them (see internal/slab).
-	sa, sb := slab.Get(ws.waRows*l.N), slab.Get(l.N*ws.wbCols)
-	wa := &matrix.Dense{Rows: ws.waRows, Cols: l.N, Stride: l.N, Data: sa}
-	wb := &matrix.Dense{Rows: l.N, Cols: ws.wbCols, Stride: ws.wbCols, Data: sb}
-	var err error
-	quiesced := true
-	if cfg.overlapEnabled() {
-		quiesced, err = rankMainOverlap(p, cfg, ws, a, b, c, wa, wb)
-	} else {
-		err = rankMainSequential(p, cfg, ws, a, b, c, wa, wb)
-	}
-	if quiesced {
-		slab.Put(sa)
-		slab.Put(sb)
-	}
-	return err
-}
-
-// rankMainSequential runs the three stages back to back on the calling
-// goroutine.
-func rankMainSequential(p Proc, cfg *Config, ws *workingSet, a, b, c, wa, wb *matrix.Dense) error {
-	if err := commStage(p, cfg, ws, axisA, a, wa, nil); err != nil {
+	if err := commStage(p, cfg, ws, axisA, a, wa); err != nil {
 		return err
 	}
-	if err := commStage(p, cfg, ws, axisB, b, wb, nil); err != nil {
+	if err := commStage(p, cfg, ws, axisB, b, wb); err != nil {
 		return err
 	}
 	sp := cfg.Span.Child("dgemm").OnRank(p.Rank())
-	if err := localCompute(p, cfg, ws, wa, wb, c, sp, nil); err != nil {
+	if err := localCompute(p, cfg, ws, wa, wb, c, sp); err != nil {
 		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("compute stage: %w", err)
 	}
@@ -368,9 +350,9 @@ func (ax axis) String() string {
 
 // commStage runs one communication stage under its span and tags a failure
 // with the stage.
-func commStage(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense, onBand func(int)) error {
+func commStage(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense) error {
 	sp := cfg.Span.Child(ax.spanName()).OnRank(p.Rank())
-	if err := assembleBands(p, cfg, ws, ax, m, wm, onBand); err != nil {
+	if err := assembleBands(p, cfg, ws, ax, m, wm); err != nil {
 		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("%v stage: %w", ax, err)
 	}
@@ -385,10 +367,8 @@ func commStage(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense
 // every member's view of wm — no staging buffer on this side of the
 // runtime; a band owned by one rank alone is copied locally with no
 // communication (the paper's special case). In SimulatedMode m and wm are
-// nil and the panels carry dimensions only. onBand, when non-nil, is invoked
-// after each band is fully assembled — the overlap pipeline's readiness
-// signal.
-func assembleBands(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense, onBand func(int)) error {
+// nil and the panels carry dimensions only.
+func assembleBands(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.Dense) error {
 	l := cfg.Layout
 	rank := p.Rank()
 	bands, cross := l.GridRows, l.GridCols
@@ -435,9 +415,6 @@ func assembleBands(p Proc, cfg *Config, ws *workingSet, ax axis, m, wm *matrix.D
 				}
 			}
 		}
-		if onBand != nil {
-			onBand(b)
-		}
 	}
 	return nil
 }
@@ -450,11 +427,8 @@ func subPanel(m *matrix.Dense, r0, c0, h, w int) matrix.Dense {
 }
 
 // localCompute implements stage 3: one DGEMM per owned sub-partition.
-// stage is the rank's "dgemm" span; per-cell spans hang off it. wait, when
-// non-nil, blocks until the WA row band i and WB column band j the cell
-// reads are fully assembled (the overlap pipeline's gate); a nil wait
-// means the bands are already complete (sequential mode).
-func localCompute(p Proc, cfg *Config, ws *workingSet, wa, wb, c *matrix.Dense, stage obs.SpanHandle, wait func(i, j int) error) error {
+// stage is the rank's "dgemm" span; per-cell spans hang off it.
+func localCompute(p Proc, cfg *Config, ws *workingSet, wa, wb, c *matrix.Dense, stage obs.SpanHandle) error {
 	l := cfg.Layout
 	rank := p.Rank()
 	n := l.N
@@ -473,17 +447,6 @@ func localCompute(p Proc, cfg *Config, ws *workingSet, wa, wb, c *matrix.Dense, 
 		for j := 0; j < l.GridCols; j++ {
 			if l.OwnerAt(i, j) != rank {
 				continue
-			}
-			if wait != nil {
-				// The gate's span measures how long the compute loop sat
-				// blocked on the overlap pipeline — per-rank comm-wait is
-				// the straggler analytics' view of communication pressure.
-				wsp := stage.Child("comm-wait").OnRank(rank).Int("i", int64(i)).Int("j", int64(j))
-				err := wait(i, j)
-				wsp.End()
-				if err != nil {
-					return err
-				}
 			}
 			h, w := l.RowHeights[i], l.ColWidths[j]
 			flops := blas.GemmFlops(h, w, n)

@@ -19,12 +19,14 @@ type RankStageStats struct {
 	BcastBSeconds float64 `json:"bcast_b_seconds"`
 	DgemmSeconds  float64 `json:"dgemm_seconds"`
 	// DgemmCellSeconds totals the per-cell dgemm[i,j] spans — compute time
-	// net of the stage's scheduling gaps; CommWaitSeconds totals the
-	// overlap pipeline's comm-wait gates inside the dgemm stage; and
-	// CkptSeconds the checkpoint save/restore spans.
+	// net of the stage's scheduling gaps — and CkptSeconds the checkpoint
+	// save/restore spans.
 	DgemmCellSeconds float64 `json:"dgemm_cell_seconds"`
-	CommWaitSeconds  float64 `json:"comm_wait_seconds"`
-	CkptSeconds      float64 `json:"ckpt_seconds"`
+	// CommWaitSeconds is always zero: the engine runs its stages back to
+	// back and records no wait inside the dgemm stage. The field remains
+	// for existing readers of the JSON form.
+	CommWaitSeconds float64 `json:"comm_wait_seconds"`
+	CkptSeconds     float64 `json:"ckpt_seconds"`
 	// DgemmFlops sums the flops attributes of the cell spans, and
 	// DgemmGFLOPS is the resulting per-rank compute throughput.
 	DgemmFlops  float64 `json:"dgemm_flops"`
@@ -76,8 +78,6 @@ func AnalyzeStageSpans(spans []Span) *ImbalanceReport {
 			get(s.Rank).BcastBSeconds += d
 		case s.Name == "dgemm":
 			get(s.Rank).DgemmSeconds += d
-		case s.Name == "comm-wait":
-			get(s.Rank).CommWaitSeconds += d
 		case strings.HasPrefix(s.Name, "ckpt-"):
 			get(s.Rank).CkptSeconds += d
 		case strings.HasPrefix(s.Name, "dgemm["):

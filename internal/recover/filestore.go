@@ -22,22 +22,18 @@ import (
 //	magic "SGC2" | uint32 row | uint32 col | uint32 h | uint32 w |
 //	h*w float64 payload | uint32 CRC32C over everything before it
 //
-// The footer closes the restore-from-rot hole: truncation was always
-// caught by the length check, but a bit flipped in place (disk rot, a
-// torn sector rewrite) decoded cleanly under SGC1 and would have been
-// restored as ground truth — silently wrong C cells with no collective
-// left to catch them. A failed CRC demotes the cell to "never
-// checkpointed": one redone DGEMM, never a restored lie. Legacy "SGC1"
-// files (no footer) still load, so stores written by older builds survive
-// an upgrade.
+// The footer closes the restore-from-rot hole: the length check catches
+// truncation, but a bit flipped in place (disk rot, a torn sector rewrite)
+// would otherwise decode cleanly and be restored as ground truth — silently
+// wrong C cells with no collective left to catch them. A failed CRC demotes
+// the cell to "never checkpointed": one redone DGEMM, never a restored lie.
+// Any other magic, including the footerless "SGC1" of earlier builds, is
+// skipped the same way.
 type FileStore struct {
 	dir string
 }
 
-const (
-	fileMagic   = "SGC2"
-	fileMagicV1 = "SGC1"
-)
+const fileMagic = "SGC2"
 
 // castagnoli matches the netmpi frame CRC — one polynomial for every
 // integrity check in the system.
@@ -85,26 +81,16 @@ func encodeCell(cell Cell) []byte {
 }
 
 func decodeCell(buf []byte) (Cell, error) {
-	if len(buf) < 20 {
-		return Cell{}, fmt.Errorf("recover: bad cell header")
+	if len(buf) < 24 || string(buf[:4]) != fileMagic {
+		return Cell{}, fmt.Errorf("recover: bad cell header (%d bytes)", len(buf))
 	}
-	switch string(buf[:4]) {
-	case fileMagic:
-		// The footer is verified before any field is trusted: a flipped
-		// bit anywhere — header or payload — must read as "no cell".
-		if len(buf) < 24 {
-			return Cell{}, fmt.Errorf("recover: cell footer truncated (%d bytes)", len(buf))
-		}
-		want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-		if got := crc32.Checksum(buf[:len(buf)-4], castagnoli); got != want {
-			return Cell{}, fmt.Errorf("recover: cell CRC mismatch (stored %08x, computed %08x)", want, got)
-		}
-		buf = buf[:len(buf)-4]
-	case fileMagicV1:
-		// Legacy file, no footer: length checks only, as before.
-	default:
-		return Cell{}, fmt.Errorf("recover: bad cell header")
+	// The footer is verified before any field is trusted: a flipped bit
+	// anywhere — header or payload — must read as "no cell".
+	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
+	if got := crc32.Checksum(buf[:len(buf)-4], castagnoli); got != want {
+		return Cell{}, fmt.Errorf("recover: cell CRC mismatch (stored %08x, computed %08x)", want, got)
 	}
+	buf = buf[:len(buf)-4]
 	cell := Cell{
 		Row: int(binary.LittleEndian.Uint32(buf[4:])),
 		Col: int(binary.LittleEndian.Uint32(buf[8:])),

@@ -154,8 +154,8 @@ func TestFileStoreSkipsCorruptFiles(t *testing.T) {
 
 // TestFileStoreFlipAByteRecomputesNotRestores pins the CRC footer's
 // promise: a checkpoint file with a single flipped payload byte still has
-// the right magic, the right length, and decodable floats — under SGC1 it
-// would be restored as ground truth. The footer must instead demote it to
+// the right magic, the right length, and decodable floats — without the
+// footer it would be restored as ground truth. The footer must instead demote it to
 // "never checkpointed", so recovery recomputes the cell.
 func TestFileStoreFlipAByteRecomputesNotRestores(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
@@ -186,10 +186,10 @@ func TestFileStoreFlipAByteRecomputesNotRestores(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadsLegacyV1 keeps stores written by pre-footer builds
-// loadable: an "SGC1" file has no CRC and must decode on length checks
-// alone.
-func TestFileStoreReadsLegacyV1(t *testing.T) {
+// TestFileStoreSkipsLegacyV1: a footerless "SGC1" file of an earlier build
+// — otherwise well formed — is skipped like any corrupt cell: Load returns
+// no cell and no error.
+func TestFileStoreSkipsLegacyV1(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +199,8 @@ func TestFileStoreReadsLegacyV1(t *testing.T) {
 	}
 	cell := cellAt(0, 0, 2, 2, 3)
 	v1 := encodeCell(cell)
-	v1 = v1[:len(v1)-4]   // strip the footer…
-	copy(v1, fileMagicV1) // …and stamp the old magic
+	v1 = v1[:len(v1)-4] // strip the footer…
+	copy(v1, "SGC1")    // …and stamp the old magic
 	if err := os.WriteFile(filepath.Join(fs.jobDir("j"), cell.Key()+".ckpt"), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,8 @@ func TestFileStoreReadsLegacyV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Data[0] != 3 {
-		t.Fatalf("legacy SGC1 cell not loaded: %d cells", len(cells))
+	if len(cells) != 0 {
+		t.Fatalf("legacy SGC1 cell loaded: %d cells", len(cells))
 	}
 }
 

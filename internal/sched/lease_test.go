@@ -447,8 +447,8 @@ func (c *captureRunner) CloseIdle() {
 
 // TestRecyclePoisonedOperandsKeepDigests: with every recycled buffer
 // NaN-filled before it is handed out, the jobs' digests are unchanged on both
-// runners, overlap on and off — and the A, B and C of every job after the
-// first were such recycled buffers.
+// runners — and the A, B and C of every job after the first were such
+// recycled buffers.
 func TestRecyclePoisonedOperandsKeepDigests(t *testing.T) {
 	shapes := []string{"square-corner", "square-rectangle", "block-rectangle", "1d-rectangle", "column-based"}
 	specs := make([]JobSpec, len(shapes))
@@ -469,20 +469,16 @@ func TestRecyclePoisonedOperandsKeepDigests(t *testing.T) {
 		}
 	})()
 	for _, tc := range []struct {
-		name           string
-		runner         Runner
-		disableOverlap bool
+		name   string
+		runner Runner
 	}{
-		{"inproc-overlap", &InprocRunner{}, false},
-		{"inproc-sequential", &InprocRunner{}, true},
-		{"netmpi-overlap", &NetmpiRunner{OpTimeout: 10 * time.Second}, false},
-		{"netmpi-sequential", &NetmpiRunner{OpTimeout: 10 * time.Second}, true},
+		{"inproc", &InprocRunner{}},
+		{"netmpi", &NetmpiRunner{OpTimeout: 10 * time.Second}},
 	} {
 		capture := &captureRunner{Runner: tc.runner}
 		s := newTestScheduler(t, func(c *Config) {
 			c.Workers = 1
 			c.SmallN = -1
-			c.DisableOverlap = tc.disableOverlap
 			c.Runner = capture
 		})
 		for i, v := range runSpecs(t, s, specs) {

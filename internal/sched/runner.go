@@ -73,10 +73,6 @@ type RunOpts struct {
 	// children off it and annotate it with transport facts. The zero value
 	// disables recording at no cost.
 	Span obs.SpanHandle
-	// DisableOverlap turns off the engine's comm/compute pipeline for this
-	// attempt, restoring the strictly sequential stage order (see
-	// core.Config.DisableOverlap). The zero value keeps overlap on.
-	DisableOverlap bool
 }
 
 // InprocRunner executes jobs on the in-process channel runtime — one
@@ -92,7 +88,7 @@ func (r *InprocRunner) Name() string { return "inproc" }
 
 // Run implements Runner via core.Multiply.
 func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
-	return core.Multiply(a, b, c, core.Config{Layout: plan.Layout, Kernel: r.Kernel, Checkpoint: opts.Checkpoint, Span: opts.Span, DisableOverlap: opts.DisableOverlap})
+	return core.Multiply(a, b, c, core.Config{Layout: plan.Layout, Kernel: r.Kernel, Checkpoint: opts.Checkpoint, Span: opts.Span})
 }
 
 // NetmpiRunner executes each job over a loopback TCP mesh: one netmpi
@@ -291,7 +287,7 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 				defer roots[rank].End()
 				runSpan = roots[rank]
 			}
-			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: runSpan, DisableOverlap: opts.DisableOverlap}, a, b, c)
+			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: runSpan}, a, b, c)
 		}()
 	}
 	wg.Wait()

@@ -74,10 +74,6 @@ type Config struct {
 	// JobView.Trace. Off by default; the disabled path records nothing and
 	// allocates nothing.
 	Observe bool
-	// DisableOverlap turns off the engine's comm/compute pipeline for every
-	// job, restoring the strictly sequential broadcast → DGEMM stage order
-	// (see core.Config.DisableOverlap). The zero value keeps overlap on.
-	DisableOverlap bool
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -589,8 +585,9 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 		res = <-resCh
 	}
 	// The run goroutine has returned. Its operands go back to the free list
-	// once the job is finished — unless an attempt failed, since a failed
-	// rank's comm goroutine may outlive its attempt (core's quiesced rule).
+	// once the job is finished — unless an attempt failed: the Runner
+	// contract does not promise that a failed Run has joined every rank it
+	// started, so one may still be reading A and B or writing C.
 	s.mu.Lock()
 	clean := res.err == nil && j.attempts == 0
 	s.mu.Unlock()
@@ -674,7 +671,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		// rank-attributed failures recovery needs (inproc): run plain, with
 		// no checkpoint overhead that could never pay off.
 		att := s.startAttempt(j, 0)
-		rep, err := s.cfg.Runner.Run(j.id, plan, a, b, c, RunOpts{Ctx: ctx, Span: att, DisableOverlap: s.cfg.DisableOverlap})
+		rep, err := s.cfg.Runner.Run(j.id, plan, a, b, c, RunOpts{Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		return rep, plan, err
 	}
@@ -703,7 +700,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 	for epoch := 0; ; epoch++ {
 		att := s.startAttempt(j, epoch)
 		rep, err := s.cfg.Runner.Run(j.id, cur, a, b, c,
-			RunOpts{Checkpoint: ckpt, Epoch: epoch, Ctx: ctx, Span: att, DisableOverlap: s.cfg.DisableOverlap})
+			RunOpts{Checkpoint: ckpt, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		if err == nil {
 			if epoch > 0 {

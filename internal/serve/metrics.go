@@ -219,7 +219,6 @@ func (m *metricsRegistry) observe(v sched.JobView, runtime string) {
 			m.rankStage.With(rank, "bcastA").Add(rs.BcastASeconds)
 			m.rankStage.With(rank, "bcastB").Add(rs.BcastBSeconds)
 			m.rankStage.With(rank, "dgemm").Add(rs.DgemmSeconds)
-			m.rankStage.With(rank, "comm_wait").Add(rs.CommWaitSeconds)
 			m.rankStage.With(rank, "ckpt").Add(rs.CkptSeconds)
 			if rs.DgemmGFLOPS > 0 {
 				m.rankGflops.With(rank).Set(rs.DgemmGFLOPS)
