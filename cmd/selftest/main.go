@@ -1,8 +1,10 @@
 // Command selftest verifies every multiplication path in the repository
 // against a serial reference on this machine: SummaGen over all shape
-// families (in-process and over TCP), the SUMMA, 2.5D, Cannon and
-// block-cyclic baselines, and the simulated engine's accounting
-// invariants. Run it after building to sanity-check an installation.
+// families (in-process and over TCP); the SUMMA and block-cyclic
+// baselines, which are partition.BlockCyclic layouts run by the same
+// engine; the 2.5D and Cannon baselines; and the simulated engine's
+// accounting invariants. Run it after building to sanity-check an
+// installation.
 package main
 
 import (
@@ -15,14 +17,12 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/blas"
-	"repro/internal/blockcyclic"
 	"repro/internal/cannon"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
 	"repro/internal/partition"
-	"repro/internal/summa"
 	"repro/internal/summa25d"
 )
 
@@ -58,27 +58,11 @@ func run() error {
 		shape := shape
 		checks = append(checks, check{
 			name: fmt.Sprintf("summagen/%v", shape),
-			fn: func(a, b, want *matrix.Dense) error {
-				layout, err := partition.Build(shape, n, areas)
-				if err != nil {
-					return err
-				}
-				c := matrix.New(n, n)
-				if _, err := core.Multiply(a, b, c, core.Config{Layout: layout}); err != nil {
-					return err
-				}
-				return compare(c, want)
-			},
+			fn:   viaEngine(func() (*partition.Layout, error) { return partition.Build(shape, n, areas) }),
 		})
 	}
 	checks = append(checks,
-		check{"summa/2x3", func(a, b, want *matrix.Dense) error {
-			c := matrix.New(n, n)
-			if _, err := summa.Multiply(a, b, c, summa.Config{GridRows: 2, GridCols: 3, PanelSize: 17}); err != nil {
-				return err
-			}
-			return compare(c, want)
-		}},
+		check{"summa/2x3", viaEngine(func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 3, 2, 3) })},
 		check{"summa25d/q2c2", func(a, b, want *matrix.Dense) error {
 			c := matrix.New(n, n)
 			if _, err := summa25d.Multiply(a, b, c, summa25d.Config{Q: 2, C: 2, PanelSize: 13}); err != nil {
@@ -93,13 +77,7 @@ func run() error {
 			}
 			return compare(c, want)
 		}},
-		check{"blockcyclic/2x2", func(a, b, want *matrix.Dense) error {
-			c := matrix.New(n, n)
-			if _, err := blockcyclic.Multiply(a, b, c, blockcyclic.Config{GridRows: 2, GridCols: 2, BlockSize: 8}); err != nil {
-				return err
-			}
-			return compare(c, want)
-		}},
+		check{"blockcyclic/2x2", viaEngine(func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 2, n/8, n/8) })},
 		check{"summagen-tcp/square-corner", func(a, b, want *matrix.Dense) error {
 			return tcpCheck(n, areas, a, b, want)
 		}},
@@ -127,6 +105,21 @@ func run() error {
 		fmt.Printf("  ok  %-32s %8.1f ms\n", ck.name, time.Since(start).Seconds()*1000)
 	}
 	return nil
+}
+
+// viaEngine checks core.Multiply on the layout build returns.
+func viaEngine(build func() (*partition.Layout, error)) func(a, b, want *matrix.Dense) error {
+	return func(a, b, want *matrix.Dense) error {
+		layout, err := build()
+		if err != nil {
+			return err
+		}
+		c := matrix.New(a.Rows, a.Cols)
+		if _, err := core.Multiply(a, b, c, core.Config{Layout: layout}); err != nil {
+			return err
+		}
+		return compare(c, want)
+	}
 }
 
 func mustAreas(n int) []int {

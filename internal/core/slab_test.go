@@ -137,26 +137,45 @@ func shapeLayout(t testing.TB, shape partition.Shape, n int, speeds []float64) *
 // TestPoisonedSlabsArbitraryLayouts is TestQuickArbitraryLayouts with every
 // recycled slab NaN-filled first, on both runtimes: an
 // element of WA or WB that stages 1–2 leave unwritten and a DGEMM reads
-// turns the product into NaN.
+// turns the product into NaN. The SUMMA and block-cyclic baselines are
+// inputs too: partition.BlockCyclic layouts of up to six ranks, ragged
+// blocks included.
 func TestPoisonedSlabsArbitraryLayouts(t *testing.T) {
 	poisoned := core.PoisonRecycledSlabs(t)
 	for _, e := range engines() {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
-			f := func(seed int64, n8, p8 uint8) bool {
-				rng := rand.New(rand.NewSource(seed))
-				p := int(p8%4) + 1
-				n := int(n8%30) + p*3 + 4
-				l := core.RandomLayout(rng, n, p)
-				a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+			matches := func(l *partition.Layout, rng *rand.Rand) bool {
+				// C starts NaN too: every element must be overwritten.
+				a, b, c := matrix.Random(l.N, l.N, rng), matrix.Random(l.N, l.N, rng), matrix.Constant(l.N, l.N, math.NaN())
 				if err := e.multiply(t, l, a, b, c); err != nil {
 					t.Logf("multiply failed: %v", err)
 					return false
 				}
 				return matrix.EqualApprox(c, core.RefMultiply(a, b), 1e-9)
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
+			random := func(seed int64, n8, p8 uint8) bool {
+				rng := rand.New(rand.NewSource(seed))
+				p := int(p8%4) + 1
+				n := int(n8%30) + p*3 + 4
+				return matches(core.RandomLayout(rng, n, p), rng)
+			}
+			cyclic := func(seed int64, pr8, pc8, rb8, cb8, n8 uint8) bool {
+				pr := int(pr8%6) + 1
+				pc := int(pc8)%(6/pr) + 1
+				rbs, cbs := pr+int(rb8%6), pc+int(cb8%6) // one block per grid line is SUMMA
+				n := max(rbs, cbs) + int(n8%30)
+				l, err := partition.BlockCyclic(n, pr, pc, rbs, cbs)
+				if err != nil {
+					t.Logf("BlockCyclic: %v", err)
+					return false
+				}
+				return matches(l, rand.New(rand.NewSource(seed)))
+			}
+			for _, f := range []any{random, cyclic} {
+				if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

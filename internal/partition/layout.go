@@ -36,9 +36,15 @@ type Layout struct {
 // ErrInvalid reports a malformed layout.
 var ErrInvalid = errors.New("partition: invalid layout")
 
-// Validate checks all the structural invariants of the paper's arrays.
+// maxN bounds the matrix dimension so that every element count a layout
+// reports (N², and the 2·N² a rank can at most receive) fits in an int.
+const maxN = 1 << 30
+
+// Validate checks all the structural invariants of the paper's arrays. It
+// is also the gate for layouts read from outside (LoadLayout), so it
+// neither allocates by an untrusted size nor lets a sum overflow.
 func (l *Layout) Validate() error {
-	if l.N <= 0 {
+	if l.N <= 0 || l.N > maxN {
 		return fmt.Errorf("%w: N = %d", ErrInvalid, l.N)
 	}
 	if l.P <= 0 {
@@ -56,21 +62,27 @@ func (l *Layout) Validate() error {
 	if len(l.ColWidths) != l.GridCols {
 		return fmt.Errorf("%w: %d column widths for %d grid columns", ErrInvalid, len(l.ColWidths), l.GridCols)
 	}
+	// Bounding each partial sum by N keeps the sums from wrapping around.
 	sumH, sumW := 0, 0
 	for i, h := range l.RowHeights {
-		if h <= 0 {
-			return fmt.Errorf("%w: row %d height %d", ErrInvalid, i, h)
+		if h <= 0 || h > l.N-sumH {
+			return fmt.Errorf("%w: row %d height %d (heights so far %d, N=%d)", ErrInvalid, i, h, sumH, l.N)
 		}
 		sumH += h
 	}
 	for j, w := range l.ColWidths {
-		if w <= 0 {
-			return fmt.Errorf("%w: column %d width %d", ErrInvalid, j, w)
+		if w <= 0 || w > l.N-sumW {
+			return fmt.Errorf("%w: column %d width %d (widths so far %d, N=%d)", ErrInvalid, j, w, sumW, l.N)
 		}
 		sumW += w
 	}
 	if sumH != l.N || sumW != l.N {
 		return fmt.Errorf("%w: heights sum %d, widths sum %d, want N=%d", ErrInvalid, sumH, sumW, l.N)
+	}
+	// Every processor must own a cell, so P cannot exceed the cell count;
+	// checking it first bounds the allocation below by the owner array.
+	if l.P > len(l.Owner) {
+		return fmt.Errorf("%w: P = %d exceeds the %d cells of the grid", ErrInvalid, l.P, len(l.Owner))
 	}
 	seen := make([]bool, l.P)
 	for idx, o := range l.Owner {

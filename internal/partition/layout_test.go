@@ -51,6 +51,19 @@ func TestValidateRejects(t *testing.T) {
 		{"owner out of range", func(l *Layout) { l.Owner[0] = 5 }},
 		{"negative owner", func(l *Layout) { l.Owner[0] = -1 }},
 		{"unowned processor", func(l *Layout) { l.Owner[8] = 1 }}, // P2 loses its only cell
+		// Inputs read from a file: a huge P must be an error before any
+		// allocation sized by it, and heights must not sum to N by wrapping.
+		{"P beyond the cell count", func(l *Layout) { l.P = 1 << 62 }},
+		{"heights overflow to N", func(l *Layout) {
+			*l = Layout{N: 4, P: 1, GridRows: 5, GridCols: 1,
+				Owner:      []int{0, 0, 0, 0, 0},
+				RowHeights: []int{1 << 62, 1 << 62, 1 << 62, 1 << 62, 4},
+				ColWidths:  []int{4}}
+		}},
+		{"N² overflows", func(l *Layout) {
+			*l = Layout{N: 1 << 32, P: 1, GridRows: 1, GridCols: 1,
+				Owner: []int{0}, RowHeights: []int{1 << 32}, ColWidths: []int{1 << 32}}
+		}},
 	}
 	for _, m := range mutations {
 		l := base()

@@ -402,6 +402,45 @@ func ColumnBasedGrouped(n int, areas []int, colProcs [][]int) (*Layout, error) {
 	return l, nil
 }
 
+// BlockCyclic builds the two-dimensional block-cyclic distribution of
+// ScaLAPACK and Elemental (related work III-E) on a pr×pc processor grid:
+// n is cut into rowBlocks near-equal block rows and colBlocks block
+// columns (the first blocks take the remainder), and block (I, J) belongs
+// to rank (I mod pr)·pc + (J mod pc). Classic SUMMA's block distribution
+// (van de Geijn & Watts [21]) is BlockCyclic(n, pr, pc, pr, pc); block
+// size bs is BlockCyclic(n, pr, pc, n/bs, n/bs). Both baselines are thus
+// ordinary layouts, run by the SummaGen engine like any other.
+func BlockCyclic(n, pr, pc, rowBlocks, colBlocks int) (*Layout, error) {
+	if pr <= 0 || pc <= 0 {
+		return nil, fmt.Errorf("partition: invalid processor grid %dx%d", pr, pc)
+	}
+	if rowBlocks < pr || colBlocks < pc {
+		return nil, fmt.Errorf("partition: %dx%d blocks cannot cover a %dx%d processor grid", rowBlocks, colBlocks, pr, pc)
+	}
+	equal := func(k int) []float64 {
+		w := make([]float64, k)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	heights, err := apportion(n, equal(rowBlocks))
+	if err != nil {
+		return nil, err
+	}
+	widths, err := apportion(n, equal(colBlocks))
+	if err != nil {
+		return nil, err
+	}
+	owner := make([]int, rowBlocks*colBlocks)
+	for i := 0; i < rowBlocks; i++ {
+		for j := 0; j < colBlocks; j++ {
+			owner[i*colBlocks+j] = (i%pr)*pc + j%pc
+		}
+	}
+	return FromArrays(n, pr*pc, rowBlocks, colBlocks, owner, heights, widths)
+}
+
 // apportion splits n into len(weights) positive integer parts proportional
 // to weights (largest-remainder rounding, minimum 1 each).
 func apportion(n int, weights []float64) ([]int, error) {

@@ -6,8 +6,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/summa"
+	"repro/internal/partition"
 )
 
 func refMultiply(a, b *matrix.Dense) *matrix.Dense {
@@ -107,8 +108,9 @@ func TestReplicationReducesPanelTraffic(t *testing.T) {
 }
 
 func TestDegenerateC1MatchesSumma(t *testing.T) {
-	// With C=1 the algorithm is plain SUMMA; both must agree with the
-	// reference on identical inputs.
+	// With C=1 the algorithm is plain SUMMA, whose block distribution is
+	// the SummaGen layout BlockCyclic(n, 2, 2, 2, 2); both must agree on
+	// identical inputs.
 	rng := rand.New(rand.NewSource(5))
 	n := 20
 	a := matrix.Random(n, n, rng)
@@ -118,7 +120,11 @@ func TestDegenerateC1MatchesSumma(t *testing.T) {
 	if _, err := Multiply(a, b, c1, Config{Q: 2, C: 1, PanelSize: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := summa.Multiply(a, b, c2, summa.Config{GridRows: 2, GridCols: 2, PanelSize: 4}); err != nil {
+	layout, err := partition.BlockCyclic(n, 2, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Multiply(a, b, c2, core.Config{Layout: layout}); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.EqualApprox(c1, c2, 1e-12) {
