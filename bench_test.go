@@ -326,7 +326,6 @@ func BenchmarkOOCTileSize(b *testing.B) {
 //     recorded).
 //   - netmpi: the same multiply over the TCP runtime — one persistent
 //     loopback mesh, b.N multiplies over it.
-//   - netmpi/wire=v1: netmpi with CRC framing off.
 func BenchmarkSummaGen(b *testing.B) {
 	n := 256
 	areas, err := balance.Proportional(n*n, []float64{1.0, 2.0, 0.9})
@@ -368,7 +367,7 @@ func BenchmarkSummaGen(b *testing.B) {
 		b.ReportMetric(float64(spans), "spans/op")
 	})
 
-	runNetmpi := func(b *testing.B, wireVersion int) {
+	b.Run("netmpi", func(b *testing.B) {
 		const p = 3
 		listeners := make([]net.Listener, p)
 		addrs := make([]string, p)
@@ -387,7 +386,7 @@ func BenchmarkSummaGen(b *testing.B) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				eps[rank], errs[rank] = netmpi.Dial(netmpi.Config{Rank: rank, Addrs: addrs, Listener: listeners[rank], WireVersion: wireVersion})
+				eps[rank], errs[rank] = netmpi.Dial(netmpi.Config{Rank: rank, Addrs: addrs, Listener: listeners[rank]})
 			}(r)
 		}
 		wg.Wait()
@@ -426,12 +425,7 @@ func BenchmarkSummaGen(b *testing.B) {
 				}
 			}
 		}
-	}
-	b.Run("netmpi", func(b *testing.B) { runNetmpi(b, 0) })
-	// wire=v1 pins CRC framing off: the delta against netmpi is the
-	// whole-pipeline cost of the CRC32C trailers, budgeted at <2% ns/op on
-	// the zero-copy hot path.
-	b.Run("netmpi/wire=v1", func(b *testing.B) { runNetmpi(b, 1) })
+	})
 }
 
 // BenchmarkObsDisabledHandle pins the disabled-path cost of the span layer

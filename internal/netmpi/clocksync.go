@@ -30,8 +30,7 @@ import (
 // has error bounded by ±rtt/2 whatever the latency asymmetry. Each
 // connection keeps a sliding window of samples and reports the offset of
 // the minimum-RTT sample — NTP's clock filter — with rtt/2 as the
-// uncertainty. Legacy one-field beats still parse; they feed the one-way
-// delay counter only.
+// uncertainty.
 
 // clockWindow bounds the sample window. Old samples age out so a dilated
 // early estimate (slow start, a GC pause during the exchange) cannot pin
@@ -84,7 +83,7 @@ type clockSync struct {
 }
 
 // noteBeat records an incoming beat: it always refreshes the echo state,
-// and for extended beats that echo one of ours it adds an offset sample.
+// and for beats that echo one of ours it adds an offset sample.
 // Negative round trips (clock steps mid-exchange, duplicated echoes after
 // a reconnect) are discarded rather than clamped — a fabricated zero-RTT
 // sample would win the min-RTT filter with a corrupt offset.
@@ -94,7 +93,7 @@ func (cs *clockSync) noteBeat(sendTs, echoTs, echoHold, nowLocal float64) {
 	cs.lastPeerTs = sendTs
 	cs.lastRxLocal = nowLocal
 	if echoTs == 0 {
-		return // nothing of ours echoed yet (or a legacy beat)
+		return // nothing of ours echoed yet
 	}
 	t1, t3, t4 := echoTs, sendTs, nowLocal
 	rtt := (t4 - t1) - echoHold

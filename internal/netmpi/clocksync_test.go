@@ -113,13 +113,13 @@ func TestClockSyncUncertaintyMonotoneWhileWindowFills(t *testing.T) {
 
 func TestClockSyncDiscardsNegativeRTTAndLegacyBeats(t *testing.T) {
 	var cs clockSync
-	// Legacy one-field beat: refreshes echo state, takes no sample.
+	// A beat that echoes nothing yet: refreshes echo state, takes no sample.
 	cs.noteBeat(200, 0, 0, 100)
 	if _, _, samples := cs.estimate(); samples != 0 {
-		t.Fatalf("legacy beat must not produce a sample, got %d", samples)
+		t.Fatalf("a beat echoing nothing must not produce a sample, got %d", samples)
 	}
 	if echoTs, _ := cs.echoState(101); echoTs != 200 {
-		t.Fatalf("legacy beat must still refresh echo state, got echoTs %.1f", echoTs)
+		t.Fatalf("a beat echoing nothing must still refresh echo state, got echoTs %.1f", echoTs)
 	}
 	// An exchange whose hold exceeds the local elapsed time (a replayed
 	// echo after reconnect, or a clock step) would yield rtt < 0 — it must

@@ -34,8 +34,9 @@ func (e *PeerFailedError) Error() string {
 func (e *PeerFailedError) Unwrap() error { return e.Err }
 
 // CorruptFrameError reports a frame whose CRC32C trailer did not match its
-// contents on a wire-v2 connection. Header fields are as read off the wire
-// and therefore untrusted — the corruption may sit in the header itself.
+// contents, or whose header claimed more than maxFrameElems elements. Header
+// fields are as read off the wire and therefore untrusted — the corruption
+// may sit in the header itself.
 // A bounded number of re-requests (maxRerequests) is attempted through the
 // reconnect handshake; when they are exhausted, or the sender has no
 // replay copy, the error becomes the cause of a *PeerFailedError and the
@@ -47,11 +48,16 @@ type CorruptFrameError struct {
 	Comm, Tag uint32
 	Count     uint64
 	// WantCRC is the trailer carried by the frame; GotCRC is the checksum
-	// of the bytes that actually arrived.
+	// of the bytes that actually arrived. Both zero when the count was
+	// rejected before the payload was read.
 	WantCRC, GotCRC uint32
 }
 
 func (e *CorruptFrameError) Error() string {
+	if e.Count > maxFrameElems {
+		return fmt.Sprintf("netmpi: corrupt frame from rank %d (comm %#x tag %d): count %d exceeds the %d-element cap",
+			e.Peer, e.Comm, e.Tag, e.Count, maxFrameElems)
+	}
 	return fmt.Sprintf("netmpi: corrupt frame from rank %d (comm %#x tag %d count %d): crc %#08x, frame claims %#08x",
 		e.Peer, e.Comm, e.Tag, e.Count, e.GotCRC, e.WantCRC)
 }

@@ -2,20 +2,19 @@ package netmpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"net"
-	"sync"
 	"unsafe"
 )
 
 // Frames are length-prefixed binary: a 16-byte header (communicator id,
-// sequence/tag, payload count) followed by count little-endian float64s.
-// On wire-v2 connections (see the handshake probe below) every frame —
-// data, span and heartbeat alike — additionally carries a 4-byte CRC32C
-// trailer over header+payload, so silent bit corruption surfaces as a
-// typed *CorruptFrameError instead of a wrong answer.
+// sequence/tag, payload count), count little-endian float64s, and a 4-byte
+// CRC32C trailer over header+payload. Every frame carries the trailer —
+// data, span, heartbeat and the handshake probe alike — so silent bit
+// corruption surfaces as a typed *CorruptFrameError instead of a wrong
+// answer.
 //
 // The hot path avoids per-element conversion: on little-endian hosts (the
 // wire byte order) a []float64 payload and its wire image are the same
@@ -29,6 +28,15 @@ const (
 	headerBytes     = 16
 	crcTrailerBytes = 4
 )
+
+// maxFrameElems caps the payload count a frame header may claim. The count
+// is read before the CRC can vouch for it, so a flipped high bit would
+// otherwise ask for an impossible (panicking) or unbounded allocation; a
+// claim above the cap is reported as a *CorruptFrameError instead. 2²⁸
+// float64s (2 GiB) is the whole of a 16384² matrix — the largest panel a
+// multiply broadcasts is one grid cell, at most N², and summagen-serve's
+// -max-n defaults to 4096.
+const maxFrameElems = 1 << 28
 
 // Reserved communicator ids. Collective ids come from a 32-bit FNV hash of
 // the rank list; the reserved values sit at the top of the id space.
@@ -46,22 +54,10 @@ const (
 	// the comm-volume audit keeps comparing the partition model against
 	// algorithm traffic only.
 	spanCommID = 0xFFFFFFFD
-	// probeCommID carries the version/re-request handshake probe that
-	// directly follows a hello. A legacy peer parses a probe as an
-	// ordinary (undeliverable) data frame and simply never answers it —
-	// that silence is the negotiation: no probe back means wire v1, no
-	// CRC. See the handshake in netmpi.go.
+	// probeCommID carries the handshake probe each side sends right after
+	// the hello is on the wire: it names the frame, if any, the speaker
+	// wants retransmitted. See the handshake in netmpi.go.
 	probeCommID = 0xFFFFFFFC
-)
-
-// Wire protocol versions. Version 1 is the original CRC-less framing;
-// version 2 adds the CRC32C trailer and the re-request handshake. The
-// version is per connection, negotiated by the probe exchange, so a v2
-// endpoint still interoperates with a v1 peer (the pair just runs
-// unchecked, as before).
-const (
-	wireV1 = 1
-	wireV2 = 2
 )
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
@@ -107,19 +103,12 @@ func appendPayload(dst []byte, data []float64) []byte {
 	return dst
 }
 
-// appendFrame appends one full coalesced frame (header + payload) to dst.
+// appendFrame appends one full coalesced frame (header + payload + CRC32C
+// trailer) to dst.
 func appendFrame(dst []byte, comm, tag uint32, data []float64) []byte {
-	dst = appendHeader(dst, comm, tag, len(data))
-	return appendPayload(dst, data)
-}
-
-// appendFrameCRC appends one full coalesced v2 frame (header + payload +
-// CRC32C trailer) to dst. dst must be empty (the checksum covers dst's
-// whole contents).
-func appendFrameCRC(dst []byte, comm, tag uint32, data []float64) []byte {
-	dst = appendFrame(dst, comm, tag, data)
-	sum := crc32.Update(0, castagnoli, dst)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	start := len(dst)
+	dst = appendPayload(appendHeader(dst, comm, tag, len(data)), data)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // frameScratch is a reader's fixed-size header and trailer buffer. One lives
@@ -135,17 +124,21 @@ type frameScratch [headerBytes + crcTrailerBytes]byte
 // nothing the failed read left behind survives. Any other frame (another
 // key, another length, or no into at all) is decoded into a freshly
 // allocated []float64 the caller owns, because it will be parked or handed
-// out as is (see pool.go for who owns what). With withCRC set the frame must carry a valid CRC32C trailer; a mismatch
-// returns a *CorruptFrameError that still carries the header fields as read
-// (the re-request path needs the key; the caller must treat it as
-// untrusted, since the corruption may sit in the header itself).
-func readFrame(r io.Reader, sc *frameScratch, withCRC bool, want frameKey, into []float64) (frameKey, []float64, error) {
+// out as is (see pool.go for who owns what). A count above maxFrameElems or
+// a CRC32C trailer that does not match returns a *CorruptFrameError that
+// still carries the header fields as read (the re-request path needs the
+// key; the caller must treat it as untrusted, since the corruption may sit
+// in the header itself).
+func readFrame(r io.Reader, sc *frameScratch, want frameKey, into []float64) (frameKey, []float64, error) {
 	hdr := sc[:headerBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frameKey{}, nil, err
 	}
 	key := frameKey{binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint32(hdr[4:])}
 	count := binary.LittleEndian.Uint64(hdr[8:])
+	if count > maxFrameElems {
+		return key, nil, &CorruptFrameError{Comm: key.comm, Tag: key.tag, Count: count}
+	}
 	var data []float64
 	if into != nil && key == want && count == uint64(len(into)) {
 		data = into
@@ -156,17 +149,14 @@ func readFrame(r io.Reader, sc *frameScratch, withCRC bool, want frameKey, into 
 	if _, err := io.ReadFull(r, view); err != nil {
 		return frameKey{}, nil, err
 	}
-	if withCRC {
-		tr := sc[headerBytes:]
-		if _, err := io.ReadFull(r, tr); err != nil {
-			return frameKey{}, nil, err
-		}
-		claimed := binary.LittleEndian.Uint32(tr)
-		got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, view)
-		if got != claimed {
-			return key, nil, &CorruptFrameError{
-				Comm: key.comm, Tag: key.tag, Count: count, WantCRC: claimed, GotCRC: got,
-			}
+	tr := sc[headerBytes:]
+	if _, err := io.ReadFull(r, tr); err != nil {
+		return frameKey{}, nil, err
+	}
+	claimed := binary.LittleEndian.Uint32(tr)
+	if got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, view); got != claimed {
+		return key, nil, &CorruptFrameError{
+			Comm: key.comm, Tag: key.tag, Count: count, WantCRC: claimed, GotCRC: got,
 		}
 	}
 	if !hostLittleEndian {
@@ -189,69 +179,31 @@ func IsHeartbeatFrame(b []byte) bool {
 
 // rerequest names one frame a receiver wants retransmitted after a CRC
 // failure. It rides the handshake probe of the reconnect that follows the
-// failure (see the negotiation in netmpi.go).
+// failure (see the handshake in netmpi.go).
 type rerequest struct {
 	key     frameKey
 	present bool
 }
 
-// appendProbe appends the handshake probe frame: an ordinary CRC-less
-// frame with the reserved probe comm id, the speaker's wire version as the
-// tag, and a 3-float payload encoding an optional re-request
-// [present, comm, tag]. A legacy peer queues it as an undeliverable data
-// frame — harmless — and never probes back.
+// appendProbe appends the handshake probe frame: the reserved probe comm id
+// and a 3-float payload encoding an optional re-request [present, comm, tag].
 func appendProbe(dst []byte, rr rerequest) []byte {
 	payload := [3]float64{0, float64(rr.key.comm), float64(rr.key.tag)}
 	if rr.present {
 		payload[0] = 1
 	}
-	return appendFrame(dst, probeCommID, wireV2, payload[:])
+	return appendFrame(dst, probeCommID, 0, payload[:])
 }
 
-// parseProbe decodes a handshake probe; ok is false when the frame is not
-// a probe (a legacy peer's first real frame, say).
-func parseProbe(key frameKey, data []float64) (rr rerequest, ok bool) {
+// readProbe reads the peer's handshake probe off r; anything but a valid
+// probe is an error.
+func readProbe(r io.Reader) (rerequest, error) {
+	key, data, err := readFrame(r, new(frameScratch), frameKey{}, nil)
+	if err != nil {
+		return rerequest{}, err
+	}
 	if key.comm != probeCommID || len(data) != 3 {
-		return rerequest{}, false
+		return rerequest{}, fmt.Errorf("expected a handshake probe, got a frame for comm %#x with %d elements", key.comm, len(data))
 	}
-	rr.key = frameKey{comm: uint32(data[1]), tag: uint32(data[2])}
-	rr.present = data[0] != 0
-	return rr, true
-}
-
-// captureReader records every byte read through it, so a handshake that
-// discovers mid-read that the peer is speaking legacy framing can push the
-// consumed bytes back onto the stream (prefixConn) instead of losing them.
-type captureReader struct {
-	r   io.Reader
-	buf []byte
-}
-
-func (cr *captureReader) Read(b []byte) (int, error) {
-	n, err := cr.r.Read(b)
-	cr.buf = append(cr.buf, b[:n]...)
-	return n, err
-}
-
-// prefixConn replays pre bytes before reading from the wrapped conn. Used
-// only on the legacy-peer path, where the probe wait consumed the start of
-// the peer's first real frame. Wrapping costs the writev fast path (the
-// conn no longer type-asserts to *net.TCPConn) — acceptable for
-// mixed-version pairs, which are compatibility mode, not the hot path.
-type prefixConn struct {
-	net.Conn
-	mu  sync.Mutex
-	pre []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	p.mu.Lock()
-	if len(p.pre) > 0 {
-		n := copy(b, p.pre)
-		p.pre = p.pre[n:]
-		p.mu.Unlock()
-		return n, nil
-	}
-	p.mu.Unlock()
-	return p.Conn.Read(b)
+	return rerequest{key: frameKey{comm: uint32(data[1]), tag: uint32(data[2])}, present: data[0] != 0}, nil
 }

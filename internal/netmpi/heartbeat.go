@@ -49,18 +49,17 @@ func (e *Endpoint) heartbeatLoop() {
 // The beat payload is three float64s — the sender's clock in Unix seconds,
 // plus the echo pair (peer's last beat timestamp and the local hold time)
 // that turns the two heartbeat streams into an NTP-style offset exchange
-// (see clocksync.go). The first field alone still feeds the one-way delay
-// sample (PeerStats.HeartbeatDelaySeconds). Readers dispatch on the comm
-// id and on payload length, so an empty or one-field legacy beat still
-// parses. The frame is built in pooled scratch and returned on every path,
-// beats being the one timer-driven writer the leak-balance tests must also
-// account for.
+// (see clocksync.go). The first field also feeds the one-way delay sample
+// (PeerStats.HeartbeatDelaySeconds). Beats are CRC-checked like any other
+// frame: a corrupt beat must not masquerade as liveness. The frame is built
+// in pooled scratch and returned on every path, beats being the one
+// timer-driven writer the leak-balance tests must also account for.
 func (rc *rankConn) beat(interval time.Duration) {
 	if !rc.wmu.TryLock() {
 		return // a real frame is being written; that is liveness enough
 	}
 	defer rc.wmu.Unlock()
-	c, _, crc, failure := rc.snapshot()
+	c, _, failure := rc.snapshot()
 	if failure != nil || c == nil {
 		return
 	}
@@ -69,13 +68,7 @@ func (rc *rankConn) beat(interval time.Duration) {
 	now := nowUnixSeconds()
 	echoTs, echoHold := rc.clk.echoState(now)
 	ts := [3]float64{now, echoTs, echoHold}
-	if crc {
-		// Beats are checked like any other v2 frame: a corrupt beat must
-		// not masquerade as liveness (or worse, desync the stream).
-		fb.b = appendFrameCRC(fb.b[:0], heartbeatCommID, 0, ts[:])
-	} else {
-		fb.b = appendFrame(fb.b[:0], heartbeatCommID, 0, ts[:])
-	}
+	fb.b = appendFrame(fb.b[:0], heartbeatCommID, 0, ts[:])
 	_ = c.SetWriteDeadline(time.Now().Add(interval))
 	_, _ = c.Write(fb.b) // best-effort: the next real op surfaces errors
 }

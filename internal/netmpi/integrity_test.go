@@ -2,9 +2,13 @@ package netmpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +16,7 @@ import (
 
 // worldWith dials a mesh where each rank gets its own Config (Rank, Addrs
 // and Listener are filled in). Used by the wire-integrity tests, which
-// need per-rank wire versions, wrappers and epochs.
+// need per-rank wrappers and epochs.
 func worldWith(t *testing.T, cfgs []Config) []*Endpoint {
 	t.Helper()
 	p := len(cfgs)
@@ -100,8 +104,8 @@ func (cc *corruptConn) Write(b []byte) (int, error) {
 
 func TestFrameCRCRoundTrip(t *testing.T) {
 	data := []float64{1.5, -2.25, 3.125, 0}
-	frame := appendFrameCRC(nil, 42, 7, data)
-	key, got, err := readFrame(bytes.NewReader(frame), new(frameScratch), true, frameKey{}, nil)
+	frame := appendFrame(nil, 42, 7, data)
+	key, got, err := readFrame(bytes.NewReader(frame), new(frameScratch), frameKey{}, nil)
 	if err != nil {
 		t.Fatalf("clean frame: %v", err)
 	}
@@ -115,15 +119,15 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 	}
 
 	// Empty payloads carry (and check) a trailer too.
-	empty := appendFrameCRC(nil, 1, 2, nil)
-	if _, _, err := readFrame(bytes.NewReader(empty), new(frameScratch), true, frameKey{}, nil); err != nil {
+	empty := appendFrame(nil, 1, 2, nil)
+	if _, _, err := readFrame(bytes.NewReader(empty), new(frameScratch), frameKey{}, nil); err != nil {
 		t.Fatalf("empty frame: %v", err)
 	}
 
 	// A flipped payload bit must surface as a typed CorruptFrameError.
 	bad := append([]byte(nil), frame...)
 	bad[headerBytes+3] ^= 0x01
-	_, _, err = readFrame(bytes.NewReader(bad), new(frameScratch), true, frameKey{}, nil)
+	_, _, err = readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil)
 	var cfe *CorruptFrameError
 	if !errors.As(err, &cfe) {
 		t.Fatalf("payload flip: got %v, want CorruptFrameError", err)
@@ -135,14 +139,102 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 	// A flipped trailer bit too.
 	bad = append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x80
-	if _, _, err := readFrame(bytes.NewReader(bad), new(frameScratch), true, frameKey{}, nil); !errors.As(err, &cfe) {
+	if _, _, err := readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil); !errors.As(err, &cfe) {
 		t.Fatalf("trailer flip: got %v, want CorruptFrameError", err)
 	}
+}
 
-	// The same bytes without a trailer parse as a v1 frame.
-	v1 := appendFrame(nil, 42, 7, data)
-	if _, _, err := readFrame(bytes.NewReader(v1), new(frameScratch), false, frameKey{}, nil); err != nil {
-		t.Fatalf("v1 frame: %v", err)
+// FuzzReadFrame drives the frame decoder with untrusted bytes. Three
+// properties: arbitrary input never panics, never allocates past what its
+// count (at most maxFrameElems) asks for, and re-encodes to itself when it
+// decodes; a well-formed frame built from (comm, tag, payload) round-trips,
+// into a fresh slice and in place into the caller's buffer; and one
+// flipped bit anywhere in that frame is reported as a *CorruptFrameError.
+func FuzzReadFrame(f *testing.F) {
+	good := appendFrame(nil, 9, 3, []float64{1.5, -2, 3.25})
+	countFlip := append([]byte(nil), good...)
+	countFlip[15] ^= 0x80 // the count's top bit: a 2⁶³-element claim
+	f.Add(countFlip, []byte("eight by"), uint32(9), uint32(3), uint(15*8+7))
+	f.Add(good, []byte{}, uint32(heartbeatCommID), uint32(0), uint(0))
+	f.Add(good[:20], []byte("sixteen bytes!!!"), uint32(probeCommID), uint32(1), uint(8*8+3))
+	f.Fuzz(func(t *testing.T, raw, payload []byte, comm, tag uint32, bit uint) {
+		checkArbitraryFrame(t, raw)
+
+		data := make([]float64, len(payload)/8)
+		for i := range data {
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		}
+		key := frameKey{comm, tag}
+		frame := appendFrame(nil, comm, tag, data)
+		into := make([]float64, len(data))
+		for _, dst := range [][]float64{nil, into} {
+			got, back, err := readFrame(bytes.NewReader(frame), new(frameScratch), key, dst)
+			if err != nil || got != key || len(back) != len(data) {
+				t.Fatalf("round trip (into %v): key %v, %d elements, err %v", dst != nil, got, len(back), err)
+			}
+			if dst != nil && len(dst) > 0 && &back[0] != &dst[0] {
+				t.Fatal("the awaited frame was not read into the caller's buffer")
+			}
+			for i := range data {
+				if math.Float64bits(back[i]) != math.Float64bits(data[i]) {
+					t.Fatalf("element %d: %x, want %x", i, math.Float64bits(back[i]), math.Float64bits(data[i]))
+				}
+			}
+		}
+
+		// The stream continues past the frame, as a live connection's does:
+		// a flip that raises the count reads on into the bytes that follow.
+		pos := bit % uint(8*len(frame))
+		flipped := append([]byte(nil), frame...)
+		flipped[pos/8] ^= 1 << (pos % 8)
+		grow := binary.LittleEndian.Uint64(flipped[8:]) - uint64(len(data))
+		if grow > fuzzAllocElems && grow <= maxFrameElems {
+			return // an honest but huge count: the reader would wait for gigabytes
+		}
+		if grow <= maxFrameElems {
+			flipped = append(flipped, make([]byte, 8*grow)...)
+		}
+		var cfe *CorruptFrameError
+		if _, _, err := readFrame(bytes.NewReader(flipped), new(frameScratch), key, into); !errors.As(err, &cfe) {
+			t.Fatalf("bit %d flipped: got %v, want a CorruptFrameError", pos, err)
+		}
+	})
+}
+
+// fuzzAllocElems bounds the counts FuzzReadFrame lets the decoder allocate
+// for: a claim between it and maxFrameElems is legal, and reading it would
+// cost the fuzzer up to 2 GiB per input.
+const fuzzAllocElems = 1 << 16
+
+// checkArbitraryFrame decodes raw and checks it neither panics nor
+// allocates past its count's due, and that whatever decodes re-encodes to
+// the bytes it came from.
+func checkArbitraryFrame(t *testing.T, raw []byte) {
+	t.Helper()
+	var count uint64
+	if len(raw) >= headerBytes {
+		count = binary.LittleEndian.Uint64(raw[8:])
+	}
+	if count > fuzzAllocElems && count <= maxFrameElems {
+		return // see fuzzAllocElems
+	}
+	due := uint64(1 << 20) // the error value, plus whatever other goroutines allocate meanwhile
+	if count <= maxFrameElems {
+		due += 8 * count
+	}
+	rd, sc := bytes.NewReader(raw), new(frameScratch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	key, data, err := readFrame(rd, sc, frameKey{}, nil)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > due {
+		t.Fatalf("a %d-element claim allocated %d bytes, more than %d", count, grew, due)
+	}
+	if err != nil {
+		return
+	}
+	if back := appendFrame(nil, key.comm, key.tag, data); !bytes.Equal(back, raw[:len(back)]) {
+		t.Fatalf("decoded frame re-encodes to %x, input was %x", back, raw[:len(back)])
 	}
 }
 
@@ -199,9 +291,6 @@ func TestCorruptFrameHealedByRerequest(t *testing.T) {
 	if ss.FramesSent != 1 {
 		t.Fatalf("sender counted the retransmit as a data frame: frames=%d", ss.FramesSent)
 	}
-	if !rs.CRC || !ss.CRC {
-		t.Fatal("v2<->v2 pair did not negotiate CRC framing")
-	}
 }
 
 // TestCorruptFrameRerequestsExhausted corrupts every copy of a frame —
@@ -232,50 +321,177 @@ func TestCorruptFrameRerequestsExhausted(t *testing.T) {
 	}
 }
 
-// TestLegacyPeerInterop pins version negotiation: a wire-v2 endpoint and a
-// wire-v1 (legacy framing) endpoint still exchange data in both dial
-// directions, falling back to CRC-less frames.
+// exchange sends a frame each way between eps[0] and eps[1] under tag and
+// checks both arrive intact.
+func exchange(t *testing.T, eps []*Endpoint, tag int) {
+	t.Helper()
+	want := []float64{4, 5, 6, float64(tag)}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	var got0, got1 []float64
+	wg.Add(4)
+	go func() { defer wg.Done(); errs[0] = eps[0].Send(1, tag, want) }()
+	go func() { defer wg.Done(); got1, errs[1] = eps[1].Recv(0, tag) }()
+	go func() { defer wg.Done(); errs[2] = eps[1].Send(0, tag, want) }()
+	go func() { defer wg.Done(); got0, errs[3] = eps[0].Recv(1, tag) }()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tag %d op %d: %v", tag, i, err)
+		}
+	}
+	for i := range want {
+		if got0[i] != want[i] || got1[i] != want[i] {
+			t.Fatalf("tag %d: got %v / %v, want %v", tag, got0, got1, want)
+		}
+	}
+}
+
+// TestHandshakeLateReply: the acceptor answers the dialer's probe more than
+// a second late — its process starts accepting only after the dialer's
+// connect completed on its listener — but inside DialTimeout. Both ends
+// must agree on the framing: frames round-trip in both directions.
+func TestHandshakeLateReply(t *testing.T) {
+	listeners := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	eps := make([]*Endpoint, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r, delay := range []time.Duration{1500 * time.Millisecond, 0} {
+		wg.Add(1)
+		go func(rank int, delay time.Duration) {
+			defer wg.Done()
+			time.Sleep(delay)
+			eps[rank], errs[rank] = Dial(Config{
+				Rank: rank, Addrs: addrs, Listener: listeners[rank],
+				DialTimeout: 5 * time.Second, OpTimeout: 3 * time.Second,
+			})
+		}(r, delay)
+	}
+	wg.Wait()
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			if ep != nil {
+				ep.Close()
+			}
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	exchange(t, eps, 1)
+	exchange(t, eps, 2)
+}
+
+// TestLegacyPeerInterop: a peer of an earlier build — one that sends a bare
+// hello and never a probe, or never answers ours — is refused within
+// DialTimeout whichever side it plays, and no connection to it is
+// installed: mesh setup fails, and a live mesh keeps its connection.
 func TestLegacyPeerInterop(t *testing.T) {
-	cases := []struct {
-		name   string
-		v0, v1 int
-	}{
-		{"v1-dialer-meets-v2-acceptor", 2, 1}, // rank 1 dials rank 0
-		{"v2-dialer-meets-v1-acceptor", 1, 2},
-		{"v1-both", 1, 1},
+	const dialTimeout = time.Second
+	const bound = 2 * dialTimeout // the deadline plus scheduling slack
+	// refused reads c until the endpoint closes it.
+	refused := func(c net.Conn, start time.Time) error {
+		c.SetReadDeadline(start.Add(bound))
+		if _, err := io.Copy(io.Discard, c); isTimeoutErr(err) {
+			return fmt.Errorf("legacy peer still connected after %v", bound)
+		}
+		return nil
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfgs := []Config{
-				{OpTimeout: 4 * time.Second, WireVersion: tc.v0, DialTimeout: 5 * time.Second},
-				{OpTimeout: 4 * time.Second, WireVersion: tc.v1, DialTimeout: 5 * time.Second},
+	// dialFails runs Dial and checks it fails within bound of start.
+	dialFails := func(cfg Config, start time.Time) error {
+		cfg.DialTimeout = dialTimeout
+		ep, err := Dial(cfg)
+		if err == nil {
+			ep.Close()
+			return errors.New("mesh setup accepted a peer that never probed")
+		}
+		if took := time.Since(start); took > bound {
+			return fmt.Errorf("refusal took %v, want within %v", took, bound)
+		}
+		return nil
+	}
+	listen := func(t *testing.T) net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		return ln
+	}
+	// helloOnly dials addr as rank 1 and sends a bare hello.
+	helloOnly := func(t *testing.T, addr string) net.Conn {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.Write(helloBytes(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	t.Run("v1-dialer-meets-v2-acceptor", func(t *testing.T) {
+		ln := listen(t)
+		start := time.Now()
+		setup := make(chan error, 1)
+		go func() {
+			setup <- dialFails(Config{Rank: 0, Addrs: []string{ln.Addr().String(), "127.0.0.1:1"}, Listener: ln}, start)
+		}()
+		if err := refused(helloOnly(t, ln.Addr().String()), start); err != nil {
+			t.Error(err)
+		}
+		if err := <-setup; err != nil {
+			t.Error(err)
+		}
+	})
+
+	t.Run("v2-dialer-meets-v1-acceptor", func(t *testing.T) {
+		legacy := listen(t)
+		peer := make(chan error, 1)
+		go func() {
+			c, err := legacy.Accept()
+			if err != nil {
+				peer <- err
+				return
 			}
-			eps := worldWith(t, cfgs)
-			want := []float64{4, 5, 6, 7}
-			var wg sync.WaitGroup
-			errs := make([]error, 4)
-			var got0, got1 []float64
-			wg.Add(4)
-			go func() { defer wg.Done(); errs[0] = eps[0].Send(1, 1, want) }()
-			go func() { defer wg.Done(); got1, errs[1] = eps[1].Recv(0, 1) }()
-			go func() { defer wg.Done(); errs[2] = eps[1].Send(0, 2, want) }()
-			go func() { defer wg.Done(); got0, errs[3] = eps[0].Recv(1, 2) }()
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-			}
-			for i := range want {
-				if got0[i] != want[i] || got1[i] != want[i] {
-					t.Fatalf("payload mismatch across versions: %v / %v, want %v", got0, got1, want)
-				}
-			}
-			if crcOn := eps[0].Stats().Peers[0].CRC; crcOn {
-				t.Fatal("mixed-version pair claims CRC framing")
-			}
+			defer c.Close()
+			peer <- refused(c, time.Now()) // reads the hello and the probe, answers nothing
+		}()
+		if err := dialFails(Config{Rank: 1, Addrs: []string{legacy.Addr().String(), "127.0.0.1:1"}, Listener: listen(t)}, time.Now()); err != nil {
+			t.Error(err)
+		}
+		if err := <-peer; err != nil {
+			t.Error(err)
+		}
+	})
+
+	t.Run("v1-redialer-on-live-mesh", func(t *testing.T) {
+		eps := worldWith(t, []Config{
+			{OpTimeout: 4 * time.Second, DialTimeout: dialTimeout},
+			{OpTimeout: 4 * time.Second, DialTimeout: dialTimeout},
 		})
-	}
+		_, genBefore, _ := eps[0].conns[1].snapshot()
+		start := time.Now()
+		if err := refused(helloOnly(t, eps[0].listener.Addr().String()), start); err != nil {
+			t.Fatal(err)
+		}
+		if _, genAfter, _ := eps[0].conns[1].snapshot(); genAfter != genBefore {
+			t.Fatalf("the legacy redial displaced the live conn: gen %d -> %d", genBefore, genAfter)
+		}
+		exchange(t, eps, 1)
+	})
 }
 
 // TestStaleEpochRedialRejectedAfterPartition covers the fencing half of
@@ -296,7 +512,7 @@ func TestStaleEpochRedialRejectedAfterPartition(t *testing.T) {
 	if _, err := eps[1].Recv(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, genBefore, _, _ := eps[0].conns[1].snapshot()
+	_, genBefore, _ := eps[0].conns[1].snapshot()
 
 	// The stale half-connection: rank 1's previous incarnation redials
 	// with the pre-recovery epoch.
@@ -306,7 +522,7 @@ func TestStaleEpochRedialRejectedAfterPartition(t *testing.T) {
 	}
 	defer stale.Close()
 	// A bare hello (no probe): the reject happens at the epoch check,
-	// before version negotiation, and the close drains cleanly.
+	// before the probe is read, and the close drains cleanly.
 	if _, err := stale.Write(helloBytes(1, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +534,7 @@ func TestStaleEpochRedialRejectedAfterPartition(t *testing.T) {
 	if got := eps[0].Stats().EpochRejects; got != 1 {
 		t.Fatalf("EpochRejects = %d, want 1", got)
 	}
-	if _, genAfter, _, _ := eps[0].conns[1].snapshot(); genAfter != genBefore {
+	if _, genAfter, _ := eps[0].conns[1].snapshot(); genAfter != genBefore {
 		t.Fatalf("stale redial displaced the live conn: gen %d -> %d", genBefore, genAfter)
 	}
 

@@ -75,12 +75,9 @@ type Config struct {
 	// (including reconnects). Test hook for deterministic fault
 	// injection; see internal/faultinject.
 	WrapConn func(peer int, c net.Conn) net.Conn
-	// WireVersion pins the wire protocol this endpoint speaks: 0
-	// (default) negotiates v2 — CRC32C frame trailers plus the
-	// corrupt-frame re-request handshake — per connection, falling back
-	// to v1 framing with any peer that does not probe back; 1 forces
-	// legacy CRC-less framing (compatibility testing, CRC-overhead
-	// benchmarks).
+	// WireVersion has no effect: there is one wire protocol, and every
+	// frame carries a CRC32C trailer. The field remains only because the
+	// bench module still sets it.
 	WireVersion int
 	// Epoch tags this mesh generation. Hellos carry it, and a peer whose
 	// epoch differs is rejected at connect time — a rank resuming a
@@ -147,7 +144,6 @@ type rankConn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	gen     int
-	crc     bool // wire v2: frames carry a CRC32C trailer (negotiated per connection)
 	failure *PeerFailedError
 	swapped chan struct{} // closed on every replace and on failure
 
@@ -198,14 +194,12 @@ type frameKey struct {
 	tag  uint32
 }
 
-// snapshot returns the current connection, its generation, whether it
-// speaks CRC framing, and any permanent failure. The conn and its crc flag
-// are read together so a writer can never frame a message for the wrong
-// protocol generation.
-func (rc *rankConn) snapshot() (net.Conn, int, bool, *PeerFailedError) {
+// snapshot returns the current connection, its generation, and any
+// permanent failure.
+func (rc *rankConn) snapshot() (net.Conn, int, *PeerFailedError) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.c, rc.gen, rc.crc, rc.failure
+	return rc.c, rc.gen, rc.failure
 }
 
 // fail permanently marks the peer failed (first cause wins), closes the
@@ -226,7 +220,7 @@ func (rc *rankConn) fail(op string, cause error) *PeerFailedError {
 
 // replace swaps in a fresh connection, waking waiters. Returns false when
 // the peer is already failed (the new connection is closed).
-func (rc *rankConn) replace(c net.Conn, crc bool) bool {
+func (rc *rankConn) replace(c net.Conn) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.failure != nil {
@@ -237,7 +231,6 @@ func (rc *rankConn) replace(c net.Conn, crc bool) bool {
 		rc.c.Close()
 	}
 	rc.c = c
-	rc.crc = crc
 	rc.gen++
 	rc.stats.reconnects.Add(1)
 	close(rc.swapped)
@@ -319,7 +312,7 @@ func (rc *rankConn) takeRerequest() rerequest {
 // fresh stream. A miss (frame too large to retain, or evicted) writes
 // nothing: the receiver's op deadline then escalates to job-level
 // recovery.
-func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest, crc bool) {
+func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest) {
 	data := rc.replayLookup(rr.key)
 	if data == nil {
 		return
@@ -331,7 +324,7 @@ func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest, crc bool) {
 		_ = c.SetWriteDeadline(time.Now().Add(d))
 		defer func() { _ = c.SetWriteDeadline(time.Time{}) }()
 	}
-	if _, err := writeFrame(c, fb, rr.key.comm, rr.key.tag, data, crc); err == nil {
+	if _, err := writeFrame(c, fb, rr.key.comm, rr.key.tag, data); err == nil {
 		rc.stats.retransmitFrames.Add(1)
 		rc.stats.retransmitBytes.Add(int64(8 * len(data)))
 	}
@@ -404,13 +397,14 @@ func Dial(cfg Config) (*Endpoint, error) {
 					cfg.Rank, expectAccepts-i, err)
 				return
 			}
+			// One deadline bounds the hello and the probe behind it; the
+			// handshake clears it.
 			c.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
 			peer, epoch, err := readHello(c)
 			if err != nil {
 				errs[0] = fmt.Errorf("netmpi: rank %d hello: %w", cfg.Rank, err)
 				return
 			}
-			c.SetReadDeadline(time.Time{})
 			if peer <= cfg.Rank || peer >= size {
 				errs[0] = fmt.Errorf("netmpi: rank %d: unexpected hello from rank %d", cfg.Rank, peer)
 				return
@@ -421,13 +415,12 @@ func Dial(cfg Config) (*Endpoint, error) {
 					cfg.Rank, peer, epoch, cfg.Epoch)
 				return
 			}
-			nc, crc, _, herr := ep.acceptHandshake(c, nil)
-			if herr != nil {
+			if _, herr := ep.acceptHandshake(c, nil); herr != nil {
 				c.Close()
 				errs[0] = fmt.Errorf("netmpi: rank %d handshake with rank %d: %w", cfg.Rank, peer, herr)
 				return
 			}
-			ep.conns[peer] = ep.newRankConn(peer, nc, crc)
+			ep.conns[peer] = ep.newRankConn(peer, c)
 		}
 	}()
 	// Dial all lower ranks.
@@ -441,13 +434,12 @@ func Dial(cfg Config) (*Endpoint, error) {
 					Err: fmt.Errorf("rank %d dialing %s: %w", cfg.Rank, cfg.Addrs[peer], err)}
 				return
 			}
-			nc, crc, _, herr := ep.dialHandshake(c, rerequest{})
-			if herr != nil {
+			if _, herr := ep.dialHandshake(c, rerequest{}, cfg.DialTimeout); herr != nil {
 				c.Close()
 				errs[1] = fmt.Errorf("netmpi: rank %d hello to %d: %w", cfg.Rank, peer, herr)
 				return
 			}
-			ep.conns[peer] = ep.newRankConn(peer, nc, crc)
+			ep.conns[peer] = ep.newRankConn(peer, c)
 		}
 	}()
 	wg.Wait()
@@ -482,114 +474,61 @@ func (e *Endpoint) prepConn(peer int, c net.Conn) net.Conn {
 	return c
 }
 
-func (e *Endpoint) newRankConn(peer int, c net.Conn, crc bool) *rankConn {
+func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
 	return &rankConn{
 		ep:      e,
 		peer:    peer,
 		c:       e.prepConn(peer, c),
-		crc:     crc,
 		swapped: make(chan struct{}),
 		pending: map[frameKey][][]float64{},
 	}
 }
 
-// wireVersion returns the protocol this endpoint speaks (Config.WireVersion
-// with the default applied).
-func (e *Endpoint) wireVersion() int {
-	if e.cfg.WireVersion == 0 {
-		return wireV2
-	}
-	return e.cfg.WireVersion
-}
+// The handshake: the dialer writes its hello and its probe in one Write;
+// the acceptor reads both and answers with its own probe. Each probe
+// carries the frame its sender wants retransmitted, if any. A side that
+// receives anything but a probe, or nothing before its deadline, refuses
+// the connection.
 
-// probeWait bounds the wait for a peer's handshake probe. In a v2↔v2 pair
-// the probe travels right behind the hello (same Write on the dialer
-// side), so the common case never waits; the bound only prices how long a
-// v2 endpoint stalls before classifying a silent peer as legacy.
-func (e *Endpoint) probeWait() time.Duration {
-	w := time.Second
-	if e.cfg.DialTimeout > 0 && e.cfg.DialTimeout < w {
-		w = e.cfg.DialTimeout
+// dialHandshake writes the hello and this side's probe (carrying rr) on a
+// freshly dialed conn, then reads the acceptor's probe within budget.
+// Returns the peer's re-request.
+func (e *Endpoint) dialHandshake(c net.Conn, rr rerequest, budget time.Duration) (rerequest, error) {
+	if _, err := c.Write(appendProbe(helloBytes(e.rank, e.cfg.Epoch), rr)); err != nil {
+		return rerequest{}, err
 	}
-	return w
-}
-
-// awaitProbe reads the peer's handshake probe with a bounded deadline.
-// Silence past the deadline, or the start of a real legacy frame,
-// classifies the peer as wire v1; any bytes consumed while deciding are
-// pushed back onto the stream.
-func (e *Endpoint) awaitProbe(c net.Conn) (net.Conn, bool, rerequest, error) {
-	_ = c.SetReadDeadline(time.Now().Add(e.probeWait()))
-	cr := &captureReader{r: c}
-	key, data, err := readFrame(cr, new(frameScratch), false, frameKey{}, nil)
+	_ = c.SetReadDeadline(time.Now().Add(budget))
+	peerRR, err := readProbe(c)
 	_ = c.SetReadDeadline(time.Time{})
+	return peerRR, err
+}
+
+// acceptHandshake completes the acceptor's side after the hello has been
+// read, under the read deadline the hello was read with: read the dialer's
+// probe, clear the deadline, and answer with our own probe (carrying rc's
+// pending re-request when rc is an established conn being re-dialed; nil
+// rc means initial mesh setup). Returns the dialer's re-request.
+func (e *Endpoint) acceptHandshake(c net.Conn, rc *rankConn) (rerequest, error) {
+	rr, err := readProbe(c)
 	if err != nil {
-		if isTimeoutErr(err) {
-			return pushback(c, cr.buf), false, rerequest{}, nil
-		}
-		return nil, false, rerequest{}, err
+		return rerequest{}, err
 	}
-	if rr, ok := parseProbe(key, data); ok {
-		return c, true, rr, nil
-	}
-	return pushback(c, cr.buf), false, rerequest{}, nil
-}
-
-// pushback returns c with pre replayed ahead of its stream.
-func pushback(c net.Conn, pre []byte) net.Conn {
-	if len(pre) == 0 {
-		return c
-	}
-	return &prefixConn{Conn: c, pre: append([]byte(nil), pre...)}
-}
-
-// dialHandshake writes the hello (and, at wire v2, the handshake probe
-// carrying this side's pending re-request) on a freshly dialed conn and
-// completes version negotiation. Returns the conn to use onward, whether
-// CRC framing is on, and the peer's re-request if its probe carried one.
-func (e *Endpoint) dialHandshake(c net.Conn, rr rerequest) (net.Conn, bool, rerequest, error) {
-	if e.wireVersion() < wireV2 {
-		if _, err := c.Write(helloBytes(e.rank, e.cfg.Epoch)); err != nil {
-			return nil, false, rerequest{}, err
-		}
-		return c, false, rerequest{}, nil
-	}
-	// Hello and probe go out in one Write so the acceptor's probe wait
-	// never races packet boundaries.
-	buf := appendProbe(helloBytes(e.rank, e.cfg.Epoch), rr)
-	if _, err := c.Write(buf); err != nil {
-		return nil, false, rerequest{}, err
-	}
-	return e.awaitProbe(c)
-}
-
-// acceptHandshake completes the acceptor's side of negotiation after the
-// hello has been read: wait briefly for the dialer's probe, and answer a
-// v2 probe with our own (carrying rc's pending re-request when rc is an
-// established conn being re-dialed; nil rc means initial mesh setup).
-func (e *Endpoint) acceptHandshake(c net.Conn, rc *rankConn) (net.Conn, bool, rerequest, error) {
-	if e.wireVersion() < wireV2 {
-		return c, false, rerequest{}, nil
-	}
-	nc, v2, rr, err := e.awaitProbe(c)
-	if err != nil || !v2 {
-		return nc, false, rerequest{}, err
-	}
+	_ = c.SetReadDeadline(time.Time{})
 	var mine rerequest
 	if rc != nil {
 		mine = rc.takeRerequest()
 	}
 	fb := getFrameBuf()
 	fb.b = appendProbe(fb.b[:0], mine)
-	_, werr := nc.Write(fb.b)
+	_, werr := c.Write(fb.b)
 	putFrameBuf(fb)
 	if werr != nil {
 		if rc != nil && mine.present {
 			rc.setRerequest(mine.key)
 		}
-		return nil, false, rerequest{}, werr
+		return rerequest{}, werr
 	}
-	return nc, true, rr, nil
+	return rr, nil
 }
 
 // acceptLoop services reconnects after the initial mesh is up: a higher
@@ -612,7 +551,6 @@ func (e *Endpoint) handleReconnect(c net.Conn) {
 		c.Close()
 		return
 	}
-	c.SetReadDeadline(time.Time{})
 	// A stale-epoch redial is a rank still running a pre-recovery mesh
 	// generation; dropping the connection (rather than swapping it in)
 	// leaves its collectives to time out against the dead communicator.
@@ -624,18 +562,18 @@ func (e *Endpoint) handleReconnect(c net.Conn) {
 		return
 	}
 	rc := e.conns[peer]
-	nc, crc, rr, err := e.acceptHandshake(c, rc)
+	rr, err := e.acceptHandshake(c, rc)
 	if err != nil {
 		c.Close()
 		return
 	}
-	wrapped := e.prepConn(peer, nc)
-	if crc && rr.present {
+	wrapped := e.prepConn(peer, c)
+	if rr.present {
 		// Serve the dialer's re-request before publishing: the replayed
 		// frame must precede any new traffic on the fresh stream.
-		rc.serveRetransmit(wrapped, rr, crc)
+		rc.serveRetransmit(wrapped, rr)
 	}
-	rc.replace(wrapped, crc)
+	rc.replace(wrapped)
 }
 
 // helloBytes encodes the 8-byte hello frame: [rank u32][epoch u32], both
@@ -759,39 +697,30 @@ func (e *Endpoint) Breakdown() (computeSecs, commSecs float64, bytesMoved int64)
 const writevMinPayload = 4 << 10
 
 // writeFrame writes one frame to c. Large payloads on a bare TCP
-// connection (little-endian host) go out as a writev group — header (and
-// CRC trailer, at wire v2) from pooled scratch, payload viewed in place,
-// zero copies: the checksum is computed over the scratch header and the
-// in-place payload view before the writev, so integrity never costs a
-// payload copy. Everything else — small or control frames, wrapped
-// connections, big-endian hosts — is coalesced into fb and written in one
-// call, preserving the one-Write-per-frame contract that fault injectors
-// count frames by (wrapped connections are never *net.TCPConn, so they can
-// never take the scatter/gather path).
-func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64, crc bool) (int64, error) {
+// connection (little-endian host) go out as a writev group — header and
+// CRC trailer from pooled scratch, payload viewed in place, zero copies:
+// the checksum is computed over the scratch header and the in-place
+// payload view before the writev, so integrity never costs a payload copy.
+// Everything else — small or control frames, wrapped connections,
+// big-endian hosts — is coalesced into fb and written in one call,
+// preserving the one-Write-per-frame contract that fault injectors count
+// frames by (wrapped connections are never *net.TCPConn, so they can never
+// take the scatter/gather path).
+func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64) (int64, error) {
 	if tc, ok := c.(*net.TCPConn); ok && hostLittleEndian && 8*len(data) >= writevMinPayload {
 		fb.b = appendHeader(fb.b[:0], comm, tag, len(data))
 		view := float64LEBytes(data)
+		sum := crc32.Update(crc32.Update(0, castagnoli, fb.b), castagnoli, view)
+		fb.b = binary.LittleEndian.AppendUint32(fb.b, sum)
 		// The iovec lives in the pooled scratch: WriteTo takes the slice's
 		// address, so a local one would be heap-allocated per frame.
-		parts := 2
-		if crc {
-			sum := crc32.Update(crc32.Update(0, castagnoli, fb.b[:headerBytes]), castagnoli, view)
-			fb.b = binary.LittleEndian.AppendUint32(fb.b, sum)
-			fb.vec[2] = fb.b[headerBytes:]
-			parts = 3
-		}
-		fb.vec[0], fb.vec[1] = fb.b[:headerBytes], view
-		fb.bufs = fb.vec[:parts]
+		fb.vec = [3][]byte{fb.b[:headerBytes], view, fb.b[headerBytes:]}
+		fb.bufs = fb.vec[:]
 		n, err := fb.bufs.WriteTo(tc)
 		fb.vec = [3][]byte{} // do not pin the caller's payload in the pool
 		return n, err
 	}
-	if crc {
-		fb.b = appendFrameCRC(fb.b[:0], comm, tag, data)
-	} else {
-		fb.b = appendFrame(fb.b[:0], comm, tag, data)
-	}
+	fb.b = appendFrame(fb.b[:0], comm, tag, data)
 	n, err := c.Write(fb.b)
 	return int64(n), err
 }
@@ -804,6 +733,9 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 	if rc == nil {
 		return fmt.Errorf("netmpi: rank %d has no connection to rank %d", e.rank, peer)
 	}
+	if len(data) > maxFrameElems {
+		return fmt.Errorf("netmpi: rank %d: a %d-element frame exceeds the %d-element cap", e.rank, len(data), maxFrameElems)
+	}
 	fb := getFrameBuf()
 	defer putFrameBuf(fb) // every exit — failure, timeout, reconnect error — returns the scratch
 	start := time.Now()
@@ -811,7 +743,7 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 	defer rc.wmu.Unlock()
 	defer func() { rc.stats.sendNanos.Add(time.Since(start).Nanoseconds()) }()
 	for attempt := 0; ; attempt++ {
-		c, gen, crc, failure := rc.snapshot()
+		c, gen, failure := rc.snapshot()
 		if failure != nil {
 			return failure
 		}
@@ -820,7 +752,7 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 		} else {
 			c.SetWriteDeadline(time.Time{})
 		}
-		n, err := writeFrame(c, fb, comm, tag, data, crc)
+		n, err := writeFrame(c, fb, comm, tag, data)
 		if err == nil {
 			if comm == spanCommID {
 				// Control traffic: kept out of the data counters so the
@@ -831,9 +763,7 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 				rc.stats.framesSent.Add(1)
 				rc.stats.bytesSent.Add(int64(8 * len(data)))
 			}
-			if crc {
-				rc.recordReplay(comm, tag, data)
-			}
+			rc.recordReplay(comm, tag, data)
 			return nil
 		}
 		// A partial write loses the frame boundary; a deadline expiry is
@@ -888,7 +818,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 	}
 	attempt := 0
 	for {
-		c, gen, crc, failure := rc.snapshot()
+		c, gen, failure := rc.snapshot()
 		if failure != nil {
 			return nil, failure
 		}
@@ -898,7 +828,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 			c.SetReadDeadline(time.Time{})
 		}
 		readStart := time.Now()
-		got, data, err := readFrame(c, &rc.rscr, crc, want, into)
+		got, data, err := readFrame(c, &rc.rscr, want, into)
 		rc.stats.recvNanos.Add(time.Since(readStart).Nanoseconds())
 		if err != nil {
 			var cfe *CorruptFrameError
@@ -919,7 +849,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 				if rc.noteCorrupt(key) > maxRerequests {
 					return nil, rc.fail(op, cfe)
 				}
-				if key.comm != heartbeatCommID && key.comm != probeCommID {
+				if key.comm != heartbeatCommID {
 					rc.setRerequest(key)
 					rc.stats.rerequests.Add(1)
 				}
@@ -948,31 +878,21 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 		}
 		attempt = 0
 		if got.comm == heartbeatCommID {
-			// Liveness only: never delivered, but the sender stamped its
-			// clock into the payload, giving a one-way delay sample, and
-			// extended beats carry the echo pair that completes an
-			// NTP-style offset measurement (clocksync.go).
+			// Never delivered. A beat is [sendTs, echoTs, echoHold]: the
+			// sender's clock gives a one-way delay sample, the echo pair
+			// completes an NTP-style offset measurement (clocksync.go). A
+			// beat of any other length is outside input that passed its
+			// CRC; it counts as liveness only.
 			rc.stats.heartbeats.Add(1)
-			if len(data) >= 1 {
+			if len(data) == 3 {
 				now := nowUnixSeconds()
 				// Clamp at zero: with unsynchronized clocks the sample is
 				// meaningless, and negative delays would corrupt the sum.
 				if delay := now - data[0]; delay > 0 {
 					rc.stats.hbDelay.Add(int64(delay * 1e9))
 				}
-				var echoTs, echoHold float64
-				if len(data) >= 3 {
-					echoTs, echoHold = data[1], data[2]
-				}
-				rc.clk.noteBeat(data[0], echoTs, echoHold, now)
+				rc.clk.noteBeat(data[0], data[1], data[2], now)
 			}
-			continue
-		}
-		if got.comm == probeCommID {
-			// A handshake probe that missed its window (the peer probed
-			// just as our wait expired and both sides settled on legacy
-			// framing). Control traffic, never delivered, never counted:
-			// the comm-volume audit sees algorithm payload only.
 			continue
 		}
 		if got.comm == spanCommID {

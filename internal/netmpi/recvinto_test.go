@@ -19,14 +19,14 @@ import (
 func TestReadFrameIntoCallerBuffer(t *testing.T) {
 	payload := []float64{1.5, -2, 3.25, 4}
 	want := frameKey{comm: 9, tag: 3}
-	wire := appendFrameCRC(nil, want.comm, want.tag, payload)
+	wire := appendFrame(nil, want.comm, want.tag, payload)
 	rd := bytes.NewReader(wire)
 	var sc frameScratch
 	into := make([]float64, len(payload))
 
 	allocs := testing.AllocsPerRun(100, func() {
 		rd.Reset(wire)
-		key, got, err := readFrame(rd, &sc, true, want, into)
+		key, got, err := readFrame(rd, &sc, want, into)
 		if err != nil || key != want || len(got) != len(into) || &got[0] != &into[0] {
 			t.Fatalf("awaited frame: key %v err %v, payload in caller's buffer: %v", key, err, len(got) == len(into) && &got[0] == &into[0])
 		}
@@ -52,7 +52,7 @@ func TestReadFrameIntoCallerBuffer(t *testing.T) {
 			tc.into[i] = -7
 		}
 		rd.Reset(wire)
-		_, got, err := readFrame(rd, &sc, true, tc.want, tc.into)
+		_, got, err := readFrame(rd, &sc, tc.want, tc.into)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -84,7 +84,7 @@ func (e *Endpoint) redial(rc *rankConn, gen int, backoff time.Duration) error {
 		return err
 	}
 	mine := rc.takeRerequest()
-	nc, crc, peerRR, err := e.dialHandshake(c, mine)
+	peerRR, err := e.dialHandshake(c, mine, e.reconnectBudget())
 	if err != nil {
 		c.Close()
 		if mine.present {
@@ -94,12 +94,12 @@ func (e *Endpoint) redial(rc *rankConn, gen int, backoff time.Duration) error {
 		}
 		return err
 	}
-	wrapped := e.prepConn(rc.peer, nc)
-	if crc && peerRR.present {
-		rc.serveRetransmit(wrapped, peerRR, crc)
+	wrapped := e.prepConn(rc.peer, c)
+	if peerRR.present {
+		rc.serveRetransmit(wrapped, peerRR)
 	}
-	if !rc.replace(wrapped, crc) {
-		_, _, _, failure := rc.snapshot()
+	if !rc.replace(wrapped) {
+		_, _, failure := rc.snapshot()
 		return failure
 	}
 	return nil

@@ -28,11 +28,11 @@ type peerCounters struct {
 	spanBytesSent  atomic.Int64
 	spanBytesRecv  atomic.Int64
 
-	// Wire-integrity counters (v2 connections). Corrupt frames are never
-	// counted in bytesRecv/framesRecv, and retransmits are counted here
-	// rather than in bytesSent — the comm-volume audit compares the
-	// partition model against exactly-once algorithm traffic.
-	corruptFrames    atomic.Int64 // frames that failed the CRC32C check
+	// Wire-integrity counters. Corrupt frames are never counted in
+	// bytesRecv/framesRecv, and retransmits are counted here rather than in
+	// bytesSent — the comm-volume audit compares the partition model
+	// against exactly-once algorithm traffic.
+	corruptFrames    atomic.Int64 // frames that failed the CRC32C check or the count cap
 	rerequests       atomic.Int64 // retransmissions asked of the peer
 	retransmitFrames atomic.Int64 // replay frames served to the peer
 	retransmitBytes  atomic.Int64
@@ -73,9 +73,6 @@ type PeerStats struct {
 	ClockOffsetSeconds      float64
 	ClockUncertaintySeconds float64
 	ClockSamples            int64
-	// CRC reports whether the connection negotiated wire v2 (CRC32C frame
-	// trailers). False means a legacy peer: frames run unchecked.
-	CRC bool
 	// CorruptFrames counts frames that failed the CRC check; Rerequests
 	// counts retransmissions this side asked the peer for;
 	// RetransmitFrames/RetransmitBytes count replayed frames this side
@@ -131,7 +128,6 @@ func (e *Endpoint) Stats() Stats {
 		}
 		offset, uncertainty, samples := rc.clk.estimate()
 		ewma, p99, minRTT := rc.clk.rttEstimate()
-		_, _, crc, _ := rc.snapshot()
 		ps := PeerStats{
 			Peer:                    peer,
 			BytesSent:               rc.stats.bytesSent.Load(),
@@ -149,7 +145,6 @@ func (e *Endpoint) Stats() Stats {
 			ClockOffsetSeconds:      offset,
 			ClockUncertaintySeconds: uncertainty,
 			ClockSamples:            samples,
-			CRC:                     crc,
 			CorruptFrames:           rc.stats.corruptFrames.Load(),
 			Rerequests:              rc.stats.rerequests.Load(),
 			RetransmitFrames:        rc.stats.retransmitFrames.Load(),

@@ -22,7 +22,7 @@ type NetPeerCounters struct {
 	Retries, Reconnects      uint64
 	Heartbeats               uint64
 	HeartbeatDelaySeconds    float64
-	// Wire-integrity totals (wire v2): CRC failures observed, re-requests
+	// Wire-integrity totals: CRC failures observed, re-requests
 	// issued, and replay frames/bytes served — kept apart from the data
 	// counters so the comm-volume audit stays exact under corruption.
 	CorruptFrames, Rerequests         uint64
