@@ -1,6 +1,11 @@
 package partition
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/balance"
@@ -121,5 +126,289 @@ func TestOptimalShapeTightToleranceCanFail(t *testing.T) {
 		if c.AreaErr > 1 {
 			t.Fatalf("family %v violates the tolerance: %d", c.Shape, c.AreaErr)
 		}
+	}
+}
+
+// exhaustiveBestInFamily is the brute-force search OptimalShape replaced,
+// kept verbatim as its reference: it builds, validates and measures a
+// Layout for every integer parameter choice of a family.
+func exhaustiveBestInFamily(shape Shape, n int, areas []int, tol int) (Candidate, bool) {
+	best := Candidate{Shape: shape, Volume: math.MaxInt}
+	consider := func(proto gridProto) {
+		l, err := proto.compact(n, 3)
+		if err != nil {
+			return
+		}
+		got := l.Areas()
+		worst := 0
+		for i := range got {
+			if d := absInt(got[i] - areas[i]); d > worst {
+				worst = d
+			}
+		}
+		if worst > tol {
+			return
+		}
+		vol := 0
+		for _, v := range l.CommVolumes() {
+			vol += v
+		}
+		if vol < best.Volume || (vol == best.Volume && worst < best.AreaErr) {
+			best = Candidate{Shape: shape, Layout: l, Volume: vol, AreaErr: worst}
+		}
+	}
+	// Rank the areas like the constructors do.
+	order := []int{0, 1, 2}
+	insertionSortByArea(order, areas)
+	r1, r2, r3 := order[0], order[1], order[2]
+
+	switch shape {
+	case SquareCorner:
+		for n2 := 1; n2 < n; n2++ {
+			for n3 := 1; n2+n3 <= n; n3++ {
+				consider(gridProto{
+					heights: []int{n2, n - n2 - n3, n3},
+					widths:  []int{n2, n - n2 - n3, n3},
+					owners:  [][]int{{r2, r1, r1}, {r1, r1, r1}, {r1, r1, r3}},
+				})
+			}
+		}
+	case SquareRectangle:
+		for w1 := 1; w1 <= n-2; w1++ {
+			for n3 := 1; n3 <= n-w1-1 && n3 < n; n3++ {
+				consider(gridProto{
+					heights: []int{n - n3, n3},
+					widths:  []int{n - n3 - w1, n3, w1},
+					owners:  [][]int{{r1, r1, r2}, {r1, r3, r2}},
+				})
+			}
+		}
+	case BlockRectangle:
+		for h0 := 1; h0 <= n-1; h0++ {
+			for w1 := 1; w1 <= n-1; w1++ {
+				consider(gridProto{
+					heights: []int{h0, n - h0},
+					widths:  []int{n - w1, w1},
+					owners:  [][]int{{r1, r1}, {r3, r2}},
+				})
+			}
+		}
+	case OneDRectangle:
+		for w2 := 1; w2 <= n-2; w2++ {
+			for w3 := 1; w2+w3 <= n-1; w3++ {
+				consider(gridProto{
+					heights: []int{n},
+					widths:  []int{n - w2 - w3, w2, w3},
+					owners:  [][]int{{r1, r2, r3}},
+				})
+			}
+		}
+	case LRectangle:
+		for t := 1; t <= n-2; t++ {
+			side := n - t
+			for h2 := 1; h2 < side; h2++ {
+				consider(gridProto{
+					heights: []int{t, h2, side - h2},
+					widths:  []int{t, side},
+					owners:  [][]int{{r1, r1}, {r1, r2}, {r1, r3}},
+				})
+			}
+		}
+	default:
+		return best, false
+	}
+	return best, best.Layout != nil
+}
+
+// checkExhaustive runs OptimalShape on valid targets and requires the
+// exhaustive search's answer: the same families, each with the same volume,
+// area error and layout, the same best, and an error exactly when no family
+// fits.
+func checkExhaustive(t *testing.T, n int, areas []int, tol int) {
+	t.Helper()
+	best, fams, err := OptimalShape(n, areas, tol)
+	if tol <= 0 {
+		tol = 2 * n
+	}
+	var want []Candidate
+	var wantBest Candidate
+	for _, shape := range ExtendedShapes {
+		if c, ok := exhaustiveBestInFamily(shape, n, areas, tol); ok {
+			want = append(want, c)
+			if wantBest.Layout == nil || c.Volume < wantBest.Volume {
+				wantBest = c
+			}
+		}
+	}
+	if len(want) == 0 {
+		if err == nil || !strings.Contains(err.Error(), "no shape realizes") {
+			t.Fatalf("N=%d areas %v tol %d: no family fits, got best %v and error %v", n, areas, tol, best.Shape, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("N=%d areas %v tol %d: %v", n, areas, tol, err)
+	}
+	same := func(a, b Candidate) bool {
+		return a.Shape == b.Shape && a.Volume == b.Volume && a.AreaErr == b.AreaErr && Equal(a.Layout, b.Layout)
+	}
+	if len(fams) != len(want) {
+		t.Fatalf("N=%d areas %v tol %d: %d families fit, want %d", n, areas, tol, len(fams), len(want))
+	}
+	for i := range want {
+		if !same(fams[i], want[i]) {
+			t.Fatalf("N=%d areas %v tol %d: %v is (vol %d, err %d)\n%v\nwant (vol %d, err %d)\n%v",
+				n, areas, tol, want[i].Shape, fams[i].Volume, fams[i].AreaErr, fams[i].Layout.Render(n),
+				want[i].Volume, want[i].AreaErr, want[i].Layout.Render(n))
+		}
+	}
+	if !same(best, wantBest) {
+		t.Fatalf("N=%d areas %v tol %d: best %v (vol %d), want %v (vol %d)", n, areas, tol, best.Shape, best.Volume, wantBest.Shape, wantBest.Volume)
+	}
+}
+
+// randomSplit cuts n into k parts at sorted random points in [lo, n−lo]:
+// positive parts for lo = 1, possibly zero ones for lo = 0.
+func randomSplit(rng *rand.Rand, n, k, lo int) []int {
+	cuts := make([]int, 0, k+1)
+	for len(cuts) < k-1 {
+		c := lo + rng.Intn(n-2*lo+1)
+		if lo == 0 || !containsInt(cuts, c) {
+			cuts = append(cuts, c)
+		}
+	}
+	sort.Ints(cuts)
+	cuts = append(cuts, n)
+	parts, prev := make([]int, k), 0
+	for i, c := range cuts {
+		parts[i], prev = c-prev, c
+	}
+	return parts
+}
+
+func containsInt(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
+func TestOptimalShapeMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	t.Run("random", func(t *testing.T) {
+		for draw := 0; draw < 500; draw++ {
+			n := 3 + rng.Intn(78)
+			areas := randomSplit(rng, n*n, 3, 1)
+			rng.Shuffle(3, func(i, j int) { areas[i], areas[j] = areas[j], areas[i] })
+			tol := [...]int{0, 1, 1 + rng.Intn(3*n)}[draw%3]
+			checkExhaustive(t, n, areas, tol)
+		}
+	})
+	t.Run("zero-middle-band", func(t *testing.T) {
+		// Squares of sides 6 and 4 tile N = 10 with no middle band: the
+		// only square-corner candidate within ±1 compacts to a 2×2 grid.
+		for _, areas := range [][]int{{48, 36, 16}, {16, 48, 36}} {
+			checkExhaustive(t, 10, areas, 1)
+			c, ok := bestInFamily(SquareCorner, 10, areas, 1)
+			if !ok || c.Layout.GridRows != 2 || c.Layout.GridCols != 2 {
+				t.Fatalf("areas %v: square corner %+v, want the 2×2 grid of a zero middle band", areas, c.Layout)
+			}
+		}
+	})
+	t.Run("n=3", func(t *testing.T) {
+		for _, areas := range [][]int{{3, 3, 3}, {5, 2, 2}, {7, 1, 1}, {2, 3, 4}, {1, 1, 7}} {
+			for _, tol := range []int{0, 1, 2} {
+				checkExhaustive(t, 3, areas, tol)
+			}
+		}
+	})
+	t.Run("nothing-fits", func(t *testing.T) {
+		// Within ±1 of {12, 7, 6} at N = 5 lies no square side, no multiple
+		// of 5 and no L area t·(10−t).
+		checkExhaustive(t, 5, []int{12, 7, 6}, 1)
+		if _, _, err := OptimalShape(5, []int{12, 7, 6}, 1); err == nil {
+			t.Fatal("targets no family realizes within ±1 must fail")
+		}
+	})
+	t.Run("score", func(t *testing.T) {
+		// No family generates a rank without a non-empty cell, so the scorer
+		// is also held to compact + Areas + CommVolumes on arbitrary grids
+		// of up to 3×3 cells, zero rows and columns and owner-less ranks
+		// included.
+		for draw := 0; draw < 2000; draw++ {
+			n := 1 + rng.Intn(12)
+			g := gridProto{heights: randomSplit(rng, n, 1+rng.Intn(3), 0), widths: randomSplit(rng, n, 1+rng.Intn(3), 0)}
+			for range g.heights {
+				row := make([]int, len(g.widths))
+				for j := range row {
+					row[j] = rng.Intn(3)
+				}
+				g.owners = append(g.owners, row)
+			}
+			s := familySearch{n: n, areas: randomSplit(rng, n*n, 3, 0)}
+			vol, worst, ok := s.score(&g)
+			l, err := g.compact(n, 3)
+			if ok != (err == nil) {
+				t.Fatalf("grid %+v: score ok = %v, compact error %v", g, ok, err)
+			}
+			if !ok {
+				continue
+			}
+			wantVol, wantWorst := 0, 0
+			for r, a := range l.Areas() {
+				wantWorst = max(wantWorst, absInt(a-s.areas[r]))
+			}
+			for _, v := range l.CommVolumes() {
+				wantVol += v
+			}
+			if vol != wantVol || worst != wantWorst {
+				t.Fatalf("grid %+v: score (vol %d, worst %d), layout (vol %d, worst %d)", g, vol, worst, wantVol, wantWorst)
+			}
+		}
+	})
+}
+
+// FuzzOptimalShape: any N ≤ 48 and any two cuts of N² into three areas
+// either fail validation or give the exhaustive search's answer, and never
+// panic.
+func FuzzOptimalShape(f *testing.F) {
+	f.Add(uint8(10), uint16(48), uint16(84), 1) // the zero middle band
+	f.Add(uint8(5), uint16(12), uint16(19), 1)  // nothing fits
+	f.Add(uint8(3), uint16(3), uint16(6), 0)
+	f.Add(uint8(48), uint16(700), uint16(2000), -5)
+	f.Add(uint8(47), uint16(1), uint16(2), math.MaxInt)
+	f.Fuzz(func(t *testing.T, n8 uint8, cut1, cut2 uint16, tol int) {
+		n := int(n8) % 49
+		c1, c2 := int(cut1)%(n*n+1), int(cut2)%(n*n+1)
+		if c1 > c2 {
+			c1, c2 = c2, c1
+		}
+		areas := []int{c1, c2 - c1, n*n - c2}
+		if c1 == 0 || c2 == c1 || c2 == n*n {
+			if _, _, err := OptimalShape(n, areas, tol); err == nil {
+				t.Fatalf("N=%d areas %v: a zero area must fail", n, areas)
+			}
+			return
+		}
+		checkExhaustive(t, n, areas, tol)
+	})
+}
+
+func BenchmarkOptimalShape(b *testing.B) {
+	for _, n := range []int{128, 1024, 4096} {
+		areas, err := balance.Proportional(n*n, []float64{1, 2, 0.9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := OptimalShape(n, areas, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,9 +3,11 @@ package recover
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func cellAt(r, c, h, w int, fill float64) Cell {
@@ -340,6 +342,28 @@ func TestReplanShapePolicy(t *testing.T) {
 	}
 	if _, _, err := Replan(10, nil, 0); err == nil {
 		t.Fatal("no survivors must be an error")
+	}
+}
+
+// TestReplanThreeSurvivorsAtMaxN: three survivors replan with the exact
+// shape search, which must not hold a recovering job for long even at
+// serve's largest N (-max-n, 4096).
+func TestReplanThreeSurvivorsAtMaxN(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		layout, shape, err := Replan(4096, []float64{1, 2, 0.9}, 0)
+		if err == nil && (layout.P != 3 || shape == "column-based") {
+			err = fmt.Errorf("replan gave %q over %d ranks, want an exact three-rank shape", shape, layout.P)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a three-survivor replan at N=4096 took over a second")
 	}
 }
 

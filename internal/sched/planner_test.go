@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/fpm"
@@ -50,6 +51,27 @@ func TestPlannerAutoPicksMinimumVolumeShape(t *testing.T) {
 		if m <= 0 {
 			t.Fatalf("rank %d memory estimate = %d", r, m)
 		}
+	}
+}
+
+// TestPlannerAutoPlanAtMaxN: a plan-cache miss on shape auto runs on a
+// scheduler worker slot, so at serve's largest N (-max-n, 4096) it must
+// take well under a second. Building every candidate layout took 32 s and
+// 800 M allocations there.
+func TestPlannerAutoPlanAtMaxN(t *testing.T) {
+	p := newTestPlanner()
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Plan(JobSpec{N: 4096, Shape: "auto", Speeds: []float64{1, 2, 0.9}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("an auto plan at N=4096 took over a second")
 	}
 }
 
