@@ -2,6 +2,8 @@ package recover
 
 import (
 	"sync"
+
+	"repro/internal/slab"
 )
 
 // Binding adapts a CheckpointStore to one job's core.Checkpointer hook and
@@ -20,6 +22,12 @@ type Binding struct {
 
 	mu    sync.Mutex
 	cells []Cell
+	// loaded counts the leading cells of cells that came from the store's
+	// Load: their Data belongs to whoever saved them, not to this Binding.
+	loaded int
+	// scratch holds the two rectangle lists coveredLocked ping-pongs
+	// between, kept so that a coverage check allocates nothing.
+	scratch [2][]rect
 	// restored counts cells skipped because the checkpoint covered them;
 	// computed counts cells that went through a DGEMM; redone counts
 	// computed cells whose area was already fully covered — by
@@ -35,7 +43,7 @@ func NewBinding(store CheckpointStore, jobID string) (*Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Binding{store: store, jobID: jobID, cells: cells}, nil
+	return &Binding{store: store, jobID: jobID, cells: cells, loaded: len(cells)}, nil
 }
 
 // rect is a half-open rectangle [r0,r1)×[c0,c1) in global C coordinates.
@@ -50,9 +58,9 @@ func intersect(a, b rect) rect {
 }
 
 // subtract removes s from every rectangle in rs, splitting remainders into
-// at most four pieces each.
-func subtract(rs []rect, s rect) []rect {
-	var out []rect
+// at most four pieces each, and appends what is left to out, which must not
+// share memory with rs.
+func subtract(out, rs []rect, s rect) []rect {
 	for _, r := range rs {
 		in := intersect(r, s)
 		if in.empty() {
@@ -77,14 +85,16 @@ func subtract(rs []rect, s rect) []rect {
 
 // coveredLocked reports whether the target rectangle is fully covered by
 // the checkpointed cells, handling overlaps exactly via region subtraction.
+// The remainder ping-pongs between the Binding's two scratch lists.
 func (b *Binding) coveredLocked(target rect) bool {
-	remaining := []rect{target}
+	remaining, next := append(b.scratch[0][:0], target), b.scratch[1]
 	for _, cell := range b.cells {
-		remaining = subtract(remaining, cellRect(cell))
 		if len(remaining) == 0 {
-			return true
+			break
 		}
+		remaining, next = subtract(next[:0], remaining, cellRect(cell)), remaining
 	}
+	b.scratch = [2][]rect{remaining, next}
 	return len(remaining) == 0
 }
 
@@ -111,10 +121,11 @@ func (b *Binding) Restore(r0, c0, h, w int, dst []float64, stride int) bool {
 	return true
 }
 
-// Save implements core.Checkpointer. The cell is copied out of src once; the
-// store and the binding then share that copy, neither writing it.
+// Save implements core.Checkpointer. The cell is copied out of src once,
+// into a buffer from the slab free list; the store and the binding then
+// share that copy, neither writing it, until Release returns it.
 func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
-	cell := Cell{Row: r0, Col: c0, H: h, W: w, Data: make([]float64, h*w)}
+	cell := Cell{Row: r0, Col: c0, H: h, W: w, Data: slab.Get(h * w)}
 	for r := 0; r < h; r++ {
 		copy(cell.Data[r*w:(r+1)*w], src[r*stride:r*stride+w])
 	}
@@ -128,6 +139,26 @@ func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
 		b.saveErr = err
 	}
 	b.cells = append(b.cells, cell)
+}
+
+// Release hands the Data of every cell this Binding saved back to the slab
+// free list and forgets every cell it holds, so a later Restore finds
+// nothing; cells that came from the store's Load are dropped, not recycled,
+// since their Data belongs to whoever saved them. Release may be called only
+// once the store holds no reference to the saved Data (its Clear for the
+// job has returned) and no Save or Restore can still run (every rank of
+// every run that used the Binding has returned) — the slab package's
+// ownership rules. A caller that cannot prove both leaves the cells to the
+// garbage collector. A second Release is a no-op; a Save after Release
+// checkpoints as before.
+func (b *Binding) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := b.loaded; i < len(b.cells); i++ {
+		slab.Put(b.cells[i].Data)
+	}
+	clear(b.cells)
+	b.cells, b.loaded = b.cells[:0], 0
 }
 
 // Stats returns the restore/compute counters accumulated so far.

@@ -46,17 +46,19 @@ func (c Cell) validate() error {
 // safe for concurrent use; Save is called from every rank's compute stage.
 type CheckpointStore interface {
 	// Save durably records one completed cell for the job. It takes
-	// ownership of cell.Data: the store may keep the slice rather than copy
-	// it (MemStore does), so the caller must not write it afterwards, and
-	// the store must not write it either — cells it returns from Load may
-	// share that memory with the caller.
+	// ownership of cell.Data until the job's Clear returns: the store may
+	// keep the slice rather than copy it (MemStore does), so the caller
+	// must not write it afterwards, and the store must not write it either
+	// — cells it returns from Load may share that memory with the caller.
 	Save(jobID string, cell Cell) error
 	// Load returns every cell recorded for the job, in deterministic
 	// order. A job with no checkpoint returns an empty slice, not an
 	// error.
 	Load(jobID string) ([]Cell, error)
 	// Clear discards the job's checkpoint after the job reaches a
-	// terminal state.
+	// terminal state. Once it returns, the store holds no reference to the
+	// Data of any cell saved for the job, so the saver may recycle it
+	// (Binding.Release).
 	Clear(jobID string) error
 }
 

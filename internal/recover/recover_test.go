@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/slab"
 )
 
 func cellAt(r, c, h, w int, fill float64) Cell {
@@ -377,5 +379,111 @@ func TestDropRank(t *testing.T) {
 	}
 	if _, err := DropRank([]int{1}, -1); err == nil {
 		t.Fatal("negative dead rank must error")
+	}
+}
+
+// TestBindingRelease pins Release's ownership rules: once the store is
+// cleared, the cells a Binding saved go back to the slab free list (the next
+// Get of the same size hands out that very backing array), a second Release
+// returns nothing twice, the Binding checkpoints again afterwards, and cells
+// it only loaded — another Binding's copies — are never recycled by it.
+func TestBindingRelease(t *testing.T) {
+	// Sizes no other test in this package checkpoints, in distinct slab
+	// classes, so each Get below can only pop what Release returned.
+	const h1, w1, h2, w2 = 7, 13, 3, 5
+	store := NewMemStore()
+	b, err := NewBinding(store, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Save(0, 0, h1, w1, make([]float64, h1*w1), w1)
+	b.Save(h1, 0, h2, w2, make([]float64, h2*w2), w2)
+	cells, _ := store.Load("j")
+	if len(cells) != 2 {
+		t.Fatalf("store holds %d cells, want 2", len(cells))
+	}
+	saved := map[int]*float64{}
+	for _, c := range cells {
+		saved[len(c.Data)] = &c.Data[0]
+	}
+
+	// A second Binding over the same checkpoint only loaded those cells:
+	// releasing it must leave them alone.
+	other, err := NewBinding(store, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Release()
+	if other.Restore(0, 0, h1, w1, make([]float64, h1*w1), w1) {
+		t.Fatal("a released Binding still restores")
+	}
+	for n, p := range saved {
+		s := slab.Get(n)
+		if &s[0] == p {
+			t.Fatalf("releasing a Binding that only loaded the %d-element cell recycled it", n)
+		}
+		slab.Put(s)
+	}
+
+	if err := store.Clear("j"); err != nil {
+		t.Fatal(err)
+	}
+	if cells, err := store.Load("j"); err != nil || len(cells) != 0 {
+		t.Fatalf("after Clear: %d cells, err %v", len(cells), err)
+	}
+	b.Release()
+	got := map[int][]float64{}
+	for n, p := range saved {
+		got[n] = slab.Get(n)
+		if &got[n][0] != p {
+			t.Errorf("slab.Get(%d) after Release did not hand out the released cell", n)
+		}
+	}
+
+	b.Release()
+	for n, p := range saved {
+		again := slab.Get(n)
+		if &again[0] == p {
+			t.Errorf("a second Release returned the %d-element cell to the free list again", n)
+		}
+		slab.Put(again)
+	}
+	for _, s := range got {
+		slab.Put(s)
+	}
+
+	src := []float64{1, 2, 3, 4}
+	b.Save(2, 2, 2, 2, src, 2)
+	dst := make([]float64, 4)
+	if !b.Restore(2, 2, 2, 2, dst, 2) || dst[3] != 4 {
+		t.Fatalf("Save after Release: restored %v", dst)
+	}
+	if cells, _ := store.Load("j"); len(cells) != 1 {
+		t.Fatalf("Save after Release: store holds %d cells, want 1", len(cells))
+	}
+	if _, computed, redone := b.Stats(); computed != 3 || redone != 0 {
+		t.Fatalf("stats computed %d redone %d, want 3 and 0", computed, redone)
+	}
+}
+
+// TestCoverageCheckAllocatesNothing: once a Binding's scratch lists have
+// grown, the coverage check behind every Save and Restore allocates nothing.
+func TestCoverageCheckAllocatesNothing(t *testing.T) {
+	b, err := NewBinding(NewMemStore(), "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			b.Save(8*r, 8*c, 8, 8, make([]float64, 64), 8)
+		}
+	}
+	dst := make([]float64, 20*20)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !b.Restore(6, 6, 20, 20, dst, 20) || b.Restore(6, 6, 27, 20, dst, 20) {
+			t.Fatal("coverage misjudged")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a coverage check allocates %.1f times", allocs)
 	}
 }

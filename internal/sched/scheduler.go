@@ -682,7 +682,19 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 	if berr == nil {
 		ckpt = binding
 	}
-	defer s.cfg.Checkpoint.Clear(j.ckptKey)
+	// The checkpoint cells go back to the free list after Clear, and only
+	// when the first attempt succeeded: that Run joined every rank it
+	// started, so nothing can still save or restore a cell. After a failed
+	// attempt the Runner contract promises no such join (the rule runJob
+	// applies to the operands), so a recovered or failed job's cells are
+	// left to the garbage collector.
+	clean := false
+	defer func() {
+		s.cfg.Checkpoint.Clear(j.ckptKey)
+		if clean && binding != nil {
+			binding.Release()
+		}
+	}()
 
 	// world maps current mesh ranks to original plan ranks (for casualty
 	// attribution in job status); speeds are the survivors' relative
@@ -703,6 +715,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 			RunOpts{Checkpoint: ckpt, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		if err == nil {
+			clean = epoch == 0
 			if epoch > 0 {
 				s.mu.Lock()
 				if !j.state.Terminal() {
