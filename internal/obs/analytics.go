@@ -18,16 +18,17 @@ type RankStageStats struct {
 	BcastASeconds float64 `json:"bcast_a_seconds"`
 	BcastBSeconds float64 `json:"bcast_b_seconds"`
 	DgemmSeconds  float64 `json:"dgemm_seconds"`
-	// DgemmCellSeconds totals the per-cell dgemm[i,j] spans — compute time
-	// net of the stage's scheduling gaps — and CkptSeconds the checkpoint
-	// save/restore spans.
+	// DgemmCellSeconds totals the per-rectangle DGEMM spans (named
+	// "dgemm[i0:i1,j0:j1]", one per block of adjacent owned cells the
+	// engine fuses into one call) — compute time net of the stage's
+	// scheduling gaps — and CkptSeconds the checkpoint save/restore spans.
 	DgemmCellSeconds float64 `json:"dgemm_cell_seconds"`
 	// CommWaitSeconds is always zero: the engine runs its stages back to
 	// back and records no wait inside the dgemm stage. The field remains
 	// for existing readers of the JSON form.
 	CommWaitSeconds float64 `json:"comm_wait_seconds"`
 	CkptSeconds     float64 `json:"ckpt_seconds"`
-	// DgemmFlops sums the flops attributes of the cell spans, and
+	// DgemmFlops sums the flops attributes of the rectangle spans, and
 	// DgemmGFLOPS is the resulting per-rank compute throughput.
 	DgemmFlops  float64 `json:"dgemm_flops"`
 	DgemmGFLOPS float64 `json:"dgemm_gflops"`

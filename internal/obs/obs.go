@@ -4,7 +4,7 @@
 // its spans thread through the scheduler, the runners and the engine, so a
 // single job yields one coherent tree covering admission, queue wait,
 // planning, every recovery attempt, and — inside internal/core — the three
-// SummaGen stages and per-cell DGEMMs.
+// SummaGen stages and per-rectangle DGEMMs.
 //
 // The disabled path is free: a zero-value SpanHandle (or any handle rooted
 // in a nil *Recorder) no-ops on every method without allocating, so the
