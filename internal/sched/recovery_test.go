@@ -200,9 +200,10 @@ func TestRecoveryRestoresCheckpointedCells(t *testing.T) {
 // real sockets and requires that whatever work was checkpointed before the
 // failure is never recomputed.
 func TestRecoveryLateKillNoRedoneCells(t *testing.T) {
-	// Kill rank 1 at its 4th counted frame: under square-corner rank 1 is
-	// the busiest sender (5 frames on one connection), so the failure
-	// lands late in the broadcast stage.
+	// Kill rank 1 at its 3rd counted frame: under square-corner rank 1 is
+	// the busiest sender, and with one broadcast per same-owner run it
+	// sends 3 frames on one connection, so the failure lands on its last
+	// broadcast, late in the broadcast stage.
 	s := newTestScheduler(t, func(c *Config) {
 		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
@@ -210,7 +211,7 @@ func TestRecoveryLateKillNoRedoneCells(t *testing.T) {
 		c.Runner = &NetmpiRunner{
 			OpTimeout:         1500 * time.Millisecond,
 			HeartbeatInterval: 100 * time.Millisecond,
-			WrapConn:          chaosHook(1, 4),
+			WrapConn:          chaosHook(1, 3),
 		}
 	})
 	v, err := s.Submit(JobSpec{N: 64, Shape: "square-corner", Seed: 9})
