@@ -151,7 +151,7 @@ func Equal(a, b *Dense) bool {
 
 // EqualApprox reports whether a and b agree element-wise within tol,
 // comparing |a-b| <= tol*(1+max(|a|,|b|)) so that the tolerance is
-// meaningful for both tiny and large magnitudes.
+// meaningful for both tiny and large magnitudes. A NaN agrees with nothing.
 func EqualApprox(a, b *Dense, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
@@ -161,7 +161,7 @@ func EqualApprox(a, b *Dense, tol float64) bool {
 		for j := range ra {
 			x, y := ra[j], rb[j]
 			scale := 1 + math.Max(math.Abs(x), math.Abs(y))
-			if math.Abs(x-y) > tol*scale {
+			if x != y && !(math.Abs(x-y) <= tol*scale) {
 				return false
 			}
 		}

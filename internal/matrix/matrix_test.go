@@ -178,6 +178,10 @@ func TestEqualAndApprox(t *testing.T) {
 	if EqualApprox(a, New(3, 3), 1) {
 		t.Fatal("EqualApprox must reject shape mismatch")
 	}
+	b.Set(1, 1, math.NaN())
+	if EqualApprox(a, b, 1) || EqualApprox(b, a, 1) || EqualApprox(b, b, 1) {
+		t.Fatal("EqualApprox must reject NaN")
+	}
 	if Equal(a, New(4, 3)) {
 		t.Fatal("Equal must reject shape mismatch")
 	}

@@ -118,9 +118,9 @@ type JobView struct {
 	// Report is set on StateDone (and on some failures, when the runtime
 	// produced partial timings); immutable.
 	Report *core.Report
-	// Digest is the FNV-64a digest of the result matrix C, as
-	// 16 hex digits; two jobs with equal spec and plan produce equal
-	// digests.
+	// Digest is MatrixDigest of the result matrix C, as 16 hex
+	// digits; jobs with equal N and seed produce equal digests
+	// whatever their shape, plan, runner or recovery path.
 	Digest string
 	// Verified is true when Spec.Verify was set and the result matched
 	// the serial reference.
