@@ -13,7 +13,7 @@
 //
 // Policies: round-robin, least-loaded (probed queue depth + in-flight),
 // affinity (rendezvous-hashed plan-key stickiness, preserving each
-// instance's plan cache and batch window). Per-tenant token buckets at the
+// instance's plan cache). Per-tenant token buckets at the
 // edge return 429 + Retry-After before an abusive tenant reaches any
 // instance queue. A job whose instance dies is transparently re-submitted
 // to a healthy instance (bounded by -max-reroutes) — deterministic inputs

@@ -1,5 +1,6 @@
 // Command summagen-serve runs the SummaGen matmul service: an HTTP API
-// over a bounded, batching job scheduler (internal/sched + internal/serve).
+// over a bounded job scheduler with a fixed worker pool (internal/sched +
+// internal/serve).
 //
 //	summagen-serve -addr :8080 -workers 4 -runtime inproc
 //
@@ -65,8 +66,6 @@ type options struct {
 	workers      int
 	queueCap     int
 	tenantCap    int
-	smallN       int
-	batchMax     int
 	jobTimeout   time.Duration
 	maxN         int
 	maxVerifyN   int
@@ -105,8 +104,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 2, "concurrent worker slots (each job also runs P rank goroutines)")
 	flag.IntVar(&o.queueCap, "queue-cap", 64, "max queued jobs; beyond it submissions get 429")
 	flag.IntVar(&o.tenantCap, "tenant-cap", 0, "max queued+running jobs per tenant (0 = unlimited)")
-	flag.IntVar(&o.smallN, "small-n", 256, "batch jobs with N <= this and equal plan keys (negative disables batching)")
-	flag.IntVar(&o.batchMax, "batch-max", 8, "max jobs coalesced into one batch")
 	flag.DurationVar(&o.jobTimeout, "job-timeout", 0, "per-job run timeout (0 = none)")
 	flag.IntVar(&o.maxN, "max-n", 4096, "reject requests with n beyond this")
 	flag.IntVar(&o.maxVerifyN, "max-verify-n", 1024, "reject verify=true requests with n beyond this")
@@ -216,8 +213,6 @@ func run(o options, logger *slog.Logger) error {
 			Workers:             o.workers,
 			QueueCap:            o.queueCap,
 			TenantCap:           o.tenantCap,
-			SmallN:              o.smallN,
-			BatchMax:            o.batchMax,
 			JobTimeout:          o.jobTimeout,
 			Planner:             &sched.Planner{Platform: pl, AllowOOC: o.allowOOC},
 			Runner:              runner,

@@ -24,7 +24,10 @@ import (
 
 // Proportional splits `total` workload units among processors
 // proportionally to their (positive) speeds, using largest-remainder
-// rounding so the parts sum exactly to total.
+// rounding so the parts sum exactly to total. Speeds must be normal
+// float64s (at least 0x1p-1022) whose sum, and whose products with total,
+// stay finite; anything else is rejected rather than rounded into garbage
+// areas.
 func Proportional(total int, speeds []float64) ([]int, error) {
 	if total < 0 {
 		return nil, fmt.Errorf("balance: negative total %d", total)
@@ -37,7 +40,13 @@ func Proportional(total int, speeds []float64) ([]int, error) {
 		if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("balance: speed[%d] = %v must be positive and finite", i, s)
 		}
+		if s < 0x1p-1022 {
+			return nil, fmt.Errorf("balance: speed[%d] = %v is below the smallest normal float64", i, s)
+		}
 		sum += s
+		if math.IsInf(sum, 0) {
+			return nil, fmt.Errorf("balance: speed[%d] = %v overflows the sum of speeds", i, s)
+		}
 	}
 	parts := make([]int, len(speeds))
 	type rem struct {
@@ -47,7 +56,11 @@ func Proportional(total int, speeds []float64) ([]int, error) {
 	rems := make([]rem, len(speeds))
 	assigned := 0
 	for i, s := range speeds {
-		exact := float64(total) * s / sum
+		ts := float64(total) * s
+		if math.IsInf(ts, 0) {
+			return nil, fmt.Errorf("balance: speed[%d] = %v times total %d overflows", i, s, total)
+		}
+		exact := ts / sum
 		parts[i] = int(math.Floor(exact))
 		assigned += parts[i]
 		rems[i] = rem{idx: i, frac: exact - math.Floor(exact)}

@@ -3,6 +3,8 @@ package balance
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +47,33 @@ func TestProportionalValidation(t *testing.T) {
 	for _, bad := range [][]float64{{0}, {-1}, {math.NaN()}, {math.Inf(1)}} {
 		if _, err := Proportional(10, bad); err == nil {
 			t.Fatalf("speeds %v must fail", bad)
+		}
+	}
+}
+
+// TestProportionalFloatRange rejects speeds outside float64's normal range,
+// naming the offending speed, and keeps every normal input's areas.
+func TestProportionalFloatRange(t *testing.T) {
+	const total = 64 * 64
+	for _, tc := range []struct {
+		speeds  []float64
+		want    []int  // nil: must fail
+		errWant string // substring naming the speed
+	}{
+		{speeds: []float64{1e308, 1, 1}, errWant: "speed[0] = 1e+308"},
+		{speeds: []float64{1e308, 1e308, 1}, errWant: "speed[1] = 1e+308"},
+		{speeds: []float64{5e-324, 5e-324, 5e-324}, errWant: "speed[0] = 5e-324"},
+		{speeds: []float64{1, 2, 0.9}, want: []int{1050, 2101, 945}},
+	} {
+		parts, err := Proportional(total, tc.speeds)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+				t.Errorf("Proportional(%v) = %v, %v; want an error naming %q", tc.speeds, parts, err, tc.errWant)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(parts, tc.want) {
+			t.Errorf("Proportional(%v) = %v, %v; want %v", tc.speeds, parts, err, tc.want)
 		}
 	}
 }

@@ -217,7 +217,6 @@ func schedDigest(t *testing.T, runner sched.Runner, spec sched.JobSpec) string {
 	s, err := sched.New(sched.Config{
 		Planner: &sched.Planner{Platform: device.HCLServer1()},
 		Runner:  runner,
-		SmallN:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,8 @@ import (
 )
 
 // Policy picks which healthy instance receives a job. Pick is called with
-// the job's plan key (sched.PlanKey of its spec — the batching identity)
+// the job's plan key (sched.PlanKey of its spec — the plan-cache and
+// affinity key)
 // and a non-empty slice of currently healthy backends, in stable
 // registration order. Implementations must be safe for concurrent use.
 type Policy interface {
@@ -115,7 +116,7 @@ func (p LeastLoaded) Pick(_ string, healthy []*Backend) *Backend {
 
 // PlanAffinity routes jobs sharing a plan key to the same instance via
 // rendezvous (highest-random-weight) hashing, so one instance's plan cache
-// and batch window absorb the whole key. Rendezvous hashing gives the
+// absorbs the whole key. Rendezvous hashing gives the
 // stability the cluster needs: when an instance joins or leaves, only the
 // keys it owns (or wins) move — every other key keeps its instance, and a
 // key whose owner dies falls deterministically to its runner-up.

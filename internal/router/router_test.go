@@ -204,7 +204,6 @@ func TestRouterLeastLoadedPrefersIdle(t *testing.T) {
 		func(i int, c *serve.Config) {
 			if i == 0 {
 				c.Sched.Workers = 1
-				c.Sched.SmallN = -1
 				c.Sched.Runner = &gatedRunner{inner: &sched.InprocRunner{}, release: release}
 			}
 		})

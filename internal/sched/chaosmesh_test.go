@@ -113,7 +113,6 @@ func TestChaosMeshDigestIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := newTestScheduler(t, func(c *Config) {
-					c.SmallN = -1
 					c.MaxRecoveryAttempts = 2
 					c.RecoveryBackoff = 10 * time.Millisecond
 					c.Runner = &NetmpiRunner{
@@ -180,7 +179,6 @@ func TestGrayDegradedProactiveReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
 		c.Runner = &NetmpiRunner{

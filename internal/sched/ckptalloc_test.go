@@ -18,7 +18,6 @@ func TestRecoverableJobAllocBytes(t *testing.T) {
 	const n, warm, measured = 256, 4, 8
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.Runner = &NetmpiRunner{OpTimeout: 10 * time.Second}
 	})

@@ -71,7 +71,7 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 			Seed:  int64(i % 3),
 		})
 	}
-	ref := newTestScheduler(t, func(c *Config) { c.SmallN = -1 })
+	ref := newTestScheduler(t, nil)
 	want := runSpecs(t, ref, specs)
 
 	// fault draws a job's fault from its id: none for three jobs in four,
@@ -123,7 +123,6 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 	})()
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 2
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
 		c.Checkpoint = store

@@ -185,7 +185,6 @@ func TestVerifyOnPoisonedReference(t *testing.T) {
 	})()
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 	})
 	spec := JobSpec{N: 64, Shape: "square-corner", Seed: 3, Verify: true}
 	for _, v := range runSpecs(t, s, []JobSpec{spec, spec, spec}) {
@@ -214,7 +213,6 @@ func TestOneDigestPerNSeed(t *testing.T) {
 			{"netmpi", &NetmpiRunner{OpTimeout: 10 * time.Second}},
 		} {
 			s := newTestScheduler(t, func(c *Config) {
-				c.SmallN = -1
 				c.Runner = tc.runner
 			})
 			for i, v := range runSpecs(t, s, specs) {

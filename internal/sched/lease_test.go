@@ -68,7 +68,6 @@ func TestLeaseServesOneJobAtATime(t *testing.T) {
 		}
 	}
 	ref := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.Runner = freshMeshRunner()
 	})
 	want := runSpecs(t, ref, distinct)
@@ -100,7 +99,6 @@ func TestLeaseServesOneJobAtATime(t *testing.T) {
 	}
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = workers
-		c.SmallN = -1
 		c.Runner = r
 	})
 	specs := make([]JobSpec, 200)
@@ -154,7 +152,6 @@ func TestLeaseFailPeerMidJobRecovers(t *testing.T) {
 	}
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
 		c.Runner = r
@@ -203,7 +200,6 @@ func TestLeaseStaleIdleMeshRedials(t *testing.T) {
 	}
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 		c.Observe = true
 		c.Runner = r
 	})
@@ -272,7 +268,6 @@ func TestLeaseAccountingPerJob(t *testing.T) {
 	}
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 		c.Observe = true
 		c.Runner = r
 	})
@@ -380,7 +375,6 @@ func TestRecycleOperandsNotWhileRunGoroutineLives(t *testing.T) {
 	s, err := New(Config{
 		Workers:    2,
 		QueueCap:   16,
-		SmallN:     -1,
 		JobTimeout: 300 * time.Millisecond,
 		Planner:    newTestPlanner(),
 		Runner:     w,
@@ -455,7 +449,7 @@ func TestRecyclePoisonedOperandsKeepDigests(t *testing.T) {
 	for i, shape := range shapes {
 		specs[i] = JobSpec{N: 48, Shape: shape, Seed: 7}
 	}
-	ref := newTestScheduler(t, func(c *Config) { c.SmallN = -1 })
+	ref := newTestScheduler(t, nil)
 	want := runSpecs(t, ref, specs)
 
 	var mu sync.Mutex
@@ -478,7 +472,6 @@ func TestRecyclePoisonedOperandsKeepDigests(t *testing.T) {
 		capture := &captureRunner{Runner: tc.runner}
 		s := newTestScheduler(t, func(c *Config) {
 			c.Workers = 1
-			c.SmallN = -1
 			c.Runner = capture
 		})
 		for i, v := range runSpecs(t, s, specs) {

@@ -16,7 +16,6 @@ func TestLoadSnapshotReflectsQueueAndInflight(t *testing.T) {
 	}()
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 1
-		c.SmallN = -1
 		c.Runner = &blockingRunner{release: block}
 	})
 
@@ -101,7 +100,7 @@ func TestPlannerCacheStats(t *testing.T) {
 }
 
 func TestSchedulerMetricsIncludePlanCache(t *testing.T) {
-	s := newTestScheduler(t, func(c *Config) { c.SmallN = -1 })
+	s := newTestScheduler(t, nil)
 	for i := 0; i < 3; i++ {
 		v, err := s.Submit(JobSpec{N: 32, Seed: int64(i)})
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // Plan is the partition decision for a job: the shape, the layout built
-// from it, and the admission metadata. Plans are immutable and shared
-// across the jobs of a batch.
+// from it, and the admission metadata. Plans are immutable and shared,
+// through the planner's cache, by every job with the same plan key.
 type Plan struct {
 	// Shape is the canonical name of the chosen shape ("square-corner",
 	// "column-based", …).
@@ -40,9 +40,8 @@ func (e *MemoryError) Error() string { return e.Err.Error() }
 func (e *MemoryError) Unwrap() error { return e.Err }
 
 // Planner picks partition shapes and areas for job specs and enforces the
-// memory admission check. It caches plans by (N, shape, speeds, fpm) so a
-// batch of identical small GEMMs plans once; the cache is safe for
-// concurrent use.
+// memory admission check. It caches plans by PlanKey, so jobs with equal
+// keys plan once; the cache is safe for concurrent use.
 type Planner struct {
 	// Platform supplies the device models for speeds, FPM partitioning
 	// and the memory check (required).
@@ -68,9 +67,9 @@ type cachedPlan struct {
 // are cheap to recompute and keys are low-cardinality in practice).
 const maxPlanCache = 512
 
-// PlanKey is the batching identity of a spec: two jobs with equal keys
-// share a plan (and may share a batch). Seed and Verify deliberately do
-// not participate.
+// PlanKey is the plan-cache and affinity key of a spec: two jobs with
+// equal keys share a plan, and a plan-key-affine router sends them to the
+// same instance. Seed and Verify deliberately do not participate.
 func PlanKey(spec JobSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "n=%d|shape=%s|fpm=%v|speeds=", spec.N, canonicalShapeName(spec.Shape), spec.UseFPM)

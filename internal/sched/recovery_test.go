@@ -80,7 +80,6 @@ func TestChaosRecovery(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					s := newTestScheduler(t, func(c *Config) {
-						c.SmallN = -1
 						c.MaxRecoveryAttempts = 2
 						c.RecoveryBackoff = 10 * time.Millisecond
 						c.Runner = &NetmpiRunner{
@@ -167,7 +166,6 @@ func (r *checkpointThenFailRunner) Run(jobID string, plan *Plan, a, b, c *matrix
 // and recompute none.
 func TestRecoveryRestoresCheckpointedCells(t *testing.T) {
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = time.Millisecond
 		c.Runner = &checkpointThenFailRunner{}
@@ -205,7 +203,6 @@ func TestRecoveryLateKillNoRedoneCells(t *testing.T) {
 	// sends 3 frames on one connection, so the failure lands on its last
 	// broadcast, late in the broadcast stage.
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
 		c.Runner = &NetmpiRunner{
@@ -260,7 +257,6 @@ func (r *failingRunner) Calls() int {
 func TestRecoveryAttemptsBounded(t *testing.T) {
 	runner := &failingRunner{}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = time.Millisecond
 		c.Runner = runner
@@ -296,7 +292,6 @@ func TestRecoveryAttemptsBounded(t *testing.T) {
 func TestDrainAbortsRecoveryBackoff(t *testing.T) {
 	runner := &failingRunner{}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 3
 		c.RecoveryBackoff = time.Minute // way past the test budget
 		c.Runner = runner
@@ -403,7 +398,6 @@ func TestRecoveryFileStoreSurvivesBindingReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
 		c.Checkpoint = store
@@ -483,7 +477,6 @@ func TestStaleCheckpointFromPriorIncarnationIgnored(t *testing.T) {
 		}
 	}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = time.Millisecond
 		c.Checkpoint = store
@@ -532,7 +525,6 @@ func (r *blockUntilCtxFailRunner) Calls() int {
 func TestJobTimeoutStopsRecoveryLoop(t *testing.T) {
 	runner := &blockUntilCtxFailRunner{}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.JobTimeout = 50 * time.Millisecond
 		c.MaxRecoveryAttempts = 3
 		c.RecoveryBackoff = time.Millisecond
@@ -592,7 +584,6 @@ func (cs *countingStore) Saves() int {
 func TestInprocSkipsCheckpointOverhead(t *testing.T) {
 	store := &countingStore{CheckpointStore: recover.NewMemStore()}
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.MaxRecoveryAttempts = 2
 		c.Checkpoint = store
 		c.Runner = &InprocRunner{}

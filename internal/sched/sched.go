@@ -1,17 +1,18 @@
 // Package sched turns the one-shot SummaGen engine into a job scheduler
 // for a matmul service: requests are admitted against bounded global and
-// per-tenant queues, small GEMMs with identical plan keys are batched so
-// the partition planning cost is paid once per batch, and a bounded worker
-// pool executes jobs over either the in-process runtime (core.Multiply) or
-// a loopback netmpi mesh (core.RunRank per rank over TCP, exercising the
-// fault-tolerant runtime under concurrent load).
+// per-tenant queues, a plan cache keyed by PlanKey pays the partition
+// planning cost once per distinct plan, and a fixed pool of worker slots
+// executes jobs, one at a time each and in arrival order, over either the
+// in-process runtime (core.Multiply) or a loopback netmpi mesh
+// (core.RunRank per rank over TCP, exercising the fault-tolerant runtime
+// under concurrent load).
 //
 // The life of a job: Submit → admission (queue caps; typed QueueFullError
 // on overflow, ErrDraining during shutdown) → queued → a free worker slot
-// pops a batch → the Planner picks the partition shape and areas
+// pops the queue head → the Planner picks the partition shape and areas
 // (OptimalShape for three processors, column-based beyond) and runs the
-// paper's memory admission check (core.CheckMemory) → each job in the
-// batch runs on the pool → done/failed with a Report, a result digest,
+// paper's memory admission check (core.CheckMemory) → the job runs in
+// that slot → done/failed with a Report, a result digest,
 // and — when a netmpi worker rank dies mid-collective — a rank-attributed
 // *netmpi.PeerFailedError instead of a hang.
 package sched
@@ -32,7 +33,7 @@ const (
 	// StateQueued: admitted, waiting for a worker slot.
 	StateQueued JobState = iota
 	// StatePlanning: popped by a worker; the partition plan is being
-	// computed (or the job is waiting its turn inside a running batch).
+	// computed (or fetched from the plan cache).
 	StatePlanning
 	// StateRunning: the multiplication is executing on the pool.
 	StateRunning
@@ -90,7 +91,7 @@ type JobSpec struct {
 	// Class is the SLO class the job was admitted under ("" means the
 	// default objective). It labels the SLO request/latency series and is
 	// deliberately excluded from PlanKey: jobs of different classes still
-	// share plan cache entries and batch windows.
+	// share plan cache entries and plan-key routing.
 	Class string
 }
 
@@ -127,7 +128,9 @@ type JobView struct {
 	Verified bool
 	// Err is the terminal error for StateFailed.
 	Err error
-	// BatchSize is how many jobs shared this job's planned batch.
+	// BatchSize is always 0: jobs are never batched. The field remains
+	// only because the benchmark module (bench/) reads it; ROADMAP item 16
+	// removes it.
 	BatchSize int
 	// Attempts is the number of survivor-replan recovery attempts this
 	// job went through (0 = never failed).

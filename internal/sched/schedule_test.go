@@ -13,7 +13,6 @@ import (
 func observedJob(t *testing.T, runner Runner, spec JobSpec) (string, []obs.Span) {
 	t.Helper()
 	s := newTestScheduler(t, func(c *Config) {
-		c.SmallN = -1
 		c.Observe = true
 		c.Runner = runner
 	})

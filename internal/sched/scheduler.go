@@ -36,12 +36,6 @@ type Config struct {
 	// TenantCap bounds one tenant's queued + in-flight jobs (0 disables
 	// per-tenant admission).
 	TenantCap int
-	// SmallN is the batching threshold: jobs with N <= SmallN and equal
-	// plan keys coalesce into one batch when a worker slot frees
-	// (default 256; 0 keeps the default, negative disables batching).
-	SmallN int
-	// BatchMax caps jobs per batch (default 8).
-	BatchMax int
 	// JobTimeout bounds one job's run; past it the job fails with
 	// ErrJobTimeout (0 disables). The underlying numerics cannot be
 	// preempted — the slot moves on and the orphaned computation's
@@ -85,12 +79,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.SmallN == 0 {
-		cfg.SmallN = 256
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 8
-	}
 	if cfg.RecoveryBackoff <= 0 {
 		cfg.RecoveryBackoff = 50 * time.Millisecond
 	}
@@ -118,7 +106,6 @@ type job struct {
 	digest   string
 	verified bool
 	err      error
-	batch    int
 
 	// Recovery state: how many survivor-replan attempts ran, which
 	// original ranks were dropped (in casualty order), which of those were
@@ -130,7 +117,7 @@ type job struct {
 	recoveryTime  time.Duration
 
 	// Observability (Config.Observe): the job's span recorder, its root
-	// span, the queue-wait span ended at dispatch, the run span ended at
+	// span, the queue-wait span ended at dequeue, the run span ended at
 	// finish, and the wall-clock start of the current run attempt (the
 	// anchor for aligning engine timelines with span time).
 	rec          *obs.Recorder
@@ -151,8 +138,6 @@ type Counters struct {
 	RejectedTenant    uint64
 	RejectedDraining  uint64
 	TimedOut          uint64
-	Batches           uint64
-	BatchedJobs       uint64
 	// Recoveries counts survivor-replan attempts started; RecoveredJobs
 	// counts jobs that completed after at least one recovery;
 	// RecoveryFailures counts jobs that still failed after attempting
@@ -191,7 +176,8 @@ type Metrics struct {
 	CommVolumes map[string]CommVolume
 }
 
-// Scheduler is the admission-controlled, batching job scheduler.
+// Scheduler is the admission-controlled job scheduler over a fixed pool of
+// worker slots.
 type Scheduler struct {
 	cfg Config
 
@@ -212,8 +198,7 @@ type Scheduler struct {
 	// incarnation's unrelated jobs after a crash-restart.
 	ckptNonce string
 
-	slots chan struct{}
-	wg    sync.WaitGroup // dispatcher + running batches
+	wg sync.WaitGroup // worker goroutines
 
 	// drainStart closes the moment Drain begins: recovery backoffs abort
 	// immediately instead of delaying shutdown. lifeCtx cancels when a
@@ -225,7 +210,7 @@ type Scheduler struct {
 	lifeCancel context.CancelFunc
 }
 
-// New builds a scheduler and starts its dispatcher.
+// New builds a scheduler and starts its Workers worker goroutines.
 func New(cfg Config) (*Scheduler, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -235,14 +220,15 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:        c,
 		jobs:       map[string]*job{},
 		tenantLoad: map[string]int{},
-		slots:      make(chan struct{}, c.Workers),
 		drainStart: make(chan struct{}),
 		ckptNonce:  newCkptNonce(),
 	}
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(1)
-	go s.dispatch()
+	s.wg.Add(c.Workers)
+	for i := 0; i < c.Workers; i++ {
+		go s.worker()
+	}
 	return s, nil
 }
 
@@ -368,7 +354,7 @@ func (s *Scheduler) LoadSnapshot() LoadSnapshot {
 }
 
 // Drain stops admission and waits for the queue and all in-flight jobs to
-// finish, then stops the dispatcher. It returns ctx.Err() if the context
+// finish, then stops the workers. It returns ctx.Err() if the context
 // expires first (in-flight work keeps running; the process is expected to
 // exit shortly after).
 func (s *Scheduler) Drain(ctx context.Context) error {
@@ -394,7 +380,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Let the waiter goroutine stop the dispatcher whenever the
+		// Let the waiter goroutine stop the workers whenever the
 		// backlog does finish; the caller is abandoning the drain.
 		err = ctx.Err()
 	}
@@ -418,7 +404,6 @@ func (s *Scheduler) viewLocked(j *job) JobView {
 		Digest:        j.digest,
 		Verified:      j.verified,
 		Err:           j.err,
-		BatchSize:     j.batch,
 		Attempts:      j.attempts,
 		RecoveredFrom: append([]int(nil), j.recoveredFrom...),
 		DegradedPeers: append([]int(nil), j.degradedPeers...),
@@ -432,103 +417,39 @@ func (s *Scheduler) viewLocked(j *job) JobView {
 	}
 }
 
-// dispatch is the scheduler's single dispatcher loop: acquire a worker
-// slot, then pop a batch (coalescing batchable jobs with equal plan keys)
-// and hand it to a batch goroutine that releases the slot when done.
-func (s *Scheduler) dispatch() {
+// worker is one worker slot: it takes the queue head in arrival order,
+// plans it (plans are shared through the planner's cache) and runs it,
+// until Drain stops the scheduler.
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
-		s.slots <- struct{}{} // acquire a worker slot first
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.stopped {
 			s.cond.Wait()
 		}
-		if s.stopped && len(s.queue) == 0 {
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
-			<-s.slots
 			return
 		}
-		batch := s.popBatchLocked()
-		s.inflight += len(batch)
-		s.counters.Batches++
-		if len(batch) > 1 {
-			s.counters.BatchedJobs += uint64(len(batch))
-		}
+		j := s.queue[0]
+		s.queue[0] = nil // the vacated slot must not pin the job
+		s.queue = s.queue[1:]
+		s.inflight++
+		j.state = StatePlanning
+		j.spQueue.End()
 		s.mu.Unlock()
 
-		s.wg.Add(1)
-		go s.runBatch(batch)
-	}
-}
-
-// popBatchLocked removes the queue head plus, when it is batchable, every
-// queued job sharing its plan key, up to BatchMax.
-func (s *Scheduler) popBatchLocked() []*job {
-	head := s.queue[0]
-	s.queue = s.queue[1:]
-	batch := []*job{head}
-	if s.cfg.SmallN > 0 && head.spec.N <= s.cfg.SmallN && s.cfg.BatchMax > 1 {
-		key := PlanKey(head.spec)
-		rest := s.queue[:0]
-		for _, j := range s.queue {
-			if len(batch) < s.cfg.BatchMax && PlanKey(j.spec) == key {
-				batch = append(batch, j)
-			} else {
-				rest = append(rest, j)
-			}
-		}
-		// Zero the tail so dropped pointers don't pin finished jobs.
-		for i := len(rest); i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = rest
-	}
-	for _, j := range batch {
-		j.state = StatePlanning
-		j.batch = len(batch)
-		j.spQueue.Int("batch_size", int64(len(batch))).End()
-	}
-	return batch
-}
-
-// runBatch plans once for the batch, then runs each job through the
-// runner sequentially within this worker slot.
-func (s *Scheduler) runBatch(batch []*job) {
-	defer s.wg.Done()
-	defer func() { <-s.slots }()
-
-	planSpans := make([]obs.SpanHandle, len(batch))
-	for i, j := range batch {
-		planSpans[i] = j.root.Child("plan").Int("batch_size", int64(len(batch)))
-	}
-	plan, err := s.cfg.Planner.Plan(batch[0].spec)
-	if err != nil {
-		for i, j := range batch {
-			planSpans[i].Str("error", err.Error()).End()
+		psp := j.root.Child("plan")
+		plan, err := s.cfg.Planner.Plan(j.spec)
+		if err != nil {
+			psp.Str("error", err.Error()).End()
 			s.finish(j, nil, "", false, err)
+			continue
 		}
-		return
-	}
-	for i := range planSpans {
-		planSpans[i].Str("shape", plan.Shape).Int("ranks", int64(plan.Layout.P)).End()
-	}
-	s.mu.Lock()
-	for _, j := range batch {
+		psp.Str("shape", plan.Shape).Int("ranks", int64(plan.Layout.P)).End()
+		s.mu.Lock()
 		j.plan = plan
-		j.batch = len(batch)
-	}
-	s.mu.Unlock()
-
-	// Jobs after the head wait for their batch-mates to finish inside this
-	// worker slot; the span makes that serialization visible per job.
-	waits := make([]obs.SpanHandle, len(batch))
-	for i, j := range batch {
-		if i > 0 {
-			waits[i] = j.root.Child("batch-wait")
-		}
-	}
-	for i, j := range batch {
-		waits[i].End()
+		s.mu.Unlock()
 		s.runJob(j, plan)
 	}
 }

@@ -86,7 +86,6 @@ func TestSchedulerConcurrentLoadBoundedQueue(t *testing.T) {
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 4
 		c.QueueCap = 16
-		c.SmallN = -1 // no batching: maximize queue pressure
 	})
 	var mu sync.Mutex
 	var accepted []string
@@ -136,7 +135,6 @@ func TestSchedulerPerTenantCap(t *testing.T) {
 		c.Workers = 1
 		c.QueueCap = 64
 		c.TenantCap = 2
-		c.SmallN = -1
 		c.Runner = &blockingRunner{release: block}
 	})
 	defer close(block)
@@ -169,48 +167,59 @@ func (r *blockingRunner) Run(id string, plan *Plan, a, b, c *matrix.Dense, opts 
 	return r.inner.Run(id, plan, a, b, c, opts)
 }
 
-func TestSchedulerBatchesSmallGEMMs(t *testing.T) {
-	block := make(chan struct{})
+// gatedRunner announces every Run on started, then blocks it until the
+// test releases it (or closes release).
+type gatedRunner struct {
+	started chan struct{}
+	release chan struct{}
+	inner   InprocRunner
+}
+
+func (r *gatedRunner) Name() string { return "gated" }
+func (r *gatedRunner) Run(id string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
+	r.started <- struct{}{}
+	<-r.release
+	return r.inner.Run(id, plan, a, b, c, opts)
+}
+
+// TestSchedulerIsWorkConserving submits a burst of jobs sharing one plan
+// key to two worker slots: while jobs wait, every slot must be running one,
+// so each release of a run is followed by the next job's start.
+func TestSchedulerIsWorkConserving(t *testing.T) {
+	const workers, jobs = 2, 10
+	g := &gatedRunner{started: make(chan struct{}, jobs), release: make(chan struct{})}
 	s := newTestScheduler(t, func(c *Config) {
-		c.Workers = 1
-		c.QueueCap = 64
-		c.SmallN = 64
-		c.BatchMax = 4
-		c.Runner = &blockingRunner{release: block}
+		c.Workers = workers
+		c.Runner = g
 	})
-	// First job occupies the only worker; the rest pile up and must
-	// coalesce into batches of up to BatchMax when the slot frees.
+	// Registered after newTestScheduler's drain, so it runs first: a failed
+	// test opens the gate instead of hanging the drain.
+	t.Cleanup(func() { close(g.release) })
 	var ids []string
-	for i := 0; i < 9; i++ {
-		v, err := s.Submit(JobSpec{N: 32, Shape: "square-rectangle", Seed: int64(i)})
+	for i := 0; i < jobs; i++ {
+		v, err := s.Submit(JobSpec{N: 32, Shape: "square-corner", Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, v.ID)
 	}
-	close(block)
-	for _, id := range ids {
-		v := waitTerminal(t, s, id, 30*time.Second)
-		if v.State != StateDone {
-			t.Fatalf("job %s failed: %v", id, v.Err)
-		}
-	}
-	m := s.Metrics()
-	if m.Counters.BatchedJobs == 0 {
-		t.Fatal("no jobs were batched")
-	}
-	// All jobs share one plan key, so the planner must have planned once.
-	var batched bool
-	for _, id := range ids {
-		if v, _ := s.Get(id); v.BatchSize > 1 {
-			batched = true
-			if v.BatchSize > 4 {
-				t.Fatalf("batch size %d exceeds BatchMax", v.BatchSize)
+	running := 0
+	for done := 0; done < jobs; done++ {
+		for running < min(workers, jobs-done) {
+			select {
+			case <-g.started:
+				running++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d of %d jobs done, %d running: a worker slot idles while jobs wait", done, jobs, running)
 			}
 		}
+		g.release <- struct{}{}
+		running--
 	}
-	if !batched {
-		t.Fatal("expected at least one multi-job batch")
+	for _, id := range ids {
+		if v := waitTerminal(t, s, id, 30*time.Second); v.State != StateDone {
+			t.Fatalf("job %s failed: %v", id, v.Err)
+		}
 	}
 }
 
@@ -267,7 +276,6 @@ func TestSchedulerJobTimeout(t *testing.T) {
 	s := newTestScheduler(t, func(c *Config) {
 		c.JobTimeout = 50 * time.Millisecond
 		c.Runner = &blockingRunner{release: release}
-		c.SmallN = -1
 	})
 	v, err := s.Submit(JobSpec{N: 24, Shape: "1d-rectangle"})
 	if err != nil {
@@ -356,7 +364,6 @@ func TestSchedulerNetmpiWorkerDeath(t *testing.T) {
 	}
 	s := newTestScheduler(t, func(c *Config) {
 		c.Workers = 3
-		c.SmallN = -1 // separate meshes per job; no batching
 		c.Runner = runner
 	})
 

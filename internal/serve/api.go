@@ -86,10 +86,13 @@ type ErrorDTO struct {
 
 // JobStatus is the GET /jobs/{id} body.
 type JobStatus struct {
-	ID        string       `json:"id"`
-	Tenant    string       `json:"tenant,omitempty"`
-	Class     string       `json:"class,omitempty"`
-	State     string       `json:"state"`
+	ID     string `json:"id"`
+	Tenant string `json:"tenant,omitempty"`
+	Class  string `json:"class,omitempty"`
+	State  string `json:"state"`
+	// BatchSize is always 0, so batch_size never appears in the JSON: jobs
+	// are never batched. The field remains only because the benchmark
+	// module (bench/) reads it; ROADMAP item 16 removes it.
 	BatchSize int          `json:"batch_size,omitempty"`
 	Plan      *PlanDTO     `json:"plan,omitempty"`
 	Report    *core.Report `json:"report,omitempty"`
@@ -119,7 +122,6 @@ func jobStatus(v sched.JobView) JobStatus {
 		Tenant:          v.Spec.Tenant,
 		Class:           v.Spec.Class,
 		State:           v.State.String(),
-		BatchSize:       v.BatchSize,
 		Report:          v.Report,
 		Digest:          v.Digest,
 		Verified:        v.Verified,

@@ -74,8 +74,6 @@ func newMetricsRegistry(reg *metrics.Registry, events *metrics.EventLog) *metric
 		emit(float64(m.snap.Counters.RejectedDraining), "draining")
 	})
 	counter("summagen_jobs_timeout_total", func(sm sched.Metrics) float64 { return float64(sm.Counters.TimedOut) })
-	counter("summagen_batches_total", func(sm sched.Metrics) float64 { return float64(sm.Counters.Batches) })
-	counter("summagen_batched_jobs_total", func(sm sched.Metrics) float64 { return float64(sm.Counters.BatchedJobs) })
 	reg.CollectCounter("summagen_plan_cache_total", []string{"outcome"}, func(emit metrics.Emit) {
 		emit(float64(m.snap.PlanCacheHits), "hit")
 		emit(float64(m.snap.PlanCacheMisses), "miss")

@@ -256,7 +256,6 @@ func TestServeConcurrentLoad(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Sched.Workers = 4
 		c.Sched.QueueCap = 8
-		c.Sched.SmallN = -1 // no batching: keep the queue under pressure
 	})
 
 	const clients = 48
@@ -331,7 +330,6 @@ func TestServePerTenantCap(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Sched.Workers = 1
 		c.Sched.TenantCap = 2
-		c.Sched.SmallN = -1
 		c.Sched.Runner = &gatedRunner{inner: &sched.InprocRunner{}, release: release}
 	})
 
@@ -491,7 +489,6 @@ func TestServeNetmpiFaultSurfacing(t *testing.T) {
 	}
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Sched.Workers = 4
-		c.Sched.SmallN = -1
 		c.Sched.Runner = runner
 	})
 

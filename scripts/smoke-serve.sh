@@ -404,8 +404,8 @@ for i in 1 2 3 4; do
   elif [ "$INST" != "$OWNER" ]; then
     fail "affinity scattered one plan key: job $i went to $INST, earlier to $OWNER"
   fi
-  # Poll each job before the next submit so every job exercises the plan
-  # cache rather than coalescing into one batch.
+  # Poll each job before the next submit so each job after the first is a
+  # plan-cache hit on the owning instance, checked one at a time.
   [ "$(poll "$RID")" = done ] || fail "cluster job $RID failed: $(cat "$WORKDIR/job.json")"
   [ "$(jget "$WORKDIR/job.json" digest)" = "$DIGEST1" ] \
     || fail "cluster digest diverged from fault-free run"
