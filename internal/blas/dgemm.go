@@ -19,14 +19,18 @@
 //	acc = 0; acc = fma(alpha*A[i,l], B[l,j], acc) for l in the panel, in order; C[i,j] += acc
 //
 // with alpha*A[i,l] rounded once when A is packed. The register-tiled
-// micro-kernel does this for a 4×8 tile of C at a time: an AVX2/FMA assembly
-// body on amd64 CPUs that have it (checked once at start-up), a math.FMA body
-// everywhere else and under the noasm build tag, fringe tiles through the
-// same body on a padded copy. The two bodies are bit-identical, and C[i,j]
-// depends only on row i of A, column j of B and blockKC: not on m, n, the
+// micro-kernel does this for an 8×8 tile of C at a time, in one of three
+// bodies chosen once at start-up: on amd64, an AVX-512F assembly body (one
+// ZMM accumulator per row of the tile) where the CPU has AVX-512F and the OS
+// saves ZMM state, else an AVX2/FMA assembly body run over the tile's two
+// 4×8 halves where the CPU has AVX2 and FMA; a math.FMA body everywhere else
+// and under the noasm build tag. Fringe tiles go through the same body on a
+// padded copy. The bodies are bit-identical, and C[i,j] depends only on row
+// i of A, column j of B and blockKC: not on m, n, the tile, the body, the
 // position of a tile, the number of workers, or how a caller cuts C into
 // sub-rectangles. Results differ in the last bits from the unfused 4×4
-// kernel of earlier builds, so digests compare only within one build.
+// kernel of builds before this contract; golden_test.go pins the digests of
+// a few products across builds since.
 //
 // The math.FMA body is fast only where the compiler turns math.FMA into one
 // instruction (arm64, ppc64le, s390x, riscv64, and amd64 with FMA when the
@@ -57,24 +61,27 @@ const (
 
 // Blocking parameters for the packed kernel. MC×KC panels of A and KC×NC
 // panels of B are packed into contiguous buffers; the micro-kernel updates
-// microM×microN register tiles (8 YMM accumulators on amd64). One KC×microN
-// strip of B (16 KiB) and one microM×KC strip of A (8 KiB) stay in L1 while
-// a tile runs; the MC×KC panel of A (256 KiB) stays in L2. MC 64–256, KC
-// 128–512 and NC 256–1024 all measured within noise of each other on the
-// 2-vCPU Xeon this was tuned on.
+// microM×microN register tiles (8 ZMM accumulators with AVX-512, 8 YMM per
+// 4×8 half with AVX2). One KC×microN strip of B and one microM×KC strip of
+// A (16 KiB each) stay in L1 while a tile runs; the MC×KC panel of A
+// (256 KiB) stays in L2. MC 64–256, KC 128–512 and NC 256–1024 all measured
+// within noise of each other on the 2-vCPU Xeon this was tuned on (with the
+// 4×8 tile), and an 8×16 tile was no faster than 8×8.
 const (
 	blockMC = 128 // multiple of microM
 	blockKC = 256 // part of the rounding contract: changing it changes the bits
 	blockNC = 512 // multiple of microN
-	microM  = 4   // the micro-kernel bodies and packA are written out for a
-	microN  = 8   // 4×8 tile; these name it, they do not set it
+	microM  = 8   // the micro-kernel bodies, packA and packB are written out
+	microN  = 8   // for an 8×8 tile; these name it, they do not set it
 )
 
 // parallelMinWork is the number of multiply-adds a worker must have before
-// blockedMul starts one. Measured on a 2-vCPU Xeon VM (35 GFLOP/s per core):
-// handing a goroutine to an idle P takes 70 µs at best, so two workers lose
-// to one at 160³ (29 vs 32 GFLOP/s), break even at 192³ (7.1 M multiply-adds)
-// and win from 224³ (44 vs 32) and 260×180×512 (48 vs 32) up.
+// blockedMul starts one, so two workers start from 8.4 M. Measured on a
+// 2-vCPU Xeon VM, where handing a goroutine to an idle P takes 70 µs at best,
+// with the AVX-512 body in 10 alternated pairs: two workers lose to one at
+// 128³ (31 vs 42 GFLOP/s), break even at 160³ (4.1 M multiply-adds), win 8 of
+// 10 pairs at 192³ (39 vs 37) and every pair from 224³ (60 vs 46) and
+// 260×180×512 (64 vs 39) up. The 4×8 AVX2 tile broke even at 192³.
 const parallelMinWork = 1 << 22
 
 func checkGemmArgs(m, n, k, lda, ldb, ldc int, a, b, c []float64) error {
@@ -257,22 +264,32 @@ func packA(dst []float64, a []float64, lda, mc, kc int, alpha float64) {
 		strip := dst[i*kc : (i+microM)*kc]
 		r0, r1 := a[i*lda:][:kc], a[min(i+1, last)*lda:][:kc]
 		r2, r3 := a[min(i+2, last)*lda:][:kc], a[min(i+3, last)*lda:][:kc]
+		r4, r5 := a[min(i+4, last)*lda:][:kc], a[min(i+5, last)*lda:][:kc]
+		r6, r7 := a[min(i+6, last)*lda:][:kc], a[min(i+7, last)*lda:][:kc]
 		for l := range r0 {
 			d := strip[l*microM : (l+1)*microM]
 			d[0], d[1], d[2], d[3] = alpha*r0[l], alpha*r1[l], alpha*r2[l], alpha*r3[l]
+			d[4], d[5], d[6], d[7] = alpha*r4[l], alpha*r5[l], alpha*r6[l], alpha*r7[l]
 		}
 	}
 }
 
 // packB packs a kc×nc panel of B into micro-panels of microN columns, the
-// columns past nc in the last one zero.
+// columns past nc in the last one zero. It walks B row by row, so reads
+// stream, and moves each full microN-wide segment with element stores: a copy
+// call per segment cost more than the eight moves.
 func packB(dst []float64, b []float64, ldb, kc, nc int) {
-	for j := 0; j < nc; j += microN {
-		strip := dst[j*kc : (j+microN)*kc]
-		cols := min(microN, nc-j)
-		for l := 0; l < kc; l++ {
-			d := strip[l*microN : (l+1)*microN]
-			clear(d[copy(d, b[l*ldb+j:][:cols]):])
+	full := nc - nc%microN
+	for l := 0; l < kc; l++ {
+		row := b[l*ldb:][:nc]
+		for j := 0; j < full; j += microN {
+			s, d := row[j:j+microN], dst[j*kc+l*microN:][:microN]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+		}
+		if full < nc {
+			d := dst[full*kc+l*microN:][:microN]
+			clear(d[copy(d, row[full:]):])
 		}
 	}
 }
@@ -304,4 +321,10 @@ func macroKernel(mc, nc, kc int, packedA, packedB []float64, c []float64, ldc in
 			}
 		}
 	}
+}
+
+// GemmFlops returns the floating point operation count of an m×n×k GEMM
+// update (one multiply and one add per inner iteration).
+func GemmFlops(m, n, k int) float64 {
+	return 2 * float64(m) * float64(n) * float64(k)
 }

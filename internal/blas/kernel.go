@@ -5,52 +5,55 @@ import "math"
 // microKernelFMA is the portable body of the micro-kernel and the
 // definition of its arithmetic: every element of the microM×microN tile is
 // accumulated from zero as acc = fma(a, b, acc) over the kc packed steps in
-// k order, then added into C once. The amd64 assembly performs exactly this
-// chain per lane, so the two are bit-identical. The tile is swept as two
-// 4×4 halves so the 16 live accumulators fit the register file; the lanes
-// are independent, so the sweep order does not touch the result.
+// k order, then added into C once. The amd64 assembly bodies perform exactly
+// this chain per lane, so all bodies are bit-identical. The tile is swept as
+// four 4×4 quarters so the 16 live accumulators fit the register file; the
+// lanes are independent, so the sweep order does not touch the result.
 func microKernelFMA(kc int, ap, bp, c []float64, ldc int) {
-	for j := 0; j < microN; j += 4 {
-		var c00, c01, c02, c03 float64
-		var c10, c11, c12, c13 float64
-		var c20, c21, c22, c23 float64
-		var c30, c31, c32, c33 float64
-		for l := 0; l < kc; l++ {
-			a := ap[l*microM : l*microM+4]
-			b := bp[l*microN+j : l*microN+j+4]
-			c00 = math.FMA(a[0], b[0], c00)
-			c01 = math.FMA(a[0], b[1], c01)
-			c02 = math.FMA(a[0], b[2], c02)
-			c03 = math.FMA(a[0], b[3], c03)
-			c10 = math.FMA(a[1], b[0], c10)
-			c11 = math.FMA(a[1], b[1], c11)
-			c12 = math.FMA(a[1], b[2], c12)
-			c13 = math.FMA(a[1], b[3], c13)
-			c20 = math.FMA(a[2], b[0], c20)
-			c21 = math.FMA(a[2], b[1], c21)
-			c22 = math.FMA(a[2], b[2], c22)
-			c23 = math.FMA(a[2], b[3], c23)
-			c30 = math.FMA(a[3], b[0], c30)
-			c31 = math.FMA(a[3], b[1], c31)
-			c32 = math.FMA(a[3], b[2], c32)
-			c33 = math.FMA(a[3], b[3], c33)
+	for i := 0; i < microM; i += 4 {
+		for j := 0; j < microN; j += 4 {
+			var c00, c01, c02, c03 float64
+			var c10, c11, c12, c13 float64
+			var c20, c21, c22, c23 float64
+			var c30, c31, c32, c33 float64
+			for l := 0; l < kc; l++ {
+				a := ap[l*microM+i : l*microM+i+4]
+				b := bp[l*microN+j : l*microN+j+4]
+				c00 = math.FMA(a[0], b[0], c00)
+				c01 = math.FMA(a[0], b[1], c01)
+				c02 = math.FMA(a[0], b[2], c02)
+				c03 = math.FMA(a[0], b[3], c03)
+				c10 = math.FMA(a[1], b[0], c10)
+				c11 = math.FMA(a[1], b[1], c11)
+				c12 = math.FMA(a[1], b[2], c12)
+				c13 = math.FMA(a[1], b[3], c13)
+				c20 = math.FMA(a[2], b[0], c20)
+				c21 = math.FMA(a[2], b[1], c21)
+				c22 = math.FMA(a[2], b[2], c22)
+				c23 = math.FMA(a[2], b[3], c23)
+				c30 = math.FMA(a[3], b[0], c30)
+				c31 = math.FMA(a[3], b[1], c31)
+				c32 = math.FMA(a[3], b[2], c32)
+				c33 = math.FMA(a[3], b[3], c33)
+			}
+			ct := c[i*ldc+j:]
+			r0, r1, r2, r3 := ct[:4], ct[ldc:ldc+4], ct[2*ldc:2*ldc+4], ct[3*ldc:3*ldc+4]
+			r0[0] += c00
+			r0[1] += c01
+			r0[2] += c02
+			r0[3] += c03
+			r1[0] += c10
+			r1[1] += c11
+			r1[2] += c12
+			r1[3] += c13
+			r2[0] += c20
+			r2[1] += c21
+			r2[2] += c22
+			r2[3] += c23
+			r3[0] += c30
+			r3[1] += c31
+			r3[2] += c32
+			r3[3] += c33
 		}
-		r0, r1, r2, r3 := c[j:j+4], c[ldc+j:ldc+j+4], c[2*ldc+j:2*ldc+j+4], c[3*ldc+j:3*ldc+j+4]
-		r0[0] += c00
-		r0[1] += c01
-		r0[2] += c02
-		r0[3] += c03
-		r1[0] += c10
-		r1[1] += c11
-		r1[2] += c12
-		r1[3] += c13
-		r2[0] += c20
-		r2[1] += c21
-		r2[2] += c22
-		r2[3] += c23
-		r3[0] += c30
-		r3[1] += c31
-		r3[2] += c32
-		r3[3] += c33
 	}
 }

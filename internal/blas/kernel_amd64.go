@@ -5,35 +5,59 @@ package blas
 import "unsafe"
 
 //go:noescape
+func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int)
+
+//go:noescape
 func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// useAsm is decided once at start-up: the assembly body needs FMA3 and AVX2
-// in the CPU and YMM state saved by the OS.
-var useAsm = hasAVX2FMA()
+// body names a micro-kernel body. Each one can run where the next one up can.
+type body int
 
-func hasAVX2FMA() bool {
+const (
+	bodyFMA    body = iota // the portable math.FMA body
+	bodyAVX2               // the 4×8 AVX2/FMA assembly, twice per tile
+	bodyAVX512             // the 8×8 AVX-512F assembly
+)
+
+// kernelBody is decided once at start-up.
+var kernelBody = detectBody()
+
+func detectBody() body {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
+	var xcr0 uint32
+	if ecx1&osxsave != 0 { // XGETBV faults unless the OS enabled it
+		xcr0, _ = xgetbv()
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+	return pickBody(maxLeaf, ecx1, ebx7, xcr0)
+}
+
+const osxsave = 1 << 27 // CPUID.1:ECX
+
+// pickBody chooses the fastest body the CPU and OS support, from CPUID's
+// highest basic leaf, CPUID.1:ECX, CPUID.7.0:EBX and XCR0. The AVX2 body
+// needs FMA3 and AVX2 and the OS saving XMM and YMM state; the AVX-512 body
+// needs AVX-512F as well and the OS saving opmask and all ZMM state.
+func pickBody(maxLeaf, ecx1, ebx7, xcr0 uint32) body {
+	const fma, avx = 1 << 12, 1 << 28     // CPUID.1:ECX
+	const avx2, avx512f = 1 << 5, 1 << 16 // CPUID.7.0:EBX
+	switch {
+	case maxLeaf < 7 || ecx1&(fma|osxsave|avx) != fma|osxsave|avx || xcr0&0x6 != 0x6 || ebx7&avx2 == 0:
+		return bodyFMA
+	case ebx7&avx512f != 0 && xcr0&0xE6 == 0xE6:
+		return bodyAVX512
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0 // AVX2
+	return bodyAVX2
 }
 
 // microKernel computes C[0:microM,0:microN] += Ap·Bp over kc packed steps.
 func microKernel(kc int, ap, bp, c []float64, ldc int) {
-	if !useAsm {
+	if kernelBody == bodyFMA {
 		microKernelFMA(kc, ap, bp, c, ldc)
 		return
 	}
@@ -41,5 +65,13 @@ func microKernel(kc int, ap, bp, c []float64, ldc int) {
 	if kc < 0 || len(ap) < kc*microM || len(bp) < kc*microN || ldc < 0 || len(c) < (microM-1)*ldc+microN {
 		panic("blas: micro-kernel operands out of range")
 	}
-	kernel4x8FMA(kc, unsafe.SliceData(ap), unsafe.SliceData(bp), &c[0], ldc)
+	a, b := unsafe.SliceData(ap), unsafe.SliceData(bp)
+	if kernelBody == bodyAVX512 {
+		kernel8x8AVX512(kc, a, b, &c[0], ldc)
+		return
+	}
+	// Rows 0–3, then rows 4–7, whose A values sit 4 into each step of Ap
+	// (ap is empty only when kc is 0 and it is not read).
+	kernel4x8FMA(kc, a, b, &c[0], ldc)
+	kernel4x8FMA(kc, unsafe.SliceData(ap[min(4, len(ap)):]), b, &c[4*ldc], ldc)
 }

@@ -2,10 +2,90 @@
 
 #include "textflag.h"
 
-// One k step of the 4×8 tile: the 8 packed B values in Y8:Y9, each of the 4
-// packed A values broadcast in turn, eight independent FMAs into Y0..Y7
-// (row r of the tile is Y(2r):Y(2r+1)). Every accumulator lane sees its
-// products in k order, one fused rounding each.
+// One k step of the 8×8 tile with AVX-512F: the 8 packed B values in zb, then
+// each of the 8 packed A values broadcast from memory into its row's FMA, one
+// ZMM accumulator per row (Z0..Z7). Every accumulator lane sees its products
+// in k order, one fused rounding each.
+#define ZSTEP(aoff, boff, zb) \
+	VMOVUPD          boff(DI), zb      \
+	VFMADD231PD.BCST aoff(SI), zb, Z0    \
+	VFMADD231PD.BCST aoff+8(SI), zb, Z1  \
+	VFMADD231PD.BCST aoff+16(SI), zb, Z2 \
+	VFMADD231PD.BCST aoff+24(SI), zb, Z3 \
+	VFMADD231PD.BCST aoff+32(SI), zb, Z4 \
+	VFMADD231PD.BCST aoff+40(SI), zb, Z5 \
+	VFMADD231PD.BCST aoff+48(SI), zb, Z6 \
+	VFMADD231PD.BCST aoff+56(SI), zb, Z7
+
+// One row of C += acc, then on to the next row.
+#define ZROW(acc) \
+	VADDPD  (DX), acc, acc \
+	VMOVUPD acc, (DX)      \
+	ADDQ    BX, DX
+
+// func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int)
+//
+// C[0:8,0:8] += Ap·Bp over kc packed k steps (ap and bp: 8 values per step),
+// accumulating from zero in registers and adding into C once at the end.
+TEXT ·kernel8x8AVX512(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), BX
+	SHLQ $3, BX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	MOVQ CX, AX
+	SHRQ $2, AX
+	ANDQ $3, CX
+	TESTQ AX, AX
+	JZ   ztail
+
+zloop4:
+	ZSTEP(0, 0, Z8)
+	ZSTEP(64, 64, Z9)
+	ZSTEP(128, 128, Z10)
+	ZSTEP(192, 192, Z11)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	DECQ AX
+	JNZ  zloop4
+
+ztail:
+	TESTQ CX, CX
+	JZ    zstore
+
+zloop1:
+	ZSTEP(0, 0, Z8)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  zloop1
+
+zstore:
+	ZROW(Z0)
+	ZROW(Z1)
+	ZROW(Z2)
+	ZROW(Z3)
+	ZROW(Z4)
+	ZROW(Z5)
+	ZROW(Z6)
+	ZROW(Z7)
+	VZEROUPPER
+	RET
+
+// One k step of a 4×8 half tile: the 8 packed B values in Y8:Y9, each of the
+// 4 packed A values broadcast in turn, eight independent FMAs into Y0..Y7
+// (row r of the half tile is Y(2r):Y(2r+1)).
 #define KSTEP(aoff, boff) \
 	VMOVUPD      boff(DI), Y8       \
 	VMOVUPD      boff+32(DI), Y9    \
@@ -31,8 +111,9 @@
 
 // func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int)
 //
-// C[0:4,0:8] += Ap·Bp over kc packed k steps (ap: 4 values per step, bp: 8),
-// accumulating from zero in registers and adding into C once at the end.
+// C[0:4,0:8] += Ap·Bp over kc packed k steps with AVX2/FMA. ap holds 8
+// values per step, of which the first 4 are this half tile's rows; bp holds 8.
+// Accumulates from zero in registers and adds into C once at the end.
 TEXT ·kernel4x8FMA(SB), NOSPLIT, $0-40
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
@@ -58,10 +139,10 @@ TEXT ·kernel4x8FMA(SB), NOSPLIT, $0-40
 
 loop4:
 	KSTEP(0, 0)
-	KSTEP(32, 64)
-	KSTEP(64, 128)
-	KSTEP(96, 192)
-	ADDQ $128, SI
+	KSTEP(64, 64)
+	KSTEP(128, 128)
+	KSTEP(192, 192)
+	ADDQ $256, SI
 	ADDQ $256, DI
 	DECQ AX
 	JNZ  loop4
@@ -72,7 +153,7 @@ tail:
 
 loop1:
 	KSTEP(0, 0)
-	ADDQ $32, SI
+	ADDQ $64, SI
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  loop1
