@@ -26,7 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netmpi"
 	"repro/internal/obs"
-	"repro/internal/ooc"
 	"repro/internal/partition"
 	"repro/internal/summa25d"
 )
@@ -288,31 +287,6 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 				}
 			}
 			b.ReportMetric(rep.ExecutionTime, "simExecSec")
-		})
-	}
-}
-
-// Ablation: out-of-core tile size sweep (ZZGemmOOC analogue).
-func BenchmarkOOCTileSize(b *testing.B) {
-	n := 256
-	rng := rand.New(rand.NewSource(3))
-	a := matrix.Random(n, n, rng)
-	bb := matrix.Random(n, n, rng)
-	for _, tile := range []int{32, 64, 128, 256} {
-		b.Run(fmt.Sprintf("tile%d", tile), func(b *testing.B) {
-			c := matrix.New(n, n)
-			cfg := ooc.Config{TileM: tile, TileN: tile, TileK: tile, Link: hockney.PCIeGen3x16}
-			var st ooc.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = ooc.Dgemm(cfg, n, n, n, 1, a.Data, n, bb.Data, n, 0, c.Data, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.HostToDevBytes)/1e6, "h2dMB")
-			b.ReportMetric(st.TransferTime*1000, "pcieMs")
 		})
 	}
 }

@@ -69,7 +69,6 @@ type options struct {
 	jobTimeout   time.Duration
 	maxN         int
 	maxVerifyN   int
-	allowOOC     bool
 	opTimeout    time.Duration
 	heartbeat    time.Duration
 	drainTimeout time.Duration
@@ -107,7 +106,6 @@ func main() {
 	flag.DurationVar(&o.jobTimeout, "job-timeout", 0, "per-job run timeout (0 = none)")
 	flag.IntVar(&o.maxN, "max-n", 4096, "reject requests with n beyond this")
 	flag.IntVar(&o.maxVerifyN, "max-verify-n", 1024, "reject verify=true requests with n beyond this")
-	flag.BoolVar(&o.allowOOC, "allow-ooc", false, "exempt accelerator ranks from the memory admission check (out-of-core)")
 	flag.DurationVar(&o.opTimeout, "op-timeout", 10*time.Second, "netmpi: per-operation timeout (failure detector)")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "netmpi: heartbeat interval (0 = op-timeout/4)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "max time to wait for in-flight jobs on shutdown")
@@ -214,7 +212,7 @@ func run(o options, logger *slog.Logger) error {
 			QueueCap:            o.queueCap,
 			TenantCap:           o.tenantCap,
 			JobTimeout:          o.jobTimeout,
-			Planner:             &sched.Planner{Platform: pl, AllowOOC: o.allowOOC},
+			Planner:             &sched.Planner{Platform: pl},
 			Runner:              runner,
 			MaxRecoveryAttempts: o.recoverAttempts,
 			RecoveryBackoff:     o.recoverBackoff,

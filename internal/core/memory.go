@@ -23,18 +23,13 @@ func MemoryEstimate(l *partition.Layout, rank int) int64 {
 }
 
 // CheckMemory verifies every rank's estimate fits its device, returning a
-// descriptive error for the first rank that does not. Accelerators are
-// exempt when allowOOC is set (the out-of-core path streams tiles through
-// the device instead).
-func CheckMemory(l *partition.Layout, pl *device.Platform, allowOOC bool) error {
+// descriptive error for the first rank that does not.
+func CheckMemory(l *partition.Layout, pl *device.Platform) error {
 	if pl.P() != l.P {
 		return fmt.Errorf("core: platform has %d devices but layout has %d processors", pl.P(), l.P)
 	}
 	for r := 0; r < l.P; r++ {
 		d := pl.Devices[r]
-		if allowOOC && d.Accelerator() {
-			continue
-		}
 		if need := MemoryEstimate(l, r); need > d.MemBytes {
 			return fmt.Errorf("core: rank %d (%s) needs %.2f GB but has %.2f GB — the paper's out-of-core regime (N beyond ~22592 on HCLServer1)",
 				r, d.Name, float64(need)/float64(1<<30), float64(d.MemBytes)/float64(1<<30))

@@ -6,12 +6,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/device"
-	"repro/internal/hockney"
-	"repro/internal/matrix"
 	"repro/internal/partition"
-	"repro/internal/trace"
-
-	"math/rand"
 )
 
 func TestMemoryEstimate(t *testing.T) {
@@ -35,8 +30,8 @@ func TestMemoryEstimate(t *testing.T) {
 
 func TestCheckMemoryReproducesPaperThreshold(t *testing.T) {
 	// On HCLServer1 the Xeon Phi (6 GB) runs out of memory for its share
-	// of problems around the paper's N = 22592 without out-of-core
-	// support, while N = 8192 fits comfortably.
+	// of problems around the paper's N = 22592 (where the paper switches
+	// to its out-of-core packages), while N = 8192 fits comfortably.
 	pl := device.HCLServer1()
 	mk := func(n int) *partition.Layout {
 		areas, err := balance.Proportional(n*n, []float64{1, 2, 0.9})
@@ -49,35 +44,27 @@ func TestCheckMemoryReproducesPaperThreshold(t *testing.T) {
 		}
 		return l
 	}
-	if err := CheckMemory(mk(8192), pl, false); err != nil {
+	if err := CheckMemory(mk(8192), pl); err != nil {
 		t.Fatalf("N=8192 should fit: %v", err)
 	}
-	err := CheckMemory(mk(25600), pl, false)
+	err := CheckMemory(mk(25600), pl)
 	if err == nil {
-		t.Fatal("N=25600 must exceed an accelerator's memory without OOC")
+		t.Fatal("N=25600 must exceed an accelerator's memory")
 	}
 	if !strings.Contains(err.Error(), "out-of-core") {
 		t.Fatalf("unhelpful error: %v", err)
-	}
-	// With the out-of-core path allowed, accelerators are exempt and the
-	// 64 GB host absorbs its share.
-	if err := CheckMemory(mk(25600), pl, true); err != nil {
-		t.Fatalf("N=25600 with OOC should pass: %v", err)
 	}
 }
 
 // memTestPlatform builds a 3-device platform whose per-rank memory is set
 // from a function of the rank's own estimate — for boundary tests.
-func memTestPlatform(l *partition.Layout, mem func(rank int, need int64) int64, accel []bool) *device.Platform {
+func memTestPlatform(l *partition.Layout, mem func(rank int, need int64) int64) *device.Platform {
 	devs := make([]*device.Device, l.P)
 	for r := 0; r < l.P; r++ {
 		devs[r] = &device.Device{
 			Name:       "m" + string(rune('0'+r)),
 			PeakGFLOPS: 1,
 			MemBytes:   mem(r, MemoryEstimate(l, r)),
-		}
-		if accel != nil && accel[r] {
-			devs[r].PCIe = hockney.Link{Alpha: 1e-6, Beta: 1e-9}
 		}
 	}
 	return &device.Platform{Name: "mem-test", Devices: devs}
@@ -90,8 +77,8 @@ func TestCheckMemoryExactBoundary(t *testing.T) {
 	}
 	// Exactly at the limit: need == MemBytes must be admitted (the check
 	// is an overflow check, not a headroom heuristic).
-	at := memTestPlatform(l, func(_ int, need int64) int64 { return need }, nil)
-	if err := CheckMemory(l, at, false); err != nil {
+	at := memTestPlatform(l, func(_ int, need int64) int64 { return need })
+	if err := CheckMemory(l, at); err != nil {
 		t.Fatalf("exactly-at-limit must pass: %v", err)
 	}
 	// One byte short on one rank must fail, naming that rank.
@@ -100,8 +87,8 @@ func TestCheckMemoryExactBoundary(t *testing.T) {
 			return need - 1
 		}
 		return need
-	}, nil)
-	err = CheckMemory(l, short, false)
+	})
+	err = CheckMemory(l, short)
 	if err == nil {
 		t.Fatal("one byte short must fail")
 	}
@@ -110,119 +97,10 @@ func TestCheckMemoryExactBoundary(t *testing.T) {
 	}
 }
 
-func TestCheckMemoryOOCExemptsOnlyAccelerators(t *testing.T) {
-	l, err := partition.FromArrays(16, 3, 1, 3, []int{0, 1, 2}, []int{16}, []int{8, 5, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tooSmall := func(r int, need int64) int64 { return need }
-	// Rank 2 is an undersized accelerator: rejected without OOC, exempt
-	// with it.
-	accel := memTestPlatform(l, func(r int, need int64) int64 {
-		if r == 2 {
-			return 1
-		}
-		return tooSmall(r, need)
-	}, []bool{false, false, true})
-	if err := CheckMemory(l, accel, false); err == nil {
-		t.Fatal("undersized accelerator without OOC must fail")
-	}
-	if err := CheckMemory(l, accel, true); err != nil {
-		t.Fatalf("undersized accelerator with OOC must be exempt: %v", err)
-	}
-	// An undersized host (no PCIe link) is never exempt: OOC streams
-	// tiles through accelerators, it does not shrink host working sets.
-	host := memTestPlatform(l, func(r int, need int64) int64 {
-		if r == 0 {
-			return 1
-		}
-		return tooSmall(r, need)
-	}, []bool{false, false, true})
-	if err := CheckMemory(l, host, true); err == nil {
-		t.Fatal("undersized host must fail even with OOC allowed")
-	}
-}
-
 func TestCheckMemoryPlatformMismatch(t *testing.T) {
 	l, _ := partition.FromArrays(16, 3, 1, 3, []int{0, 1, 2}, []int{16}, []int{8, 5, 3})
 	pl := &device.Platform{Devices: device.HCLServer1().Devices[:2]}
-	if err := CheckMemory(l, pl, false); err == nil {
+	if err := CheckMemory(l, pl); err == nil {
 		t.Fatal("platform/layout mismatch must fail")
-	}
-}
-
-func TestUseOOCPathMatchesReference(t *testing.T) {
-	// Force the out-of-core path with a tiny device memory: the result
-	// must still be exact and PCIe transfer events must appear.
-	n := 40
-	pl := device.HCLServer1()
-	// Shrink the accelerators so even this small problem goes out-of-core.
-	for _, d := range pl.Devices[1:] {
-		d.MemBytes = 3 * 8 * 16 * 16 // room for ~16×16 tiles
-	}
-	areas, err := balance.Proportional(n*n, []float64{1, 2, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := partition.Build(partition.SquareCorner, n, areas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	a := matrix.Random(n, n, rng)
-	b := matrix.Random(n, n, rng)
-	c := matrix.New(n, n)
-	rep, err := Multiply(a, b, c, Config{Layout: l, Platform: pl, UseOOC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refMultiply(a, b)
-	if !matrix.EqualApprox(c, want, 1e-10) {
-		t.Fatal("OOC path result mismatch")
-	}
-	// Accelerator ranks (1, 2) must have transfer time; the CPU rank must
-	// not.
-	byRank := map[int]trace.Breakdown{}
-	for _, bd := range rep.PerRank {
-		byRank[bd.Rank] = bd
-	}
-	if byRank[0].TransferTime != 0 {
-		t.Fatal("CPU rank must not have PCIe transfers")
-	}
-	for r := 1; r <= 2; r++ {
-		if byRank[r].TransferTime <= 0 {
-			t.Fatalf("accelerator rank %d has no transfer time", r)
-		}
-	}
-}
-
-func TestUseOOCWithoutPlatformIsPlainPath(t *testing.T) {
-	n := 24
-	areas, err := balance.Proportional(n*n, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := partition.Build(partition.OneDRectangle, n, areas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	a := matrix.Random(n, n, rng)
-	b := matrix.Random(n, n, rng)
-	c := matrix.New(n, n)
-	if _, err := Multiply(a, b, c, Config{Layout: l, UseOOC: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.EqualApprox(c, refMultiply(a, b), 1e-10) {
-		t.Fatal("UseOOC without platform must fall back to the plain path")
-	}
-}
-
-func TestUseOOCLinkSanity(t *testing.T) {
-	// The PCIe links configured on HCLServer1 accelerators are the ones
-	// used for the OOC transfers.
-	pl := device.HCLServer1()
-	if pl.Devices[1].PCIe == (hockney.Link{}) || pl.Devices[2].PCIe == (hockney.Link{}) {
-		t.Fatal("accelerators must have PCIe links")
 	}
 }

@@ -26,7 +26,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		DynamicEnergyJ:  12.5,
 		OptimalityRatio: 1.07,
 		PerRank: []trace.Breakdown{
-			{Rank: 0, ComputeTime: 0.1, CommTime: 0.02, TransferTime: 0.001, IdleTime: 0.004, BytesMoved: 4096, Flops: 1e9, Finish: 0.125},
+			{Rank: 0, ComputeTime: 0.1, CommTime: 0.02, IdleTime: 0.004, BytesMoved: 4096, Flops: 1e9, Finish: 0.125},
 			{Rank: 1, ComputeTime: 0.09, CommTime: 0.025, BytesMoved: 2048, Flops: 5e8, Finish: 0.115},
 		},
 		Timeline: trace.New(),

@@ -33,9 +33,6 @@ type Proc interface {
 	// floating-point operations (advancing the virtual clock where one
 	// exists).
 	Compute(d, flops float64, label string)
-	// Transfer records d seconds of host↔accelerator data movement of
-	// the given byte volume.
-	Transfer(d float64, bytes int, label string)
 }
 
 // Comm is a communicator over a subset of ranks.
@@ -85,9 +82,6 @@ func (m mpiProc) Split(ranks []int) Comm {
 }
 func (m mpiProc) Compute(d, flops float64, label string) {
 	m.p.Compute(d, flops, label)
-}
-func (m mpiProc) Transfer(d float64, bytes int, label string) {
-	m.p.Transfer(d, bytes, label)
 }
 
 type mpiComm struct{ c *mpi.Comm }

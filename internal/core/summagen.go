@@ -54,7 +54,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/ooc"
 	"repro/internal/partition"
 	"repro/internal/slab"
 	"repro/internal/trace"
@@ -82,12 +81,6 @@ type Config struct {
 	Platform *device.Platform
 	// Kernel selects the local DGEMM kernel in RealMode.
 	Kernel blas.Kernel
-	// UseOOC, in RealMode with a Platform, makes accelerator ranks
-	// (devices with a PCIe link) execute their local computations through
-	// the out-of-core package against the device's memory budget, with
-	// the modelled PCIe transfer time recorded as Transfer events — the
-	// ZZGemmOOC/XeonPhiOOC path of the paper.
-	UseOOC bool
 	// Link overrides the inter-rank link; zero value uses the platform's
 	// interconnect or hockney.IntraNode.
 	Link hockney.Link
@@ -128,8 +121,7 @@ type Report struct {
 	// ExecutionTime is the parallel execution time in seconds (max rank
 	// finish) — Figures 6a/7a.
 	ExecutionTime float64 `json:"execution_time_s"`
-	// ComputeTime is the maximum over ranks of computation time,
-	// including host↔accelerator transfers, as the paper accounts them —
+	// ComputeTime is the maximum over ranks of computation time —
 	// Figures 6b/7b.
 	ComputeTime float64 `json:"compute_time_s"`
 	// CommTime is the maximum over ranks of MPI communication time —
@@ -169,18 +161,6 @@ func (c *Config) link() hockney.Link {
 		return c.Platform.Interconnect
 	}
 	return hockney.IntraNode
-}
-
-// acceleratorFor returns the device for rank when the out-of-core
-// accelerator path applies, nil otherwise.
-func (c *Config) acceleratorFor(rank int) *device.Device {
-	if !c.UseOOC || c.Platform == nil || rank >= c.Platform.P() {
-		return nil
-	}
-	if d := c.Platform.Devices[rank]; d.Accelerator() {
-		return d
-	}
-	return nil
 }
 
 func (c *Config) validate() error {
@@ -517,26 +497,11 @@ func localCompute(p Proc, cfg *Config, ws *workingSet, wa, wb, c *matrix.Dense, 
 			aRows, bCols := wa.Data[ws.rowOff[i0]*wa.Stride:], wb.Data[ws.colOff[j0]:]
 			csp := stage.Child(label).OnRank(rank).Float("flops", flops)
 			start := time.Now()
-			var st ooc.Stats
-			var err error
-			dev := cfg.acceleratorFor(rank)
-			if dev != nil {
-				// Out-of-core accelerator path: the in-core calls run
-				// through the device memory budget and the modelled PCIe
-				// traffic is charged as transfer time.
-				st, err = ooc.Dgemm(ooc.Config{MemBytes: dev.MemBytes, Link: dev.PCIe, Kernel: cfg.Kernel},
-					h, w, n, 1, aRows, wa.Stride, bCols, wb.Stride, 0, block, c.Stride)
-			} else {
-				err = blas.DgemmKernel(cfg.Kernel, h, w, n, 1, aRows, wa.Stride, bCols, wb.Stride, 0, block, c.Stride)
-			}
-			if err != nil {
+			if err := blas.DgemmKernel(cfg.Kernel, h, w, n, 1, aRows, wa.Stride, bCols, wb.Stride, 0, block, c.Stride); err != nil {
 				csp.Str("error", err.Error()).End()
 				return err
 			}
 			p.Compute(time.Since(start).Seconds(), flops, label)
-			if dev != nil {
-				p.Transfer(st.TransferTime, int(st.HostToDevBytes+st.DevToHostBytes), label+"/pcie")
-			}
 			csp.End()
 			// The checkpoint unit stays the cell, whatever rectangle computed it.
 			for i := i0; i < i1 && cfg.Checkpoint != nil; i++ {
@@ -560,7 +525,7 @@ func buildReport(cfg *Config, tl *trace.Timeline) (*Report, error) {
 		Timeline: tl,
 	}
 	rep.ExecutionTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.Finish })
-	rep.ComputeTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.ComputeTime + b.TransferTime })
+	rep.ComputeTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.ComputeTime })
 	rep.CommTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.CommTime })
 	if rep.ExecutionTime > 0 {
 		n := float64(cfg.Layout.N)

@@ -10,8 +10,8 @@
 //
 // The meter here is a simulation: it integrates a power timeline derived
 // from the execution trace — static power plus each device's dynamic power
-// while that device is computing or transferring — then samples it exactly
-// like the physical meter (1 sample/second, ±3 % accuracy, 0.5 W floor).
+// while that device is computing — then samples it exactly like the
+// physical meter (1 sample/second, ±3 % accuracy, 0.5 W floor).
 package energy
 
 import (
@@ -24,12 +24,12 @@ import (
 	"repro/internal/trace"
 )
 
-// ExactDynamicEnergy integrates device dynamic power over the compute and
-// transfer intervals of the trace: the ground truth the meter approximates.
+// ExactDynamicEnergy integrates device dynamic power over the compute
+// intervals of the trace: the ground truth the meter approximates.
 // Rank r's events are attributed to platform device r.
 func ExactDynamicEnergy(pl *device.Platform, tl *trace.Timeline) (joules float64, err error) {
 	for _, e := range tl.Events() {
-		if e.Kind != trace.Compute && e.Kind != trace.Transfer {
+		if e.Kind != trace.Compute {
 			continue
 		}
 		if e.Rank < 0 || e.Rank >= pl.P() {
@@ -91,7 +91,7 @@ func (m *Meter) Measure(pl *device.Platform, tl *trace.Timeline) (Measurement, e
 		if e.End > tEnd {
 			tEnd = e.End
 		}
-		if e.Kind != trace.Compute && e.Kind != trace.Transfer {
+		if e.Kind != trace.Compute {
 			continue
 		}
 		if e.Rank < 0 || e.Rank >= pl.P() {

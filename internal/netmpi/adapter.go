@@ -21,9 +21,6 @@ func (p netProc) Size() int { return p.ep.Size() }
 func (p netProc) Compute(d, flops float64, label string) {
 	p.ep.Compute(d, flops, label)
 }
-func (p netProc) Transfer(d float64, bytes int, label string) {
-	p.ep.Transfer(d, bytes, label)
-}
 func (p netProc) Split(ranks []int) core.Comm {
 	return netComm{p.ep.Split(ranks)}
 }

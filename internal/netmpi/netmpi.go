@@ -671,15 +671,6 @@ func (e *Endpoint) Compute(d, flops float64, label string) {
 	e.mu.Unlock()
 }
 
-// Transfer records host↔accelerator transfer time; it is accounted inside
-// compute time, as the paper does for accelerator kernels.
-func (e *Endpoint) Transfer(d float64, bytes int, label string) {
-	e.mu.Lock()
-	e.computeSecs += d
-	e.bytesMoved += int64(bytes)
-	e.mu.Unlock()
-}
-
 // Breakdown returns the accumulated compute/communication seconds and
 // bytes received by this rank.
 func (e *Endpoint) Breakdown() (computeSecs, commSecs float64, bytesMoved int64) {

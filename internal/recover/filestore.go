@@ -97,10 +97,15 @@ func decodeCell(buf []byte) (Cell, error) {
 		H:   int(binary.LittleEndian.Uint32(buf[12:])),
 		W:   int(binary.LittleEndian.Uint32(buf[16:])),
 	}
-	if cell.H <= 0 || cell.W <= 0 || len(buf) != 20+8*cell.H*cell.W {
+	// The element count comes from the buffer, never from a product of the
+	// header's fields: 8·h·w of two 32-bit values can wrap past any length
+	// check.
+	payload := len(buf) - 20
+	count := payload / 8
+	if cell.H <= 0 || cell.W <= 0 || payload%8 != 0 || count%cell.W != 0 || count/cell.W != cell.H {
 		return Cell{}, fmt.Errorf("recover: cell %s payload truncated (%d bytes)", cell.Key(), len(buf))
 	}
-	cell.Data = make([]float64, cell.H*cell.W)
+	cell.Data = make([]float64, count)
 	for i := range cell.Data {
 		cell.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[20+8*i:]))
 	}

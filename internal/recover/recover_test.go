@@ -2,8 +2,10 @@ package recover
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -215,6 +217,53 @@ func TestFileStoreSkipsLegacyV1(t *testing.T) {
 	if len(cells) != 0 {
 		t.Fatalf("legacy SGC1 cell loaded: %d cells", len(cells))
 	}
+}
+
+// TestFileStoreSkipsWrappingDims: a 24-byte cell file whose header claims
+// h = w = 2³¹ carries a valid footer, and 8·h·w wraps to 0 on 64-bit ints,
+// so a length check built on that product passes an empty payload. Load
+// must skip the file, not panic allocating h·w elements.
+func TestFileStoreSkipsWrappingDims(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(fs.jobDir("j"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 24)
+	copy(buf, fileMagic)
+	binary.LittleEndian.PutUint32(buf[12:], 1<<31)
+	binary.LittleEndian.PutUint32(buf[16:], 1<<31)
+	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(buf[:20], castagnoli))
+	if err := os.WriteFile(filepath.Join(fs.jobDir("j"), "0_0_1_1.ckpt"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := fs.Load("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 0 {
+		t.Fatalf("cell with wrapping dimensions loaded: %d cells", len(cells))
+	}
+}
+
+// FuzzDecodeCell: no byte string panics the SGC2 reader, and every string
+// it accepts is exactly the encoding of the cell it returns.
+func FuzzDecodeCell(f *testing.F) {
+	f.Add(encodeCell(cellAt(0, 0, 1, 1, 0)))
+	f.Add(encodeCell(cellAt(2, 3, 1, 2, 1.5)))
+	f.Add(encodeCell(cellAt(8, 0, 3, 4, -7)))
+	f.Add([]byte("SGC2"))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		cell, err := decodeCell(buf)
+		if err != nil {
+			return
+		}
+		if got := encodeCell(cell); !bytes.Equal(got, buf) {
+			t.Fatalf("decoded %s re-encodes to\n%x\nnot\n%x", cell.Key(), got, buf)
+		}
+	})
 }
 
 func TestBindingRestoreByCoverage(t *testing.T) {

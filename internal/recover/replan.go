@@ -15,8 +15,7 @@ import (
 // a trivial single-cell layout when only one rank remains.
 //
 // Replan deliberately skips the memory admission check: a recovery trades
-// memory headroom for availability, and the out-of-core path absorbs
-// oversized shares on accelerator ranks.
+// memory headroom for availability.
 func Replan(n int, speeds []float64, tol int) (*partition.Layout, string, error) {
 	if len(speeds) == 0 {
 		return nil, "", fmt.Errorf("recover: no survivors to replan over")

@@ -46,9 +46,6 @@ type Planner struct {
 	// Platform supplies the device models for speeds, FPM partitioning
 	// and the memory check (required).
 	Platform *device.Platform
-	// AllowOOC exempts accelerator ranks from the memory check (the
-	// out-of-core execution path).
-	AllowOOC bool
 	// Tol is the OptimalShape area tolerance (<= 0 defaults to 2N).
 	Tol int
 
@@ -171,7 +168,7 @@ func (p *Planner) plan(spec JobSpec) (*Plan, error) {
 		}
 	}
 
-	if err := core.CheckMemory(layout, pl, p.AllowOOC); err != nil {
+	if err := core.CheckMemory(layout, pl); err != nil {
 		return nil, &MemoryError{Err: err}
 	}
 	plan := &Plan{

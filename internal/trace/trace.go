@@ -21,9 +21,6 @@ const (
 	// Comm covers MPI-level communications (the paper's "communication
 	// time": broadcasts between abstract processors).
 	Comm
-	// Transfer covers host↔accelerator data movement, which the paper
-	// accounts inside the kernel (computation) time, not comm time.
-	Transfer
 	// Idle covers time spent blocked waiting for peers.
 	Idle
 )
@@ -35,8 +32,6 @@ func (k Kind) String() string {
 		return "compute"
 	case Comm:
 		return "comm"
-	case Transfer:
-		return "transfer"
 	case Idle:
 		return "idle"
 	default:
@@ -51,7 +46,7 @@ type Event struct {
 	Kind  Kind
 	Start float64
 	End   float64
-	// Bytes is the payload size for Comm/Transfer events.
+	// Bytes is the payload size for Comm events.
 	Bytes int
 	// Flops is the work for Compute events.
 	Flops float64
@@ -104,20 +99,19 @@ func (t *Timeline) Len() int {
 // The JSON tags define the wire form shared by the CLI tools and the
 // serving API (see core.Report).
 type Breakdown struct {
-	Rank         int     `json:"rank"`
-	ComputeTime  float64 `json:"compute_time_s"`
-	CommTime     float64 `json:"comm_time_s"`
-	TransferTime float64 `json:"transfer_time_s"`
-	IdleTime     float64 `json:"idle_time_s"`
-	BytesMoved   int     `json:"bytes_moved"`
-	Flops        float64 `json:"flops"`
+	Rank        int     `json:"rank"`
+	ComputeTime float64 `json:"compute_time_s"`
+	CommTime    float64 `json:"comm_time_s"`
+	IdleTime    float64 `json:"idle_time_s"`
+	BytesMoved  int     `json:"bytes_moved"`
+	Flops       float64 `json:"flops"`
 	// Finish is the latest event end seen on this rank.
 	Finish float64 `json:"finish_s"`
 }
 
 // Total returns the sum of all classified time on the rank.
 func (b Breakdown) Total() float64 {
-	return b.ComputeTime + b.CommTime + b.TransferTime + b.IdleTime
+	return b.ComputeTime + b.CommTime + b.IdleTime
 }
 
 // Summarize aggregates the timeline into one Breakdown per rank,
@@ -137,9 +131,6 @@ func (t *Timeline) Summarize() []Breakdown {
 			b.Flops += e.Flops
 		case Comm:
 			b.CommTime += d
-			b.BytesMoved += e.Bytes
-		case Transfer:
-			b.TransferTime += d
 			b.BytesMoved += e.Bytes
 		case Idle:
 			b.IdleTime += d
@@ -178,11 +169,11 @@ func MaxOver(bs []Breakdown, f func(Breakdown) float64) float64 {
 // Render produces a human-readable table of the per-rank breakdowns.
 func Render(bs []Breakdown) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-5s %12s %12s %12s %12s %14s\n",
-		"rank", "compute(s)", "comm(s)", "transfer(s)", "idle(s)", "bytes")
+	fmt.Fprintf(&sb, "%-5s %12s %12s %12s %14s\n",
+		"rank", "compute(s)", "comm(s)", "idle(s)", "bytes")
 	for _, b := range bs {
-		fmt.Fprintf(&sb, "%-5d %12.6f %12.6f %12.6f %12.6f %14d\n",
-			b.Rank, b.ComputeTime, b.CommTime, b.TransferTime, b.IdleTime, b.BytesMoved)
+		fmt.Fprintf(&sb, "%-5d %12.6f %12.6f %12.6f %14d\n",
+			b.Rank, b.ComputeTime, b.CommTime, b.IdleTime, b.BytesMoved)
 	}
 	return sb.String()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestKindString(t *testing.T) {
-	cases := map[Kind]string{Compute: "compute", Comm: "comm", Transfer: "transfer", Idle: "idle", Kind(9): "kind(9)"}
+	cases := map[Kind]string{Compute: "compute", Comm: "comm", Idle: "idle", Kind(9): "kind(9)"}
 	for k, want := range cases {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), want)
@@ -42,18 +42,17 @@ func TestSummarize(t *testing.T) {
 	tl := New()
 	tl.Add(Event{Rank: 0, Kind: Compute, Start: 0, End: 2, Flops: 100})
 	tl.Add(Event{Rank: 0, Kind: Comm, Start: 2, End: 3, Bytes: 8})
-	tl.Add(Event{Rank: 0, Kind: Transfer, Start: 3, End: 3.5, Bytes: 16})
-	tl.Add(Event{Rank: 0, Kind: Idle, Start: 3.5, End: 4})
+	tl.Add(Event{Rank: 0, Kind: Idle, Start: 3, End: 4})
 	tl.Add(Event{Rank: 2, Kind: Compute, Start: 0, End: 5, Flops: 500})
 	bs := tl.Summarize()
 	if len(bs) != 2 {
 		t.Fatalf("got %d breakdowns", len(bs))
 	}
 	b0 := bs[0]
-	if b0.Rank != 0 || b0.ComputeTime != 2 || b0.CommTime != 1 || b0.TransferTime != 0.5 || b0.IdleTime != 0.5 {
+	if b0.Rank != 0 || b0.ComputeTime != 2 || b0.CommTime != 1 || b0.IdleTime != 1 {
 		t.Fatalf("rank0 breakdown: %+v", b0)
 	}
-	if b0.BytesMoved != 24 || b0.Flops != 100 || b0.Finish != 4 {
+	if b0.BytesMoved != 8 || b0.Flops != 100 || b0.Finish != 4 {
 		t.Fatalf("rank0 aggregates: %+v", b0)
 	}
 	if b0.Total() != 4 {

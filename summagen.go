@@ -202,10 +202,9 @@ func OptimalityRatio(l *Layout) (float64, error) {
 // threshold.
 func MemoryEstimate(l *Layout, rank int) int64 { return core.MemoryEstimate(l, rank) }
 
-// CheckMemory verifies every rank's memory estimate fits its device;
-// accelerators are exempt when allowOOC is set.
-func CheckMemory(l *Layout, pl *Platform, allowOOC bool) error {
-	return core.CheckMemory(l, pl, allowOOC)
+// CheckMemory verifies every rank's memory estimate fits its device.
+func CheckMemory(l *Layout, pl *Platform) error {
+	return core.CheckMemory(l, pl)
 }
 
 // Simulate runs the full SummaGen communication and compute schedule on

@@ -146,7 +146,7 @@ func TestMemoryFacade(t *testing.T) {
 	if MemoryEstimate(l, 0) <= 0 {
 		t.Fatal("estimate missing")
 	}
-	if err := CheckMemory(l, HCLServer1(), false); err != nil {
+	if err := CheckMemory(l, HCLServer1()); err != nil {
 		t.Fatalf("N=8192 must fit: %v", err)
 	}
 }
