@@ -41,12 +41,12 @@ func sameBits(t testing.TB, what string, got, want *matrix.Dense) {
 }
 
 // contractLayouts returns the layouts the exact-result contract is checked
-// on at size n: the four paper shapes, three block-cyclic grids (2D, and a
-// column-cyclic one whose block columns each belong to one rank) and 40
-// random layouts at P = 1..6.
+// on at size n: the four paper shapes and the L rectangle, three
+// block-cyclic grids (2D, and a column-cyclic one whose block columns each
+// belong to one rank) and 40 random layouts at P = 1..6.
 func contractLayouts(t *testing.T, n int, rng *rand.Rand) []*partition.Layout {
 	var ls []*partition.Layout
-	for _, sh := range partition.Shapes {
+	for _, sh := range partition.ExtendedShapes {
 		ls = append(ls, buildLayout(t, sh, n, benchSpeeds))
 	}
 	for _, g := range [][4]int{{2, 2, 2, 2}, {2, 3, 6, 9}, {1, 3, 4, 7}} {
