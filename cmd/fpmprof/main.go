@@ -99,10 +99,8 @@ func measurer(source, devName string, noise float64, seed int64) (func(n int) (f
 	switch source {
 	case "real":
 		return func(n int) (float64, error) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			a := matrix.Random(n, n, rng)
-			b := matrix.Random(n, n, rng)
-			c := matrix.New(n, n)
+			a, b, c := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
+			matrix.FillSeeded(int64(n), a, b)
 			start := time.Now()
 			if err := blas.Dgemm(n, n, n, 1, a.Data, n, b.Data, n, 0, c.Data, n); err != nil {
 				return 0, err

@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/balance"
 	"repro/internal/partition"
@@ -34,13 +32,9 @@ func main() {
 }
 
 func run(n int, speedsArg string, cells int, extended bool) error {
-	var speeds []float64
-	for _, p := range strings.Split(speedsArg, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return fmt.Errorf("bad speed %q: %w", p, err)
-		}
-		speeds = append(speeds, v)
+	speeds, err := balance.ParseSpeeds(speedsArg)
+	if err != nil {
+		return err
 	}
 	areas, err := balance.Proportional(n*n, speeds)
 	if err != nil {

@@ -1,0 +1,112 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/device"
+	"repro/internal/sched"
+)
+
+// TestDigestMatchesScheduler: an in-process run prints, for every paper
+// shape, the digest the scheduler reports for a job of the same (N, seed).
+func TestDigestMatchesScheduler(t *testing.T) {
+	s, err := sched.New(sched.Config{Planner: &sched.Planner{Platform: device.HCLServer1()}, Runner: &sched.InprocRunner{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Drain(context.Background()) }()
+	for _, shape := range []string{"square-corner", "square-rectangle", "block-rectangle", "1d-rectangle"} {
+		v, err := s.Submit(sched.JobSpec{N: 96, Shape: shape, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(60 * time.Second); !v.State.Terminal(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: job never finished", shape)
+			}
+			v, _ = s.Get(v.ID)
+		}
+		if v.State != sched.StateDone || v.Digest == "" {
+			t.Fatalf("%s: job state %v, err %v", shape, v.State, v.Err)
+		}
+
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-n", "96", "-seed", "7", "-shape", shape, "-json"}, &stdout, &stderr, nil); code != 0 {
+			t.Fatalf("%s: exit %d: %s", shape, code, stderr.String())
+		}
+		var rep struct {
+			Shape  string `json:"shape"`
+			Digest string `json:"digest"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+			t.Fatalf("%s: stdout is not one JSON report (%v): %s", shape, err, stdout.String())
+		}
+		if rep.Shape != shape || rep.Digest != v.Digest {
+			t.Errorf("%s: report shape %q digest %q, scheduler digest %q", shape, rep.Shape, rep.Digest, v.Digest)
+		}
+		if !strings.Contains(stderr.String(), "verification: OK") {
+			t.Errorf("%s: no verification line on stderr: %s", shape, stderr.String())
+		}
+	}
+}
+
+// TestRankMode: three rank-mode runs over loopback TCP in one process each
+// verify the cells their rank owns.
+func TestRankMode(t *testing.T) {
+	const p = 3
+	lns := make([]net.Listener, p)
+	addrs := make([]string, p)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	var wg sync.WaitGroup
+	codes := make([]int, p)
+	outs := make([]bytes.Buffer, p)
+	errs := make([]bytes.Buffer, p)
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			args := []string{"-rank", strconv.Itoa(r), "-hosts", strings.Join(addrs, ","), "-n", "80", "-seed", "7",
+				"-op-timeout", "20s", "-dial-timeout", "20s"}
+			codes[r] = run(args, &outs[r], &errs[r], lns[r])
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < p; r++ {
+		if codes[r] != 0 || !strings.Contains(outs[r].String(), "verification: OK") {
+			t.Errorf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
+		}
+	}
+}
+
+// TestUsageErrors: flag combinations that name no run exit with status 2
+// before anything runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hosts", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-rank", "0", "-mode", "sim"},
+		{"-hosts", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-rank", "3"},
+		{"-hosts", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-rank", "0", "-repeat"},
+		{"-rank", "1"},
+		{"-mode", "fast"},
+		{"-no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr, nil); code != 2 || stderr.Len() == 0 {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and a message", args, code, stderr.String())
+		}
+	}
+}

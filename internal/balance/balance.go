@@ -18,9 +18,27 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/fpm"
 )
+
+// ParseSpeeds parses a comma-separated list of relative speeds, such as
+// "1.0,2.0,0.9". Each field, trimmed of spaces, must be a whole float64
+// literal; the error for the first one that is not names it.
+func ParseSpeeds(s string) ([]float64, error) {
+	fields := strings.Split(s, ",")
+	speeds := make([]float64, len(fields))
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return nil, fmt.Errorf("balance: speed %d of %q is %q, not a number", i+1, s, f)
+		}
+		speeds[i] = v
+	}
+	return speeds, nil
+}
 
 // Proportional splits `total` workload units among processors
 // proportionally to their (positive) speeds, using largest-remainder

@@ -11,6 +11,34 @@ import (
 	"repro/internal/fpm"
 )
 
+// TestParseSpeeds: every field must be a whole number; trailing garbage,
+// an empty list and an empty field are errors naming the bad field.
+func TestParseSpeeds(t *testing.T) {
+	for _, c := range []struct {
+		in      string
+		want    []float64
+		errPart string
+	}{
+		{in: "1.0,2.0,0.9", want: []float64{1, 2, 0.9}},
+		{in: " 1 , 2e0,\t0.5 ", want: []float64{1, 2, 0.5}},
+		{in: "1.0x", errPart: `speed 1 of "1.0x" is "1.0x"`},
+		{in: "1,2abc,3", errPart: `speed 2 of "1,2abc,3" is "2abc"`},
+		{in: "", errPart: `speed 1 of "" is ""`},
+		{in: "1,,2", errPart: `speed 2 of "1,,2" is ""`},
+	} {
+		got, err := ParseSpeeds(c.in)
+		if c.errPart != "" {
+			if err == nil || !strings.Contains(err.Error(), c.errPart) {
+				t.Errorf("ParseSpeeds(%q) = %v, %v; want an error containing %s", c.in, got, err, c.errPart)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseSpeeds(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
 func TestProportionalPaperSpeeds(t *testing.T) {
 	// The paper's constant relative speeds {1.0, 2.0, 0.9}.
 	total := 16 * 16

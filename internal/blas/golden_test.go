@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/partition"
-	"repro/internal/sched"
 )
 
 // Digests of products made by the 4×8 AVX2 kernel that the 8×8 tile
@@ -32,7 +31,7 @@ func TestGoldenDgemmDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Cols = n
-		if got := sched.MatrixDigest(c); got != goldenDgemm {
+		if got := matrix.Digest(c); got != goldenDgemm {
 			t.Errorf("digest %s, want %s", got, goldenDgemm)
 		}
 	})
@@ -57,7 +56,7 @@ func TestGoldenMultiplyDigests(t *testing.T) {
 			if _, err := core.Multiply(a, b, c, core.Config{Layout: l}); err != nil {
 				t.Fatal(err)
 			}
-			if got := sched.MatrixDigest(c); got != goldenMultiply {
+			if got := matrix.Digest(c); got != goldenMultiply {
 				t.Errorf("%s: digest %s, want %s", sh, got, goldenMultiply)
 			}
 		}

@@ -337,7 +337,7 @@ const freshDigestsEnv = "SUMMAGEN_CORE_TEST_FRESH_DIGESTS"
 func digests(t testing.TB, jobs []multiplyJob) string {
 	var sb strings.Builder
 	for _, j := range jobs {
-		fmt.Fprintf(&sb, "%d:%s\n", j.l.N, sched.MatrixDigest(j.run(t)))
+		fmt.Fprintf(&sb, "%d:%s\n", j.l.N, matrix.Digest(j.run(t)))
 	}
 	return sb.String()
 }

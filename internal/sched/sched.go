@@ -119,7 +119,7 @@ type JobView struct {
 	// Report is set on StateDone (and on some failures, when the runtime
 	// produced partial timings); immutable.
 	Report *core.Report
-	// Digest is MatrixDigest of the result matrix C, as 16 hex
+	// Digest is matrix.Digest of the result matrix C, as 16 hex
 	// digits; jobs with equal N and seed produce equal digests
 	// whatever their shape, plan, runner or recovery path.
 	Digest string

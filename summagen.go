@@ -30,8 +30,6 @@
 package summagen
 
 import (
-	"math/rand"
-
 	"repro/internal/balance"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -46,10 +44,13 @@ type Matrix = matrix.Dense
 // NewMatrix allocates a zeroed rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix { return matrix.New(rows, cols) }
 
-// RandomMatrix returns an n×n matrix with uniform [-1,1) entries from the
-// given seed.
+// RandomMatrix returns an n×n matrix with entries in [-1,1) from the
+// seeded operand stream (matrix.FillSeeded): the A of the service's job for
+// (n, seed).
 func RandomMatrix(n int, seed int64) *Matrix {
-	return matrix.Random(n, n, rand.New(rand.NewSource(seed)))
+	m := matrix.New(n, n)
+	matrix.FillSeeded(seed, m)
+	return m
 }
 
 // Shape enumerates the paper's four partition shapes.
