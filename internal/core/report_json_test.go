@@ -12,8 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// The Report JSON form is the one serialization shared by cmd/summagen,
-// cmd/summagen-node and the serving API, so it must round-trip exactly
+// The Report JSON form is the one serialization shared by cmd/summagen
+// (in-process and rank mode) and the serving API, so it must round-trip exactly
 // (minus the Timeline, which has its own Chrome-trace serialization).
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := &Report{

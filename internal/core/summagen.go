@@ -109,8 +109,8 @@ type Config struct {
 // Report summarizes one execution; the fields map one-to-one to the
 // quantities plotted in the paper's figures. Reports marshal to JSON with
 // the tagged field names below — the one serialization shared by
-// cmd/summagen, cmd/summagen-node and the serving API (the Timeline is
-// excluded; fetch it separately as a Chrome trace).
+// cmd/summagen (in-process and rank mode) and the serving API (the
+// Timeline is excluded; fetch it separately as a Chrome trace).
 type Report struct {
 	// N is the matrix dimension.
 	N int `json:"n"`
