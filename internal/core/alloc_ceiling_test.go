@@ -88,3 +88,64 @@ func TestRecycledBuffersSurviveGC(t *testing.T) {
 		t.Fatalf("%d multiplies, each right after a GC, allocated %d B, ceiling %d B", ops, total, ops*ceiling)
 	}
 }
+
+// TestWarmMultiplyAllocs: a warm multiply reads its schedule off the layout's
+// compiled form and runs on a resident world, so it allocates little more than
+// its report, its Timeline and its rank goroutines — at most 40 allocations
+// on every shape. Rebuilding the world's communicators and re-walking the
+// layout grid on every call cost ~130.
+func TestWarmMultiplyAllocs(t *testing.T) {
+	const n, ceiling = 64, 40
+	rng := rand.New(rand.NewSource(8))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	for _, shape := range partition.Shapes {
+		cfg := core.Config{Layout: shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9})}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := core.Multiply(a, b, c, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %v allocations per multiply", shape, got)
+		if got > ceiling {
+			t.Errorf("%v: a warm core.Multiply at N=%d makes %v allocations, ceiling %d", shape, n, got, ceiling)
+		}
+	}
+}
+
+// TestWarmRunRankAllocs: on a warm loopback-TCP mesh each rank finds its
+// schedule and its communicators cached, so a multiply costs at most 5
+// allocations per rank. The ranks run on goroutines that outlive the
+// measurement, so that only RunRank is counted.
+func TestWarmRunRankAllocs(t *testing.T) {
+	const n, p, ceiling = 64, 3, 5
+	eps := dialMesh(t, p, nil)
+	rng := rand.New(rand.NewSource(9))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	var cfg core.Config
+	start, done := make(chan struct{}), make(chan error)
+	defer close(start)
+	for _, ep := range eps {
+		go func() {
+			for range start {
+				done <- core.RunRank(ep.Proc(), cfg, a, b, c)
+			}
+		}()
+	}
+	for _, shape := range partition.Shapes {
+		cfg = core.Config{Layout: shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9})}
+		got := testing.AllocsPerRun(20, func() {
+			for range eps {
+				start <- struct{}{}
+			}
+			for range eps {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / p
+		t.Logf("%v: %v allocations per rank", shape, got)
+		if got > ceiling {
+			t.Errorf("%v: a warm core.RunRank at N=%d makes %v allocations per rank, ceiling %d", shape, n, got, ceiling)
+		}
+	}
+}

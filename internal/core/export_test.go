@@ -67,10 +67,13 @@ func (r *ReuseLog) Disarm() map[*float64]int {
 // under l draw for their WA and WB.
 func WorkingMatrixLens(l *partition.Layout) map[int]bool {
 	lens := map[int]bool{}
-	for r := 0; r < l.P; r++ {
-		ws := buildWorkingSet(l, r)
-		lens[ws.waRows*l.N] = true
-		lens[l.N*ws.wbCols] = true
+	s, err := scheduleFor(l)
+	if err != nil {
+		panic(err)
+	}
+	for _, rs := range s.ranks {
+		lens[rs.waRows*l.N] = true
+		lens[l.N*rs.wbCols] = true
 	}
 	return lens
 }

@@ -153,9 +153,12 @@ func TestMemoryEstimateConsistentWithWorkingSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < 3; r++ {
-			ws := buildWorkingSet(layout, r)
-			actual := int64(8 * (ws.waRows*n + n*ws.wbCols))
+		s, err := scheduleFor(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rs := range s.ranks {
+			actual := int64(8 * (rs.waRows*n + n*rs.wbCols))
 			if MemoryEstimate(layout, r) < actual {
 				t.Fatalf("%v rank %d: estimate below actual working set", shape, r)
 			}

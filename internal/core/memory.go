@@ -11,15 +11,16 @@ import (
 // execute SummaGen under the layout: its working matrices WA and WB plus
 // its owned partitions of A, B and C. This is the quantity behind the
 // paper's observation that problem sizes past N = 22592 hit memory
-// failures on HCLServer1 without the out-of-core packages.
+// failures on HCLServer1 without the out-of-core packages. It is 0 for an
+// invalid layout.
 func MemoryEstimate(l *partition.Layout, rank int) int64 {
-	ws := buildWorkingSet(l, rank)
-	area := int64(l.Areas()[rank])
-	wa := int64(ws.waRows) * int64(l.N)
-	wb := int64(l.N) * int64(ws.wbCols)
-	// Owned partitions of A, B, C.
-	owned := 3 * area
-	return 8 * (wa + wb + owned)
+	s, err := scheduleFor(l)
+	if err != nil {
+		return 0
+	}
+	rs := &s.ranks[rank]
+	// WA, WB, and the owned partitions of A, B and C.
+	return 8 * (int64(rs.waRows+rs.wbCols)*int64(l.N) + 3*int64(s.areas[rank]))
 }
 
 // CheckMemory verifies every rank's estimate fits its device, returning a
@@ -27,6 +28,9 @@ func MemoryEstimate(l *partition.Layout, rank int) int64 {
 func CheckMemory(l *partition.Layout, pl *device.Platform) error {
 	if pl.P() != l.P {
 		return fmt.Errorf("core: platform has %d devices but layout has %d processors", pl.P(), l.P)
+	}
+	if _, err := scheduleFor(l); err != nil {
+		return err
 	}
 	for r := 0; r < l.P; r++ {
 		d := pl.Devices[r]

@@ -19,20 +19,12 @@ import (
 // replicated matrices also works and is the easy path for demos.
 func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	cfg.Mode = RealMode
-	if cfg.Layout == nil {
-		return fmt.Errorf("core: Config.Layout is required")
-	}
-	if err := cfg.Layout.Validate(); err != nil {
+	s, err := cfg.validate(a, b, c)
+	if err != nil {
 		return err
 	}
 	if p.Size() != cfg.Layout.P {
 		return fmt.Errorf("core: runtime has %d ranks but layout has %d processors", p.Size(), cfg.Layout.P)
 	}
-	n := cfg.Layout.N
-	for _, m := range []*matrix.Dense{a, b, c} {
-		if m == nil || m.Rows != n || m.Cols != n {
-			return fmt.Errorf("core: matrices must be %dx%d", n, n)
-		}
-	}
-	return rankMain(p, &cfg, a, b, c)
+	return rankMain(p, &cfg, s, a, b, c)
 }

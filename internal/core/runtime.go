@@ -27,7 +27,8 @@ type Proc interface {
 	Rank() int
 	Size() int
 	// Split collectively creates (or reuses) the communicator over the
-	// given world ranks; the caller must be a member.
+	// given ascending world ranks; the caller must be a member, and
+	// ranks[i] is communicator rank i.
 	Split(ranks []int) Comm
 	// Compute records d seconds of local computation of `flops`
 	// floating-point operations (advancing the virtual clock where one
@@ -51,42 +52,18 @@ type Comm interface {
 	// the runtime reports (netmpi with a *LengthMismatchError, mpi with a
 	// rank panic) instead of copying what fits.
 	BcastPanel(p Proc, src, dst matrix.Dense, root int) error
-	// RankOf maps a world rank to a communicator rank (-1 if absent).
-	RankOf(worldRank int) int
-}
-
-// Runtime runs one function per rank and waits for completion.
-type Runtime interface {
-	Run(fn func(Proc) error) error
-	Size() int
 }
 
 // --- Adapter over the in-process mpi runtime ---
 
-type mpiRuntime struct{ w *mpi.World }
-
-func (r mpiRuntime) Size() int { return r.w.Size() }
-
-func (r mpiRuntime) Run(fn func(Proc) error) error {
-	return r.w.Run(func(p *mpi.Proc) error {
-		return fn(mpiProc{p})
-	})
-}
-
 type mpiProc struct{ p *mpi.Proc }
 
-func (m mpiProc) Rank() int { return m.p.Rank() }
-func (m mpiProc) Size() int { return m.p.Size() }
-func (m mpiProc) Split(ranks []int) Comm {
-	return mpiComm{m.p.Split(ranks)}
-}
-func (m mpiProc) Compute(d, flops float64, label string) {
-	m.p.Compute(d, flops, label)
-}
+func (m mpiProc) Rank() int                              { return m.p.Rank() }
+func (m mpiProc) Size() int                              { return m.p.Size() }
+func (m mpiProc) Split(ranks []int) Comm                 { return mpiComm{m.p.Split(ranks)} }
+func (m mpiProc) Compute(d, flops float64, label string) { m.p.Compute(d, flops, label) }
 
 type mpiComm struct{ c *mpi.Comm }
-
-func (m mpiComm) RankOf(worldRank int) int { return m.c.RankOf(worldRank) }
 
 // BcastPanel converts the in-process runtime's abort panic (raised when
 // another rank fails mid-collective) into a returned error, matching the

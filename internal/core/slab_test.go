@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faultinject"
@@ -307,7 +308,10 @@ func bitsEqual(x, y *matrix.Dense) bool {
 
 // TestConcurrentMultipliesShareSlabs: eight goroutines run interleaved
 // multiplies of mixed N and layout, so slabs cross sizes, ranks and worlds;
-// every C is bit-for-bit its first serial result. Meant for -race.
+// every C is bit-for-bit its first serial result. Then eight multiplies run
+// at once on one layout, so they share its compiled schedule and draw
+// resident worlds of one key: each C digests as the single-rank DGEMM does.
+// Meant for -race.
 func TestConcurrentMultipliesShareSlabs(t *testing.T) {
 	core.PoisonRecycledSlabs(t)
 	jobs := mixedJobs(t)
@@ -328,6 +332,23 @@ func TestConcurrentMultipliesShareSlabs(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+
+	one := jobs[len(jobs)-1]
+	single := matrix.New(one.l.N, one.l.N)
+	if err := blas.Dgemm(one.l.N, one.l.N, one.l.N, 1, one.a.Data, one.a.Stride, one.b.Data, one.b.Stride, 0, single.Data, single.Stride); err != nil {
+		t.Fatal(err)
+	}
+	digest := matrix.Digest(single)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := matrix.Digest(one.run(t)); got != digest {
+				t.Errorf("concurrent multiply %d on one layout: digest %s, single-rank DGEMM %s", g, got, digest)
+			}
+		}()
 	}
 	wg.Wait()
 }
@@ -409,6 +430,7 @@ func TestAbortThenReuse(t *testing.T) {
 	if !ok || !ok2 {
 		t.Fatalf("fresh process printed no digests:\n%s", out)
 	}
+	freshLines := strings.Split(fresh, "\n")
 
 	// Every rank of a square-corner layout sends within its first two
 	// frames, so the seeded kill always lands mid-broadcast.
@@ -423,10 +445,15 @@ func TestAbortThenReuse(t *testing.T) {
 	clean := dialMesh(t, 3, nil)
 	for round := 0; round < 3; round++ {
 		reuse.Arm()
-		for _, j := range jobs {
+		for i, j := range jobs {
 			c := matrix.New(j.l.N, j.l.N)
 			if _, err := core.Multiply(j.a, j.b, c, core.Config{Layout: j.l, Kernel: 99}); err == nil || !strings.Contains(err.Error(), "compute stage") {
 				t.Fatalf("N=%d: an invalid kernel must fail the compute stage, got %v", j.l.N, err)
+			}
+			// The failed run's world is dropped; the next multiply on the
+			// same world key still gives the fresh process's digest.
+			if got := fmt.Sprintf("%d:%s", j.l.N, matrix.Digest(j.run(t))); got != freshLines[i] {
+				t.Fatalf("round %d: multiply after a failed one gives %s, a fresh process %s", round, got, freshLines[i])
 			}
 		}
 		least := 0 // round 0 draws fresh slabs; later rounds reuse the digest runs'

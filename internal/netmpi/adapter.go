@@ -16,18 +16,12 @@ func (e *Endpoint) Proc() core.Proc { return netProc{e} }
 
 type netProc struct{ ep *Endpoint }
 
-func (p netProc) Rank() int { return p.ep.Rank() }
-func (p netProc) Size() int { return p.ep.Size() }
-func (p netProc) Compute(d, flops float64, label string) {
-	p.ep.Compute(d, flops, label)
-}
-func (p netProc) Split(ranks []int) core.Comm {
-	return netComm{p.ep.Split(ranks)}
-}
+func (p netProc) Rank() int                              { return p.ep.Rank() }
+func (p netProc) Size() int                              { return p.ep.Size() }
+func (p netProc) Compute(d, flops float64, label string) { p.ep.Compute(d, flops, label) }
+func (p netProc) Split(ranks []int) core.Comm            { return netComm{p.ep.Split(ranks)} }
 
 type netComm struct{ c *Comm }
-
-func (nc netComm) RankOf(worldRank int) int { return nc.c.RankOf(worldRank) }
 
 func (nc netComm) BcastPanel(_ core.Proc, src, dst matrix.Dense, root int) error {
 	return nc.c.BcastPanel(src, dst, root)

@@ -13,6 +13,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -345,23 +346,6 @@ func (l *Layout) SubpArrays() (subplda, subpldb int, subp, subph, subpw []int) {
 
 // Equal reports whether two layouts describe the identical partitioning.
 func Equal(a, b *Layout) bool {
-	if a.N != b.N || a.P != b.P || a.GridRows != b.GridRows || a.GridCols != b.GridCols {
-		return false
-	}
-	for i := range a.Owner {
-		if a.Owner[i] != b.Owner[i] {
-			return false
-		}
-	}
-	for i := range a.RowHeights {
-		if a.RowHeights[i] != b.RowHeights[i] {
-			return false
-		}
-	}
-	for j := range a.ColWidths {
-		if a.ColWidths[j] != b.ColWidths[j] {
-			return false
-		}
-	}
-	return true
+	return a.N == b.N && a.P == b.P && a.GridRows == b.GridRows && a.GridCols == b.GridCols &&
+		slices.Equal(a.Owner, b.Owner) && slices.Equal(a.RowHeights, b.RowHeights) && slices.Equal(a.ColWidths, b.ColWidths)
 }

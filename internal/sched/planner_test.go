@@ -160,3 +160,27 @@ func TestPlannerSpeedsMustMatchPlatform(t *testing.T) {
 		t.Fatal("2 speeds for a 3-device platform must be rejected")
 	}
 }
+
+// TestPlanKeyTable pins plan keys byte for byte: they are the plan-cache and
+// router-affinity identity of a job, so a key must not change with how it is
+// built.
+func TestPlanKeyTable(t *testing.T) {
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{N: 64}, "n=64|shape=auto|fpm=false|speeds="},
+		{JobSpec{N: 64, Shape: " AUTO "}, "n=64|shape=auto|fpm=false|speeds="},
+		{JobSpec{N: 512, Shape: "Square-Corner"}, "n=512|shape=square-corner|fpm=false|speeds="},
+		{JobSpec{N: 128, Shape: "1d-rectangle"}, "n=128|shape=1d-rectangle|fpm=false|speeds="},
+		{JobSpec{N: 96, Shape: "column-based"}, "n=96|shape=column-based|fpm=false|speeds="},
+		{JobSpec{N: 4096, Shape: "block-rectangle", UseFPM: true}, "n=4096|shape=block-rectangle|fpm=true|speeds="},
+		{JobSpec{N: 256, Speeds: []float64{1, 0.9, 1e-05, 2.5e+10}}, "n=256|shape=auto|fpm=false|speeds=1,0.9,1e-05,2.5e+10,"},
+		{JobSpec{N: 32, Shape: "square-rectangle", UseFPM: true, Speeds: []float64{1, 2, 0.9}}, "n=32|shape=square-rectangle|fpm=true|speeds=1,2,0.9,"},
+		{JobSpec{N: 48, Speeds: []float64{0.30000000000000004, 1.0 / 3, 123456789, 1e21}}, "n=48|shape=auto|fpm=false|speeds=0.30000000000000004,0.3333333333333333,1.23456789e+08,1e+21,"},
+	} {
+		if got := PlanKey(tc.spec); got != tc.want {
+			t.Errorf("PlanKey(%+v) = %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}
