@@ -134,3 +134,39 @@ func TestCheckpointSplitsFusedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleCacheEvictsOne: a miss at the bound evicts one schedule, not
+// the whole cache, and a layout compiled past the bound multiplies exactly
+// like it did when it was compiled first.
+func TestScheduleCacheEvictsOne(t *testing.T) {
+	cached := func() int {
+		schedules.Lock()
+		defer schedules.Unlock()
+		return len(schedules.m)
+	}
+	const n0 = 16
+	rng := rand.New(rand.NewSource(9))
+	a, b := matrix.Random(n0, n0, rng), matrix.Random(n0, n0, rng)
+	l := buildLayout(t, partition.SquareCorner, n0, benchSpeeds)
+	first, again := matrix.New(n0, n0), matrix.New(n0, n0)
+	if _, err := Multiply(a, b, first, Config{Layout: l}); err != nil {
+		t.Fatal(err)
+	}
+	schedules.Lock()
+	clear(schedules.m)
+	schedules.Unlock()
+	for n := n0 + 1; cached() < maxSchedules; n++ {
+		if _, err := scheduleFor(buildLayout(t, partition.OneDRectangle, n, benchSpeeds)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Multiply(a, b, again, Config{Layout: l}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(); got != maxSchedules {
+		t.Fatalf("after a miss at the bound the cache holds %d schedules, want %d", got, maxSchedules)
+	}
+	if !matrix.Equal(first, again) {
+		t.Fatal("a layout compiled past the bound gave a different product")
+	}
+}
