@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/blas"
-	"repro/internal/cannon"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/netmpi"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/summa25d"
 )
 
 // BenchmarkTable1Platform regenerates Table I: the modelled HCLServer1
@@ -555,30 +553,6 @@ func BenchmarkExtensionClusterScaling(b *testing.B) {
 	b.ReportMetric(last.Speedup, "naiveSpeedup")
 }
 
-// BenchmarkSumma25DReplication compares 2.5D replication depths: same
-// per-layer grid, increasing c — the communication-avoidance tradeoff
-// from the paper's related-work section.
-func BenchmarkSumma25DReplication(b *testing.B) {
-	n := 256
-	rng := rand.New(rand.NewSource(7))
-	a := matrix.Random(n, n, rng)
-	bb := matrix.Random(n, n, rng)
-	for _, c := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			out := matrix.New(n, n)
-			var rep *summa25d.Report
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = summa25d.Multiply(a, bb, out, summa25d.Config{Q: 4, C: c, PanelSize: 32})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rep.BytesMoved)/float64(16*c)/1024, "KBperRank")
-		})
-	}
-}
-
 // BenchmarkExtensionShapeThreshold runs the exact optimal-shape search at
 // one heterogeneity point.
 func BenchmarkExtensionShapeThreshold(b *testing.B) {
@@ -592,36 +566,6 @@ func BenchmarkExtensionShapeThreshold(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows[0].Volumes[0]), "sqCornerVol")
 	b.ReportMetric(float64(rows[0].Volumes[2]), "blockRectVol")
-}
-
-// BenchmarkCannonBaseline compares Cannon's shift-based algorithm against
-// broadcast-based SUMMA on the same 2×2 grid; SUMMA is the SummaGen engine
-// on SUMMA's block distribution, and commKB is its layout's comm volume.
-func BenchmarkCannonBaseline(b *testing.B) {
-	n := 384
-	rng := rand.New(rand.NewSource(9))
-	a := matrix.Random(n, n, rng)
-	bb := matrix.Random(n, n, rng)
-	b.Run("cannon-2x2", func(b *testing.B) {
-		c := matrix.New(n, n)
-		var rep *cannon.Report
-		for i := 0; i < b.N; i++ {
-			var err error
-			rep, err = cannon.Multiply(a, bb, c, cannon.Config{Q: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(rep.BytesMoved)/1024, "commKB")
-	})
-	b.Run("summa-2x2", func(b *testing.B) {
-		layout := benchLayout(b, a, bb, func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 2, 2, 2) })
-		elems := 0
-		for _, v := range layout.CommVolumes() {
-			elems += v
-		}
-		b.ReportMetric(float64(elems)*8/1024, "commKB")
-	})
 }
 
 // BenchmarkExtensionEnergyAware traces the distribution-level time/energy
@@ -643,7 +587,8 @@ func BenchmarkExtensionEnergyAware(b *testing.B) {
 // (block size 32; the Elemental-style distribution of related work III-E)
 // against plain blocked SUMMA's on the same grid, both run by the SummaGen
 // engine. The engine does one broadcast and one DGEMM per grid cell, so
-// the block-cyclic leg pays for its 144 cells.
+// the block-cyclic leg pays for its 144 cells. commKB is the blocked (SUMMA)
+// layout's communication volume.
 func BenchmarkBlockCyclicBaseline(b *testing.B) {
 	n := 384
 	rng := rand.New(rand.NewSource(11))
@@ -653,7 +598,12 @@ func BenchmarkBlockCyclicBaseline(b *testing.B) {
 		benchLayout(b, a, bb, func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 2, n/32, n/32) })
 	})
 	b.Run("blocked-2x2", func(b *testing.B) {
-		benchLayout(b, a, bb, func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 2, 2, 2) })
+		layout := benchLayout(b, a, bb, func() (*partition.Layout, error) { return partition.BlockCyclic(n, 2, 2, 2, 2) })
+		elems := 0
+		for _, v := range layout.CommVolumes() {
+			elems += v
+		}
+		b.ReportMetric(float64(elems)*8/1024, "commKB")
 	})
 }
 

@@ -28,8 +28,8 @@ func Example() {
 	// Output: 3 processors, 3 x 3 grid
 }
 
-// Paper-scale problems run in simulation: the identical communication
-// schedule on virtual clocks over the modelled HCLServer1 devices.
+// Paper-scale problems run in simulation: a walk over the identical
+// compiled schedule on virtual clocks over the modelled HCLServer1 devices.
 func Example_simulate() {
 	n := 25600
 	pl := summagen.ConstantHCLServer1()

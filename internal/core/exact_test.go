@@ -84,4 +84,49 @@ func TestProductIsLayoutIndependent(t *testing.T) {
 			sameBits(t, fmt.Sprintf("n=%d layout %d (P=%d, owners %v)", n, k, l.P, l.Owner), c, want)
 		}
 	}
+	for _, l := range baselineLayouts(t) {
+		n := l.N
+		a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+		c := matrix.New(n, n)
+		for i := range c.Data {
+			c.Data[i] = math.NaN()
+		}
+		if _, err := Multiply(a, b, c, Config{Layout: l}); err != nil {
+			t.Fatalf("n=%d %dx%d grid: %v", n, l.GridRows, l.GridCols, err)
+		}
+		sameBits(t, fmt.Sprintf("n=%d %dx%d grid (P=%d, owners %v)", n, l.GridRows, l.GridCols, l.P, l.Owner), c, oneRankProduct(t, a, b))
+	}
+}
+
+// baselineLayouts returns the related-work baselines at small sizes: classic
+// SUMMA (one block per processor row and column) at every N from pr·pc to
+// pr·pc+23, and block-cyclic SUMMA with every block size 1–4 and block count
+// max(pr, pc) to max(pr, pc)+3, on every pr×pc grid up to 3×3; then SUMMA at
+// N = 30 on 2×3, N = 33 on 3×3 and N = 25 on 5×1, ten blocks of two on a 2×2
+// grid, and N = 8 in three ragged blocks (3, 3, 2) on a 2×2 grid.
+func baselineLayouts(t *testing.T) []*partition.Layout {
+	var ls []*partition.Layout
+	add := func(n, pr, pc, rowBlocks, colBlocks int) {
+		l, err := partition.BlockCyclic(n, pr, pc, rowBlocks, colBlocks)
+		if err != nil {
+			t.Fatalf("BlockCyclic(%d, %d, %d, %d, %d): %v", n, pr, pc, rowBlocks, colBlocks, err)
+		}
+		ls = append(ls, l)
+	}
+	for pr := 1; pr <= 3; pr++ {
+		for pc := 1; pc <= 3; pc++ {
+			for n := pr * pc; n < pr*pc+24; n++ {
+				add(n, pr, pc, pr, pc)
+			}
+			for bs := 1; bs <= 4; bs++ {
+				for nb := max(pr, pc); nb < max(pr, pc)+4; nb++ {
+					add(nb*bs, pr, pc, nb, nb)
+				}
+			}
+		}
+	}
+	for _, g := range [][5]int{{30, 2, 3, 2, 3}, {33, 3, 3, 3, 3}, {25, 5, 1, 5, 1}, {20, 2, 2, 10, 10}, {8, 2, 2, 3, 3}} {
+		add(g[0], g[1], g[2], g[3], g[4])
+	}
+	return ls
 }

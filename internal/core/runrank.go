@@ -8,8 +8,7 @@ import (
 
 // RunRank executes one rank's share of C = A·B over an externally-managed
 // runtime (e.g. the distributed TCP runtime in internal/netmpi, where each
-// OS process hosts one rank and calls RunRank itself). It always runs in
-// RealMode.
+// OS process hosts one rank and calls RunRank itself).
 //
 // Data ownership follows the layout: the engine reads from a and b only
 // the sub-partitions this rank owns (plus whole grid rows/columns it owns
@@ -18,7 +17,6 @@ import (
 // B populated, and owns its partition of C afterwards. Passing fully
 // replicated matrices also works and is the easy path for demos.
 func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
-	cfg.Mode = RealMode
 	s, err := cfg.validate(a, b, c)
 	if err != nil {
 		return err

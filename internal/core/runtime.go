@@ -5,12 +5,12 @@ import (
 	"repro/internal/mpi"
 )
 
-// The engine is transport-generic: RealMode can execute over any runtime
-// that provides ranks, sub-communicators and broadcasts — the in-process
-// channel runtime (internal/mpi) by default, or a distributed TCP runtime
+// The engine is transport-generic: it can execute over any runtime that
+// provides ranks, sub-communicators and broadcasts — the in-process channel
+// runtime (internal/mpi) by default, or a distributed TCP runtime
 // (internal/netmpi) for the paper's future-work setting of
-// distributed-memory nodes. SimulatedMode always uses the in-process
-// runtime, which is the only one with virtual clocks.
+// distributed-memory nodes. Simulate needs no runtime: it walks the compiled
+// schedule itself.
 //
 // Error contract: a runtime must never let a dead or failed peer block a
 // collective forever. When a peer is declared failed, in-flight and
@@ -31,8 +31,7 @@ type Proc interface {
 	// ranks[i] is communicator rank i.
 	Split(ranks []int) Comm
 	// Compute records d seconds of local computation of `flops`
-	// floating-point operations (advancing the virtual clock where one
-	// exists).
+	// floating-point operations, just finished.
 	Compute(d, flops float64, label string)
 }
 
@@ -45,12 +44,10 @@ type Comm interface {
 	// view, the TCP runtime packs one frame), so the engine never stages a
 	// panel itself. The root's src must stay unwritten until the runtime's
 	// Run returns — the engine only ever passes views of its read-only A
-	// and B. Panels with nil Data carry dimensions only (SimulatedMode):
-	// the runtime charges its clocks for the bytes and moves nothing. It
-	// returns an error — never hangs — when a member has been declared
-	// failed. A member whose dimensions disagree with the root's is a bug
-	// the runtime reports (netmpi with a *LengthMismatchError, mpi with a
-	// rank panic) instead of copying what fits.
+	// and B. It returns an error — never hangs — when a member has been
+	// declared failed. A member whose dimensions disagree with the root's
+	// is a bug the runtime reports (netmpi with a *LengthMismatchError, mpi
+	// with a rank panic) instead of copying what fits.
 	BcastPanel(p Proc, src, dst matrix.Dense, root int) error
 }
 

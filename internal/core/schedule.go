@@ -19,6 +19,10 @@ type schedule struct {
 	areas              []int            // elements owned per rank
 	ratio              float64          // partition.OptimalityRatio, 0 when it has none
 	ranks              []rankSchedule
+	// labels holds, per band (grid rows, then grid columns), the labels
+	// Simulate records a band's split and broadcasts under: "split@[0 2]"
+	// and "bcast@[0 2]"; empty for a band with one member.
+	labels [][2]string
 }
 
 // rankSchedule is one rank's share. WA is waRows×N and WB N×wbCols; grid row
@@ -37,6 +41,7 @@ type rankSchedule struct {
 type bandOp struct {
 	procs                []int // the band's members, one slice shared by all; nil: a local copy
 	split                bool  // the band's first broadcast creates its communicator
+	band                 int   // grid row i is band i, grid column j band GridRows+j
 	root                 int   // communicator rank of the rectangle's owner
 	r0, c0, h, w, dr, dc int
 }
@@ -111,6 +116,16 @@ func compile(l *partition.Layout) *schedule {
 	for j := range colProcs {
 		colProcs[j] = l.ColProcs(j)
 	}
+	for _, procs := range [][][]int{rowProcs, colProcs} {
+		for _, members := range procs {
+			var lb [2]string
+			if len(members) > 1 {
+				suffix := fmt.Sprintf("@%v", members)
+				lb = [2]string{"split" + suffix, "bcast" + suffix}
+			}
+			s.labels = append(s.labels, lb)
+		}
+	}
 	for r := range s.ranks {
 		rs := &s.ranks[r]
 		rs.ops[axisA], rs.rowOff, rs.waRows = s.bandOps(r, axisA, rowProcs)
@@ -140,9 +155,9 @@ func prefixSums(xs []int) []int {
 // offset in the working matrix (-1 if not a member), extent their total.
 func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, off []int, extent int) {
 	l := &s.layout
-	bs, cs, ownerAt := s.rowStart, s.colStart, l.OwnerAt
+	bs, cs, ownerAt, first := s.rowStart, s.colStart, l.OwnerAt, 0
 	if ax == axisB {
-		bs, cs = cs, bs
+		bs, cs, first = cs, bs, l.GridRows
 		ownerAt = func(b, x int) int { return l.OwnerAt(x, b) }
 	}
 	off = make([]int, len(procs))
@@ -155,7 +170,7 @@ func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, off 
 			for x1 < len(cs)-1 && (len(procs[b]) == 1 || ownerAt(b, x1) == ownerAt(b, x0)) {
 				x1++
 			}
-			o := bandOp{r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0], dr: off[b], dc: cs[x0]}
+			o := bandOp{band: first + b, r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0], dr: off[b], dc: cs[x0]}
 			if ax == axisB {
 				o.r0, o.c0, o.h, o.w, o.dr, o.dc = o.c0, o.r0, o.w, o.h, o.dc, o.dr
 			}

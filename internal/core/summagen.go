@@ -19,15 +19,11 @@
 //     redundant-computation hazard it describes for non-rectangular
 //     partitions.
 //
-// Every rank runs the three stages back to back on its own goroutine, in
-// both modes and on every runtime: one schedule, no helper goroutines.
-//
-// The engine runs in two modes. RealMode executes the numerics with the
-// pure-Go BLAS over the in-process MPI runtime, producing a verified C.
-// SimulatedMode runs the identical communication and scheduling code with
-// virtual clocks: computation advances rank clocks by workload/FPM-speed
-// for the platform's devices and communications by the Hockney model, so
-// paper-scale problems (N ≈ 38k) run in milliseconds.
+// Every rank runs the three stages back to back on its own goroutine, on
+// every runtime: one schedule, no helper goroutines. Multiply and RunRank
+// execute the numerics with the pure-Go BLAS; Simulate walks the same
+// compiled schedule on one virtual clock per rank instead (simulate.go), so
+// paper-scale problems (N ≈ 38k) cost microseconds.
 //
 // Stages 1 and 2 are one routine (assembleBands) run over an axis, and they
 // move each element once per receiving rank: a run's owner hands the
@@ -61,46 +57,34 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects real execution or virtual-time simulation.
-type Mode int
-
-const (
-	// RealMode multiplies actual matrices; times are wall-clock.
-	RealMode Mode = iota
-	// SimulatedMode skips numerics; times come from device FPMs and the
-	// Hockney model.
-	SimulatedMode
-)
-
 // Config parameterizes one SummaGen execution.
 type Config struct {
 	// Layout describes the partitioning (required).
 	Layout *partition.Layout
-	// Mode selects real or simulated execution.
-	Mode Mode
-	// Platform supplies device models; required in SimulatedMode, and
-	// used for energy accounting in both modes when present.
+	// Platform supplies device models; required by Simulate, and used for
+	// energy accounting by every entry point when present.
 	Platform *device.Platform
-	// Kernel selects the local DGEMM kernel in RealMode.
+	// Kernel selects the local DGEMM kernel.
 	Kernel blas.Kernel
-	// Link overrides the inter-rank link; zero value uses the platform's
-	// interconnect or hockney.IntraNode.
+	// Link, LinkFor and BcastAlg are read by Simulate only. Link is the
+	// inter-rank link; the zero value uses the platform's interconnect or
+	// hockney.IntraNode.
 	Link hockney.Link
 	// LinkFor optionally supplies per-pair links (hierarchical
 	// platforms; see internal/cluster). Overrides Link where set.
 	LinkFor func(a, b int) hockney.Link
 	// BcastAlg selects the modelled broadcast algorithm.
 	BcastAlg hockney.BcastAlgorithm
-	// Checkpoint, when non-nil in RealMode, makes the compute stage
-	// resumable: each owned cell is looked up before the DGEMMs (a cell
-	// fully covered by checkpointed data is restored, never recomputed)
-	// and saved after the DGEMM of its rectangle — the engine half of
-	// survivor-replan recovery (internal/recover).
+	// Checkpoint, when non-nil, makes Multiply's and RunRank's compute
+	// stage resumable: each owned cell is looked up before the DGEMMs (a
+	// cell fully covered by checkpointed data is restored, never
+	// recomputed) and saved after the DGEMM of its rectangle — the engine
+	// half of survivor-replan recovery (internal/recover).
 	Checkpoint Checkpointer
-	// Span, when enabled, is the parent under which the engine records
-	// per-rank stage spans (bcastA, bcastB, dgemm), per-rectangle DGEMM
-	// spans and per-cell checkpoint restore/save spans. The zero value
-	// disables span recording at no cost (see internal/obs).
+	// Span, when enabled, is the parent under which Multiply and RunRank
+	// record per-rank stage spans (bcastA, bcastB, dgemm), per-rectangle
+	// DGEMM spans and per-cell checkpoint restore/save spans. The zero
+	// value disables span recording at no cost (see internal/obs).
 	Span obs.SpanHandle
 	// DisableOverlap has no effect: every rank runs the one sequential
 	// bcastA → bcastB → dgemm schedule. The field remains only so that
@@ -175,9 +159,6 @@ func (c *Config) validate(ms ...*matrix.Dense) (*schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Mode == SimulatedMode && c.Platform == nil {
-		return nil, errors.New("core: SimulatedMode requires a Platform")
-	}
 	if c.Platform != nil {
 		if err := c.Platform.Validate(); err != nil {
 			return nil, err
@@ -195,84 +176,55 @@ func (c *Config) validate(ms ...*matrix.Dense) (*schedule, error) {
 	return s, nil
 }
 
-// Multiply computes C = A·B with SummaGen in RealMode. A, B and C must be
-// N×N with N = cfg.Layout.N; C is overwritten. The returned report carries
-// the timing breakdowns.
+// Multiply computes C = A·B with SummaGen over the in-process runtime. A,
+// B and C must be N×N with N = cfg.Layout.N; C is overwritten. The returned
+// report carries the timing breakdowns.
 func Multiply(a, b, c *matrix.Dense, cfg Config) (*Report, error) {
-	cfg.Mode = RealMode
 	s, err := cfg.validate(a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	return execute(&cfg, s, a, b, c)
-}
-
-// Simulate runs SummaGen in SimulatedMode over the configured platform:
-// the full communication schedule executes on virtual clocks and no
-// numerics are performed.
-func Simulate(cfg Config) (*Report, error) {
-	cfg.Mode = SimulatedMode
-	s, err := cfg.validate()
+	w, err := takeWorld(s.layout.P)
 	if err != nil {
 		return nil, err
 	}
-	return execute(&cfg, s, nil, nil, nil)
-}
-
-// worldKey is everything an in-process world is built from but its Timeline.
-type worldKey struct {
-	procs int
-	mode  mpi.Mode
-	link  hockney.Link
-	alg   hockney.BcastAlgorithm
+	tl := trace.New()
+	w.SetTimeline(tl)
+	if err := w.Run(func(p *mpi.Proc) error { return rankMain(mpiProc{p}, &cfg, s, a, b, c) }); err != nil {
+		return nil, err
+	}
+	w.SetTimeline(nil) // the Report owns tl now; an idle world keeps none
+	idleWorlds.Lock()
+	if len(idleWorlds.worlds) < maxIdleWorlds {
+		idleWorlds.worlds = append(idleWorlds.worlds, w)
+	}
+	idleWorlds.Unlock()
+	return buildReport(&cfg, s, tl)
 }
 
 // maxIdleWorlds bounds the worlds kept resident between multiplies.
 const maxIdleWorlds = 16
 
 // idleWorlds holds worlds whose last Run returned nil: nothing is in flight
-// in them and their communicators are built, so the next multiply on the
-// same key runs on one as it is. A world that aborted is never put back.
+// in them and their communicators are built, so the next multiply on as
+// many ranks runs on one as it is. A world that aborted is never put back.
 var idleWorlds struct {
 	sync.Mutex
-	keys   []worldKey
 	worlds []*mpi.World
 }
 
-func execute(cfg *Config, s *schedule, a, b, c *matrix.Dense) (*Report, error) {
-	mode := mpi.RealTime
-	if cfg.Mode == SimulatedMode {
-		mode = mpi.VirtualTime
-	}
-	// A Config with LinkFor has no key (a func is not comparable): its
-	// world is its own.
-	key, pooled := worldKey{s.layout.P, mode, cfg.link(), cfg.BcastAlg}, cfg.LinkFor == nil
-	var w *mpi.World
+// takeWorld returns an idle world of procs ranks, or a new one.
+func takeWorld(procs int) (*mpi.World, error) {
 	idleWorlds.Lock()
-	if i := slices.Index(idleWorlds.keys, key); pooled && i >= 0 {
-		w = idleWorlds.worlds[i]
-		idleWorlds.keys, idleWorlds.worlds = slices.Delete(idleWorlds.keys, i, i+1), slices.Delete(idleWorlds.worlds, i, i+1)
-	}
-	idleWorlds.Unlock()
-	if w == nil {
-		var err error
-		w, err = mpi.NewWorld(mpi.Config{Procs: key.procs, Mode: mode, Link: key.link, LinkFor: cfg.LinkFor, BcastAlg: key.alg})
-		if err != nil {
-			return nil, err
+	for i, w := range idleWorlds.worlds {
+		if w.Size() == procs {
+			idleWorlds.worlds = slices.Delete(idleWorlds.worlds, i, i+1)
+			idleWorlds.Unlock()
+			return w, nil
 		}
 	}
-	tl := trace.New()
-	w.SetTimeline(tl)
-	if err := w.Run(func(p *mpi.Proc) error { return rankMain(mpiProc{p}, cfg, s, a, b, c) }); err != nil {
-		return nil, err
-	}
-	w.SetTimeline(nil) // the Report owns tl now; an idle world keeps none
-	idleWorlds.Lock()
-	if pooled && len(idleWorlds.keys) < maxIdleWorlds {
-		idleWorlds.keys, idleWorlds.worlds = append(idleWorlds.keys, key), append(idleWorlds.worlds, w)
-	}
 	idleWorlds.Unlock()
-	return buildReport(cfg, s, tl)
+	return mpi.NewWorld(mpi.Config{Procs: procs})
 }
 
 // rankMain runs one rank's three stages back to back on the calling
@@ -280,17 +232,14 @@ func execute(cfg *Config, s *schedule, a, b, c *matrix.Dense) (*Report, error) {
 func rankMain(p Proc, cfg *Config, s *schedule, a, b, c *matrix.Dense) error {
 	rs := &s.ranks[p.Rank()]
 	n := s.layout.N
-	var wa, wb matrix.Dense
-	if cfg.Mode == RealMode {
-		// WA and WB come from the slab free list un-zeroed. Only this
-		// goroutine writes them (a runtime's receivers copy into their own
-		// buffers), so they go back however the rank returns.
-		sa, sb := slab.Get(rs.waRows*n), slab.Get(n*rs.wbCols)
-		defer slab.Put(sa)
-		defer slab.Put(sb)
-		wa = matrix.Dense{Rows: rs.waRows, Cols: n, Stride: n, Data: sa}
-		wb = matrix.Dense{Rows: n, Cols: rs.wbCols, Stride: rs.wbCols, Data: sb}
-	}
+	// WA and WB come from the slab free list un-zeroed. Only this goroutine
+	// writes them (a runtime's receivers copy into their own buffers), so
+	// they go back however the rank returns.
+	sa, sb := slab.Get(rs.waRows*n), slab.Get(n*rs.wbCols)
+	defer slab.Put(sa)
+	defer slab.Put(sb)
+	wa := matrix.Dense{Rows: rs.waRows, Cols: n, Stride: n, Data: sa}
+	wb := matrix.Dense{Rows: n, Cols: rs.wbCols, Stride: rs.wbCols, Data: sb}
 	if err := assembleBands(p, cfg, rs, axisA, a, &wa); err != nil {
 		return err
 	}
@@ -323,8 +272,7 @@ func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[
 // the rank's band ops gather every band of m (grid row of A, grid column of
 // B) it owns a cell in into wm, each broadcast going straight from the
 // owner's view of m into every member's view of wm, over the communicator
-// the band's first broadcast creates. In SimulatedMode m is nil and the
-// panels carry dimensions only. A failure is tagged with the stage.
+// the band's first broadcast creates. A failure is tagged with the stage.
 func assembleBands(p Proc, cfg *Config, rs *rankSchedule, ax axis, m, wm *matrix.Dense) (err error) {
 	sp := cfg.Span.Child(ax.spanName()).OnRank(p.Rank())
 	defer func() {
@@ -336,15 +284,10 @@ func assembleBands(p Proc, cfg *Config, rs *rankSchedule, ax axis, m, wm *matrix
 	}()
 	var comm Comm
 	for _, o := range rs.ops[ax] {
-		src, dst := matrix.Dense{Rows: o.h, Cols: o.w}, matrix.Dense{Rows: o.h, Cols: o.w}
-		if m != nil {
-			src, dst = subPanel(m, o.r0, o.c0, o.h, o.w), subPanel(wm, o.dr, o.dc, o.h, o.w)
-		}
+		src, dst := subPanel(m, o.r0, o.c0, o.h, o.w), subPanel(wm, o.dr, o.dc, o.h, o.w)
 		if o.procs == nil {
-			if m != nil {
-				if err := matrix.CopyBlock(&dst, &src, o.h, o.w); err != nil {
-					return err
-				}
+			if err := matrix.CopyBlock(&dst, &src, o.h, o.w); err != nil {
+				return err
 			}
 			continue
 		}
@@ -376,17 +319,8 @@ func subPanel(m *matrix.Dense, r0, c0, h, w int) matrix.Dense {
 func localCompute(p Proc, cfg *Config, s *schedule, wa, wb, c *matrix.Dense, stage obs.SpanHandle) error {
 	l, rank := &s.layout, p.Rank()
 	rs := &s.ranks[rank]
-	// In simulation, the device speed is evaluated at the rank's total
-	// partition area — the workload measure of the FPMs.
-	var gflops float64
-	if cfg.Mode == SimulatedMode {
-		gflops = cfg.Platform.Devices[rank].GFLOPS(float64(s.areas[rank]))
-		if gflops <= 0 {
-			return fmt.Errorf("core: device %d has non-positive speed", rank)
-		}
-	}
 	rects := rs.rects
-	if cfg.Checkpoint != nil && cfg.Mode == RealMode {
+	if cfg.Checkpoint != nil {
 		restored := map[[2]int]bool{}
 		for _, cell := range rs.cells {
 			i, j := cell[0], cell[1]
@@ -404,10 +338,6 @@ func localCompute(p Proc, cfg *Config, s *schedule, wa, wb, c *matrix.Dense, sta
 		}
 	}
 	for _, rc := range rects {
-		if cfg.Mode == SimulatedMode {
-			p.Compute(rc.flops/(gflops*1e9), rc.flops, rc.label)
-			continue
-		}
 		block := c.Data[rc.r0*c.Stride+rc.c0:]
 		aRows, bCols := wa.Data[rs.rowOff[rc.i0]*wa.Stride:], wb.Data[rs.colOff[rc.j0]:]
 		csp := stage.Child(rc.label).OnRank(rank).Float("flops", rc.flops)

@@ -133,7 +133,7 @@ func TestMultiplyValidation(t *testing.T) {
 func TestSimulateRequiresPlatform(t *testing.T) {
 	l := buildLayout(t, partition.SquareCorner, 64, []float64{1, 2, 0.9})
 	if _, err := Simulate(Config{Layout: l}); err == nil {
-		t.Fatal("SimulatedMode without platform must fail")
+		t.Fatal("Simulate without platform must fail")
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 // where α is the link latency (seconds) and β the reciprocal bandwidth
 // (seconds per byte). On top of the link model, the package provides
-// collective cost formulas (flat and binomial-tree broadcast) that the
-// simulated MPI runtime uses to advance virtual clocks.
+// collective cost formulas (flat and binomial-tree broadcast) that
+// core.Simulate uses to advance its virtual clocks.
 package hockney
 
 import (

@@ -3,18 +3,13 @@
 // 5.1.3, one process per abstract processor).
 //
 // Ranks are goroutines inside one World. Communicators, sub-communicator
-// creation, broadcasts, barriers, reductions, and point-to-point messages
-// have the blocking semantics of their MPI counterparts and are really
-// synchronized through channels — the SummaGen communication structure runs
-// unmodified on top of this runtime.
-//
-// The runtime keeps a clock per rank. In RealTime mode the clock is the
-// wall clock and payloads are physically copied between ranks. In
-// VirtualTime mode each operation advances the clocks by costs from a
-// Hockney α+β·m model, so paper-scale experiments (N up to ~38k) run in
-// milliseconds while preserving the exact communication schedule. Every
-// operation is recorded on a trace.Timeline for the computation/
-// communication breakdowns of Figures 6 and 7.
+// creation, broadcasts and barriers have the blocking semantics of their MPI
+// counterparts and are really synchronized through channels — the SummaGen
+// communication structure runs unmodified on top of this runtime. Payloads
+// are physically copied between ranks, and every operation is recorded on a
+// trace.Timeline against the wall clock for the computation/communication
+// breakdowns of Figures 6 and 7. (Simulated runs need no runtime: core
+// walks its compiled schedule on virtual clocks.)
 package mpi
 
 import (
@@ -25,38 +20,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/hockney"
 	"repro/internal/matrix"
 	"repro/internal/trace"
-)
-
-// Mode selects how rank clocks advance.
-type Mode int
-
-const (
-	// RealTime: clocks follow the wall clock; data is copied for real.
-	RealTime Mode = iota
-	// VirtualTime: clocks advance by modelled costs; data is copied only
-	// when buffers are supplied.
-	VirtualTime
 )
 
 // Config parameterizes a World.
 type Config struct {
 	// Procs is the number of ranks (abstract processors).
 	Procs int
-	// Mode selects real or virtual clocks. Default RealTime.
-	Mode Mode
-	// Link is the inter-rank Hockney link; used for costs in VirtualTime
-	// mode and for reporting in both. Defaults to hockney.IntraNode.
-	Link hockney.Link
-	// LinkFor optionally supplies per-pair links (hierarchical
-	// platforms: intra-node vs inter-node). When set it overrides Link
-	// for point-to-point costs, and collectives are costed with the
-	// slowest link among the communicator's members.
-	LinkFor func(a, b int) hockney.Link
-	// BcastAlg selects the broadcast cost shape. Default binomial tree.
-	BcastAlg hockney.BcastAlgorithm
 	// Timeline, if non-nil, receives events from every rank.
 	Timeline *trace.Timeline
 }
@@ -69,9 +40,6 @@ type World struct {
 	commMu sync.Mutex
 	comms  []*Comm // one per rank set Split has seen, kept while the world lives
 
-	p2pMu sync.Mutex
-	p2p   map[p2pKey]chan p2pMsg
-
 	abortMu  sync.Mutex
 	abortErr *PeerFailedError
 	abortCh  chan struct{} // closed on first rank failure
@@ -82,8 +50,7 @@ type World struct {
 // PeerFailedError reports that a rank exited with an error (or panicked)
 // while other ranks were still communicating. It matches the error
 // semantics of the distributed runtime (netmpi.PeerFailedError): blocked
-// collectives and point-to-point operations abort with this error instead
-// of deadlocking on the dead rank.
+// collectives abort with this error instead of deadlocking on the dead rank.
 type PeerFailedError struct {
 	// Rank is the rank that failed.
 	Rank int
@@ -123,30 +90,13 @@ func (w *World) abortPanic(op string) {
 	panic(&PeerFailedError{Rank: a.Rank, Op: op, Err: a.Err})
 }
 
-type p2pKey struct {
-	from, to, tag int
-}
-
-type p2pMsg struct {
-	data  []float64
-	bytes int
-	clock float64
-}
-
 // NewWorld validates cfg and builds a World.
 func NewWorld(cfg Config) (*World, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("mpi: Procs must be >= 1, got %d", cfg.Procs)
 	}
-	if cfg.Link == (hockney.Link{}) {
-		cfg.Link = hockney.IntraNode
-	}
-	if err := cfg.Link.Validate(); err != nil {
-		return nil, err
-	}
 	w := &World{
 		cfg:     cfg,
-		p2p:     map[p2pKey]chan p2pMsg{},
 		abortCh: make(chan struct{}),
 	}
 	all := make([]int, cfg.Procs)
@@ -164,46 +114,10 @@ func (w *World) SetTimeline(tl *trace.Timeline) { w.cfg.Timeline = tl }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.cfg.Procs }
 
-// Mode returns the clock mode.
-func (w *World) Mode() Mode { return w.cfg.Mode }
-
-// Link returns the inter-rank link model.
-func (w *World) Link() hockney.Link { return w.cfg.Link }
-
-// linkBetween returns the link used between two ranks.
-func (w *World) linkBetween(a, b int) hockney.Link {
-	if w.cfg.LinkFor != nil {
-		return w.cfg.LinkFor(a, b)
-	}
-	return w.cfg.Link
-}
-
-// worstLinkAmong returns the slowest pairwise link among ranks: the one
-// with the largest per-message cost at a representative message size.
-// Collectives over hierarchical platforms are bounded by their slowest
-// hop, the standard conservative model.
-func (w *World) worstLinkAmong(ranks []int) hockney.Link {
-	if w.cfg.LinkFor == nil || len(ranks) < 2 {
-		return w.cfg.Link
-	}
-	const probe = 1 << 20
-	worst := w.cfg.LinkFor(ranks[0], ranks[1])
-	worstCost := worst.SendTime(probe)
-	for i := 0; i < len(ranks); i++ {
-		for j := i + 1; j < len(ranks); j++ {
-			l := w.cfg.LinkFor(ranks[i], ranks[j])
-			if c := l.SendTime(probe); c > worstCost {
-				worst, worstCost = l, c
-			}
-		}
-	}
-	return worst
-}
-
 // Run starts one goroutine per rank executing fn and waits for all of them.
 // Panics inside ranks are recovered and returned as errors. A rank that
 // exits with an error (or panics) aborts the world: ranks blocked in
-// collectives or point-to-point operations fail with a *PeerFailedError
+// collectives fail with a *PeerFailedError
 // naming the dead rank instead of deadlocking. The returned error joins
 // every rank failure.
 func (w *World) Run(fn func(p *Proc) error) error {
@@ -241,7 +155,6 @@ func (w *World) Run(fn func(p *Proc) error) error {
 type Proc struct {
 	world *World
 	rank  int
-	clock float64 // virtual seconds; unused in RealTime mode
 }
 
 // Rank returns this rank's id in the world.
@@ -256,111 +169,21 @@ func (p *Proc) World() *World { return p.world }
 // CommWorld returns the communicator spanning all ranks.
 func (p *Proc) CommWorld() *Comm { return p.world.world }
 
-// Now returns the rank's current clock in seconds.
-func (p *Proc) Now() float64 {
-	if p.world.cfg.Mode == VirtualTime {
-		return p.clock
-	}
-	return time.Since(p.world.start).Seconds()
-}
+// Now returns the seconds since the world's Run started.
+func (p *Proc) Now() float64 { return time.Since(p.world.start).Seconds() }
 
-// Advance moves the virtual clock forward by d seconds and returns the
-// (start, end) interval. In RealTime mode it only reads the wall clock and
-// returns a zero-length interval at now; real work advances real time.
-func (p *Proc) Advance(d float64) (start, end float64) {
-	if p.world.cfg.Mode == VirtualTime {
-		start = p.clock
-		p.clock += d
-		return start, p.clock
-	}
-	now := p.Now()
-	return now, now
-}
-
-// Compute charges d seconds of local computation performing flops floating
-// point operations. In RealTime mode, call it with the measured duration
-// after doing the real work (d then back-dates the event start).
+// Compute records d seconds of local computation performing flops floating
+// point operations. Call it with the measured duration after doing the real
+// work: d back-dates the event start.
 func (p *Proc) Compute(d, flops float64, label string) {
-	var start, end float64
-	if p.world.cfg.Mode == VirtualTime {
-		start, end = p.Advance(d)
-	} else {
-		end = p.Now()
-		start = end - d
-	}
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Compute, Start: start, End: end, Flops: flops, Label: label})
+	end := p.Now()
+	p.emit(trace.Event{Rank: p.rank, Kind: trace.Compute, Start: end - d, End: end, Flops: flops, Label: label})
 }
 
 func (p *Proc) emit(e trace.Event) {
 	if tl := p.world.cfg.Timeline; tl != nil {
 		tl.Add(e)
 	}
-}
-
-// Send transmits data to rank `to` with a tag. It is buffered (eager): the
-// sender does not block waiting for the receiver, matching MPI_Send for
-// small messages. The virtual clock charges the latency to the sender.
-func (p *Proc) Send(to, tag int, data []float64) {
-	if to < 0 || to >= p.Size() {
-		panic(fmt.Sprintf("mpi: Send to invalid rank %d", to))
-	}
-	bytes := 8 * len(data)
-	var cp []float64
-	if data != nil {
-		cp = append([]float64(nil), data...)
-	}
-	start, end := p.Advance(p.world.linkBetween(p.rank, to).Alpha)
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: start, End: end, Bytes: bytes, Label: fmt.Sprintf("send->%d#%d", to, tag)})
-	ch := p.world.p2pChan(p.rank, to, tag)
-	select {
-	case ch <- p2pMsg{data: cp, bytes: bytes, clock: p.clock}:
-	case <-p.world.abortCh:
-		p.world.abortPanic("send")
-	}
-}
-
-// Recv blocks until a message with the tag arrives from rank `from` and
-// returns its payload. The virtual clock advances to
-// max(own, sender+transfer) per the Hockney model.
-func (p *Proc) Recv(from, tag int) []float64 {
-	if from < 0 || from >= p.Size() {
-		panic(fmt.Sprintf("mpi: Recv from invalid rank %d", from))
-	}
-	ch := p.world.p2pChan(from, p.rank, tag)
-	waitStart := p.Now()
-	var msg p2pMsg
-	select {
-	case msg = <-ch:
-	case <-p.world.abortCh:
-		p.world.abortPanic("recv")
-	}
-	if p.world.cfg.Mode == VirtualTime {
-		// The sender charged itself the latency α; the payload body
-		// (β·m) is charged here, after synchronizing with the sender's
-		// clock.
-		if p.clock < msg.clock {
-			p.emit(trace.Event{Rank: p.rank, Kind: trace.Idle, Start: p.clock, End: msg.clock, Label: fmt.Sprintf("wait<-%d#%d", from, tag)})
-			p.clock = msg.clock
-		}
-		start, end := p.Advance(p.world.linkBetween(from, p.rank).Beta * float64(msg.bytes))
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: start, End: end, Bytes: msg.bytes, Label: fmt.Sprintf("recv<-%d#%d", from, tag)})
-	} else {
-		now := p.Now()
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: now, Bytes: msg.bytes, Label: fmt.Sprintf("recv<-%d#%d", from, tag)})
-	}
-	return msg.data
-}
-
-func (w *World) p2pChan(from, to, tag int) chan p2pMsg {
-	key := p2pKey{from, to, tag}
-	w.p2pMu.Lock()
-	defer w.p2pMu.Unlock()
-	ch, ok := w.p2p[key]
-	if !ok {
-		ch = make(chan p2pMsg, 64)
-		w.p2p[key] = ch
-	}
-	return ch
 }
 
 // Comm is a communicator over a subset of world ranks. Ranks inside a Comm
@@ -370,11 +193,9 @@ type Comm struct {
 	world *World
 	ranks []int // world ranks, ascending
 
-	// link is the slowest pairwise link among the members and labels[op]
-	// the trace label "<op>@<ranks>"; both depend only on the membership,
-	// so they are computed once here instead of on every collective of
-	// every rank.
-	link   hockney.Link
+	// labels[op] is the trace label "<op>@<ranks>"; it depends only on the
+	// membership, so it is computed once here instead of on every
+	// collective of every rank.
 	labels [numOps]string
 
 	in   chan contribution
@@ -385,32 +206,26 @@ type Comm struct {
 	contribs []contribution
 }
 
-// collOp names a collective. The rendezvous, the cost model and the trace
-// label all switch on it.
+// collOp names a collective. The rendezvous and the trace label switch on it.
 type collOp uint8
 
 const (
 	opBcast collOp = iota
 	// opPanel is BcastPanel: a broadcast whose payload is the root's own
-	// strided view, handed to the receivers uncloned. It is a "bcast" to
-	// the cost model and on the Timeline.
+	// strided view, handed to the receivers uncloned. It is a "bcast" on
+	// the Timeline.
 	opPanel
 	opBarrier
 	opSplit
-	opReduceVecSum
 	numOps
 )
 
-var opNames = [numOps]string{
-	opBcast: "bcast", opPanel: "bcast", opBarrier: "barrier", opSplit: "split",
-	opReduceVecSum: "reduce-vec-sum",
-}
+var opNames = [numOps]string{opBcast: "bcast", opPanel: "bcast", opBarrier: "barrier", opSplit: "split"}
 
 // contribution is what one member deposits at the rendezvous. The caller
-// fills op and the payload fields; collective adds commRank and clock.
+// fills op and the payload fields; collective adds commRank.
 type contribution struct {
 	commRank int
-	clock    float64
 	op       collOp
 	data     []float64
 	stride   int // opPanel: row stride of data
@@ -418,7 +233,6 @@ type contribution struct {
 }
 
 type result struct {
-	clock  float64
 	data   []float64
 	stride int
 	bytes  int
@@ -428,7 +242,6 @@ func newComm(w *World, ranks []int) *Comm {
 	c := &Comm{
 		world:    w,
 		ranks:    append([]int(nil), ranks...),
-		link:     w.worstLinkAmong(ranks),
 		in:       make(chan contribution, len(ranks)),
 		outs:     make([]chan result, len(ranks)),
 		contribs: make([]contribution, len(ranks)),
@@ -465,8 +278,7 @@ func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
 // Split returns the communicator over the given world ranks, creating it
 // collectively on first use. Every member must call Split with the same
 // rank set (order-insensitive; the caller's rank must be included). Like
-// MPI_Comm_split, creation costs a small synchronization, charged to the
-// virtual clocks.
+// MPI_Comm_split, creation is a synchronization of the members.
 func (p *Proc) Split(ranks []int) *Comm {
 	rs := ranks
 	if !slices.IsSorted(rs) {
@@ -499,8 +311,8 @@ func (p *Proc) Split(ranks []int) *Comm {
 		w.comms = append(w.comms, c)
 	}
 	w.commMu.Unlock()
-	// Creation synchronization: a barrier-weight collective, charged once
-	// per Split call (MPI_Comm_split is collective).
+	// Creation synchronization: a barrier-weight collective on every Split
+	// call (MPI_Comm_split is collective).
 	c.collective(p, contribution{op: opSplit}, 0)
 	return c
 }
@@ -519,7 +331,7 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 		c.world.abortPanic(opNames[op])
 	}
 	waitStart := p.Now()
-	ct.commRank, ct.clock = me, p.clock
+	ct.commRank = me
 	select {
 	case c.in <- ct:
 	case <-c.world.abortCh:
@@ -537,11 +349,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 			contribs[ct.commRank] = ct
 		}
 		res := result{}
-		for _, ct := range contribs {
-			if ct.clock > res.clock {
-				res.clock = ct.clock
-			}
-		}
 		switch op {
 		case opBcast:
 			// Copy the payload so the root may reuse its buffer as soon
@@ -556,24 +363,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 			// (see BcastPanel).
 			res.data, res.stride = contribs[root].data, contribs[root].stride
 			res.bytes = contribs[root].bytes
-		case opReduceVecSum:
-			// Element-wise vector sum over all contributions.
-			var acc []float64
-			for _, ct := range contribs {
-				if ct.data == nil {
-					continue
-				}
-				if acc == nil {
-					acc = make([]float64, len(ct.data))
-				}
-				for i, v := range ct.data {
-					if i < len(acc) {
-						acc[i] += v
-					}
-				}
-			}
-			res.data = acc
-			res.bytes = 8 * len(acc)
 		case opSplit, opBarrier:
 			// synchronization only
 		default:
@@ -594,45 +383,19 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 	case <-c.world.abortCh:
 		c.world.abortPanic(opNames[op])
 	}
-	c.applyCollectiveClock(p, op, res, waitStart)
+	// The Comm event spans the wait for the slowest member and the transfer.
+	p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: p.Now(), Bytes: res.bytes, Label: c.labels[op]})
 	return res
-}
-
-// applyCollectiveClock advances p's clock past the collective and records
-// trace events: idle while waiting for the slowest member, then the
-// modelled (or measured) communication itself.
-func (c *Comm) applyCollectiveClock(p *Proc, op collOp, res result, waitStart float64) {
-	label := c.labels[op]
-	if c.world.cfg.Mode != VirtualTime {
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: p.Now(), Bytes: res.bytes, Label: label})
-		return
-	}
-	link := c.link
-	var cost float64
-	switch op {
-	case opBcast, opPanel:
-		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
-	case opBarrier, opSplit:
-		cost = float64(hockney.CeilLog2(c.Size())) * link.Alpha * 2
-	case opReduceVecSum:
-		// Tree reduction: log2(p) rounds of one message each.
-		cost = hockney.BcastTime(c.world.cfg.BcastAlg, link, res.bytes, c.Size())
-	}
-	if p.clock < res.clock {
-		p.emit(trace.Event{Rank: p.rank, Kind: trace.Idle, Start: p.clock, End: res.clock, Label: label})
-		p.clock = res.clock
-	}
-	start, end := p.Advance(cost)
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: start, End: end, Bytes: res.bytes, Label: label})
 }
 
 // Bcast broadcasts the root's buffer to every member. On the root, buf is
 // the source; on other ranks buf (if non-nil) receives a copy and must be
 // exactly as long as the root's buffer — a mismatch panics rather than
 // leave a stale tail in a buffer the caller may have recycled. When buf is
-// nil on a receiver the payload is dropped (used by pure simulation). count
-// is the element count used for cost modelling when the root passes a nil
-// buffer; when the root buffer is non-nil its length wins.
+// nil on a receiver, Bcast returns the payload copy that every such receiver
+// shares. count is the element count
+// recorded on the Timeline when the root passes a nil buffer; when the root
+// buffer is non-nil its length wins.
 func (c *Comm) Bcast(p *Proc, buf []float64, count, root int) []float64 {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: Bcast root %d out of range (size %d)", root, c.Size()))
@@ -666,10 +429,8 @@ func (c *Comm) Bcast(p *Proc, buf []float64, count, root int) []float64 {
 // strided copy per member, no packing and no intermediate clone — so unlike
 // Bcast the source is NOT released when the root's call returns: it must
 // stay unwritten until World.Run returns (the engine passes views of its
-// read-only A and B). Panels with nil Data carry dimensions only: nothing
-// moves and the clocks and Timeline are charged for 8·rows·cols bytes, which
-// is how VirtualTime simulation runs the same schedule. A member whose
-// dimensions disagree with the root's panics.
+// read-only A and B). A member whose dimensions disagree with the root's
+// panics.
 func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: BcastPanel root %d out of range (size %d)", root, c.Size()))
@@ -686,9 +447,6 @@ func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
 		panic(fmt.Sprintf("mpi: BcastPanel length mismatch: rank %d expects %dx%d (%d bytes), root sent %d bytes",
 			p.rank, dst.Rows, dst.Cols, ct.bytes, res.bytes))
 	}
-	if dst.Data == nil || res.data == nil {
-		return
-	}
 	from := matrix.Dense{Rows: dst.Rows, Cols: dst.Cols, Stride: res.stride, Data: res.data}
 	if err := matrix.CopyBlock(&dst, &from, dst.Rows, dst.Cols); err != nil {
 		panic(err)
@@ -698,22 +456,4 @@ func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
 // Barrier blocks until every member arrives.
 func (c *Comm) Barrier(p *Proc) {
 	c.collective(p, contribution{op: opBarrier}, 0)
-}
-
-// ReduceSum element-wise sums the members' buffers onto the root, which
-// receives the result in its buf (returned); other ranks receive nil.
-// All buffers must have equal length.
-func (c *Comm) ReduceSum(p *Proc, buf []float64, root int) []float64 {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: ReduceSum root %d out of range (size %d)", root, c.Size()))
-	}
-	res := c.collective(p, contribution{op: opReduceVecSum, data: buf, bytes: 8 * len(buf)}, root)
-	if c.RankOf(p.rank) == root {
-		if buf != nil && res.data != nil {
-			copy(buf, res.data)
-			return buf
-		}
-		return res.data
-	}
-	return nil
 }

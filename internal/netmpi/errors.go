@@ -13,14 +13,14 @@ import (
 // connection resets, its socket goes silent past the operation deadline, a
 // reconnect budget is exhausted, the initial dial never succeeds — converts
 // a potential hang into this error, which propagates out of the collectives
-// (Bcast, ReduceSum, Allgather, Barrier), through the core.Proc adapter,
-// and up to the caller of core.RunRank.
+// (Bcast, Allgather, Barrier), through the core.Proc adapter, and up to the
+// caller of core.RunRank.
 type PeerFailedError struct {
 	// Rank is the world rank of the peer declared failed.
 	Rank int
 	// Op names the operation during which the failure was detected
-	// ("bcast", "barrier", "reduce-sum", "allgather", "send", "recv",
-	// "dial", "heartbeat").
+	// ("bcast", "barrier", "allgather", "send", "recv", "dial",
+	// "heartbeat").
 	Op string
 	// Err is the underlying cause (an I/O error, a deadline expiry, or a
 	// reconnect failure).

@@ -1096,56 +1096,6 @@ func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 	return e.recv(from, userCommID, uint32(tag), nil, "recv")
 }
 
-// ReduceSum element-wise sums the members' equal-length buffers onto the
-// communicator root via a binomial reduction tree; the root receives the
-// result (into buf, returned), other members receive nil.
-func (c *Comm) ReduceSum(buf []float64, root int) ([]float64, error) {
-	k := len(c.ranks)
-	if root < 0 || root >= k {
-		return nil, fmt.Errorf("netmpi: ReduceSum root %d out of range (size %d)", root, k)
-	}
-	tag := c.nextTag()
-	me := c.RankOf(c.ep.rank)
-	acc := append([]float64(nil), buf...)
-	if k > 1 {
-		rel := (me - root + k) % k
-		// Mirror of the broadcast tree: children send up, parents
-		// accumulate.
-		mask := 1
-		for mask < k {
-			if rel&mask != 0 {
-				dst := c.ranks[(rel-mask+root)%k]
-				if err := c.ep.send(dst, c.id, tag, acc, "reduce-sum"); err != nil {
-					return nil, err
-				}
-				break
-			}
-			if rel+mask < k {
-				src := c.ranks[(rel+mask+root)%k]
-				got, err := c.ep.recv(src, c.id, tag, nil, "reduce-sum")
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(acc) {
-					return nil, fmt.Errorf("netmpi: ReduceSum length mismatch %d vs %d", len(got), len(acc))
-				}
-				for i, v := range got {
-					acc[i] += v
-				}
-			}
-			mask <<= 1
-		}
-	}
-	if me == root {
-		if buf != nil {
-			copy(buf, acc)
-			return buf, nil
-		}
-		return acc, nil
-	}
-	return nil, nil
-}
-
 // Allgather concatenates the members' buffers in communicator-rank order
 // on every member (gather to comm rank 0, then broadcast).
 func (c *Comm) Allgather(buf []float64) ([]float64, error) {

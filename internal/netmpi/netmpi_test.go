@@ -380,47 +380,6 @@ func TestPublicSendRecv(t *testing.T) {
 	})
 }
 
-func TestNetReduceSum(t *testing.T) {
-	for _, p := range []int{2, 3, 5} {
-		eps := localWorld(t, p)
-		for root := 0; root < p; root++ {
-			runAll(t, eps, func(ep *Endpoint) error {
-				all := make([]int, p)
-				for i := range all {
-					all[i] = i
-				}
-				c := ep.Split(all)
-				buf := []float64{float64(ep.Rank()), 1}
-				got, err := c.ReduceSum(buf, root)
-				if err != nil {
-					return err
-				}
-				if ep.Rank() == c.ranks[root] {
-					wantSum := float64(p*(p-1)) / 2
-					if got == nil || got[0] != wantSum || got[1] != float64(p) {
-						return fmt.Errorf("p=%d root=%d got %v", p, root, got)
-					}
-				} else if got != nil {
-					return fmt.Errorf("non-root got %v", got)
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestNetReduceSumBadRoot(t *testing.T) {
-	ep, err := Dial(Config{Rank: 0, Addrs: []string{"127.0.0.1:0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	c := ep.Split([]int{0})
-	if _, err := c.ReduceSum(nil, 3); err == nil {
-		t.Fatal("bad root must fail")
-	}
-}
-
 func TestNetAllgather(t *testing.T) {
 	eps := localWorld(t, 3)
 	runAll(t, eps, func(ep *Endpoint) error {

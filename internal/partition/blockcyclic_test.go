@@ -119,3 +119,91 @@ func TestQuickBlockCyclicCommVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// summaLayout is classic SUMMA's block distribution of n over a pr×pc grid:
+// one block per processor row and column.
+func summaLayout(t *testing.T, n, pr, pc int) *Layout {
+	t.Helper()
+	l, err := BlockCyclic(n, pr, pc, pr, pc)
+	if err != nil {
+		t.Fatalf("BlockCyclic(%d, %d, %d, %d, %d): %v", n, pr, pc, pr, pc, err)
+	}
+	return l
+}
+
+func TestBlockRange(t *testing.T) {
+	// 10 elements over 3 blocks: sizes 4, 3, 3, on the row side of a 3×1
+	// grid and the column side of a 1×3 grid alike.
+	rows, cols := summaLayout(t, 10, 3, 1), summaLayout(t, 10, 1, 3)
+	for _, c := range [][3]int{{0, 0, 4}, {1, 4, 7}, {2, 7, 10}} {
+		if s, e := rows.RowStart(c[0]), rows.RowStart(c[0])+rows.RowHeights[c[0]]; s != c[1] || e != c[2] {
+			t.Fatalf("block row %d of 10 over 3 = [%d,%d), want [%d,%d)", c[0], s, e, c[1], c[2])
+		}
+		if s, e := cols.ColStart(c[0]), cols.ColStart(c[0])+cols.ColWidths[c[0]]; s != c[1] || e != c[2] {
+			t.Fatalf("block column %d of 10 over 3 = [%d,%d), want [%d,%d)", c[0], s, e, c[1], c[2])
+		}
+	}
+	even := summaLayout(t, 6, 3, 1)
+	if s, e := even.RowStart(1), even.RowStart(1)+even.RowHeights[1]; s != 2 || e != 4 {
+		t.Fatalf("even block row 1 of 6 over 3 = [%d,%d), want [2,4)", s, e)
+	}
+}
+
+func TestOwnerOf(t *testing.T) {
+	// 10 elements over 3 blocks: [0,4) [4,7) [7,10); on a 3×1 grid block
+	// row b is rank b's.
+	l := summaLayout(t, 10, 3, 1)
+	for _, c := range [][3]int{{0, 0, 4}, {3, 0, 4}, {4, 1, 7}, {9, 2, 10}} {
+		b := 0
+		for b+1 < l.GridRows && l.RowStart(b+1) <= c[0] {
+			b++
+		}
+		if end := l.RowStart(b) + l.RowHeights[b]; b != c[1] || end != c[2] {
+			t.Fatalf("row %d of 10 over 3 lies in block %d ending at %d, want (%d,%d)", c[0], b, end, c[1], c[2])
+		}
+		if o := l.OwnerAt(b, 0); o != c[1] {
+			t.Fatalf("block row %d owned by rank %d, want %d", b, o, c[1])
+		}
+	}
+	// On a 2×3 grid block (I, J) is rank I·3 + J.
+	g := summaLayout(t, 12, 2, 3)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if o := g.OwnerAt(i, j); o != i*3+j {
+				t.Fatalf("2×3 block (%d,%d) owned by rank %d, want %d", i, j, o, i*3+j)
+			}
+		}
+	}
+}
+
+func TestLocalDist(t *testing.T) {
+	// 6 blocks of 4 over a 2x3 grid: rank (1,2) = 5 owns block rows
+	// {1,3,5} and block cols {2,5}, 12 rows by 8 columns in all.
+	l, err := BlockCyclic(24, 2, 3, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, cols []int
+	h, w := 0, 0
+	for i := 0; i < l.GridRows; i++ {
+		if l.OwnsInRow(5, i) {
+			rows = append(rows, i)
+			h += l.RowHeights[i]
+		}
+	}
+	for j := 0; j < l.GridCols; j++ {
+		if l.OwnsInCol(5, j) {
+			cols = append(cols, j)
+			w += l.ColWidths[j]
+		}
+	}
+	if len(rows) != 3 || rows[0] != 1 || rows[1] != 3 || rows[2] != 5 {
+		t.Fatalf("block rows: %v", rows)
+	}
+	if len(cols) != 2 || cols[0] != 2 || cols[1] != 5 {
+		t.Fatalf("block cols: %v", cols)
+	}
+	if h != 12 || w != 8 || l.Areas()[5] != h*w {
+		t.Fatalf("local dims %dx%d, area %d", h, w, l.Areas()[5])
+	}
+}

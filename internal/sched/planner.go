@@ -61,9 +61,9 @@ type cachedPlan struct {
 	err  error
 }
 
-// maxPlanCache bounds the cache; past it the whole map is dropped (plans
-// are cheap to recompute and keys are low-cardinality in practice). core
-// keeps as many compiled layouts, one per plan (core.maxSchedules).
+// maxPlanCache bounds the cache; at the bound one plan is evicted per new
+// key, as core evicts one of as many compiled layouts, one per plan
+// (core.maxSchedules).
 const maxPlanCache = 512
 
 // PlanKey is the plan-cache and affinity key of a spec: two jobs with
@@ -112,8 +112,14 @@ func (p *Planner) Plan(spec JobSpec) (*Plan, error) {
 	plan, err := p.plan(spec)
 
 	p.mu.Lock()
-	if p.cache == nil || len(p.cache) >= maxPlanCache {
+	if p.cache == nil {
 		p.cache = map[string]cachedPlan{}
+	}
+	if _, ok := p.cache[key]; !ok && len(p.cache) >= maxPlanCache {
+		for k := range p.cache { // an arbitrary one
+			delete(p.cache, k)
+			break
+		}
 	}
 	p.cache[key] = cachedPlan{plan, err}
 	p.mu.Unlock()

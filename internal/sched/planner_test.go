@@ -154,6 +154,37 @@ func TestPlannerCacheSharesPlans(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEvictsOne: a new key at the cache's bound evicts one plan,
+// not all of them, so every other plan still hits.
+func TestPlanCacheEvictsOne(t *testing.T) {
+	p := newTestPlanner()
+	spec := func(n int) JobSpec { return JobSpec{N: n, Shape: "1d-rectangle"} }
+	for n := 16; n < 16+maxPlanCache; n++ {
+		if _, err := p.Plan(spec(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Plan(spec(16 + maxPlanCache)); err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for n := 16; n < 16+maxPlanCache; n++ {
+		if _, ok := p.cache[PlanKey(spec(n))]; ok {
+			kept++
+		}
+	}
+	if kept != maxPlanCache-1 {
+		t.Fatalf("%d of the %d earlier plans still cached, want %d", kept, maxPlanCache, maxPlanCache-1)
+	}
+	hits, _ := p.CacheStats()
+	if _, err := p.Plan(spec(16 + maxPlanCache)); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := p.CacheStats(); h != hits+1 {
+		t.Fatal("the newest plan must hit")
+	}
+}
+
 func TestPlannerSpeedsMustMatchPlatform(t *testing.T) {
 	p := newTestPlanner()
 	if _, err := p.Plan(JobSpec{N: 32, Speeds: []float64{1, 2}}); err == nil {

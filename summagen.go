@@ -12,10 +12,10 @@
 //   - workload partitioning for constant performance models (proportional)
 //     and non-smooth functional performance models (the load-imbalancing
 //     algorithm);
-//   - the SummaGen engine itself, in two modes: real execution over an
-//     in-process MPI-like runtime with a pure-Go DGEMM, and virtual-time
-//     simulation over modelled devices (the paper's HCLServer1 platform is
-//     provided as a preset);
+//   - the SummaGen engine itself: real execution over an in-process
+//     MPI-like runtime with a pure-Go DGEMM, and a simulator that walks
+//     the same compiled schedule over modelled devices (the paper's
+//     HCLServer1 platform is provided as a preset);
 //   - energy accounting per the paper's WattsUp-meter methodology.
 //
 // Quick start:
@@ -164,12 +164,6 @@ type (
 	Report = core.Report
 )
 
-// Execution modes.
-const (
-	RealMode      = core.RealMode
-	SimulatedMode = core.SimulatedMode
-)
-
 // Multiply computes C = A·B with SummaGen, really executing the numerics
 // over the in-process runtime. C is overwritten.
 func Multiply(a, b, c *Matrix, cfg Config) (*Report, error) {
@@ -208,9 +202,10 @@ func CheckMemory(l *Layout, pl *Platform) error {
 	return core.CheckMemory(l, pl)
 }
 
-// Simulate runs the full SummaGen communication and compute schedule on
-// virtual clocks over cfg.Platform without performing numerics — this is
-// how the paper-scale experiments (N up to ~38k) are reproduced.
+// Simulate walks the full SummaGen communication and compute schedule over
+// cfg.Platform without performing numerics, charging each rank's
+// broadcasts by the Hockney model and its DGEMMs by its device's speed —
+// this is how the paper-scale experiments (N up to ~38k) are reproduced.
 func Simulate(cfg Config) (*Report, error) {
 	return core.Simulate(cfg)
 }
