@@ -119,14 +119,9 @@ func run(o options, logger *slog.Logger) error {
 			backends = append(backends, router.NewHTTPBackend(fmt.Sprintf("i%d", i), url))
 		}
 	case o.spawn > 0:
-		var pl *device.Platform
-		switch o.platformName {
-		case "hclserver1":
-			pl = device.HCLServer1()
-		case "hclserver2":
-			pl = device.HCLServer2()
-		default:
-			return fmt.Errorf("unknown platform %q (valid: hclserver1, hclserver2)", o.platformName)
+		pl, err := device.PlatformByName(o.platformName)
+		if err != nil {
+			return err
 		}
 		for i := 0; i < o.spawn; i++ {
 			id := fmt.Sprintf("i%d", i)

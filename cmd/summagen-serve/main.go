@@ -14,13 +14,12 @@
 //
 // With -recover-attempts > 0 the service survives worker-rank loss: a job
 // whose netmpi rank dies mid-collective is replanned over the surviving
-// ranks and resumed from its checkpoint (see internal/recover); the
-// -chaos-kill-* flags inject a deterministic rank kill into every job's
-// first attempt, for smoke-testing that path end to end.
+// ranks and resumed from its checkpoint (see internal/recover).
 //
-// Beyond fail-stop, -chaos takes a full fault plan in the
-// internal/faultinject grammar and applies it to every job's first
-// attempt:
+// -chaos takes a fault plan in the internal/faultinject grammar and applies
+// it to every job's first attempt, for smoke-testing recovery end to end.
+// 'kill:rank=1,after=1' kills rank 1 at its first data frame; faults beyond
+// fail-stop corrupt, throttle or sever links instead:
 //
 //	summagen-serve -runtime netmpi -chaos 'corrupt:rank=0,after=2,fires=1;slowlink:rank=1,rate=256k'
 //
@@ -51,7 +50,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/grayfail"
 	"repro/internal/netmpi"
-	"repro/internal/recover"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/slo"
@@ -75,9 +73,6 @@ type options struct {
 
 	recoverAttempts int
 	recoverBackoff  time.Duration
-	checkpointDir   string
-	chaosKillRank   int
-	chaosKillFrame  int
 	chaosPlan       string
 	chaosTTL        time.Duration
 	grayFail        bool
@@ -111,9 +106,6 @@ func main() {
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "max time to wait for in-flight jobs on shutdown")
 	flag.IntVar(&o.recoverAttempts, "recover-attempts", 2, "survivor-replan recovery attempts per job after a rank failure (0 disables)")
 	flag.DurationVar(&o.recoverBackoff, "recover-backoff", 100*time.Millisecond, "initial backoff before a recovery attempt (doubles per attempt, jittered)")
-	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for file-backed C-cell checkpoints (empty = in-memory)")
-	flag.IntVar(&o.chaosKillRank, "chaos-kill-rank", -1, "chaos: kill this netmpi rank on every job's first attempt (-1 disables; testing only)")
-	flag.IntVar(&o.chaosKillFrame, "chaos-kill-frame", 1, "chaos: frame index at which the kill fires")
 	flag.StringVar(&o.chaosPlan, "chaos", "", "chaos: fault plan applied to every job's first attempt, in the faultinject grammar (e.g. 'corrupt:rank=0,after=2;partition:rank=2,after=2,heal=300ms'; testing only)")
 	flag.DurationVar(&o.chaosTTL, "chaos-ttl", 0, "chaos: disarm the fault plan this long after startup (0 = armed forever) — the heal knob SLO burn-rate smoke tests clear against")
 	flag.BoolVar(&o.grayFail, "grayfail", false, "netmpi: enable the gray-failure monitor (condemn up-but-sick ranks on RTT/goodput evidence and replan proactively)")
@@ -136,14 +128,9 @@ func main() {
 }
 
 func run(o options, logger *slog.Logger) error {
-	var pl *device.Platform
-	switch o.platformName {
-	case "hclserver1":
-		pl = device.HCLServer1()
-	case "hclserver2":
-		pl = device.HCLServer2()
-	default:
-		return fmt.Errorf("unknown platform %q (valid: hclserver1, hclserver2)", o.platformName)
+	pl, err := device.PlatformByName(o.platformName)
+	if err != nil {
+		return err
 	}
 
 	// The chaos disarm deadline is wall-clock from startup: after it, the
@@ -168,8 +155,7 @@ func run(o options, logger *slog.Logger) error {
 		if plan != nil {
 			chaosArmed = true
 			logger.Warn("CHAOS: fault plan armed for every job's first attempt",
-				"plan", o.chaosPlan, "kill_rank", o.chaosKillRank, "kill_frame", o.chaosKillFrame,
-				"ttl", o.chaosTTL.String())
+				"plan", o.chaosPlan, "ttl", o.chaosTTL.String())
 			wrap := chaosWrapConn(*plan)
 			if !chaosDeadline.IsZero() {
 				inner := wrap
@@ -191,15 +177,6 @@ func run(o options, logger *slog.Logger) error {
 		return fmt.Errorf("unknown runtime %q (valid: inproc, netmpi)", o.runtimeName)
 	}
 
-	var store recover.CheckpointStore
-	if o.checkpointDir != "" {
-		fs, err := recover.NewFileStore(o.checkpointDir)
-		if err != nil {
-			return err
-		}
-		store = fs
-	}
-
 	objectives, err := sloObjectivesFromFlags(o)
 	if err != nil {
 		return err
@@ -216,7 +193,6 @@ func run(o options, logger *slog.Logger) error {
 			Runner:              runner,
 			MaxRecoveryAttempts: o.recoverAttempts,
 			RecoveryBackoff:     o.recoverBackoff,
-			Checkpoint:          store,
 			Observe:             o.observe,
 		},
 		MaxN:           o.maxN,
@@ -324,26 +300,14 @@ func sloObjectivesFromFlags(o options) ([]slo.Objective, error) {
 	return objs, nil
 }
 
-// chaosPlanFromFlags merges -chaos (the full faultinject grammar) with the
-// legacy -chaos-kill-* pair into one plan, or nil when no chaos is asked
-// for. Heartbeats are exempt from frame counting so "after=N" means the
-// N-th data frame regardless of timer traffic.
+// chaosPlanFromFlags parses -chaos (the faultinject grammar) into a plan,
+// or nil when no chaos is asked for. Heartbeats are exempt from frame
+// counting so "after=N" means the N-th data frame regardless of timer
+// traffic.
 func chaosPlanFromFlags(o options) (*faultinject.Plan, error) {
-	var plan faultinject.Plan
-	if o.chaosPlan != "" {
-		p, err := faultinject.ParsePlan(o.chaosPlan)
-		if err != nil {
-			return nil, fmt.Errorf("-chaos: %w", err)
-		}
-		plan = p
-	}
-	if o.chaosKillRank >= 0 {
-		plan.Rules = append(plan.Rules, faultinject.Rule{
-			Rank:        o.chaosKillRank,
-			Peer:        -1,
-			AfterFrames: o.chaosKillFrame,
-			Action:      faultinject.Close,
-		})
+	plan, err := faultinject.ParsePlan(o.chaosPlan)
+	if err != nil {
+		return nil, fmt.Errorf("-chaos: %w", err)
 	}
 	if len(plan.Rules) == 0 {
 		return nil, nil

@@ -125,3 +125,16 @@ func (pl *Platform) Validate() error {
 	}
 	return pl.Interconnect.Validate()
 }
+
+// PlatformByName returns the named platform preset: "hclserver1" (three
+// processors) or "hclserver2" (four), the values of the service binaries'
+// -platform flags.
+func PlatformByName(name string) (*Platform, error) {
+	switch name {
+	case "hclserver1":
+		return HCLServer1(), nil
+	case "hclserver2":
+		return HCLServer2(), nil
+	}
+	return nil, fmt.Errorf("unknown platform %q (valid: hclserver1, hclserver2)", name)
+}

@@ -270,3 +270,24 @@ func TestHCLServer2(t *testing.T) {
 		}
 	}
 }
+
+func TestPlatformByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want, err string
+	}{
+		{name: "hclserver1", want: "HCLServer1"},
+		{name: "hclserver2", want: "HCLServer2"},
+		{name: "HCLServer1", err: `unknown platform "HCLServer1" (valid: hclserver1, hclserver2)`},
+		{name: "", err: `unknown platform "" (valid: hclserver1, hclserver2)`},
+	} {
+		pl, err := PlatformByName(tc.name)
+		switch {
+		case tc.err != "":
+			if err == nil || err.Error() != tc.err || pl != nil {
+				t.Errorf("PlatformByName(%q) = %v, %v; want error %q", tc.name, pl, err, tc.err)
+			}
+		case err != nil || pl.Name != tc.want:
+			t.Errorf("PlatformByName(%q) = %v, %v; want platform %s", tc.name, pl, err, tc.want)
+		}
+	}
+}

@@ -3,7 +3,9 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -174,6 +176,62 @@ func TestParsePlanRejects(t *testing.T) {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
 	}
+}
+
+// TestParsePlanRateOverflow: a rate whose suffix product leaves int64 is
+// rejected with an error naming the rule, never wrapped to a small rate
+// (17592186044417m is 2⁴⁴+1 MiB/s, which wraps to 1 MiB/s).
+func TestParsePlanRateOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		rate int64 // 0: must be rejected
+	}{
+		{spec: "slowlink:rate=17592186044417m"},
+		{spec: "slowlink:rate=8796093022208m"}, // 2⁴³ MiB/s = 2⁶³
+		{spec: "slowlink:rate=9007199254740992k"},
+		{spec: "corrupt:rate=-17592186044417m"},
+		{spec: "slowlink:rate=8796093022207m", rate: (1<<43 - 1) << 20},
+		{spec: "slowlink:rate=9007199254740991k", rate: (1<<53 - 1) << 10},
+		{spec: "slowlink:rate=9223372036854775807", rate: math.MaxInt64},
+	} {
+		plan, err := ParsePlan(tc.spec)
+		switch {
+		case tc.rate == 0 && err == nil:
+			t.Errorf("ParsePlan(%q) accepted rate %d", tc.spec, plan.Rules[0].Rate)
+		case tc.rate == 0 && !strings.Contains(err.Error(), tc.spec):
+			t.Errorf("ParsePlan(%q) error %q does not name the rule", tc.spec, err)
+		case tc.rate != 0 && (err != nil || plan.Rules[0].Rate != tc.rate):
+			t.Errorf("ParsePlan(%q) = %+v, %v; want rate %d", tc.spec, plan, err, tc.rate)
+		}
+	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, and every rule it accepts holds
+// finishRule's invariants.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"partition:rank=2,heal=300ms;corrupt:rank=0,peer=1,after=3,fires=1",
+		"corrupt:rank=0,after=2,fires=1;slowlink:rank=1,rate=256k",
+		"corrupt:rank=1,after=3,flips=2;partition:rank=2,after=2,heal=300ms",
+		"kill:rank=1,after=1",
+		"slowlink:rate=512k,jitter=5ms; kill:after=4; drop:peer=3; delay:delay=10ms",
+		"slowlink:rate=17592186044417m",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		for _, r := range plan.Rules {
+			if r.AfterFrames < 1 ||
+				(r.Action == Delay && r.Delay <= 0) ||
+				(r.Action == SlowLink && r.Rate <= 0) {
+				t.Fatalf("ParsePlan(%q) accepted %+v", s, r)
+			}
+		}
+	})
 }
 
 func TestParsePlanEmpty(t *testing.T) {

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -126,7 +127,9 @@ func finishRule(r Rule, spec string) (Rule, error) {
 	return r, nil
 }
 
-// parseRate parses a byte rate with optional k/m binary suffix.
+// parseRate parses a byte rate with optional k/m binary suffix. A rate
+// whose product with the suffix leaves int64 is an error, not a wrapped
+// value.
 func parseRate(val string) (int64, error) {
 	mult := int64(1)
 	switch {
@@ -138,6 +141,9 @@ func parseRate(val string) (int64, error) {
 	n, err := strconv.ParseInt(val, 10, 64)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("%s×%d overflows int64", val, mult)
 	}
 	return n * mult, nil
 }

@@ -6,25 +6,21 @@ import (
 	"repro/internal/slab"
 )
 
-// Binding adapts a CheckpointStore to one job's core.Checkpointer hook and
-// remaps checkpointed cells onto the cells of a (possibly replanned)
-// layout. Cells are matched by exact rectangle coverage: a cell of the new
-// layout is restored only when checkpointed rectangles cover every one of
-// its elements, which stays correct even when recovery attempts under
-// different partitions leave overlapping rectangles behind — every
-// checkpointed element holds the same final value, because each C element
-// has exactly one value in an exact-arithmetic-order-stable kernel.
+// Binding is one job's checkpoint: it keeps the cells the job's attempts
+// finished, implements the core.Checkpointer hook, and remaps the cells
+// onto the cells of a (possibly replanned) layout. Cells are matched by
+// exact rectangle coverage: a cell of the new layout is restored only when
+// checkpointed rectangles cover every one of its elements, which stays
+// correct even when recovery attempts under different partitions leave
+// overlapping rectangles behind — every checkpointed element holds the same
+// final value, because each C element has exactly one value in an
+// exact-arithmetic-order-stable kernel.
 //
-// A Binding is safe for concurrent use by all ranks of a run.
+// The zero Binding is empty and ready to use. A Binding is safe for
+// concurrent use by all ranks of a run.
 type Binding struct {
-	store CheckpointStore
-	jobID string
-
 	mu    sync.Mutex
 	cells []Cell
-	// loaded counts the leading cells of cells that came from the store's
-	// Load: their Data belongs to whoever saved them, not to this Binding.
-	loaded int
 	// scratch holds the two rectangle lists coveredLocked ping-pongs
 	// between, kept so that a coverage check allocates nothing.
 	scratch [2][]rect
@@ -33,17 +29,6 @@ type Binding struct {
 	// computed cells whose area was already fully covered — by
 	// construction always zero, exported as an invariant check.
 	restored, computed, redone int
-	saveErr                    error
-}
-
-// NewBinding loads the job's existing checkpoint (empty on a first
-// attempt) and returns the hook to hand to the engine.
-func NewBinding(store CheckpointStore, jobID string) (*Binding, error) {
-	cells, err := store.Load(jobID)
-	if err != nil {
-		return nil, err
-	}
-	return &Binding{store: store, jobID: jobID, cells: cells, loaded: len(cells)}, nil
 }
 
 // rect is a half-open rectangle [r0,r1)×[c0,c1) in global C coordinates.
@@ -122,8 +107,8 @@ func (b *Binding) Restore(r0, c0, h, w int, dst []float64, stride int) bool {
 }
 
 // Save implements core.Checkpointer. The cell is copied out of src once,
-// into a buffer from the slab free list; the store and the binding then
-// share that copy, neither writing it, until Release returns it.
+// into a buffer from the slab free list that the Binding keeps, never
+// writing it, until Release returns it.
 func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
 	cell := Cell{Row: r0, Col: c0, H: h, W: w, Data: slab.Get(h * w)}
 	for r := 0; r < h; r++ {
@@ -135,30 +120,32 @@ func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
 	if b.coveredLocked(rect{r0, c0, r0 + h, c0 + w}) {
 		b.redone++ // invariant breach: this cell should have been restored
 	}
-	if err := b.store.Save(b.jobID, cell); err != nil && b.saveErr == nil {
-		b.saveErr = err
-	}
 	b.cells = append(b.cells, cell)
 }
 
-// Release hands the Data of every cell this Binding saved back to the slab
-// free list and forgets every cell it holds, so a later Restore finds
-// nothing; cells that came from the store's Load are dropped, not recycled,
-// since their Data belongs to whoever saved them. Release may be called only
-// once the store holds no reference to the saved Data (its Clear for the
-// job has returned) and no Save or Restore can still run (every rank of
-// every run that used the Binding has returned) — the slab package's
-// ownership rules. A caller that cannot prove both leaves the cells to the
-// garbage collector. A second Release is a no-op; a Save after Release
-// checkpoints as before.
+// Release hands the Data of every cell back to the slab free list and
+// forgets every cell, so a later Restore finds nothing. Release may be
+// called only once no Save or Restore can still run (every rank of every
+// run that used the Binding has returned) and no one still reads the Data
+// of cells from Cells — the slab package's ownership rules. A caller that
+// cannot prove both leaves the cells to the garbage collector. A second
+// Release is a no-op; a Save after Release checkpoints as before.
 func (b *Binding) Release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := b.loaded; i < len(b.cells); i++ {
-		slab.Put(b.cells[i].Data)
+	for _, cell := range b.cells {
+		slab.Put(cell.Data)
 	}
 	clear(b.cells)
-	b.cells, b.loaded = b.cells[:0], 0
+	b.cells = b.cells[:0]
+}
+
+// Cells returns the cells saved so far, in save order. Their Data belongs
+// to the Binding: the caller must not write it, nor read it after Release.
+func (b *Binding) Cells() []Cell {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]Cell(nil), b.cells...)
 }
 
 // Stats returns the restore/compute counters accumulated so far.
@@ -166,12 +153,4 @@ func (b *Binding) Stats() (restored, computed, redone int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.restored, b.computed, b.redone
-}
-
-// Err returns the first store error swallowed by Save (checkpointing is
-// best-effort: a failed save costs redone work, never a failed job).
-func (b *Binding) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.saveErr
 }

@@ -18,33 +18,41 @@ import (
 	"repro/internal/slab"
 )
 
-// cellWatch wraps a CheckpointStore and remembers the backing array of
-// every cell saved through it.
+// cellWatch remembers the backing array of every cell a job's Binding
+// saved.
 type cellWatch struct {
-	recover.CheckpointStore
 	mu    sync.Mutex
 	saved map[*float64]bool
 }
 
-func (w *cellWatch) Save(jobID string, cell recover.Cell) error {
+// note records the cells of the run's Binding. A runner calls it once its
+// ranks have returned, before the scheduler can release them.
+func (w *cellWatch) note(ckpt core.Checkpointer) {
+	b, ok := ckpt.(*recover.Binding)
+	if !ok {
+		return
+	}
 	w.mu.Lock()
-	w.saved[&cell.Data[0]] = true
-	w.mu.Unlock()
-	return w.CheckpointStore.Save(jobID, cell)
+	defer w.mu.Unlock()
+	for _, cell := range b.Cells() {
+		w.saved[&cell.Data[0]] = true
+	}
 }
 
 // lateCasualty runs every attempt on a real netmpi mesh and then, for the
 // first attempts kill picks, reports a rank as dead although the run
 // finished: the recovery attempt restores every cell from a checkpoint
 // written in full (a socket kill lands in the broadcast stages, before any
-// cell exists).
+// cell exists). Every run's checkpoint cells go to watch.
 type lateCasualty struct {
 	*NetmpiRunner
-	kill func(jobID string) (rank int, ok bool)
+	kill  func(jobID string) (rank int, ok bool)
+	watch *cellWatch
 }
 
 func (r *lateCasualty) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
 	rep, err := r.NetmpiRunner.Run(jobID, plan, a, b, c, opts)
+	r.watch.note(opts.Checkpoint)
 	if rank, ok := r.kill(jobID); ok && err == nil && opts.Epoch == 0 {
 		return nil, &netmpi.PeerFailedError{Rank: rank, Op: "bcast", Err: io.EOF}
 	}
@@ -107,16 +115,17 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 			victim, _, late, ok := fault(jobID)
 			return victim, ok && late
 		},
+		watch: &cellWatch{saved: map[*float64]bool{}},
 	}
 
-	store := &cellWatch{CheckpointStore: recover.NewMemStore(), saved: map[*float64]bool{}}
+	watch := runner.watch
 	var reusedCells int
 	defer slab.SetReuseHook(func(s []float64) {
-		store.mu.Lock()
-		if store.saved[&s[:1][0]] {
+		watch.mu.Lock()
+		if watch.saved[&s[:1][0]] {
 			reusedCells++
 		}
-		store.mu.Unlock()
+		watch.mu.Unlock()
 		for i := range s {
 			s[i] = math.NaN()
 		}
@@ -125,7 +134,6 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 		c.Workers = 2
 		c.MaxRecoveryAttempts = 2
 		c.RecoveryBackoff = 10 * time.Millisecond
-		c.Checkpoint = store
 		c.Runner = runner
 	})
 	recovered := map[bool]int{} // by late: socket kill, late casualty
@@ -142,8 +150,8 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 	if m.Counters.CellsRedone != 0 {
 		t.Errorf("%d checkpointed cells were redone", m.Counters.CellsRedone)
 	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
+	watch.mu.Lock()
+	defer watch.mu.Unlock()
 	if recovered[false] == 0 || recovered[true] == 0 || m.Counters.CellsRestored == 0 || reusedCells == 0 {
 		t.Fatalf("recovered %d jobs from socket kills and %d from late casualties, restored %d cells, reused %d checkpoint buffers: the run did not mix recovered and clean jobs on one free list",
 			recovered[false], recovered[true], m.Counters.CellsRestored, reusedCells)

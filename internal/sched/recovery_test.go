@@ -14,12 +14,11 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
-	"repro/internal/recover"
 )
 
 // chaosHook builds a WrapConn that kills one rank's connections at a fixed
 // frame — one injector per job mesh, first attempt (epoch 0) only, exactly
-// like summagen-serve's -chaos-kill-rank flag.
+// like summagen-serve's -chaos 'kill:rank=R,after=F'.
 func chaosHook(killRank, killFrame int) func(jobID string, epoch, rank int) func(peer int, c net.Conn) net.Conn {
 	var mu sync.Mutex
 	injectors := map[string]*faultinject.Injector{}
@@ -389,112 +388,6 @@ func permute(xs []error, fn func([]error)) {
 	rec(0)
 }
 
-// TestRecoveryFileStoreSurvivesBindingReload: the scheduler configured
-// with a FileStore checkpoints through job recovery exactly like the
-// default MemStore (integration of sched + recover.FileStore).
-func TestRecoveryFileStoreSurvivesBindingReload(t *testing.T) {
-	store, err := recover.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestScheduler(t, func(c *Config) {
-		c.MaxRecoveryAttempts = 2
-		c.RecoveryBackoff = 10 * time.Millisecond
-		c.Checkpoint = store
-		c.Runner = &NetmpiRunner{
-			OpTimeout:         1500 * time.Millisecond,
-			HeartbeatInterval: 100 * time.Millisecond,
-			WrapConn:          chaosHook(1, 3),
-		}
-	})
-	v, err := s.Submit(JobSpec{N: 48, Shape: "square-corner", Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitTerminal(t, s, v.ID, 90*time.Second)
-	if got.State != StateDone {
-		t.Fatalf("state %v err %v", got.State, got.Err)
-	}
-	// Terminal jobs clear their checkpoints (stored under the job's
-	// incarnation-scoped key, not the raw job id).
-	s.mu.Lock()
-	key := s.jobs[v.ID].ckptKey
-	s.mu.Unlock()
-	cells, err := store.Load(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 {
-		t.Fatalf("%d checkpoint cells leaked after terminal state", len(cells))
-	}
-}
-
-// TestCheckpointKeyUniquePerIncarnation pins the keying scheme: job IDs
-// are a per-process counter that restarts after a crash, so the store key
-// must differ across incarnations (nonce) while staying stable within one.
-func TestCheckpointKeyUniquePerIncarnation(t *testing.T) {
-	spec := JobSpec{N: 48, Shape: "square-corner", Seed: 5}
-	k1 := checkpointKey("incarnation-a", "j-000001", spec)
-	k2 := checkpointKey("incarnation-b", "j-000001", spec)
-	if k1 == k2 {
-		t.Fatalf("same key %q for the same job id in different incarnations", k1)
-	}
-	if again := checkpointKey("incarnation-a", "j-000001", spec); again != k1 {
-		t.Fatalf("key not stable within an incarnation: %q then %q", k1, again)
-	}
-	if k1 == "j-000001" || k2 == "j-000001" {
-		t.Fatal("key must not collapse to the raw job id")
-	}
-	s1 := newTestScheduler(t, nil)
-	s2 := newTestScheduler(t, nil)
-	if s1.ckptNonce == s2.ckptNonce {
-		t.Fatalf("two scheduler incarnations share nonce %q", s1.ckptNonce)
-	}
-}
-
-// TestStaleCheckpointFromPriorIncarnationIgnored is the crash-restart
-// regression: a previous process left cells in the shared checkpoint
-// directory under a key derived from job id j-000001, the restarted
-// process hands out j-000001 again, and the new job must NOT restore the
-// stale (wrong) cells. The poison covers all of C with zeros, so any
-// restore from it fails both the digest and the serial verification.
-func TestStaleCheckpointFromPriorIncarnationIgnored(t *testing.T) {
-	const n, seed = 48, 9
-	store, err := recover.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// What the previous incarnation would have left behind, under every
-	// plausible legacy key shape for its first job.
-	spec := JobSpec{N: n, Shape: "square-corner", Seed: seed, Verify: true}
-	poison := recover.Cell{Row: 0, Col: 0, H: n, W: n, Data: make([]float64, n*n)}
-	for _, staleKey := range []string{
-		"j-000001", // the pre-fix key: the raw, reused job id
-		checkpointKey("dead-incarnation", "j-000001", spec),
-	} {
-		if err := store.Save(staleKey, poison); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := newTestScheduler(t, func(c *Config) {
-		c.MaxRecoveryAttempts = 2
-		c.RecoveryBackoff = time.Millisecond
-		c.Checkpoint = store
-		c.Runner = &checkpointThenFailRunner{}
-	})
-	v, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitTerminal(t, s, v.ID, 60*time.Second)
-	if got.State != StateDone {
-		t.Fatalf("state %v err %v", got.State, got.Err)
-	}
-	if !got.Verified {
-		t.Fatal("result not verified — stale checkpoint data leaked into C")
-	}
-}
-
 // blockUntilCtxFailRunner parks every run on the per-job context, then
 // reports a casualty — the shape of an orphaned run whose job timed out.
 type blockUntilCtxFailRunner struct {
@@ -558,35 +451,33 @@ func TestJobTimeoutStopsRecoveryLoop(t *testing.T) {
 	}
 }
 
-// countingStore wraps a CheckpointStore and counts Save calls.
-type countingStore struct {
-	recover.CheckpointStore
-	mu    sync.Mutex
-	saves int
+// checkpointSpy is the inproc runner, counting the runs handed a
+// Checkpoint.
+type checkpointSpy struct {
+	InprocRunner
+	mu        sync.Mutex
+	runs      int
+	withCkpts int
 }
 
-func (cs *countingStore) Save(jobID string, cell recover.Cell) error {
-	cs.mu.Lock()
-	cs.saves++
-	cs.mu.Unlock()
-	return cs.CheckpointStore.Save(jobID, cell)
-}
-
-func (cs *countingStore) Saves() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.saves
+func (r *checkpointSpy) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
+	r.mu.Lock()
+	r.runs++
+	if opts.Checkpoint != nil {
+		r.withCkpts++
+	}
+	r.mu.Unlock()
+	return r.InprocRunner.Run(jobID, plan, a, b, c, opts)
 }
 
 // TestInprocSkipsCheckpointOverhead: the inproc runtime can never produce
 // a rank-attributed failure, so even with recovery enabled its jobs must
 // not pay checkpoint overhead (no Save per cell, no coverage scans).
 func TestInprocSkipsCheckpointOverhead(t *testing.T) {
-	store := &countingStore{CheckpointStore: recover.NewMemStore()}
+	runner := &checkpointSpy{}
 	s := newTestScheduler(t, func(c *Config) {
 		c.MaxRecoveryAttempts = 2
-		c.Checkpoint = store
-		c.Runner = &InprocRunner{}
+		c.Runner = runner
 	})
 	v, err := s.Submit(JobSpec{N: 48, Shape: "square-corner", Seed: 3})
 	if err != nil {
@@ -596,7 +487,9 @@ func TestInprocSkipsCheckpointOverhead(t *testing.T) {
 	if got.State != StateDone {
 		t.Fatalf("state %v err %v", got.State, got.Err)
 	}
-	if n := store.Saves(); n != 0 {
-		t.Fatalf("inproc job checkpointed %d cells; recovery can never consume them", n)
+	runner.mu.Lock()
+	defer runner.mu.Unlock()
+	if runner.runs != 1 || runner.withCkpts != 0 {
+		t.Fatalf("inproc job ran %d times, %d of them with a Checkpoint; recovery can never consume one", runner.runs, runner.withCkpts)
 	}
 }

@@ -58,9 +58,9 @@ func runnerRecoverable(r Runner) bool {
 // the plan: the recovery machinery's hooks (see internal/recover and the
 // scheduler's recovery loop).
 type RunOpts struct {
-	// Checkpoint, when non-nil, makes every completed C cell durable and
-	// restorable, so a later attempt under a different layout never
-	// redoes finished work.
+	// Checkpoint, when non-nil, keeps every completed C cell restorable,
+	// so a later attempt under a different layout never redoes finished
+	// work.
 	Checkpoint core.Checkpointer
 	// Epoch is the recovery attempt number (0 = first attempt). The
 	// netmpi runner tags its mesh generation with it so stale ranks can

@@ -2,12 +2,8 @@ package sched
 
 import (
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -57,10 +53,6 @@ type Config struct {
 	// (default 50 ms), doubling per attempt with ±25% jitter. A drain
 	// aborts the pause immediately.
 	RecoveryBackoff time.Duration
-	// Checkpoint persists completed C cells between recovery attempts.
-	// Nil with recovery enabled defaults to an in-memory store; supply a
-	// recover.FileStore to survive process restarts.
-	Checkpoint recover.CheckpointStore
 	// Observe enables per-job span recording: every job carries an
 	// obs.Recorder tracing admission, queue wait, planning, each run
 	// attempt (with engine stages underneath) and recovery, exposed via
@@ -80,9 +72,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.RecoveryBackoff <= 0 {
 		cfg.RecoveryBackoff = 50 * time.Millisecond
 	}
-	if cfg.MaxRecoveryAttempts > 0 && cfg.Checkpoint == nil {
-		cfg.Checkpoint = recover.NewMemStore()
-	}
 	if cfg.Planner == nil {
 		return cfg, fmt.Errorf("sched: Config.Planner is required")
 	}
@@ -96,7 +85,6 @@ func (c *Config) withDefaults() (Config, error) {
 // guarded by Scheduler.mu.
 type job struct {
 	id       string
-	ckptKey  string
 	spec     JobSpec
 	state    JobState
 	plan     *Plan
@@ -190,12 +178,6 @@ type Scheduler struct {
 	nextID     int
 	counters   Counters
 
-	// ckptNonce makes checkpoint keys unique per scheduler incarnation:
-	// job IDs are a per-process counter, so a file-backed store keyed by
-	// them alone would feed one incarnation's leftover cells into the next
-	// incarnation's unrelated jobs after a crash-restart.
-	ckptNonce string
-
 	wg sync.WaitGroup // worker goroutines
 
 	// drainStart closes the moment Drain begins: recovery backoffs abort
@@ -219,7 +201,6 @@ func New(cfg Config) (*Scheduler, error) {
 		jobs:       map[string]*job{},
 		tenantLoad: map[string]int{},
 		drainStart: make(chan struct{}),
-		ckptNonce:  newCkptNonce(),
 	}
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	s.cond = sync.NewCond(&s.mu)
@@ -254,7 +235,6 @@ func (s *Scheduler) Submit(spec JobSpec) (JobView, error) {
 	id := fmt.Sprintf("j-%06d", s.nextID)
 	j := &job{
 		id:       id,
-		ckptKey:  checkpointKey(s.ckptNonce, id, spec),
 		spec:     spec,
 		state:    StateQueued,
 		enqueued: time.Now(),
@@ -590,26 +570,13 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		endAttempt(att, err)
 		return rep, plan, err
 	}
-	// Checkpointing is best-effort: a store that cannot even load leaves
-	// the job running unprotected rather than failing it.
-	var ckpt core.Checkpointer
-	binding, berr := recover.NewBinding(s.cfg.Checkpoint, j.ckptKey)
-	if berr == nil {
-		ckpt = binding
-	}
-	// The checkpoint cells go back to the free list after Clear, and only
-	// when the first attempt succeeded: that Run joined every rank it
-	// started, so nothing can still save or restore a cell. After a failed
-	// attempt the Runner contract promises no such join (the rule runJob
-	// applies to the operands), so a recovered or failed job's cells are
-	// left to the garbage collector.
-	clean := false
-	defer func() {
-		s.cfg.Checkpoint.Clear(j.ckptKey)
-		if clean && binding != nil {
-			binding.Release()
-		}
-	}()
+	// The job's Binding holds every cell its attempts finish. The cells go
+	// back to the free list only when the first attempt succeeded: that Run
+	// joined every rank it started, so nothing can still save or restore a
+	// cell. After a failed attempt the Runner contract promises no such join
+	// (the rule runJob applies to the operands), so a recovered or failed
+	// job's cells are left to the garbage collector.
+	binding := new(recover.Binding)
 
 	// world maps current mesh ranks to original plan ranks (for casualty
 	// attribution in job status); speeds are the survivors' relative
@@ -627,11 +594,12 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 	for epoch := 0; ; epoch++ {
 		att := s.startAttempt(j, epoch)
 		rep, err := s.cfg.Runner.Run(j.id, cur, a, b, c,
-			RunOpts{Checkpoint: ckpt, Epoch: epoch, Ctx: ctx, Span: att})
+			RunOpts{Checkpoint: binding, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		if err == nil {
-			clean = epoch == 0
-			if epoch > 0 {
+			if epoch == 0 {
+				binding.Release()
+			} else {
 				s.mu.Lock()
 				if !j.state.Terminal() {
 					j.recoveryTime = time.Since(firstFailure)
@@ -785,9 +753,6 @@ func (s *Scheduler) noteRecoveryOutcome(j *job, attempts int, binding *recover.B
 // recordCellStatsLocked folds a binding's checkpoint accounting into the
 // scheduler counters. Callers hold s.mu.
 func (s *Scheduler) recordCellStatsLocked(binding *recover.Binding) {
-	if binding == nil {
-		return
-	}
 	restored, computed, redone := binding.Stats()
 	s.counters.CellsRestored += uint64(restored)
 	s.counters.CellsRecomputed += uint64(computed)
@@ -823,29 +788,6 @@ func (s *Scheduler) finish(j *job, rep *core.Report, digest string, verified boo
 	if s.cfg.OnJobDone != nil {
 		s.cfg.OnJobDone(view)
 	}
-}
-
-// newCkptNonce draws the per-incarnation checkpoint nonce; a clock-based
-// fallback keeps schedulers constructible when the entropy source fails.
-func newCkptNonce() string {
-	var b [8]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		binary.LittleEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// checkpointKey derives the CheckpointStore key for a job. The job id is a
-// per-process counter that restarts at j-000001 after a crash — exactly the
-// scenario a file-backed store exists for — so the key additionally folds
-// in the incarnation nonce and the job's content. A restarted process can
-// therefore never load a previous incarnation's leftover cells into an
-// unrelated job; stale directories are simply unreachable.
-func checkpointKey(nonce, id string, spec JobSpec) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%s|%v|%v|%v",
-		nonce, spec.N, spec.Seed, spec.Shape, spec.Speeds, spec.UseFPM, spec.Verify)
-	return fmt.Sprintf("%s-%016x", id, h.Sum64())
 }
 
 // MatrixDigest is matrix.Digest, kept for callers that name it here.

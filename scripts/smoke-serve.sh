@@ -124,7 +124,7 @@ BASE="http://$ADDR"
 say "restarting with netmpi runtime and a seeded rank kill"
 "$WORKDIR/summagen-serve" -addr "$ADDR" -runtime netmpi -workers 1 \
   -op-timeout 2s -recover-attempts 2 -recover-backoff 50ms \
-  -chaos-kill-rank 1 -chaos-kill-frame 1 \
+  -chaos 'kill:rank=1,after=1' \
   >"$WORKDIR/serve-chaos.log" 2>&1 &
 SERVE_PID=$!
 
