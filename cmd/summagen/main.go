@@ -25,7 +25,10 @@
 // In rank mode -op-timeout bounds every blocking frame read or write and
 // -heartbeat keeps slow-but-alive ranks from being declared dead: a rank
 // whose peer fails exits with status 3 and a diagnostic naming the dead
-// peer instead of hanging. -chaos applies a fault plan in the
+// peer instead of hanging. Before multiplying, the ranks compare their
+// layouts' digests: ranks given different layouts (a differing -shape,
+// -speeds, -n or -layout) exit with status 1 and name the rank that
+// disagrees. -chaos applies a fault plan in the
 // internal/faultinject grammar to this rank's connections — corruption
 // (caught by the frame CRC and re-requested), bandwidth-capped links,
 // partitions that sever until they heal:
@@ -258,7 +261,12 @@ func (o *options) buildLayout(pl *device.Platform) (*partition.Layout, string, e
 	}
 	var areas []int
 	if o.fpm {
-		areas, err = fpmAreas(o.n, pl)
+		models := make([]fpm.Model, pl.P())
+		for i, d := range pl.Devices {
+			models[i] = d.Speed
+		}
+		areas, err = balance.FPMAreas(o.n, models)
+		balance.Positive(areas)
 	} else {
 		var speeds []float64
 		if speeds, err = balance.ParseSpeeds(o.speeds); err == nil {
@@ -270,27 +278,6 @@ func (o *options) buildLayout(pl *device.Platform) (*partition.Layout, string, e
 	}
 	l, err := partition.Build(shape, o.n, areas)
 	return l, shape.String(), err
-}
-
-// fpmAreas splits N² with the load-imbalancing algorithm over the
-// platform's speed functions, giving every rank at least one element.
-func fpmAreas(n int, pl *device.Platform) ([]int, error) {
-	models := make([]fpm.Model, pl.P())
-	for i, d := range pl.Devices {
-		models[i] = d.Speed
-	}
-	res, err := balance.LoadImbalance(n*n, models, max(n*n/256, 1))
-	if err != nil {
-		return nil, err
-	}
-	areas := res.Parts
-	for i := range areas {
-		if areas[i] == 0 {
-			areas[i] = 1
-			areas[maxIndex(areas)]--
-		}
-	}
-	return areas, nil
 }
 
 // runRank joins the TCP mesh as rank o.rank, computes this rank's cells of
@@ -329,6 +316,11 @@ func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *
 		return nil, nil, err
 	}
 	defer ep.Close()
+	// Ranks that built different layouts would wait on each other's
+	// broadcasts for ever, heartbeats keeping every op alive: compare first.
+	if err := ep.AgreeDigest(layout.Digest()); err != nil {
+		return nil, nil, fmt.Errorf("layout agreement: %w", err)
+	}
 
 	n := layout.N
 	root := rec.Root("rank").OnRank(o.rank).Int("rank", int64(o.rank)).Int("n", int64(n))
@@ -500,14 +492,4 @@ func writeTrace(path string, rec *obs.Recorder, tl *trace.Timeline, remotes []ob
 		err = cerr
 	}
 	return err
-}
-
-func maxIndex(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if x > xs[m] {
-			m = i
-		}
-	}
-	return m
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,13 +62,60 @@ func TestDigestMatchesScheduler(t *testing.T) {
 // TestRankMode: three rank-mode runs over loopback TCP in one process each
 // verify the cells their rank owns.
 func TestRankMode(t *testing.T) {
+	codes, outs, errs := runRanks(t, func(int) []string {
+		return []string{"-n", "80", "-seed", "7", "-op-timeout", "20s", "-dial-timeout", "20s"}
+	})
+	for r := range codes {
+		if codes[r] != 0 || !strings.Contains(outs[r].String(), "verification: OK") {
+			t.Errorf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
+		}
+	}
+}
+
+// TestRankModeLayoutMismatch: a mesh whose ranks built different layouts
+// (rank 2 a 1d-rectangle, the others a square-corner) does not multiply.
+// Every rank exits 1 within 10 s with an error naming a disagreeing rank
+// and both layout digests; without the agreement the ranks wait on each
+// other's broadcasts for ever, heartbeats keeping every op alive.
+func TestRankModeLayoutMismatch(t *testing.T) {
+	done := make(chan struct{})
+	var codes []int
+	var errs []bytes.Buffer
+	go func() {
+		defer close(done)
+		codes, _, errs = runRanks(t, func(r int) []string {
+			shape := "square-corner"
+			if r == 2 {
+				shape = "1d-rectangle"
+			}
+			return []string{"-n", "96", "-shape", shape, "-op-timeout", "5s", "-dial-timeout", "10s"}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranks that disagree on the layout still run after 10 s")
+	}
+	mismatch := regexp.MustCompile(`layout agreement: netmpi: rank \d has digest [0-9a-f]{16}, rank \d has [0-9a-f]{16}`)
+	for r := range codes {
+		if codes[r] != 1 || !mismatch.MatchString(errs[r].String()) {
+			t.Errorf("rank %d: exit %d, stderr: %s; want 1 and the layout mismatch", r, codes[r], errs[r].String())
+		}
+	}
+}
+
+// runRanks runs three rank-mode invocations over loopback TCP in this
+// process, rank r with the -rank and -hosts flags plus args(r), and returns
+// each rank's exit status, stdout and stderr.
+func runRanks(t *testing.T, args func(r int) []string) ([]int, []bytes.Buffer, []bytes.Buffer) {
 	const p = 3
 	lns := make([]net.Listener, p)
 	addrs := make([]string, p)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return nil, nil, nil
 		}
 		defer ln.Close()
 		lns[i], addrs[i] = ln, ln.Addr().String()
@@ -80,17 +128,12 @@ func TestRankMode(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			args := []string{"-rank", strconv.Itoa(r), "-hosts", strings.Join(addrs, ","), "-n", "80", "-seed", "7",
-				"-op-timeout", "20s", "-dial-timeout", "20s"}
-			codes[r] = run(args, &outs[r], &errs[r], lns[r])
+			flags := append([]string{"-rank", strconv.Itoa(r), "-hosts", strings.Join(addrs, ",")}, args(r)...)
+			codes[r] = run(flags, &outs[r], &errs[r], lns[r])
 		}(r)
 	}
 	wg.Wait()
-	for r := 0; r < p; r++ {
-		if codes[r] != 0 || !strings.Contains(outs[r].String(), "verification: OK") {
-			t.Errorf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
-		}
-	}
+	return codes, outs, errs
 }
 
 // TestUsageErrors: flag combinations that name no run exit with status 2

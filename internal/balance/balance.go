@@ -17,6 +17,7 @@ package balance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -318,6 +319,26 @@ func LoadImbalance(total int, models []fpm.Model, granularity int) (Result, erro
 		}
 	}
 	return Result{Parts: parts, Time: tmax}, nil
+}
+
+// FPMAreas splits the N² elements of C with LoadImbalance over models, at
+// the granularity every FPM-partitioned layout uses, max(N²/256, 1).
+func FPMAreas(n int, models []fpm.Model) ([]int, error) {
+	res, err := LoadImbalance(n*n, models, max(n*n/256, 1))
+	return res.Parts, err
+}
+
+// Positive gives every area at least one element, taking each from the
+// largest share, since a shape constructor needs every area positive. It
+// changes areas in place and returns it.
+func Positive(areas []int) []int {
+	for i := range areas {
+		if areas[i] == 0 {
+			areas[slices.Index(areas, slices.Max(areas))]--
+			areas[i] = 1
+		}
+	}
+	return areas
 }
 
 // BruteForceMinMax exhaustively minimizes max time over all distributions

@@ -91,11 +91,11 @@ func TestRecycledBuffersSurviveGC(t *testing.T) {
 
 // TestWarmMultiplyAllocs: a warm multiply reads its schedule off the layout's
 // compiled form and runs on a resident world, so it allocates little more than
-// its report, its Timeline and its rank goroutines — at most 40 allocations
-// on every shape. Rebuilding the world's communicators and re-walking the
-// layout grid on every call cost ~130.
+// its report, its Timeline (sized once from the schedule) and its rank
+// goroutines — at most 24 allocations on every shape. Rebuilding the world's
+// communicators and re-walking the layout grid on every call cost ~130.
 func TestWarmMultiplyAllocs(t *testing.T) {
-	const n, ceiling = 64, 40
+	const n, ceiling = 64, 24
 	rng := rand.New(rand.NewSource(8))
 	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
 	for _, shape := range partition.Shapes {

@@ -16,6 +16,9 @@ import (
 // distributed setting each process only needs its own partitions of A and
 // B populated, and owns its partition of C afterwards. Passing fully
 // replicated matrices also works and is the easy path for demos.
+//
+// RunRank keeps no Timeline: the runtime's own totals (p.Compute, and for
+// netmpi Endpoint.Breakdown) are the rank's record.
 func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	s, err := cfg.validate(a, b, c)
 	if err != nil {
@@ -24,5 +27,5 @@ func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	if p.Size() != cfg.Layout.P {
 		return fmt.Errorf("core: runtime has %d ranks but layout has %d processors", p.Size(), cfg.Layout.P)
 	}
-	return rankMain(p, &cfg, s, a, b, c)
+	return rankMain(p, &cfg, s, record{}, a, b, c)
 }

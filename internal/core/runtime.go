@@ -30,8 +30,10 @@ type Proc interface {
 	// given ascending world ranks; the caller must be a member, and
 	// ranks[i] is communicator rank i.
 	Split(ranks []int) Comm
-	// Compute records d seconds of local computation of `flops`
-	// floating-point operations, just finished.
+	// Compute adds d seconds of local computation of `flops`
+	// floating-point operations, just finished, to the runtime's own
+	// compute total (netmpi's Breakdown). The in-process runtime keeps
+	// none: Multiply records every op on the Report's Timeline itself.
 	Compute(d, flops float64, label string)
 }
 
@@ -55,10 +57,10 @@ type Comm interface {
 
 type mpiProc struct{ p *mpi.Proc }
 
-func (m mpiProc) Rank() int                              { return m.p.Rank() }
-func (m mpiProc) Size() int                              { return m.p.Size() }
-func (m mpiProc) Split(ranks []int) Comm                 { return mpiComm{m.p.Split(ranks)} }
-func (m mpiProc) Compute(d, flops float64, label string) { m.p.Compute(d, flops, label) }
+func (m mpiProc) Rank() int                    { return m.p.Rank() }
+func (m mpiProc) Size() int                    { return m.p.Size() }
+func (m mpiProc) Split(ranks []int) Comm       { return mpiComm{m.p.Split(ranks)} }
+func (mpiProc) Compute(_, _ float64, _ string) {}
 
 type mpiComm struct{ c *mpi.Comm }
 

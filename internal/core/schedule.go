@@ -19,10 +19,14 @@ type schedule struct {
 	areas              []int            // elements owned per rank
 	ratio              float64          // partition.OptimalityRatio, 0 when it has none
 	ranks              []rankSchedule
-	// labels holds, per band (grid rows, then grid columns), the labels
-	// Simulate records a band's split and broadcasts under: "split@[0 2]"
-	// and "bcast@[0 2]"; empty for a band with one member.
+	// labels holds, per band (grid rows, then grid columns), the labels a
+	// band's split and broadcasts are recorded under: "split@[0 2]" and
+	// "bcast@[0 2]"; empty for a band with one member.
 	labels [][2]string
+	// events is how many Timeline events a multiply records: one split per
+	// band, one bcast per broadcast op and one compute per rectangle, on
+	// every member (a walk adds its idle events on top).
+	events int
 }
 
 // rankSchedule is one rank's share. WA is waRows×N and WB N×wbCols; grid row
@@ -68,12 +72,7 @@ var schedules = struct {
 // the same pointer, and only a valid layout is ever compiled, so the equality
 // check stands in for Layout.Validate.
 func scheduleFor(l *partition.Layout) (*schedule, error) {
-	h := uint64(14695981039346656037) // FNV-1a over the layout's words
-	for _, vs := range [][]int{{l.N, l.P, l.GridRows, l.GridCols}, l.Owner, l.RowHeights, l.ColWidths} {
-		for _, v := range vs {
-			h = (h ^ uint64(v)) * 1099511628211
-		}
-	}
+	h := l.Digest()
 	schedules.Lock()
 	s := schedules.m[h]
 	schedules.Unlock()
@@ -136,6 +135,17 @@ func compile(l *partition.Layout) *schedule {
 			}
 		}
 		rs.rects = s.findRects(func(i, j int) bool { return l.OwnerAt(i, j) == r })
+		s.events += len(rs.rects)
+		for _, ops := range rs.ops {
+			for _, o := range ops {
+				if o.procs != nil {
+					s.events++
+				}
+				if o.split {
+					s.events++
+				}
+			}
+		}
 	}
 	return s
 }

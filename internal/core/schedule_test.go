@@ -11,6 +11,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/trace"
 )
 
 // dgemmSpans returns the per-rectangle "dgemm[" spans of one recorded multiply.
@@ -168,5 +169,46 @@ func TestScheduleCacheEvictsOne(t *testing.T) {
 	}
 	if !matrix.Equal(first, again) {
 		t.Fatal("a layout compiled past the bound gave a different product")
+	}
+}
+
+// TestTimelineSizedFromSchedule: a checkpoint-free multiply records exactly
+// the events its schedule counts (one split per band, one bcast per
+// broadcast op and one compute per rectangle, on every member), so the
+// Timeline that Multiply sizes from the schedule never grows. Checked on
+// random layouts at P = 1–6; Simulate records the same ops plus its idle
+// events.
+func TestTimelineSizedFromSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for p := 1; p <= 6; p++ {
+		for k := 0; k < 6; k++ {
+			n := 8*p + rng.Intn(24)
+			l := randomLayout(rng, n, p)
+			s, err := scheduleFor(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+			rep, err := Multiply(a, b, c, Config{Layout: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Timeline.Len(); got != s.events {
+				t.Errorf("P=%d layout %+v: Multiply recorded %d events, the schedule counts %d", p, l, got, s.events)
+			}
+			sim, err := Simulate(Config{Layout: l, Platform: testPlatform(p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := 0
+			for _, e := range sim.Timeline.Events() {
+				if e.Kind != trace.Idle {
+					ops++
+				}
+			}
+			if ops != s.events {
+				t.Errorf("P=%d layout %+v: Simulate recorded %d op events, the schedule counts %d", p, l, ops, s.events)
+			}
+		}
 	}
 }

@@ -59,7 +59,7 @@ func simulate(cfg *Config, s *schedule) (*trace.Timeline, error) {
 	}
 	ranks := make([]simRank, l.P)
 	links := make([]hockney.Link, len(s.labels)) // a band's, found at its first op
-	tl := trace.New()
+	tl := trace.NewCap(s.events)
 	// next returns rank r's next band op, skipping local copies, or nil.
 	next := func(r int) *bandOp {
 		sr, ops := &ranks[r], &s.ranks[r].ops

@@ -188,18 +188,43 @@ func Multiply(a, b, c *matrix.Dense, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tl := trace.New()
-	w.SetTimeline(tl)
-	if err := w.Run(func(p *mpi.Proc) error { return rankMain(mpiProc{p}, &cfg, s, a, b, c) }); err != nil {
+	rec := record{tl: trace.NewCap(s.events), t0: time.Now()}
+	if err := w.Run(func(p *mpi.Proc) error { return rankMain(mpiProc{p}, &cfg, s, rec, a, b, c) }); err != nil {
 		return nil, err
 	}
-	w.SetTimeline(nil) // the Report owns tl now; an idle world keeps none
 	idleWorlds.Lock()
 	if len(idleWorlds.worlds) < maxIdleWorlds {
 		idleWorlds.worlds = append(idleWorlds.worlds, w)
 	}
 	idleWorlds.Unlock()
-	return buildReport(&cfg, s, tl)
+	return buildReport(&cfg, s, rec.tl)
+}
+
+// record is the Timeline a multiply's ranks record their ops on, each
+// event's times in seconds since t0; its labels, bytes and flops are the
+// schedule op's own. RunRank runs with the zero record, which records
+// nothing and reads no clock.
+type record struct {
+	tl *trace.Timeline
+	t0 time.Time
+}
+
+// now returns the seconds since t0, or 0 without a Timeline.
+func (r record) now() float64 {
+	if r.tl == nil {
+		return 0
+	}
+	return time.Since(r.t0).Seconds()
+}
+
+// add records rank's op of kind from start until now, and returns now.
+func (r record) add(rank int, kind trace.Kind, label string, bytes int, flops, start float64) float64 {
+	if r.tl == nil {
+		return 0
+	}
+	end := r.now()
+	r.tl.Add(trace.Event{Rank: rank, Kind: kind, Start: start, End: end, Bytes: bytes, Flops: flops, Label: label})
+	return end
 }
 
 // maxIdleWorlds bounds the worlds kept resident between multiplies.
@@ -228,8 +253,9 @@ func takeWorld(procs int) (*mpi.World, error) {
 }
 
 // rankMain runs one rank's three stages back to back on the calling
-// goroutine, as its compiled schedule lists them.
-func rankMain(p Proc, cfg *Config, s *schedule, a, b, c *matrix.Dense) error {
+// goroutine, as its compiled schedule lists them, and records each op on
+// rec.
+func rankMain(p Proc, cfg *Config, s *schedule, rec record, a, b, c *matrix.Dense) error {
 	rs := &s.ranks[p.Rank()]
 	n := s.layout.N
 	// WA and WB come from the slab free list un-zeroed. Only this goroutine
@@ -240,14 +266,14 @@ func rankMain(p Proc, cfg *Config, s *schedule, a, b, c *matrix.Dense) error {
 	defer slab.Put(sb)
 	wa := matrix.Dense{Rows: rs.waRows, Cols: n, Stride: n, Data: sa}
 	wb := matrix.Dense{Rows: n, Cols: rs.wbCols, Stride: rs.wbCols, Data: sb}
-	if err := assembleBands(p, cfg, rs, axisA, a, &wa); err != nil {
+	if err := assembleBands(p, cfg, s, rec, axisA, a, &wa); err != nil {
 		return err
 	}
-	if err := assembleBands(p, cfg, rs, axisB, b, &wb); err != nil {
+	if err := assembleBands(p, cfg, s, rec, axisB, b, &wb); err != nil {
 		return err
 	}
 	sp := cfg.Span.Child("dgemm").OnRank(p.Rank())
-	if err := localCompute(p, cfg, s, &wa, &wb, c, sp); err != nil {
+	if err := localCompute(p, cfg, s, rec, &wa, &wb, c, sp); err != nil {
 		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("compute stage: %w", err)
 	}
@@ -272,9 +298,12 @@ func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[
 // the rank's band ops gather every band of m (grid row of A, grid column of
 // B) it owns a cell in into wm, each broadcast going straight from the
 // owner's view of m into every member's view of wm, over the communicator
-// the band's first broadcast creates. A failure is tagged with the stage.
-func assembleBands(p Proc, cfg *Config, rs *rankSchedule, ax axis, m, wm *matrix.Dense) (err error) {
-	sp := cfg.Span.Child(ax.spanName()).OnRank(p.Rank())
+// the band's first broadcast creates. Each split and broadcast is recorded
+// as one Comm event that spans the whole call, the receiver's copy
+// included. A failure is tagged with the stage.
+func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m, wm *matrix.Dense) (err error) {
+	rank := p.Rank()
+	sp := cfg.Span.Child(ax.spanName()).OnRank(rank)
 	defer func() {
 		if err != nil {
 			sp.Str("error", err.Error())
@@ -283,7 +312,7 @@ func assembleBands(p Proc, cfg *Config, rs *rankSchedule, ax axis, m, wm *matrix
 		sp.End()
 	}()
 	var comm Comm
-	for _, o := range rs.ops[ax] {
+	for _, o := range s.ranks[rank].ops[ax] {
 		src, dst := subPanel(m, o.r0, o.c0, o.h, o.w), subPanel(wm, o.dr, o.dc, o.h, o.w)
 		if o.procs == nil {
 			if err := matrix.CopyBlock(&dst, &src, o.h, o.w); err != nil {
@@ -291,12 +320,15 @@ func assembleBands(p Proc, cfg *Config, rs *rankSchedule, ax axis, m, wm *matrix
 			}
 			continue
 		}
+		label, t := &s.labels[o.band], rec.now()
 		if o.split {
 			comm = p.Split(o.procs)
+			t = rec.add(rank, trace.Comm, label[0], 0, 0, t)
 		}
 		if err := comm.BcastPanel(p, src, dst, o.root); err != nil {
 			return err
 		}
+		rec.add(rank, trace.Comm, label[1], 8*o.h*o.w, 0, t)
 	}
 	return nil
 }
@@ -315,8 +347,10 @@ func subPanel(m *matrix.Dense, r0, c0, h, w int) matrix.Dense {
 // no bit of C. With a Checkpointer every owned cell is looked up first; a
 // restored cell cuts its run, so the rectangles are found again over the
 // cells left, and each computed cell is saved after its rectangle's DGEMM.
-// stage is the rank's "dgemm" span; per-rectangle spans hang off it.
-func localCompute(p Proc, cfg *Config, s *schedule, wa, wb, c *matrix.Dense, stage obs.SpanHandle) error {
+// stage is the rank's "dgemm" span; per-rectangle spans hang off it. Each
+// DGEMM is recorded on rec, and a restored cell as an instant compute event
+// of no flops.
+func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb, c *matrix.Dense, stage obs.SpanHandle) error {
 	l, rank := &s.layout, p.Rank()
 	rs := &s.ranks[rank]
 	rects := rs.rects
@@ -329,7 +363,9 @@ func localCompute(p Proc, cfg *Config, s *schedule, wa, wb, c *matrix.Dense, sta
 			hit := int64(0)
 			if cfg.Checkpoint.Restore(r0, c0, s.rowStart[i+1]-r0, s.colStart[j+1]-c0, c.Data[r0*c.Stride+c0:], c.Stride) {
 				hit, restored[cell] = 1, true
-				p.Compute(0, 0, fmt.Sprintf("dgemm[%d,%d]/restored", i, j))
+				if rec.tl != nil { // RunRank formats no label it would not record
+					rec.add(rank, trace.Compute, fmt.Sprintf("dgemm[%d,%d]/restored", i, j), 0, 0, rec.now())
+				}
 			}
 			rsp.Int("hit", hit).End()
 		}
@@ -341,12 +377,13 @@ func localCompute(p Proc, cfg *Config, s *schedule, wa, wb, c *matrix.Dense, sta
 		block := c.Data[rc.r0*c.Stride+rc.c0:]
 		aRows, bCols := wa.Data[rs.rowOff[rc.i0]*wa.Stride:], wb.Data[rs.colOff[rc.j0]:]
 		csp := stage.Child(rc.label).OnRank(rank).Float("flops", rc.flops)
-		start := time.Now()
+		t, start := rec.now(), time.Now()
 		if err := blas.DgemmKernel(cfg.Kernel, rc.h, rc.w, l.N, 1, aRows, wa.Stride, bCols, wb.Stride, 0, block, c.Stride); err != nil {
 			csp.Str("error", err.Error()).End()
 			return err
 		}
 		p.Compute(time.Since(start).Seconds(), rc.flops, rc.label)
+		rec.add(rank, trace.Compute, rc.label, 0, rc.flops, t)
 		csp.End()
 		// The checkpoint unit stays the cell, whatever rectangle computed it.
 		for i := rc.i0; i < rc.i1 && cfg.Checkpoint != nil; i++ {

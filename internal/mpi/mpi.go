@@ -6,10 +6,11 @@
 // creation, broadcasts and barriers have the blocking semantics of their MPI
 // counterparts and are really synchronized through channels — the SummaGen
 // communication structure runs unmodified on top of this runtime. Payloads
-// are physically copied between ranks, and every operation is recorded on a
-// trace.Timeline against the wall clock for the computation/communication
-// breakdowns of Figures 6 and 7. (Simulated runs need no runtime: core
-// walks its compiled schedule on virtual clocks.)
+// are physically copied between ranks. Like internal/netmpi, it is a pure
+// transport and records nothing: the engine (internal/core) times each op of
+// its compiled schedule and writes the Timeline that the
+// computation/communication breakdowns of Figures 6 and 7 read. (Simulated
+// runs need no runtime: core walks its compiled schedule on virtual clocks.)
 package mpi
 
 import (
@@ -18,24 +19,19 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/trace"
 )
 
 // Config parameterizes a World.
 type Config struct {
 	// Procs is the number of ranks (abstract processors).
 	Procs int
-	// Timeline, if non-nil, receives events from every rank.
-	Timeline *trace.Timeline
 }
 
 // World is a set of ranks that can communicate.
 type World struct {
-	cfg   Config
-	start time.Time
+	cfg Config
 
 	commMu sync.Mutex
 	comms  []*Comm // one per rank set Split has seen, kept while the world lives
@@ -107,10 +103,6 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// SetTimeline makes the next Run record on tl, so that a world kept between
-// runs gives each its own Timeline. It must not be called during a Run.
-func (w *World) SetTimeline(tl *trace.Timeline) { w.cfg.Timeline = tl }
-
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.cfg.Procs }
 
@@ -121,7 +113,6 @@ func (w *World) Size() int { return w.cfg.Procs }
 // naming the dead rank instead of deadlocking. The returned error joins
 // every rank failure.
 func (w *World) Run(fn func(p *Proc) error) error {
-	w.start = time.Now()
 	errs := make([]error, w.cfg.Procs)
 	var wg sync.WaitGroup
 	for r := 0; r < w.cfg.Procs; r++ {
@@ -169,34 +160,12 @@ func (p *Proc) World() *World { return p.world }
 // CommWorld returns the communicator spanning all ranks.
 func (p *Proc) CommWorld() *Comm { return p.world.world }
 
-// Now returns the seconds since the world's Run started.
-func (p *Proc) Now() float64 { return time.Since(p.world.start).Seconds() }
-
-// Compute records d seconds of local computation performing flops floating
-// point operations. Call it with the measured duration after doing the real
-// work: d back-dates the event start.
-func (p *Proc) Compute(d, flops float64, label string) {
-	end := p.Now()
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Compute, Start: end - d, End: end, Flops: flops, Label: label})
-}
-
-func (p *Proc) emit(e trace.Event) {
-	if tl := p.world.cfg.Timeline; tl != nil {
-		tl.Add(e)
-	}
-}
-
 // Comm is a communicator over a subset of world ranks. Ranks inside a Comm
 // are numbered 0..len(ranks)-1 in the order of the (sorted) rank list, like
 // MPI_Comm_create over an ordered group.
 type Comm struct {
 	world *World
 	ranks []int // world ranks, ascending
-
-	// labels[op] is the trace label "<op>@<ranks>"; it depends only on the
-	// membership, so it is computed once here instead of on every
-	// collective of every rank.
-	labels [numOps]string
 
 	in   chan contribution
 	outs []chan result // indexed by comm rank
@@ -206,14 +175,14 @@ type Comm struct {
 	contribs []contribution
 }
 
-// collOp names a collective. The rendezvous and the trace label switch on it.
+// collOp names a collective. The rendezvous switches on it, and an abort
+// names it.
 type collOp uint8
 
 const (
 	opBcast collOp = iota
 	// opPanel is BcastPanel: a broadcast whose payload is the root's own
-	// strided view, handed to the receivers uncloned. It is a "bcast" on
-	// the Timeline.
+	// strided view, handed to the receivers uncloned.
 	opPanel
 	opBarrier
 	opSplit
@@ -229,7 +198,7 @@ type contribution struct {
 	op       collOp
 	data     []float64
 	stride   int // opPanel: row stride of data
-	bytes    int
+	bytes    int // opPanel: 8·rows·cols, which every member checks
 }
 
 type result struct {
@@ -245,10 +214,6 @@ func newComm(w *World, ranks []int) *Comm {
 		in:       make(chan contribution, len(ranks)),
 		outs:     make([]chan result, len(ranks)),
 		contribs: make([]contribution, len(ranks)),
-	}
-	suffix := fmt.Sprintf("@%v", c.ranks)
-	for op, name := range opNames {
-		c.labels[op] = name + suffix
 	}
 	for i := range c.outs {
 		c.outs[i] = make(chan result, 1)
@@ -330,7 +295,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 	if c.world.aborted() != nil {
 		c.world.abortPanic(opNames[op])
 	}
-	waitStart := p.Now()
 	ct.commRank = me
 	select {
 	case c.in <- ct:
@@ -356,7 +320,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 			if d := contribs[root].data; d != nil {
 				res.data = append([]float64(nil), d...)
 			}
-			res.bytes = contribs[root].bytes
 		case opPanel:
 			// The receivers copy straight out of the root's view: no
 			// clone, and so no reuse of the source before Run returns
@@ -383,8 +346,6 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 	case <-c.world.abortCh:
 		c.world.abortPanic(opNames[op])
 	}
-	// The Comm event spans the wait for the slowest member and the transfer.
-	p.emit(trace.Event{Rank: p.rank, Kind: trace.Comm, Start: waitStart, End: p.Now(), Bytes: res.bytes, Label: c.labels[op]})
 	return res
 }
 
@@ -393,23 +354,18 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 // exactly as long as the root's buffer — a mismatch panics rather than
 // leave a stale tail in a buffer the caller may have recycled. When buf is
 // nil on a receiver, Bcast returns the payload copy that every such receiver
-// shares. count is the element count
-// recorded on the Timeline when the root passes a nil buffer; when the root
-// buffer is non-nil its length wins.
+// shares. count is MPI_Bcast's element count; it is not read, since the
+// root's buffer carries its own length.
 func (c *Comm) Bcast(p *Proc, buf []float64, count, root int) []float64 {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: Bcast root %d out of range (size %d)", root, c.Size()))
 	}
 	me := c.RankOf(p.rank)
 	var data []float64
-	bytes := 8 * count
 	if me == root {
 		data = buf
-		if buf != nil {
-			bytes = 8 * len(buf)
-		}
 	}
-	res := c.collective(p, contribution{op: opBcast, data: data, bytes: bytes}, root)
+	res := c.collective(p, contribution{op: opBcast, data: data}, root)
 	if me == root {
 		return buf
 	}

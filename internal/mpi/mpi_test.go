@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
-	"repro/internal/trace"
 )
 
-func newTestWorld(t *testing.T, procs int, tl *trace.Timeline) *World {
+func newTestWorld(t *testing.T, procs int) *World {
 	t.Helper()
-	w, err := NewWorld(Config{Procs: procs, Timeline: tl})
+	w, err := NewWorld(Config{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func TestNewWorldValidation(t *testing.T) {
 }
 
 func TestRunAllRanks(t *testing.T) {
-	w := newTestWorld(t, 5, nil)
+	w := newTestWorld(t, 5)
 	var seen int64
 	err := w.Run(func(p *Proc) error {
 		if p.Size() != 5 {
@@ -52,7 +51,7 @@ func TestRunAllRanks(t *testing.T) {
 }
 
 func TestRunCollectsErrors(t *testing.T) {
-	w := newTestWorld(t, 3, nil)
+	w := newTestWorld(t, 3)
 	wantErr := errors.New("boom")
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 1 {
@@ -66,7 +65,7 @@ func TestRunCollectsErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
 			panic("kaboom")
@@ -79,7 +78,7 @@ func TestRunRecoversPanics(t *testing.T) {
 }
 
 func TestBcastWorldRealData(t *testing.T) {
-	w := newTestWorld(t, 4, nil)
+	w := newTestWorld(t, 4)
 	err := w.Run(func(p *Proc) error {
 		buf := make([]float64, 3)
 		if p.Rank() == 2 {
@@ -99,7 +98,7 @@ func TestBcastWorldRealData(t *testing.T) {
 }
 
 func TestBcastNilReceiverGetsRootSlice(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		var buf []float64
 		if p.Rank() == 0 {
@@ -117,7 +116,7 @@ func TestBcastNilReceiverGetsRootSlice(t *testing.T) {
 }
 
 func TestBcastRootOutOfRangePanics(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		p.CommWorld().Bcast(p, nil, 0, 5)
 		return nil
@@ -128,7 +127,7 @@ func TestBcastRootOutOfRangePanics(t *testing.T) {
 }
 
 func TestSplitSubCommunicator(t *testing.T) {
-	w := newTestWorld(t, 4, nil)
+	w := newTestWorld(t, 4)
 	err := w.Run(func(p *Proc) error {
 		// Ranks {0,2} and {1,3} form two communicators; broadcast inside
 		// each.
@@ -162,7 +161,7 @@ func TestSplitSubCommunicator(t *testing.T) {
 }
 
 func TestSplitReusesComm(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		c1 := p.Split([]int{0, 1})
 		c2 := p.Split([]int{1, 0})
@@ -177,7 +176,7 @@ func TestSplitReusesComm(t *testing.T) {
 }
 
 func TestSplitMisusePanics(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
 			p.Split([]int{1}) // not a member
@@ -192,7 +191,7 @@ func TestSplitMisusePanics(t *testing.T) {
 }
 
 func TestCommRankMapping(t *testing.T) {
-	w := newTestWorld(t, 4, nil)
+	w := newTestWorld(t, 4)
 	var c *Comm
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 0 || p.Rank() == 3 {
@@ -218,7 +217,7 @@ func TestCommRankMapping(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	w := newTestWorld(t, 3, nil)
+	w := newTestWorld(t, 3)
 	var arrived atomic.Int32
 	err := w.Run(func(p *Proc) error {
 		arrived.Add(1)
@@ -233,24 +232,8 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestRealTimeEventsRecorded(t *testing.T) {
-	tl := trace.New()
-	w, _ := NewWorld(Config{Procs: 2, Timeline: tl})
-	err := w.Run(func(p *Proc) error {
-		p.CommWorld().Barrier(p)
-		p.Compute(0, 42, "noop")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Len() < 3 {
-		t.Fatalf("expected barrier+compute events, got %d", tl.Len())
-	}
-}
-
 func TestManyRanksStress(t *testing.T) {
-	w := newTestWorld(t, 16, nil)
+	w := newTestWorld(t, 16)
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		for i := 0; i < 50; i++ {
@@ -278,7 +261,7 @@ func TestAbortUnblocksCollective(t *testing.T) {
 	// Rank 1 exits with an error while the others enter a Bcast it will
 	// never join. Without the abort machinery this deadlocks; with it the
 	// blocked ranks get a typed *PeerFailedError naming rank 1.
-	w := newTestWorld(t, 3, nil)
+	w := newTestWorld(t, 3)
 	boom := errors.New("rank 1 died")
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 1 {
@@ -311,7 +294,7 @@ func TestAbortErrorStringNamesRankAndOp(t *testing.T) {
 }
 
 func TestBcastLengthMismatchPanics(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		// The receiver sized its buffer for 6 elements, the root sends 4:
 		// copying "what fits" would leave a stale tail.
@@ -335,7 +318,7 @@ func TestBcastPanelStridedCopy(t *testing.T) {
 	for i := range src.Data {
 		src.Data[i] = float64(i)
 	}
-	world := newTestWorld(t, 3, nil)
+	world := newTestWorld(t, 3)
 	err := world.Run(func(p *Proc) error {
 		dst := matrix.New(h+1, dstStride)
 		dst.Fill(-1)
@@ -363,36 +346,8 @@ func TestBcastPanelStridedCopy(t *testing.T) {
 	}
 }
 
-// TestBcastPanelDimensionsOnly: a panel broadcast is recorded by its
-// dimensions alone — 8·rows·cols bytes on every member, the root and the
-// receivers alike, under the communicator's "bcast" label.
-func TestBcastPanelDimensionsOnly(t *testing.T) {
-	tl := trace.New()
-	w := newTestWorld(t, 2, tl)
-	if err := w.Run(func(p *Proc) error {
-		src, dst := matrix.New(3, 4), matrix.New(3, 4)
-		p.CommWorld().BcastPanel(p, *src, *dst, 0)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, e := range tl.Events() {
-		if e.Kind != trace.Comm {
-			continue
-		}
-		if e.Label != "bcast@[0 1]" || e.Bytes != 96 {
-			t.Fatalf("event %+v, want a 96-byte bcast@[0 1]", e)
-		}
-		seen[e.Rank] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("ranks with a bcast event: %v, want 0 and 1", seen)
-	}
-}
-
 func TestBcastPanelMismatchPanics(t *testing.T) {
-	w := newTestWorld(t, 2, nil)
+	w := newTestWorld(t, 2)
 	err := w.Run(func(p *Proc) error {
 		rows := 2 + p.Rank() // rank 1 expects a taller panel than the root sends
 		m := matrix.New(rows, 3)
@@ -405,10 +360,9 @@ func TestBcastPanelMismatchPanics(t *testing.T) {
 }
 
 // TestCollectivesAllocateNothingPerCall pins the per-collective garbage at
-// zero: the trace label is per-Comm, and the coordinator's gather scratch
-// is reused.
+// zero: the coordinator's gather scratch is reused.
 func TestCollectivesAllocateNothingPerCall(t *testing.T) {
-	w := newTestWorld(t, 1, nil)
+	w := newTestWorld(t, 1)
 	if err := w.Run(func(p *Proc) error {
 		ranks := []int{0}
 		c := p.Split(ranks)

@@ -166,3 +166,32 @@ func TestAgreeEpochSingleRank(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAgreeDigestMismatch: digests travel exactly, NaN bit patterns
+// included, and a rank whose digest differs fails the agreement on every
+// rank with both digests named.
+func TestAgreeDigestMismatch(t *testing.T) {
+	const same, other = uint64(0x7ff8_0000_0000_0001), uint64(0xfff0_0000_0000_0002)
+	eps := faultWorld(t, 3, func(rank int, cfg *Config) { cfg.OpTimeout = 5 * time.Second })
+	errs := runAllErrs(t, eps, testBudget(t, 15*time.Second), func(ep *Endpoint) error {
+		if ep.Rank() == 2 {
+			return ep.AgreeDigest(other)
+		}
+		return ep.AgreeDigest(same)
+	})
+	for r, err := range errs {
+		want := "rank 2 has digest fff0000000000002"
+		if r == 2 {
+			want = "rank 0 has digest 7ff8000000000001"
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rank %d: %v, want an error containing %q", r, err, want)
+		}
+	}
+	errs = runAllErrs(t, eps, testBudget(t, 15*time.Second), func(ep *Endpoint) error { return ep.AgreeDigest(same) })
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: equal digests: %v", r, err)
+		}
+	}
+}

@@ -129,7 +129,6 @@ type Endpoint struct {
 	comms       map[uint32]*Comm // by id, one per rank set Split has seen; never evicted, as each tag counter must stay in step
 	computeSecs float64
 	commSecs    float64
-	bytesMoved  int64
 }
 
 // rankConn wraps one peer connection with framed, tag-matched I/O and the
@@ -670,12 +669,18 @@ func (e *Endpoint) Compute(d, flops float64, label string) {
 	e.mu.Unlock()
 }
 
-// Breakdown returns the accumulated compute/communication seconds and
-// bytes received by this rank.
+// Breakdown returns the accumulated compute/communication seconds and the
+// data bytes received by this rank, the sum of the peers' BytesRecv
+// (Stats().TotalRecvBytes()).
 func (e *Endpoint) Breakdown() (computeSecs, commSecs float64, bytesMoved int64) {
+	for _, rc := range e.conns {
+		if rc != nil {
+			bytesMoved += rc.stats.bytesRecv.Load()
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.computeSecs, e.commSecs, e.bytesMoved
+	return e.computeSecs, e.commSecs, bytesMoved
 }
 
 // writevMinPayload is the payload size in bytes above which a send on a
@@ -895,9 +900,6 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 		} else {
 			rc.stats.framesRecv.Add(1)
 			rc.stats.bytesRecv.Add(int64(8 * len(data)))
-			e.mu.Lock()
-			e.bytesMoved += int64(8 * len(data))
-			e.mu.Unlock()
 		}
 		if got == want {
 			return data, nil

@@ -348,6 +348,42 @@ func TestEndpointBreakdownAccumulates(t *testing.T) {
 	if comp != 2 {
 		t.Fatalf("compute = %v", comp)
 	}
+
+	// The bytes Breakdown reports are the peers' data bytes, the same count
+	// Stats reads: heartbeats and span frames count in neither.
+	eps := faultWorld(t, 2, func(rank int, cfg *Config) {
+		cfg.HeartbeatInterval = 5 * time.Millisecond
+		cfg.OpTimeout = 10 * time.Second
+	})
+	payload := []float64{1, 2, 3}
+	runAll(t, eps, func(ep *Endpoint) error {
+		if ep.Rank() == 1 {
+			time.Sleep(40 * time.Millisecond) // let heartbeats land first
+			if err := ep.Send(0, 7, payload); err != nil {
+				return err
+			}
+			return ep.SendSpanBlob(0, make([]byte, 100))
+		}
+		if _, err := ep.Recv(1, 7); err != nil {
+			return err
+		}
+		_, err := ep.RecvSpanBlob(1)
+		return err
+	})
+	st := eps[0].Stats()
+	if ps := st.Peers[0]; ps.Heartbeats == 0 || ps.SpanBytesRecv == 0 {
+		t.Fatalf("rank 0 saw %d heartbeats and %d span bytes, want both", ps.Heartbeats, ps.SpanBytesRecv)
+	}
+	for r, ep := range eps {
+		_, _, bytes := ep.Breakdown()
+		want := int64(0)
+		if r == 0 {
+			want = int64(8 * len(payload))
+		}
+		if total := ep.Stats().TotalRecvBytes(); bytes != total || bytes != want {
+			t.Errorf("rank %d: Breakdown bytes %d, Stats().TotalRecvBytes() %d, want both %d", r, bytes, total, want)
+		}
+	}
 }
 
 func TestPublicSendRecv(t *testing.T) {

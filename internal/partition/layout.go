@@ -349,3 +349,17 @@ func Equal(a, b *Layout) bool {
 	return a.N == b.N && a.P == b.P && a.GridRows == b.GridRows && a.GridCols == b.GridCols &&
 		slices.Equal(a.Owner, b.Owner) && slices.Equal(a.RowHeights, b.RowHeights) && slices.Equal(a.ColWidths, b.ColWidths)
 }
+
+// Digest is a 64-bit FNV-1a hash of the layout's words (N, P, the grid
+// dimensions, Owner, RowHeights and ColWidths): equal layouts have equal
+// digests. It keys the engine's compiled-schedule cache, and the ranks of a
+// mesh compare it before they multiply.
+func (l *Layout) Digest() uint64 {
+	h := uint64(14695981039346656037)
+	for _, vs := range [][]int{{l.N, l.P, l.GridRows, l.GridCols}, l.Owner, l.RowHeights, l.ColWidths} {
+		for _, v := range vs {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+	}
+	return h
+}

@@ -1,9 +1,7 @@
 package recover
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/slab"
 )
@@ -71,70 +69,6 @@ func TestBindingOverlappingCellsCoverExactly(t *testing.T) {
 	}
 	if _, _, redone := b.Stats(); redone != 0 {
 		t.Fatalf("redone = %d, want 0", redone)
-	}
-}
-
-func TestReplanShapePolicy(t *testing.T) {
-	// Three survivors: the exact minimum-communication search applies.
-	layout, shape, err := Replan(48, []float64{1, 2, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout.P != 3 || layout.N != 48 {
-		t.Fatalf("layout = P%d N%d", layout.P, layout.N)
-	}
-	if shape == "" || shape == "column-based" {
-		t.Fatalf("3 survivors should get an optimal shape, got %q", shape)
-	}
-	// Two survivors: column-based is the only family.
-	layout, shape, err = Replan(48, []float64{3, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout.P != 2 || shape != "column-based" {
-		t.Fatalf("2 survivors: shape %q P %d", shape, layout.P)
-	}
-	// Sole survivor: one cell owns everything.
-	layout, _, err = Replan(48, []float64{1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout.P != 1 || layout.Areas()[0] != 48*48 {
-		t.Fatalf("sole survivor areas = %v", layout.Areas())
-	}
-	// Every replan must cover C exactly.
-	layout, _, _ = Replan(30, []float64{5, 1, 1, 1}, 0)
-	total := 0
-	for _, a := range layout.Areas() {
-		total += a
-	}
-	if total != 30*30 {
-		t.Fatalf("areas sum %d != %d", total, 30*30)
-	}
-	if _, _, err := Replan(10, nil, 0); err == nil {
-		t.Fatal("no survivors must be an error")
-	}
-}
-
-// TestReplanThreeSurvivorsAtMaxN: three survivors replan with the exact
-// shape search, which must not hold a recovering job for long even at
-// serve's largest N (-max-n, 4096).
-func TestReplanThreeSurvivorsAtMaxN(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		layout, shape, err := Replan(4096, []float64{1, 2, 0.9}, 0)
-		if err == nil && (layout.P != 3 || shape == "column-based") {
-			err = fmt.Errorf("replan gave %q over %d ranks, want an exact three-rank shape", shape, layout.P)
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("a three-survivor replan at N=4096 took over a second")
 	}
 }
 

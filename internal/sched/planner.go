@@ -142,120 +142,108 @@ func (p *Planner) plan(spec JobSpec) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	n := spec.N
-	pl := p.Platform
 	areas, err := p.areas(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	shapeName := canonicalShapeName(spec.Shape)
-	var layout *partition.Layout
-	switch shapeName {
-	case "auto":
-		if len(areas) == 3 {
-			best, _, err := partition.OptimalShape(n, areas, p.Tol)
-			if err != nil {
-				return nil, err
-			}
-			layout, shapeName = best.Layout, best.Shape.String()
-		} else {
-			layout, err = partition.ColumnBased(n, areas)
-			if err != nil {
-				return nil, err
-			}
-			shapeName = "column-based"
-		}
-	case "column-based":
-		layout, err = partition.ColumnBased(n, areas)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		shape, err := partition.ParseShape(shapeName)
-		if err != nil {
-			return nil, err
-		}
-		shapeName = shape.String()
-		layout, err = partition.Build(shape, n, areas)
-		if err != nil {
-			return nil, err
-		}
+	layout, shape, err := p.layout(spec.N, areas, canonicalShapeName(spec.Shape))
+	if err != nil {
+		return nil, err
 	}
-
-	if err := core.CheckMemory(layout, pl); err != nil {
+	if err := core.CheckMemory(layout, p.Platform); err != nil {
 		return nil, &MemoryError{Err: err}
 	}
+	return newPlan(layout, shape), nil
+}
+
+// replan plans a recovering job over its survivors: speeds holds one
+// relative speed per surviving rank, in the new (compacted) rank order. It
+// is plan's auto policy one processor down, a single-cell layout for a sole
+// survivor, and column-based where no exact three-processor family
+// realizes the areas (it realizes any positive areas). It skips the memory
+// check: a recovery trades memory headroom for availability.
+func (p *Planner) replan(n int, speeds []float64) (*Plan, error) {
+	if len(speeds) == 0 {
+		return nil, fmt.Errorf("sched: no survivors to replan over")
+	}
+	areas, err := balance.Proportional(n*n, speeds)
+	if err != nil {
+		return nil, fmt.Errorf("sched: survivor areas: %w", err)
+	}
+	balance.Positive(areas)
+	layout, shape, err := p.layout(n, areas, "auto")
+	if err != nil && len(areas) == 3 {
+		layout, shape, err = p.layout(n, areas, "column-based")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newPlan(layout, shape), nil
+}
+
+// layout builds the named shape (canonical name, or "auto") over areas and
+// returns it with its canonical name. Auto is the exact
+// minimum-communication search for three processors and column-based for
+// any other count.
+func (p *Planner) layout(n int, areas []int, shape string) (*partition.Layout, string, error) {
+	switch {
+	case shape == "auto" && len(areas) == 3:
+		best, _, err := partition.OptimalShape(n, areas, p.Tol)
+		if err != nil {
+			return nil, "", err
+		}
+		return best.Layout, best.Shape.String(), nil
+	case shape == "auto" || shape == "column-based":
+		l, err := partition.ColumnBased(n, areas)
+		return l, "column-based", err
+	}
+	sh, err := partition.ParseShape(shape)
+	if err != nil {
+		return nil, "", err
+	}
+	l, err := partition.Build(sh, n, areas)
+	return l, sh.String(), err
+}
+
+// newPlan packages a layout as a Plan.
+func newPlan(layout *partition.Layout, shape string) *Plan {
 	plan := &Plan{
-		Shape:           shapeName,
+		Shape:           shape,
 		Layout:          layout,
 		Areas:           layout.Areas(),
 		MemPerRankBytes: make([]int64, layout.P),
 	}
-	for r := 0; r < layout.P; r++ {
+	for r := range plan.MemPerRankBytes {
 		plan.MemPerRankBytes[r] = core.MemoryEstimate(layout, r)
 	}
 	if ratio, err := partition.OptimalityRatio(layout); err == nil {
 		plan.OptimalityRatio = ratio
 	}
-	return plan, nil
+	return plan
 }
 
 // areas splits the N² workload according to the spec: explicit speeds
 // proportionally, otherwise the platform's models (FPM load-imbalancing
-// when requested, constant plateau speeds otherwise).
+// when requested, constant plateau speeds otherwise). Every area is
+// positive.
 func (p *Planner) areas(spec JobSpec) ([]int, error) {
 	n, pl := spec.N, p.Platform
-	var areas []int
+	speeds := spec.Speeds
 	switch {
-	case len(spec.Speeds) > 0:
-		if len(spec.Speeds) != pl.P() {
-			return nil, fmt.Errorf("sched: %d speeds for a %d-device platform", len(spec.Speeds), pl.P())
+	case len(speeds) > 0:
+		if len(speeds) != pl.P() {
+			return nil, fmt.Errorf("sched: %d speeds for a %d-device platform", len(speeds), pl.P())
 		}
-		a, err := balance.Proportional(n*n, spec.Speeds)
-		if err != nil {
-			return nil, err
-		}
-		areas = a
 	case spec.UseFPM:
 		models := make([]fpm.Model, pl.P())
 		for i, d := range pl.Devices {
 			models[i] = d.Speed
 		}
-		gran := n * n / 256
-		if gran < 1 {
-			gran = 1
-		}
-		res, err := balance.LoadImbalance(n*n, models, gran)
-		if err != nil {
-			return nil, err
-		}
-		areas = res.Parts
+		areas, err := balance.FPMAreas(n, models)
+		return balance.Positive(areas), err
 	default:
-		speeds := pl.Speeds(float64(n*n) / float64(pl.P()))
-		a, err := balance.Proportional(n*n, speeds)
-		if err != nil {
-			return nil, err
-		}
-		areas = a
+		speeds = pl.Speeds(float64(n*n) / float64(pl.P()))
 	}
-	// The shape constructors need every area positive; steal one element
-	// from the largest share for any rank rounded down to zero.
-	for i := range areas {
-		if areas[i] == 0 {
-			areas[maxIndex(areas)]--
-			areas[i] = 1
-		}
-	}
-	return areas, nil
-}
-
-func maxIndex(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if x > xs[m] {
-			m = i
-		}
-	}
-	return m
+	areas, err := balance.Proportional(n*n, speeds)
+	return balance.Positive(areas), err
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -214,4 +215,78 @@ func TestPlanKeyTable(t *testing.T) {
 			t.Errorf("PlanKey(%+v) = %q, want %q", tc.spec, got, tc.want)
 		}
 	}
+}
+
+func TestReplanShapePolicy(t *testing.T) {
+	// Three survivors: the exact minimum-communication search applies.
+	layout, shape, err := replan(48, []float64{1, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout.P != 3 || layout.N != 48 {
+		t.Fatalf("layout = P%d N%d", layout.P, layout.N)
+	}
+	if shape == "" || shape == "column-based" {
+		t.Fatalf("3 survivors should get an optimal shape, got %q", shape)
+	}
+	// Two survivors: column-based is the only family.
+	layout, shape, err = replan(48, []float64{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout.P != 2 || shape != "column-based" {
+		t.Fatalf("2 survivors: shape %q P %d", shape, layout.P)
+	}
+	// Sole survivor: one cell owns everything.
+	layout, _, err = replan(48, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout.P != 1 || layout.Areas()[0] != 48*48 {
+		t.Fatalf("sole survivor areas = %v", layout.Areas())
+	}
+	// Every replan must cover C exactly.
+	layout, _, _ = replan(30, []float64{5, 1, 1, 1})
+	total := 0
+	for _, a := range layout.Areas() {
+		total += a
+	}
+	if total != 30*30 {
+		t.Fatalf("areas sum %d != %d", total, 30*30)
+	}
+	if _, _, err := replan(10, nil); err == nil {
+		t.Fatal("no survivors must be an error")
+	}
+}
+
+// TestReplanThreeSurvivorsAtMaxN: three survivors replan with the exact
+// shape search, which must not hold a recovering job for long even at
+// serve's largest N (-max-n, 4096).
+func TestReplanThreeSurvivorsAtMaxN(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		layout, shape, err := replan(4096, []float64{1, 2, 0.9})
+		if err == nil && (layout.P != 3 || shape == "column-based") {
+			err = fmt.Errorf("replan gave %q over %d ranks, want an exact three-rank shape", shape, layout.P)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a three-survivor replan at N=4096 took over a second")
+	}
+}
+
+// replan runs the planner's survivor path at the default tolerance and
+// returns the layout and shape name.
+func replan(n int, speeds []float64) (*partition.Layout, string, error) {
+	plan, err := (&Planner{}).replan(n, speeds)
+	if err != nil {
+		return nil, "", err
+	}
+	return plan.Layout, plan.Shape, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/recover"
 	"repro/internal/slab"
 )
@@ -634,7 +633,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		var nextPlan *Plan
 		rerr := errors.Join(werr, serr)
 		if rerr == nil {
-			nextPlan, rerr = s.survivorPlan(cur.Layout.N, newSpeeds)
+			nextPlan, rerr = s.cfg.Planner.replan(cur.Layout.N, newSpeeds)
 		}
 		if rerr != nil {
 			rsp.Str("error", rerr.Error()).End()
@@ -688,28 +687,6 @@ func endAttempt(att obs.SpanHandle, err error) {
 		att.Str("error", err.Error())
 	}
 	att.End()
-}
-
-// survivorPlan replans the job over the surviving speeds (see
-// recover.Replan) and packages the layout as a Plan.
-func (s *Scheduler) survivorPlan(n int, speeds []float64) (*Plan, error) {
-	layout, shapeName, err := recover.Replan(n, speeds, s.cfg.Planner.Tol)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{
-		Shape:           shapeName,
-		Layout:          layout,
-		Areas:           layout.Areas(),
-		MemPerRankBytes: make([]int64, layout.P),
-	}
-	for r := 0; r < layout.P; r++ {
-		plan.MemPerRankBytes[r] = core.MemoryEstimate(layout, r)
-	}
-	if ratio, err := partition.OptimalityRatio(layout); err == nil {
-		plan.OptimalityRatio = ratio
-	}
-	return plan, nil
 }
 
 // recoveryPause sleeps the jittered exponential backoff before the next

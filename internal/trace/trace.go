@@ -67,6 +67,10 @@ type Timeline struct {
 // New returns an empty timeline.
 func New() *Timeline { return &Timeline{} }
 
+// NewCap returns an empty timeline with room for n events, so that a
+// recorder that knows its event count up front never grows it.
+func NewCap(n int) *Timeline { return &Timeline{events: make([]Event, 0, n)} }
+
 // Add appends an event; safe for concurrent use.
 func (t *Timeline) Add(e Event) {
 	t.mu.Lock()

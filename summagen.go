@@ -126,10 +126,7 @@ func AreasCPM(n int, speeds []float64) ([]int, error) {
 // controls the discretization (0 picks n²/256).
 func AreasFPM(n int, models []SpeedModel, granularity int) ([]int, error) {
 	if granularity <= 0 {
-		granularity = n * n / 256
-		if granularity < 1 {
-			granularity = 1
-		}
+		return balance.FPMAreas(n, models)
 	}
 	res, err := balance.LoadImbalance(n*n, models, granularity)
 	if err != nil {
