@@ -32,6 +32,17 @@
 // kernel of builds before this contract; golden_test.go pins the digests of
 // a few products across builds since.
 //
+// Both operands reach the micro-kernel in one packed format, the strip. A
+// strip is StripWidth (8) rows of A or 8 columns of B stored k-major: the 8
+// values of step l follow those of step l-1, so a panel of any run of
+// consecutive k is one contiguous sub-slice. Lanes past the last row or
+// column of a band are zero. One pair of writers produces it, PackA (which
+// also applies alpha) and PackB. Dgemm runs them per call over MC×KC and
+// KC×NC panels of its row-major operands. The SummaGen engine runs them once
+// per element, when a broadcast panel lands in its working matrices (through
+// matrix.Dest), and multiplies those strips in place with DgemmPacked. One
+// macro-kernel serves both.
+//
 // The math.FMA body is fast only where the compiler turns math.FMA into one
 // instruction (arm64, ppc64le, s390x, riscv64, and amd64 with FMA when the
 // assembly is tagged out). On amd64 CPUs without FMA, and on architectures
@@ -71,7 +82,7 @@ const (
 	blockMC = 128 // multiple of microM
 	blockKC = 256 // part of the rounding contract: changing it changes the bits
 	blockNC = 512 // multiple of microN
-	microM  = 8   // the micro-kernel bodies, packA and packB are written out
+	microM  = 8   // the micro-kernel bodies, PackA and PackB are written out
 	microN  = 8   // for an 8×8 tile; these name it, they do not set it
 )
 
@@ -204,14 +215,13 @@ func roundUp(n, to int) int { return (n + to - 1) / to * to }
 
 // blockedMul adds alpha*A*B to C with the packed kernel, sharing the rows of
 // C out to workers when the product is large enough to pay for them. Each
-// worker runs the whole serial algorithm on its own rows (packing B for
-// itself: same elapsed time as packing it once while the others wait, and no
-// hand-off per panel); any split of the rows gives the same bits, see
-// macroKernel. That trade was measured with two workers only. B-packing work
-// and panel memory (1 MiB of packed B and 256 KiB of packed A per worker)
-// both grow with the worker count, and an in-process engine runs one
-// blockedMul per rank at once, so on a many-core host a packed B shared by
-// the workers may win; re-measure there before trusting it.
+// worker runs the whole serial algorithm on its own rows, packing B for
+// itself; any split of the rows gives the same bits, see macroKernel. Whether
+// one packed B shared by the workers would win is moot for the engine: its
+// operands arrive already packed (DgemmPacked), so every worker there reads
+// the one packed B and packs nothing. Dgemm itself is left to callers whose
+// operands are row-major, and was measured with per-worker packing on two
+// workers only.
 func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	workers := int(min(int64(runtime.GOMAXPROCS(0)), int64(m)*int64(n)*int64(k)/parallelMinWork))
 	if workers <= 1 {
@@ -231,9 +241,10 @@ func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 	wg.Wait()
 }
 
-// blockedMulRows is the serial MC/KC/NC panel loop around packA, packB and
-// macroKernel. The packed panels are separate buffers: one buffer holding
-// both ran a 256³ product 1–4 % slower on the 2-vCPU Xeon.
+// blockedMulRows is the serial MC/KC/NC panel loop around PackA, PackB and
+// macroKernel; each packed panel is a run of strips of kc steps. The panels
+// are separate buffers: one buffer holding both ran a 256³ product 1–4 %
+// slower on the 2-vCPU Xeon.
 func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	pa := getPanel(0, roundUp(min(m, blockMC), microM)*min(k, blockKC))
 	defer slab.Put(pa)
@@ -243,69 +254,190 @@ func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float6
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
-			packB(pb, b[pc*ldb+jc:], ldb, kc, nc)
+			PackB(pb, kc*microN, b[pc*ldb+jc:], ldb, kc, nc)
 			for ic := 0; ic < m; ic += blockMC {
 				mc := min(blockMC, m-ic)
-				packA(pa, a[ic*lda+pc:], lda, mc, kc, alpha)
-				macroKernel(mc, nc, kc, pa, pb, c[ic*ldc+jc:], ldc)
+				PackA(pa, kc*microM, a[ic*lda+pc:], lda, mc, kc, alpha)
+				macroKernel(mc, nc, kc, pa, kc*microM, pb, kc*microN, c[ic*ldc+jc:], ldc)
 			}
 		}
 	}
 }
 
-// packA packs an mc×kc panel of A (scaled by alpha) into micro-panels of
-// microM rows: for each row-strip of height microM, the kc columns are laid
-// out column-by-column so the micro-kernel streams them with unit stride.
-// Rows past mc in the last strip repeat row mc-1; what the micro-kernel makes
-// of them lands in the part of a fringe tile that macroKernel drops.
-func packA(dst []float64, a []float64, lda, mc, kc int, alpha float64) {
-	last := mc - 1
-	for i := 0; i < mc; i += microM {
-		strip := dst[i*kc : (i+microM)*kc]
-		r0, r1 := a[i*lda:][:kc], a[min(i+1, last)*lda:][:kc]
-		r2, r3 := a[min(i+2, last)*lda:][:kc], a[min(i+3, last)*lda:][:kc]
-		r4, r5 := a[min(i+4, last)*lda:][:kc], a[min(i+5, last)*lda:][:kc]
-		r6, r7 := a[min(i+6, last)*lda:][:kc], a[min(i+7, last)*lda:][:kc]
+// StripWidth is the rows of A or columns of B one strip holds: the
+// micro-kernel's tile.
+const StripWidth = microM
+
+// Strips returns how many strips hold n rows of A or n columns of B.
+func Strips(n int) int { return (n + StripWidth - 1) / StripWidth }
+
+// PackA writes the m×kc block a (row-major, leading dimension lda), scaled by
+// alpha, as strips of StripWidth rows: the kc steps of strip s start at
+// dst[s*stride], and step l holds the strip's rows of column l at
+// dst[s*stride+l*StripWidth:]. Lanes past m in the last strip are zero.
+func PackA(dst []float64, stride int, a []float64, lda, m, kc int, alpha float64) {
+	for i := 0; i < m; i += microM {
+		strip := dst[i/microM*stride:][:kc*microM]
+		if m-i < microM {
+			clear(strip)
+			for r := i; r < m; r++ {
+				for l, v := range a[r*lda:][:kc] {
+					strip[l*microM+r-i] = alpha * v
+				}
+			}
+			continue
+		}
+		r0 := a[i*lda:][:kc] // the others resliced to len(r0): no bounds checks in the loop
+		r1, r2, r3 := a[(i+1)*lda:][:len(r0)], a[(i+2)*lda:][:len(r0)], a[(i+3)*lda:][:len(r0)]
+		r4, r5, r6, r7 := a[(i+4)*lda:][:len(r0)], a[(i+5)*lda:][:len(r0)], a[(i+6)*lda:][:len(r0)], a[(i+7)*lda:][:len(r0)]
 		for l := range r0 {
-			d := strip[l*microM : (l+1)*microM]
+			d := strip[l*microM:][:microM]
 			d[0], d[1], d[2], d[3] = alpha*r0[l], alpha*r1[l], alpha*r2[l], alpha*r3[l]
 			d[4], d[5], d[6], d[7] = alpha*r4[l], alpha*r5[l], alpha*r6[l], alpha*r7[l]
 		}
 	}
 }
 
-// packB packs a kc×nc panel of B into micro-panels of microN columns, the
-// columns past nc in the last one zero. It walks B row by row, so reads
-// stream, and moves each full microN-wide segment with element stores: a copy
-// call per segment cost more than the eight moves.
-func packB(dst []float64, b []float64, ldb, kc, nc int) {
-	full := nc - nc%microN
+// PackB writes the kc×n block b (row-major, leading dimension ldb) as strips
+// of StripWidth columns, laid out as PackA lays out rows; lanes past n in the
+// last strip are zero. It walks B row by row, so reads stream, and moves each
+// full segment with element stores: a copy call per segment cost more than
+// the eight moves.
+func PackB(dst []float64, stride int, b []float64, ldb, kc, n int) {
+	full := n - n%microN
 	for l := 0; l < kc; l++ {
-		row := b[l*ldb:][:nc]
-		for j := 0; j < full; j += microN {
-			s, d := row[j:j+microN], dst[j*kc+l*microN:][:microN]
+		row, o := b[l*ldb:][:n], l*microN
+		for j := 0; j < full; j, o = j+microN, o+stride {
+			s, d := row[j:j+microN], dst[o:][:microN]
 			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
 		}
-		if full < nc {
-			d := dst[full*kc+l*microN:][:microN]
+		if full < n {
+			d := dst[o:][:microN]
 			clear(d[copy(d, row[full:]):])
 		}
 	}
 }
 
-// macroKernel multiplies packed panels into C. Fringe tiles go through the
-// same micro-kernel on a full-size copy of the tile (the packed panels are
-// padded to full strips) and only the rows and columns that exist are copied
-// back, so an element of C gets the same arithmetic wherever the tile grid
-// happens to put it.
-func macroKernel(mc, nc, kc int, packedA, packedB []float64, c []float64, ldc int) {
+// DgemmPacked computes C = A·B from operands already in strips, both at
+// strip stride StripWidth·k: A is bands of heights[0], heights[1], … rows
+// (PackA with alpha 1), each padded to whole strips and stored one after the
+// other from pa; B is bands of widths[0], widths[1], … columns (PackB) from
+// pb. C is the (Σheights)×(Σwidths) block at c with leading dimension ldc:
+// its rows are the bands' rows in order, its columns the bands' columns. The
+// bits are those of Dgemm with alpha 1 and beta 0 on the row-major operands.
+// A's strips are shared out to workers under the rule blockedMul follows,
+// and every worker reads the one packed B.
+func DgemmPacked(heights, widths []int, k int, pa, pb, c []float64, ldc int) error {
+	m, sa, errA := bandExtent(heights)
+	n, sb, errB := bandExtent(widths)
+	stride := StripWidth * k
+	switch {
+	case errA != nil || errB != nil || k < 0:
+		return fmt.Errorf("blas: bad packed bands: heights %v, widths %v, k=%d", heights, widths, k)
+	case ldc < max(1, n):
+		return fmt.Errorf("blas: ldc=%d < n=%d", ldc, n)
+	case len(pa) < sa*stride:
+		return fmt.Errorf("blas: packed A has %d elements, need %d", len(pa), sa*stride)
+	case len(pb) < sb*stride:
+		return fmt.Errorf("blas: packed B has %d elements, need %d", len(pb), sb*stride)
+	}
+	if m == 0 || n == 0 {
+		return nil
+	}
+	if need := (m-1)*ldc + n; len(c) < need {
+		return fmt.Errorf("blas: c has %d elements, need %d", len(c), need)
+	}
+	if k == 0 {
+		for i := 0; i < m; i++ {
+			clear(c[i*ldc:][:n])
+		}
+		return nil
+	}
+	workers := int(min(int64(runtime.GOMAXPROCS(0)), int64(m)*int64(n)*int64(k)/parallelMinWork))
+	if workers <= 1 {
+		packedStrips(0, pa[:sa*stride], heights, widths, k, pb, c, ldc)
+		return nil
+	}
+	per := (sa + workers - 1) / workers
+	var wg sync.WaitGroup
+	for s0 := per; s0 < sa; s0 += per {
+		own := pa[s0*stride : min(s0+per, sa)*stride]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			packedStrips(s0, own, heights, widths, k, pb, c, ldc)
+		}()
+	}
+	packedStrips(0, pa[:per*stride], heights, widths, k, pb, c, ldc)
+	wg.Wait()
+	return nil
+}
+
+// bandExtent returns the total extent of bands and the strips they fill.
+func bandExtent(bands []int) (total, strips int, err error) {
+	for _, b := range bands {
+		if b < 0 {
+			return 0, 0, fmt.Errorf("blas: negative band %d", b)
+		}
+		total, strips = total+b, strips+Strips(b)
+	}
+	return total, strips, nil
+}
+
+// packedStrips computes DgemmPacked's C rows held by own, A's strips from
+// strip s0 on (k > 0): it zeroes them, then runs the MC/KC/NC loop of
+// blockedMulRows over the packed operands in place, so each element gets its
+// KC panels in k order. It takes as few arguments as it can, because a
+// worker's closure holds them all and is allocated per call.
+func packedStrips(s0 int, own []float64, heights, widths []int, k int, pb, c []float64, ldc int) {
+	stride := StripWidth * k
+	s1 := s0 + len(own)/stride
+	n, _, _ := bandExtent(widths)
+	for row, first, b := 0, 0, 0; b < len(heights) && first < s1; b++ {
+		h := heights[b]
+		lo, hi := max(s0, first), min(s1, first+Strips(h))
+		for r := (lo - first) * microM; r < min(h, (hi-first)*microM); r++ {
+			clear(c[(row+r)*ldc:][:n])
+		}
+		row, first = row+h, first+Strips(h)
+	}
+	for col, sb, bj := 0, 0, 0; bj < len(widths); bj++ {
+		w := widths[bj]
+		for jc := 0; jc < w; jc += blockNC {
+			nc, bp := min(blockNC, w-jc), pb[(sb+jc/microN)*stride:]
+			for pc := 0; pc < k; pc += blockKC {
+				kc := min(blockKC, k-pc)
+				for row, first, b := 0, 0, 0; b < len(heights) && first < s1; b++ {
+					h := heights[b]
+					lo, hi := max(s0, first), min(s1, first+Strips(h))
+					for s := lo; s < hi; s += blockMC / microM {
+						i := (s - first) * microM
+						mc := min(blockMC, h-i, (hi-s)*microM)
+						macroKernel(mc, nc, kc, own[(s-s0)*stride+pc*microM:], stride, bp[pc*microN:], stride, c[(row+i)*ldc+col+jc:], ldc)
+					}
+					row, first = row+h, first+Strips(h)
+				}
+			}
+		}
+		col, sb = col+w, sb+Strips(w)
+	}
+}
+
+// macroKernel multiplies kc steps of mc rows of packed A by nc columns of
+// packed B into C: strip s of A starts at pa[s*sa], strip t of B at pb[t*sb],
+// each at the panel's first step. Fringe tiles go through the same
+// micro-kernel on a full-size copy of the tile (strips are padded to whole
+// strips) and only the rows and columns that exist are copied back, so an
+// element of C gets the same arithmetic wherever the tile grid happens to put
+// it.
+func macroKernel(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c []float64, ldc int) {
 	for j := 0; j < nc; j += microN {
 		jb := min(microN, nc-j)
-		bPanel := packedB[j*kc : (j+microN)*kc]
+		bPanel := pb[j/microN*sb:][:kc*microN]
 		for i := 0; i < mc; i += microM {
 			ib := min(microM, mc-i)
-			aPanel := packedA[i*kc : (i+microM)*kc]
+			aPanel := pa[i/microM*sa:][:kc*microM]
 			ct := c[i*ldc+j:]
 			if ib == microM && jb == microN {
 				microKernel(kc, aPanel, bPanel, ct, ldc)

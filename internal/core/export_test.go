@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,10 +73,18 @@ func WorkingMatrixLens(l *partition.Layout) map[int]bool {
 		panic(err)
 	}
 	for _, rs := range s.ranks {
-		lens[rs.waRows*l.N] = true
-		lens[l.N*rs.wbCols] = true
+		wa, wb := rs.workLens(l.N)
+		lens[wa], lens[wb] = true, true
 	}
 	return lens
+}
+
+// FailComputeStage runs f with every rank's compute stage failing in place
+// of its first DGEMM, as a failing kernel would.
+func FailComputeStage(f func()) {
+	computeFault = errors.New("core: injected DGEMM failure")
+	defer func() { computeFault = nil }()
+	f()
 }
 
 // RandomLayout exposes the arbitrary-layout generator to the external tests.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/blas"
 	"repro/internal/device"
 	"repro/internal/matrix"
 	"repro/internal/partition"
@@ -116,8 +118,8 @@ func TestSimulatedBytesMatchLayoutAnalysis(t *testing.T) {
 
 func TestRankErrorPropagates(t *testing.T) {
 	// A failing kernel on one rank must surface as an error from
-	// Multiply, naming the stage. Inject failure via an invalid kernel
-	// selector.
+	// Multiply, naming the stage. Inject failure through the compute
+	// stage's fault hook.
 	n := 24
 	areas, err := balance.Proportional(n*n, []float64{1, 1, 1})
 	if err != nil {
@@ -131,9 +133,9 @@ func TestRankErrorPropagates(t *testing.T) {
 	a := matrix.Random(n, n, rng)
 	b := matrix.Random(n, n, rng)
 	c := matrix.New(n, n)
-	_, err = Multiply(a, b, c, Config{Layout: layout, Kernel: 99})
+	FailComputeStage(func() { _, err = Multiply(a, b, c, Config{Layout: layout}) })
 	if err == nil {
-		t.Fatal("invalid kernel must fail")
+		t.Fatal("a failing kernel must fail the multiply")
 	}
 	if !strings.Contains(err.Error(), "compute stage") {
 		t.Fatalf("error should name the failing stage: %v", err)
@@ -141,26 +143,59 @@ func TestRankErrorPropagates(t *testing.T) {
 }
 
 func TestMemoryEstimateConsistentWithWorkingSets(t *testing.T) {
-	// The estimate must never be below the actual WA+WB allocation the
-	// real engine makes.
-	n := 32
+	// The estimate is exactly the WA and WB a rank draws, each band padded
+	// to whole strips of the DGEMM's packed format, plus its owned
+	// partitions of A, B and C. N and the speeds leave bands that are not
+	// multiples of a strip.
+	n := 45
 	areas, err := balance.Proportional(n*n, []float64{1, 2, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	padded := func(extent int) int { return (extent + blas.StripWidth - 1) / blas.StripWidth * blas.StripWidth * n }
+	rng := rand.New(rand.NewSource(4))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	reuse := PoisonRecycledSlabs(t)
 	for _, shape := range partition.Shapes {
 		layout, err := partition.Build(shape, n, areas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := scheduleFor(layout)
+		lens := map[int]bool{}
+		for r := 0; r < layout.P; r++ {
+			var wa, wb int
+			for i, h := range layout.RowHeights {
+				if slices.Contains(layout.RowProcs(i), r) {
+					wa += padded(h)
+				}
+			}
+			for j, w := range layout.ColWidths {
+				if slices.Contains(layout.ColProcs(j), r) {
+					wb += padded(w)
+				}
+			}
+			if got, want := MemoryEstimate(layout, r), int64(8*(wa+wb+3*layout.Areas()[r])); got != want {
+				t.Fatalf("%v rank %d: estimate %d bytes, the rank needs %d", shape, r, got, want)
+			}
+			lens[wa], lens[wb] = true, true
+		}
+		// A first multiply leaves the working matrices on the free list,
+		// so the second one's draws are all recycled and logged.
+		if _, err := Multiply(a, b, c, Config{Layout: layout}); err != nil {
+			t.Fatal(err)
+		}
+		reuse.Arm()
+		_, err = Multiply(a, b, c, Config{Layout: layout})
+		drawn := reuse.Disarm()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, rs := range s.ranks {
-			actual := int64(8 * (rs.waRows*n + n*rs.wbCols))
-			if MemoryEstimate(layout, r) < actual {
-				t.Fatalf("%v rank %d: estimate below actual working set", shape, r)
+		if len(drawn) == 0 {
+			t.Fatalf("%v: a warm multiply drew no recycled working matrix", shape)
+		}
+		for _, ln := range drawn {
+			if !lens[ln] {
+				t.Fatalf("%v: a rank drew %d elements; the estimate counts working matrices of %v", shape, ln, lens)
 			}
 		}
 	}

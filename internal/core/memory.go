@@ -8,8 +8,9 @@ import (
 )
 
 // MemoryEstimate returns the bytes of float64 storage rank needs to
-// execute SummaGen under the layout: its working matrices WA and WB plus
-// its owned partitions of A, B and C. This is the quantity behind the
+// execute SummaGen under the layout: its working matrices WA and WB, exactly
+// as the rank draws them (each band padded to whole strips of the DGEMM's
+// packed format), plus its owned partitions of A, B and C. This is the quantity behind the
 // paper's observation that problem sizes past N = 22592 hit memory
 // failures on HCLServer1 without the out-of-core packages. It is 0 for an
 // invalid layout.
@@ -18,9 +19,9 @@ func MemoryEstimate(l *partition.Layout, rank int) int64 {
 	if err != nil {
 		return 0
 	}
-	rs := &s.ranks[rank]
+	wa, wb := s.ranks[rank].workLens(l.N)
 	// WA, WB, and the owned partitions of A, B and C.
-	return 8 * (int64(rs.waRows+rs.wbCols)*int64(l.N) + 3*int64(s.areas[rank]))
+	return 8 * (int64(wa) + int64(wb) + 3*int64(s.areas[rank]))
 }
 
 // CheckMemory verifies every rank's estimate fits its device, returning a

@@ -41,16 +41,19 @@ type Proc interface {
 type Comm interface {
 	// BcastPanel broadcasts the root's dst.Rows×dst.Cols panel src into
 	// every member's dst, the root's own included; src is read on the
-	// root only. How the elements travel is the runtime's business (the
-	// in-process runtime lets receivers copy straight out of the root's
-	// view, the TCP runtime packs one frame), so the engine never stages a
-	// panel itself. The root's src must stay unwritten until the runtime's
-	// Run returns — the engine only ever passes views of its read-only A
-	// and B. It returns an error — never hangs — when a member has been
-	// declared failed. A member whose dimensions disagree with the root's
-	// is a bug the runtime reports (netmpi with a *LengthMismatchError, mpi
-	// with a rank panic) instead of copying what fits.
-	BcastPanel(p Proc, src, dst matrix.Dense, root int) error
+	// root only. Every member writes its dst with dst.Put, so the engine
+	// chooses the form its working matrices take (it receives straight
+	// into the DGEMM's packed strips) and the runtime never stages a panel
+	// for it. How the elements travel is the runtime's business (the
+	// in-process runtime lets members Put straight out of the root's
+	// view, the TCP runtime packs one frame). The root's src must stay
+	// unwritten until the runtime's Run returns — the engine only ever
+	// passes views of its read-only A and B. It returns an error — never
+	// hangs — when a member has been declared failed. A member whose
+	// dimensions disagree with the root's is a bug the runtime reports
+	// (netmpi with a *LengthMismatchError, mpi with a rank panic) instead
+	// of copying what fits.
+	BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root int) error
 }
 
 // --- Adapter over the in-process mpi runtime ---
@@ -67,7 +70,7 @@ type mpiComm struct{ c *mpi.Comm }
 // BcastPanel converts the in-process runtime's abort panic (raised when
 // another rank fails mid-collective) into a returned error, matching the
 // netmpi adapter's semantics so the engine wraps it with stage context.
-func (m mpiComm) BcastPanel(p Proc, src, dst matrix.Dense, root int) (err error) {
+func (m mpiComm) BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if pf, ok := rec.(*mpi.PeerFailedError); ok {

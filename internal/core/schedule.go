@@ -29,25 +29,34 @@ type schedule struct {
 	events int
 }
 
-// rankSchedule is one rank's share. WA is waRows×N and WB N×wbCols; grid row
-// i starts at row rowOff[i] of WA and grid column j at column colOff[j] of
+// rankSchedule is one rank's share. WA holds waStrips strips of A's rows and
+// WB wbStrips strips of B's columns, in blas's packed format (each strip
+// blas.StripWidth·N elements), every band padded to whole strips; grid row i
+// starts at strip rowStrip[i] of WA and grid column j at strip colStrip[j] of
 // WB (-1 where the rank owns no cell of the band).
 type rankSchedule struct {
-	waRows, wbCols int
-	rowOff, colOff []int
-	ops            [2][]bandOp // stages 1 and 2, indexed by axis
-	rects          []rect      // stage 3: one DGEMM each
-	cells          [][2]int    // owned cells (i, j), row-major, for checkpoint restore
+	waStrips, wbStrips int
+	rowStrip, colStrip []int
+	ops                [2][]bandOp // stages 1 and 2, indexed by axis
+	rects              []rect      // stage 3: one DGEMM each
+	cells              [][2]int    // owned cells (i, j), row-major, for checkpoint restore
+}
+
+// workLens returns the lengths of the rank's WA and WB for an N×N product:
+// what rankMain draws and MemoryEstimate counts.
+func (rs *rankSchedule) workLens(n int) (wa, wb int) {
+	return rs.waStrips * blas.StripWidth * n, rs.wbStrips * blas.StripWidth * n
 }
 
 // bandOp is one step of stage 1 or 2: copy, or broadcast from its owner, the
-// h×w rectangle at (r0, c0) of A or B into (dr, dc) of WA or WB.
+// h×w rectangle at (r0, c0) of A or B into WA or WB from element off, which
+// is the band's first strip at the rectangle's first k.
 type bandOp struct {
-	procs                []int // the band's members, one slice shared by all; nil: a local copy
-	split                bool  // the band's first broadcast creates its communicator
-	band                 int   // grid row i is band i, grid column j band GridRows+j
-	root                 int   // communicator rank of the rectangle's owner
-	r0, c0, h, w, dr, dc int
+	procs             []int // the band's members, one slice shared by all; nil: a local copy
+	split             bool  // the band's first broadcast creates its communicator
+	band              int   // grid row i is band i, grid column j band GridRows+j
+	root              int   // communicator rank of the rectangle's owner
+	r0, c0, h, w, off int
 }
 
 // rect is one stage-3 DGEMM: the owned cells of grid rows [i0, i1) and
@@ -127,8 +136,8 @@ func compile(l *partition.Layout) *schedule {
 	}
 	for r := range s.ranks {
 		rs := &s.ranks[r]
-		rs.ops[axisA], rs.rowOff, rs.waRows = s.bandOps(r, axisA, rowProcs)
-		rs.ops[axisB], rs.colOff, rs.wbCols = s.bandOps(r, axisB, colProcs)
+		rs.ops[axisA], rs.rowStrip, rs.waStrips = s.bandOps(r, axisA, rowProcs)
+		rs.ops[axisB], rs.colStrip, rs.wbStrips = s.bandOps(r, axisB, colProcs)
 		for k, o := range l.Owner {
 			if o == r {
 				rs.cells = append(rs.cells, [2]int{k / l.GridCols, k % l.GridCols})
@@ -161,28 +170,30 @@ func prefixSums(xs []int) []int {
 // bandOps lists rank's stage-1 (axisA: bands are grid rows) or stage-2
 // (axisB: grid columns) steps: in each band it belongs to, one broadcast
 // over the members per maximal run of same-owner cells, or one local copy
-// if it owns the band alone (the paper's special case). off is each band's
-// offset in the working matrix (-1 if not a member), extent their total.
-func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, off []int, extent int) {
+// if it owns the band alone (the paper's special case). first is each
+// band's first strip in the working matrix (-1 if not a member), strips
+// their total.
+func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, first []int, strips int) {
 	l := &s.layout
-	bs, cs, ownerAt, first := s.rowStart, s.colStart, l.OwnerAt, 0
+	bs, cs, ownerAt, band0 := s.rowStart, s.colStart, l.OwnerAt, 0
 	if ax == axisB {
-		bs, cs, first = cs, bs, l.GridRows
+		bs, cs, band0 = cs, bs, l.GridRows
 		ownerAt = func(b, x int) int { return l.OwnerAt(x, b) }
 	}
-	off = make([]int, len(procs))
+	first = make([]int, len(procs))
 	for b := range procs {
-		if off[b] = -1; !slices.Contains(procs[b], rank) {
+		if first[b] = -1; !slices.Contains(procs[b], rank) {
 			continue
 		}
-		off[b], extent = extent, extent+bs[b+1]-bs[b]
+		first[b], strips = strips, strips+blas.Strips(bs[b+1]-bs[b])
 		for x0, x1 := 0, 1; x0 < len(cs)-1; x0, x1 = x1, x1+1 {
 			for x1 < len(cs)-1 && (len(procs[b]) == 1 || ownerAt(b, x1) == ownerAt(b, x0)) {
 				x1++
 			}
-			o := bandOp{band: first + b, r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0], dr: off[b], dc: cs[x0]}
+			o := bandOp{band: band0 + b, r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0],
+				off: (first[b]*l.N + cs[x0]) * blas.StripWidth}
 			if ax == axisB {
-				o.r0, o.c0, o.h, o.w, o.dr, o.dc = o.c0, o.r0, o.w, o.h, o.dc, o.dr
+				o.r0, o.c0, o.h, o.w = o.c0, o.r0, o.w, o.h
 			}
 			if len(procs[b]) > 1 {
 				o.procs, o.split, o.root = procs[b], x0 == 0, slices.Index(procs[b], ownerAt(b, x0))
@@ -190,7 +201,7 @@ func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, off 
 			ops = append(ops, o)
 		}
 	}
-	return ops, off, extent
+	return ops, first, strips
 }
 
 // findRects covers the cells todo accepts with rectangles: a maximal run of

@@ -447,8 +447,10 @@ func TestAbortThenReuse(t *testing.T) {
 		reuse.Arm()
 		for i, j := range jobs {
 			c := matrix.New(j.l.N, j.l.N)
-			if _, err := core.Multiply(j.a, j.b, c, core.Config{Layout: j.l, Kernel: 99}); err == nil || !strings.Contains(err.Error(), "compute stage") {
-				t.Fatalf("N=%d: an invalid kernel must fail the compute stage, got %v", j.l.N, err)
+			var err error
+			core.FailComputeStage(func() { _, err = core.Multiply(j.a, j.b, c, core.Config{Layout: j.l}) })
+			if err == nil || !strings.Contains(err.Error(), "compute stage") {
+				t.Fatalf("N=%d: a failing kernel must fail the compute stage, got %v", j.l.N, err)
 			}
 			// The failed run's world is dropped; the next multiply on the
 			// same world key still gives the fresh process's digest.

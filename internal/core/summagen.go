@@ -14,8 +14,8 @@
 //     into WB.
 //  3. Local computations: per owned rectangle of size h×w — adjacent owned
 //     cells fused into one block — one DGEMM of (h×N)·(N×w) from WA/WB into
-//     the rank's C. A rectangle holds only owned cells, so this keeps the
-//     paper's rule: computing per sub-partition avoids the
+//     the rank's C (blas.DgemmPacked). A rectangle holds only owned cells,
+//     so this keeps the paper's rule: computing per sub-partition avoids the
 //     redundant-computation hazard it describes for non-rectangular
 //     partitions.
 //
@@ -26,16 +26,20 @@
 // paper-scale problems (N ≈ 38k) cost microseconds.
 //
 // Stages 1 and 2 are one routine (assembleBands) run over an axis, and they
-// move each element once per receiving rank: a run's owner hands the
-// runtime its view of A or B, every member its view of WA or WB
-// (Comm.BcastPanel), and nothing is packed, cloned or unpacked on the
-// engine's side. WA and WB are recycled through the process-wide slab free
-// list (internal/slab), un-zeroed — a steady-state multiply allocates nothing
-// that grows with N² — and go back to it whenever the rank returns, since
-// only the rank's own goroutine ever writes them. A and B are read-only to
-// the engine, and the caller must not write them while a multiply runs: the
-// in-process runtime lets receivers copy out of the owner's memory after the
-// owner has moved on.
+// move each element once per receiving rank, packed once, on receipt. WA and
+// WB are not row-major: they hold the DGEMM micro-kernel's packed format
+// (package blas), WA as strips of 8 rows of A per grid row the rank belongs
+// to and WB as strips of 8 columns of B per grid column, each band padded to
+// whole strips. A run's owner hands the runtime its view of A or B, every
+// member a matrix.Dest over its strips of WA or WB (Comm.BcastPanel), and
+// the runtime's Put writes the strips as the panel lands; stage 3 then
+// multiplies the strips in place and packs nothing. WA and WB are recycled
+// through the process-wide slab free list (internal/slab), un-zeroed — a
+// steady-state multiply allocates nothing that grows with N² — and go back
+// to it whenever the rank returns, since only the rank's own goroutine ever
+// writes them. A and B are read-only to the engine, and the caller must not
+// write them while a multiply runs: the in-process runtime lets receivers
+// copy out of the owner's memory after the owner has moved on.
 package core
 
 import (
@@ -64,8 +68,6 @@ type Config struct {
 	// Platform supplies device models; required by Simulate, and used for
 	// energy accounting by every entry point when present.
 	Platform *device.Platform
-	// Kernel selects the local DGEMM kernel.
-	Kernel blas.Kernel
 	// Link, LinkFor and BcastAlg are read by Simulate only. Link is the
 	// inter-rank link; the zero value uses the platform's interconnect or
 	// hockney.IntraNode.
@@ -256,24 +258,22 @@ func takeWorld(procs int) (*mpi.World, error) {
 // goroutine, as its compiled schedule lists them, and records each op on
 // rec.
 func rankMain(p Proc, cfg *Config, s *schedule, rec record, a, b, c *matrix.Dense) error {
-	rs := &s.ranks[p.Rank()]
-	n := s.layout.N
-	// WA and WB come from the slab free list un-zeroed. Only this goroutine
-	// writes them (a runtime's receivers copy into their own buffers), so
-	// they go back however the rank returns.
-	sa, sb := slab.Get(rs.waRows*n), slab.Get(n*rs.wbCols)
-	defer slab.Put(sa)
-	defer slab.Put(sb)
-	wa := matrix.Dense{Rows: rs.waRows, Cols: n, Stride: n, Data: sa}
-	wb := matrix.Dense{Rows: n, Cols: rs.wbCols, Stride: rs.wbCols, Data: sb}
-	if err := assembleBands(p, cfg, s, rec, axisA, a, &wa); err != nil {
+	// WA and WB come from the slab free list un-zeroed; the Puts of stages 1
+	// and 2 write every element stage 3 reads, padding included. Only this
+	// goroutine writes them (a runtime's receivers copy into their own
+	// buffers), so they go back however the rank returns.
+	waLen, wbLen := s.ranks[p.Rank()].workLens(s.layout.N)
+	wa, wb := slab.Get(waLen), slab.Get(wbLen)
+	defer slab.Put(wa)
+	defer slab.Put(wb)
+	if err := assembleBands(p, cfg, s, rec, axisA, a, wa); err != nil {
 		return err
 	}
-	if err := assembleBands(p, cfg, s, rec, axisB, b, &wb); err != nil {
+	if err := assembleBands(p, cfg, s, rec, axisB, b, wb); err != nil {
 		return err
 	}
 	sp := cfg.Span.Child("dgemm").OnRank(p.Rank())
-	if err := localCompute(p, cfg, s, rec, &wa, &wb, c, sp); err != nil {
+	if err := localCompute(p, cfg, s, rec, wa, wb, c, sp); err != nil {
 		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("compute stage: %w", err)
 	}
@@ -296,12 +296,13 @@ func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[
 
 // assembleBands runs stage 1 (ax = axisA) or 2 (axisB) under its span:
 // the rank's band ops gather every band of m (grid row of A, grid column of
-// B) it owns a cell in into wm, each broadcast going straight from the
-// owner's view of m into every member's view of wm, over the communicator
-// the band's first broadcast creates. Each split and broadcast is recorded
-// as one Comm event that spans the whole call, the receiver's copy
-// included. A failure is tagged with the stage.
-func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m, wm *matrix.Dense) (err error) {
+// B) it owns a cell in into w, WA or WB, as packed strips (rows of A, columns
+// of B), each broadcast going straight from the owner's view of m into every
+// member's strips, over the communicator the band's first broadcast creates.
+// Each split and broadcast is recorded as one Comm event that spans the
+// whole call, the receiver's Put included. A failure is tagged with the
+// stage.
+func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *matrix.Dense, w []float64) (err error) {
 	rank := p.Rank()
 	sp := cfg.Span.Child(ax.spanName()).OnRank(rank)
 	defer func() {
@@ -311,11 +312,15 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m, wm 
 		}
 		sp.End()
 	}()
+	into, stride := matrix.IntoRowStrips, blas.StripWidth*s.layout.N
+	if ax == axisB {
+		into = matrix.IntoColStrips
+	}
 	var comm Comm
 	for _, o := range s.ranks[rank].ops[ax] {
-		src, dst := subPanel(m, o.r0, o.c0, o.h, o.w), subPanel(wm, o.dr, o.dc, o.h, o.w)
+		src, dst := subPanel(m, o.r0, o.c0, o.h, o.w), into(w[o.off:], stride, o.h, o.w)
 		if o.procs == nil {
-			if err := matrix.CopyBlock(&dst, &src, o.h, o.w); err != nil {
+			if err := dst.Put(&src); err != nil {
 				return err
 			}
 			continue
@@ -340,17 +345,22 @@ func subPanel(m *matrix.Dense, r0, c0, h, w int) matrix.Dense {
 	return matrix.Dense{Rows: h, Cols: w, Stride: m.Stride, Data: m.Data[off : off+(h-1)*m.Stride+w]}
 }
 
+// computeFault, when non-nil, is what every rank's compute stage returns in
+// place of its first DGEMM. Only tests set it, while no multiply runs.
+var computeFault error
+
 // localCompute implements stage 3: one DGEMM per rectangle of the rank's
-// schedule. A rectangle's WA rows, WB columns and C block are each
-// contiguous, and it holds only cells this rank owns, so fusing cells adds
-// no redundant computation and, by the kernel's rounding contract, changes
-// no bit of C. With a Checkpointer every owned cell is looked up first; a
-// restored cell cuts its run, so the rectangles are found again over the
-// cells left, and each computed cell is saved after its rectangle's DGEMM.
-// stage is the rank's "dgemm" span; per-rectangle spans hang off it. Each
-// DGEMM is recorded on rec, and a restored cell as an instant compute event
-// of no flops.
-func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb, c *matrix.Dense, stage obs.SpanHandle) error {
+// schedule, straight from the packed strips of WA and WB. A rectangle's
+// grid rows are consecutive bands of WA, its grid columns consecutive bands
+// of WB and its C block contiguous, and it holds only cells this rank owns,
+// so fusing cells adds no redundant computation and, by the kernel's
+// rounding contract, changes no bit of C. With a Checkpointer every owned
+// cell is looked up first; a restored cell cuts its run, so the rectangles
+// are found again over the cells left, and each computed cell is saved
+// after its rectangle's DGEMM. stage is the rank's "dgemm" span;
+// per-rectangle spans hang off it. Each DGEMM is recorded on rec, and a
+// restored cell as an instant compute event of no flops.
+func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64, c *matrix.Dense, stage obs.SpanHandle) error {
 	l, rank := &s.layout, p.Rank()
 	rs := &s.ranks[rank]
 	rects := rs.rects
@@ -373,12 +383,17 @@ func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb, c *matri
 			rects = s.findRects(func(i, j int) bool { return l.OwnerAt(i, j) == rank && !restored[[2]int{i, j}] })
 		}
 	}
+	stride := blas.StripWidth * l.N
 	for _, rc := range rects {
 		block := c.Data[rc.r0*c.Stride+rc.c0:]
-		aRows, bCols := wa.Data[rs.rowOff[rc.i0]*wa.Stride:], wb.Data[rs.colOff[rc.j0]:]
+		pa, pb := wa[rs.rowStrip[rc.i0]*stride:], wb[rs.colStrip[rc.j0]*stride:]
 		csp := stage.Child(rc.label).OnRank(rank).Float("flops", rc.flops)
 		t, start := rec.now(), time.Now()
-		if err := blas.DgemmKernel(cfg.Kernel, rc.h, rc.w, l.N, 1, aRows, wa.Stride, bCols, wb.Stride, 0, block, c.Stride); err != nil {
+		err := computeFault
+		if err == nil {
+			err = blas.DgemmPacked(l.RowHeights[rc.i0:rc.i1], l.ColWidths[rc.j0:rc.j1], l.N, pa, pb, block, c.Stride)
+		}
+		if err != nil {
 			csp.Str("error", err.Error()).End()
 			return err
 		}

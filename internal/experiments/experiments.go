@@ -123,31 +123,13 @@ func SweepFPM(ns []int) ([]Row, error) {
 	}
 	var rows []Row
 	for _, n := range ns {
-		gran := n * n / 256
-		if gran < 1 {
-			gran = 1
-		}
-		res, err := balance.LoadImbalance(n*n, models, gran)
+		areas, err := balance.FPMAreas(n, models)
 		if err != nil {
 			return nil, err
 		}
-		areas := res.Parts
-		// Every processor must receive some workload for a valid shape;
-		// the load-imbalancing optimum can park a slow device at zero
-		// for tiny N. Give such devices one granule.
-		for i := range areas {
-			if areas[i] == 0 {
-				areas[i] = gran
-				// Take it from the largest part.
-				maxI := 0
-				for j := range areas {
-					if areas[j] > areas[maxI] {
-						maxI = j
-					}
-				}
-				areas[maxI] -= gran
-			}
-		}
+		// The load-imbalancing optimum can park a slow device at zero for
+		// small N; a shape needs every area positive.
+		balance.Positive(areas)
 		for si, shape := range partition.Shapes {
 			row, err := simulateShape(pl, shape, n, areas, int64(n)*20+int64(si))
 			if err != nil {

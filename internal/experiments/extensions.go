@@ -337,32 +337,16 @@ func ContentionStudy(ns []int) ([]ContentionRow, error) {
 	naiveSrc := device.StandaloneHCLServer1()
 	var rows []ContentionRow
 	for _, n := range ns {
-		gran := n * n / 256
-		if gran < 1 {
-			gran = 1
-		}
 		exec := func(profileSource *device.Platform) (float64, error) {
 			models := make([]fpm.Model, profileSource.P())
 			for i, d := range profileSource.Devices {
 				models[i] = d.Speed
 			}
-			res, err := balance.LoadImbalance(n*n, models, gran)
+			areas, err := balance.FPMAreas(n, models)
 			if err != nil {
 				return 0, err
 			}
-			areas := res.Parts
-			for i := range areas {
-				if areas[i] == 0 {
-					areas[i] = gran
-					maxI := 0
-					for j := range areas {
-						if areas[j] > areas[maxI] {
-							maxI = j
-						}
-					}
-					areas[maxI] -= gran
-				}
-			}
+			balance.Positive(areas)
 			layout, err := partition.Build(partition.SquareRectangle, n, areas)
 			if err != nil {
 				return 0, err

@@ -321,7 +321,7 @@ func (c *Comm) collective(p *Proc, ct contribution, root int) result {
 				res.data = append([]float64(nil), d...)
 			}
 		case opPanel:
-			// The receivers copy straight out of the root's view: no
+			// The members Put straight out of the root's view: no
 			// clone, and so no reuse of the source before Run returns
 			// (see BcastPanel).
 			res.data, res.stride = contribs[root].data, contribs[root].stride
@@ -381,13 +381,13 @@ func (c *Comm) Bcast(p *Proc, buf []float64, count, root int) []float64 {
 
 // BcastPanel broadcasts the root's rows×cols panel src into every member's
 // dst (the root's included); the dimensions are dst's, and src is read on
-// the root only. Receivers copy straight out of the root's view — one
-// strided copy per member, no packing and no intermediate clone — so unlike
-// Bcast the source is NOT released when the root's call returns: it must
-// stay unwritten until World.Run returns (the engine passes views of its
-// read-only A and B). A member whose dimensions disagree with the root's
-// panics.
-func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
+// the root only. Every member Puts straight out of the root's view — one
+// pass per member, into whatever form its dst has, with no staging and no
+// intermediate clone — so unlike Bcast the source is NOT released when the
+// root's call returns: it must stay unwritten until World.Run returns (the
+// engine passes views of its read-only A and B). A member whose dimensions
+// disagree with the root's panics.
+func (c *Comm) BcastPanel(p *Proc, src matrix.Dense, dst matrix.Dest, root int) {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: BcastPanel root %d out of range (size %d)", root, c.Size()))
 	}
@@ -404,7 +404,7 @@ func (c *Comm) BcastPanel(p *Proc, src, dst matrix.Dense, root int) {
 			p.rank, dst.Rows, dst.Cols, ct.bytes, res.bytes))
 	}
 	from := matrix.Dense{Rows: dst.Rows, Cols: dst.Cols, Stride: res.stride, Data: res.data}
-	if err := matrix.CopyBlock(&dst, &from, dst.Rows, dst.Cols); err != nil {
+	if err := dst.Put(&from); err != nil {
 		panic(err)
 	}
 }

@@ -327,7 +327,7 @@ func TestBcastPanelStridedCopy(t *testing.T) {
 		if p.Rank() != 1 {
 			sv = matrix.Dense{} // read on the root only
 		}
-		p.CommWorld().BcastPanel(p, sv, dv, 1)
+		p.CommWorld().BcastPanel(p, sv, matrix.Into(dv), 1)
 		for i := 0; i < h+1; i++ {
 			for j := 0; j < dstStride; j++ {
 				want := -1.0
@@ -351,7 +351,7 @@ func TestBcastPanelMismatchPanics(t *testing.T) {
 	err := w.Run(func(p *Proc) error {
 		rows := 2 + p.Rank() // rank 1 expects a taller panel than the root sends
 		m := matrix.New(rows, 3)
-		p.CommWorld().BcastPanel(p, *m, *matrix.New(rows, 3), 0)
+		p.CommWorld().BcastPanel(p, *m, matrix.Into(*matrix.New(rows, 3)), 0)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "BcastPanel length mismatch") {
@@ -370,7 +370,7 @@ func TestCollectivesAllocateNothingPerCall(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			p.Split(ranks)
 			c.Barrier(p)
-			c.BcastPanel(p, *src, *dst, 0)
+			c.BcastPanel(p, *src, matrix.Into(*dst), 0)
 		})
 		if allocs != 0 {
 			return fmt.Errorf("%v allocations per Split+Barrier+BcastPanel, want 0", allocs)

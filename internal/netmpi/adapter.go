@@ -23,6 +23,6 @@ func (p netProc) Split(ranks []int) core.Comm            { return netComm{p.ep.S
 
 type netComm struct{ c *Comm }
 
-func (nc netComm) BcastPanel(_ core.Proc, src, dst matrix.Dense, root int) error {
+func (nc netComm) BcastPanel(_ core.Proc, src matrix.Dense, dst matrix.Dest, root int) error {
 	return nc.c.BcastPanel(src, dst, root)
 }

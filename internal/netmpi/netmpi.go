@@ -1044,12 +1044,12 @@ func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
 // dst, the root's included; the dimensions are dst's and src is read on the
 // root only. The root packs the panel once into recycled staging and sends
 // that one frame down the tree — same frames and bytes on the wire as a
-// Bcast of the packed panel. A receiver reads the frame off the socket
-// straight into dst when dst's rows are contiguous, otherwise into recycled
-// staging it then unpacks row by row; in steady state nothing is allocated
-// on either side. A member whose dimensions disagree with the root's fails
-// with a *LengthMismatchError.
-func (c *Comm) BcastPanel(src, dst matrix.Dense, root int) error {
+// Bcast of the packed panel — then Puts its own src into dst. A receiver
+// reads the frame off the socket into recycled staging and Puts that into
+// dst, whatever form dst has; in steady state nothing is allocated on either
+// side. A member whose dimensions disagree with the root's fails with a
+// *LengthMismatchError.
+func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root int) error {
 	if root < 0 || root >= len(c.ranks) {
 		return fmt.Errorf("netmpi: BcastPanel root %d out of range (size %d)", root, len(c.ranks))
 	}
@@ -1060,15 +1060,8 @@ func (c *Comm) BcastPanel(src, dst matrix.Dense, root int) error {
 	}
 	tag := c.nextTag()
 	defer c.ep.addCommSecs(time.Now())
-	// The frame's buffer: dst itself for a receiver whose rows are
-	// contiguous, recycled staging otherwise.
-	direct := !isRoot && (dst.Stride == w || h == 1)
-	buf := dst.Data
-	if !direct {
-		buf = slab.Get(h * w)
-		defer slab.Put(buf)
-	}
-	buf = buf[:h*w]
+	buf := slab.Get(h * w)
+	defer slab.Put(buf)
 	var data []float64
 	if isRoot {
 		data = matrix.PackBlock(buf[:0], &src, h, w)
@@ -1076,13 +1069,10 @@ func (c *Comm) BcastPanel(src, dst matrix.Dense, root int) error {
 	if _, err := c.bcastTree(tag, root, data, buf); err != nil {
 		return err
 	}
-	switch {
-	case isRoot:
-		return matrix.CopyBlock(&dst, &src, h, w)
-	case !direct:
-		return matrix.UnpackBlock(&dst, buf, h, w)
+	if isRoot {
+		return dst.Put(&src)
 	}
-	return nil
+	return dst.Put(&matrix.Dense{Rows: h, Cols: w, Stride: w, Data: buf})
 }
 
 // Send transmits data to world rank `to` under the given user tag. User

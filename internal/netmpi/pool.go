@@ -24,7 +24,7 @@ import (
 // Who owns a received payload: a frame that arrives while it is awaited,
 // with the length the waiting caller sized its buffer for, is read off the
 // socket straight into that buffer — the caller's own memory, before and
-// after (Comm.Bcast's buf, or BcastPanel's destination rows or staging). Only
+// after (Comm.Bcast's buf, or BcastPanel's staging). Only
 // a frame nobody is waiting for yet — or of an unexpected length — is
 // decoded into a fresh allocation: it is parked in rankConn.pending and
 // handed over (copied, if the eventual caller brought a buffer) when its key
@@ -35,10 +35,9 @@ import (
 // Panel staging (slab.Get/slab.Put, the process's one recycled-buffer free
 // list) holds one packed panel for the duration of one BcastPanel call on
 // one rank: the root packs its strided source into it before the sends, a
-// receiver whose destination rows are not contiguous reads the frame into
-// it and unpacks. send returns only once the kernel has the bytes (and
-// recordReplay has copied what it retains), so the deferred put cannot race
-// a write.
+// receiver reads the frame into it and Puts it into its destination. send
+// returns only once the kernel has the bytes (and recordReplay has copied
+// what it retains), so the deferred put cannot race a write.
 //
 // The get/put counters exist so tests can assert the invariant: after a
 // run quiesces, checkouts and returns must balance (see FramePoolStats).

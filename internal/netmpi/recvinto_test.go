@@ -141,17 +141,15 @@ func TestBcastLengthMismatch(t *testing.T) {
 		return err
 	})
 	check("BcastPanel", func(ep *Endpoint, c *Comm, n int) error {
-		// A strided destination, so the frame goes through staging.
 		src := matrix.New(n/2, 2)
 		dst := matrix.New(n/2, 3)
-		return c.BcastPanel(*src, matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}, 0)
+		return c.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), 0)
 	})
 }
 
 // TestBcastPanelStridedAndContiguous: every member ends up with the root's
-// panel in its own view, whether the frame was read straight into the
-// destination (contiguous rows) or through staging (strided), on the root,
-// on an interior node of the tree and on a leaf.
+// panel in its own view, whether that view's rows are contiguous or strided,
+// on the root, on an interior node of the tree and on a leaf.
 func TestBcastPanelStridedAndContiguous(t *testing.T) {
 	const h, w = 5, 3
 	eps := localWorld(t, 4)
@@ -171,7 +169,7 @@ func TestBcastPanelStridedAndContiguous(t *testing.T) {
 			back := matrix.New(h, stride)
 			back.Fill(-1)
 			dst := matrix.Dense{Rows: h, Cols: w, Stride: stride, Data: back.Data}
-			if err := c.BcastPanel(src, dst, root); err != nil {
+			if err := c.BcastPanel(src, matrix.Into(dst), root); err != nil {
 				return err
 			}
 			for i := 0; i < h; i++ {

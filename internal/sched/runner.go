@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/grayfail"
 	"repro/internal/matrix"
@@ -78,17 +77,14 @@ type RunOpts struct {
 // InprocRunner executes jobs on the in-process channel runtime — one
 // goroutine per rank inside this process, the default for a single-node
 // service.
-type InprocRunner struct {
-	// Kernel selects the local DGEMM kernel (zero value = default).
-	Kernel blas.Kernel
-}
+type InprocRunner struct{}
 
 // Name implements Runner.
 func (r *InprocRunner) Name() string { return "inproc" }
 
 // Run implements Runner via core.Multiply.
 func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
-	return core.Multiply(a, b, c, core.Config{Layout: plan.Layout, Kernel: r.Kernel, Checkpoint: opts.Checkpoint, Span: opts.Span})
+	return core.Multiply(a, b, c, core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: opts.Span})
 }
 
 // NetmpiRunner executes each job over a loopback TCP mesh: one netmpi
