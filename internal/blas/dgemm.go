@@ -32,6 +32,14 @@
 // kernel of builds before this contract; golden_test.go pins the digests of
 // a few products across builds since.
 //
+// Where C starts at zero (DgemmPacked always, Dgemm when beta is 0), C is
+// not zeroed: the first panel stores acc + 0 into C without reading it, and
+// later panels add as above. That is the same bits as +0 + acc. For finite
+// nonzero acc, ±Inf and NaN, acc + 0 is acc. An FMA chain from +0 ends at
+// −0 only when its exact result is a negative value too small to round to
+// anything but −0 (fma(−1e−200, 1e−200, +0) is −0), and there acc + 0 gives
+// +0, as +0 + acc does; storing acc itself would not.
+//
 // Both operands reach the micro-kernel in one packed format, the strip. A
 // strip is StripWidth (8) rows of A or 8 columns of B stored k-major: the 8
 // values of step l follow those of step l-1, so a panel of any run of
@@ -41,7 +49,12 @@
 // KC×NC panels of its row-major operands. The SummaGen engine runs them once
 // per element, when a broadcast panel lands in its working matrices (through
 // matrix.Dest), and multiplies those strips in place with DgemmPacked. One
-// macro-kernel serves both.
+// macro-kernel serves both. The writers follow the micro-kernel's body: with
+// the AVX-512 body, assembly (pack_amd64.s) that transposes 8 rows × 8
+// columns of A in registers and moves each strip row of B with one 64-byte
+// load and store, fringes under a lane mask; with any other body, and in
+// every build without it, the Go writers packAGo and packBGo, which define
+// the output bit for bit (alpha*A[i,l] is one rounded multiply either way).
 //
 // The math.FMA body is fast only where the compiler turns math.FMA into one
 // instruction (arm64, ppc64le, s390x, riscv64, and amd64 with FMA when the
@@ -136,18 +149,23 @@ func DgemmKernel(kern Kernel, m, n, k int, alpha float64, a []float64, lda int, 
 	if m == 0 || n == 0 {
 		return nil
 	}
-	scaleC(m, n, beta, c, ldc)
+	if kern != KernelNaive && kern != KernelBlocked {
+		return fmt.Errorf("blas: unknown kernel %d", kern)
+	}
+	// With beta 0 the blocked kernel's first KC panel stores into C, so C
+	// needs no zeroing first (see the package comment).
+	store := beta == 0 && kern == KernelBlocked && k > 0 && alpha != 0
+	if !store {
+		scaleC(m, n, beta, c, ldc)
+	}
 	if k == 0 || alpha == 0 {
 		return nil
 	}
-	switch kern {
-	case KernelNaive:
+	if kern == KernelNaive {
 		naiveMul(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-	case KernelBlocked:
-		blockedMul(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-	default:
-		return fmt.Errorf("blas: unknown kernel %d", kern)
+		return nil
 	}
+	blockedMul(m, n, k, alpha, a, lda, b, ldb, c, ldc, store)
 	return nil
 }
 
@@ -213,39 +231,33 @@ func getPanel(kind, n int) []float64 {
 // roundUp rounds n up to a multiple of to.
 func roundUp(n, to int) int { return (n + to - 1) / to * to }
 
-// blockedMul adds alpha*A*B to C with the packed kernel, sharing the rows of
-// C out to workers when the product is large enough to pay for them. Each
-// worker runs the whole serial algorithm on its own rows, packing B for
-// itself; any split of the rows gives the same bits, see macroKernel. Whether
-// one packed B shared by the workers would win is moot for the engine: its
-// operands arrive already packed (DgemmPacked), so every worker there reads
-// the one packed B and packs nothing. Dgemm itself is left to callers whose
-// operands are row-major, and was measured with per-worker packing on two
-// workers only.
-func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// blockedMul adds alpha*A*B to C with the packed kernel, or with store set
+// writes it there, sharing the rows of C out to workers when the product is
+// large enough to pay for them. Each worker runs the whole serial algorithm
+// on its own rows, packing B for itself; any split of the rows gives the
+// same bits, see macroKernel. Whether one packed B shared by the workers
+// would win is moot for the engine: its operands arrive already packed
+// (DgemmPacked), so every worker there reads the one packed B and packs
+// nothing. Dgemm itself is left to callers whose operands are row-major, and
+// was measured with per-worker packing on two workers only.
+func blockedMul(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool) {
 	workers := int(min(int64(runtime.GOMAXPROCS(0)), int64(m)*int64(n)*int64(k)/parallelMinWork))
 	if workers <= 1 {
-		blockedMulRows(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		blockedMulRows(m, n, k, alpha, a, lda, b, ldb, c, ldc, store)
 		return
 	}
 	rows := roundUp((m+workers-1)/workers, microM)
-	var wg sync.WaitGroup
-	for r := rows; r < m; r += rows {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			blockedMulRows(min(rows, m-r), n, k, alpha, a[r*lda:], lda, b, ldb, c[r*ldc:], ldc)
-		}()
-	}
-	blockedMulRows(min(rows, m), n, k, alpha, a, lda, b, ldb, c, ldc)
-	wg.Wait()
+	s := splits.Get().(*split)
+	s.product = product{m: m, n: n, k: k, alpha: alpha, a: a, lda: lda, b: b, ldb: ldb, c: c, ldc: ldc, store: store}
+	s.run((m+rows-1)/rows, rows)
 }
 
 // blockedMulRows is the serial MC/KC/NC panel loop around PackA, PackB and
-// macroKernel; each packed panel is a run of strips of kc steps. The panels
-// are separate buffers: one buffer holding both ran a 256³ product 1–4 %
-// slower on the 2-vCPU Xeon.
-func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// macroKernel; each packed panel is a run of strips of kc steps. With store
+// set, the first KC panel writes C instead of adding to it. The panels are
+// separate buffers: one buffer holding both ran a 256³ product 1–4 % slower
+// on the 2-vCPU Xeon.
+func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool) {
 	pa := getPanel(0, roundUp(min(m, blockMC), microM)*min(k, blockKC))
 	defer slab.Put(pa)
 	pb := getPanel(1, min(k, blockKC)*roundUp(min(n, blockNC), microN))
@@ -258,7 +270,7 @@ func blockedMulRows(m, n, k int, alpha float64, a []float64, lda int, b []float6
 			for ic := 0; ic < m; ic += blockMC {
 				mc := min(blockMC, m-ic)
 				PackA(pa, kc*microM, a[ic*lda+pc:], lda, mc, kc, alpha)
-				macroKernel(mc, nc, kc, pa, kc*microM, pb, kc*microN, c[ic*ldc+jc:], ldc)
+				macroKernel(mc, nc, kc, pa, kc*microM, pb, kc*microN, c[ic*ldc+jc:], ldc, store && pc == 0)
 			}
 		}
 	}
@@ -276,6 +288,19 @@ func Strips(n int) int { return (n + StripWidth - 1) / StripWidth }
 // dst[s*stride], and step l holds the strip's rows of column l at
 // dst[s*stride+l*StripWidth:]. Lanes past m in the last strip are zero.
 func PackA(dst []float64, stride int, a []float64, lda, m, kc int, alpha float64) {
+	packA(dst, stride, a, lda, m, kc, alpha)
+}
+
+// PackB writes the kc×n block b (row-major, leading dimension ldb) as strips
+// of StripWidth columns, laid out as PackA lays out rows; lanes past n in the
+// last strip are zero.
+func PackB(dst []float64, stride int, b []float64, ldb, kc, n int) {
+	packB(dst, stride, b, ldb, kc, n)
+}
+
+// packAGo is PackA in Go: the definition of the strip writers' output, and
+// every body's writer but AVX-512's. Each value is one scalar store.
+func packAGo(dst []float64, stride int, a []float64, lda, m, kc int, alpha float64) {
 	for i := 0; i < m; i += microM {
 		strip := dst[i/microM*stride:][:kc*microM]
 		if m-i < microM {
@@ -298,12 +323,10 @@ func PackA(dst []float64, stride int, a []float64, lda, m, kc int, alpha float64
 	}
 }
 
-// PackB writes the kc×n block b (row-major, leading dimension ldb) as strips
-// of StripWidth columns, laid out as PackA lays out rows; lanes past n in the
-// last strip are zero. It walks B row by row, so reads stream, and moves each
-// full segment with element stores: a copy call per segment cost more than
-// the eight moves.
-func PackB(dst []float64, stride int, b []float64, ldb, kc, n int) {
+// packBGo is PackB in Go, as packAGo is PackA. It walks B row by row, so
+// reads stream, and moves each full segment with element stores: a copy
+// call per segment cost more than the eight moves.
+func packBGo(dst []float64, stride int, b []float64, ldb, kc, n int) {
 	full := n - n%microN
 	for l := 0; l < kc; l++ {
 		row, o := b[l*ldb:][:n], l*microN
@@ -360,18 +383,84 @@ func DgemmPacked(heights, widths []int, k int, pa, pb, c []float64, ldc int) err
 		return nil
 	}
 	per := (sa + workers - 1) / workers
-	var wg sync.WaitGroup
-	for s0 := per; s0 < sa; s0 += per {
-		own := pa[s0*stride : min(s0+per, sa)*stride]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			packedStrips(s0, own, heights, widths, k, pb, c, ldc)
-		}()
-	}
-	packedStrips(0, pa[:per*stride], heights, widths, k, pb, c, ldc)
-	wg.Wait()
+	s := splits.Get().(*split)
+	s.product = product{packed: true, k: k, a: pa[:sa*stride], b: pb, c: c, ldc: ldc, heights: heights, widths: widths}
+	s.run((sa+per-1)/per, per)
 	return nil
+}
+
+// A split is one product whose rows of C are shared out in parts: part i is
+// rows i·per… of blockedMul's A, or strips i·per… of DgemmPacked's. Part 0
+// runs on the caller and every other part on a goroutine of its own. The
+// split carries the arguments that a closure per goroutine would otherwise
+// hold; splits are recycled through a sync.Pool and each goroutine is handed
+// its part over a channel, so sharing a product out allocates nothing once
+// warm.
+type split struct {
+	product
+	per int
+	wg  sync.WaitGroup
+}
+
+// product holds the arguments of blockedMulRows, or with packed set those of
+// packedStrips (a and b hold the packed operands).
+type product struct {
+	packed          bool
+	m, n, k         int
+	alpha           float64
+	a, b, c         []float64
+	lda, ldb, ldc   int
+	store           bool
+	heights, widths []int
+}
+
+var splits = sync.Pool{New: func() any { return new(split) }}
+
+// A part is a split's part number i, handed to the goroutine that runs it.
+type part struct {
+	s *split
+	i int
+}
+
+// handoff carries each part from split.run to the goroutine it starts for
+// it. Every send follows a go statement whose goroutine takes exactly one
+// part, so no part waits for long; the buffer (a few parts per CPU of a
+// large machine) only spares run from waiting for those goroutines to be
+// scheduled.
+var handoff = make(chan part, 64)
+
+// run runs parts of s, part 0 on the caller, waits for them all, and
+// recycles s.
+func (s *split) run(parts, per int) {
+	s.per = per
+	s.wg.Add(parts - 1)
+	for i := 1; i < parts; i++ {
+		go runPart()
+		handoff <- part{s, i}
+	}
+	s.do(0)
+	s.wg.Wait()
+	s.product = product{}
+	splits.Put(s)
+}
+
+// runPart runs one part taken from handoff.
+func runPart() {
+	p := <-handoff
+	p.s.do(p.i)
+	p.s.wg.Done()
+}
+
+// do runs part i of s.
+func (s *split) do(i int) {
+	p := &s.product
+	lo := i * s.per
+	if p.packed {
+		stride := StripWidth * p.k
+		packedStrips(lo, p.a[lo*stride:min((lo+s.per)*stride, len(p.a))], p.heights, p.widths, p.k, p.b, p.c, p.ldc)
+		return
+	}
+	blockedMulRows(min(s.per, p.m-lo), p.n, p.k, p.alpha, p.a[lo*p.lda:], p.lda, p.b, p.ldb, p.c[lo*p.ldc:], p.ldc, p.store)
 }
 
 // bandExtent returns the total extent of bands and the strips they fill.
@@ -386,22 +475,12 @@ func bandExtent(bands []int) (total, strips int, err error) {
 }
 
 // packedStrips computes DgemmPacked's C rows held by own, A's strips from
-// strip s0 on (k > 0): it zeroes them, then runs the MC/KC/NC loop of
-// blockedMulRows over the packed operands in place, so each element gets its
-// KC panels in k order. It takes as few arguments as it can, because a
-// worker's closure holds them all and is allocated per call.
+// strip s0 on (k > 0): it runs the MC/KC/NC loop of blockedMulRows over the
+// packed operands in place, so each element gets its KC panels in k order.
+// The first KC panel stores into C, so C is never zeroed first.
 func packedStrips(s0 int, own []float64, heights, widths []int, k int, pb, c []float64, ldc int) {
 	stride := StripWidth * k
 	s1 := s0 + len(own)/stride
-	n, _, _ := bandExtent(widths)
-	for row, first, b := 0, 0, 0; b < len(heights) && first < s1; b++ {
-		h := heights[b]
-		lo, hi := max(s0, first), min(s1, first+Strips(h))
-		for r := (lo - first) * microM; r < min(h, (hi-first)*microM); r++ {
-			clear(c[(row+r)*ldc:][:n])
-		}
-		row, first = row+h, first+Strips(h)
-	}
 	for col, sb, bj := 0, 0, 0; bj < len(widths); bj++ {
 		w := widths[bj]
 		for jc := 0; jc < w; jc += blockNC {
@@ -414,7 +493,7 @@ func packedStrips(s0 int, own []float64, heights, widths []int, k int, pb, c []f
 					for s := lo; s < hi; s += blockMC / microM {
 						i := (s - first) * microM
 						mc := min(blockMC, h-i, (hi-s)*microM)
-						macroKernel(mc, nc, kc, own[(s-s0)*stride+pc*microM:], stride, bp[pc*microN:], stride, c[(row+i)*ldc+col+jc:], ldc)
+						macroKernel(mc, nc, kc, own[(s-s0)*stride+pc*microM:], stride, bp[pc*microN:], stride, c[(row+i)*ldc+col+jc:], ldc, pc == 0)
 					}
 					row, first = row+h, first+Strips(h)
 				}
@@ -425,13 +504,14 @@ func packedStrips(s0 int, own []float64, heights, widths []int, k int, pb, c []f
 }
 
 // macroKernel multiplies kc steps of mc rows of packed A by nc columns of
-// packed B into C: strip s of A starts at pa[s*sa], strip t of B at pb[t*sb],
-// each at the panel's first step. Fringe tiles go through the same
-// micro-kernel on a full-size copy of the tile (strips are padded to whole
-// strips) and only the rows and columns that exist are copied back, so an
+// packed B into C, or with store set writes the product there: strip s of A
+// starts at pa[s*sa], strip t of B at pb[t*sb], each at the panel's first
+// step. Fringe tiles go through the same micro-kernel on a full-size copy of
+// the tile (strips are padded to whole strips; with store set nothing is
+// copied in) and only the rows and columns that exist are copied back, so an
 // element of C gets the same arithmetic wherever the tile grid happens to put
 // it.
-func macroKernel(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c []float64, ldc int) {
+func macroKernel(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c []float64, ldc int, store bool) {
 	for j := 0; j < nc; j += microN {
 		jb := min(microN, nc-j)
 		bPanel := pb[j/microN*sb:][:kc*microN]
@@ -440,14 +520,14 @@ func macroKernel(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c [
 			aPanel := pa[i/microM*sa:][:kc*microM]
 			ct := c[i*ldc+j:]
 			if ib == microM && jb == microN {
-				microKernel(kc, aPanel, bPanel, ct, ldc)
+				microKernel(kc, aPanel, bPanel, ct, ldc, store)
 				continue
 			}
 			var tile [microM * microN]float64
-			for ii := 0; ii < ib; ii++ {
+			for ii := 0; ii < ib && !store; ii++ {
 				copy(tile[ii*microN:ii*microN+jb], ct[ii*ldc:])
 			}
-			microKernel(kc, aPanel, bPanel, tile[:], microN)
+			microKernel(kc, aPanel, bPanel, tile[:], microN, store)
 			for ii := 0; ii < ib; ii++ {
 				copy(ct[ii*ldc:ii*ldc+jb], tile[ii*microN:])
 			}

@@ -5,11 +5,13 @@ import "math"
 // microKernelFMA is the portable body of the micro-kernel and the
 // definition of its arithmetic: every element of the microM×microN tile is
 // accumulated from zero as acc = fma(a, b, acc) over the kc packed steps in
-// k order, then added into C once. The amd64 assembly bodies perform exactly
-// this chain per lane, so all bodies are bit-identical. The tile is swept as
-// four 4×4 quarters so the 16 live accumulators fit the register file; the
-// lanes are independent, so the sweep order does not touch the result.
-func microKernelFMA(kc int, ap, bp, c []float64, ldc int) {
+// k order, then added into C once, or, with store set, written to C as
+// acc + 0 without reading C (what a zeroed C would have given; see the
+// package comment). The amd64 assembly bodies perform exactly this chain per
+// lane, so all bodies are bit-identical. The tile is swept as four 4×4
+// quarters so the 16 live accumulators fit the register file; the lanes are
+// independent, so the sweep order does not touch the result.
+func microKernelFMA(kc int, ap, bp, c []float64, ldc int, store bool) {
 	for i := 0; i < microM; i += 4 {
 		for j := 0; j < microN; j += 4 {
 			var c00, c01, c02, c03 float64
@@ -37,23 +39,20 @@ func microKernelFMA(kc int, ap, bp, c []float64, ldc int) {
 				c33 = math.FMA(a[3], b[3], c33)
 			}
 			ct := c[i*ldc+j:]
-			r0, r1, r2, r3 := ct[:4], ct[ldc:ldc+4], ct[2*ldc:2*ldc+4], ct[3*ldc:3*ldc+4]
-			r0[0] += c00
-			r0[1] += c01
-			r0[2] += c02
-			r0[3] += c03
-			r1[0] += c10
-			r1[1] += c11
-			r1[2] += c12
-			r1[3] += c13
-			r2[0] += c20
-			r2[1] += c21
-			r2[2] += c22
-			r2[3] += c23
-			r3[0] += c30
-			r3[1] += c31
-			r3[2] += c32
-			r3[3] += c33
+			putRow(ct[:4], store, c00, c01, c02, c03)
+			putRow(ct[ldc:ldc+4], store, c10, c11, c12, c13)
+			putRow(ct[2*ldc:2*ldc+4], store, c20, c21, c22, c23)
+			putRow(ct[3*ldc:3*ldc+4], store, c30, c31, c32, c33)
 		}
 	}
+}
+
+// putRow adds four accumulators into a row of C, or stores them plus +0.
+func putRow(r []float64, store bool, v0, v1, v2, v3 float64) {
+	r = r[:4]
+	if store {
+		r[0], r[1], r[2], r[3] = v0+0, v1+0, v2+0, v3+0
+		return
+	}
+	r[0], r[1], r[2], r[3] = r[0]+v0, r[1]+v1, r[2]+v2, r[3]+v3
 }

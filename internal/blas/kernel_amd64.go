@@ -5,16 +5,24 @@ package blas
 import "unsafe"
 
 //go:noescape
-func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int)
+func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int, store bool)
 
 //go:noescape
-func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int)
+func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int, store bool)
+
+//go:noescape
+func packAStripAVX512(kc, rows int, a *float64, lda int, dst *float64, alpha float64)
+
+//go:noescape
+func packBAVX512(kc, n int, b *float64, ldb int, dst *float64, stride int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
 // body names a micro-kernel body. Each one can run where the next one up can.
+// The AVX-512 body brings its own strip writers too; the others use packAGo
+// and packBGo.
 type body int
 
 const (
@@ -55,10 +63,11 @@ func pickBody(maxLeaf, ecx1, ebx7, xcr0 uint32) body {
 	return bodyAVX2
 }
 
-// microKernel computes C[0:microM,0:microN] += Ap·Bp over kc packed steps.
-func microKernel(kc int, ap, bp, c []float64, ldc int) {
+// microKernel computes C[0:microM,0:microN] += Ap·Bp over kc packed steps,
+// or C[0:microM,0:microN] = Ap·Bp + 0 with store set.
+func microKernel(kc int, ap, bp, c []float64, ldc int, store bool) {
 	if kernelBody == bodyFMA {
-		microKernelFMA(kc, ap, bp, c, ldc)
+		microKernelFMA(kc, ap, bp, c, ldc, store)
 		return
 	}
 	// The assembly does no bounds checks of its own.
@@ -67,11 +76,38 @@ func microKernel(kc int, ap, bp, c []float64, ldc int) {
 	}
 	a, b := unsafe.SliceData(ap), unsafe.SliceData(bp)
 	if kernelBody == bodyAVX512 {
-		kernel8x8AVX512(kc, a, b, &c[0], ldc)
+		kernel8x8AVX512(kc, a, b, &c[0], ldc, store)
 		return
 	}
 	// Rows 0–3, then rows 4–7, whose A values sit 4 into each step of Ap
 	// (ap is empty only when kc is 0 and it is not read).
-	kernel4x8FMA(kc, a, b, &c[0], ldc)
-	kernel4x8FMA(kc, unsafe.SliceData(ap[min(4, len(ap)):]), b, &c[4*ldc], ldc)
+	kernel4x8FMA(kc, a, b, &c[0], ldc, store)
+	kernel4x8FMA(kc, unsafe.SliceData(ap[min(4, len(ap)):]), b, &c[4*ldc], ldc, store)
+}
+
+// packA is PackA: with the AVX-512 body, one packAStripAVX512 call per
+// strip; with any other, packAGo.
+func packA(dst []float64, stride int, a []float64, lda, m, kc int, alpha float64) {
+	if kernelBody != bodyAVX512 || kc == 0 || lda < 0 {
+		packAGo(dst, stride, a, lda, m, kc, alpha)
+		return
+	}
+	for i := 0; i < m; i += microM {
+		rows := min(microM, m-i)
+		src := a[i*lda:][:(rows-1)*lda+kc] // all the assembly reads: it does no bounds checks
+		strip := dst[i/microM*stride:][:kc*microM]
+		packAStripAVX512(kc, rows, &src[0], lda, &strip[0], alpha)
+	}
+}
+
+// packB is PackB: with the AVX-512 body, packBAVX512; with any other,
+// packBGo.
+func packB(dst []float64, stride int, b []float64, ldb, kc, n int) {
+	if kernelBody != bodyAVX512 || kc == 0 || n == 0 || ldb < 0 || stride < 0 {
+		packBGo(dst, stride, b, ldb, kc, n)
+		return
+	}
+	// All the assembly reads and writes: it does no bounds checks.
+	_, _ = b[(kc-1)*ldb+n-1], dst[(Strips(n)-1)*stride+kc*microN-1]
+	packBAVX512(kc, n, &b[0], ldb, &dst[0], stride)
 }

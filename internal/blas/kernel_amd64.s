@@ -23,11 +23,18 @@
 	VMOVUPD acc, (DX)      \
 	ADDQ    BX, DX
 
-// func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int)
+// One row of C = acc + 0 (Z8 holds +0), C unread, then on to the next row.
+#define ZPUT(acc) \
+	VADDPD  Z8, acc, acc \
+	VMOVUPD acc, (DX)    \
+	ADDQ    BX, DX
+
+// func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int, store bool)
 //
 // C[0:8,0:8] += Ap·Bp over kc packed k steps (ap and bp: 8 values per step),
-// accumulating from zero in registers and adding into C once at the end.
-TEXT ·kernel8x8AVX512(SB), NOSPLIT, $0-40
+// accumulating from zero in registers and adding into C once at the end; with
+// store set, C[0:8,0:8] = Ap·Bp + 0 instead, without reading C.
+TEXT ·kernel8x8AVX512(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
@@ -72,6 +79,8 @@ zloop1:
 	JNZ  zloop1
 
 zstore:
+	CMPB store+40(FP), $0
+	JNE  zput
 	ZROW(Z0)
 	ZROW(Z1)
 	ZROW(Z2)
@@ -80,6 +89,19 @@ zstore:
 	ZROW(Z5)
 	ZROW(Z6)
 	ZROW(Z7)
+	VZEROUPPER
+	RET
+
+zput:
+	VPXORQ Z8, Z8, Z8
+	ZPUT(Z0)
+	ZPUT(Z1)
+	ZPUT(Z2)
+	ZPUT(Z3)
+	ZPUT(Z4)
+	ZPUT(Z5)
+	ZPUT(Z6)
+	ZPUT(Z7)
 	VZEROUPPER
 	RET
 
@@ -109,12 +131,20 @@ zstore:
 	VADDPD  32(DX), hi, hi  \
 	VMOVUPD hi, 32(DX)
 
-// func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int)
+// One row of C = acc + 0 (Y8 holds +0), C unread.
+#define CPUT(lo, hi) \
+	VADDPD  Y8, lo, lo   \
+	VMOVUPD lo, (DX)     \
+	VADDPD  Y8, hi, hi   \
+	VMOVUPD hi, 32(DX)
+
+// func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int, store bool)
 //
 // C[0:4,0:8] += Ap·Bp over kc packed k steps with AVX2/FMA. ap holds 8
 // values per step, of which the first 4 are this half tile's rows; bp holds 8.
-// Accumulates from zero in registers and adds into C once at the end.
-TEXT ·kernel4x8FMA(SB), NOSPLIT, $0-40
+// Accumulates from zero in registers and adds into C once at the end; with
+// store set, C[0:4,0:8] = Ap·Bp + 0 instead, without reading C.
+TEXT ·kernel4x8FMA(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
@@ -159,6 +189,8 @@ loop1:
 	JNZ  loop1
 
 store:
+	CMPB store+40(FP), $0
+	JNE  put
 	CROW(Y0, Y1)
 	ADDQ BX, DX
 	CROW(Y2, Y3)
@@ -166,6 +198,18 @@ store:
 	CROW(Y4, Y5)
 	ADDQ BX, DX
 	CROW(Y6, Y7)
+	VZEROUPPER
+	RET
+
+put:
+	VXORPD Y8, Y8, Y8
+	CPUT(Y0, Y1)
+	ADDQ BX, DX
+	CPUT(Y2, Y3)
+	ADDQ BX, DX
+	CPUT(Y4, Y5)
+	ADDQ BX, DX
+	CPUT(Y6, Y7)
 	VZEROUPPER
 	RET
 

@@ -55,23 +55,25 @@ func runBodyPairs(t *testing.T, f func(t *testing.T, fast, slow func(func()))) {
 	}
 }
 
-// Every pair of bodies agrees to the bit on one tile, for k panel lengths
-// around the unroll factor and around KC, operands that start off a 32-byte
-// boundary, and a C with padding around the tile's rows (compared too: the
-// portable body cannot write there).
+// Every pair of bodies agrees to the bit on one tile, adding into C or
+// storing, for k panel lengths around the unroll factor and around KC,
+// operands that start off a 32-byte boundary, and a C with padding around the
+// tile's rows (compared too: the portable body cannot write there).
 func TestAsmBodyMatchesFMABody(t *testing.T) {
 	runBodyPairs(t, func(t *testing.T, fast, slow func(func())) {
 		rng := rand.New(rand.NewSource(17))
 		for _, kc := range []int{0, 1, 2, 3, 4, 5, 7, 8, blockKC - 1, blockKC, blockKC + 1} {
 			for off := 0; off < 4; off++ {
-				ap := randSlice(off+kc*microM, rng)[off:]
-				bp := randSlice(off+kc*microN, rng)[off:]
-				ldc := microN + off
-				c0 := randSlice(off+microM*ldc, rng)
-				got, want := append([]float64(nil), c0...), append([]float64(nil), c0...)
-				fast(func() { microKernel(kc, ap, bp, got[off:], ldc) })
-				slow(func() { microKernel(kc, ap, bp, want[off:], ldc) })
-				sameBits(t, fmt.Sprintf("kc=%d offset=%d", kc, off), got, want)
+				for _, store := range []bool{false, true} {
+					ap := randSlice(off+kc*microM, rng)[off:]
+					bp := randSlice(off+kc*microN, rng)[off:]
+					ldc := microN + off
+					c0 := randSlice(off+microM*ldc, rng)
+					got, want := append([]float64(nil), c0...), append([]float64(nil), c0...)
+					fast(func() { microKernel(kc, ap, bp, got[off:], ldc, store) })
+					slow(func() { microKernel(kc, ap, bp, want[off:], ldc, store) })
+					sameBits(t, fmt.Sprintf("kc=%d offset=%d store=%v", kc, off, store), got, want)
+				}
 			}
 		}
 	})
@@ -149,6 +151,16 @@ func BenchmarkDgemmBody(b *testing.B) {
 			b.Run(bd.name+"/"+d.name, func(b *testing.B) {
 				withBody(bd.body, func() { benchDgemm(b, KernelBlocked, d.m, d.n, d.k) })
 			})
+		}
+	}
+}
+
+// benchBodies runs f as one sub-benchmark per body this CPU can run, named
+// body/name.
+func benchBodies(b *testing.B, name string, f func(b *testing.B)) {
+	for _, bd := range bodies {
+		if bd.body <= detectBody() {
+			b.Run(bd.name+"/"+name, func(b *testing.B) { withBody(bd.body, func() { f(b) }) })
 		}
 	}
 }

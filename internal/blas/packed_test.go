@@ -140,3 +140,58 @@ func putBands(t *testing.T, rng *rand.Rand, m *matrix.Dense, bands []int, k int,
 	}
 	return p
 }
+
+// DgemmPacked never reads C: its first KC panel stores acc + 0 where a
+// zeroed C would have added acc, which are the same bits. C starts NaN, and
+// the operands hold rows whose products cancel to +0 within a panel, and a
+// row and columns whose every product underflows to −0 (an FMA chain from +0
+// ends at −0 there, and +0 + −0 is +0). The product must equal Dgemm with
+// beta 0 into NaN and Dgemm with beta 1 into zeros, which adds every panel.
+func TestDgemmPackedStoresFirstPanel(t *testing.T) {
+	heights, widths := []int{13, 8, 3}, []int{16, 5, 9}
+	m, n := sum(heights), sum(widths)
+	blas.RunBodies(t, func(t *testing.T) {
+		for _, k := range []int{1, 255, 256, 257, 512} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			a, b := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
+			for l := 0; l < k; l++ {
+				a.Data[1*k+l] = float64(1 - 2*(l%2)) // ±1 in turn: against paired columns, pairs cancel
+				a.Data[2*k+l] = -1e-200              // tiny products round to −0
+				a.Data[3*k+l] = math.Copysign(0, -1) // −0 times anything finite
+				b.Data[l*n+2], b.Data[l*n+3] = 1e-200, 1e-200
+				b.Data[l*n+4] = float64(1 + l/2) // equal in pairs of k
+			}
+			stride := blas.StripWidth * k
+			var pa, pb []float64
+			for i, h := range heights {
+				band := make([]float64, blas.Strips(h)*stride)
+				blas.PackA(band, stride, a.Data[sum(heights[:i])*k:], k, h, k, 1)
+				pa = append(pa, band...)
+			}
+			for j, w := range widths {
+				band := make([]float64, blas.Strips(w)*stride)
+				blas.PackB(band, stride, b.Data[sum(widths[:j]):], n, k, w)
+				pb = append(pb, band...)
+			}
+			got, stored, added := nanSlice(m*n), nanSlice(m*n), make([]float64, m*n)
+			if err := blas.DgemmPacked(heights, widths, k, pa, pb, got, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := blas.Dgemm(m, n, k, 1, a.Data, k, b.Data, n, 0, stored, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := blas.Dgemm(m, n, k, 1, a.Data, k, b.Data, n, 1, added, n); err != nil {
+				t.Fatal(err)
+			}
+			if k%2 == 0 && (added[1*n+4] != 0 || added[2*n+2] != 0) {
+				t.Fatalf("k=%d: the cancelling and underflowing elements are %v and %v, want 0", k, added[1*n+4], added[2*n+2])
+			}
+			for i := range got {
+				g, s, w := math.Float64bits(got[i]), math.Float64bits(stored[i]), math.Float64bits(added[i])
+				if g != w || s != w {
+					t.Fatalf("k=%d: C[%d,%d] is %#x from DgemmPacked and %#x from Dgemm with beta 0, Dgemm adding into zeros gives %#x", k, i/n, i%n, g, s, w)
+				}
+			}
+		}
+	})
+}

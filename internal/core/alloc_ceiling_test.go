@@ -112,6 +112,37 @@ func TestWarmMultiplyAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmLargeMultiplyAllocs: at N = 512 every rank's DGEMM is large
+// enough to share its rows out to a second worker, and sharing out allocates
+// nothing once warm, so a warm multiply makes at most 20 allocations on every
+// shape, as at N = 64 where no DGEMM shares out. With a closure allocated per
+// worker it made 23–26. testing.AllocsPerRun runs at GOMAXPROCS 1, where no
+// DGEMM shares out, so this counts allocations itself, at GOMAXPROCS 2.
+func TestWarmLargeMultiplyAllocs(t *testing.T) {
+	const n, ceiling, warm, runs = 512, 20, 10, 40
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(8))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	for _, shape := range partition.Shapes {
+		cfg := core.Config{Layout: shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9})}
+		var before, after runtime.MemStats
+		for i := 0; i < warm+runs; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := core.Multiply(a, b, c, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("%v: %v allocations per multiply", shape, got)
+		if got > ceiling {
+			t.Errorf("%v: a warm core.Multiply at N=%d makes %v allocations, ceiling %d", shape, n, got, ceiling)
+		}
+	}
+}
+
 // TestWarmRunRankAllocs: on a warm loopback-TCP mesh each rank finds its
 // schedule and its communicators cached, so a multiply costs at most 5
 // allocations per rank. The ranks run on goroutines that outlive the

@@ -42,7 +42,8 @@ func (e *MemoryError) Unwrap() error { return e.Err }
 
 // Planner picks partition shapes and areas for job specs and enforces the
 // memory admission check. It caches plans by PlanKey, so jobs with equal
-// keys plan once; the cache is safe for concurrent use.
+// keys plan once, even when they ask at the same time; the cache is safe for
+// concurrent use.
 type Planner struct {
 	// Platform supplies the device models for speeds, FPM partitioning
 	// and the memory check (required).
@@ -51,14 +52,18 @@ type Planner struct {
 	Tol int
 
 	mu     sync.Mutex
-	cache  map[string]cachedPlan
+	cache  map[string]*cachedPlan
 	hits   uint64
 	misses uint64
 }
 
+// cachedPlan is one key's plan; done is closed once plan and err are set.
+// The entry is cached before it is planned, so callers that find it while
+// it is planned wait for that plan instead of planning again.
 type cachedPlan struct {
 	plan *Plan
 	err  error
+	done chan struct{}
 }
 
 // maxPlanCache bounds the cache; at the bound one plan is evicted per new
@@ -94,7 +99,9 @@ func canonicalShapeName(name string) string {
 	return name
 }
 
-// Plan resolves a spec to a plan, consulting the cache first.
+// Plan resolves a spec to a plan, consulting the cache first. The first
+// caller of a key counts a miss and plans it; every other caller counts a
+// hit, and one that comes while the plan is being made waits for it.
 func (p *Planner) Plan(spec JobSpec) (*Plan, error) {
 	if p.Platform == nil {
 		return nil, fmt.Errorf("sched: planner requires a platform")
@@ -104,26 +111,26 @@ func (p *Planner) Plan(spec JobSpec) (*Plan, error) {
 	if c, ok := p.cache[key]; ok {
 		p.hits++
 		p.mu.Unlock()
+		<-c.done
 		return c.plan, c.err
 	}
 	p.misses++
-	p.mu.Unlock()
-
-	plan, err := p.plan(spec)
-
-	p.mu.Lock()
 	if p.cache == nil {
-		p.cache = map[string]cachedPlan{}
+		p.cache = map[string]*cachedPlan{}
 	}
-	if _, ok := p.cache[key]; !ok && len(p.cache) >= maxPlanCache {
-		for k := range p.cache { // an arbitrary one
+	if len(p.cache) >= maxPlanCache {
+		for k := range p.cache { // an arbitrary one; its waiters hold it
 			delete(p.cache, k)
 			break
 		}
 	}
-	p.cache[key] = cachedPlan{plan, err}
+	c := &cachedPlan{done: make(chan struct{})}
+	p.cache[key] = c
 	p.mu.Unlock()
-	return plan, err
+
+	c.plan, c.err = p.plan(spec)
+	close(c.done)
+	return c.plan, c.err
 }
 
 // CacheStats returns the plan cache's monotonic hit / miss totals. A nil

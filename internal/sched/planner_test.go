@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,4 +290,59 @@ func replan(n int, speeds []float64) (*partition.Layout, string, error) {
 		return nil, "", err
 	}
 	return plan.Layout, plan.Shape, nil
+}
+
+// TestPlannerConcurrentMissPlansOnce: callers that ask for one new key at
+// once share one plan. The first counts the only miss and plans; the others
+// count hits and wait for it. The plan's speed model holds the plan until
+// every caller has been counted.
+func TestPlannerConcurrentMissPlansOnce(t *testing.T) {
+	const callers = 8
+	gate := &gatedSpeed{release: make(chan struct{})}
+	pl := testPlatform(1 << 40)
+	for _, d := range pl.Devices {
+		d.Speed = gate
+	}
+	p := &Planner{Platform: pl}
+	spec := JobSpec{N: 64, Shape: "1d-rectangle", UseFPM: true}
+	plans := make([]*Plan, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], errs[i] = p.Plan(spec)
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if hits, misses := p.CacheStats(); hits+misses == callers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("not every caller reached the planner within 10 s")
+		}
+	}
+	close(gate.release)
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if plans[i] != plans[0] {
+			t.Fatalf("caller %d got plan %p, caller 0 got %p", i, plans[i], plans[0])
+		}
+	}
+	if hits, misses := p.CacheStats(); hits != callers-1 || misses != 1 {
+		t.Fatalf("%d concurrent callers of one new key counted %d hits and %d misses, want %d and 1", callers, hits, misses, callers-1)
+	}
+}
+
+// gatedSpeed is a speed of 1 at every workload that answers only once
+// release is closed.
+type gatedSpeed struct{ release chan struct{} }
+
+func (g *gatedSpeed) Speed(float64) float64 {
+	<-g.release
+	return 1
 }
