@@ -2,7 +2,10 @@ package core_test
 
 import (
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,8 +15,8 @@ import (
 )
 
 // TestMultiplySteadyStateAllocCeiling: once the slab free list is warm, a
-// multiply allocates its world, its channels, its report and nothing that
-// grows with N². At N=256 the three working-matrix pairs alone are 1.4 MB
+// multiply allocates its rank goroutines, its Timeline, its report and
+// nothing that grows with N². At N=256 the three working-matrix pairs alone are 1.4 MB
 // (what every call allocated, and zeroed, before they were recycled); the
 // ceiling is 64 KiB.
 func TestMultiplySteadyStateAllocCeiling(t *testing.T) {
@@ -89,13 +92,63 @@ func TestRecycledBuffersSurviveGC(t *testing.T) {
 	}
 }
 
+// TestWarmMultiplyDrawsNoNewSlab: once warm, every working matrix a multiply
+// draws is a recycled buffer, drawn in rank order. Warmed up as the benchmark
+// warms up, with the four shapes in turn at N = 512, each of 400 sequential
+// multiplies must find its ranks' WA and WB in the free list, rank 0's first.
+// Drawn by the ranks themselves, in an order that varied from run to run,
+// the size classes kept missing after warm-up: one or two new buffers per
+// 800 multiplies, each hundreds of kilobytes, which an allocation ceiling per
+// op cannot see. The body runs in a fresh child process, marked the way
+// TestAbortThenReuse marks its own, so that buffers other tests left in the
+// free list cannot hide a miss.
+func TestWarmMultiplyDrawsNoNewSlab(t *testing.T) {
+	if os.Getenv(freshDigestsEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestWarmMultiplyDrawsNoNewSlab$")
+		cmd.Env = append(os.Environ(), freshDigestsEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	const n, warm, runs = 512, 16, 400
+	rng := rand.New(rand.NewSource(51))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	var cfgs []core.Config
+	lens := map[int]bool{}
+	for _, shape := range partition.Shapes {
+		l := shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9})
+		cfgs = append(cfgs, core.Config{Layout: l})
+		for k := range core.WorkingMatrixLens(l) {
+			lens[k] = true
+		}
+	}
+	multiply := func(cfg core.Config) {
+		if _, err := core.Multiply(a, b, c, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		multiply(cfgs[i%len(cfgs)])
+	}
+	log := core.LogRecycledDraws(t, lens)
+	for i := 0; i < runs; i++ {
+		cfg := cfgs[i%len(cfgs)]
+		multiply(cfg)
+		if got, want := log.Take(), core.WorkingMatrixDraws(cfg.Layout); !slices.Equal(got, want) {
+			t.Fatalf("warm multiply %d drew %v from the free list, want all of %v in rank order", i, got, want)
+		}
+	}
+}
+
 // TestWarmMultiplyAllocs: a warm multiply reads its schedule off the layout's
-// compiled form and runs on a resident world, so it allocates little more than
-// its report, its Timeline (sized once from the schedule) and its rank
-// goroutines — at most 24 allocations on every shape. Rebuilding the world's
-// communicators and re-walking the layout grid on every call cost ~130.
+// compiled form and runs its ranks on shared memory, so it allocates little
+// more than its report, its Timeline (sized once from the schedule) and its
+// rank goroutines: 10 allocations on every shape, ceiling 12. On a resident
+// mpi world it made 17, and rebuilding the world's communicators and
+// re-walking the layout grid on every call cost ~130.
 func TestWarmMultiplyAllocs(t *testing.T) {
-	const n, ceiling = 64, 24
+	const n, ceiling = 64, 12
 	rng := rand.New(rand.NewSource(8))
 	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
 	for _, shape := range partition.Shapes {
@@ -114,12 +167,14 @@ func TestWarmMultiplyAllocs(t *testing.T) {
 
 // TestWarmLargeMultiplyAllocs: at N = 512 every rank's DGEMM is large
 // enough to share its rows out to a second worker, and sharing out allocates
-// nothing once warm, so a warm multiply makes at most 20 allocations on every
-// shape, as at N = 64 where no DGEMM shares out. With a closure allocated per
-// worker it made 23–26. testing.AllocsPerRun runs at GOMAXPROCS 1, where no
-// DGEMM shares out, so this counts allocations itself, at GOMAXPROCS 2.
+// nothing once warm, so a warm multiply makes 10–11 allocations on every
+// shape (up to 12 under -race), as at N = 64 where no DGEMM shares out; the
+// ceiling is 13. On a resident mpi world it made 17–18, and with a closure
+// allocated per worker 23–26. testing.AllocsPerRun runs at GOMAXPROCS 1,
+// where no DGEMM shares out, so this counts allocations itself, at
+// GOMAXPROCS 2.
 func TestWarmLargeMultiplyAllocs(t *testing.T) {
-	const n, ceiling, warm, runs = 512, 20, 10, 40
+	const n, ceiling, warm, runs = 512, 13, 10, 40
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rng := rand.New(rand.NewSource(8))
 	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)

@@ -64,17 +64,59 @@ func (r *ReuseLog) Disarm() map[*float64]int {
 	return h
 }
 
-// WorkingMatrixLens returns the set of slab lengths the ranks of a multiply
-// under l draw for their WA and WB.
-func WorkingMatrixLens(l *partition.Layout) map[int]bool {
-	lens := map[int]bool{}
+// DrawLog records the length of every recycled buffer of a working-matrix
+// length the slab free list hands out.
+type DrawLog struct {
+	lens map[int]bool
+	mu   sync.Mutex
+	seen []int
+}
+
+// LogRecycledDraws starts a DrawLog of the lengths in lens for the rest of
+// the test. Tests using it must not run in parallel with other tests of the
+// package.
+func LogRecycledDraws(t testing.TB, lens map[int]bool) *DrawLog {
+	d := &DrawLog{lens: lens}
+	t.Cleanup(slab.SetReuseHook(func(s []float64) {
+		if d.lens[len(s)] {
+			d.mu.Lock()
+			d.seen = append(d.seen, len(s))
+			d.mu.Unlock()
+		}
+	}))
+	return d
+}
+
+// Take returns the lengths drawn since the last Take, in the order drawn.
+func (d *DrawLog) Take() []int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	seen := d.seen
+	d.seen = nil
+	return seen
+}
+
+// WorkingMatrixDraws returns the lengths of the working matrices a multiply
+// under l draws, in rank order: rank 0's WA and WB, then rank 1's, and so on.
+func WorkingMatrixDraws(l *partition.Layout) []int {
 	s, err := scheduleFor(l)
 	if err != nil {
 		panic(err)
 	}
+	var draws []int
 	for _, rs := range s.ranks {
 		wa, wb := rs.workLens(l.N)
-		lens[wa], lens[wb] = true, true
+		draws = append(draws, wa, wb)
+	}
+	return draws
+}
+
+// WorkingMatrixLens returns the set of slab lengths the ranks of a multiply
+// under l draw for their WA and WB.
+func WorkingMatrixLens(l *partition.Layout) map[int]bool {
+	lens := map[int]bool{}
+	for _, n := range WorkingMatrixDraws(l) {
+		lens[n] = true
 	}
 	return lens
 }

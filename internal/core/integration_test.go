@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/blas"
@@ -139,6 +143,79 @@ func TestRankErrorPropagates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "compute stage") {
 		t.Fatalf("error should name the failing stage: %v", err)
+	}
+}
+
+// panicOnRank is a Checkpointer that panics on the first cell a given rank
+// looks up. It restores nothing, takes a millisecond over every other rank's
+// lookup, and counts the cells the other ranks save.
+type panicOnRank struct {
+	l     *partition.Layout
+	rank  int
+	saved *atomic.Int64
+}
+
+func (k panicOnRank) Restore(r0, c0, _, _ int, _ []float64, _ int) bool {
+	i, j := 0, 0
+	for top := 0; top < r0; i++ {
+		top += k.l.RowHeights[i]
+	}
+	for left := 0; left < c0; j++ {
+		left += k.l.ColWidths[j]
+	}
+	if k.l.OwnerAt(i, j) == k.rank {
+		panic("injected rank fault")
+	}
+	time.Sleep(time.Millisecond)
+	return false
+}
+
+func (k panicOnRank) Save(_, _, _, _ int, _ []float64, _ int) { k.saved.Add(1) }
+
+// TestRankPanicIsAnError: a rank that panics, the caller's rank 0 or one on
+// its own goroutine, fails Multiply with an error naming the rank, leaves no
+// goroutine behind, and the next multiply, drawing the failed run's recycled
+// working matrices, computes the exact product.
+func TestRankPanicIsAnError(t *testing.T) {
+	const n = 64
+	l := buildLayout(t, partition.SquareCorner, n, benchSpeeds)
+	rng := rand.New(rand.NewSource(51))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	want := oneRankProduct(t, a, b)
+	if _, err := Multiply(a, b, c, Config{Layout: l}); err != nil {
+		t.Fatal(err)
+	}
+	reuse := PoisonRecycledSlabs(t)
+	for rank := 0; rank < l.P; rank++ {
+		before, saved := runtime.NumGoroutine(), &atomic.Int64{}
+		_, err := Multiply(a, b, c, Config{Layout: l, Checkpoint: panicOnRank{l, rank, saved}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d panicked: injected rank fault", rank)) {
+			t.Fatalf("rank %d panics: Multiply returned %v", rank, err)
+		}
+		others := int64(len(l.Owner))
+		for _, o := range l.Owner {
+			if o == rank {
+				others--
+			}
+		}
+		if got := saved.Load(); got != others {
+			t.Fatalf("rank %d panics: Multiply returned once the other ranks had saved %d of their %d cells", rank, got, others)
+		}
+		// A rank goroutine may still be exiting after its deferred Done.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Fatalf("rank %d panics: %d goroutines after Multiply, %d before", rank, got, before)
+		}
+		recycled := reuse.Count()
+		if _, err := Multiply(a, b, c, Config{Layout: l}); err != nil {
+			t.Fatal(err)
+		}
+		if reuse.Count() == recycled {
+			t.Fatalf("rank %d panics: the next multiply drew no recycled working matrix", rank)
+		}
+		sameBits(t, fmt.Sprintf("after rank %d panicked", rank), c, want)
 	}
 }
 

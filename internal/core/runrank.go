@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
+	"repro/internal/slab"
 )
 
 // RunRank executes one rank's share of C = A·B over an externally-managed
@@ -27,5 +28,9 @@ func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	if p.Size() != cfg.Layout.P {
 		return fmt.Errorf("core: runtime has %d ranks but layout has %d processors", p.Size(), cfg.Layout.P)
 	}
-	return rankMain(p, &cfg, s, record{}, a, b, c)
+	waLen, wbLen := s.ranks[p.Rank()].workLens(s.layout.N)
+	wa, wb := slab.Get(waLen), slab.Get(wbLen)
+	defer slab.Put(wa)
+	defer slab.Put(wb)
+	return rankMain(p, &cfg, s, record{}, a, b, c, wa, wb)
 }

@@ -307,10 +307,10 @@ func bitsEqual(x, y *matrix.Dense) bool {
 }
 
 // TestConcurrentMultipliesShareSlabs: eight goroutines run interleaved
-// multiplies of mixed N and layout, so slabs cross sizes, ranks and worlds;
-// every C is bit-for-bit its first serial result. Then eight multiplies run
-// at once on one layout, so they share its compiled schedule and draw
-// resident worlds of one key: each C digests as the single-rank DGEMM does.
+// multiplies of mixed N and layout, so slabs cross sizes, ranks and
+// multiplies; every C is bit-for-bit its first serial result. Then eight
+// multiplies run at once on one layout, so they share its compiled schedule:
+// each C digests as the single-rank DGEMM does.
 // Meant for -race.
 func TestConcurrentMultipliesShareSlabs(t *testing.T) {
 	core.PoisonRecycledSlabs(t)

@@ -20,10 +20,13 @@
 //     partitions.
 //
 // Every rank runs the three stages back to back on its own goroutine, on
-// every runtime: one schedule, no helper goroutines. Multiply and RunRank
-// execute the numerics with the pure-Go BLAS; Simulate walks the same
-// compiled schedule on one virtual clock per rank instead (simulate.go), so
-// paper-scale problems (N ≈ 38k) cost microseconds.
+// every runtime: one schedule, no helper goroutines. Multiply runs one
+// process's ranks on shared memory (runtime.go), rank 0 on the caller's
+// goroutine: a broadcast is each member's own copy out of the shared A or B,
+// with no rendezvous. RunRank runs one rank over internal/netmpi. Simulate
+// walks the same compiled schedule on one virtual clock per rank instead
+// (simulate.go): it models ranks waiting for each other, and paper-scale
+// problems (N ≈ 38k) cost it microseconds.
 //
 // Stages 1 and 2 are one routine (assembleBands) run over an axis, and they
 // move each element once per receiving rank, packed once, on receipt. WA and
@@ -36,17 +39,14 @@
 // multiplies the strips in place and packs nothing. WA and WB are recycled
 // through the process-wide slab free list (internal/slab), un-zeroed — a
 // steady-state multiply allocates nothing that grows with N² — and go back
-// to it whenever the rank returns, since only the rank's own goroutine ever
+// to it once the rank has returned, since only the rank's own goroutine ever
 // writes them. A and B are read-only to the engine, and the caller must not
-// write them while a multiply runs: the in-process runtime lets receivers
-// copy out of the owner's memory after the owner has moved on.
+// write them while a multiply runs: in-process, every rank reads them.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/blas"
@@ -54,10 +54,8 @@ import (
 	"repro/internal/energy"
 	"repro/internal/hockney"
 	"repro/internal/matrix"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -112,8 +110,9 @@ type Report struct {
 	// ComputeTime is the maximum over ranks of computation time —
 	// Figures 6b/7b.
 	ComputeTime float64 `json:"compute_time_s"`
-	// CommTime is the maximum over ranks of MPI communication time —
-	// Figures 6c/7c.
+	// CommTime is the maximum over ranks of communication time — Figures
+	// 6c/7c. In-process it is copy and pack time: waiting for other ranks
+	// shows only in Simulate, as idle time.
 	CommTime float64 `json:"comm_time_s"`
 	// GFLOPS is 2N³ / ExecutionTime / 1e9.
 	GFLOPS float64 `json:"gflops"`
@@ -178,27 +177,18 @@ func (c *Config) validate(ms ...*matrix.Dense) (*schedule, error) {
 	return s, nil
 }
 
-// Multiply computes C = A·B with SummaGen over the in-process runtime. A,
-// B and C must be N×N with N = cfg.Layout.N; C is overwritten. The returned
-// report carries the timing breakdowns.
+// Multiply computes C = A·B with SummaGen over the in-process shared-memory
+// executor (runtime.go). A, B and C must be N×N with N = cfg.Layout.N; C is
+// overwritten. The returned report carries the timing breakdowns.
 func Multiply(a, b, c *matrix.Dense, cfg Config) (*Report, error) {
 	s, err := cfg.validate(a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	w, err := takeWorld(s.layout.P)
-	if err != nil {
-		return nil, err
-	}
 	rec := record{tl: trace.NewCap(s.events), t0: time.Now()}
-	if err := w.Run(func(p *mpi.Proc) error { return rankMain(mpiProc{p}, &cfg, s, rec, a, b, c) }); err != nil {
+	if err := runShared(s, func(p Proc, wa, wb []float64) error { return rankMain(p, &cfg, s, rec, a, b, c, wa, wb) }); err != nil {
 		return nil, err
 	}
-	idleWorlds.Lock()
-	if len(idleWorlds.worlds) < maxIdleWorlds {
-		idleWorlds.worlds = append(idleWorlds.worlds, w)
-	}
-	idleWorlds.Unlock()
 	return buildReport(&cfg, s, rec.tl)
 }
 
@@ -229,43 +219,12 @@ func (r record) add(rank int, kind trace.Kind, label string, bytes int, flops, s
 	return end
 }
 
-// maxIdleWorlds bounds the worlds kept resident between multiplies.
-const maxIdleWorlds = 16
-
-// idleWorlds holds worlds whose last Run returned nil: nothing is in flight
-// in them and their communicators are built, so the next multiply on as
-// many ranks runs on one as it is. A world that aborted is never put back.
-var idleWorlds struct {
-	sync.Mutex
-	worlds []*mpi.World
-}
-
-// takeWorld returns an idle world of procs ranks, or a new one.
-func takeWorld(procs int) (*mpi.World, error) {
-	idleWorlds.Lock()
-	for i, w := range idleWorlds.worlds {
-		if w.Size() == procs {
-			idleWorlds.worlds = slices.Delete(idleWorlds.worlds, i, i+1)
-			idleWorlds.Unlock()
-			return w, nil
-		}
-	}
-	idleWorlds.Unlock()
-	return mpi.NewWorld(mpi.Config{Procs: procs})
-}
-
 // rankMain runs one rank's three stages back to back on the calling
 // goroutine, as its compiled schedule lists them, and records each op on
-// rec.
-func rankMain(p Proc, cfg *Config, s *schedule, rec record, a, b, c *matrix.Dense) error {
-	// WA and WB come from the slab free list un-zeroed; the Puts of stages 1
-	// and 2 write every element stage 3 reads, padding included. Only this
-	// goroutine writes them (a runtime's receivers copy into their own
-	// buffers), so they go back however the rank returns.
-	waLen, wbLen := s.ranks[p.Rank()].workLens(s.layout.N)
-	wa, wb := slab.Get(waLen), slab.Get(wbLen)
-	defer slab.Put(wa)
-	defer slab.Put(wb)
+// rec. The caller draws WA and WB un-zeroed, since stages 1 and 2 write every
+// element stage 3 reads, padding included, and puts them back however the
+// rank returns: no other goroutine writes them.
+func rankMain(p Proc, cfg *Config, s *schedule, rec record, a, b, c *matrix.Dense, wa, wb []float64) error {
 	if err := assembleBands(p, cfg, s, rec, axisA, a, wa); err != nil {
 		return err
 	}

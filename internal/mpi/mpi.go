@@ -4,13 +4,15 @@
 //
 // Ranks are goroutines inside one World. Communicators, sub-communicator
 // creation, broadcasts and barriers have the blocking semantics of their MPI
-// counterparts and are really synchronized through channels — the SummaGen
-// communication structure runs unmodified on top of this runtime. Payloads
-// are physically copied between ranks. Like internal/netmpi, it is a pure
-// transport and records nothing: the engine (internal/core) times each op of
-// its compiled schedule and writes the Timeline that the
-// computation/communication breakdowns of Figures 6 and 7 read. (Simulated
-// runs need no runtime: core walks its compiled schedule on virtual clocks.)
+// counterparts and are really synchronized through channels. Payloads are
+// physically copied between ranks. Like internal/netmpi, it is a pure
+// transport and records nothing.
+//
+// The engine no longer runs on it: core.Multiply's ranks share A and B and
+// copy each panel straight out of it, with no rendezvous (internal/core,
+// runtime.go). The one caller left is the benchmark's layer timings
+// (bench/layers.go: mpi.world_run_us, mpi.bcast3_*), and the package is
+// deleted together with them (ROADMAP item 30(b)).
 package mpi
 
 import (

@@ -1,6 +1,7 @@
-// This runtime records nothing: the engine times each op of its compiled
-// schedule around the calls it makes here and writes the multiply's
-// Timeline itself. The tests below check that record through core.Multiply.
+// The engine times each op of its compiled schedule and writes the
+// multiply's Timeline itself; core.Multiply no longer runs on this runtime.
+// The tests below check that record through core.Multiply, until they move
+// to package core with this package's deletion (ROADMAP item 30(b)).
 package mpi_test
 
 import (
@@ -31,7 +32,7 @@ func multiply(t *testing.T, l *partition.Layout) *trace.Timeline {
 	return rep.Timeline
 }
 
-// TestRealTimeEventsRecorded: a multiply on this runtime records its
+// TestRealTimeEventsRecorded: an in-process multiply records its
 // communicator creation, broadcasts and DGEMMs on the wall clock.
 func TestRealTimeEventsRecorded(t *testing.T) {
 	tl := multiply(t, halves())
