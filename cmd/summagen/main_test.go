@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -13,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // TestDigestMatchesScheduler: an in-process run prints, for every paper
@@ -68,6 +72,59 @@ func TestRankMode(t *testing.T) {
 	for r := range codes {
 		if codes[r] != 0 || !strings.Contains(outs[r].String(), "verification: OK") {
 			t.Errorf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
+		}
+	}
+}
+
+// TestRankModeTrace: in rank mode every rank ships its stage spans to rank 0,
+// whose -trace file holds one remote lane (pid ChromePIDRemoteBase + r) per
+// peer r with that rank's bcastA, bcastB and dgemm spans, and whose report's
+// imbalance covers all three ranks.
+func TestRankModeTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	codes, outs, errs := runRanks(t, func(r int) []string {
+		args := []string{"-n", "80", "-seed", "7", "-op-timeout", "20s", "-dial-timeout", "20s"}
+		if r == 0 {
+			args = append(args, "-json", "-trace", path)
+		}
+		return args
+	})
+	for r := range codes {
+		if codes[r] != 0 {
+			t.Fatalf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
+		}
+	}
+	var rep struct {
+		Imbalance *obs.ImbalanceReport `json:"imbalance"`
+	}
+	if err := json.Unmarshal(outs[0].Bytes(), &rep); err != nil {
+		t.Fatalf("rank 0 stdout is not one JSON report (%v): %s", err, outs[0].String())
+	}
+	if rep.Imbalance == nil || len(rep.Imbalance.Ranks) != 3 {
+		t.Errorf("rank 0 imbalance = %+v, want 3 ranks", rep.Imbalance)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []trace.ChromeEvent
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("trace is not a JSON event array: %v", err)
+	}
+	lanes := map[int]map[string]bool{}
+	for _, e := range events {
+		if lanes[e.PID] == nil {
+			lanes[e.PID] = map[string]bool{}
+		}
+		lanes[e.PID][e.Name] = true
+	}
+	for r := 1; r < 3; r++ {
+		pid := obs.ChromePIDRemoteBase + r
+		for _, span := range []string{"bcastA", "bcastB", "dgemm"} {
+			if !lanes[pid][span] {
+				t.Errorf("rank %d's lane (pid %d) has no %s span", r, pid, span)
+			}
 		}
 	}
 }

@@ -452,8 +452,9 @@ func TestAbortThenReuse(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "compute stage") {
 				t.Fatalf("N=%d: a failing kernel must fail the compute stage, got %v", j.l.N, err)
 			}
-			// The failed run's world is dropped; the next multiply on the
-			// same world key still gives the fresh process's digest.
+			// The failed run leaves the shared-memory executor nothing to
+			// carry over; the next multiply of the same layout, on its
+			// recycled WA and WB, still gives the fresh process's digest.
 			if got := fmt.Sprintf("%d:%s", j.l.N, matrix.Digest(j.run(t))); got != freshLines[i] {
 				t.Fatalf("round %d: multiply after a failed one gives %s, a fresh process %s", round, got, freshLines[i])
 			}

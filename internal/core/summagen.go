@@ -134,10 +134,6 @@ type Report struct {
 	// figure of merit the paper's FPM partitions drive to 1.0); nil when
 	// observability is off.
 	Imbalance *obs.ImbalanceReport `json:"imbalance,omitempty"`
-	// RemoteTraces holds the per-rank span trees shipped to rank 0 after
-	// a distributed run, clock-offset annotated, for the merged Chrome
-	// export. Excluded from JSON for the same reason as Timeline.
-	RemoteTraces []obs.RemoteTrace `json:"-"`
 }
 
 func (c *Config) link() hockney.Link {

@@ -2,13 +2,14 @@ package netmpi
 
 import "fmt"
 
-// Span shipping: at the end of a run every rank serializes its span tree
-// (see internal/obs) and ships the blob to rank 0 over the reserved
-// spanCommID control frame, where the traces are merged into one
-// clock-aligned export. The transport stays float64-framed — a blob is
-// packed as [byte-length, raw bytes in the float64 backing array] — and
-// span frames are accounted under PeerStats.SpanBytes* instead of the
-// data counters, keeping the comm-volume audit blind to tracing.
+// Span shipping: at the end of a multi-process run (summagen -hosts) every
+// rank serializes its span tree (see internal/obs) and ships the blob to
+// rank 0 over the reserved spanCommID control frame, where the traces are
+// merged into one clock-aligned export. The transport stays float64-framed
+// — a blob is packed as [byte-length, raw bytes in the float64 backing
+// array] — and span frames are accounted under PeerStats.SpanBytes*
+// instead of the data counters, keeping the comm-volume audit blind to
+// tracing.
 
 // spanBlobTag is the tag span blobs travel under. A mesh serves one run at
 // a time, each rank ships at most one blob per run and rank 0 receives every

@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// Span shipping: at the end of a distributed run every remote rank
-// serializes its Recorder into a compact blob and ships it to rank 0 (the
-// transport is internal/netmpi's reserved span frame), where the blobs are
-// decoded into RemoteTraces and merged into one clock-aligned Chrome
-// export. The wire form is JSON with single-letter keys and nanosecond
-// offsets from the recorder's T0 — self-describing enough to survive
-// version skew between ranks, small enough that a rank's trace is a few KB.
+// Span shipping: at the end of a multi-process run (summagen -hosts) every
+// remote rank serializes its Recorder into a compact blob and ships it to
+// rank 0 (the transport is internal/netmpi's reserved span frame), where
+// each blob is decoded into a RemoteTrace and merged into one clock-aligned
+// Chrome export. The wire form is JSON with single-letter keys and
+// nanosecond offsets from the recorder's T0 — self-describing enough to
+// survive version skew between ranks, small enough that a rank's trace is
+// a few KB.
 
 // shipVersion is the wire version; decoders reject anything newer.
 const shipVersion = 1
@@ -122,11 +123,4 @@ func DecodeRankTrace(b []byte) (RemoteTrace, error) {
 		rt.Spans = append(rt.Spans, s)
 	}
 	return rt, nil
-}
-
-// LocalRankTrace builds a RemoteTrace directly from an in-process
-// recorder, skipping the wire round trip. Used for rank 0's own lane and
-// as the loopback runner's fallback when a ship fails after a fault.
-func LocalRankTrace(rank int, rec *Recorder) RemoteTrace {
-	return RemoteTrace{Rank: rank, T0: rec.T0(), Spans: rec.Spans()}
 }

@@ -75,22 +75,6 @@ func TestDecodeRankTraceRejectsCorruptBlobs(t *testing.T) {
 	}
 }
 
-func TestLocalRankTraceMatchesWireForm(t *testing.T) {
-	rec := NewRecorder()
-	rec.Root("rank").OnRank(1).End()
-	local := LocalRankTrace(1, rec)
-	wire, err := DecodeRankTrace(EncodeRankTrace(1, rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Rank != wire.Rank || len(local.Spans) != len(wire.Spans) {
-		t.Fatalf("local %+v and wire %+v disagree", local, wire)
-	}
-	if local.Spans[0].Name != wire.Spans[0].Name || local.Spans[0].Rank != wire.Spans[0].Rank {
-		t.Fatalf("span mismatch: %+v vs %+v", local.Spans[0], wire.Spans[0])
-	}
-}
-
 func TestRemoteChromeEventsRebaseByOffset(t *testing.T) {
 	t0 := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	const offset = 1.5 // remote clock runs 1.5s ahead of local

@@ -26,15 +26,18 @@ type routerMetrics struct {
 	fairnessWindow time.Duration
 }
 
+// eventLogSize bounds the router's flight-recorder event ring.
+const eventLogSize = 512
+
 // newRouterMetrics registers the router families in the order the old
 // hand-rolled writer emitted them, so a scrape diff across the refactor
 // is label-order churn at most. backends is the fixed fleet slice; the
 // collect families snapshot it at Gather time.
-func newRouterMetrics(backends []*Backend, fairnessWindow, sampleWindow, sampleInterval time.Duration, eventCap int) *routerMetrics {
+func newRouterMetrics(backends []*Backend, fairnessWindow, sampleWindow, sampleInterval time.Duration) *routerMetrics {
 	m := &routerMetrics{
 		reg:            metrics.New(),
 		store:          metrics.NewStore(sampleWindow, sampleInterval),
-		events:         metrics.NewEventLog(eventCap),
+		events:         metrics.NewEventLog(eventLogSize),
 		fairnessWindow: fairnessWindow,
 	}
 	m.reg.CollectGauge("summagen_router_backend_up", []string{"instance"}, func(emit metrics.Emit) {

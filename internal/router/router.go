@@ -72,9 +72,6 @@ type Config struct {
 	// TenantClasses maps a tenant to the SLO class stamped on its
 	// submissions (X-SLO-Class header) when the body does not name one.
 	TenantClasses map[string]string
-	// EventLogSize bounds the router's flight-recorder event ring
-	// (default 512).
-	EventLogSize int
 }
 
 // Router fans jobs out to scheduler instances and aggregates their
@@ -146,17 +143,13 @@ func New(cfg Config) (*Router, error) {
 	if fairnessWindow <= 0 {
 		fairnessWindow = time.Minute
 	}
-	eventCap := cfg.EventLogSize
-	if eventCap <= 0 {
-		eventCap = 512
-	}
 	r := &Router{
 		backends:      cfg.Backends,
 		policy:        cfg.Policy,
 		maxReroutes:   cfg.MaxReroutes,
 		log:           cfg.Logger,
 		jobs:          map[string]*jobRecord{},
-		metrics:       newRouterMetrics(cfg.Backends, fairnessWindow, sampleWindow, storeInterval, eventCap),
+		metrics:       newRouterMetrics(cfg.Backends, fairnessWindow, sampleWindow, storeInterval),
 		tenantClasses: cfg.TenantClasses,
 		stopProbe:     make(chan struct{}),
 	}

@@ -98,7 +98,9 @@ func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts Run
 //
 // The rank goroutines share the a, b and c matrices: the engine reads
 // only owned partitions and writes disjoint C cells per rank, so no
-// synchronization beyond the final join is needed.
+// synchronization beyond the final join is needed. They share the job's
+// recorder and clock too: every rank records its stage spans under
+// RunOpts.Span, as on the in-process runner.
 type NetmpiRunner struct {
 	// OpTimeout bounds every blocking frame operation (the failure
 	// detector); default 10s.
@@ -215,9 +217,10 @@ func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts
 	return rep, err
 }
 
-// runOn runs one attempt on m, then puts m back on the free list (poolable,
-// the run succeeded and left every endpoint healthy, the job's context still
-// live) or closes it.
+// runOn runs one attempt on m, every rank recording its stage spans under
+// opts.Span, then puts m back on the free list (poolable, the run succeeded
+// and left every endpoint healthy, the job's context still live) or closes
+// it.
 func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (rep *core.Report, err error) {
 	// Cancelling the job's context closes the mesh under the run, so a drain
 	// or a job timeout cuts dials, reconnect waits and blocked frames short.
@@ -236,24 +239,7 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 		}
 	}()
 
-	// Rank-local recording: when the attempt is observed, every rank gets
-	// its own Recorder — the distributed analogue of one process per node.
-	// Engine spans land there instead of on the shared job recorder, and
-	// are shipped back to rank 0 after the run (see collectRankTraces), so
-	// the loopback runtime exercises the same record-ship-merge path a
-	// multi-node deployment would. A rank's root span covers the epoch
-	// fence and its run.
 	p := len(m.eps)
-	var recs []*obs.Recorder
-	roots := make([]obs.SpanHandle, p)
-	if opts.Span.Enabled() {
-		recs = make([]*obs.Recorder, p)
-		for i := range recs {
-			recs[i] = obs.NewRecorder()
-			roots[i] = recs[i].Root("rank").OnRank(i).Int("rank", int64(i))
-		}
-	}
-
 	start := time.Now()
 	// Epoch fencing doubles as a pre-compute barrier: no rank of a
 	// recovered job starts until the whole mesh agrees on the generation.
@@ -278,12 +264,7 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 					runErrs[rank] = fmt.Errorf("sched: rank %d panicked: %v", rank, rec)
 				}
 			}()
-			runSpan := opts.Span
-			if recs != nil {
-				defer roots[rank].End()
-				runSpan = roots[rank]
-			}
-			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: runSpan}, a, b, c)
+			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: opts.Span}, a, b, c)
 		}()
 	}
 	wg.Wait()
@@ -296,16 +277,7 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 	now := m.counters()
 	r.auditVolume(plan, m.folded, now, opts.Span)
 
-	rep = buildNetmpiReport(plan, m.folded, now, elapsed)
-	if recs != nil {
-		rep.RemoteTraces = collectRankTraces(m.eps, recs)
-		var all []obs.Span
-		for _, rt := range rep.RemoteTraces {
-			all = append(all, rt.Spans...)
-		}
-		rep.Imbalance = obs.AnalyzeStageSpans(all)
-	}
-	return rep, nil
+	return buildNetmpiReport(plan, m.folded, now, elapsed), nil
 }
 
 // startGrayMonitor launches the per-mesh gray-failure monitor and returns
@@ -403,49 +375,6 @@ func (r *NetmpiRunner) startGrayMonitor(eps []*netmpi.Endpoint, span obs.SpanHan
 		}
 	}()
 	return func() { close(stop); <-done }
-}
-
-// collectRankTraces implements span shipping over the live mesh: every
-// rank > 0 serializes its recorder and sends the blob to rank 0 on the
-// reserved span frame, rank 0 decodes them and annotates each lane with
-// the clock offset its heartbeat exchange estimated for that peer. The
-// loopback runner shares one address space, so a failed ship (a fault
-// between compute success and teardown) falls back to reading the
-// recorder directly — a real multi-process deployment would instead drop
-// the lane. Only successful attempts ship: a poisoned mesh would block
-// until the failure detector fired.
-func collectRankTraces(eps []*netmpi.Endpoint, recs []*obs.Recorder) []obs.RemoteTrace {
-	p := len(eps)
-	remotes := make([]obs.RemoteTrace, p)
-	remotes[0] = obs.LocalRankTrace(0, recs[0])
-	var wg sync.WaitGroup
-	for rank := 1; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			// Errors surface on the receive side, which falls back.
-			_ = eps[rank].SendSpanBlob(0, obs.EncodeRankTrace(rank, recs[rank]))
-		}(rank)
-	}
-	for rank := 1; rank < p; rank++ {
-		blob, err := eps[0].RecvSpanBlob(rank)
-		if err == nil {
-			if rt, derr := obs.DecodeRankTrace(blob); derr == nil {
-				remotes[rank] = rt
-				continue
-			}
-		}
-		remotes[rank] = obs.LocalRankTrace(rank, recs[rank])
-	}
-	wg.Wait()
-	st := eps[0].Stats()
-	for _, ps := range st.Peers {
-		if ps.ClockSamples > 0 && ps.Peer > 0 && ps.Peer < p {
-			remotes[ps.Peer].OffsetSeconds = ps.ClockOffsetSeconds
-			remotes[ps.Peer].UncertaintySeconds = ps.ClockUncertaintySeconds
-		}
-	}
-	return remotes
 }
 
 // foldStats adds what every endpoint of m counted since the mesh's previous

@@ -8,8 +8,7 @@ import (
 )
 
 // observedJob runs one observed job under runner and returns its digest and
-// the engine's rank-tagged spans: the job recorder's for a runner that
-// records onto it (inproc), the shipped per-rank traces' otherwise (netmpi).
+// the rank-tagged spans on the job recorder, where every runner records.
 func observedJob(t *testing.T, runner Runner, spec JobSpec) (string, []obs.Span) {
 	t.Helper()
 	s := newTestScheduler(t, func(c *Config) {
@@ -24,14 +23,8 @@ func observedJob(t *testing.T, runner Runner, spec JobSpec) (string, []obs.Span)
 	if got.State != StateDone || got.Digest == "" {
 		t.Fatalf("job state %v, err %v, digest %q", got.State, got.Err, got.Digest)
 	}
-	spans := got.Trace.Spans()
-	if got.Report != nil {
-		for _, rt := range got.Report.RemoteTraces {
-			spans = append(spans, rt.Spans...)
-		}
-	}
 	var ranked []obs.Span
-	for _, sp := range spans {
+	for _, sp := range got.Trace.Spans() {
 		if sp.Rank >= 0 {
 			ranked = append(ranked, sp)
 		}

@@ -507,11 +507,10 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	if rep.OptimalityRatio == 0 {
 		rep.OptimalityRatio = plan.OptimalityRatio
 	}
-	// Straggler analytics: the netmpi runner fills Imbalance from its
-	// shipped per-rank traces; for runners that record onto the shared job
-	// recorder (inproc) derive it here from the job's own stage spans.
-	if rep.Imbalance == nil && j.rec != nil {
-		rep.Imbalance = obs.AnalyzeStageSpans(j.rec.Spans())
+	// Straggler analytics over the stage spans of the attempt that produced
+	// the report: a recovered job's surviving ranks only.
+	if j.rec != nil {
+		rep.Imbalance = obs.AnalyzeStageSpans(lastAttemptSpans(j.rec.Spans()))
 	}
 
 	dsp := j.root.Child("digest")
@@ -679,6 +678,30 @@ func (s *Scheduler) startAttempt(j *job, epoch int) obs.SpanHandle {
 	j.attemptStart = time.Now()
 	s.mu.Unlock()
 	return att
+}
+
+// lastAttemptSpans filters spans, a job recorder's in start order, down to
+// its last attempt span and every span under it. A parent starts before its
+// children, so one pass in start order finds the whole subtree.
+func lastAttemptSpans(spans []obs.Span) []obs.Span {
+	last := -1
+	for i, sp := range spans {
+		if sp.Name == "attempt" {
+			last = i
+		}
+	}
+	if last < 0 {
+		return nil
+	}
+	in := make([]bool, len(spans))
+	out := spans[:0]
+	for i := last; i < len(spans); i++ {
+		if p := spans[i].Parent; i == last || p >= 0 && in[p] {
+			in[i] = true
+			out = append(out, spans[i])
+		}
+	}
+	return out
 }
 
 // endAttempt closes an attempt span, tagging failures.

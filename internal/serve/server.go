@@ -66,10 +66,10 @@ type Config struct {
 	// SLOClearHold is how many consecutive quiet evaluations clear a
 	// firing alert (default 3).
 	SLOClearHold int
-	// EventLogSize bounds the flight recorder's recent-events ring
-	// (default 512).
-	EventLogSize int
 }
+
+// eventLogSize bounds the flight recorder's recent-events ring.
+const eventLogSize = 512
 
 // Server owns a scheduler and serves the HTTP API for it.
 type Server struct {
@@ -89,13 +89,9 @@ type Server struct {
 
 // New builds the scheduler and its HTTP server.
 func New(cfg Config) (*Server, error) {
-	eventCap := cfg.EventLogSize
-	if eventCap <= 0 {
-		eventCap = 512
-	}
 	s := &Server{
 		reg:        metrics.New(),
-		events:     metrics.NewEventLog(eventCap),
+		events:     metrics.NewEventLog(eventLogSize),
 		instanceID: cfg.InstanceID,
 		maxN:       cfg.MaxN,
 		maxVerifyN: cfg.MaxVerifyN,
@@ -291,13 +287,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if tl != nil && !view.AttemptStartedAt.IsZero() {
 		tlOffset = view.AttemptStartedAt.Sub(rec.T0())
 	}
-	// Distributed runs ship per-rank span trees back to rank 0; render
-	// each as its own clock-rebased process lane alongside the job spans.
-	var remotes []obs.RemoteTrace
-	if view.Report != nil {
-		remotes = view.Report.RemoteTraces
-	}
-	if err := obs.WriteDistributedChromeTrace(w, rec, tl, tlOffset, remotes); err != nil {
+	if err := obs.WriteChromeTrace(w, rec, tl, tlOffset); err != nil {
 		s.log.Error("trace write failed", "job", view.ID, "err", err)
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // TestTraceEndpointMergedExport: with observability on and a netmpi run,
 // GET /jobs/{id}/trace?format=chrome serves one Chrome trace holding the
-// scheduler spans (pid 0) and one shipped, clock-rebased lane per rank
-// (pid ChromePIDRemoteBase + rank) carrying that rank's engine stage
-// spans. (The timeline lane, pid 2, appears only on runtimes that record
-// a trace.Timeline — see the inproc test below.)
+// scheduler spans (pid 0) and every rank's engine stage spans on the
+// engine lane (pid ChromePIDEngine, tid = rank). (The timeline lane, pid
+// 2, appears only on runtimes that record a trace.Timeline — see the
+// inproc test below.)
 func TestTraceEndpointMergedExport(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Sched.Runner = &sched.NetmpiRunner{OpTimeout: 10 * time.Second}
@@ -46,12 +46,12 @@ func TestTraceEndpointMergedExport(t *testing.T) {
 
 	names := map[string]bool{}
 	pids := map[int]bool{}
-	stagePids := map[int]bool{}
+	stageTids := map[int]bool{}
 	for _, e := range events {
 		names[e.Name] = true
 		pids[e.PID] = true
-		if e.Name == "bcastA" || e.Name == "bcastB" || e.Name == "dgemm" {
-			stagePids[e.PID] = true
+		if e.PID == obs.ChromePIDEngine && (e.Name == "bcastA" || e.Name == "bcastB" || e.Name == "dgemm") {
+			stageTids[e.TID] = true
 		}
 	}
 	for _, want := range []string{"job", "admission", "queue", "plan", "attempt", "mesh-dial", "bcastA", "bcastB", "dgemm"} {
@@ -62,11 +62,11 @@ func TestTraceEndpointMergedExport(t *testing.T) {
 	if !pids[0] {
 		t.Error("merged trace has no service span lane (pid 0)")
 	}
-	// The engine stage spans arrive via span shipping: one process lane
-	// per rank, square-corner on the 3-device test platform = 3 lanes.
+	// One engine-lane thread per rank: square-corner on the 3-device test
+	// platform runs 3 ranks.
 	for rank := 0; rank < 3; rank++ {
-		if !stagePids[obs.ChromePIDRemoteBase+rank] {
-			t.Errorf("merged trace has no stage spans in rank %d's lane (pid %d)", rank, obs.ChromePIDRemoteBase+rank)
+		if !stageTids[rank] {
+			t.Errorf("merged trace has no stage spans on rank %d's thread (pid %d, tid %d)", rank, obs.ChromePIDEngine, rank)
 		}
 	}
 

@@ -177,20 +177,20 @@ for span in attempt bcastA recover; do
     || fail "trace missing $span span"
 done
 
-say "checking per-rank trace lanes (one clock-rebased lane per remote rank)"
+say "checking per-rank trace lanes (one engine-lane thread per rank)"
 python3 - "$WORKDIR/trace.json" "$WORKDIR/job.json" <<'PY' || fail "per-rank lane check failed"
 import json, sys
 events = json.load(open(sys.argv[1]))
 job = json.load(open(sys.argv[2]))
 ranks = {r["rank"] for r in job["report"]["imbalance"]["ranks"]}
 assert ranks, "imbalance report names no ranks"
-BASE = 3  # obs.ChromePIDRemoteBase
-lanes = {e["pid"] - BASE for e in events if e.get("pid", 0) >= BASE}
+ENGINE = 1  # obs.ChromePIDEngine; tid = rank
+lanes = {e["tid"] for e in events if e.get("pid") == ENGINE}
 assert ranks <= lanes, f"no trace lane for rank(s) {sorted(ranks - lanes)}; lanes={sorted(lanes)}"
-dgemm = {e["pid"] - BASE for e in events
-         if e.get("pid", 0) >= BASE and e.get("name") == "dgemm"}
+dgemm = {e["tid"] for e in events
+         if e.get("pid") == ENGINE and e.get("name") == "dgemm"}
 assert ranks <= dgemm, f"rank lanes missing dgemm spans: {sorted(ranks - dgemm)}"
-print(f"per-rank lanes OK: ranks {sorted(ranks)} each have a shipped lane")
+print(f"per-rank lanes OK: ranks {sorted(ranks)} each have an engine-lane thread")
 PY
 grep -q 'summagen_rank_imbalance_ratio{' "$WORKDIR/metrics.txt" \
   || fail "rank imbalance gauge missing from /metrics"
