@@ -1,12 +1,8 @@
-// Package balance implements the workload-distribution algorithms the
+// Package balance implements the two workload-distribution algorithms the
 // paper uses for Step 1 of every shape construction (Section V):
 //
 //   - Proportional: for constant performance models, areas proportional to
 //     speeds, following the classical approach of Beaumont et al. [2].
-//   - FPMBalance: the iterative load-balancing algorithm for smooth
-//     functional performance models (Lastovetsky & Reddy [18]) — bisection
-//     on the common execution time T, allocating to each processor the
-//     largest workload it finishes within T.
 //   - LoadImbalance: the load-imbalancing data-partitioning algorithm over
 //     non-smooth discrete FPMs (Khaleghzadeh, Reddy & Lastovetsky [17]),
 //     which minimizes the parallel computation time exactly over a
@@ -98,108 +94,6 @@ func Proportional(total int, speeds []float64) ([]int, error) {
 	return parts, nil
 }
 
-// FPMBalance distributes `total` workload units over smooth FPMs so that
-// execution times are (approximately) equal: bisection on the common time
-// T, where each processor receives the largest workload w with
-// w/Speed(w) <= T. It assumes w/Speed(w) is non-decreasing in w, the
-// standard FPM assumption; the returned distribution sums exactly to
-// total.
-func FPMBalance(total int, models []fpm.Model) ([]int, error) {
-	if total < 0 {
-		return nil, fmt.Errorf("balance: negative total %d", total)
-	}
-	p := len(models)
-	if p == 0 {
-		return nil, fmt.Errorf("balance: no processors")
-	}
-	for i, m := range models {
-		if m == nil {
-			return nil, fmt.Errorf("balance: model %d is nil", i)
-		}
-		if m.Speed(float64(total)/float64(p)) <= 0 {
-			return nil, fmt.Errorf("balance: model %d has non-positive speed", i)
-		}
-	}
-	if total == 0 {
-		return make([]int, p), nil
-	}
-	// maxWithin returns the largest w in [0, total] with time(w) <= T
-	// (monotone assumption → binary search).
-	maxWithin := func(m fpm.Model, T float64) int {
-		lo, hi := 0, total // time(lo) = 0 <= T always
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if fpm.Time(m, float64(mid)) <= T {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		return lo
-	}
-	capacity := func(T float64) int {
-		c := 0
-		for _, m := range models {
-			c += maxWithin(m, T)
-		}
-		return c
-	}
-	// Bracket T: grow until feasible.
-	hi := fpm.Time(models[0], float64(total)/float64(p))
-	if hi <= 0 {
-		hi = 1
-	}
-	for capacity(hi) < total {
-		hi *= 2
-		if math.IsInf(hi, 1) {
-			return nil, fmt.Errorf("balance: cannot fit total %d on given models", total)
-		}
-	}
-	lo := 0.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if capacity(mid) >= total {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	parts := make([]int, p)
-	got := 0
-	for i, m := range models {
-		parts[i] = maxWithin(m, hi)
-		got += parts[i]
-	}
-	// Trim any surplus from the slowest finishers (largest time first).
-	for got > total {
-		worst, worstT := -1, -1.0
-		for i := range parts {
-			if parts[i] == 0 {
-				continue
-			}
-			t := fpm.Time(models[i], float64(parts[i]))
-			if t > worstT {
-				worst, worstT = i, t
-			}
-		}
-		parts[worst]--
-		got--
-	}
-	// Top up any deficit on the fastest finishers.
-	for got < total {
-		best, bestT := -1, math.Inf(1)
-		for i := range parts {
-			t := fpm.Time(models[i], float64(parts[i]+1))
-			if t < bestT {
-				best, bestT = i, t
-			}
-		}
-		parts[best]++
-		got++
-	}
-	return parts, nil
-}
-
 // Result of a LoadImbalance run.
 type Result struct {
 	// Parts is the workload per processor (sums to total).
@@ -211,8 +105,7 @@ type Result struct {
 // LoadImbalance minimizes max_i Time(models[i], w_i) subject to
 // Σ w_i = total, where each w_i is restricted to multiples of
 // `granularity` (plus a remainder unit on the final processor grid point).
-// Unlike FPMBalance it makes no monotonicity or smoothness assumption —
-// with non-smooth FPMs the optimum is generally an *uneven* distribution
+// It makes no monotonicity or smoothness assumption — with non-smooth FPMs the optimum is generally an *uneven* distribution
 // that does not equalize execution times, which is exactly the behaviour
 // of the paper's Section VI-B experiments.
 //

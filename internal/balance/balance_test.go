@@ -113,67 +113,6 @@ func TestProportionalZeroTotal(t *testing.T) {
 	}
 }
 
-func TestFPMBalanceConstantModelsMatchProportional(t *testing.T) {
-	models := []fpm.Model{fpm.Constant{S: 1}, fpm.Constant{S: 2}, fpm.Constant{S: 0.9}}
-	parts, err := FPMBalance(3900, models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(parts) != 3900 {
-		t.Fatalf("sum = %d", sum(parts))
-	}
-	want, _ := Proportional(3900, []float64{1, 2, 0.9})
-	for i := range parts {
-		if d := parts[i] - want[i]; d < -2 || d > 2 {
-			t.Fatalf("FPM %v vs proportional %v", parts, want)
-		}
-	}
-}
-
-func TestFPMBalanceEqualizesTimes(t *testing.T) {
-	// Two processors; the second slows down with workload. The balanced
-	// point should give them (nearly) equal times.
-	tab, err := fpm.NewTable([]fpm.Point{{W: 0, S: 10}, {W: 1000, S: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := fpm.NewTable([]fpm.Point{{W: 0, S: 20}, {W: 1000, S: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := FPMBalance(1000, []fpm.Model{tab, slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(parts) != 1000 {
-		t.Fatalf("sum = %d", sum(parts))
-	}
-	t0 := fpm.Time(tab, float64(parts[0]))
-	t1 := fpm.Time(slow, float64(parts[1]))
-	if math.Abs(t0-t1)/math.Max(t0, t1) > 0.05 {
-		t.Fatalf("times not balanced: %v vs %v (parts %v)", t0, t1, parts)
-	}
-}
-
-func TestFPMBalanceValidation(t *testing.T) {
-	if _, err := FPMBalance(10, nil); err == nil {
-		t.Fatal("no models must fail")
-	}
-	if _, err := FPMBalance(-1, []fpm.Model{fpm.Constant{S: 1}}); err == nil {
-		t.Fatal("negative total must fail")
-	}
-	if _, err := FPMBalance(10, []fpm.Model{nil}); err == nil {
-		t.Fatal("nil model must fail")
-	}
-	if _, err := FPMBalance(10, []fpm.Model{fpm.Constant{S: 0}}); err == nil {
-		t.Fatal("zero speed must fail")
-	}
-	parts, err := FPMBalance(0, []fpm.Model{fpm.Constant{S: 1}})
-	if err != nil || parts[0] != 0 {
-		t.Fatal("zero total must give zero parts")
-	}
-}
-
 func TestLoadImbalanceConstantModels(t *testing.T) {
 	models := []fpm.Model{fpm.Constant{S: 1}, fpm.Constant{S: 2}, fpm.Constant{S: 1}}
 	res, err := LoadImbalance(400, models, 10)

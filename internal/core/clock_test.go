@@ -1,10 +1,8 @@
-// The virtual clocks that simulated worlds once ran on are no longer part of
-// this runtime: core.Simulate walks the compiled SummaGen schedule on
-// per-rank clocks instead. The tests below keep the clock rules this package
-// used to pin — idle until the slowest member, Hockney-costed collectives,
-// compute at the device's speed, the worst link among a band's members —
-// checked on that walk.
-package mpi_test
+// core.Simulate walks the compiled SummaGen schedule on per-rank virtual
+// clocks. The tests below pin its clock rules — idle until the slowest
+// member, Hockney-costed collectives, compute at the device's speed, the
+// worst link among a band's members.
+package core_test
 
 import (
 	"math"

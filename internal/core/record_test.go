@@ -1,8 +1,7 @@
 // The engine times each op of its compiled schedule and writes the
-// multiply's Timeline itself; core.Multiply no longer runs on this runtime.
-// The tests below check that record through core.Multiply, until they move
-// to package core with this package's deletion (ROADMAP item 30(b)).
-package mpi_test
+// multiply's Timeline itself. The tests below check that record through
+// core.Multiply.
+package core_test
 
 import (
 	"testing"

@@ -51,13 +51,3 @@ func StandaloneHCLServer1() *Platform {
 	}
 	return pl
 }
-
-// ContentionFactors exposes the modelled co-run slowdowns (standalone →
-// co-run speed ratio per device name).
-func ContentionFactors() map[string]float64 {
-	out := make(map[string]float64, len(contentionFactor))
-	for k, v := range contentionFactor {
-		out[k] = v
-	}
-	return out
-}

@@ -148,25 +148,3 @@ func ParetoFront(ops []Operating) ([]Choice, error) {
 	}
 	return front, nil
 }
-
-// MinEnergyWithin returns the minimum-dynamic-energy choice whose parallel
-// time does not exceed maxTime (the constrained single-objective version
-// of the bi-objective problem).
-func MinEnergyWithin(ops []Operating, maxTime float64) (Choice, error) {
-	front, err := ParetoFront(ops)
-	if err != nil {
-		return Choice{}, err
-	}
-	best := Choice{DynamicJoules: math.Inf(1)}
-	found := false
-	for _, c := range front {
-		if c.TimeSeconds <= maxTime && c.DynamicJoules < best.DynamicJoules {
-			best = c
-			found = true
-		}
-	}
-	if !found {
-		return Choice{}, fmt.Errorf("energy: no level assignment meets the %v s deadline", maxTime)
-	}
-	return best, nil
-}

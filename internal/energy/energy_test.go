@@ -23,7 +23,7 @@ func testPlatform() *device.Platform {
 
 func TestExactDynamicEnergy(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Compute, Start: 0, End: 10}) // 100 W * 10 s
 	tl.Add(trace.Event{Rank: 1, Kind: trace.Compute, Start: 0, End: 5})  // 200 W * 5 s
 	tl.Add(trace.Event{Rank: 2, Kind: trace.Comm, Start: 0, End: 100})   // ignored
@@ -40,7 +40,7 @@ func TestExactDynamicEnergy(t *testing.T) {
 
 func TestExactDynamicEnergyBadRank(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 7, Kind: trace.Compute, Start: 0, End: 1})
 	if _, err := ExactDynamicEnergy(pl, tl); err == nil {
 		t.Fatal("rank outside platform must fail")
@@ -49,7 +49,7 @@ func TestExactDynamicEnergyBadRank(t *testing.T) {
 
 func TestMeterNoNoiseMatchesExact(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	// All devices busy for exactly 10 s: power is constant
 	// 230 + 350 = 580 W; E_T = 5800 J; E_D = 3500 J.
 	for r := 0; r < 3; r++ {
@@ -73,7 +73,7 @@ func TestMeterNoNoiseMatchesExact(t *testing.T) {
 
 func TestMeterPartialLastSample(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Compute, Start: 0, End: 2.5})
 	m := &Meter{SamplePeriod: 1}
 	got, err := m.Measure(pl, tl)
@@ -91,7 +91,7 @@ func TestMeterPartialLastSample(t *testing.T) {
 
 func TestMeterStepChanges(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	// Device 1 (200 W) busy only during [0, 1); device 0 (100 W) during
 	// [1, 2). Samples at t=0.5 and t=1.5 catch each phase.
 	tl.Add(trace.Event{Rank: 1, Kind: trace.Compute, Start: 0, End: 1})
@@ -111,7 +111,7 @@ func TestMeterStepChanges(t *testing.T) {
 
 func TestMeterNoiseWithinAccuracy(t *testing.T) {
 	pl := testPlatform()
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	for r := 0; r < 3; r++ {
 		tl.Add(trace.Event{Rank: r, Kind: trace.Compute, Start: 0, End: 100})
 	}
@@ -133,7 +133,7 @@ func TestMeterNoiseWithinAccuracy(t *testing.T) {
 
 func TestMeterEmptyTrace(t *testing.T) {
 	m := &Meter{SamplePeriod: 1}
-	got, err := m.Measure(testPlatform(), trace.New())
+	got, err := m.Measure(testPlatform(), &trace.Timeline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestMeterEmptyTrace(t *testing.T) {
 
 func TestMeterValidation(t *testing.T) {
 	m := &Meter{SamplePeriod: 0}
-	if _, err := m.Measure(testPlatform(), trace.New()); err == nil {
+	if _, err := m.Measure(testPlatform(), &trace.Timeline{}); err == nil {
 		t.Fatal("zero sample period must fail")
 	}
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 9, Kind: trace.Compute, Start: 0, End: 1})
 	if _, err := (&Meter{SamplePeriod: 1}).Measure(testPlatform(), tl); err == nil {
 		t.Fatal("bad rank must fail")
@@ -159,7 +159,7 @@ func TestMinPowerFloor(t *testing.T) {
 		Devices:      []*device.Device{{Name: "d", PeakGFLOPS: 1, Speed: fpm.Constant{S: 1}, DynamicPowerW: 0}},
 		StaticPowerW: 0,
 	}
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Compute, Start: 0, End: 2})
 	m := &Meter{SamplePeriod: 1, MinPower: 0.5}
 	got, err := m.Measure(pl, tl)

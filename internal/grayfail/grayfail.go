@@ -34,10 +34,7 @@
 // loop long before any hard timeout would fire.
 package grayfail
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // State classifies one monitored link.
 type State int
@@ -51,18 +48,6 @@ const (
 	// Degraded: sustained evidence; the caller should act.
 	Degraded
 )
-
-func (s State) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Suspect:
-		return "suspect"
-	case Degraded:
-		return "degraded"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
 
 // Config tunes the detector. The zero value is usable: every field
 // defaults to the documented value when non-positive.
@@ -271,16 +256,6 @@ func (d *Detector) Observe(key string, s Sample) State {
 	return l.health.State
 }
 
-// State returns the link's current verdict (Healthy for unknown keys).
-func (d *Detector) State(key string) State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if l := d.links[key]; l != nil {
-		return l.health.State
-	}
-	return Healthy
-}
-
 // Health returns the link's full current health (zero value for unknown
 // keys).
 func (d *Detector) Health(key string) LinkHealth {
@@ -290,15 +265,4 @@ func (d *Detector) Health(key string) LinkHealth {
 		return l.health
 	}
 	return LinkHealth{}
-}
-
-// Snapshot deep-copies every link's health, for surfacing in metrics.
-func (d *Detector) Snapshot() map[string]LinkHealth {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]LinkHealth, len(d.links))
-	for k, l := range d.links {
-		out[k] = l.health
-	}
-	return out
 }

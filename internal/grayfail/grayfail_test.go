@@ -44,7 +44,7 @@ func TestSingleOutlierIsForgiven(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Observe("a", healthy())
 	}
-	if st := d.State("a"); st != Healthy {
+	if st := d.Health("a").State; st != Healthy {
 		t.Fatalf("state after recovery %v, want Healthy", st)
 	}
 }
@@ -90,7 +90,7 @@ func TestGoodputCollapseUpgradesSuspect(t *testing.T) {
 func TestHysteresisAcquittal(t *testing.T) {
 	d := New(Config{DegradeStreak: 1, HealStreak: 3, MaxTrips: -1})
 	d.Observe("a", inflated(20))
-	if st := d.State("a"); st != Degraded {
+	if st := d.Health("a").State; st != Degraded {
 		t.Fatalf("setup: %v", st)
 	}
 	// Two clean observations: still not acquitted.
@@ -125,18 +125,18 @@ func TestFlapGuardPinsAtSuspect(t *testing.T) {
 func TestLinksAreIndependent(t *testing.T) {
 	d := New(Config{DegradeStreak: 1})
 	d.Observe("sick", inflated(20))
-	if st := d.State("sick"); st != Degraded {
+	if st := d.Health("sick").State; st != Degraded {
 		t.Fatalf("sick link: %v", st)
 	}
 	if st := d.Observe("fine", healthy()); st != Healthy {
 		t.Fatalf("healthy link contaminated: %v", st)
 	}
-	snap := d.Snapshot()
-	if snap["sick"].State != Degraded || snap["fine"].State != Healthy {
-		t.Fatalf("snapshot mismatch: %+v", snap)
+	sick, fine := d.Health("sick"), d.Health("fine")
+	if sick.State != Degraded || fine.State != Healthy {
+		t.Fatalf("health mismatch: sick %+v, fine %+v", sick, fine)
 	}
-	if snap["sick"].Trips != 1 {
-		t.Fatalf("trips = %d, want 1", snap["sick"].Trips)
+	if sick.Trips != 1 {
+		t.Fatalf("trips = %d, want 1", sick.Trips)
 	}
 }
 

@@ -133,49 +133,3 @@ func TestPresetsSane(t *testing.T) {
 		t.Fatal("PCIe must out-pace 10GbE")
 	}
 }
-
-func TestLogGPSendTime(t *testing.T) {
-	m := LogGP{L: 1e-6, O: 0.5e-6, GapPerByte: 1e-9}
-	// 1-byte message: L + 2o only.
-	if got := m.SendTime(1); math.Abs(got-2e-6) > 1e-15 {
-		t.Fatalf("SendTime(1) = %v", got)
-	}
-	// Long message adds (m-1)·G.
-	if got := m.SendTime(1001); math.Abs(got-(2e-6+1000e-9)) > 1e-15 {
-		t.Fatalf("SendTime(1001) = %v", got)
-	}
-	if got := m.SendTime(0); math.Abs(got-2e-6) > 1e-15 {
-		t.Fatalf("SendTime(0) = %v", got)
-	}
-}
-
-func TestLogGPValidate(t *testing.T) {
-	if err := (LogGP{L: 1, O: 1, G: 1, GapPerByte: 1}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []LogGP{
-		{L: -1}, {O: math.NaN()}, {G: math.Inf(1)}, {GapPerByte: -1},
-	}
-	for _, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Fatalf("%+v should fail", m)
-		}
-	}
-}
-
-func TestLogGPHockneyRoundTrip(t *testing.T) {
-	orig := IntraNode
-	lg := LogGPFromHockney(orig)
-	if err := lg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	back := lg.ToHockney()
-	if math.Abs(back.Alpha-orig.Alpha) > 1e-15 || back.Beta != orig.Beta {
-		t.Fatalf("round trip: %+v vs %+v", back, orig)
-	}
-	// Asymptotic costs agree for large messages.
-	big := 1 << 24
-	if rel := math.Abs(lg.SendTime(big)-orig.SendTime(big)) / orig.SendTime(big); rel > 0.01 {
-		t.Fatalf("asymptotic disagreement %.4f", rel)
-	}
-}

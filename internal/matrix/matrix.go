@@ -188,29 +188,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	return max
 }
 
-// FrobeniusNorm returns sqrt(sum of squares of elements).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Stride+i] = v
-		}
-	}
-	return t
-}
-
 // CopyBlock copies a rows×cols block from src (starting at the origin of
 // src) into dst (starting at the origin of dst). It is the Go analogue of
 // the copy_matrix routine in the original SummaGen C code: both operands

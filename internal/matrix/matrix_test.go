@@ -202,38 +202,6 @@ func TestMaxAbsDiff(t *testing.T) {
 	MaxAbsDiff(a, New(2, 3))
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := New(2, 2)
-	m.Set(0, 0, 3)
-	m.Set(1, 1, 4)
-	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-15 {
-		t.Fatalf("Frobenius = %v, want 5", got)
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := Indexed(2, 3)
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("bad transpose shape %dx%d", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := Random(5, 9, rng)
-	if !Equal(m, m.Transpose().Transpose()) {
-		t.Fatal("transpose twice must be identity")
-	}
-}
-
 func TestCopyBlock(t *testing.T) {
 	src := Indexed(6, 6)
 	dst := New(6, 6)

@@ -117,11 +117,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return r.register(name, KindCounter, nil, nil, nil).getOrCreate(nil).counter
 }
 
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.register(name, KindGauge, nil, nil, nil).getOrCreate(nil).gauge
-}
-
 // Histogram registers an unlabeled histogram over the given finite
 // ascending bucket bounds.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {

@@ -11,12 +11,12 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("widgets_total")
-	g := r.Gauge("depth")
+	g := r.GaugeVec("depth").With() // a family without labels
 	c.Inc()
 	c.Add(2.5)
 	c.Add(-1) // dropped: counters are monotonic
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4) // replaces
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter = %g, want 3.5", got)
 	}
@@ -33,7 +33,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(1)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	l.Add("k", "m")
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || l.Snapshot() != nil {
@@ -98,7 +97,7 @@ func TestRegisterPanics(t *testing.T) {
 	for name, fn := range map[string]func(r *Registry){
 		"counter without _total": func(r *Registry) { r.Counter("bad_counter") },
 		"histogram _total":       func(r *Registry) { r.Histogram("bad_total", []float64{1}) },
-		"duplicate family":       func(r *Registry) { r.Gauge("x"); r.Gauge("x") },
+		"duplicate family":       func(r *Registry) { r.GaugeVec("x"); r.GaugeVec("x") },
 	} {
 		func() {
 			defer func() {
@@ -114,7 +113,7 @@ func TestRegisterPanics(t *testing.T) {
 func TestWriteTextPassesExpositionLint(t *testing.T) {
 	r := New()
 	r.Counter("summagen_test_jobs_total").Add(3)
-	r.Gauge("summagen_test_depth").Set(2)
+	r.GaugeVec("summagen_test_depth").With().Set(2)
 	hv := r.HistogramVec("summagen_test_latency_seconds", []float64{0.1, 1}, "shape")
 	hv.With("square-corner").Observe(0.05)
 	hv.With("square-corner").Observe(5)

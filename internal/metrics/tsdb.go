@@ -160,17 +160,6 @@ func (s *Store) find(name string, labels map[string]string) *series {
 	return nil
 }
 
-// Latest returns the most recent sample of the matching series.
-func (s *Store) Latest(name string, labels map[string]string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.find(name, labels)
-	if sr == nil || sr.n == 0 {
-		return 0, false
-	}
-	return sr.v[(sr.head-1+s.slots)%s.slots], true
-}
-
 // Increase returns how much a counter series grew inside [now-window,
 // now], counter resets included: a sample below its predecessor is
 // treated as a restart, contributing its full post-reset value —
@@ -229,35 +218,6 @@ func (s *Store) Rate(name string, labels map[string]string, window time.Duration
 	return inc / window.Seconds(), true
 }
 
-// Delta returns last-minus-first over the window — the gauge counterpart
-// of Increase, with no reset handling.
-func (s *Store) Delta(name string, labels map[string]string, window time.Duration, now time.Time) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.find(name, labels)
-	if sr == nil || sr.n == 0 {
-		return 0, false
-	}
-	ts, vs := sr.points(s.slots)
-	cutoff := now.Add(-window).UnixNano()
-	limit := now.UnixNano()
-	first, last := 0.0, 0.0
-	seen := false
-	for i, t := range ts {
-		if t < cutoff || t > limit {
-			continue
-		}
-		if !seen {
-			first, seen = vs[i], true
-		}
-		last = vs[i]
-	}
-	if !seen {
-		return 0, false
-	}
-	return last - first, true
-}
-
 // bucketIncrease collects each le-bucket's windowed increase for one
 // histogram's _bucket series matching the given (non-le) labels.
 func (s *Store) bucketIncrease(hist string, labels map[string]string, window time.Duration, now time.Time) ([]float64, []float64) {
@@ -287,33 +247,6 @@ func (s *leSorter) Less(i, j int) bool { return s.les[i] < s.les[j] }
 func (s *leSorter) Swap(i, j int) {
 	s.les[i], s.les[j] = s.les[j], s.les[i]
 	s.incs[i], s.incs[j] = s.incs[j], s.incs[i]
-}
-
-// WindowQuantile estimates the q-quantile of a histogram family over the
-// window from its bucket increases (the windowed analogue of
-// HistSnapshot.Quantile). ok is false when no observations landed in the
-// window.
-func (s *Store) WindowQuantile(hist string, labels map[string]string, q float64, window time.Duration, now time.Time) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	les, incs := s.bucketIncrease(hist, labels, window, now)
-	if len(les) == 0 {
-		return 0, false
-	}
-	total := incs[len(incs)-1] // buckets are cumulative, +Inf last
-	if total <= 0 {
-		return 0, false
-	}
-	snap := HistSnapshot{Count: uint64(total + 0.5), Sum: 0}
-	for i, le := range les {
-		if math.IsInf(le, 1) {
-			continue
-		}
-		snap.Bounds = append(snap.Bounds, le)
-		snap.Cumulative = append(snap.Cumulative, uint64(incs[i]+0.5))
-	}
-	snap.Cumulative = append(snap.Cumulative, snap.Count)
-	return snap.Quantile(q), true
 }
 
 // CountOverLE returns the windowed increase of observations at or below

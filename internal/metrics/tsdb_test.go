@@ -74,19 +74,6 @@ func TestIncreaseAnchorsOnPreWindowSample(t *testing.T) {
 	}
 }
 
-func TestDeltaOnGauge(t *testing.T) {
-	s := NewStore(20*time.Second, time.Second)
-	fams := []FamilySnapshot{{Name: "g", Kind: KindGauge}}
-	for i, v := range []float64{3, 8, 6} {
-		fams[0].Series = []SeriesSnapshot{{Value: v}}
-		s.Record(t0.Add(time.Duration(i)*time.Second), fams)
-	}
-	d, ok := s.Delta("g", nil, 10*time.Second, t0.Add(2*time.Second))
-	if !ok || d != 3 {
-		t.Fatalf("delta = %g, want 3", d)
-	}
-}
-
 func TestLabelMatchingIsExact(t *testing.T) {
 	s := NewStore(20*time.Second, time.Second)
 	fams := []FamilySnapshot{{
@@ -115,8 +102,11 @@ func TestLabelMatchingIsExact(t *testing.T) {
 }
 
 // TestWindowQuantileAgainstBruteForce drives a histogram through the
-// sampler path and checks the windowed quantile against a brute-force
-// reference computed from the raw in-window observations.
+// sampler path and checks CountOverLE, the windowed bucket increase the SLO
+// latency SLI reads, against a brute-force count of the raw in-window
+// observations at or below each target's bucket bound. The quantiles the
+// exposition serves (HistSnapshot.Quantile) must land in the bucket of the
+// empirical quantile of every observation.
 func TestWindowQuantileAgainstBruteForce(t *testing.T) {
 	bounds := []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 	r := New()
@@ -131,8 +121,7 @@ func TestWindowQuantileAgainstBruteForce(t *testing.T) {
 		rng ^= rng << 17
 		return float64(rng%1000) / 100 // 0..9.99
 	}
-	var all []float64
-	var inWindow []float64
+	var all, inWindow []float64
 	for tick := 0; tick < 30; tick++ {
 		for j := 0; j < 20; j++ {
 			v := next()
@@ -147,41 +136,52 @@ func TestWindowQuantileAgainstBruteForce(t *testing.T) {
 	now := t0.Add(29 * time.Second)
 	window := 20 * time.Second // covers ticks 10..29 (pre-window anchor at tick 9)
 
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got, ok := s.WindowQuantile("lat_seconds", nil, q, window, now)
+	// A target between bounds counts up to the next bound; one past every
+	// finite bound counts everything.
+	for _, target := range []float64{0.01, 0.07, 0.5, 3, 10, 20} {
+		good, total, ok := s.CountOverLE("lat_seconds", nil, target, window, now)
 		if !ok {
-			t.Fatalf("q%g: no data", q)
+			t.Fatalf("target %g: no data", target)
 		}
-		// Brute-force reference: same interpolation, computed directly
-		// from bucketed in-window observations.
-		ref := bruteQuantile(inWindow, bounds, q)
-		if math.Abs(got-ref) > 1e-9 {
-			t.Errorf("q%g = %g, brute force %g", q, got, ref)
+		le := math.Inf(1)
+		if i := sort.SearchFloat64s(bounds, target); i < len(bounds) {
+			le = bounds[i]
 		}
-		// And sanity against the true empirical quantile: the estimate
-		// must land within the bucket that holds it.
-		sorted := append([]float64(nil), inWindow...)
-		sort.Float64s(sorted)
-		exact := sorted[int(q*float64(len(sorted)-1))]
-		if bucketOf(got, bounds) != bucketOf(exact, bounds) {
+		want := 0
+		for _, v := range inWindow {
+			if v <= le {
+				want++
+			}
+		}
+		if good != float64(want) || total != float64(len(inWindow)) {
+			t.Errorf("target %g: good %g of %g, brute force %d of %d", target, good, total, want, len(inWindow))
+		}
+	}
+
+	sort.Float64s(all)
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		got := h.Snapshot().Quantile(q)
+		exact := all[int(q*float64(len(all)-1))]
+		if sort.SearchFloat64s(bounds, got) != sort.SearchFloat64s(bounds, exact) {
 			t.Errorf("q%g = %g in wrong bucket vs empirical %g", q, got, exact)
 		}
 	}
 }
 
-func bruteQuantile(vals, bounds []float64, q float64) float64 {
-	cum := make([]uint64, len(bounds)+1)
-	for _, v := range vals {
-		i := sort.SearchFloat64s(bounds, v)
-		for ; i < len(cum); i++ {
-			cum[i]++
+// latest returns the newest point of the series with exactly these labels.
+func latest(s *Store, name string, labels map[string]string) (float64, bool) {
+	for _, d := range s.Dump(time.Hour, t0) {
+		if d.Name == name && len(d.Labels) == len(labels) {
+			match := true
+			for k, v := range labels {
+				match = match && d.Labels[k] == v
+			}
+			if match {
+				return d.Points[len(d.Points)-1].V, true
+			}
 		}
 	}
-	return HistSnapshot{Bounds: bounds, Cumulative: cum, Count: uint64(len(vals))}.Quantile(q)
-}
-
-func bucketOf(v float64, bounds []float64) int {
-	return sort.SearchFloat64s(bounds, v)
+	return 0, false
 }
 
 func TestSamplerRecordsHistogramSeries(t *testing.T) {
@@ -192,13 +192,13 @@ func TestSamplerRecordsHistogramSeries(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(20)
 	sampler.Tick(t0)
-	if v, ok := s.Latest("lat_seconds_count", nil); !ok || v != 2 {
+	if v, ok := latest(s, "lat_seconds_count", nil); !ok || v != 2 {
 		t.Fatalf("count series = %g ok=%v", v, ok)
 	}
-	if v, ok := s.Latest("lat_seconds_bucket", map[string]string{"le": "1"}); !ok || v != 1 {
+	if v, ok := latest(s, "lat_seconds_bucket", map[string]string{"le": "1"}); !ok || v != 1 {
 		t.Fatalf("le=1 bucket = %g ok=%v", v, ok)
 	}
-	if v, ok := s.Latest("lat_seconds_bucket", map[string]string{"le": "+Inf"}); !ok || v != 2 {
+	if v, ok := latest(s, "lat_seconds_bucket", map[string]string{"le": "+Inf"}); !ok || v != 2 {
 		t.Fatalf("+Inf bucket = %g ok=%v", v, ok)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/matrix"
 )
 
 func newTestWorld(t *testing.T, procs int) *World {
@@ -27,8 +25,8 @@ func TestNewWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", w.Size())
+	if got := w.world.Size(); got != 3 {
+		t.Fatalf("world communicator size = %d, want 3", got)
 	}
 }
 
@@ -36,8 +34,8 @@ func TestRunAllRanks(t *testing.T) {
 	w := newTestWorld(t, 5)
 	var seen int64
 	err := w.Run(func(p *Proc) error {
-		if p.Size() != 5 {
-			t.Errorf("Size = %d", p.Size())
+		if got := p.CommWorld().Size(); got != 5 {
+			t.Errorf("Size = %d", got)
 		}
 		atomic.AddInt64(&seen, 1<<uint(p.Rank()))
 		return nil
@@ -126,93 +124,17 @@ func TestBcastRootOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestSplitSubCommunicator(t *testing.T) {
-	w := newTestWorld(t, 4)
-	err := w.Run(func(p *Proc) error {
-		// Ranks {0,2} and {1,3} form two communicators; broadcast inside
-		// each.
-		var group []int
-		if p.Rank()%2 == 0 {
-			group = []int{0, 2}
-		} else {
-			group = []int{3, 1} // order-insensitive
-		}
-		c := p.Split(group)
-		if c.Size() != 2 {
-			return fmt.Errorf("comm size %d", c.Size())
-		}
-		buf := make([]float64, 1)
-		if c.RankOf(p.Rank()) == 0 {
-			buf[0] = float64(p.Rank() + 100)
-		}
-		c.Bcast(p, buf, 1, 0)
-		wantRoot := 0
-		if p.Rank()%2 == 1 {
-			wantRoot = 1
-		}
-		if buf[0] != float64(wantRoot+100) {
-			return fmt.Errorf("rank %d got %v", p.Rank(), buf[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitReusesComm(t *testing.T) {
-	w := newTestWorld(t, 2)
-	err := w.Run(func(p *Proc) error {
-		c1 := p.Split([]int{0, 1})
-		c2 := p.Split([]int{1, 0})
-		if c1 != c2 {
-			return errors.New("same rank set must give same comm")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitMisusePanics(t *testing.T) {
-	w := newTestWorld(t, 2)
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.Split([]int{1}) // not a member
-		} else {
-			p.Split([]int{1})
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "does not belong") {
-		t.Fatalf("want membership panic, got %v", err)
-	}
-}
-
+// TestCommRankMapping: the world communicator numbers every rank as the
+// world does, and knows no other rank.
 func TestCommRankMapping(t *testing.T) {
 	w := newTestWorld(t, 4)
-	var c *Comm
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 0 || p.Rank() == 3 {
-			cc := p.Split([]int{3, 0})
-			if p.Rank() == 0 {
-				c = cc
-			}
+	for r := 0; r < 4; r++ {
+		if got := w.world.RankOf(r); got != r {
+			t.Fatalf("RankOf(%d) = %d, want %d", r, got, r)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if got := c.Ranks(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("Ranks = %v", got)
-	}
-	if c.RankOf(3) != 1 || c.RankOf(0) != 0 || c.RankOf(2) != -1 {
-		t.Fatal("RankOf wrong")
-	}
-	if c.WorldRank(1) != 3 {
-		t.Fatal("WorldRank wrong")
+	if w.world.RankOf(4) != -1 || w.world.RankOf(-1) != -1 {
+		t.Fatal("RankOf must be -1 for a rank outside the world")
 	}
 }
 
@@ -237,7 +159,7 @@ func TestManyRanksStress(t *testing.T) {
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		for i := 0; i < 50; i++ {
-			root := i % p.Size()
+			root := i % c.Size()
 			buf := make([]float64, 4)
 			if p.Rank() == root {
 				for j := range buf {
@@ -310,70 +232,16 @@ func TestBcastLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestBcastPanelStridedCopy: the root's strided view lands in every
-// member's strided destination, the root's own included, and only there.
-func TestBcastPanelStridedCopy(t *testing.T) {
-	const h, w, srcStride, dstStride = 3, 2, 5, 4
-	src := matrix.New(4, srcStride)
-	for i := range src.Data {
-		src.Data[i] = float64(i)
-	}
-	world := newTestWorld(t, 3)
-	err := world.Run(func(p *Proc) error {
-		dst := matrix.New(h+1, dstStride)
-		dst.Fill(-1)
-		sv := matrix.Dense{Rows: h, Cols: w, Stride: srcStride, Data: src.Data[1*srcStride+2:]}
-		dv := matrix.Dense{Rows: h, Cols: w, Stride: dstStride, Data: dst.Data[1:]}
-		if p.Rank() != 1 {
-			sv = matrix.Dense{} // read on the root only
-		}
-		p.CommWorld().BcastPanel(p, sv, matrix.Into(dv), 1)
-		for i := 0; i < h+1; i++ {
-			for j := 0; j < dstStride; j++ {
-				want := -1.0
-				if i < h && j >= 1 && j < 1+w {
-					want = src.At(1+i, 2+j-1)
-				}
-				if got := dst.At(i, j); got != want {
-					return fmt.Errorf("rank %d dst(%d,%d) = %v, want %v", p.Rank(), i, j, got, want)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastPanelMismatchPanics(t *testing.T) {
-	w := newTestWorld(t, 2)
-	err := w.Run(func(p *Proc) error {
-		rows := 2 + p.Rank() // rank 1 expects a taller panel than the root sends
-		m := matrix.New(rows, 3)
-		p.CommWorld().BcastPanel(p, *m, matrix.Into(*matrix.New(rows, 3)), 0)
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "BcastPanel length mismatch") {
-		t.Fatalf("want a length-mismatch panic, got %v", err)
-	}
-}
-
 // TestCollectivesAllocateNothingPerCall pins the per-collective garbage at
-// zero: the coordinator's gather scratch is reused.
+// zero: the coordinator's gather scratch is reused. (Bcast allocates by
+// design: it hands the receivers a copy of the root's buffer.)
 func TestCollectivesAllocateNothingPerCall(t *testing.T) {
 	w := newTestWorld(t, 1)
 	if err := w.Run(func(p *Proc) error {
-		ranks := []int{0}
-		c := p.Split(ranks)
-		src, dst := matrix.New(1, 1), matrix.New(1, 1)
-		allocs := testing.AllocsPerRun(100, func() {
-			p.Split(ranks)
-			c.Barrier(p)
-			c.BcastPanel(p, *src, matrix.Into(*dst), 0)
-		})
+		c := p.CommWorld()
+		allocs := testing.AllocsPerRun(100, func() { c.Barrier(p) })
 		if allocs != 0 {
-			return fmt.Errorf("%v allocations per Split+Barrier+BcastPanel, want 0", allocs)
+			return fmt.Errorf("%v allocations per Barrier, want 0", allocs)
 		}
 		return nil
 	}); err != nil {

@@ -160,12 +160,3 @@ func (e *Endpoint) Stats() Stats {
 	}
 	return st
 }
-
-// TotalCorruptFrames sums the CRC failures observed over all peers.
-func (s Stats) TotalCorruptFrames() int64 {
-	var total int64
-	for _, p := range s.Peers {
-		total += p.CorruptFrames
-	}
-	return total
-}

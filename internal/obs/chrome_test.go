@@ -19,7 +19,7 @@ func TestMergedChromeTraceRoundTrip(t *testing.T) {
 	stage.End()
 	root.End()
 
-	tl := trace.New()
+	tl := &trace.Timeline{}
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Comm, Start: 0.001, End: 0.002, Bytes: 512, Label: "bcastA[0,1]"})
 	tl.Add(trace.Event{Rank: 1, Kind: trace.Compute, Start: 0.002, End: 0.005, Flops: 42, Label: "dgemm[1,1]"})
 

@@ -152,9 +152,6 @@ type SpanHandle struct {
 	idx int
 }
 
-// Enabled reports whether the handle records anywhere.
-func (h SpanHandle) Enabled() bool { return h.r != nil }
-
 // Child starts a sub-span of this span. On a disabled handle it returns
 // another disabled handle.
 func (h SpanHandle) Child(name string) SpanHandle {

@@ -82,13 +82,13 @@ func TestOpenSpanDuration(t *testing.T) {
 
 func TestDisabledHandleIsSafeAndFree(t *testing.T) {
 	var h SpanHandle // zero value: disabled
-	if h.Enabled() {
+	if h.r != nil {
 		t.Fatal("zero handle reports enabled")
 	}
 	// Every operation must no-op without panicking.
 	h2 := h.Child("x").OnRank(1).Int("a", 1).Float("b", 2).Str("c", "d")
 	h2.End()
-	if h2.Enabled() {
+	if h2.r != nil {
 		t.Fatal("child of disabled handle reports enabled")
 	}
 
@@ -96,7 +96,7 @@ func TestDisabledHandleIsSafeAndFree(t *testing.T) {
 	if nilRec.Len() != 0 || nilRec.Spans() != nil {
 		t.Fatal("nil recorder not empty")
 	}
-	if got := nilRec.Root("x"); got.Enabled() {
+	if got := nilRec.Root("x"); got.r != nil {
 		t.Fatal("nil recorder returned an enabled handle")
 	}
 	if !nilRec.T0().IsZero() {

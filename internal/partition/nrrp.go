@@ -55,8 +55,6 @@ type rect struct {
 	x0, y0, h, w int
 }
 
-func (r rect) area() int { return r.h * r.w }
-
 // painter accumulates per-processor rectangles that tile the matrix.
 type painter struct {
 	rects  []rect

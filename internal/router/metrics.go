@@ -29,11 +29,14 @@ type routerMetrics struct {
 // eventLogSize bounds the router's flight-recorder event ring.
 const eventLogSize = 512
 
+// sampleWindow bounds the router's series history.
+const sampleWindow = 30 * time.Minute
+
 // newRouterMetrics registers the router families in the order the old
 // hand-rolled writer emitted them, so a scrape diff across the refactor
 // is label-order churn at most. backends is the fixed fleet slice; the
 // collect families snapshot it at Gather time.
-func newRouterMetrics(backends []*Backend, fairnessWindow, sampleWindow, sampleInterval time.Duration) *routerMetrics {
+func newRouterMetrics(backends []*Backend, fairnessWindow, sampleInterval time.Duration) *routerMetrics {
 	m := &routerMetrics{
 		reg:            metrics.New(),
 		store:          metrics.NewStore(sampleWindow, sampleInterval),

@@ -52,26 +52,26 @@ func (p *RoundRobin) Pick(_ string, healthy []*Backend) *Backend {
 // count from its last health probe, with two gray adjustments: draining
 // and probe-suspect instances lose to clean ones regardless of load
 // (draining worst), and a gray-hot instance — one whose own gray-recovery
-// counter rose recently — carries GrayPenalty phantom jobs, so it still
+// counter rose recently — carries grayPenalty phantom jobs, so it still
 // wins when everything else is much busier but loses near-ties. Ties
 // break on the lower ID so repeated picks under equal load are
 // deterministic.
-type LeastLoaded struct {
-	// GrayPenalty is the phantom load added to a gray-hot instance;
-	// 0 means the default 4.
-	GrayPenalty int
-	// SLOPenalty is the phantom load added per burn-rate alert currently
-	// firing on the instance — an instance burning its error budget should
-	// stop winning near-ties before it tips into violation; 0 means the
-	// default 3.
-	SLOPenalty int
-}
+type LeastLoaded struct{}
+
+const (
+	// grayPenalty is the phantom load added to a gray-hot instance.
+	grayPenalty = 4
+	// sloPenalty is the phantom load added per burn-rate alert currently
+	// firing on the instance: an instance burning its error budget should
+	// stop winning near-ties before it tips into violation.
+	sloPenalty = 3
+)
 
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // score ranks a backend: lower class wins before load is even compared
 // (0 clean, 1 probe-suspect, 2 draining), then effective load.
-func (p LeastLoaded) score(b *Backend) (class, load int) {
+func (LeastLoaded) score(b *Backend) (class, load int) {
 	ls := b.Load()
 	switch {
 	case ls.Draining:
@@ -81,20 +81,9 @@ func (p LeastLoaded) score(b *Backend) (class, load int) {
 	}
 	load = ls.Load()
 	if b.GrayHot() {
-		penalty := p.GrayPenalty
-		if penalty <= 0 {
-			penalty = 4
-		}
-		load += penalty
+		load += grayPenalty
 	}
-	if ls.SLOFiring > 0 {
-		penalty := p.SLOPenalty
-		if penalty <= 0 {
-			penalty = 3
-		}
-		load += penalty * ls.SLOFiring
-	}
-	return class, load
+	return class, load + sloPenalty*ls.SLOFiring
 }
 
 func (p LeastLoaded) Pick(_ string, healthy []*Backend) *Backend {

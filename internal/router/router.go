@@ -64,8 +64,6 @@ type Config struct {
 	// SampleInterval is the router's own metrics-sampler period (default
 	// 10s; negative disables the background sampler — tests tick manually).
 	SampleInterval time.Duration
-	// SampleWindow bounds the router's series history (default 30m).
-	SampleWindow time.Duration
 	// FairnessWindow is the rate window behind summagen_fairness_jain
 	// (default 60s).
 	FairnessWindow time.Duration
@@ -135,10 +133,6 @@ func New(cfg Config) (*Router, error) {
 	if storeInterval < 0 {
 		storeInterval = 10 * time.Second
 	}
-	sampleWindow := cfg.SampleWindow
-	if sampleWindow <= 0 {
-		sampleWindow = 30 * time.Minute
-	}
 	fairnessWindow := cfg.FairnessWindow
 	if fairnessWindow <= 0 {
 		fairnessWindow = time.Minute
@@ -149,7 +143,7 @@ func New(cfg Config) (*Router, error) {
 		maxReroutes:   cfg.MaxReroutes,
 		log:           cfg.Logger,
 		jobs:          map[string]*jobRecord{},
-		metrics:       newRouterMetrics(cfg.Backends, fairnessWindow, sampleWindow, storeInterval),
+		metrics:       newRouterMetrics(cfg.Backends, fairnessWindow, storeInterval),
 		tenantClasses: cfg.TenantClasses,
 		stopProbe:     make(chan struct{}),
 	}
@@ -215,9 +209,6 @@ func New(cfg Config) (*Router, error) {
 
 // Handler returns the root handler for an http.Server.
 func (r *Router) Handler() http.Handler { return r.mux }
-
-// Policy returns the configured routing policy.
-func (r *Router) Policy() Policy { return r.policy }
 
 // Close stops the background prober and the metrics sampler. It does not
 // touch the backends.

@@ -120,17 +120,15 @@ type NetmpiRunner struct {
 	WrapConn func(jobID string, epoch, rank int) func(peer int, c net.Conn) net.Conn
 
 	// GrayFail, when non-nil, runs a gray-failure monitor alongside every
-	// run: each GrayInterval it samples every endpoint's per-peer RTT and
-	// goodput signals, feeds them to a grayfail.Detector, and when a
-	// majority of a rank's observers report its links degraded it condemns
-	// that rank via Endpoint.FailPeer — converting up-but-sick into an
-	// immediate typed *netmpi.PeerFailedError (cause
-	// *netmpi.DegradedPeerError) that steers the scheduler's survivor-
-	// replan recovery long before any hard OpTimeout fires.
+	// run: each heartbeat interval (one verdict opportunity per expected
+	// beat) it samples every endpoint's per-peer RTT and goodput signals,
+	// feeds them to a grayfail.Detector, and when a majority of a rank's
+	// observers report its links degraded it condemns that rank via
+	// Endpoint.FailPeer — converting up-but-sick into an immediate typed
+	// *netmpi.PeerFailedError (cause *netmpi.DegradedPeerError) that steers
+	// the scheduler's survivor-replan recovery long before any hard
+	// OpTimeout fires.
 	GrayFail *grayfail.Config
-	// GrayInterval is the monitor's sampling period; default
-	// HeartbeatInterval (one verdict opportunity per expected beat).
-	GrayInterval time.Duration
 
 	// Warm meshes waiting for their next job, by rank count (mesh.go).
 	meshMu sync.Mutex
@@ -297,15 +295,11 @@ func (r *NetmpiRunner) startGrayMonitor(eps []*netmpi.Endpoint, span obs.SpanHan
 		return func() {}
 	}
 	det := grayfail.New(*r.GrayFail)
-	interval := r.GrayInterval
-	if interval <= 0 {
-		interval = r.heartbeat()
-	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(r.heartbeat())
 		defer t.Stop()
 		p := len(eps)
 		condemned := make([]bool, p)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netmpi"
 	"repro/internal/sched"
+	"repro/internal/slo"
 )
 
 // latencyBounds spans 100µs to ~100s in roughly 1-2.5-5 steps — suitable
@@ -99,8 +100,8 @@ func newMetricsRegistry(reg *metrics.Registry, events *metrics.EventLog) *metric
 
 	registerNetCollectors(m)
 
-	m.sloRequests = reg.CounterVec("summagen_slo_requests_total", "tenant", "class", "outcome")
-	m.sloLatency = reg.HistogramVec("summagen_slo_latency_seconds", latencyBounds, "tenant", "class")
+	m.sloRequests = reg.CounterVec(slo.RequestsFamily, "tenant", "class", "outcome")
+	m.sloLatency = reg.HistogramVec(slo.LatencyFamily, latencyBounds, "tenant", "class")
 	return m
 }
 

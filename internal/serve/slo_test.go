@@ -85,12 +85,14 @@ func TestSLOAlertFiresAndClears(t *testing.T) {
 		t.Fatal("/healthz slo_firing = 0 while alert fires")
 	}
 
-	// Heal: stop failing, let the bad samples age out of both burn
-	// windows, then hold quiet for ClearHold evaluations.
+	// Heal: stop failing, then sample at explicit times instead of sleeping
+	// out the burn windows. Each tick lies more than the long window after
+	// the one before, so from the second on a window holds no failure, and
+	// ClearHold such quiet evaluations clear the alert.
 	runner.fail.Store(false)
-	time.Sleep(2100 * time.Millisecond)
-	for i := 0; i < 3; i++ {
-		srv.SampleNow()
+	healed := time.Now()
+	for i := 1; i <= 3; i++ {
+		srv.sampler.Tick(healed.Add(time.Duration(i) * 2100 * time.Millisecond))
 	}
 	mustGetJSON(t, ts.URL+"/slo", &rep)
 	if rep.Firing != 0 {

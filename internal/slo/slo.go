@@ -52,6 +52,17 @@ func DefaultRules(scale float64) []BurnRule {
 	}
 }
 
+// The families the engine reads. Services register their request
+// outcomes and latencies under these names.
+const (
+	// RequestsFamily is the counter family of request outcomes, labels
+	// tenant/class/outcome (outcome ∈ ok|error).
+	RequestsFamily = "summagen_slo_requests_total"
+	// LatencyFamily is the histogram family of successful-request
+	// latencies, labels tenant/class.
+	LatencyFamily = "summagen_slo_latency_seconds"
+)
+
 // Config wires an engine to its store and objectives.
 type Config struct {
 	Store *metrics.Store
@@ -63,14 +74,6 @@ type Config struct {
 	// ClearHold is how many consecutive quiet evaluations clear a firing
 	// alert (default 3) — the flap guard.
 	ClearHold int
-	// RequestsFamily is the counter family of request outcomes, labels
-	// tenant/class/outcome (outcome ∈ ok|error). Default
-	// "summagen_slo_requests_total".
-	RequestsFamily string
-	// LatencyFamily is the histogram family of successful-request
-	// latencies, labels tenant/class. Default
-	// "summagen_slo_latency_seconds".
-	LatencyFamily string
 	// OnTransition (optional) observes every alert fire/clear — the
 	// flight recorder's event log hooks in here.
 	OnTransition func(Transition)
@@ -116,12 +119,6 @@ func New(cfg Config) *Engine {
 	if cfg.ClearHold <= 0 {
 		cfg.ClearHold = 3
 	}
-	if cfg.RequestsFamily == "" {
-		cfg.RequestsFamily = "summagen_slo_requests_total"
-	}
-	if cfg.LatencyFamily == "" {
-		cfg.LatencyFamily = "summagen_slo_latency_seconds"
-	}
 	return &Engine{cfg: cfg, alerts: map[alertKey]*alertState{}}
 }
 
@@ -150,7 +147,7 @@ func (e *Engine) objective(class string) Objective {
 func (e *Engine) keys() [][2]string {
 	seen := map[[2]string]bool{}
 	var out [][2]string
-	for _, ls := range e.cfg.Store.LabelSets(e.cfg.RequestsFamily) {
+	for _, ls := range e.cfg.Store.LabelSets(RequestsFamily) {
 		k := [2]string{ls["tenant"], ls["class"]}
 		if !seen[k] {
 			seen[k] = true
@@ -177,16 +174,16 @@ func (e *Engine) burn(tenant, class, sli string, o Objective, w time.Duration, n
 	switch sli {
 	case "availability":
 		labels["outcome"] = "error"
-		bad, _ := e.cfg.Store.Increase(e.cfg.RequestsFamily, labels, w, now)
+		bad, _ := e.cfg.Store.Increase(RequestsFamily, labels, w, now)
 		labels["outcome"] = "ok"
-		ok, _ := e.cfg.Store.Increase(e.cfg.RequestsFamily, labels, w, now)
+		ok, _ := e.cfg.Store.Increase(RequestsFamily, labels, w, now)
 		total := bad + ok
 		if total <= 0 {
 			return 0
 		}
 		return (bad / total) / budget
 	case "latency":
-		good, total, ok := e.cfg.Store.CountOverLE(e.cfg.LatencyFamily, labels, o.LatencyTarget, w, now)
+		good, total, ok := e.cfg.Store.CountOverLE(LatencyFamily, labels, o.LatencyTarget, w, now)
 		if !ok || total <= 0 {
 			return 0
 		}

@@ -24,8 +24,8 @@ type harness struct {
 func newHarness(t *testing.T, objectives []Objective, rules []BurnRule, clearHold int) *harness {
 	t.Helper()
 	h := &harness{reg: metrics.New(), store: metrics.NewStore(time.Minute, time.Second)}
-	h.reqs = h.reg.CounterVec("summagen_slo_requests_total", "tenant", "class", "outcome")
-	h.lat = h.reg.HistogramVec("summagen_slo_latency_seconds", []float64{0.1, 1, 10}, "tenant", "class")
+	h.reqs = h.reg.CounterVec(RequestsFamily, "tenant", "class", "outcome")
+	h.lat = h.reg.HistogramVec(LatencyFamily, []float64{0.1, 1, 10}, "tenant", "class")
 	h.eng = New(Config{
 		Store:        h.store,
 		Objectives:   objectives,

@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // this shape, and a refactor that silently reorders or renames fields
 // should fail here, not in a browser.
 func TestChromeTraceGolden(t *testing.T) {
-	tl := New()
+	tl := &Timeline{}
 	tl.Add(Event{Rank: 0, Kind: Comm, Start: 0, End: 0.001, Bytes: 2048, Label: "bcastA[0,1]"})
 	tl.Add(Event{Rank: 0, Kind: Compute, Start: 0.001, End: 0.0035, Flops: 1.25e6, Label: "dgemm[0,0]"})
 	tl.Add(Event{Rank: 1, Kind: Comm, Start: 0.0002, End: 0.0012, Bytes: 4096, Label: "bcastB[1,0]"})
@@ -48,7 +48,7 @@ func TestChromeTraceGolden(t *testing.T) {
 // TestChromeEventsOffset verifies the offset used by merged exports shifts
 // timestamps only, never durations or lanes.
 func TestChromeEventsOffset(t *testing.T) {
-	tl := New()
+	tl := &Timeline{}
 	tl.Add(Event{Rank: 2, Kind: Compute, Start: 0.5, End: 0.75, Flops: 10})
 	evs := ChromeEvents(tl, 7, 1.5)
 	if len(evs) != 1 {

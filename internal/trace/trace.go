@@ -64,9 +64,6 @@ type Timeline struct {
 	events []Event
 }
 
-// New returns an empty timeline.
-func New() *Timeline { return &Timeline{} }
-
 // NewCap returns an empty timeline with room for n events, so that a
 // recorder that knows its event count up front never grows it.
 func NewCap(n int) *Timeline { return &Timeline{events: make([]Event, 0, n)} }
@@ -112,11 +109,6 @@ type Breakdown struct {
 	Flops       float64 `json:"flops"`
 	// Finish is the latest event end seen on this rank.
 	Finish float64 `json:"finish_s"`
-}
-
-// Total returns the sum of all classified time on the rank.
-func (b Breakdown) Total() float64 {
-	return b.ComputeTime + b.CommTime + b.IdleTime
 }
 
 // Summarize aggregates the timeline into one Breakdown per rank that
