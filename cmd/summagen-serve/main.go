@@ -94,7 +94,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	flag.StringVar(&o.instanceID, "instance-id", "", "instance identity echoed on /healthz (set when running behind summagen-router)")
 	flag.StringVar(&o.platformName, "platform", "hclserver1", "device platform: hclserver1 (3 ranks) or hclserver2 (4 ranks)")
-	flag.StringVar(&o.runtimeName, "runtime", "inproc", "execution runtime: inproc (channel) or netmpi (loopback TCP mesh)")
+	flag.StringVar(&o.runtimeName, "runtime", "inproc", "execution runtime: inproc (shared memory) or netmpi (loopback TCP mesh)")
 	flag.IntVar(&o.workers, "workers", 2, "concurrent worker slots (each job also runs P rank goroutines)")
 	flag.IntVar(&o.queueCap, "queue-cap", 64, "max queued jobs; beyond it submissions get 429")
 	flag.IntVar(&o.tenantCap, "tenant-cap", 0, "max queued+running jobs per tenant (0 = unlimited)")

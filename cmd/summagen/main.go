@@ -282,8 +282,9 @@ func (o *options) buildLayout(pl *device.Platform) (*partition.Layout, string, e
 
 // runRank joins the TCP mesh as rank o.rank, computes this rank's cells of
 // C and, after a successful run, ships span trees to rank 0. The report is
-// this rank's view: one PerRank entry, parallel time = this rank's elapsed
-// time, stage analytics cluster-wide on rank 0 and rank-local elsewhere.
+// the engine's over this rank alone: one PerRank entry, parallel time = this
+// rank's finish; stage analytics are cluster-wide on rank 0 and rank-local
+// elsewhere.
 func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *obs.Recorder, logw io.Writer, ln net.Listener) (*core.Report, []obs.RemoteTrace, error) {
 	addrs := strings.Split(o.hosts, ",")
 	if layout.P != len(addrs) {
@@ -322,43 +323,19 @@ func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *
 		return nil, nil, fmt.Errorf("layout agreement: %w", err)
 	}
 
-	n := layout.N
-	root := rec.Root("rank").OnRank(o.rank).Int("rank", int64(o.rank)).Int("n", int64(n))
-	start := time.Now()
-	err = core.RunRank(ep.Proc(), core.Config{Layout: layout, Span: root}, a, b, c)
+	root := rec.Root("rank").OnRank(o.rank).Int("rank", int64(o.rank)).Int("n", int64(layout.N))
+	rep, err := core.MultiplyOn([]core.Proc{ep.Proc()}, a, b, c, core.Config{Layout: layout, Span: root})
 	root.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	elapsed := time.Since(start).Seconds()
 
 	remotes := shipSpans(ep, o.rank, layout.P, rec, logger)
 	spans := append([]obs.Span(nil), rec.Spans()...)
 	for _, rt := range remotes {
 		spans = append(spans, rt.Spans...)
 	}
-	comp, comm, bytes := ep.Breakdown()
-	rep := &core.Report{
-		N:             n,
-		ExecutionTime: elapsed,
-		ComputeTime:   comp,
-		CommTime:      comm,
-		PerRank: []trace.Breakdown{{
-			Rank:        o.rank,
-			ComputeTime: comp,
-			CommTime:    comm,
-			BytesMoved:  int(bytes),
-			Finish:      elapsed,
-		}},
-		Imbalance: obs.AnalyzeStageSpans(spans),
-	}
-	if elapsed > 0 {
-		nf := float64(n)
-		rep.GFLOPS = 2 * nf * nf * nf / elapsed / 1e9
-	}
-	if ratio, err := partition.OptimalityRatio(layout); err == nil {
-		rep.OptimalityRatio = ratio
-	}
+	rep.Imbalance = obs.AnalyzeStageSpans(spans)
 	return rep, remotes, nil
 }
 
@@ -484,7 +461,7 @@ func writeTrace(path string, rec *obs.Recorder, tl *trace.Timeline, remotes []ob
 		return err
 	}
 	if rec != nil {
-		err = obs.WriteDistributedChromeTrace(f, rec, tl, 0, remotes)
+		err = obs.WriteDistributedChromeTrace(f, rec, tl, remotes)
 	} else {
 		err = trace.WriteChromeTrace(f, tl)
 	}

@@ -79,7 +79,8 @@ func TestRankMode(t *testing.T) {
 // TestRankModeTrace: in rank mode every rank ships its stage spans to rank 0,
 // whose -trace file holds one remote lane (pid ChromePIDRemoteBase + r) per
 // peer r with that rank's bcastA, bcastB and dgemm spans, and whose report's
-// imbalance covers all three ranks.
+// imbalance covers all three ranks. Its per_rank entry is the engine's
+// record of rank 0, flops included.
 func TestRankModeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	codes, outs, errs := runRanks(t, func(r int) []string {
@@ -96,12 +97,16 @@ func TestRankModeTrace(t *testing.T) {
 	}
 	var rep struct {
 		Imbalance *obs.ImbalanceReport `json:"imbalance"`
+		PerRank   []trace.Breakdown    `json:"per_rank"`
 	}
 	if err := json.Unmarshal(outs[0].Bytes(), &rep); err != nil {
 		t.Fatalf("rank 0 stdout is not one JSON report (%v): %s", err, outs[0].String())
 	}
 	if rep.Imbalance == nil || len(rep.Imbalance.Ranks) != 3 {
 		t.Errorf("rank 0 imbalance = %+v, want 3 ranks", rep.Imbalance)
+	}
+	if len(rep.PerRank) != 1 || rep.PerRank[0].Rank != 0 || rep.PerRank[0].Flops <= 0 {
+		t.Errorf("rank 0 per_rank = %+v, want one entry, rank 0's, with its flops", rep.PerRank)
 	}
 
 	raw, err := os.ReadFile(path)

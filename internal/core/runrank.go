@@ -9,7 +9,7 @@ import (
 
 // RunRank executes one rank's share of C = A·B over an externally-managed
 // runtime (e.g. the distributed TCP runtime in internal/netmpi, where each
-// OS process hosts one rank and calls RunRank itself).
+// OS process hosts one rank), on the calling goroutine.
 //
 // Data ownership follows the layout: the engine reads from a and b only
 // the sub-partitions this rank owns (plus whole grid rows/columns it owns
@@ -19,7 +19,10 @@ import (
 // replicated matrices also works and is the easy path for demos.
 //
 // RunRank keeps no Timeline: the runtime's own totals (p.Compute, and for
-// netmpi Endpoint.Breakdown) are the rank's record.
+// netmpi Endpoint.Breakdown) are the rank's record. Every program runs its
+// ranks through MultiplyOn, which returns a Report; the benchmark module
+// (bench/), which is frozen, is RunRank's only caller outside tests, and
+// RunRank goes when bench/ is next opened for edits (ROADMAP item 16).
 func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	s, err := cfg.validate(a, b, c)
 	if err != nil {

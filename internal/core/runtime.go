@@ -11,18 +11,20 @@ import (
 )
 
 // The engine is transport-generic: it executes over any runtime that
-// provides ranks, sub-communicators and broadcasts — the shared-memory
-// executor below (Multiply) or the distributed TCP runtime internal/netmpi
-// (RunRank), the paper's future-work setting of distributed-memory nodes.
-// Simulate needs no runtime: it walks the compiled schedule itself.
+// provides ranks, sub-communicators and broadcasts — shared memory
+// (Multiply) or the distributed TCP runtime internal/netmpi (MultiplyOn over
+// a process's endpoints), the paper's future-work setting of
+// distributed-memory nodes. Either way the ranks of one process run on the
+// executor below. Simulate needs no runtime: it walks the compiled schedule
+// itself.
 //
 // Error contract: a runtime must never let a dead or failed peer block a
 // collective forever. When a peer is declared failed, in-flight and
 // subsequent collectives return an error (for internal/netmpi a
 // *netmpi.PeerFailedError). The engine wraps such errors with the failing
-// stage and returns them from RunRank/Multiply, so callers see a clean,
-// rank-attributable failure instead of a deadlock. In-process ranks wait on
-// no one, so Multiply returns every failed rank's error, naming the rank.
+// stage and returns them from Multiply, MultiplyOn and RunRank, so callers
+// see a clean, rank-attributable failure instead of a deadlock. Multiply and
+// MultiplyOn join every failed rank's error, each naming its rank.
 
 // Proc is one rank's handle inside a runtime.
 type Proc interface {
@@ -35,8 +37,9 @@ type Proc interface {
 	Split(ranks []int) Comm
 	// Compute adds d seconds of local computation of `flops`
 	// floating-point operations, just finished, to the runtime's own
-	// compute total (netmpi's Breakdown). The in-process executor keeps
-	// none: Multiply records every op on the Report's Timeline itself.
+	// compute total (netmpi's Breakdown). The shared-memory ranks keep
+	// none: Multiply and MultiplyOn record every op on the Report's
+	// Timeline themselves.
 	Compute(d, flops float64, label string)
 }
 
@@ -58,16 +61,13 @@ type Comm interface {
 	BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root int) error
 }
 
-// --- The shared-memory executor behind Multiply ---
+// --- The in-process executor behind Multiply and MultiplyOn ---
 
 // shmRank is one rank of an in-process multiply, its Proc and its only Comm.
 // The ranks share A and B, so a broadcast is each member's own copy out of
 // the shared operand: no rank ever waits for another, and Split is a no-op.
-type shmRank struct {
-	rank, size int
-	wa, wb     []float64
-	err        error
-}
+// A shmRank holds no state, so a schedule's ranks serve every multiply.
+type shmRank struct{ rank, size int }
 
 func (r *shmRank) Rank() int                      { return r.rank }
 func (r *shmRank) Size() int                      { return r.size }
@@ -78,41 +78,62 @@ func (*shmRank) BcastPanel(_ Proc, src matrix.Dense, dst matrix.Dest, _ int) err
 	return dst.Put(&src)
 }
 
-// runShared runs every rank of s with main, rank 0 on the calling goroutine,
-// and returns once all have returned, their errors (a panic is one) joined.
-// Every rank's WA and WB are drawn first, in rank order: drawn by the ranks,
-// in an order that varied between runs, they kept missing the slab free list.
-func runShared(s *schedule, main func(p Proc, wa, wb []float64) error) error {
-	ranks := make([]shmRank, s.layout.P)
+// shmWorld returns the p ranks of an in-process world.
+func shmWorld(p int) []Proc {
+	ranks, procs := make([]shmRank, p), make([]Proc, p)
 	for r := range ranks {
-		waLen, wbLen := s.ranks[r].workLens(s.layout.N)
-		ranks[r] = shmRank{rank: r, size: len(ranks), wa: slab.Get(waLen), wb: slab.Get(wbLen)}
+		ranks[r] = shmRank{rank: r, size: p}
+		procs[r] = &ranks[r]
+	}
+	return procs
+}
+
+// rankRun is one rank of a runShared call: its Proc, its WA and WB, and
+// what it returned.
+type rankRun struct {
+	p      Proc
+	wa, wb []float64
+	err    error
+}
+
+// runShared runs main as each of procs, procs[0] on the calling goroutine,
+// and returns once all have returned, their errors (a panic is one) joined
+// in procs order. Every rank's WA and WB are drawn first, in procs order:
+// drawn by the ranks, in an order that varied between runs, they kept
+// missing the slab free list.
+func runShared(s *schedule, procs []Proc, main func(p Proc, wa, wb []float64) error) error {
+	ranks := make([]rankRun, len(procs))
+	for i, p := range procs {
+		waLen, wbLen := s.ranks[p.Rank()].workLens(s.layout.N)
+		ranks[i] = rankRun{p: p, wa: slab.Get(waLen), wb: slab.Get(wbLen)}
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(ranks))
-	for r := 1; r < len(ranks); r++ {
-		go ranks[r].run(main, &wg)
+	for i := 1; i < len(ranks); i++ {
+		go ranks[i].run(main, &wg)
 	}
 	ranks[0].run(main, &wg)
 	wg.Wait()
-	var err error
-	for r := range ranks {
-		slab.Put(ranks[r].wa)
-		slab.Put(ranks[r].wb)
-		err = errors.Join(err, ranks[r].err)
+	var errs []error
+	for i := range ranks {
+		slab.Put(ranks[i].wa)
+		slab.Put(ranks[i].wb)
+		if ranks[i].err != nil {
+			errs = append(errs, ranks[i].err)
+		}
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // run runs main as the rank and keeps its error, or its panic as one.
-func (r *shmRank) run(main func(p Proc, wa, wb []float64) error, wg *sync.WaitGroup) {
+func (r *rankRun) run(main func(p Proc, wa, wb []float64) error, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
-			r.err = fmt.Errorf("core: rank %d panicked: %v\n%s", r.rank, v, debug.Stack())
+			r.err = fmt.Errorf("core: rank %d panicked: %v\n%s", r.p.Rank(), v, debug.Stack())
 		}
 	}()
-	if err := main(r, r.wa, r.wb); err != nil {
-		r.err = fmt.Errorf("core: rank %d: %w", r.rank, err)
+	if err := main(r.p, r.wa, r.wb); err != nil {
+		r.err = fmt.Errorf("core: rank %d: %w", r.p.Rank(), err)
 	}
 }

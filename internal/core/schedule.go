@@ -19,6 +19,7 @@ type schedule struct {
 	areas              []int            // elements owned per rank
 	ratio              float64          // partition.OptimalityRatio, 0 when it has none
 	ranks              []rankSchedule
+	shm                []Proc // the shared-memory ranks Multiply runs (shmWorld)
 	// labels holds, per band (grid rows, then grid columns), the labels a
 	// band's split and broadcasts are recorded under: "split@[0 2]" and
 	// "bcast@[0 2]"; empty for a band with one member.
@@ -113,6 +114,7 @@ func compile(l *partition.Layout) *schedule {
 		colStart: prefixSums(l.ColWidths),
 		areas:    l.Areas(),
 		ranks:    make([]rankSchedule, l.P),
+		shm:      shmWorld(l.P),
 	}
 	if ratio, err := partition.OptimalityRatio(l); err == nil {
 		s.ratio = ratio

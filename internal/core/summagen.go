@@ -20,10 +20,11 @@
 //     partitions.
 //
 // Every rank runs the three stages back to back on its own goroutine, on
-// every runtime: one schedule, no helper goroutines. Multiply runs one
-// process's ranks on shared memory (runtime.go), rank 0 on the caller's
-// goroutine: a broadcast is each member's own copy out of the shared A or B,
-// with no rendezvous. RunRank runs one rank over internal/netmpi. Simulate
+// every runtime: one schedule, no helper goroutines. MultiplyOn runs the
+// ranks one process hosts on the in-process executor (runtime.go), rank 0 on
+// the caller's goroutine: Multiply runs them all on shared memory, where a
+// broadcast is each member's own copy out of the shared A or B, with no
+// rendezvous, and a netmpi process runs its endpoints. Simulate
 // walks the same compiled schedule on one virtual clock per rank instead
 // (simulate.go): it models ranks waiting for each other, and paper-scale
 // problems (N ≈ 38k) cost it microseconds.
@@ -93,10 +94,16 @@ type Config struct {
 }
 
 // Report summarizes one execution; the fields map one-to-one to the
-// quantities plotted in the paper's figures. Reports marshal to JSON with
-// the tagged field names below — the one serialization shared by
-// cmd/summagen (in-process and rank mode) and the serving API (the
-// Timeline is excluded; fetch it separately as a Chrome trace).
+// quantities plotted in the paper's figures. Multiply and MultiplyOn build
+// it from the Timeline their ranks record, so the figures mean the same on
+// every runtime: on a netmpi mesh, ExecutionTime starts when MultiplyOn is
+// called (after a service's mesh lease and epoch fence), CommTime sums the
+// engine's broadcasts and splits only (no other collective), and PerRank
+// counts 8·h·w bytes per broadcast on every member (not bytes received) and
+// the rank's flops. Reports marshal to JSON with the tagged field names
+// below — the one serialization shared by cmd/summagen (in-process and rank
+// mode) and the serving API (the Timeline is excluded; fetch it separately
+// as a Chrome trace).
 type Report struct {
 	// N is the matrix dimension.
 	N int `json:"n"`
@@ -112,7 +119,8 @@ type Report struct {
 	ComputeTime float64 `json:"compute_time_s"`
 	// CommTime is the maximum over ranks of communication time — Figures
 	// 6c/7c. In-process it is copy and pack time: waiting for other ranks
-	// shows only in Simulate, as idle time.
+	// shows only in Simulate, as idle time. Over netmpi it includes the
+	// wait for each broadcast's frames.
 	CommTime float64 `json:"comm_time_s"`
 	// GFLOPS is 2N³ / ExecutionTime / 1e9.
 	GFLOPS float64 `json:"gflops"`
@@ -125,7 +133,8 @@ type Report struct {
 	OptimalityRatio float64 `json:"optimality_ratio,omitempty"`
 	// PerRank holds the per-rank breakdowns.
 	PerRank []trace.Breakdown `json:"per_rank"`
-	// Timeline is the full event trace. It is deliberately not part of
+	// Timeline is the full event trace, with the wall-clock Origin its
+	// times count from (zero for Simulate). It is deliberately not part of
 	// the JSON form: traces are large and have their own Chrome-trace
 	// serialization (internal/trace).
 	Timeline *trace.Timeline `json:"-"`
@@ -173,36 +182,61 @@ func (c *Config) validate(ms ...*matrix.Dense) (*schedule, error) {
 	return s, nil
 }
 
-// Multiply computes C = A·B with SummaGen over the in-process shared-memory
-// executor (runtime.go). A, B and C must be N×N with N = cfg.Layout.N; C is
-// overwritten. The returned report carries the timing breakdowns.
+// Multiply computes C = A·B with SummaGen, every rank on this process's
+// shared memory: MultiplyOn over in-process ranks. A, B and C must be N×N
+// with N = cfg.Layout.N; C is overwritten. The returned report carries the
+// timing breakdowns.
 func Multiply(a, b, c *matrix.Dense, cfg Config) (*Report, error) {
 	s, err := cfg.validate(a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	rec := record{tl: trace.NewCap(s.events), t0: time.Now()}
-	if err := runShared(s, func(p Proc, wa, wb []float64) error { return rankMain(p, &cfg, s, rec, a, b, c, wa, wb) }); err != nil {
+	return MultiplyOn(s.shm, a, b, c, cfg)
+}
+
+// MultiplyOn runs procs, the ranks of a runtime that live in this process
+// (all of an in-process world, the endpoints of a loopback netmpi mesh, or
+// the one endpoint of a distributed rank), each computing its share of
+// C = A·B as RunRank does, on the in-process executor: procs[0] on the
+// calling goroutine, WA and WB drawn in procs order, a rank's panic returned
+// as an error naming the rank, and every rank's error joined. The Report is
+// built from the Timeline the ranks record, whatever the runtime; it covers
+// the ranks in procs only, and its clock starts when MultiplyOn is called.
+// Data ownership is as for RunRank.
+func MultiplyOn(procs []Proc, a, b, c *matrix.Dense, cfg Config) (*Report, error) {
+	s, err := cfg.validate(a, b, c)
+	if err != nil {
 		return nil, err
 	}
-	return buildReport(&cfg, s, rec.tl)
+	if len(procs) == 0 {
+		return nil, errors.New("core: MultiplyOn needs at least one rank")
+	}
+	for _, p := range procs {
+		if p.Size() != cfg.Layout.P || p.Rank() < 0 || p.Rank() >= p.Size() {
+			return nil, fmt.Errorf("core: rank %d of a %d-rank runtime, but the layout has %d processors", p.Rank(), p.Size(), cfg.Layout.P)
+		}
+	}
+	tl := trace.NewCap(s.events)
+	tl.Origin = time.Now()
+	rec := record{tl}
+	if err := runShared(s, procs, func(p Proc, wa, wb []float64) error { return rankMain(p, &cfg, s, rec, a, b, c, wa, wb) }); err != nil {
+		return nil, err
+	}
+	return buildReport(&cfg, s, tl)
 }
 
 // record is the Timeline a multiply's ranks record their ops on, each
-// event's times in seconds since t0; its labels, bytes and flops are the
-// schedule op's own. RunRank runs with the zero record, which records
+// event's times in seconds since its Origin; its labels, bytes and flops are
+// the schedule op's own. RunRank runs with the zero record, which records
 // nothing and reads no clock.
-type record struct {
-	tl *trace.Timeline
-	t0 time.Time
-}
+type record struct{ tl *trace.Timeline }
 
-// now returns the seconds since t0, or 0 without a Timeline.
+// now returns the seconds since the Timeline's Origin, or 0 without one.
 func (r record) now() float64 {
 	if r.tl == nil {
 		return 0
 	}
-	return time.Since(r.t0).Seconds()
+	return time.Since(r.tl.Origin).Seconds()
 }
 
 // add records rank's op of kind from start until now, and returns now.

@@ -127,3 +127,22 @@ func TestSimulatedFlopsConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiplyOnValidatesRanks: MultiplyOn refuses to run without ranks, or
+// with a rank of a runtime whose size is not the layout's, instead of
+// indexing the schedule out of range.
+func TestMultiplyOnValidatesRanks(t *testing.T) {
+	const n = 32
+	l := buildLayout(t, partition.SquareCorner, n, benchSpeeds)
+	a, b, c := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
+	for name, procs := range map[string][]Proc{
+		"no ranks":         nil,
+		"a smaller world":  shmWorld(2),
+		"a larger world":   shmWorld(4)[3:],
+		"a rank past size": {&shmRank{rank: 3, size: 3}},
+	} {
+		if _, err := MultiplyOn(procs, a, b, c, Config{Layout: l}); err == nil {
+			t.Errorf("%s: MultiplyOn accepted it", name)
+		}
+	}
+}

@@ -9,8 +9,9 @@ import (
 )
 
 // The paper builds the full speed functions of Figure 5 "using an
-// automated procedure": time each workload, record speed = workload/time.
-// This test runs that procedure against the modelled devices and checks
+// automated procedure": time each workload, record speed = workload/time
+// (cmd/fpmprof runs it on the host it is started on). This test feeds the points that
+// procedure yields on the modelled devices to both FPM classes and checks
 // the rebuilt FPM reproduces the device's own curve — the same round trip
 // the authors rely on when they feed measured profiles back into the
 // partitioning algorithms.
@@ -19,19 +20,13 @@ func TestBuilderReconstructsDeviceProfiles(t *testing.T) {
 	for _, d := range pl.Devices {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			builder := fpm.Builder{Measure: func(area float64) (float64, error) {
-				// Time to process `area` workload units at the device's
-				// modelled speed, like timing one kernel execution. The
-				// workload measure mirrors fpm.Time: units per second.
-				return area / d.GFLOPS(area), nil
-			}}
-			var sizes []float64
+			// Time to process `area` workload units at the device's modelled
+			// speed, like timing one kernel execution, gives speed = area/time:
+			// the modelled speed itself.
+			var pts []fpm.Point
 			for _, n := range device.ProfileSizes() {
-				sizes = append(sizes, float64(n)*float64(n))
-			}
-			pts, err := builder.Build(sizes)
-			if err != nil {
-				t.Fatal(err)
+				area := float64(n) * float64(n)
+				pts = append(pts, fpm.Point{W: area, S: d.GFLOPS(area)})
 			}
 			rebuilt, err := fpm.NewTable(pts)
 			if err != nil {

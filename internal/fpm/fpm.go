@@ -184,35 +184,3 @@ func (a *Akima) Speed(w float64) float64 {
 	}
 	return v
 }
-
-// Builder constructs a discrete speed function by timing workloads — the
-// paper's "automated procedure" for building the full functions of
-// Figure 5. Measure is called once per requested size and must return the
-// execution time in seconds for that workload.
-type Builder struct {
-	// Measure times one execution of workload w.
-	Measure func(w float64) (seconds float64, err error)
-}
-
-// Build measures every size and returns the discrete speed function
-// points, with speed = w/t.
-func (b Builder) Build(sizes []float64) ([]Point, error) {
-	if b.Measure == nil {
-		return nil, errors.New("fpm: Builder.Measure is nil")
-	}
-	pts := make([]Point, 0, len(sizes))
-	for _, w := range sizes {
-		if w <= 0 {
-			return nil, fmt.Errorf("fpm: non-positive workload %v", w)
-		}
-		t, err := b.Measure(w)
-		if err != nil {
-			return nil, fmt.Errorf("fpm: measuring w=%v: %w", w, err)
-		}
-		if t <= 0 {
-			return nil, fmt.Errorf("fpm: non-positive time %v at w=%v", t, w)
-		}
-		pts = append(pts, Point{W: w, S: w / t})
-	}
-	return pts, nil
-}

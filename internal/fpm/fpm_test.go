@@ -1,7 +1,6 @@
 package fpm
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,39 +141,6 @@ func TestAkimaClampsAndNonNegative(t *testing.T) {
 		if ak.Speed(w) < 0 {
 			t.Fatalf("Akima produced negative speed at %v", w)
 		}
-	}
-}
-
-func TestBuilder(t *testing.T) {
-	b := Builder{Measure: func(w float64) (float64, error) {
-		return w / 10, nil // constant speed 10
-	}}
-	pts, err := b.Build([]float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if math.Abs(p.S-10) > 1e-12 {
-			t.Fatalf("builder speed %v, want 10", p.S)
-		}
-	}
-}
-
-func TestBuilderErrors(t *testing.T) {
-	if _, err := (Builder{}).Build([]float64{1}); err == nil {
-		t.Fatal("nil Measure must fail")
-	}
-	b := Builder{Measure: func(w float64) (float64, error) { return 0, nil }}
-	if _, err := b.Build([]float64{1}); err == nil {
-		t.Fatal("zero time must fail")
-	}
-	b = Builder{Measure: func(w float64) (float64, error) { return 0, errors.New("x") }}
-	if _, err := b.Build([]float64{1}); err == nil {
-		t.Fatal("Measure error must propagate")
-	}
-	b = Builder{Measure: func(w float64) (float64, error) { return 1, nil }}
-	if _, err := b.Build([]float64{-1}); err == nil {
-		t.Fatal("negative workload must fail")
 	}
 }
 

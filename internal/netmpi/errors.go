@@ -14,7 +14,7 @@ import (
 // reconnect budget is exhausted, the initial dial never succeeds — converts
 // a potential hang into this error, which propagates out of the collectives
 // (Bcast, Allgather, Barrier), through the core.Proc adapter, and up to the
-// caller of core.RunRank.
+// caller of core.MultiplyOn.
 type PeerFailedError struct {
 	// Rank is the world rank of the peer declared failed.
 	Rank int

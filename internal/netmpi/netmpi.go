@@ -752,7 +752,6 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 			if comm == spanCommID {
 				// Control traffic: kept out of the data counters so the
 				// comm-volume audit sees algorithm payload only.
-				rc.stats.spanFramesSent.Add(1)
 				rc.stats.spanBytesSent.Add(int64(8 * len(data)))
 			} else {
 				rc.stats.framesSent.Add(1)
@@ -895,7 +894,6 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 			// separately: the comm-volume audit compares the partition
 			// model's prediction against algorithm traffic, which a
 			// trace blob is not.
-			rc.stats.spanFramesRecv.Add(1)
 			rc.stats.spanBytesRecv.Add(int64(8 * len(data)))
 		} else {
 			rc.stats.framesRecv.Add(1)

@@ -23,10 +23,8 @@ type peerCounters struct {
 	heartbeats atomic.Int64 // beat frames received
 	hbDelay    atomic.Int64 // cumulative beat one-way delay, nanos
 
-	spanFramesSent atomic.Int64 // span-shipping control frames (see span.go)
-	spanFramesRecv atomic.Int64
-	spanBytesSent  atomic.Int64
-	spanBytesRecv  atomic.Int64
+	spanBytesSent atomic.Int64 // span-shipping control payload (see span.go)
+	spanBytesRecv atomic.Int64
 
 	// Wire-integrity counters. Corrupt frames are never counted in
 	// bytesRecv/framesRecv, and retransmits are counted here rather than in

@@ -123,22 +123,28 @@ func RemoteChromeEvents(rt RemoteTrace, t0 time.Time) []trace.ChromeEvent {
 
 // WriteChromeTrace writes the merged span+timeline Chrome trace: the
 // recorder's spans (relative to its T0) plus, when tl is non-nil, the
-// timeline's events shifted by tlOffset (the wall-clock delay between the
-// recorder's T0 and the engine run's clock zero). Either input may be nil.
-func WriteChromeTrace(w io.Writer, rec *Recorder, tl *trace.Timeline, tlOffset time.Duration) error {
-	return WriteDistributedChromeTrace(w, rec, tl, tlOffset, nil)
+// timeline's events, placed on the same clock from tl.Origin (a timeline
+// without an Origin, or a nil recorder, counts from the recorder's T0).
+// Either input may be nil.
+func WriteChromeTrace(w io.Writer, rec *Recorder, tl *trace.Timeline) error {
+	return WriteDistributedChromeTrace(w, rec, tl, nil)
 }
 
 // WriteDistributedChromeTrace is WriteChromeTrace plus one clock-rebased
 // lane per shipped RemoteTrace (see RemoteChromeEvents). All lanes share
 // the recorder's T0 as time zero.
-func WriteDistributedChromeTrace(w io.Writer, rec *Recorder, tl *trace.Timeline, tlOffset time.Duration, remotes []RemoteTrace) error {
-	events := ChromeEvents(rec.Spans(), rec.T0())
+func WriteDistributedChromeTrace(w io.Writer, rec *Recorder, tl *trace.Timeline, remotes []RemoteTrace) error {
+	t0 := rec.T0()
+	events := ChromeEvents(rec.Spans(), t0)
 	if tl != nil {
-		events = append(events, trace.ChromeEvents(tl, ChromePIDTimeline, tlOffset.Seconds())...)
+		var offset time.Duration
+		if !t0.IsZero() && !tl.Origin.IsZero() {
+			offset = tl.Origin.Sub(t0)
+		}
+		events = append(events, trace.ChromeEvents(tl, ChromePIDTimeline, offset.Seconds())...)
 	}
 	for _, rt := range remotes {
-		events = append(events, RemoteChromeEvents(rt, rec.T0())...)
+		events = append(events, RemoteChromeEvents(rt, t0)...)
 	}
 	return trace.WriteChromeEvents(w, events)
 }

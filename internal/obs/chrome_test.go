@@ -19,13 +19,13 @@ func TestMergedChromeTraceRoundTrip(t *testing.T) {
 	stage.End()
 	root.End()
 
-	tl := &trace.Timeline{}
+	const offset = 250 * time.Millisecond
+	tl := &trace.Timeline{Origin: rec.T0().Add(offset)}
 	tl.Add(trace.Event{Rank: 0, Kind: trace.Comm, Start: 0.001, End: 0.002, Bytes: 512, Label: "bcastA[0,1]"})
 	tl.Add(trace.Event{Rank: 1, Kind: trace.Compute, Start: 0.002, End: 0.005, Flops: 42, Label: "dgemm[1,1]"})
 
-	const offset = 250 * time.Millisecond
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, rec, tl, offset); err != nil {
+	if err := WriteChromeTrace(&buf, rec, tl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,7 +60,7 @@ func TestMergedChromeTraceRoundTrip(t *testing.T) {
 			t.Errorf("timeline event %q pid = %d, want %d", name, e.PID, ChromePIDTimeline)
 		}
 	}
-	// Timeline events are shifted onto the span clock by the offset.
+	// Timeline events are shifted onto the span clock by their Origin.
 	wantTs := (0.001 + offset.Seconds()) * 1e6
 	if got := byName["bcastA[0,1]"].TsUs; got != wantTs {
 		t.Errorf("timeline ts = %g µs, want %g", got, wantTs)
@@ -78,7 +78,7 @@ func TestMergedChromeTraceRoundTrip(t *testing.T) {
 // TestMergedChromeTraceNilInputs: either side may be absent.
 func TestMergedChromeTraceNilInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil, 0); err != nil {
+	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "[]\n" {
@@ -88,7 +88,7 @@ func TestMergedChromeTraceNilInputs(t *testing.T) {
 	buf.Reset()
 	rec := NewRecorder()
 	rec.Root("only-spans").End()
-	if err := WriteChromeTrace(&buf, rec, nil, 0); err != nil {
+	if err := WriteChromeTrace(&buf, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []trace.ChromeEvent

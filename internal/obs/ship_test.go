@@ -127,10 +127,10 @@ func TestWriteDistributedChromeTraceAddsLanes(t *testing.T) {
 	remote := RemoteTrace{Rank: 1, Spans: []Span{{Name: "rank", Rank: 1, Parent: -1, Start: rec.T0(), End: rec.T0().Add(time.Millisecond)}}}
 
 	var plain, dist bytes.Buffer
-	if err := WriteChromeTrace(&plain, rec, nil, 0); err != nil {
+	if err := WriteChromeTrace(&plain, rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDistributedChromeTrace(&dist, rec, nil, 0, []RemoteTrace{remote}); err != nil {
+	if err := WriteDistributedChromeTrace(&dist, rec, nil, []RemoteTrace{remote}); err != nil {
 		t.Fatal(err)
 	}
 	var plainEvents, distEvents []map[string]any

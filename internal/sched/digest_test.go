@@ -3,10 +3,12 @@ package sched
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/slab"
 )
@@ -63,6 +65,30 @@ func TestVerifyOnPoisonedReference(t *testing.T) {
 		if !v.Verified {
 			t.Errorf("job %s: not verified (err %v)", v.ID, v.Err)
 		}
+	}
+}
+
+// ulpRunner runs the in-process runner, then moves one element of C by one
+// ulp: a product no tolerance check would tell from the right one.
+type ulpRunner struct{ InprocRunner }
+
+func (r *ulpRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
+	rep, err := r.InprocRunner.Run(jobID, plan, a, b, c, opts)
+	c.Data[len(c.Data)/2] = math.Nextafter(c.Data[len(c.Data)/2], math.Inf(1))
+	return rep, err
+}
+
+// TestVerifyIsExact: the service's verify compares C bit for bit with the
+// one-rank reference (DESIGN.md §6), so a product one ulp off fails it.
+func TestVerifyIsExact(t *testing.T) {
+	s := newTestScheduler(t, func(c *Config) { c.Runner = &ulpRunner{} })
+	v, err := s.Submit(JobSpec{N: 64, Shape: "square-corner", Seed: 3, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitTerminal(t, s, v.ID, 30*time.Second)
+	if v.State != StateFailed || v.Verified || v.Err == nil || !strings.Contains(v.Err.Error(), "verification failed") {
+		t.Fatalf("a product one ulp off: state %v, verified %v, err %v; want a failed verification", v.State, v.Verified, v.Err)
 	}
 }
 

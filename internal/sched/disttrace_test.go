@@ -115,7 +115,7 @@ func TestNetmpiDistributedTraceLanes(t *testing.T) {
 
 	// The Chrome export renders one engine-lane thread per rank.
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, v.Trace, rep.Timeline, v.AttemptStartedAt.Sub(v.Trace.T0())); err != nil {
+	if err := obs.WriteChromeTrace(&buf, v.Trace, rep.Timeline); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

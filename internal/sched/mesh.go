@@ -2,11 +2,13 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netmpi"
 )
 
@@ -26,22 +28,16 @@ import (
 // mesh is one dialled loopback world: an endpoint per rank, all in this
 // process.
 type mesh struct {
-	eps []*netmpi.Endpoint
-	lns []net.Listener
+	eps   []*netmpi.Endpoint
+	procs []core.Proc // eps[i].Proc()
+	lns   []net.Listener
 	// cancel ends the mesh's own context, which aborts its dial and its
 	// reconnect waits and stops its heartbeats.
 	cancel context.CancelFunc
 	// folded is what each endpoint had counted when the mesh's previous run
 	// ended (zero for a new mesh).
-	folded []epCounters
+	folded []netmpi.Stats
 	idle   time.Time // when the mesh went back on the free list
-}
-
-// epCounters is what one endpoint has counted since its mesh was dialled.
-type epCounters struct {
-	stats         netmpi.Stats
-	compute, comm float64
-	bytes         int64
 }
 
 // close tears the mesh down; it is idempotent and safe to call concurrently.
@@ -70,11 +66,10 @@ func (m *mesh) healthy() bool {
 }
 
 // counters snapshots every endpoint's cumulative counters.
-func (m *mesh) counters() []epCounters {
-	out := make([]epCounters, len(m.eps))
+func (m *mesh) counters() []netmpi.Stats {
+	out := make([]netmpi.Stats, len(m.eps))
 	for i, ep := range m.eps {
-		out[i].stats = ep.Stats()
-		out[i].compute, out[i].comm, out[i].bytes = ep.Breakdown()
+		out[i] = ep.Stats()
 	}
 	return out
 }
@@ -98,7 +93,7 @@ func (m *mesh) fence(closeOnFailure bool) error {
 		}()
 	}
 	wg.Wait()
-	return pickRootCause(errs)
+	return pickRootCause(errors.Join(errs...))
 }
 
 // wrappers asks the WrapConn hook for every rank's connection wrapper for
@@ -210,7 +205,7 @@ func (r *NetmpiRunner) dial(p, epoch int, wraps []func(int, net.Conn) net.Conn, 
 		eps:    make([]*netmpi.Endpoint, p),
 		lns:    make([]net.Listener, p),
 		cancel: cancel,
-		folded: make([]epCounters, p),
+		folded: make([]netmpi.Stats, p),
 	}
 	addrs := make([]string, p)
 	for i := range m.lns {
@@ -250,6 +245,10 @@ func (r *NetmpiRunner) dial(p, epoch int, wraps []func(int, net.Conn) net.Conn, 
 			m.close()
 			return nil, fmt.Errorf("sched: netmpi rank %d dial: %w", rank, err)
 		}
+	}
+	m.procs = make([]core.Proc, p)
+	for rank, ep := range m.eps {
+		m.procs[rank] = ep.Proc()
 	}
 	return m, nil
 }

@@ -31,8 +31,8 @@ func TestObserveRecordsJobSpanTree(t *testing.T) {
 	if v.Trace == nil {
 		t.Fatal("JobView.Trace nil with Observe on")
 	}
-	if v.AttemptStartedAt.IsZero() {
-		t.Fatal("AttemptStartedAt not stamped")
+	if v.Report == nil || v.Report.Timeline == nil || v.Report.Timeline.Origin.IsZero() {
+		t.Fatal("the report's Timeline has no Origin to align it with the spans")
 	}
 
 	spans := v.Trace.Spans()

@@ -351,7 +351,7 @@ func TestPickRootCauseDeterministic(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			permute(tc.errs, func(perm []error) {
-				got := pickRootCause(perm)
+				got := pickRootCause(errors.Join(perm...))
 				if tc.want == -1 {
 					if got != nil {
 						t.Fatalf("perm %v: got %v, want nil", perm, got)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Runner executes one planned multiplication. Implementations must write
@@ -74,9 +73,9 @@ type RunOpts struct {
 	Span obs.SpanHandle
 }
 
-// InprocRunner executes jobs on the in-process channel runtime — one
-// goroutine per rank inside this process, the default for a single-node
-// service.
+// InprocRunner executes jobs on shared memory — every rank inside this
+// process, rank 0 on the calling goroutine (core.Multiply) — the default
+// for a single-node service.
 type InprocRunner struct{}
 
 // Name implements Runner.
@@ -88,19 +87,19 @@ func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts Run
 }
 
 // NetmpiRunner executes each job over a loopback TCP mesh: one netmpi
-// endpoint per rank, each running core.RunRank in its own goroutine. This is
-// the fault-tolerant netmpi runtime exercised under service load — a rank
-// that dies mid-collective surfaces as a rank-attributed
-// *netmpi.PeerFailedError failing the job cleanly while unrelated jobs
-// proceed. Meshes outlive jobs: a first attempt leases a warm mesh off the
+// endpoint per rank, all run by core.MultiplyOn on core's in-process
+// executor. This is the fault-tolerant netmpi runtime exercised under
+// service load — a rank that dies mid-collective surfaces as a
+// rank-attributed *netmpi.PeerFailedError failing the job cleanly while
+// unrelated jobs proceed. Meshes outlive jobs: a first attempt leases a warm mesh off the
 // runner's free list and puts it back after a clean run (mesh.go has the
 // rules). The zero value is ready to use.
 //
-// The rank goroutines share the a, b and c matrices: the engine reads
-// only owned partitions and writes disjoint C cells per rank, so no
-// synchronization beyond the final join is needed. They share the job's
-// recorder and clock too: every rank records its stage spans under
-// RunOpts.Span, as on the in-process runner.
+// The ranks share the a, b and c matrices: the engine reads only owned
+// partitions and writes disjoint C cells per rank, so no synchronization
+// beyond the final join is needed. They share the job's recorder and
+// clock too: every rank records its stage spans under RunOpts.Span and its
+// ops on the Report's Timeline, as on the in-process runner.
 type NetmpiRunner struct {
 	// OpTimeout bounds every blocking frame operation (the failure
 	// detector); default 10s.
@@ -191,8 +190,7 @@ var errStaleLease = errors.New("sched: leased mesh failed the epoch fence")
 
 // Run implements Runner: it runs every rank of the plan concurrently on a
 // loopback mesh — a warm one off the free list when the attempt may lease
-// one, else a freshly dialled one — and assembles the report from what the
-// endpoints counted during this run.
+// one, else a freshly dialled one — and returns the engine's Report.
 func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
 	p := plan.Layout.P
 	wraps := r.wrappers(jobID, opts.Epoch, p)
@@ -237,8 +235,6 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 		}
 	}()
 
-	p := len(m.eps)
-	start := time.Now()
 	// Epoch fencing doubles as a pre-compute barrier: no rank of a
 	// recovered job starts until the whole mesh agrees on the generation.
 	if err := m.fence(leased); err != nil {
@@ -251,31 +247,12 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 	if r.onUse != nil {
 		r.onUse(meshUse{job: jobID, m: m, leased: leased})
 	}
-	runErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					runErrs[rank] = fmt.Errorf("sched: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			runErrs[rank] = core.RunRank(m.eps[rank].Proc(), core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: opts.Span}, a, b, c)
-		}()
+	rep, err = core.MultiplyOn(m.procs, a, b, c, core.Config{Layout: plan.Layout, Checkpoint: opts.Checkpoint, Span: opts.Span})
+	if err != nil {
+		return nil, pickRootCause(err)
 	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	if err := pickRootCause(runErrs); err != nil {
-		return nil, err
-	}
-
-	now := m.counters()
-	r.auditVolume(plan, m.folded, now, opts.Span)
-
-	return buildNetmpiReport(plan, m.folded, now, elapsed), nil
+	r.auditVolume(plan, m.folded, m.counters(), opts.Span)
+	return rep, nil
 }
 
 // startGrayMonitor launches the per-mesh gray-failure monitor and returns
@@ -383,7 +360,7 @@ func (r *NetmpiRunner) foldStats(m *mesh) {
 		r.netPeers = make(map[NetPeerKey]NetPeerCounters)
 	}
 	for i := range now {
-		st, was := now[i].stats, m.folded[i].stats
+		st, was := now[i], m.folded[i]
 		r.netEpochRejects += uint64(st.EpochRejects - was.EpochRejects)
 		for j, ps := range st.Peers {
 			var w netmpi.PeerStats
@@ -417,14 +394,14 @@ func (r *NetmpiRunner) foldStats(m *mesh) {
 // now against the mark was), records the per-shape audit, and stamps the
 // attempt span. Only successful attempts are audited: a failed attempt's
 // observed bytes reflect a truncated run.
-func (r *NetmpiRunner) auditVolume(plan *Plan, was, now []epCounters, span obs.SpanHandle) {
+func (r *NetmpiRunner) auditVolume(plan *Plan, was, now []netmpi.Stats, span obs.SpanHandle) {
 	var predicted int64
 	for _, v := range plan.Layout.CommVolumes() {
 		predicted += int64(v) * 8
 	}
 	var observed int64
 	for i := range now {
-		observed += now[i].stats.TotalRecvBytes() - was[i].stats.TotalRecvBytes()
+		observed += now[i].TotalRecvBytes() - was[i].TotalRecvBytes()
 	}
 	ratio := 0.0
 	if predicted > 0 {
@@ -461,10 +438,11 @@ func (r *NetmpiRunner) NetMetrics() (NetCounters, map[string]CommVolume) {
 }
 
 // pickRootCause selects the most informative failure from the per-rank
-// errors. A single worker death cascades: the rank that directly observed
-// the victim's socket die reports a *netmpi.PeerFailedError* caused by
-// EOF/reset (naming the true victim), other survivors then time out on the
-// poisoned detector (naming the wrong rank), and the victim itself sees
+// errors joined in err, in rank order (core.MultiplyOn's, or the fence's).
+// A single worker death cascades: the rank that directly observed the
+// victim's socket die reports a *netmpi.PeerFailedError* caused by EOF/reset
+// (naming the true victim), other survivors then time out on the poisoned
+// detector (naming the wrong rank), and the victim itself sees
 // its own locally-closed sockets. Remote-death evidence therefore
 // outranks deadline expiry, which outranks local-close artifacts.
 //
@@ -472,9 +450,13 @@ func (r *NetmpiRunner) NetMetrics() (NetCounters, map[string]CommVolume) {
 // evidence strength break toward the lowest accused rank, then the lowest
 // observing rank — the recovery loop drops exactly one rank per attempt,
 // so two runs of the same casualty pattern must accuse the same victim.
-func pickRootCause(runErrs []error) error {
+func pickRootCause(err error) error {
+	errs := []error{err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = j.Unwrap()
+	}
 	best, bestPrio, bestVictim := error(nil), -1, 0
-	for _, err := range runErrs {
+	for _, err := range errs {
 		if err == nil {
 			continue
 		}
@@ -517,33 +499,4 @@ func failurePriority(err error) int {
 	default:
 		return 2
 	}
-}
-
-// buildNetmpiReport assembles the report of one run from what each endpoint
-// counted during it (counters now against the mark was).
-func buildNetmpiReport(plan *Plan, was, now []epCounters, elapsed float64) *core.Report {
-	p := plan.Layout.P
-	rep := &core.Report{N: plan.Layout.N, ExecutionTime: elapsed, PerRank: make([]trace.Breakdown, p)}
-	for rank := range now {
-		comp := now[rank].compute - was[rank].compute
-		comm := now[rank].comm - was[rank].comm
-		rep.PerRank[rank] = trace.Breakdown{
-			Rank:        rank,
-			ComputeTime: comp,
-			CommTime:    comm,
-			BytesMoved:  int(now[rank].bytes - was[rank].bytes),
-			Finish:      elapsed,
-		}
-		if comp > rep.ComputeTime {
-			rep.ComputeTime = comp
-		}
-		if comm > rep.CommTime {
-			rep.CommTime = comm
-		}
-	}
-	if elapsed > 0 {
-		n := float64(plan.Layout.N)
-		rep.GFLOPS = 2 * n * n * n / elapsed / 1e9
-	}
-	return rep
 }

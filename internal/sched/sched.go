@@ -4,7 +4,7 @@
 // planning cost once per distinct plan, and a fixed pool of worker slots
 // executes jobs, one at a time each and in arrival order, over either the
 // in-process runtime (core.Multiply) or a loopback netmpi mesh
-// (core.RunRank per rank over TCP, exercising the fault-tolerant runtime
+// (core.MultiplyOn over its endpoints, exercising the fault-tolerant runtime
 // under concurrent load).
 //
 // The life of a job: Submit → admission (queue caps; typed QueueFullError
@@ -85,8 +85,8 @@ type JobSpec struct {
 	UseFPM bool
 	// Seed generates the deterministic random A and B.
 	Seed int64
-	// Verify checks the result against a serial reference after the run
-	// (O(N³) on one core — for tests and small jobs).
+	// Verify checks the result bit for bit against a one-rank reference
+	// DGEMM after the run (O(N³) on one core — for tests and small jobs).
 	Verify bool
 	// Class is the SLO class the job was admitted under ("" means the
 	// default objective). It labels the SLO request/latency series and is
@@ -123,8 +123,8 @@ type JobView struct {
 	// digits; jobs with equal N and seed produce equal digests
 	// whatever their shape, plan, runner or recovery path.
 	Digest string
-	// Verified is true when Spec.Verify was set and the result matched
-	// the serial reference.
+	// Verified is true when Spec.Verify was set and the result equalled
+	// the one-rank reference bit for bit.
 	Verified bool
 	// Err is the terminal error for StateFailed.
 	Err error
@@ -152,11 +152,6 @@ type JobView struct {
 	// Trace is the job's span recorder when Config.Observe is set (shared —
 	// read it via Recorder.Spans, which snapshots; nil otherwise).
 	Trace *obs.Recorder
-	// AttemptStartedAt is the wall-clock start of the job's most recent run
-	// attempt — the anchor for aligning the engine timeline (whose events
-	// are relative to attempt start) with span time in merged trace
-	// exports.
-	AttemptStartedAt time.Time
 }
 
 // QueueFullError is the admission rejection: the global queue or the

@@ -102,14 +102,12 @@ type job struct {
 	recoveryTime  time.Duration
 
 	// Observability (Config.Observe): the job's span recorder, its root
-	// span, the queue-wait span ended at dequeue, the run span ended at
-	// finish, and the wall-clock start of the current run attempt (the
-	// anchor for aligning engine timelines with span time).
-	rec          *obs.Recorder
-	root         obs.SpanHandle
-	spQueue      obs.SpanHandle
-	spRun        obs.SpanHandle
-	attemptStart time.Time
+	// span, the queue-wait span ended at dequeue and the run span ended at
+	// finish.
+	rec     *obs.Recorder
+	root    obs.SpanHandle
+	spQueue obs.SpanHandle
+	spRun   obs.SpanHandle
 
 	enqueued, started, finished time.Time
 }
@@ -389,8 +387,7 @@ func (s *Scheduler) viewLocked(j *job) JobView {
 		StartedAt:     j.started,
 		FinishedAt:    j.finished,
 
-		Trace:            j.rec,
-		AttemptStartedAt: j.attemptStart,
+		Trace: j.rec,
 	}
 }
 
@@ -504,9 +501,6 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	rep := res.rep
 	plan = res.plan
 	rep.Shape = plan.Shape
-	if rep.OptimalityRatio == 0 {
-		rep.OptimalityRatio = plan.OptimalityRatio
-	}
 	// Straggler analytics over the stage spans of the attempt that produced
 	// the report: a recovered job's surviving ranks only.
 	if j.rec != nil {
@@ -526,7 +520,7 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 			s.finish(j, rep, digest, false, err)
 			return
 		}
-		if !matrix.EqualApprox(c, want, 1e-9) {
+		if !matrix.Equal(c, want) {
 			vsp.Str("error", "mismatch").End()
 			s.finish(j, rep, digest, false,
 				fmt.Errorf("sched: verification failed: max diff %g", matrix.MaxAbsDiff(c, want)))
@@ -563,7 +557,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		// Recovery disabled, or the runner can never produce the
 		// rank-attributed failures recovery needs (inproc): run plain, with
 		// no checkpoint overhead that could never pay off.
-		att := s.startAttempt(j, 0)
+		att := j.root.Child("attempt").Int("epoch", 0)
 		rep, err := s.cfg.Runner.Run(j.id, plan, a, b, c, RunOpts{Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		return rep, plan, err
@@ -590,7 +584,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 	var firstFailure time.Time
 	cur := plan
 	for epoch := 0; ; epoch++ {
-		att := s.startAttempt(j, epoch)
+		att := j.root.Child("attempt").Int("epoch", int64(epoch))
 		rep, err := s.cfg.Runner.Run(j.id, cur, a, b, c,
 			RunOpts{Checkpoint: binding, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
@@ -667,17 +661,6 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		rsp.End()
 		cur = nextPlan
 	}
-}
-
-// startAttempt opens one run attempt's span and stamps the job's
-// attempt-start wall clock (the alignment anchor between span time and the
-// engine timeline of the attempt that produced the final report).
-func (s *Scheduler) startAttempt(j *job, epoch int) obs.SpanHandle {
-	att := j.root.Child("attempt").Int("epoch", int64(epoch))
-	s.mu.Lock()
-	j.attemptStart = time.Now()
-	s.mu.Unlock()
-	return att
 }
 
 // lastAttemptSpans filters spans, a job recorder's in start order, down to

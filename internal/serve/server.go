@@ -281,13 +281,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Timeline events are relative to the attempt's start; spans are
-	// relative to admission. Shift the timeline lane onto the span clock.
-	var tlOffset time.Duration
-	if tl != nil && !view.AttemptStartedAt.IsZero() {
-		tlOffset = view.AttemptStartedAt.Sub(rec.T0())
-	}
-	if err := obs.WriteChromeTrace(w, rec, tl, tlOffset); err != nil {
+	if err := obs.WriteChromeTrace(w, rec, tl); err != nil {
 		s.log.Error("trace write failed", "job", view.ID, "err", err)
 	}
 }

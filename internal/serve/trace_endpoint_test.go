@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +18,8 @@ import (
 // GET /jobs/{id}/trace?format=chrome serves one Chrome trace holding the
 // scheduler spans (pid 0) and every rank's engine stage spans on the
 // engine lane (pid ChromePIDEngine, tid = rank). (The timeline lane, pid
-// 2, appears only on runtimes that record a trace.Timeline — see the
-// inproc test below.)
+// 2, is there on both runners: TestTraceTimelineAligned checks where it
+// lies.)
 func TestTraceEndpointMergedExport(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Sched.Runner = &sched.NetmpiRunner{OpTimeout: 10 * time.Second}
@@ -114,6 +116,75 @@ func TestTraceEndpointMergesTimelineLane(t *testing.T) {
 		if !pids[pid] {
 			t.Errorf("merged inproc trace has no events in pid lane %d", pid)
 		}
+	}
+}
+
+// TestTraceTimelineAligned: on both runners the export places the engine's
+// Timeline (pid 2) from its own Origin, on the spans' clock: every Timeline
+// event lies inside the attempt span, and each DGEMM starts where the
+// engine's span of the same rectangle on the same rank (pid 1) starts.
+func TestTraceTimelineAligned(t *testing.T) {
+	for _, runner := range []sched.Runner{&sched.InprocRunner{}, &sched.NetmpiRunner{OpTimeout: 10 * time.Second}} {
+		t.Run(runner.Name(), func(t *testing.T) {
+			_, ts := newTestServer(t, func(c *Config) {
+				c.Sched.Runner = runner
+				c.Sched.Observe = true
+			})
+			_, raw := postJob(t, ts, `{"n": 48, "shape": "square-corner", "seed": 4}`)
+			var sub SubmitResponse
+			if err := json.Unmarshal(raw, &sub); err != nil {
+				t.Fatal(err)
+			}
+			pollTerminal(t, ts, sub.ID)
+			resp, err := http.Get(ts.URL + "/jobs/" + sub.ID + "/trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var events []trace.ChromeEvent
+			if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
+				t.Fatal(err)
+			}
+
+			var attempt *trace.ChromeEvent
+			spans := map[[2]any]trace.ChromeEvent{} // {name, rank} → engine span
+			for i, e := range events {
+				switch {
+				case e.PID == obs.ChromePIDService && e.Name == "attempt":
+					attempt = &events[i]
+				case e.PID == obs.ChromePIDEngine:
+					spans[[2]any{e.Name, e.TID}] = e
+				}
+			}
+			if attempt == nil {
+				t.Fatal("no attempt span in the trace")
+			}
+			const slackUs, dgemmUs = 1, 100
+			tlEvents, dgemms := 0, 0
+			for _, e := range events {
+				if e.PID != obs.ChromePIDTimeline {
+					continue
+				}
+				tlEvents++
+				if e.TsUs < attempt.TsUs-slackUs || e.TsUs+e.DurUs > attempt.TsUs+attempt.DurUs+slackUs {
+					t.Errorf("timeline event %s on rank %d at [%.1f, %.1f] µs lies outside the attempt span [%.1f, %.1f] µs",
+						e.Name, e.TID, e.TsUs, e.TsUs+e.DurUs, attempt.TsUs, attempt.TsUs+attempt.DurUs)
+				}
+				if !strings.HasPrefix(e.Name, "dgemm[") {
+					continue
+				}
+				dgemms++
+				sp, ok := spans[[2]any{e.Name, e.TID}]
+				if !ok {
+					t.Errorf("timeline event %s on rank %d has no engine span of its name", e.Name, e.TID)
+				} else if d := math.Abs(e.TsUs - sp.TsUs); d > dgemmUs {
+					t.Errorf("timeline event %s on rank %d starts %.1f µs from its engine span, want within %d µs", e.Name, e.TID, d, dgemmUs)
+				}
+			}
+			if tlEvents == 0 || dgemms == 0 {
+				t.Fatalf("the trace has %d timeline events, %d of them DGEMMs: want both", tlEvents, dgemms)
+			}
+		})
 	}
 }
 

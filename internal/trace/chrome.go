@@ -23,8 +23,8 @@ type ChromeEvent struct {
 
 // ChromeEvents converts the timeline into complete ("X") trace events: one
 // thread per rank under the given pid, times in microseconds shifted by
-// offsetSec (merged exports use the offset to place engine-clock events on
-// the recorder's wall clock).
+// offsetSec (merged exports use the Origin's distance from their own time
+// zero).
 func ChromeEvents(t *Timeline, pid int, offsetSec float64) []ChromeEvent {
 	events := t.Events()
 	out := make([]ChromeEvent, 0, len(events))

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Kind classifies a timeline event.
@@ -41,7 +42,8 @@ func (k Kind) String() string {
 }
 
 // Event is one interval on a rank's timeline. Times are seconds on that
-// rank's clock (virtual or real depending on the engine).
+// rank's clock: since the Timeline's Origin for a real run, virtual for a
+// simulated one.
 type Event struct {
 	Rank  int
 	Kind  Kind
@@ -60,6 +62,12 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 
 // Timeline collects events from concurrently running ranks.
 type Timeline struct {
+	// Origin is the wall-clock instant a real run's event times count
+	// from, so a merged export can place the events beside other records
+	// of the run; zero on a simulated (virtual-clock) timeline. Set it
+	// before the first Add.
+	Origin time.Time
+
 	mu     sync.Mutex
 	events []Event
 }
