@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/slo"
 )
 
 // routerMetrics holds the router's own instrument families on a shared
@@ -22,6 +23,7 @@ type routerMetrics struct {
 	rejected    *metrics.CounterVec // reason
 	proxyErrors *metrics.CounterVec // instance
 	admitted    *metrics.CounterVec // tenant
+	tenants     slo.TenantLabels    // folds admitted's tenant label
 
 	fairnessWindow time.Duration
 }
@@ -94,6 +96,15 @@ func newRouterMetrics(backends []*Backend, fairnessWindow, sampleInterval time.D
 		emit(m.jain(time.Now()))
 	})
 	return m
+}
+
+// admit counts one admitted job of tenant ("" is "default"); tenants past
+// the first slo.MaxTenantLabels share tenant="other".
+func (m *routerMetrics) admit(tenant string) {
+	if tenant == "" {
+		tenant = "default"
+	}
+	m.admitted.With(m.tenants.Label(tenant)).Inc()
 }
 
 // jain computes the Jain fairness index J = (Σx)² / (n·Σx²) over the

@@ -85,6 +85,9 @@ type Router struct {
 	sampler       *metrics.Sampler
 	tenantClasses map[string]string
 
+	// jobs holds the records of the newest maxJobRecords × len(backends)
+	// submissions. IDs are issued in sequence and evicted oldest first, so
+	// jobs always holds the IDs r-(nextID-len(jobs)+1) … r-(nextID).
 	mu     sync.Mutex
 	jobs   map[string]*jobRecord
 	nextID int
@@ -102,12 +105,18 @@ type jobRecord struct {
 	mu         sync.Mutex
 	backend    *Backend
 	localID    string
-	body       []byte // original submit body, replayed on failover
+	body       []byte // original submit body, replayed on failover; nil once terminal
 	planKey    string
 	class      string // SLO class forwarded as X-SLO-Class, replayed too
 	reroutes   int
 	lastStatus *serve.JobStatus // last successfully proxied status
 }
+
+// maxJobRecords bounds the router's job records per backend. Past
+// maxJobRecords × len(backends), each submission evicts the oldest record;
+// its ID then answers 404 "job_expired", as the instance does once its own
+// history (sched's maxTerminalJobs, the same 4 096) has dropped the job.
+const maxJobRecords = 4096
 
 // New builds a router, probes every backend once so initial health and
 // load are known, and starts the background prober.
@@ -336,7 +345,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	r.nextID++
 	rec := &jobRecord{
-		id:      fmt.Sprintf("r-%06d", r.nextID),
+		id:      routerJobID(r.nextID),
 		backend: backend,
 		localID: accepted.ID,
 		body:    body,
@@ -344,12 +353,11 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		class:   class,
 	}
 	r.jobs[rec.id] = rec
-	r.mu.Unlock()
-	tenant := sub.Tenant
-	if tenant == "" {
-		tenant = "default"
+	if len(r.jobs) > maxJobRecords*len(r.backends) {
+		delete(r.jobs, routerJobID(r.nextID-len(r.jobs)+1))
 	}
-	r.metrics.admitted.With(tenant).Inc()
+	r.mu.Unlock()
+	r.metrics.admit(sub.Tenant)
 
 	r.log.Info("routed", "job", rec.id, "instance", backend.ID, "local_id", accepted.ID,
 		"policy", r.policy.Name(), "tenant", sub.Tenant)
@@ -400,10 +408,9 @@ func (r *Router) placeJob(planKey, class string, body []byte, exclude map[string
 }
 
 func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
-	rec := r.lookup(req.PathValue("id"))
-	if rec == nil {
-		writeError(w, http.StatusNotFound,
-			&serve.ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", req.PathValue("id"))})
+	rec, derr := r.lookup(req.PathValue("id"))
+	if derr != nil {
+		writeError(w, http.StatusNotFound, derr)
 		return
 	}
 	rec.mu.Lock()
@@ -418,11 +425,16 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		rec.lastStatus = &st
+		if terminal(st) {
+			rec.body = nil // a finished job is never replayed
+		}
 		writeJSON(w, http.StatusOK, r.clusterStatus(rec, st))
 		return
 	}
-	if err == nil && resp.status != http.StatusNotFound {
-		// Unexpected instance answer (500 etc.): proxy verbatim.
+	if err == nil && (resp.status != http.StatusNotFound || errorKindOf(resp) == "job_expired") {
+		// Unexpected instance answer (500 etc.), or a job the instance
+		// finished long ago and no longer keeps: proxy verbatim. An expired
+		// job must not re-route, or it would run a second time.
 		proxyRaw(w, resp)
 		return
 	}
@@ -433,7 +445,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		r.metrics.proxyErrors.With(rec.backend.ID).Inc()
 	}
-	if rec.lastStatus != nil && (rec.lastStatus.State == "done" || rec.lastStatus.State == "failed") {
+	if rec.lastStatus != nil && terminal(*rec.lastStatus) {
 		writeJSON(w, http.StatusOK, r.clusterStatus(rec, *rec.lastStatus))
 		return
 	}
@@ -486,6 +498,21 @@ func (r *Router) rerouteLocked(w http.ResponseWriter, rec *jobRecord, cause erro
 	})
 }
 
+// terminal reports whether an instance status is final.
+func terminal(st serve.JobStatus) bool { return st.State == "done" || st.State == "failed" }
+
+// errorKindOf reads the typed error kind of an instance's error response
+// ("" when the body is not one).
+func errorKindOf(resp *backendResponse) string {
+	var e struct {
+		Error *serve.ErrorDTO `json:"error"`
+	}
+	if json.Unmarshal(resp.body, &e) != nil || e.Error == nil {
+		return ""
+	}
+	return e.Error.Kind
+}
+
 // clusterStatus rewrites an instance-scoped status into the cluster view.
 func (r *Router) clusterStatus(rec *jobRecord, st serve.JobStatus) RouterJobStatus {
 	st.ID = rec.id
@@ -493,10 +520,9 @@ func (r *Router) clusterStatus(rec *jobRecord, st serve.JobStatus) RouterJobStat
 }
 
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
-	rec := r.lookup(req.PathValue("id"))
-	if rec == nil {
-		writeError(w, http.StatusNotFound,
-			&serve.ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", req.PathValue("id"))})
+	rec, derr := r.lookup(req.PathValue("id"))
+	if derr != nil {
+		writeError(w, http.StatusNotFound, derr)
 		return
 	}
 	rec.mu.Lock()
@@ -731,11 +757,23 @@ func (r *Router) handleFlightRecorder(w http.ResponseWriter, req *http.Request) 
 	})
 }
 
-func (r *Router) lookup(id string) *jobRecord {
+// lookup returns a job's record, or the 404 body for an ID the router
+// evicted ("job_expired") or never issued ("not_found").
+func (r *Router) lookup(id string) (*jobRecord, *serve.ErrorDTO) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jobs[id]
+	if rec, ok := r.jobs[id]; ok {
+		return rec, nil
+	}
+	var seq int
+	if _, err := fmt.Sscanf(id, "r-%d", &seq); err == nil && seq >= 1 && seq <= r.nextID && routerJobID(seq) == id {
+		return nil, &serve.ErrorDTO{Kind: "job_expired", Message: fmt.Sprintf("job %q expired: the router no longer keeps it", id)}
+	}
+	return nil, &serve.ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", id)}
 }
+
+// routerJobID formats the router's seq-th job ID.
+func routerJobID(seq int) string { return fmt.Sprintf("r-%06d", seq) }
 
 func proxyRaw(w http.ResponseWriter, resp *backendResponse) {
 	if resp.contentType != "" {
@@ -748,9 +786,7 @@ func proxyRaw(w http.ResponseWriter, resp *backendResponse) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
 }
 
 func writeError(w http.ResponseWriter, status int, e *serve.ErrorDTO) {

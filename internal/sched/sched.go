@@ -152,6 +152,9 @@ type JobView struct {
 	// Trace is the job's span recorder when Config.Observe is set (shared —
 	// read it via Recorder.Spans, which snapshots; nil otherwise).
 	Trace *obs.Recorder
+	// TraceExpired is set once the job has fallen out of the newest
+	// maxTracedJobs terminal jobs: Trace and Report.Timeline were dropped.
+	TraceExpired bool
 }
 
 // QueueFullError is the admission rejection: the global queue or the
@@ -173,6 +176,13 @@ func (e *QueueFullError) Error() string {
 // ErrDraining rejects submissions after Drain has begun. Servers map it
 // to 503.
 var ErrDraining = errors.New("sched: scheduler is draining")
+
+// ErrJobNotFound is Scheduler.Get's answer for an ID it never issued.
+var ErrJobNotFound = errors.New("sched: unknown job")
+
+// ErrJobExpired is Scheduler.Get's answer for a job that finished more than
+// maxTerminalJobs terminal jobs ago: its status was dropped to bound memory.
+var ErrJobExpired = errors.New("sched: job expired")
 
 // ErrJobTimeout fails a job whose run exceeded Config.JobTimeout. The
 // underlying computation cannot be preempted mid-DGEMM; it finishes in the

@@ -103,11 +103,13 @@ type job struct {
 
 	// Observability (Config.Observe): the job's span recorder, its root
 	// span, the queue-wait span ended at dequeue and the run span ended at
-	// finish.
-	rec     *obs.Recorder
-	root    obs.SpanHandle
-	spQueue obs.SpanHandle
-	spRun   obs.SpanHandle
+	// finish. dropTrace clears them, and the Report's Timeline, once the job
+	// falls out of the newest maxTracedJobs terminal jobs (traceDropped).
+	rec          *obs.Recorder
+	root         obs.SpanHandle
+	spQueue      obs.SpanHandle
+	spRun        obs.SpanHandle
+	traceDropped bool
 
 	enqueued, started, finished time.Time
 }
@@ -174,6 +176,11 @@ type Scheduler struct {
 	stopped    bool
 	nextID     int
 	counters   Counters
+	// history holds the terminal jobs still in jobs, oldest first: a ring
+	// of maxTerminalJobs slots, histLen of them in use from histHead.
+	history  [maxTerminalJobs]*job
+	histHead int
+	histLen  int
 
 	wg sync.WaitGroup // worker goroutines
 
@@ -253,15 +260,30 @@ func (s *Scheduler) Submit(spec JobSpec) (JobView, error) {
 	return s.viewLocked(j), nil
 }
 
-// Get returns a snapshot of the job, if known.
-func (s *Scheduler) Get(id string) (JobView, bool) {
+// Get returns a snapshot of the job. It fails with ErrJobExpired for a job
+// that finished more than maxTerminalJobs terminal jobs ago, and with
+// ErrJobNotFound for an ID this scheduler never issued.
+func (s *Scheduler) Get(id string) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobView{}, false
+	if j, ok := s.jobs[id]; ok {
+		return s.viewLocked(j), nil
 	}
-	return s.viewLocked(j), true
+	// IDs are issued in sequence and only terminal jobs leave jobs, so an
+	// issued ID that is not there was evicted.
+	if seq, ok := jobSeq(id); ok && seq <= s.nextID {
+		return JobView{}, ErrJobExpired
+	}
+	return JobView{}, ErrJobNotFound
+}
+
+// jobSeq parses a job ID as Submit formats it, "j-%06d".
+func jobSeq(id string) (int, bool) {
+	var seq int
+	if _, err := fmt.Sscanf(id, "j-%d", &seq); err != nil || seq < 1 || fmt.Sprintf("j-%06d", seq) != id {
+		return 0, false
+	}
+	return seq, true
 }
 
 // Metrics returns a snapshot of queue and pool state.
@@ -387,7 +409,8 @@ func (s *Scheduler) viewLocked(j *job) JobView {
 		StartedAt:     j.started,
 		FinishedAt:    j.finished,
 
-		Trace: j.rec,
+		Trace:        j.rec,
+		TraceExpired: j.traceDropped,
 	}
 }
 
@@ -439,7 +462,7 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.spRun = j.root.Child("run").Str("runner", s.cfg.Runner.Name())
-	spec := j.spec
+	spec, root := j.spec, j.root
 	s.mu.Unlock()
 
 	n := spec.N
@@ -455,7 +478,7 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 
 	resCh := make(chan runResult, 1)
 	go func() {
-		rep, finalPlan, err := s.runWithRecovery(jobCtx, j, plan, a, b, c)
+		rep, finalPlan, err := s.runWithRecovery(jobCtx, j, root, plan, a, b, c)
 		resCh <- runResult{rep, finalPlan, err}
 	}()
 
@@ -550,14 +573,16 @@ func jobOperands(n int, seed int64) (a, b, c *matrix.Dense) {
 // MaxRecoveryAttempts times. It returns the report together with the plan
 // that finally ran (recovery changes the layout mid-job). ctx cancellation
 // (drain or job timeout) stops the loop: once the job has been reported
-// terminal elsewhere, no further attempt or accounting happens.
-func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, b, c *matrix.Dense) (*core.Report, *Plan, error) {
+// terminal elsewhere, no further attempt or accounting happens. Its spans
+// hang off root, the job's root span, passed in because a timed-out job's
+// run outlives the job: dropTrace may clear j.root while it still records.
+func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, root obs.SpanHandle, plan *Plan, a, b, c *matrix.Dense) (*core.Report, *Plan, error) {
 	maxAttempts := s.cfg.MaxRecoveryAttempts
 	if maxAttempts <= 0 || !runnerRecoverable(s.cfg.Runner) {
 		// Recovery disabled, or the runner can never produce the
 		// rank-attributed failures recovery needs (inproc): run plain, with
 		// no checkpoint overhead that could never pay off.
-		att := j.root.Child("attempt").Int("epoch", 0)
+		att := root.Child("attempt").Int("epoch", 0)
 		rep, err := s.cfg.Runner.Run(j.id, plan, a, b, c, RunOpts{Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		return rep, plan, err
@@ -584,7 +609,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 	var firstFailure time.Time
 	cur := plan
 	for epoch := 0; ; epoch++ {
-		att := j.root.Child("attempt").Int("epoch", int64(epoch))
+		att := root.Child("attempt").Int("epoch", int64(epoch))
 		rep, err := s.cfg.Runner.Run(j.id, cur, a, b, c,
 			RunOpts{Checkpoint: binding, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
@@ -617,7 +642,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, plan *Plan, a, 
 		origVictim := world[victim]
 		var dp *netmpi.DegradedPeerError
 		gray := errors.As(err, &dp)
-		rsp := j.root.Child("recover").Int("epoch", int64(epoch)).Int("victim", int64(origVictim))
+		rsp := root.Child("recover").Int("epoch", int64(epoch)).Int("victim", int64(origVictim))
 		if gray {
 			rsp.Str("cause", "gray-degraded")
 		}
@@ -766,11 +791,56 @@ func (s *Scheduler) finish(j *job, rep *core.Report, digest string, verified boo
 		delete(s.tenantLoad, j.spec.Tenant)
 	}
 	view := s.viewLocked(j)
+	s.retireLocked(j)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if s.cfg.OnJobDone != nil {
 		s.cfg.OnJobDone(view)
 	}
+}
+
+// maxTracedJobs bounds how many terminal jobs keep their trace (span
+// recorder and engine Timeline, ~7 KB each with Observe on), and
+// maxTerminalJobs how many keep their status (~1.5 KB each). Older terminal
+// jobs lose the one and then the other, so a scheduler holds about 2 MB of
+// traces and 6 MB of statuses however long it runs. Queued, planning and
+// running jobs are never evicted.
+const (
+	maxTracedJobs   = 256
+	maxTerminalJobs = 4096
+)
+
+// retireLocked appends a job that just became terminal to the history. The
+// job that thereby falls out of the newest maxTracedJobs drops its trace,
+// and the one that falls out of the newest maxTerminalJobs leaves jobs.
+// Callers hold s.mu.
+func (s *Scheduler) retireLocked(j *job) {
+	if s.histLen == maxTerminalJobs {
+		old := s.history[s.histHead]
+		delete(s.jobs, old.id)
+		s.history[s.histHead] = nil
+		s.histHead = (s.histHead + 1) % maxTerminalJobs
+		s.histLen--
+	}
+	s.history[(s.histHead+s.histLen)%maxTerminalJobs] = j
+	s.histLen++
+	if s.histLen > maxTracedJobs {
+		dropTrace(s.history[(s.histHead+s.histLen-1-maxTracedJobs)%maxTerminalJobs])
+	}
+}
+
+// dropTrace releases a terminal job's span recorder and engine Timeline.
+// The Report is replaced, not edited: a JobView handed out earlier may
+// still be reading the old one.
+func dropTrace(j *job) {
+	j.rec = nil
+	j.root, j.spQueue, j.spRun = obs.SpanHandle{}, obs.SpanHandle{}, obs.SpanHandle{}
+	if j.report != nil && j.report.Timeline != nil {
+		rep := *j.report
+		rep.Timeline = nil
+		j.report = &rep
+	}
+	j.traceDropped = true
 }
 
 // MatrixDigest is matrix.Digest, kept for callers that name it here.

@@ -43,9 +43,9 @@ func waitTerminal(t *testing.T, s *Scheduler, id string, budget time.Duration) J
 	t.Helper()
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
-		v, ok := s.Get(id)
-		if !ok {
-			t.Fatalf("job %s unknown", id)
+		v, err := s.Get(id)
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
 		}
 		if v.State.Terminal() {
 			return v

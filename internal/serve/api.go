@@ -72,7 +72,9 @@ type PlanDTO struct {
 // request.
 type ErrorDTO struct {
 	// Kind classifies the failure: "bad_request", "bad_shape", "memory",
-	// "timeout", "peer_failed", "queue_full", "draining", "internal".
+	// "timeout", "peer_failed", "queue_full", "draining", "internal"; on a
+	// 404, "not_found" (an ID never issued), "job_expired" (a status no
+	// longer kept) or "trace_expired" (a kept job whose trace was dropped).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 	// Rank is the failed worker rank for kind "peer_failed".

@@ -42,6 +42,7 @@ type metricsRegistry struct {
 	recoveryLatency *metrics.Histogram    // first failure → terminal, recovered jobs
 	sloRequests     *metrics.CounterVec   // tenant/class/outcome — the availability SLI
 	sloLatency      *metrics.HistogramVec // tenant/class, successful jobs — the latency SLI
+	tenants         slo.TenantLabels      // folds the SLO families' tenant label
 }
 
 // newMetricsRegistry registers every serve-owned family in exposition
@@ -185,13 +186,15 @@ func sortedVolumeShapes(sm sched.Metrics) []string {
 // finish) so queueing shows up in the histograms, keyed by the planned
 // shape ("unplanned" when the job failed before planning). The SLO
 // series record every job under its (tenant, class): outcome for the
-// availability SLI, successful-job latency for the latency SLI.
+// availability SLI, successful-job latency for the latency SLI; tenants
+// past the first slo.MaxTenantLabels share tenant="other".
 func (m *metricsRegistry) observe(v sched.JobView, runtime string) {
 	shape := "unplanned"
 	if v.Plan != nil && v.Plan.Shape != "" {
 		shape = v.Plan.Shape
 	}
 	tenant, class := sloKey(v.Spec)
+	tenant = m.tenants.Label(tenant)
 	if v.Attempts > 0 && v.Err == nil {
 		m.recoveryLatency.Observe(v.RecoveryTime.Seconds())
 		m.events.Add("recovery", "job %s recovered from ranks %v in %.3fs (attempts=%d)",

@@ -17,6 +17,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -241,20 +242,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.sched.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			&ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+	view, err := s.sched.Get(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, lookupError(r.PathValue("id"), err))
 		return
 	}
 	writeJSON(w, http.StatusOK, jobStatus(view))
 }
 
+// lookupError is the 404 body for a job Scheduler.Get does not return:
+// "job_expired" when the scheduler dropped its status, "not_found" when it
+// never issued the ID.
+func lookupError(id string, err error) *ErrorDTO {
+	if errors.Is(err, sched.ErrJobExpired) {
+		return &ErrorDTO{Kind: "job_expired", Message: fmt.Sprintf("job %q expired: its status is no longer kept", id)}
+	}
+	return &ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", id)}
+}
+
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.sched.Get(r.PathValue("id"))
-	if !ok {
+	view, err := s.sched.Get(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, lookupError(r.PathValue("id"), err))
+		return
+	}
+	if view.TraceExpired {
 		writeError(w, http.StatusNotFound,
-			&ErrorDTO{Kind: "not_found", Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+			&ErrorDTO{Kind: "trace_expired", Message: fmt.Sprintf("job %q: its trace is no longer kept", view.ID)})
 		return
 	}
 	if format := r.URL.Query().Get("format"); format != "" && format != "chrome" {
@@ -377,9 +391,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
 }
 
 func writeError(w http.ResponseWriter, status int, e *ErrorDTO) {

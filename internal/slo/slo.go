@@ -63,6 +63,41 @@ const (
 	LatencyFamily = "summagen_slo_latency_seconds"
 )
 
+// MaxTenantLabels bounds the tenant label values a service exposes.
+// Tenant names come from clients, and each new value would add a child to
+// every tenant-labelled family, and a series to the store, for ever.
+const MaxTenantLabels = 64
+
+// OtherTenant is the label value of every tenant past the first
+// MaxTenantLabels.
+const OtherTenant = "other"
+
+// TenantLabels folds client-chosen tenant names into at most
+// MaxTenantLabels + 1 label values: the first MaxTenantLabels distinct
+// names keep their own, every later one reads OtherTenant. The zero value
+// is ready to use, and it is safe for concurrent use.
+type TenantLabels struct {
+	mu   sync.Mutex
+	seen map[string]struct{}
+}
+
+// Label returns the label value for tenant.
+func (t *TenantLabels) Label(tenant string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.seen[tenant]; ok {
+		return tenant
+	}
+	if len(t.seen) >= MaxTenantLabels {
+		return OtherTenant
+	}
+	if t.seen == nil {
+		t.seen = map[string]struct{}{}
+	}
+	t.seen[tenant] = struct{}{}
+	return tenant
+}
+
 // Config wires an engine to its store and objectives.
 type Config struct {
 	Store *metrics.Store
