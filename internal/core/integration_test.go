@@ -155,7 +155,7 @@ type panicOnRank struct {
 	saved *atomic.Int64
 }
 
-func (k panicOnRank) Restore(r0, c0, _, _ int, _ []float64, _ int) bool {
+func (k panicOnRank) Restore(r0, c0, _, _ int) bool {
 	i, j := 0, 0
 	for top := 0; top < r0; i++ {
 		top += k.l.RowHeights[i]
@@ -170,7 +170,7 @@ func (k panicOnRank) Restore(r0, c0, _, _ int, _ []float64, _ int) bool {
 	return false
 }
 
-func (k panicOnRank) Save(_, _, _, _ int, _ []float64, _ int) { k.saved.Add(1) }
+func (k panicOnRank) Save(_, _, _, _ int) { k.saved.Add(1) }
 
 // TestRankPanicIsAnError: a rank that panics, the caller's rank 0 or one on
 // its own goroutine, fails Multiply with an error naming the rank, leaves no

@@ -60,29 +60,22 @@ func TestScheduleDgemmCounts(t *testing.T) {
 	}
 }
 
-// cellCheckpointer restores exactly one cell, from the oracle, and counts
-// every Restore and Save by cell origin.
+// cellCheckpointer reports exactly one cell as final and counts every
+// Restore and Save by cell origin.
 type cellCheckpointer struct {
-	want            *matrix.Dense
 	r0, c0          int // the one cell Restore covers
 	mu              sync.Mutex
 	restores, saves map[[2]int]int
 }
 
-func (k *cellCheckpointer) Restore(r0, c0, h, w int, dst []float64, stride int) bool {
+func (k *cellCheckpointer) Restore(r0, c0, _, _ int) bool {
 	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.restores[[2]int{r0, c0}]++
-	k.mu.Unlock()
-	if r0 != k.r0 || c0 != k.c0 {
-		return false
-	}
-	for i := 0; i < h; i++ {
-		copy(dst[i*stride:i*stride+w], k.want.Data[(r0+i)*k.want.Stride+c0:])
-	}
-	return true
+	return r0 == k.r0 && c0 == k.c0
 }
 
-func (k *cellCheckpointer) Save(r0, c0, h, w int, src []float64, stride int) {
+func (k *cellCheckpointer) Save(r0, c0, _, _ int) {
 	k.mu.Lock()
 	k.saves[[2]int{r0, c0}]++
 	k.mu.Unlock()
@@ -92,7 +85,8 @@ func (k *cellCheckpointer) Save(r0, c0, h, w int, src []float64, stride int) {
 // cuts its run in two. Square-corner's rank 1 owns all of grid row 1;
 // restoring the middle cell leaves two DGEMMs for that row. Restore still
 // sees every owned cell once, Save every recomputed cell once, and C stays
-// exact.
+// exact: C is NaN except the restored cell, which holds the product as an
+// earlier attempt would have left it, and no DGEMM touches that cell.
 func TestCheckpointSplitsFusedRun(t *testing.T) {
 	const n = 128
 	rng := rand.New(rand.NewSource(6))
@@ -102,10 +96,13 @@ func TestCheckpointSplitsFusedRun(t *testing.T) {
 	if l.GridRows != 3 || l.GridCols != 3 || l.OwnerAt(1, 0) != 1 || l.OwnerAt(1, 1) != 1 || l.OwnerAt(1, 2) != 1 {
 		t.Fatalf("square-corner grid row 1 is not rank 1's alone: owners %v", l.Owner)
 	}
-	ck := &cellCheckpointer{want: want, r0: l.RowStart(1), c0: l.ColStart(1),
+	ck := &cellCheckpointer{r0: l.RowStart(1), c0: l.ColStart(1),
 		restores: map[[2]int]int{}, saves: map[[2]int]int{}}
 	for i := range c.Data {
 		c.Data[i] = math.NaN()
+	}
+	for r := l.RowStart(1); r < l.RowStart(2); r++ {
+		copy(c.Data[r*n+l.ColStart(1):r*n+l.ColStart(2)], want.Data[r*n+l.ColStart(1):])
 	}
 	rec := obs.NewRecorder()
 	if _, err := Multiply(a, b, c, Config{Layout: l, Checkpoint: ck, Span: rec.Root("job")}); err != nil {

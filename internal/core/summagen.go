@@ -78,7 +78,7 @@ type Config struct {
 	BcastAlg hockney.BcastAlgorithm
 	// Checkpoint, when non-nil, makes Multiply's and RunRank's compute
 	// stage resumable: each owned cell is looked up before the DGEMMs (a
-	// cell fully covered by checkpointed data is restored, never
+	// cell that earlier attempts finished in the same C is skipped, never
 	// recomputed) and saved after the DGEMM of its rectangle — the engine
 	// half of survivor-replan recovery (internal/recover).
 	Checkpoint Checkpointer
@@ -360,7 +360,7 @@ func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64
 			r0, c0 := s.rowStart[i], s.colStart[j]
 			rsp := stage.Child("ckpt-restore").OnRank(rank).Int("i", int64(i)).Int("j", int64(j))
 			hit := int64(0)
-			if cfg.Checkpoint.Restore(r0, c0, s.rowStart[i+1]-r0, s.colStart[j+1]-c0, c.Data[r0*c.Stride+c0:], c.Stride) {
+			if cfg.Checkpoint.Restore(r0, c0, s.rowStart[i+1]-r0, s.colStart[j+1]-c0) {
 				hit, restored[cell] = 1, true
 				if rec.tl != nil { // RunRank formats no label it would not record
 					rec.add(rank, trace.Compute, fmt.Sprintf("dgemm[%d,%d]/restored", i, j), 0, 0, rec.now())
@@ -394,7 +394,7 @@ func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64
 			for j := rc.j0; j < rc.j1; j++ {
 				r, col := s.rowStart[i], s.colStart[j]
 				ssp := stage.Child("ckpt-save").OnRank(rank).Int("i", int64(i)).Int("j", int64(j))
-				cfg.Checkpoint.Save(r, col, s.rowStart[i+1]-r, s.colStart[j+1]-col, c.Data[r*c.Stride+col:], c.Stride)
+				cfg.Checkpoint.Save(r, col, s.rowStart[i+1]-r, s.colStart[j+1]-col)
 				ssp.End()
 			}
 		}

@@ -284,7 +284,13 @@ func TestCorruptFrameHealedByRerequest(t *testing.T) {
 		t.Fatalf("receiver data counters polluted by corrupt frame: frames=%d bytes=%d",
 			rs.FramesRecv, rs.BytesRecv)
 	}
-	ss := eps[0].Stats().Peers[len(eps[0].Stats().Peers)-1]
+	// The sender counts a retransmit (frames, then bytes) once its write
+	// returns, which can be after the receiver's Recv returned the frame.
+	sender := func() PeerStats { p := eps[0].Stats().Peers; return p[len(p)-1] }
+	ss := sender()
+	for deadline := time.Now().Add(5 * time.Second); (ss.RetransmitFrames == 0 || ss.RetransmitBytes == 0) && time.Now().Before(deadline); ss = sender() {
+		time.Sleep(time.Millisecond)
+	}
 	if ss.RetransmitFrames != 1 || ss.RetransmitBytes != int64(8*len(want)) {
 		t.Fatalf("sender: retransmits=%d bytes=%d, want 1/%d", ss.RetransmitFrames, ss.RetransmitBytes, 8*len(want))
 	}

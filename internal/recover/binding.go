@@ -1,19 +1,16 @@
 package recover
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/slab"
-)
-
-// Binding is one job's checkpoint: it keeps the cells the job's attempts
-// finished, implements the core.Checkpointer hook, and remaps the cells
-// onto the cells of a (possibly replanned) layout. Cells are matched by
-// exact rectangle coverage: a cell of the new layout is restored only when
-// checkpointed rectangles cover every one of its elements, which stays
+// Binding is one job's checkpoint record: it keeps the coordinates of the
+// cells the job's attempts finished, implements the core.Checkpointer hook,
+// and matches them against the cells of a (possibly replanned) layout. The
+// values stay in the job's C, which every attempt writes. Cells are matched
+// by exact rectangle coverage: a cell of the new layout is restored only
+// when recorded rectangles cover every one of its elements, which stays
 // correct even when recovery attempts under different partitions leave
-// overlapping rectangles behind — every checkpointed element holds the same
-// final value, because each C element has exactly one value in an
+// overlapping rectangles behind — every finished element of C holds the
+// same final value, because each C element has exactly one value in an
 // exact-arithmetic-order-stable kernel.
 //
 // The zero Binding is empty and ready to use. A Binding is safe for
@@ -69,7 +66,7 @@ func subtract(out, rs []rect, s rect) []rect {
 }
 
 // coveredLocked reports whether the target rectangle is fully covered by
-// the checkpointed cells, handling overlaps exactly via region subtraction.
+// the recorded cells, handling overlaps exactly via region subtraction.
 // The remainder ping-pongs between the Binding's two scratch lists.
 func (b *Binding) coveredLocked(target rect) bool {
 	remaining, next := append(b.scratch[0][:0], target), b.scratch[1]
@@ -83,65 +80,30 @@ func (b *Binding) coveredLocked(target rect) bool {
 	return len(remaining) == 0
 }
 
-// Restore implements core.Checkpointer.
-func (b *Binding) Restore(r0, c0, h, w int, dst []float64, stride int) bool {
-	target := rect{r0, c0, r0 + h, c0 + w}
+// Restore implements core.Checkpointer: it reports whether the recorded
+// cells cover every element of the h×w cell at (r0, c0).
+func (b *Binding) Restore(r0, c0, h, w int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.coveredLocked(target) {
+	if !b.coveredLocked(rect{r0, c0, r0 + h, c0 + w}) {
 		return false
-	}
-	for _, cell := range b.cells {
-		in := intersect(target, cellRect(cell))
-		if in.empty() {
-			continue
-		}
-		for r := in.r0; r < in.r1; r++ {
-			srcRow := cell.Data[(r-cell.Row)*cell.W+(in.c0-cell.Col):]
-			dstRow := dst[(r-r0)*stride+(in.c0-c0):]
-			copy(dstRow[:in.c1-in.c0], srcRow[:in.c1-in.c0])
-		}
 	}
 	b.restored++
 	return true
 }
 
-// Save implements core.Checkpointer. The cell is copied out of src once,
-// into a buffer from the slab free list that the Binding keeps, never
-// writing it, until Release returns it.
-func (b *Binding) Save(r0, c0, h, w int, src []float64, stride int) {
-	cell := Cell{Row: r0, Col: c0, H: h, W: w, Data: slab.Get(h * w)}
-	for r := 0; r < h; r++ {
-		copy(cell.Data[r*w:(r+1)*w], src[r*stride:r*stride+w])
-	}
+// Save implements core.Checkpointer: it records the cell's coordinates.
+func (b *Binding) Save(r0, c0, h, w int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.computed++
 	if b.coveredLocked(rect{r0, c0, r0 + h, c0 + w}) {
 		b.redone++ // invariant breach: this cell should have been restored
 	}
-	b.cells = append(b.cells, cell)
+	b.cells = append(b.cells, Cell{Row: r0, Col: c0, H: h, W: w})
 }
 
-// Release hands the Data of every cell back to the slab free list and
-// forgets every cell, so a later Restore finds nothing. Release may be
-// called only once no Save or Restore can still run (every rank of every
-// run that used the Binding has returned) and no one still reads the Data
-// of cells from Cells — the slab package's ownership rules. A caller that
-// cannot prove both leaves the cells to the garbage collector. A second
-// Release is a no-op; a Save after Release checkpoints as before.
-func (b *Binding) Release() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, cell := range b.cells {
-		slab.Put(cell.Data)
-	}
-	clear(b.cells)
-	b.cells = b.cells[:0]
-}
-
-// Cells returns the cells saved so far, in save order. Their Data belongs
-// to the Binding: the caller must not write it, nor read it after Release.
+// Cells returns the cells saved so far, in save order.
 func (b *Binding) Cells() []Cell {
 	b.mu.Lock()
 	defer b.mu.Unlock()

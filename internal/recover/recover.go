@@ -5,10 +5,11 @@
 // vector, which means a dead rank is not fatal — the job can be replanned
 // over the survivors (internal/sched's planner), and the work already
 // finished does not have to be redone. Every C cell is computed by exactly one rank in one DGEMM,
-// so a finished cell is final whatever layout a later attempt uses. The
-// job's Binding keeps the cells its attempts finished, keyed by *global*
-// matrix coordinates, remaps them onto a replanned layout by exact
-// rectangle coverage and implements the engine's core.Checkpointer hook.
+// so a finished cell is final whatever layout a later attempt uses, and the
+// job's C, which every attempt writes, already holds it. The job's Binding
+// records which cells are final, keyed by *global* matrix coordinates,
+// matches them against a replanned layout by exact rectangle coverage and
+// implements the engine's core.Checkpointer hook.
 //
 // The driving loop — detect, attribute, drop the casualty, replan, resume —
 // lives in internal/sched; the netmpi mesh rebuild and epoch agreement live
@@ -18,11 +19,10 @@ package recover
 import "fmt"
 
 // Cell is one completed C sub-block, in global element coordinates of the
-// N×N result matrix. Data is row-major H×W.
+// N×N result matrix.
 type Cell struct {
 	Row, Col int
 	H, W     int
-	Data     []float64
 }
 
 // DropRank removes index dead from a survivor-ordered slice, returning a

@@ -111,7 +111,7 @@ func TestRouterTerminalRecordDropsBody(t *testing.T) {
 
 // 2·10⁴ jobs of as many tenants through router → serve in process leave the
 // router at maxJobRecords records and every tenant-labelled family at
-// slo.MaxTenantLabels + 1 children; the oldest router ID answers
+// slo.MaxLabels + 1 children; the oldest router ID answers
 // job_expired.
 func TestRouterJobRecordsBounded(t *testing.T) {
 	const total = 20_000
@@ -148,8 +148,8 @@ func TestRouterJobRecordsBounded(t *testing.T) {
 	}
 
 	for _, f := range rt.metrics.reg.Gather() {
-		if f.Name == "summagen_router_admitted_total" && len(f.Series) > slo.MaxTenantLabels+1 {
-			t.Errorf("%s has %d children, want at most %d", f.Name, len(f.Series), slo.MaxTenantLabels+1)
+		if f.Name == "summagen_router_admitted_total" && len(f.Series) > slo.MaxLabels+1 {
+			t.Errorf("%s has %d children, want at most %d", f.Name, len(f.Series), slo.MaxLabels+1)
 		}
 	}
 }

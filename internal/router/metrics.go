@@ -23,7 +23,7 @@ type routerMetrics struct {
 	rejected    *metrics.CounterVec // reason
 	proxyErrors *metrics.CounterVec // instance
 	admitted    *metrics.CounterVec // tenant
-	tenants     slo.TenantLabels    // folds admitted's tenant label
+	tenants     slo.Labels          // folds admitted's tenant label
 
 	fairnessWindow time.Duration
 }
@@ -99,7 +99,7 @@ func newRouterMetrics(backends []*Backend, fairnessWindow, sampleInterval time.D
 }
 
 // admit counts one admitted job of tenant ("" is "default"); tenants past
-// the first slo.MaxTenantLabels share tenant="other".
+// the first slo.MaxLabels share tenant="other".
 func (m *routerMetrics) admit(tenant string) {
 	if tenant == "" {
 		tenant = "default"

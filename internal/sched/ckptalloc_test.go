@@ -9,10 +9,9 @@ import (
 )
 
 // TestRecoverableJobAllocBytes: with recovery armed, a warm netmpi job's
-// checkpoint costs no garbage. Every C cell is copied once into a slab
-// buffer that goes back to the free list when the job finishes cleanly, so
-// an N=256 job allocates less than half of what the copies alone would
-// (N²·8 bytes) if each were a fresh allocation — averaged over eight jobs
+// checkpoint costs no garbage. The job's Binding records cell coordinates
+// only, C holding the values, so an N=256 job allocates less than half of
+// what one fresh copy of C (N²·8 bytes) would — averaged over eight jobs
 // after four warm-up jobs, Observe off.
 func TestRecoverableJobAllocBytes(t *testing.T) {
 	const n, warm, measured = 256, 4, 8

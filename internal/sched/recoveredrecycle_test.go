@@ -14,62 +14,57 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
 	"repro/internal/partition"
-	"repro/internal/recover"
 	"repro/internal/slab"
 )
 
-// cellWatch remembers the backing array of every cell a job's Binding
-// saved.
-type cellWatch struct {
-	mu    sync.Mutex
-	saved map[*float64]bool
+// operandSet remembers the backing arrays of the operands of every run that
+// failed or was reported failed.
+type operandSet struct {
+	mu     sync.Mutex
+	failed map[*float64]bool
 }
 
-// note records the cells of the run's Binding. A runner calls it once its
-// ranks have returned, before the scheduler can release them.
-func (w *cellWatch) note(ckpt core.Checkpointer) {
-	b, ok := ckpt.(*recover.Binding)
-	if !ok {
-		return
-	}
+func (w *operandSet) note(ms ...*matrix.Dense) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, cell := range b.Cells() {
-		w.saved[&cell.Data[0]] = true
+	for _, m := range ms {
+		w.failed[&m.Data[0]] = true
 	}
 }
 
 // lateCasualty runs every attempt on a real netmpi mesh and then, for the
 // first attempts kill picks, reports a rank as dead although the run
-// finished: the recovery attempt restores every cell from a checkpoint
-// written in full (a socket kill lands in the broadcast stages, before any
-// cell exists). Every run's checkpoint cells go to watch.
+// finished: the recovery attempt restores every cell the first one recorded
+// (a socket kill lands in the broadcast stages, before any cell exists).
+// The operands of every failed run, real or reported, go to watch.
 type lateCasualty struct {
 	*NetmpiRunner
 	kill  func(jobID string) (rank int, ok bool)
-	watch *cellWatch
+	watch *operandSet
 }
 
 func (r *lateCasualty) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
 	rep, err := r.NetmpiRunner.Run(jobID, plan, a, b, c, opts)
-	r.watch.note(opts.Checkpoint)
 	if rank, ok := r.kill(jobID); ok && err == nil && opts.Epoch == 0 {
-		return nil, &netmpi.PeerFailedError{Rank: rank, Op: "bcast", Err: io.EOF}
+		rep, err = nil, &netmpi.PeerFailedError{Rank: rank, Op: "bcast", Err: io.EOF}
+	}
+	if err != nil {
+		r.watch.note(a, b, c)
 	}
 	return rep, err
 }
 
-// TestCheckpointCellsRecycleSafely: checkpoint cells that go back to the
-// slab free list never change a result. Over a hundred recoverable netmpi
-// jobs (N ∈ {64, 96}, the four paper shapes) run two at a time while every
-// recycled buffer is NaN-filled before reuse. A seeded quarter of them lose
-// a rank on their first attempt — half to a socket kill at frame 1 or 2,
-// half after every cell was checkpointed — so recovered jobs, which restore
-// from their checkpoint and keep their cells, interleave with clean ones,
-// which hand theirs back. Every digest must equal the fault-free one, and
-// the run must have restored cells, recovered from both faults and reused
-// checkpoint cells.
-func TestCheckpointCellsRecycleSafely(t *testing.T) {
+// TestRecoveredOperandsRecycleSafely: the operands of jobs that failed an
+// attempt go back to the slab free list like every other job's and never
+// change a result. Over a hundred recoverable netmpi jobs (N ∈ {64, 96},
+// the four paper shapes) run two at a time while every recycled buffer is
+// NaN-filled before reuse. A seeded quarter of them lose a rank on their
+// first attempt — half to a socket kill at frame 1 or 2, half after every
+// cell was recorded — so recovered jobs, which resume on the C their failed
+// attempt wrote, interleave with clean ones on one free list. Every digest
+// must equal the fault-free one, and the run must have restored cells,
+// recovered from both faults and reused the operands of failed runs.
+func TestRecoveredOperandsRecycleSafely(t *testing.T) {
 	const jobs, seed = 104, 34
 	var specs []JobSpec
 	for i := 0; i < jobs; i++ {
@@ -115,15 +110,15 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 			victim, _, late, ok := fault(jobID)
 			return victim, ok && late
 		},
-		watch: &cellWatch{saved: map[*float64]bool{}},
+		watch: &operandSet{failed: map[*float64]bool{}},
 	}
 
 	watch := runner.watch
-	var reusedCells int
+	var reused int
 	defer slab.SetReuseHook(func(s []float64) {
 		watch.mu.Lock()
-		if watch.saved[&s[:1][0]] {
-			reusedCells++
+		if watch.failed[&s[:1][0]] {
+			reused++
 		}
 		watch.mu.Unlock()
 		for i := range s {
@@ -152,10 +147,10 @@ func TestCheckpointCellsRecycleSafely(t *testing.T) {
 	}
 	watch.mu.Lock()
 	defer watch.mu.Unlock()
-	if recovered[false] == 0 || recovered[true] == 0 || m.Counters.CellsRestored == 0 || reusedCells == 0 {
-		t.Fatalf("recovered %d jobs from socket kills and %d from late casualties, restored %d cells, reused %d checkpoint buffers: the run did not mix recovered and clean jobs on one free list",
-			recovered[false], recovered[true], m.Counters.CellsRestored, reusedCells)
+	if recovered[false] == 0 || recovered[true] == 0 || m.Counters.CellsRestored == 0 || reused == 0 {
+		t.Fatalf("recovered %d jobs from socket kills and %d from late casualties, restored %d cells, reused %d operand buffers of failed runs: the run did not mix recovered and clean jobs on one free list",
+			recovered[false], recovered[true], m.Counters.CellsRestored, reused)
 	}
-	t.Logf("recovered %d jobs from socket kills and %d from late casualties, restored %d cells, reused %d checkpoint buffers",
-		recovered[false], recovered[true], m.Counters.CellsRestored, reusedCells)
+	t.Logf("recovered %d jobs from socket kills and %d from late casualties, restored %d cells, reused %d operand buffers of failed runs",
+		recovered[false], recovered[true], m.Counters.CellsRestored, reused)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/matrix"
 	"repro/internal/netmpi"
+	"repro/internal/partition"
 )
 
 // chaosHook builds a WrapConn that kills one rank's connections at a fixed
@@ -191,6 +193,131 @@ func TestRecoveryRestoresCheckpointedCells(t *testing.T) {
 	if m.Counters.CellsRedone != 0 {
 		t.Fatalf("redone = %d, want 0 with a full checkpoint", m.Counters.CellsRedone)
 	}
+}
+
+// twoCasualtiesRunner runs every attempt in process on a C whose initial
+// contents are NaN and loses a rank twice. On epoch 0 rank 1 dies at its
+// first checkpoint lookup, before any DGEMM, while the other ranks finish
+// and record their cells. Epoch 1 runs to the end over the two survivors
+// and then reports rank 0 dead, so epoch 2's sole survivor finds the whole
+// of C final. Every checkpoint call is logged by epoch.
+type twoCasualtiesRunner struct {
+	inner InprocRunner
+	mu    sync.Mutex
+	log   [3]ckptLog
+}
+
+// ckptLog is one attempt's checkpoint traffic: the cells found final and
+// the cells saved, as [r0, c0, r1, c1) rectangles.
+type ckptLog struct{ restored, saved [][4]int }
+
+func (r *twoCasualtiesRunner) Name() string      { return "two-casualties" }
+func (r *twoCasualtiesRunner) Recoverable() bool { return true }
+func (r *twoCasualtiesRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error) {
+	if opts.Epoch == 0 {
+		for i := range c.Data {
+			c.Data[i] = math.NaN()
+		}
+	}
+	opts.Checkpoint = &loggedCheckpoint{Checkpointer: opts.Checkpoint, r: r, epoch: opts.Epoch, l: plan.Layout}
+	rep, err := r.inner.Run(jobID, plan, a, b, c, opts)
+	switch {
+	case opts.Epoch == 0 && err != nil:
+		return nil, &netmpi.PeerFailedError{Rank: 1, Op: "dgemm", Err: err}
+	case opts.Epoch == 1 && err == nil:
+		return nil, &netmpi.PeerFailedError{Rank: 0, Op: "bcast", Err: io.EOF}
+	}
+	return rep, err
+}
+
+// loggedCheckpoint forwards to the job's Checkpointer, logs each call, and
+// on epoch 0 panics on rank 1's first lookup.
+type loggedCheckpoint struct {
+	core.Checkpointer
+	r     *twoCasualtiesRunner
+	epoch int
+	l     *partition.Layout
+}
+
+func (k *loggedCheckpoint) Restore(r0, c0, h, w int) bool {
+	if k.epoch == 0 && ownerOf(k.l, r0, c0) == 1 {
+		panic("rank 1 dies")
+	}
+	hit := k.Checkpointer.Restore(r0, c0, h, w)
+	if hit {
+		k.r.mu.Lock()
+		k.r.log[k.epoch].restored = append(k.r.log[k.epoch].restored, [4]int{r0, c0, r0 + h, c0 + w})
+		k.r.mu.Unlock()
+	}
+	return hit
+}
+
+func (k *loggedCheckpoint) Save(r0, c0, h, w int) {
+	k.Checkpointer.Save(r0, c0, h, w)
+	k.r.mu.Lock()
+	k.r.log[k.epoch].saved = append(k.r.log[k.epoch].saved, [4]int{r0, c0, r0 + h, c0 + w})
+	k.r.mu.Unlock()
+}
+
+// ownerOf returns the rank that owns the cell of l whose top-left element
+// is (r0, c0).
+func ownerOf(l *partition.Layout, r0, c0 int) int {
+	i, j := 0, 0
+	for l.RowStart(i) < r0 {
+		i++
+	}
+	for l.ColStart(j) < c0 {
+		j++
+	}
+	return l.OwnerAt(i, j)
+}
+
+// TestRecoveryTwiceResumesFromC: C is the checkpoint across two failures.
+// Epoch 1 recomputes cells that overlap the cells epoch 0 finished without
+// disturbing them, and epoch 2 restores every cell and computes none. The
+// digest equals the fault-free one, and no finished cell is redone.
+func TestRecoveryTwiceResumesFromC(t *testing.T) {
+	spec := JobSpec{N: 64, Shape: "square-corner", Seed: 11}
+	want := runSpecs(t, newTestScheduler(t, nil), []JobSpec{spec})[0]
+	runner := &twoCasualtiesRunner{}
+	s := newTestScheduler(t, func(c *Config) {
+		c.MaxRecoveryAttempts = 2
+		c.RecoveryBackoff = time.Millisecond
+		c.Runner = runner
+	})
+	got := runSpecs(t, s, []JobSpec{spec})[0]
+	if got.State != StateDone || got.Attempts != 2 || len(got.RecoveredFrom) != 2 {
+		t.Fatalf("state %v attempts %d recovered from %v err %v, want done after 2 recoveries",
+			got.State, got.Attempts, got.RecoveredFrom, got.Err)
+	}
+	if got.Digest != want.Digest {
+		t.Errorf("digest %s, fault-free %s", got.Digest, want.Digest)
+	}
+	if m := s.Metrics(); m.Counters.CellsRedone != 0 {
+		t.Errorf("%d finished cells were redone", m.Counters.CellsRedone)
+	}
+	runner.mu.Lock()
+	defer runner.mu.Unlock()
+	logs := runner.log
+	overlapping := 0
+	for _, r := range logs[1].saved {
+		for _, f := range logs[0].saved {
+			if max(r[0], f[0]) < min(r[2], f[2]) && max(r[1], f[1]) < min(r[3], f[3]) {
+				overlapping++
+				break
+			}
+		}
+	}
+	if len(logs[0].saved) == 0 || overlapping == 0 {
+		t.Errorf("epoch 0 saved %d cells and epoch 1 recomputed %d overlapping them; want both > 0",
+			len(logs[0].saved), overlapping)
+	}
+	if len(logs[2].restored) == 0 || len(logs[2].saved) != 0 {
+		t.Errorf("epoch 2 restored %d cells and computed %d, want every cell restored",
+			len(logs[2].restored), len(logs[2].saved))
+	}
+	t.Logf("epoch 0 saved %d cells; epoch 1 restored %d and computed %d, %d of them overlapping epoch 0's; epoch 2 restored %d",
+		len(logs[0].saved), len(logs[1].restored), len(logs[1].saved), overlapping, len(logs[2].restored))
 }
 
 // TestRecoveryLateKillNoRedoneCells kills the busiest sender late under

@@ -24,7 +24,10 @@ type Runner interface {
 	// Name identifies the runtime ("inproc", "netmpi") for metrics.
 	Name() string
 	// Run computes c = a·b under the plan's layout. jobID is the
-	// scheduler's job id, for logs and fault hooks.
+	// scheduler's job id, for logs and fault hooks. Run returns, failed or
+	// not, only once every rank it started has returned (both runners end
+	// in core's executor, which joins every rank), so no rank still reads
+	// a or b or writes c afterwards.
 	Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (*core.Report, error)
 }
 
@@ -56,8 +59,8 @@ func runnerRecoverable(r Runner) bool {
 // the plan: the recovery machinery's hooks (see internal/recover and the
 // scheduler's recovery loop).
 type RunOpts struct {
-	// Checkpoint, when non-nil, keeps every completed C cell restorable,
-	// so a later attempt under a different layout never redoes finished
+	// Checkpoint, when non-nil, records every completed C cell, so a later
+	// attempt on the same c under a different layout never redoes finished
 	// work.
 	Checkpoint core.Checkpointer
 	// Epoch is the recovery attempt number (0 = first attempt). The

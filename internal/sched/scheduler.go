@@ -503,20 +503,13 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	} else {
 		res = <-resCh
 	}
-	// The run goroutine has returned. Its operands go back to the free list
-	// once the job is finished — unless an attempt failed: the Runner
-	// contract does not promise that a failed Run has joined every rank it
-	// started, so one may still be reading A and B or writing C.
-	s.mu.Lock()
-	clean := res.err == nil && j.attempts == 0
-	s.mu.Unlock()
-	if clean {
-		defer func() {
-			slab.Put(a.Data)
-			slab.Put(b.Data)
-			slab.Put(c.Data)
-		}()
-	}
+	// The run goroutine has returned, and every Run it made joined its
+	// ranks: the operands go back to the free list once the job is finished.
+	defer func() {
+		slab.Put(a.Data)
+		slab.Put(b.Data)
+		slab.Put(c.Data)
+	}()
 	if res.err != nil {
 		s.finish(j, res.rep, "", false, res.err)
 		return
@@ -587,12 +580,8 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, root obs.SpanHa
 		endAttempt(att, err)
 		return rep, plan, err
 	}
-	// The job's Binding holds every cell its attempts finish. The cells go
-	// back to the free list only when the first attempt succeeded: that Run
-	// joined every rank it started, so nothing can still save or restore a
-	// cell. After a failed attempt the Runner contract promises no such join
-	// (the rule runJob applies to the operands), so a recovered or failed
-	// job's cells are left to the garbage collector.
+	// The job's Binding records which cells of c its attempts finished; c,
+	// which every attempt writes, holds their values.
 	binding := new(recover.Binding)
 
 	// world maps current mesh ranks to original plan ranks (for casualty
@@ -614,9 +603,7 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, root obs.SpanHa
 			RunOpts{Checkpoint: binding, Epoch: epoch, Ctx: ctx, Span: att})
 		endAttempt(att, err)
 		if err == nil {
-			if epoch == 0 {
-				binding.Release()
-			} else {
+			if epoch > 0 {
 				s.mu.Lock()
 				if !j.state.Terminal() {
 					j.recoveryTime = time.Since(firstFailure)

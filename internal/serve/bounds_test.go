@@ -87,11 +87,11 @@ func TestJobExpiryKinds(t *testing.T) {
 	}
 }
 
-// Tenant names come from clients: past slo.MaxTenantLabels of them, the SLO
+// Tenant names come from clients: past slo.MaxLabels of them, the SLO
 // families fold the rest into tenant="other".
 func TestTenantLabelsFolded(t *testing.T) {
 	reg := metrics.New()
-	m := newMetricsRegistry(reg, metrics.NewEventLog(8))
+	m := newMetricsRegistry(reg, metrics.NewEventLog(8), nil)
 	now := time.Now()
 	for i := 0; i < 10_000; i++ {
 		m.observe(sched.JobView{
@@ -105,12 +105,47 @@ func TestTenantLabelsFolded(t *testing.T) {
 		if f.Name != slo.RequestsFamily && f.Name != slo.LatencyFamily {
 			continue
 		}
-		if len(f.Series) > slo.MaxTenantLabels+1 {
-			t.Errorf("%s has %d children, want at most %d", f.Name, len(f.Series), slo.MaxTenantLabels+1)
+		if len(f.Series) > slo.MaxLabels+1 {
+			t.Errorf("%s has %d children, want at most %d", f.Name, len(f.Series), slo.MaxLabels+1)
 		}
 		first, last := f.Series[0].LabelValues[0], f.Series[len(f.Series)-1].LabelValues[0]
 		if first != "other" || last != "tenant-9" {
-			t.Errorf("%s tenants run %q … %q, want the first %d and \"other\"", f.Name, first, last, slo.MaxTenantLabels)
+			t.Errorf("%s tenants run %q … %q, want the first %d and \"other\"", f.Name, first, last, slo.MaxLabels)
+		}
+	}
+}
+
+// SLO classes come from clients too: past slo.MaxLabels of them, the SLO
+// families fold the rest into class="other", and a class with a configured
+// objective keeps its own label however late it first appears.
+func TestClassLabelsFolded(t *testing.T) {
+	reg := metrics.New()
+	m := newMetricsRegistry(reg, metrics.NewEventLog(8), []slo.Objective{{Class: "batch", Availability: 0.99}})
+	now := time.Now()
+	for i, class := range append(make([]string, 10_000), "batch") {
+		if class == "" {
+			class = fmt.Sprintf("class-%d", i)
+		}
+		m.observe(sched.JobView{
+			ID:         fmt.Sprintf("j-%06d", i+1),
+			Spec:       sched.JobSpec{Class: class},
+			EnqueuedAt: now,
+			FinishedAt: now.Add(time.Millisecond),
+		}, "inproc")
+	}
+	for _, f := range reg.Gather() {
+		if f.Name != slo.RequestsFamily && f.Name != slo.LatencyFamily {
+			continue
+		}
+		if len(f.Series) > slo.MaxLabels+1 {
+			t.Errorf("%s has %d children, want at most %d", f.Name, len(f.Series), slo.MaxLabels+1)
+		}
+		classes := map[string]bool{}
+		for _, sr := range f.Series {
+			classes[sr.LabelValues[1]] = true
+		}
+		if !classes["batch"] || !classes["other"] || !classes["class-0"] || classes[fmt.Sprintf("class-%d", slo.MaxLabels)] {
+			t.Errorf("%s classes %v: want batch, other and the first client classes only", f.Name, classes)
 		}
 	}
 }

@@ -42,14 +42,21 @@ type metricsRegistry struct {
 	recoveryLatency *metrics.Histogram    // first failure → terminal, recovered jobs
 	sloRequests     *metrics.CounterVec   // tenant/class/outcome — the availability SLI
 	sloLatency      *metrics.HistogramVec // tenant/class, successful jobs — the latency SLI
-	tenants         slo.TenantLabels      // folds the SLO families' tenant label
+	tenants         slo.Labels            // folds the SLO families' tenant label
+	classes         *slo.Labels           // folds their class label; objective classes keep theirs
 }
 
 // newMetricsRegistry registers every serve-owned family in exposition
 // order. The sched-snapshot and transport collectors read m.snap, which
 // serve.New refreshes via reg.OnGather once the scheduler exists.
-func newMetricsRegistry(reg *metrics.Registry, events *metrics.EventLog) *metricsRegistry {
-	m := &metricsRegistry{reg: reg, events: events}
+// objectives are the SLO engine's: their classes, and "default", always
+// keep their own class label.
+func newMetricsRegistry(reg *metrics.Registry, events *metrics.EventLog, objectives []slo.Objective) *metricsRegistry {
+	classes := []string{"default"}
+	for _, o := range objectives {
+		classes = append(classes, o.Class)
+	}
+	m := &metricsRegistry{reg: reg, events: events, classes: slo.NewLabels(classes...)}
 
 	gauge := func(name string, v func(sched.Metrics) float64) {
 		reg.CollectGauge(name, nil, func(emit metrics.Emit) { emit(v(m.snap)) })
@@ -187,14 +194,14 @@ func sortedVolumeShapes(sm sched.Metrics) []string {
 // shape ("unplanned" when the job failed before planning). The SLO
 // series record every job under its (tenant, class): outcome for the
 // availability SLI, successful-job latency for the latency SLI; tenants
-// past the first slo.MaxTenantLabels share tenant="other".
+// and classes past the first slo.MaxLabels share the value "other".
 func (m *metricsRegistry) observe(v sched.JobView, runtime string) {
 	shape := "unplanned"
 	if v.Plan != nil && v.Plan.Shape != "" {
 		shape = v.Plan.Shape
 	}
 	tenant, class := sloKey(v.Spec)
-	tenant = m.tenants.Label(tenant)
+	tenant, class = m.tenants.Label(tenant), m.classes.Label(class)
 	if v.Attempts > 0 && v.Err == nil {
 		m.recoveryLatency.Observe(v.RecoveryTime.Seconds())
 		m.events.Add("recovery", "job %s recovered from ranks %v in %.3fs (attempts=%d)",

@@ -98,7 +98,7 @@ func New(cfg Config) (*Server, error) {
 		maxVerifyN: cfg.MaxVerifyN,
 		log:        cfg.Logger,
 	}
-	s.metrics = newMetricsRegistry(s.reg, s.events)
+	s.metrics = newMetricsRegistry(s.reg, s.events, cfg.SLOObjectives)
 	if s.maxN <= 0 {
 		s.maxN = 4096
 	}

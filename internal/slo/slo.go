@@ -63,39 +63,49 @@ const (
 	LatencyFamily = "summagen_slo_latency_seconds"
 )
 
-// MaxTenantLabels bounds the tenant label values a service exposes.
-// Tenant names come from clients, and each new value would add a child to
-// every tenant-labelled family, and a series to the store, for ever.
-const MaxTenantLabels = 64
+// MaxLabels bounds the values a service exposes for one client-chosen
+// label (tenant, SLO class). Each new value would add a child to every
+// family carrying the label, and a series to the store, for ever.
+const MaxLabels = 64
 
-// OtherTenant is the label value of every tenant past the first
-// MaxTenantLabels.
-const OtherTenant = "other"
+// Other is the label value of every value past the first MaxLabels.
+const Other = "other"
 
-// TenantLabels folds client-chosen tenant names into at most
-// MaxTenantLabels + 1 label values: the first MaxTenantLabels distinct
-// names keep their own, every later one reads OtherTenant. The zero value
-// is ready to use, and it is safe for concurrent use.
-type TenantLabels struct {
+// Labels folds the client-chosen values of one label into at most
+// MaxLabels + 1 label values: the values it was seeded with and the first
+// distinct values seen, MaxLabels in all, keep their own; every later one
+// reads Other. The zero value is ready to use, and it is safe for
+// concurrent use.
+type Labels struct {
 	mu   sync.Mutex
 	seen map[string]struct{}
 }
 
-// Label returns the label value for tenant.
-func (t *TenantLabels) Label(tenant string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.seen[tenant]; ok {
-		return tenant
+// NewLabels returns a fold in which every seed keeps its own label,
+// whatever values come first.
+func NewLabels(seeds ...string) *Labels {
+	l := &Labels{seen: make(map[string]struct{}, len(seeds))}
+	for _, v := range seeds {
+		l.seen[v] = struct{}{}
 	}
-	if len(t.seen) >= MaxTenantLabels {
-		return OtherTenant
+	return l
+}
+
+// Label returns the label value for v.
+func (l *Labels) Label(v string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.seen[v]; ok {
+		return v
 	}
-	if t.seen == nil {
-		t.seen = map[string]struct{}{}
+	if len(l.seen) >= MaxLabels {
+		return Other
 	}
-	t.seen[tenant] = struct{}{}
-	return tenant
+	if l.seen == nil {
+		l.seen = map[string]struct{}{}
+	}
+	l.seen[v] = struct{}{}
+	return v
 }
 
 // Config wires an engine to its store and objectives.
