@@ -1,5 +1,5 @@
-// Command summagen-router runs the cluster front-end: a policy-driven
-// router fanning jobs out to N summagen-serve scheduler instances.
+// Command summagen-router runs the cluster front-end: a router fanning
+// jobs out to N summagen-serve scheduler instances.
 //
 //	# route across two running instances with plan-key affinity
 //	summagen-router -addr :8090 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
@@ -11,13 +11,14 @@
 //	curl -s localhost:8090/healthz        # fleet view with per-instance depth
 //	curl -s localhost:8090/metrics        # merged: instance="..." + fleet families
 //
-// Policies: round-robin, least-loaded (probed queue depth + in-flight),
-// affinity (rendezvous-hashed plan-key stickiness, preserving each
-// instance's plan cache). Per-tenant token buckets at the
-// edge return 429 + Retry-After before an abusive tenant reaches any
-// instance queue. A job whose instance dies is transparently re-submitted
-// to a healthy instance (bounded by -max-reroutes) — deterministic inputs
-// make the re-run digest-identical.
+// Jobs sharing a plan key stick to one instance (rendezvous hashing,
+// preserving that instance's plan cache) unless it is draining, sick while
+// a clean instance is up, or loaded past 1.25× its fair share — then the
+// key's next-ranked instance takes the job (see router.Policy). Per-tenant
+// token buckets at the edge return 429 + Retry-After before an abusive
+// tenant reaches any instance queue. A job whose instance dies is
+// transparently re-submitted to a healthy instance (bounded by
+// -max-reroutes) — deterministic inputs make the re-run digest-identical.
 package main
 
 import (
@@ -52,7 +53,6 @@ type options struct {
 	addr          string
 	backends      string
 	spawn         int
-	policyName    string
 	maxReroutes   int
 	tenantRate    float64
 	tenantBurst   int
@@ -76,7 +76,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8090", "HTTP listen address")
 	flag.StringVar(&o.backends, "backends", "", "comma-separated summagen-serve base URLs (e.g. http://127.0.0.1:8081,http://127.0.0.1:8082)")
 	flag.IntVar(&o.spawn, "spawn", 0, "spawn this many in-process scheduler instances instead of -backends")
-	flag.StringVar(&o.policyName, "policy", "affinity", "routing policy: round-robin, least-loaded, or affinity")
 	flag.IntVar(&o.maxReroutes, "max-reroutes", 3, "failover re-submissions per job after instance loss")
 	flag.Float64Var(&o.tenantRate, "tenant-rate", 0, "edge admission: tokens/second per tenant (0 disables)")
 	flag.IntVar(&o.tenantBurst, "tenant-burst", 8, "edge admission: token bucket capacity")
@@ -100,11 +99,6 @@ func main() {
 }
 
 func run(o options, logger *slog.Logger) error {
-	policy, err := router.ParsePolicy(o.policyName)
-	if err != nil {
-		return err
-	}
-
 	var backends []*router.Backend
 	var spawned []*serve.Server
 	switch {
@@ -160,7 +154,6 @@ func run(o options, logger *slog.Logger) error {
 
 	rt, err := router.New(router.Config{
 		Backends:       backends,
-		Policy:         policy,
 		MaxReroutes:    o.maxReroutes,
 		TenantRate:     o.tenantRate,
 		TenantBurst:    o.tenantBurst,
@@ -179,7 +172,7 @@ func run(o options, logger *slog.Logger) error {
 	httpSrv := &http.Server{Addr: o.addr, Handler: rt.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", o.addr, "policy", policy.Name(),
+		logger.Info("listening", "addr", o.addr,
 			"backends", len(backends), "spawned", len(spawned))
 		errCh <- httpSrv.ListenAndServe()
 	}()

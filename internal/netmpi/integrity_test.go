@@ -327,6 +327,32 @@ func TestCorruptFrameRerequestsExhausted(t *testing.T) {
 	}
 }
 
+// TestCorruptFrameWithoutRetriesFailsAtOnce: with MaxRetries 0 no
+// reconnect can carry a re-request, so a CRC-caught frame fails the peer
+// at once and nothing is re-requested or counted as one.
+func TestCorruptFrameWithoutRetriesFailsAtOnce(t *testing.T) {
+	co := &corruptor{from: 1, count: 1}
+	cfgs := []Config{
+		{OpTimeout: 4 * time.Second, WrapConn: co.wrap},
+		{OpTimeout: 4 * time.Second},
+	}
+	eps := worldWith(t, cfgs)
+
+	go func() { _ = eps[0].Send(1, 7, []float64{1, 2, 3}) }()
+	_, err := eps[1].Recv(0, 7)
+	var pf *PeerFailedError
+	if !errors.As(err, &pf) {
+		t.Fatalf("got %v, want PeerFailedError", err)
+	}
+	var cfe *CorruptFrameError
+	if !errors.As(err, &cfe) {
+		t.Fatalf("failure cause %v, want CorruptFrameError", err)
+	}
+	if rs := eps[1].Stats().Peers[0]; rs.CorruptFrames != 1 || rs.Rerequests != 0 {
+		t.Fatalf("receiver: corrupt=%d rerequests=%d, want 1/0", rs.CorruptFrames, rs.Rerequests)
+	}
+}
+
 // exchange sends a frame each way between eps[0] and eps[1] under tag and
 // checks both arrive intact.
 func exchange(t *testing.T, eps []*Endpoint, tag int) {

@@ -829,21 +829,22 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 			if errors.As(err, &cfe) {
 				// A failed checksum poisons the whole stream, not just the
 				// frame: the corruption may sit in the count field, so the
-				// only safe resync point is a fresh connection. Stage a
-				// re-request for the frame (by its untrusted key — a
-				// payload flip leaves the key intact, the common case for
-				// bulk frames) and run the ordinary reconnect; the
+				// only safe resync point is a fresh connection. When a
+				// reconnect is allowed, stage a re-request for the frame
+				// (by its untrusted key — a payload flip leaves the key
+				// intact, the common case for bulk frames) and run it; the
 				// handshake carries the request and the peer's replay
-				// buffer retransmits ahead of new traffic. Corrupt frames
-				// are never counted as received payload, so the
-				// comm-volume audit stays exact.
+				// buffer retransmits ahead of new traffic. With no retries
+				// left the peer fails at once and nothing is re-requested.
+				// Corrupt frames are never counted as received payload, so
+				// the comm-volume audit stays exact.
 				cfe.Peer = peer
 				rc.stats.corruptFrames.Add(1)
 				key := frameKey{cfe.Comm, cfe.Tag}
 				if rc.noteCorrupt(key) > maxRerequests {
 					return nil, rc.fail(op, cfe)
 				}
-				if key.comm != heartbeatCommID {
+				if key.comm != heartbeatCommID && attempt < e.cfg.MaxRetries {
 					rc.setRerequest(key)
 					rc.stats.rerequests.Add(1)
 				}

@@ -30,8 +30,8 @@ import (
 //     replan. The heat decays after grayHotProbes clean probes.
 //
 // Both are advisory, not health: a suspect or gray-hot instance still
-// takes jobs when it is the best (or only) choice — LeastLoaded just
-// deprioritizes it.
+// takes jobs when no clean instance is healthy — Policy only ranks it
+// below the clean ones.
 type Backend struct {
 	// ID names the instance in router job IDs, metrics labels, and
 	// rendezvous hashing. Must be unique within a router.
@@ -130,6 +130,21 @@ func (b *Backend) GrayHot() bool {
 	return b.grayHot > 0
 }
 
+// placement reads what Policy.Pick ranks on under one lock: the health
+// class (draining; suspect, gray-hot or SLO-burning; else clean) and the
+// probed queued + in-flight load.
+func (b *Backend) placement() (class, load int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.load.Draining:
+		class = classDraining
+	case b.suspect || b.grayHot > 0 || b.load.SLOFiring > 0:
+		class = classSick
+	}
+	return class, b.load.Load()
+}
+
 // SlowProbes totals probes that exceeded the SlowProbe threshold (the
 // counter behind summagen_router_slow_probes_total).
 func (b *Backend) SlowProbes() uint64 {
@@ -148,7 +163,7 @@ func (b *Backend) markDead(err error) {
 
 // Probe GETs /healthz and updates health + load. A backend that answers is
 // healthy even while draining — routing away from a draining instance is
-// the policy's job (Load reports Draining), liveness is this probe's.
+// Policy's job (Load reports Draining), liveness is this probe's.
 // The probe doubles as the gray sensor: its own duration feeds the
 // slow-probe streak, and the snapshot's GrayRecoveries delta feeds the
 // gray heat.

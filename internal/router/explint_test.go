@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/explint"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // TestInjectInstanceLabel pins the shared label-injection helper to the
@@ -64,14 +65,29 @@ func TestMergeExpositionsDedupesTypes(t *testing.T) {
 // the single-instance /metrics obeys — plus the router/fleet families the
 // cluster tier adds.
 func TestRouterMetricsExpositionLint(t *testing.T) {
-	cl := newCluster(t, 2, func(c *Config) { c.Policy = &RoundRobin{} }, nil)
+	cl := newCluster(t, 2, nil, nil)
 
-	// One job per instance so per-instance families carry real samples,
-	// plus a dead-instance submit path exercising reroute counters is not
-	// needed here — routed/rejected families self-describe even at zero.
+	// One job per instance so per-instance families carry real samples:
+	// two sizes whose plan keys different instances own. A dead-instance
+	// submit path exercising reroute counters is not needed here —
+	// routed/rejected families self-describe even at zero.
+	sizeOwnedBy := map[string]int{}
+	for n := 32; n < 256 && len(sizeOwnedBy) < 2; n += 8 {
+		key := sched.PlanKey(sched.JobSpec{N: n})
+		owner := "i0"
+		if rendezvousWeight(key, "i1") > rendezvousWeight(key, "i0") {
+			owner = "i1"
+		}
+		if _, ok := sizeOwnedBy[owner]; !ok {
+			sizeOwnedBy[owner] = n
+		}
+	}
+	if len(sizeOwnedBy) < 2 {
+		t.Fatalf("no two sizes in [32, 256) with different owners: %v", sizeOwnedBy)
+	}
 	var ids []string
-	for i := 0; i < 2; i++ {
-		resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": 48, "seed": %d}`, i))
+	for i, id := range []string{"i0", "i1"} {
+		resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": %d, "seed": %d}`, sizeOwnedBy[id], i))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit = %d: %s", resp.StatusCode, raw)
 		}
@@ -107,8 +123,8 @@ func TestRouterMetricsExpositionLint(t *testing.T) {
 		`summagen_router_backends{state="healthy"} 2`,
 		"# TYPE summagen_fleet_queue_depth gauge",
 		"# TYPE summagen_fleet_inflight_jobs gauge",
-		`summagen_router_routed_total{instance="i0",policy="round-robin"} 1`,
-		`summagen_router_routed_total{instance="i1",policy="round-robin"} 1`,
+		`summagen_router_routed_total{instance="i0",policy="affinity"} 1`,
+		`summagen_router_routed_total{instance="i1",policy="affinity"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("cluster exposition missing %q:\n%s", want, body)

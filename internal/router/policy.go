@@ -3,128 +3,98 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 )
 
-// Policy picks which healthy instance receives a job. Pick is called with
-// the job's plan key (sched.PlanKey of its spec — the plan-cache and
-// affinity key)
-// and a non-empty slice of currently healthy backends, in stable
-// registration order. Implementations must be safe for concurrent use.
-type Policy interface {
-	// Name labels the policy in metrics and logs.
-	Name() string
-	// Pick selects one of the healthy backends, or nil if the slice is
-	// empty.
-	Pick(planKey string, healthy []*Backend) *Backend
-}
+// Policy is the router's one placement rule. It ranks instances by
+// rendezvous (highest-random-weight) hashing on the job's plan key, so one
+// instance's plan cache absorbs the whole key, and when an instance joins
+// or leaves only the keys it owns (or wins) move. Two rules move a job
+// past its key's owner, both read from the last health probe:
+//
+//   - Health class. Only instances of the best class present compete:
+//     clean, then sick (probe-suspect, gray-hot or burning SLO budget),
+//     then draining. A draining instance gets a job only when every
+//     healthy instance is draining.
+//   - Bounded load. A competitor whose queued + in-flight count, plus the
+//     job being placed, would exceed ⌈1.25·(L+1)/n⌉ is skipped, where L is
+//     the total load over the n competitors — consistent hashing with
+//     bounded loads (Mirrokni, Thorup & Zadimoghaddam, SODA 2018). The
+//     least-loaded competitor is always under the bound.
+//
+// The zero value is ready to use and safe for concurrent use.
+type Policy struct{}
 
-// ParsePolicy resolves a policy by flag name.
+// policyName labels the placement rule in summagen_router_routed_total and
+// the /healthz body.
+const policyName = "affinity"
+
+// ParsePolicy resolves the policy's flag names, "affinity" and
+// "plan-affinity"; any other name is an error.
 func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "round-robin":
-		return &RoundRobin{}, nil
-	case "least-loaded":
-		return LeastLoaded{}, nil
-	case "affinity", "plan-affinity":
-		return PlanAffinity{}, nil
-	default:
-		return nil, fmt.Errorf("router: unknown policy %q (valid: round-robin, least-loaded, affinity)", name)
+	if name != "affinity" && name != "plan-affinity" {
+		return Policy{}, fmt.Errorf("router: unknown policy %q (the router has one: affinity)", name)
 	}
+	return Policy{}, nil
 }
 
-// RoundRobin cycles through healthy backends in order — the baseline that
-// ignores both load and plan locality.
-type RoundRobin struct {
-	n atomic.Uint64
-}
-
-func (p *RoundRobin) Name() string { return "round-robin" }
-
-func (p *RoundRobin) Pick(_ string, healthy []*Backend) *Backend {
-	if len(healthy) == 0 {
-		return nil
-	}
-	return healthy[(p.n.Add(1)-1)%uint64(len(healthy))]
-}
-
-// LeastLoaded picks the instance with the smallest queued + in-flight
-// count from its last health probe, with two gray adjustments: draining
-// and probe-suspect instances lose to clean ones regardless of load
-// (draining worst), and a gray-hot instance — one whose own gray-recovery
-// counter rose recently — carries grayPenalty phantom jobs, so it still
-// wins when everything else is much busier but loses near-ties. Ties
-// break on the lower ID so repeated picks under equal load are
-// deterministic.
-type LeastLoaded struct{}
-
+// Health classes, best first.
 const (
-	// grayPenalty is the phantom load added to a gray-hot instance.
-	grayPenalty = 4
-	// sloPenalty is the phantom load added per burn-rate alert currently
-	// firing on the instance: an instance burning its error budget should
-	// stop winning near-ties before it tips into violation.
-	sloPenalty = 3
+	classClean = iota
+	classSick
+	classDraining
 )
 
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// score ranks a backend: lower class wins before load is even compared
-// (0 clean, 1 probe-suspect, 2 draining), then effective load.
-func (LeastLoaded) score(b *Backend) (class, load int) {
-	ls := b.Load()
-	switch {
-	case ls.Draining:
-		class = 2
-	case b.Suspect():
-		class = 1
-	}
-	load = ls.Load()
-	if b.GrayHot() {
-		load += grayPenalty
-	}
-	return class, load + sloPenalty*ls.SLOFiring
-}
-
-func (p LeastLoaded) Pick(_ string, healthy []*Backend) *Backend {
+// Pick selects one of the healthy backends for a job with the given plan
+// key (sched.PlanKey of its spec), or nil if the slice is empty. It reads
+// each backend's probe snapshot twice instead of collecting it, so it
+// allocates nothing.
+func (p Policy) Pick(planKey string, healthy []*Backend) *Backend {
 	if len(healthy) == 0 {
 		return nil
 	}
-	best := healthy[0]
-	bestClass, bestLoad := p.score(best)
-	for _, b := range healthy[1:] {
-		class, load := p.score(b)
-		if class < bestClass ||
-			(class == bestClass && (load < bestLoad ||
-				(load == bestLoad && b.ID < best.ID))) {
-			best, bestClass, bestLoad = b, class, load
+	// Pass 1: the best class present, and the count and load of its members.
+	best, n, total := classDraining+1, 0, 0
+	for _, b := range healthy {
+		class, load := b.placement()
+		switch {
+		case class < best:
+			best, n, total = class, 1, load
+		case class == best:
+			n++
+			total += load
 		}
 	}
-	return best
-}
+	bound := (5*(total+1) + 4*n - 1) / (4 * n) // ⌈1.25·(L+1)/n⌉
 
-// PlanAffinity routes jobs sharing a plan key to the same instance via
-// rendezvous (highest-random-weight) hashing, so one instance's plan cache
-// absorbs the whole key. Rendezvous hashing gives the
-// stability the cluster needs: when an instance joins or leaves, only the
-// keys it owns (or wins) move — every other key keeps its instance, and a
-// key whose owner dies falls deterministically to its runner-up.
-type PlanAffinity struct{}
-
-func (PlanAffinity) Name() string { return "affinity" }
-
-func (PlanAffinity) Pick(planKey string, healthy []*Backend) *Backend {
-	if len(healthy) == 0 {
-		return nil
-	}
-	best := healthy[0]
-	bestW := rendezvousWeight(planKey, best.ID)
-	for _, b := range healthy[1:] {
-		if w := rendezvousWeight(planKey, b.ID); w > bestW || (w == bestW && b.ID < best.ID) {
-			best, bestW = b, w
+	// Pass 2: the heaviest rendezvous weight among competitors under the
+	// bound. A probe landing between the passes can move a snapshot, so
+	// the lightest competitor stands in when none is under the bound.
+	var owner, lightest *Backend
+	var ownerW uint64
+	lightLoad := 0
+	for _, b := range healthy {
+		class, load := b.placement()
+		if class > best {
+			continue
+		}
+		if lightest == nil || load < lightLoad {
+			lightest, lightLoad = b, load
+		}
+		if load+1 > bound {
+			continue
+		}
+		if w := rendezvousWeight(planKey, b.ID); owner == nil || w > ownerW || (w == ownerW && b.ID < owner.ID) {
+			owner, ownerW = b, w
 		}
 	}
-	return best
+	if owner != nil {
+		return owner
+	}
+	if lightest != nil {
+		return lightest
+	}
+	// Every competitor turned sicker between the passes: read again.
+	return p.Pick(planKey, healthy)
 }
 
 // rendezvousWeight is the HRW score of (key, instance).

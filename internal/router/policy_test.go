@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// fakeBackends builds bare backends (no transport) — Pick only reads IDs.
+// fakeBackends builds bare backends (no transport): Pick reads only IDs
+// and the probe state tests set on them.
 func fakeBackends(ids ...string) []*Backend {
 	var bs []*Backend
 	for _, id := range ids {
@@ -15,108 +16,117 @@ func fakeBackends(ids ...string) []*Backend {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]string{
-		"round-robin":   "round-robin",
-		"least-loaded":  "least-loaded",
-		"affinity":      "affinity",
-		"plan-affinity": "affinity",
-	} {
-		p, err := ParsePolicy(name)
-		if err != nil {
+	for _, name := range []string{"affinity", "plan-affinity"} {
+		if _, err := ParsePolicy(name); err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", name, err)
 		}
-		if p.Name() != want {
-			t.Fatalf("ParsePolicy(%q).Name() = %q, want %q", name, p.Name(), want)
+	}
+	for _, name := range []string{"round-robin", "least-loaded", "random"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Fatalf("ParsePolicy accepted %q", name)
 		}
 	}
-	if _, err := ParsePolicy("random"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown policy")
+}
+
+// ownerAndOther returns the rendezvous owner of key among bs and the other
+// backend of a two-backend set.
+func ownerAndOther(t *testing.T, key string, bs []*Backend) (owner, other *Backend) {
+	t.Helper()
+	owner = Policy{}.Pick(key, bs)
+	if owner == bs[0] {
+		return owner, bs[1]
+	}
+	return owner, bs[0]
+}
+
+// TestPickBoundedLoadSpillsOwner: an owner one job ahead of an idle
+// instance keeps its key (1+1 ≤ ⌈1.25·2/2⌉ = 2); two ahead, it spills
+// (2+1 > ⌈1.25·3/2⌉ = 2).
+func TestPickBoundedLoadSpillsOwner(t *testing.T) {
+	bs := fakeBackends("i0", "i1")
+	owner, other := ownerAndOther(t, "k", bs)
+	owner.load.InFlight = 1
+	if got := (Policy{}).Pick("k", bs); got != owner {
+		t.Fatalf("owner %s at load 1 beside an idle instance lost its key to %s", owner.ID, got.ID)
+	}
+	owner.load.QueueDepth = 1
+	if got := (Policy{}).Pick("k", bs); got != other {
+		t.Fatalf("owner %s at load 2 beside an idle instance kept its key", owner.ID)
 	}
 }
 
-func TestRoundRobinCycles(t *testing.T) {
+// TestPickUniformLoadKeepsOwner: equal load never moves a key.
+func TestPickUniformLoadKeepsOwner(t *testing.T) {
 	bs := fakeBackends("i0", "i1", "i2")
-	rr := &RoundRobin{}
-	var got []string
-	for i := 0; i < 6; i++ {
-		got = append(got, rr.Pick("k", bs).ID)
-	}
-	want := []string{"i0", "i1", "i2", "i0", "i1", "i2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sequence %v, want %v", got, want)
+	for _, load := range []int{1, 5, 40} {
+		for i := 0; i < 30; i++ {
+			key := fmt.Sprintf("plan-key-%d", i)
+			for _, b := range bs {
+				b.load.QueueDepth = 0
+			}
+			owner := Policy{}.Pick(key, bs)
+			for _, b := range bs {
+				b.load.QueueDepth = load
+			}
+			if got := (Policy{}).Pick(key, bs); got != owner {
+				t.Fatalf("key %q moved %s -> %s under uniform load %d", key, owner.ID, got.ID, load)
+			}
 		}
 	}
-	if rr.Pick("k", nil) != nil {
-		t.Fatal("Pick on empty set should be nil")
+}
+
+// TestPickHealthClassSickLosesToClean: a suspect, gray-hot or SLO-burning
+// owner loses its key to a clean instance, even one ten jobs busier.
+func TestPickHealthClassSickLosesToClean(t *testing.T) {
+	for name, sicken := range map[string]func(b *Backend){
+		"suspect":    func(b *Backend) { b.suspect = true },
+		"gray-hot":   func(b *Backend) { b.grayHot = 1 },
+		"slo-firing": func(b *Backend) { b.load.SLOFiring = 1 },
+	} {
+		bs := fakeBackends("i0", "i1")
+		owner, other := ownerAndOther(t, "k", bs)
+		sicken(owner)
+		other.load.QueueDepth = 10
+		if got := (Policy{}).Pick("k", bs); got != other {
+			t.Fatalf("%s owner %s kept its key over clean %s", name, owner.ID, other.ID)
+		}
 	}
 }
 
-func TestLeastLoadedPicksMinimum(t *testing.T) {
-	bs := fakeBackends("i0", "i1", "i2")
-	bs[0].load.QueueDepth, bs[0].load.InFlight = 4, 2
-	bs[1].load.QueueDepth, bs[1].load.InFlight = 1, 1
-	bs[2].load.QueueDepth, bs[2].load.InFlight = 3, 0
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i1" {
-		t.Fatalf("picked %s, want i1", got.ID)
-	}
-
-	// Draining instances lose to any non-draining one, even at lower load.
-	bs[1].load.Draining = true
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i2" {
-		t.Fatalf("picked draining-adjusted %s, want i2", got.ID)
-	}
-
-	// Ties break toward the lexically lower ID (determinism).
-	bs2 := fakeBackends("i1", "i0")
-	if got := (LeastLoaded{}).Pick("k", bs2); got.ID != "i0" {
-		t.Fatalf("tie-break picked %s, want i0", got.ID)
-	}
-}
-
-func TestLeastLoadedGrayPenalty(t *testing.T) {
-	// Equal real load: the gray-hot instance loses the near-tie.
+// TestPickHealthClassSuspectBeatsDraining: a sick instance still beats a
+// draining one, and an all-draining fleet still places the job.
+func TestPickHealthClassSuspectBeatsDraining(t *testing.T) {
 	bs := fakeBackends("i0", "i1")
-	bs[0].load.QueueDepth = 2
-	bs[1].load.QueueDepth = 2
-	bs[0].grayHot = 1
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i1" {
-		t.Fatalf("picked gray-hot %s at equal load, want i1", got.ID)
-	}
-
-	// The penalty is phantom load, not a ban: when everything else is
-	// much busier, the gray-hot instance still wins.
-	bs[1].load.QueueDepth = 10
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i0" {
-		t.Fatalf("picked %s, want gray-hot i0 over a 10-deep queue", got.ID)
-	}
-}
-
-func TestLeastLoadedSuspectClass(t *testing.T) {
-	// A probe-suspect instance loses to a clean one even at lower load…
-	bs := fakeBackends("i0", "i1")
-	bs[0].load.QueueDepth = 0
 	bs[0].suspect = true
-	bs[1].load.QueueDepth = 5
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i1" {
-		t.Fatalf("picked suspect %s, want clean i1", got.ID)
-	}
-	// …but beats a draining one.
+	bs[0].load.QueueDepth = 5
 	bs[1].load.Draining = true
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i0" {
-		t.Fatalf("picked %s, want suspect i0 over draining i1", got.ID)
+	if got := (Policy{}).Pick("k", bs); got != bs[0] {
+		t.Fatalf("picked draining %s over suspect i0", got.ID)
 	}
-	// Two suspects fall back to comparing load.
-	bs[1].load.Draining = false
+	bs[0].load.Draining = true
+	if got := (Policy{}).Pick("k", bs); got == nil {
+		t.Fatal("all-draining fleet got no instance")
+	}
+}
+
+func TestPickEmpty(t *testing.T) {
+	if got := (Policy{}).Pick("k", nil); got != nil {
+		t.Fatalf("Pick on an empty set = %s, want nil", got.ID)
+	}
+}
+
+func TestPickAllocatesNothing(t *testing.T) {
+	bs := fakeBackends("i0", "i1", "i2")
 	bs[1].suspect = true
-	if got := (LeastLoaded{}).Pick("k", bs); got.ID != "i0" {
-		t.Fatalf("picked %s, want lower-loaded suspect i0", got.ID)
+	bs[2].load.InFlight = 3
+	if n := testing.AllocsPerRun(100, func() { Policy{}.Pick("n=48|shape=auto|fpm=false|speeds=", bs) }); n != 0 {
+		t.Fatalf("Pick allocates %v times per call", n)
 	}
 }
 
 func TestAffinityDeterministicAndSpread(t *testing.T) {
 	bs := fakeBackends("i0", "i1", "i2")
-	p := PlanAffinity{}
+	p := Policy{}
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("plan-key-%d", i)
@@ -141,7 +151,7 @@ func TestAffinityDeterministicAndSpread(t *testing.T) {
 // policy exists for: when an instance leaves, only the keys it owned move;
 // when an instance joins, keys only ever move TO the joiner.
 func TestAffinityStableUnderJoinLeave(t *testing.T) {
-	p := PlanAffinity{}
+	p := Policy{}
 	full := fakeBackends("i0", "i1", "i2")
 	keys := make([]string, 240)
 	owner := map[string]string{}

@@ -3,15 +3,15 @@
 // instance's scheduler plans *within* — the two-level structure the
 // hierarchical-SUMMA literature motivates for the serving plane.
 //
-//	POST /jobs        route a submission to an instance (policy-driven)
+//	POST /jobs        route a submission to an instance (see Policy)
 //	GET  /jobs/{id}   proxy job status; on instance death, re-route
 //	GET  /jobs/{id}/trace  proxy the merged Chrome trace from the instance
 //	GET  /metrics     merged exposition: every instance's families labeled
 //	                  instance="...", plus summagen_router_* / summagen_fleet_*
 //	GET  /healthz     fleet health with per-instance depth
 //
-// Routing policies are pluggable (round-robin, least-loaded on probed
-// queue depth, plan-key affinity via rendezvous hashing). Edge admission
+// Placement is plan-key affinity via rendezvous hashing that steps past
+// draining, sick and overloaded instances (Policy). Edge admission
 // is a per-tenant token bucket returning the scheduler's QueueFullError
 // semantics (429 + Retry-After). Failover is bounded re-routing: a job
 // whose instance dies is re-submitted to a healthy instance — jobs are
@@ -38,7 +38,8 @@ import (
 type Config struct {
 	// Backends are the scheduler instances (required, unique IDs).
 	Backends []*Backend
-	// Policy picks instances for submissions (default round-robin).
+	// Policy has no effect: the router has one placement rule (see
+	// Policy). The field stays so callers that set it still build.
 	Policy Policy
 	// MaxReroutes bounds failover re-submissions per job (default 3).
 	MaxReroutes int
@@ -76,7 +77,6 @@ type Config struct {
 // status, metrics, and health.
 type Router struct {
 	backends      []*Backend
-	policy        Policy
 	maxReroutes   int
 	buckets       *tenantBuckets
 	log           *slog.Logger
@@ -148,7 +148,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		backends:      cfg.Backends,
-		policy:        cfg.Policy,
 		maxReroutes:   cfg.MaxReroutes,
 		log:           cfg.Logger,
 		jobs:          map[string]*jobRecord{},
@@ -157,9 +156,6 @@ func New(cfg Config) (*Router, error) {
 		stopProbe:     make(chan struct{}),
 	}
 	r.sampler = metrics.NewSampler(r.metrics.reg, r.metrics.store, storeInterval, nil)
-	if r.policy == nil {
-		r.policy = &RoundRobin{}
-	}
 	if r.maxReroutes <= 0 {
 		r.maxReroutes = 3
 	}
@@ -360,7 +356,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.metrics.admit(sub.Tenant)
 
 	r.log.Info("routed", "job", rec.id, "instance", backend.ID, "local_id", accepted.ID,
-		"policy", r.policy.Name(), "tenant", sub.Tenant)
+		"tenant", sub.Tenant)
 	loc := "/jobs/" + rec.id
 	w.Header().Set("Location", loc)
 	writeJSON(w, http.StatusAccepted, RouterSubmitResponse{
@@ -389,19 +385,19 @@ func (r *Router) placeJob(planKey, class string, body []byte, exclude map[string
 				Message: fmt.Sprintf("router: no healthy instance (fleet size %d)", len(r.backends)),
 			}
 		}
-		b := r.policy.Pick(planKey, healthy)
+		b := Policy{}.Pick(planKey, healthy)
 		resp, err := b.do(http.MethodPost, "/jobs", body, hdr)
 		if err != nil {
 			// Connection-level death: attribute it, fence the instance off,
-			// and let the policy fall through to the next choice (affinity's
-			// rendezvous runner-up, round-robin's next slot).
+			// and fall through to the next choice (the key's rendezvous
+			// runner-up).
 			r.metrics.proxyErrors.With(b.ID).Inc()
 			r.log.Warn("instance unreachable on submit, failing over", "instance", b.ID, "err", err)
 			exclude[b.ID] = true
 			continue
 		}
 		if resp.status == http.StatusAccepted {
-			r.metrics.routed.With(b.ID, r.policy.Name()).Inc()
+			r.metrics.routed.With(b.ID, policyName).Inc()
 		}
 		return b, resp, nil
 	}
@@ -559,7 +555,7 @@ type FleetInstance struct {
 	// the last few probes — its ranks keep going sick.
 	GrayHot bool `json:"gray_hot,omitempty"`
 	// SLOFiring counts burn-rate alerts currently firing on the instance
-	// (from its /healthz); least-loaded routing penalizes it while > 0.
+	// (from its /healthz); Policy ranks it as sick while > 0.
 	SLOFiring int `json:"slo_firing,omitempty"`
 }
 
@@ -579,7 +575,7 @@ type FleetHealth struct {
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	r.ProbeAll() // serve fresh depth, and let recovered instances rejoin
-	fh := FleetHealth{Policy: r.policy.Name(), Total: len(r.backends)}
+	fh := FleetHealth{Policy: policyName, Total: len(r.backends)}
 	for _, b := range r.backends {
 		ls := b.Load()
 		inst := FleetInstance{
@@ -609,38 +605,71 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Scrape every healthy instance concurrently; a dead one contributes
-	// only its up=0 gauge. Each instance's families gain instance="..."
-	// labels, then merge with the router's own families through the shared
-	// exposition writer — one TYPE line per family fleet-wide.
-	parts := make([][]metrics.TextFamily, len(r.backends))
-	var wg sync.WaitGroup
-	for i, b := range r.backends {
-		if !b.Healthy() {
+	// Scrape every healthy instance; a dead one contributes only its up=0
+	// gauge. Each instance's families gain instance="..." labels, then
+	// merge with the router's own families through the shared exposition
+	// writer — one TYPE line per family fleet-wide.
+	var parts [][]metrics.TextFamily
+	for i, res := range r.fleetGet("/metrics") {
+		b := r.backends[i]
+		if res.err != "" {
+			if res.err != instanceDown {
+				r.metrics.proxyErrors.With(b.ID).Inc()
+			}
 			continue
 		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			resp, err := b.do(http.MethodGet, "/metrics", nil, nil)
-			if err != nil || resp.status != http.StatusOK {
-				r.metrics.proxyErrors.With(b.ID).Inc()
-				return
+		fams := metrics.ParseText(string(res.body))
+		for fi, f := range fams {
+			for si, s := range f.Samples {
+				fams[fi].Samples[si] = metrics.InjectLabel(s, "instance", b.ID)
 			}
-			fams := metrics.ParseText(string(resp.body))
-			for fi, f := range fams {
-				for si, s := range f.Samples {
-					fams[fi].Samples[si] = metrics.InjectLabel(s, "instance", b.ID)
-				}
-			}
-			parts[i] = fams
-		}(i, b)
+		}
+		parts = append(parts, fams)
 	}
-	wg.Wait()
 	parts = append(parts, metrics.ToText(r.metrics.reg.Gather()))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.RenderText(w, metrics.MergeText(parts...))
+}
+
+// instanceDown is fleetGet's error for a backend it did not ask because
+// the last probe found it unhealthy.
+const instanceDown = "instance down"
+
+// fleetAnswer is one backend's answer to a fleet-wide GET: its 200 body,
+// or why there is none.
+type fleetAnswer struct {
+	body []byte
+	err  string
+}
+
+// fleetGet GETs path from every healthy backend concurrently and returns
+// the answers in registration order; an unhealthy backend's answer is the
+// instanceDown error.
+func (r *Router) fleetGet(path string) []fleetAnswer {
+	out := make([]fleetAnswer, len(r.backends))
+	var wg sync.WaitGroup
+	for i, b := range r.backends {
+		if !b.Healthy() {
+			out[i].err = instanceDown
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := b.do(http.MethodGet, path, nil, nil)
+			switch {
+			case err != nil:
+				out[i].err = err.Error()
+			case resp.status != http.StatusOK:
+				out[i].err = fmt.Sprintf("GET %s returned %d", path, resp.status)
+			default:
+				out[i].body = resp.body
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // FleetSLO is the router's /slo body: every instance's own SLO report
@@ -659,29 +688,11 @@ type InstanceSLO struct {
 }
 
 func (r *Router) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	reports := make([]InstanceSLO, len(r.backends))
-	var wg sync.WaitGroup
-	for i, b := range r.backends {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			reports[i] = InstanceSLO{Instance: b.ID}
-			if !b.Healthy() {
-				reports[i].Error = "instance down"
-				return
-			}
-			resp, err := b.do(http.MethodGet, "/slo", nil, nil)
-			switch {
-			case err != nil:
-				reports[i].Error = err.Error()
-			case resp.status != http.StatusOK:
-				reports[i].Error = fmt.Sprintf("/slo returned %d", resp.status)
-			default:
-				reports[i].Report = json.RawMessage(resp.body)
-			}
-		}(i, b)
+	answers := r.fleetGet("/slo")
+	reports := make([]InstanceSLO, len(answers))
+	for i, a := range answers {
+		reports[i] = InstanceSLO{Instance: r.backends[i].ID, Error: a.err, Report: a.body}
 	}
-	wg.Wait()
 	_, _, firing := fleetLoad(r.backends)
 	writeJSON(w, http.StatusOK, FleetSLO{
 		GeneratedAt: time.Now(), Firing: firing, Instances: reports,
@@ -724,29 +735,11 @@ func (r *Router) handleFlightRecorder(w http.ResponseWriter, req *http.Request) 
 		}
 		path += "?window=" + url.QueryEscape(q)
 	}
-	records := make([]InstanceFlightRecord, len(r.backends))
-	var wg sync.WaitGroup
-	for i, b := range r.backends {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			records[i] = InstanceFlightRecord{Instance: b.ID}
-			if !b.Healthy() {
-				records[i].Error = "instance down"
-				return
-			}
-			resp, err := b.do(http.MethodGet, path, nil, nil)
-			switch {
-			case err != nil:
-				records[i].Error = err.Error()
-			case resp.status != http.StatusOK:
-				records[i].Error = fmt.Sprintf("flight recorder returned %d", resp.status)
-			default:
-				records[i].Record = json.RawMessage(resp.body)
-			}
-		}(i, b)
+	answers := r.fleetGet(path)
+	records := make([]InstanceFlightRecord, len(answers))
+	for i, a := range answers {
+		records[i] = InstanceFlightRecord{Instance: r.backends[i].ID, Error: a.err, Record: a.body}
 	}
-	wg.Wait()
 	writeJSON(w, http.StatusOK, FleetFlightRecord{
 		GeneratedAt:           now,
 		WindowSeconds:         window.Seconds(),

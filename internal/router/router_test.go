@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,33 +164,8 @@ func (cl *cluster) pollTerminal(t *testing.T, id string) RouterJobStatus {
 	return RouterJobStatus{}
 }
 
-func TestRouterRoundRobinDistributes(t *testing.T) {
-	cl := newCluster(t, 3, func(c *Config) { c.Policy = &RoundRobin{} }, nil)
-	counts := map[string]int{}
-	var ids []string
-	for i := 0; i < 6; i++ {
-		resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": 48, "seed": %d}`, i))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d = %d: %s", i, resp.StatusCode, raw)
-		}
-		counts[sub.Instance]++
-		ids = append(ids, sub.ID)
-	}
-	if len(counts) != 3 {
-		t.Fatalf("round-robin used %d of 3 instances: %v", len(counts), counts)
-	}
-	for inst, n := range counts {
-		if n != 2 {
-			t.Fatalf("instance %s got %d jobs, want 2: %v", inst, n, counts)
-		}
-	}
-	for _, id := range ids {
-		if st := cl.pollTerminal(t, id); st.State != "done" {
-			t.Fatalf("job %s failed: %+v", id, st.Error)
-		}
-	}
-}
-
+// TestRouterLeastLoadedPrefersIdle: an instance three jobs deep loses
+// every job to an idle one, whichever of them owns the plan key.
 func TestRouterLeastLoadedPrefersIdle(t *testing.T) {
 	release := make(chan struct{})
 	defer func() {
@@ -199,8 +175,7 @@ func TestRouterLeastLoadedPrefersIdle(t *testing.T) {
 			close(release)
 		}
 	}()
-	cl := newCluster(t, 2,
-		func(c *Config) { c.Policy = LeastLoaded{} },
+	cl := newCluster(t, 2, nil,
 		func(i int, c *serve.Config) {
 			if i == 0 {
 				c.Sched.Workers = 1
@@ -223,10 +198,66 @@ func TestRouterLeastLoadedPrefersIdle(t *testing.T) {
 			t.Fatalf("submit = %d: %s", resp.StatusCode, raw)
 		}
 		if sub.Instance != "i1" {
-			t.Fatalf("least-loaded sent job %d to loaded instance %s", i, sub.Instance)
+			t.Fatalf("job %d went to loaded instance %s", i, sub.Instance)
 		}
 	}
 	close(release)
+}
+
+// TestRouterDrainingOwnerSpillsKey: an owner that drains while it still
+// holds a job loses its plan key to the other instance instead of
+// rejecting every new job of the key with 503 draining.
+func TestRouterDrainingOwnerSpillsKey(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	defer open()
+	cl := newCluster(t, 2, nil, func(_ int, c *serve.Config) {
+		c.Sched.Workers = 1
+		c.Sched.Runner = &gatedRunner{inner: &sched.InprocRunner{}, release: release}
+	})
+
+	resp, first, raw := cl.submit(t, `{"n": 48, "seed": 1}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, raw)
+	}
+	var owner *Backend
+	var ownerSrv *serve.Server
+	for i, b := range cl.backends {
+		if b.ID == first.Instance {
+			owner, ownerSrv = b, cl.servers[i]
+		}
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- ownerSrv.Drain(context.Background()) }()
+	for deadline := time.Now().Add(10 * time.Second); !owner.Load().Draining; {
+		if time.Now().After(deadline) {
+			t.Fatalf("owner %s never reported draining", owner.ID)
+		}
+		time.Sleep(time.Millisecond)
+		cl.router.ProbeAll()
+	}
+
+	ids := []string{first.ID}
+	for i := 0; i < 4; i++ {
+		resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": 48, "seed": %d}`, i+2))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d of the draining owner's key = %d: %s", i, resp.StatusCode, raw)
+		}
+		if sub.Instance == owner.ID {
+			t.Fatalf("job %d went to draining owner %s", i, owner.ID)
+		}
+		ids = append(ids, sub.ID)
+	}
+	open()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain %s: %v", owner.ID, err)
+	}
+	for _, id := range ids {
+		if st := cl.pollTerminal(t, id); st.State != "done" {
+			t.Fatalf("job %s failed: %+v", id, st.Error)
+		}
+	}
 }
 
 // gatedRunner blocks every Run until release closes.
@@ -242,64 +273,41 @@ func (g *gatedRunner) Run(id string, plan *sched.Plan, a, b, c *matrix.Dense, op
 	return g.inner.Run(id, plan, a, b, c, opts)
 }
 
-// TestRouterAffinityRaisesPlanCacheHitRate is the acceptance-criterion
-// test: the same same-plan-key workload run under affinity must produce
-// strictly fewer cluster-wide plan-cache misses (and a higher hit rate)
-// than under round-robin, because affinity concentrates the key on one
-// instance's cache.
+// TestRouterAffinityRaisesPlanCacheHitRate: one plan key's jobs all land
+// on one instance, so the fleet plans the key exactly once.
 func TestRouterAffinityRaisesPlanCacheHitRate(t *testing.T) {
-	workload := func(cl *cluster) (hits, misses uint64, instances map[string]int) {
-		instances = map[string]int{}
-		var ids []string
-		for i := 0; i < 6; i++ {
-			resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": 48, "shape": "square-corner", "seed": %d}`, i))
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit = %d: %s", resp.StatusCode, raw)
-			}
-			instances[sub.Instance]++
-			ids = append(ids, sub.ID)
+	cl := newCluster(t, 2, nil, nil)
+	instances := map[string]int{}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		resp, sub, raw := cl.submit(t, fmt.Sprintf(`{"n": 48, "shape": "square-corner", "seed": %d}`, i))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, raw)
 		}
-		for _, id := range ids {
-			if st := cl.pollTerminal(t, id); st.State != "done" {
-				t.Fatalf("job %s failed: %+v", id, st.Error)
-			}
+		instances[sub.Instance]++
+		ids = append(ids, sub.ID)
+	}
+	for _, id := range ids {
+		if st := cl.pollTerminal(t, id); st.State != "done" {
+			t.Fatalf("job %s failed: %+v", id, st.Error)
 		}
-		for _, srv := range cl.servers {
-			m := srv.Scheduler().Metrics()
-			hits += m.PlanCacheHits
-			misses += m.PlanCacheMisses
-		}
-		return hits, misses, instances
 	}
-
-	aff := newCluster(t, 2, func(c *Config) { c.Policy = PlanAffinity{} }, nil)
-	affHits, affMisses, affInst := workload(aff)
-	if len(affInst) != 1 {
-		t.Fatalf("affinity scattered one plan key across instances: %v", affInst)
+	var hits, misses uint64
+	for _, srv := range cl.servers {
+		m := srv.Scheduler().Metrics()
+		hits += m.PlanCacheHits
+		misses += m.PlanCacheMisses
 	}
-	if affMisses != 1 {
-		t.Fatalf("affinity misses = %d, want exactly 1 (one cold plan): hits=%d", affMisses, affHits)
+	if len(instances) != 1 {
+		t.Fatalf("affinity scattered one plan key across instances: %v", instances)
 	}
-
-	rr := newCluster(t, 2, func(c *Config) { c.Policy = &RoundRobin{} }, nil)
-	rrHits, rrMisses, rrInst := workload(rr)
-	if len(rrInst) != 2 {
-		t.Fatalf("round-robin did not spread: %v", rrInst)
+	if misses != 1 {
+		t.Fatalf("affinity misses = %d, want exactly 1 (one cold plan): hits=%d", misses, hits)
 	}
-	if rrMisses <= affMisses {
-		t.Fatalf("round-robin misses = %d, affinity = %d: affinity should save cold plans", rrMisses, affMisses)
-	}
-	affRate := float64(affHits) / float64(affHits+affMisses)
-	rrRate := float64(rrHits) / float64(rrHits+rrMisses)
-	if affRate <= rrRate {
-		t.Fatalf("affinity hit rate %.2f not above round-robin %.2f", affRate, rrRate)
-	}
-	t.Logf("plan-cache hit rate: affinity %.2f (miss %d) vs round-robin %.2f (miss %d)",
-		affRate, affMisses, rrRate, rrMisses)
 }
 
 func TestRouterFailoverOnSubmit(t *testing.T) {
-	cl := newCluster(t, 2, func(c *Config) { c.Policy = &RoundRobin{} }, nil)
+	cl := newCluster(t, 2, nil, nil)
 	cl.backends[0].Kill()
 
 	for i := 0; i < 3; i++ {
@@ -343,8 +351,7 @@ func TestRouterKillMidJobReroutesToFaultFreeDigest(t *testing.T) {
 		t.Fatalf("reference job: %+v", refSt)
 	}
 
-	cl := newCluster(t, 2,
-		func(c *Config) { c.Policy = PlanAffinity{} },
+	cl := newCluster(t, 2, nil,
 		func(i int, c *serve.Config) {
 			c.Sched.Runner = &delayRunner{d: 300 * time.Millisecond, inner: &sched.InprocRunner{}}
 		})

@@ -319,13 +319,13 @@ type LoadSnapshot struct {
 	PerTenant  map[string]int `json:"per_tenant,omitempty"`
 	// GrayRecoveries totals this instance's gray-failure-triggered
 	// recoveries; a router can read a rising value as "this instance's
-	// ranks keep going sick" and steer load elsewhere (see
-	// router.LeastLoaded's gray penalty).
+	// ranks keep going sick" and steer load elsewhere (router.Policy
+	// ranks such an instance as sick).
 	GrayRecoveries uint64 `json:"gray_recoveries,omitempty"`
 }
 
-// Load returns queued + in-flight — the scalar a least-loaded router
-// compares.
+// Load returns queued + in-flight — the scalar the router's bounded-load
+// rule compares.
 func (l LoadSnapshot) Load() int { return l.QueueDepth + l.InFlight }
 
 // LoadSnapshot returns the scheduler's current load, including per-tenant

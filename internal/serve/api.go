@@ -47,15 +47,15 @@ type SubmitResponse struct {
 }
 
 // HealthStatus is the GET /healthz body: liveness plus the scheduler's
-// load snapshot — the depth signal least-loaded cluster routing consumes.
+// load snapshot — the depth and draining signals cluster routing reads.
 type HealthStatus struct {
 	// Status is "ok" or "draining".
 	Status string `json:"status"`
 	// Instance is the configured instance ID ("" standalone).
 	Instance string `json:"instance,omitempty"`
 	// SLOFiring counts currently firing burn-rate alerts on this
-	// instance; least-loaded routing penalizes instances that are burning
-	// error budget.
+	// instance; the router ranks an instance burning error budget as
+	// sick while it is > 0.
 	SLOFiring int `json:"slo_firing,omitempty"`
 	sched.LoadSnapshot
 }

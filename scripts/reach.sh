@@ -12,8 +12,17 @@
 #
 #   bash scripts/reach.sh           # print the unlinked list
 #   bash scripts/reach.sh -check    # fail if it differs from REACH.md
+#   bash scripts/reach.sh -cover    # coverage half: which linked functions
+#                                   # do the entry points never enter?
 #
 # REACH.md commits the list, each entry with the consumer that keeps it.
+#
+# -cover builds the same binaries with -cover -coverpkg=repro/..., runs
+# each entry point with GOCOVERDIR set (the serve smoke, summagen on the
+# five shapes and as a traced 3-rank TCP mesh, experiments -quick all,
+# every example, partview, fpmprof, and the four bench workloads at
+# --seconds 3, untraced and traced), then prints every function no run
+# entered and the statement total. It is a report, not a gate.
 set -euo pipefail
 export LC_ALL=C
 
@@ -23,7 +32,8 @@ mode=print
 case "${1:-}" in
   "") ;;
   -check) mode=check ;;
-  *) echo "usage: $0 [-check]" >&2; exit 2 ;;
+  -cover) mode=cover ;;
+  *) echo "usage: $0 [-check|-cover]" >&2; exit 2 ;;
 esac
 
 tmp=$(mktemp -d)
@@ -39,8 +49,59 @@ normalise() {
     grep -Ev '\.(func|gowrap|deferwrap)[0-9]|-fm$|\.init(\.|$)|^(type|go):'
 }
 
-# Linked: text symbols of every binary, package main renamed to its path.
 mains=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/... ./examples/...)
+
+# cover runs every entry point under coverage and reports what none entered.
+cover() {
+  local cov=(-cover -coverpkg=repro/...) bin="$tmp/bin" pkg w r
+  export GOCOVERDIR="$tmp/cov"
+  mkdir -p "$bin" "$GOCOVERDIR"
+  for pkg in $mains; do
+    go build "${cov[@]}" -o "$bin/${pkg##*/}" "$pkg"
+  done
+  go build -C bench "${cov[@]}" -o "$bin/summagen-bench" .
+
+  echo "reach: serve smoke" >&2
+  GOFLAGS="${cov[*]}" bash scripts/smoke-serve.sh >"$tmp/smoke.log" 2>&1 ||
+    { cat "$tmp/smoke.log" >&2; exit 1; }
+  echo "reach: summagen, experiments, examples, partview, fpmprof" >&2
+  for w in square-corner square-rectangle block-rectangle 1d-rectangle l-rectangle; do
+    "$bin/summagen" -n 256 -shape "$w" >/dev/null 2>&1
+  done
+  local hosts=127.0.0.1:19890,127.0.0.1:19891,127.0.0.1:19892 pids=()
+  for r in 0 1 2; do
+    "$bin/summagen" -rank "$r" -hosts "$hosts" -n 128 -trace "$tmp/trace$r.json" >/dev/null 2>&1 &
+    pids+=($!)
+  done
+  for r in "${pids[@]}"; do wait "$r"; done
+  "$bin/experiments" -quick all >/dev/null
+  for pkg in $mains; do
+    case "$pkg" in */examples/*) "$bin/${pkg##*/}" >/dev/null ;; esac
+  done
+  "$bin/partview" -n 64 -extended >/dev/null
+  "$bin/fpmprof" -out "$tmp/model.fpm.json" >/dev/null 2>&1
+  for w in engine-inproc-n512 engine-tcp-n128 fleet-http-mixed serve-netmpi-closed; do
+    echo "reach: bench $w" >&2
+    for r in 0 1; do
+      "$bin/summagen-bench" -dir bench --workload "$w" --seconds 3 --trace "$r" >/dev/null 2>&1
+    done
+  done
+
+  # The bench's own module matches repro/... too; report the repository only.
+  go tool covdata textfmt -i="$GOCOVERDIR" -o "$tmp/cover.all"
+  grep -v '^repro/bench/' "$tmp/cover.all" >"$tmp/cover.out"
+  go tool cover -func="$tmp/cover.out" >"$tmp/func"
+  echo "never entered:"
+  awk '$NF == "0.0%" { sub(/^repro\//, "", $1); print "  " $1 " " $2 }' "$tmp/func"
+  echo "reach: $(awk '$NF == "0.0%"' "$tmp/func" | wc -l) functions never entered;" \
+    "statements covered: $(awk '$1 == "total:" { print $NF }' "$tmp/func")"
+}
+if [ "$mode" = cover ]; then
+  cover
+  exit 0
+fi
+
+# Linked: text symbols of every binary, package main renamed to its path.
 i=0
 for pkg in $mains; do
   i=$((i + 1))

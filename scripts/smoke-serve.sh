@@ -213,8 +213,9 @@ wait "$SERVE_PID" && RC=0 || RC=$?
 SERVE_PID=""
 
 # ---- wire integrity: a seeded bit flip in a data frame must be caught  ----
-# ---- by the CRC trailer and healed by re-request — transparently, with ----
-# ---- zero recovery attempts and the fault-free digest                  ----
+# ---- by the CRC trailer; the service allows no link retries, so the    ----
+# ---- peer fails at once (nothing re-requested) and the job heals by     ----
+# ---- survivor-replan with the fault-free digest                         ----
 
 ADDR="127.0.0.1:18428"
 BASE="http://$ADDR"
@@ -246,12 +247,10 @@ curl -sf "$BASE/metrics" -o "$WORKDIR/metrics.txt"
 CORRUPT="$(awk '/^summagen_net_corrupt_frames_total{/ {s += $2} END {print s+0}' "$WORKDIR/metrics.txt")"
 [ "$CORRUPT" -ge 1 ] || fail "seeded corrupt frame never detected (corrupt_frames_total=$CORRUPT)"
 REREQ="$(awk '/^summagen_net_rerequests_total{/ {s += $2} END {print s+0}' "$WORKDIR/metrics.txt")"
-# The CRC must catch the flip; healing is either a transparent re-request
-# or (when the op deadline wins the race) one survivor-replan — same
-# contract as TestChaosMeshDigestIdentical's corrupt scenario.
-if [ "$REREQ" -eq 0 ] && [ "$ATTEMPTS" = 0 ]; then
-  fail "corruption neither re-requested nor recovered from"
-fi
+# The CRC must catch the flip. With no link retries a re-request has no
+# reconnect to ride, so none may be counted; the job heals by replanning.
+[ "$REREQ" -eq 0 ] || fail "$REREQ re-request(s) counted though the service allows no link retries"
+[ "$ATTEMPTS" -ge 1 ] || fail "corruption healed without a recovery attempt (attempts=$ATTEMPTS)"
 say "job $ID4 survived: $CORRUPT corrupt frame(s), $REREQ re-request(s), $ATTEMPTS recovery attempt(s), digest matches"
 grep -q '^summagen_gray_recoveries_total 0$' "$WORKDIR/metrics.txt" \
   || fail "healthy loopback mesh was condemned as gray: $(grep gray_recoveries "$WORKDIR/metrics.txt" || true)"
@@ -276,10 +275,12 @@ SERVE_PID=""
 ADDR="127.0.0.1:18429"
 BASE="http://$ADDR"
 
-say "restarting with a 10s slowlink chaos and second-scale SLO windows"
+# Each job through the 4 KB/s link fails after ~3-3.5 s and the TTL counts
+# from server start, so it must outlast four failures with room to spare.
+say "restarting with a 30s slowlink chaos and second-scale SLO windows"
 "$WORKDIR/summagen-serve" -addr "$ADDR" -runtime netmpi -workers 1 \
   -op-timeout 1s -recover-attempts 0 \
-  -chaos 'slowlink:rank=1,rate=4k' -chaos-ttl 10s \
+  -chaos 'slowlink:rank=1,rate=4k' -chaos-ttl 30s \
   -sample-interval 500ms -slo-window-scale 0.005 \
   >"$WORKDIR/serve-slo.log" 2>&1 &
 SERVE_PID=$!
@@ -319,7 +320,18 @@ curl -sf "$BASE/healthz" -o "$WORKDIR/health.json"
 say "fast alert firing, surfaced on /healthz"
 
 say "waiting out the chaos TTL, then proving the link healed"
-sleep 5
+HEALED=""
+for i in $(seq 1 160); do
+  curl -sf "$BASE/debug/flightrecorder" -o "$WORKDIR/flight.json" || fail "flight recorder endpoint"
+  if python3 - "$WORKDIR/flight.json" <<'PY'
+import json, sys
+rec = json.load(open(sys.argv[1]))
+sys.exit(0 if any(e["kind"] == "chaos_heal" for e in rec["events"]) else 1)
+PY
+  then HEALED=1; break; fi
+  sleep 0.25
+done
+[ -n "$HEALED" ] || fail "chaos never healed: no chaos_heal event within 40s"
 HID="$(submit '{"n": 192, "shape": "auto", "seed": 7}')"
 [ "$(poll "$HID")" = done ] || fail "post-heal job still failing: $(cat "$WORKDIR/job.json")"
 [ "$(jget "$WORKDIR/job.json" digest)" = "$DIGEST1" ] || fail "post-heal digest diverged"
@@ -379,7 +391,7 @@ SERVE_A_PID=$!
   >"$WORKDIR/serve-i1.log" 2>&1 &
 SERVE_B_PID=$!
 "$WORKDIR/summagen-router" -addr "$ROUTER_ADDR" \
-  -backends "http://$ADDR_A,http://$ADDR_B" -policy affinity \
+  -backends "http://$ADDR_A,http://$ADDR_B" \
   -probe-interval 100ms \
   >"$WORKDIR/router.log" 2>&1 &
 ROUTER_PID=$!
@@ -483,7 +495,7 @@ ROUTER_ADDR="127.0.0.1:18430"
 BASE="http://$ROUTER_ADDR"
 
 say "starting a -spawn 2 router for the fairness index"
-"$WORKDIR/summagen-router" -addr "$ROUTER_ADDR" -spawn 2 -policy round-robin \
+"$WORKDIR/summagen-router" -addr "$ROUTER_ADDR" -spawn 2 \
   -sample-interval 250ms -fairness-window 1m \
   >"$WORKDIR/router-jain.log" 2>&1 &
 ROUTER_PID=$!
