@@ -8,7 +8,7 @@ import (
 // AgreeEpoch is the collective half of epoch fencing. The pairwise hello
 // check (see Dial) already rejects connections whose epoch differs, but it
 // only runs where connections are (re-)established; AgreeEpoch runs a
-// world-wide allgather of this endpoint's epoch and fails if any member
+// world-wide exchange of this endpoint's epoch and fails if any member
 // reports a different one. Run it after Dial and before the first real
 // collective of a recovered job: it doubles as a barrier, so no rank
 // starts computing epoch e+1 while another is still unwinding epoch e.
@@ -39,22 +39,35 @@ func (e *Endpoint) AgreeDigest(d uint64) error {
 	return nil
 }
 
-// agree allgathers v over the world, carried exactly as the bits of one
-// float64, and returns the first rank whose value differs and that value,
-// or rank -1. It doubles as a barrier.
+// agree gathers v on rank 0 and broadcasts the P values back over the world
+// communicator, as the bits of one float64 each, into the endpoint's own
+// buffer: a warm agreement allocates nothing, and one runs per endpoint at a
+// time. It returns the first rank whose value differs and that value, or
+// rank -1, and doubles as a barrier.
 func (e *Endpoint) agree(v uint64) (rank int, got uint64, err error) {
 	if e.size == 1 {
 		return -1, 0, nil
 	}
-	world := make([]int, e.size)
-	for i := range world {
-		world[i] = i
-	}
-	all, err := e.Split(world).Allgather([]float64{math.Float64frombits(v)})
-	if err != nil {
+	c, vals := e.world, e.agreed
+	vals[e.rank] = math.Float64frombits(v)
+	tag := c.nextTag()
+	if e.rank == 0 {
+		for r := 1; r < e.size; r++ {
+			part, err := e.recv(r, c.id, tag, vals[r:r+1], "allgather")
+			if err != nil {
+				return -1, 0, err
+			}
+			if len(part) != 1 {
+				return -1, 0, &LengthMismatchError{Rank: e.rank, Want: 1, Got: len(part)}
+			}
+		}
+	} else if err := e.send(0, c.id, tag, vals[e.rank:e.rank+1], "allgather"); err != nil {
 		return -1, 0, err
 	}
-	for r, w := range all {
+	if _, err := c.Bcast(vals, e.size, 0); err != nil {
+		return -1, 0, err
+	}
+	for r, w := range vals {
 		if b := math.Float64bits(w); b != v {
 			return r, b, nil
 		}

@@ -13,8 +13,8 @@ import (
 // connection resets, its socket goes silent past the operation deadline, a
 // reconnect budget is exhausted, the initial dial never succeeds — converts
 // a potential hang into this error, which propagates out of the collectives
-// (Bcast, Allgather, Barrier), through the core.Proc adapter, and up to the
-// caller of core.MultiplyOn.
+// (Bcast, Barrier, the epoch and digest agreements), through the core.Proc
+// adapter, and up to the caller of core.MultiplyOn.
 type PeerFailedError struct {
 	// Rank is the world rank of the peer declared failed.
 	Rank int

@@ -65,7 +65,10 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// MaxRetries is the number of reconnect attempts made when an
 	// operation hits a transient socket error (reset, EOF). Zero means
-	// fail fast: the first error declares the peer failed.
+	// fail fast: the first error declares the peer failed. Only with
+	// MaxRetries > 0 are sent frames retained for retransmit: a re-request
+	// that reaches an endpoint with zero misses, as one for an evicted
+	// frame does.
 	MaxRetries int
 	// RetryBackoff is the initial reconnect backoff (default 10 ms,
 	// doubling per attempt, capped at 500 ms).
@@ -125,6 +128,10 @@ type Endpoint struct {
 	// epoch (see Stats).
 	epochRejects atomic.Int64
 
+	// world and agreed are the communicator and buffer of agree (epoch.go).
+	world  *Comm
+	agreed []float64
+
 	mu          sync.Mutex
 	comms       map[uint32]*Comm // by id, one per rank set Split has seen; never evicted, as each tag counter must stay in step
 	computeSecs float64
@@ -151,9 +158,9 @@ type rankConn struct {
 	pending map[frameKey][][]float64
 	rscr    frameScratch // header/trailer read buffer, guarded by rmu
 
-	// replay holds copies of recently sent small frames so a peer whose
-	// CRC check failed can ask for a retransmit through the reconnect
-	// handshake (FIFO, bounded; see recordReplay).
+	// replay holds slab copies of recently sent small frames so a peer
+	// whose CRC check failed can ask for a retransmit through the reconnect
+	// handshake (FIFO, bounded, armed endpoints only; see recordReplay).
 	replayMu sync.Mutex
 	replay   []replayEntry
 
@@ -240,20 +247,24 @@ func (rc *rankConn) replace(c net.Conn) bool {
 // retransmission. Only frames up to replayMaxFrameBytes are kept: the
 // caller's buffer cannot be aliased (the engine reuses send buffers), and
 // copying bulk payloads would tax the hot path the re-request feature
-// exists to protect. The copy lands in the evicted entry's backing array
-// once the FIFO is full, so a warm connection retains without allocating.
+// exists to protect. An endpoint with MaxRetries 0 keeps none: it never
+// reconnects, and a re-request an armed peer's redial brings it misses as
+// one for an evicted frame does. The copy is drawn from the slab and the
+// evicted entry goes back there, so a warm connection retains without
+// allocating whatever sizes it alternates between.
 func (rc *rankConn) recordReplay(comm, tag uint32, data []float64) {
-	if 8*len(data) > replayMaxFrameBytes {
+	if rc.ep.cfg.MaxRetries == 0 || 8*len(data) > replayMaxFrameBytes {
 		return
 	}
+	buf := slab.Get(len(data))
+	copy(buf, data)
 	rc.replayMu.Lock()
-	var buf []float64
 	if len(rc.replay) == replayDepth {
-		buf = rc.replay[0].data[:0]
+		slab.Put(rc.replay[0].data)
 		copy(rc.replay, rc.replay[1:])
 		rc.replay = rc.replay[:replayDepth-1]
 	}
-	rc.replay = append(rc.replay, replayEntry{key: frameKey{comm, tag}, data: append(buf, data...)})
+	rc.replay = append(rc.replay, replayEntry{key: frameKey{comm, tag}, data: buf})
 	rc.replayMu.Unlock()
 }
 
@@ -350,6 +361,11 @@ func Dial(cfg Config) (*Endpoint, error) {
 	if size == 1 {
 		return ep, nil
 	}
+	world := make([]int, size)
+	for i := range world {
+		world[i] = i
+	}
+	ep.world, ep.agreed = ep.Split(world), make([]float64, size)
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
@@ -1085,40 +1101,6 @@ func (e *Endpoint) Send(to, tag int, data []float64) error {
 func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 	defer e.addCommSecs(time.Now())
 	return e.recv(from, userCommID, uint32(tag), nil, "recv")
-}
-
-// Allgather concatenates the members' buffers in communicator-rank order
-// on every member (gather to comm rank 0, then broadcast).
-func (c *Comm) Allgather(buf []float64) ([]float64, error) {
-	k := len(c.ranks)
-	me := c.RankOf(c.ep.rank)
-	tag := c.nextTag()
-	if me == 0 {
-		parts := make([][]float64, k)
-		parts[0] = append([]float64(nil), buf...)
-		for i := 1; i < k; i++ {
-			got, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "allgather")
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = got
-		}
-		var all []float64
-		for _, p := range parts {
-			all = append(all, p...)
-		}
-		res, err := c.Bcast(all, len(all), 0)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	if err := c.ep.send(c.ranks[0], c.id, tag, buf, "allgather"); err != nil {
-		return nil, err
-	}
-	// Receive the concatenation. Its length is unknown here; Bcast
-	// carries it.
-	return c.Bcast(nil, 0, 0)
 }
 
 // Barrier blocks until every member has arrived: a gather to comm rank 0

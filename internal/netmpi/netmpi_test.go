@@ -416,22 +416,6 @@ func TestPublicSendRecv(t *testing.T) {
 	})
 }
 
-func TestNetAllgather(t *testing.T) {
-	eps := localWorld(t, 3)
-	runAll(t, eps, func(ep *Endpoint) error {
-		c := ep.Split([]int{0, 1, 2})
-		got, err := c.Allgather([]float64{float64(ep.Rank() * 5)})
-		if err != nil {
-			return err
-		}
-		want := []float64{0, 5, 10}
-		if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-			return fmt.Errorf("rank %d got %v", ep.Rank(), got)
-		}
-		return nil
-	})
-}
-
 // TestDistributedCannonOverTCP runs a Cannon-style shift loop over the
 // public Send/Recv API — the point-to-point pattern SummaGen does not
 // exercise — and verifies the product.

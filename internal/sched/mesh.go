@@ -155,11 +155,12 @@ func (r *NetmpiRunner) lease(p int) *mesh {
 	return m
 }
 
-// release folds the counters of the run that just ended on m into the
-// runner's totals, then puts m back on the free list when keep is set and
-// the job's context is live, or closes it. It reports whether m went back.
-func (r *NetmpiRunner) release(m *mesh, keep bool, ctx context.Context) bool {
-	r.foldStats(m)
+// release folds now, the counters as the run that just ended on m left
+// them, into the runner's totals, then puts m back on the free list when
+// keep is set and the job's context is live, or closes it. It reports
+// whether m went back.
+func (r *NetmpiRunner) release(m *mesh, now []netmpi.Stats, keep bool, ctx context.Context) bool {
+	r.foldStats(m, now)
 	if keep {
 		r.meshMu.Lock()
 		// Checked under the lock CloseIdle takes: once a drain has cancelled

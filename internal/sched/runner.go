@@ -230,9 +230,15 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 	stopGray := r.startGrayMonitor(m.eps, opts.Span)
 	defer func() {
 		stopGray()
+		// One snapshot of every endpoint's counters serves both the
+		// successful attempt's volume audit and the per-run fold.
+		now := m.counters()
+		if err == nil {
+			r.auditVolume(plan, m.folded, now, opts.Span)
+		}
 		// stop reports false once the context's close has been set off.
 		keep := stop() && poolable && err == nil && m.healthy()
-		returned := r.release(m, keep, opts.Ctx)
+		returned := r.release(m, now, keep, opts.Ctx)
 		if r.onUse != nil {
 			r.onUse(meshUse{job: jobID, m: m, leased: leased, done: true, returned: returned})
 		}
@@ -254,7 +260,6 @@ func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan 
 	if err != nil {
 		return nil, pickRootCause(err)
 	}
-	r.auditVolume(plan, m.folded, m.counters(), opts.Span)
 	return rep, nil
 }
 
@@ -352,11 +357,10 @@ func (r *NetmpiRunner) startGrayMonitor(eps []*netmpi.Endpoint, span obs.SpanHan
 }
 
 // foldStats adds what every endpoint of m counted since the mesh's previous
-// run ended to the runner-lifetime totals, and moves the mesh's mark up.
-// Called exactly once per run, as the run releases the mesh, so the totals
-// are the sum over runs.
-func (r *NetmpiRunner) foldStats(m *mesh) {
-	now := m.counters()
+// run ended — now, the counters as the run ended — to the runner-lifetime
+// totals, and moves the mesh's mark up to now. Called exactly once per run,
+// as the run releases the mesh, so the totals are the sum over runs.
+func (r *NetmpiRunner) foldStats(m *mesh, now []netmpi.Stats) {
 	r.netMu.Lock()
 	defer r.netMu.Unlock()
 	if r.netPeers == nil {

@@ -19,7 +19,8 @@
 #
 # -cover builds the same binaries with -cover -coverpkg=repro/..., runs
 # each entry point with GOCOVERDIR set (the serve smoke, summagen on the
-# five shapes and as a traced 3-rank TCP mesh, experiments -quick all,
+# five shapes, as a traced 3-rank TCP mesh and as one that heals a corrupt
+# frame by re-request, experiments -quick all,
 # every example, partview, fpmprof, and the four bench workloads at
 # --seconds 3, untraced and traced), then prints every function no run
 # entered and the statement total. It is a report, not a gate.
@@ -74,6 +75,21 @@ cover() {
     pids+=($!)
   done
   for r in "${pids[@]}"; do wait "$r"; done
+  # The same mesh with one corrupt frame: the default -retries 3 arms the
+  # re-request path (the receiver redials, the sender replays the frame from
+  # its ring), and every rank must still verify.
+  hosts=127.0.0.1:19893,127.0.0.1:19894,127.0.0.1:19895 pids=()
+  for r in 0 1 2; do
+    "$bin/summagen" -rank "$r" -hosts "$hosts" -n 128 \
+      -chaos 'corrupt:rank=1,after=2,fires=1' >"$tmp/chaos$r.log" 2>&1 &
+    pids+=($!)
+  done
+  for r in 0 1 2; do
+    if ! wait "${pids[$r]}" || ! grep -q '^verification: OK' "$tmp/chaos$r.log"; then
+      cat "$tmp/chaos$r.log" >&2
+      exit 1
+    fi
+  done
   "$bin/experiments" -quick all >/dev/null
   for pkg in $mains; do
     case "$pkg" in */examples/*) "$bin/${pkg##*/}" >/dev/null ;; esac
