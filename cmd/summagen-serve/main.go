@@ -318,7 +318,7 @@ func chaosPlanFromFlags(o options) (*faultinject.Plan, error) {
 
 // chaosWrapConn builds the fault-injection hook for a chaos plan: one
 // injector per job (frame counters, MaxFires budgets, and partition heal
-// clocks are per-mesh and must span a job's reconnects). Faults apply only
+// clocks span all of a job's connections). Faults apply only
 // to epoch 0 — the first attempt — so a recovery attempt that follows runs
 // on a clean mesh and must succeed.
 func chaosWrapConn(plan faultinject.Plan) func(jobID string, epoch, rank int) func(peer int, c net.Conn) net.Conn {

@@ -24,19 +24,24 @@
 //
 // In rank mode -op-timeout bounds every blocking frame read or write and
 // -heartbeat keeps slow-but-alive ranks from being declared dead: a rank
-// whose peer fails exits with status 3 and a diagnostic naming the dead
-// peer instead of hanging. Before multiplying, the ranks compare their
+// whose peer fails — its connection resets or goes silent, or a frame from
+// it fails its CRC — exits with status 3 and a diagnostic naming the failed
+// peer instead of hanging. As in MPI, a failed rank ends the run: a
+// supervisor restarts it. Before multiplying, the ranks compare their
 // layouts' digests: ranks given different layouts (a differing -shape,
 // -speeds, -n or -layout) exit with status 1 and name the rank that
-// disagrees. -chaos applies a fault plan in the
+// disagrees. After multiplying, they meet in one more agreement before
+// closing their connections, so that no rank closes while a peer still
+// reads what it sent. -chaos applies a fault plan in the
 // internal/faultinject grammar to this rank's connections — corruption
-// (caught by the frame CRC and re-requested), bandwidth-capped links,
-// partitions that sever until they heal:
+// (caught by the frame CRC), bandwidth-capped links, partitions that sever
+// until they heal:
 //
 //	summagen -rank 1 -hosts :9000,:9001,:9002 -n 512 \
 //	    -chaos 'corrupt:rank=1,after=2,fires=1,seed=7'
 //
-// The run must still verify: chaos changes the path, never the product.
+// A slowed run must still verify: chaos changes the path, never the
+// product. A corrupt or severed frame fails its peer, and every rank exits 3.
 //
 // Exit status: 0 success, 1 error, 2 usage error, 3 peer failure.
 package main
@@ -77,9 +82,9 @@ type options struct {
 	seed                                   int64
 
 	// Rank mode.
-	hosts, chaos                                    string
-	rank, retries                                   int
-	opTimeout, heartbeat, dialTimeout, retryBackoff time.Duration
+	hosts, chaos                      string
+	rank                              int
+	opTimeout, heartbeat, dialTimeout time.Duration
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil)) }
@@ -108,8 +113,6 @@ func run(args []string, stdout, stderr io.Writer, ln net.Listener) int {
 	fs.DurationVar(&o.opTimeout, "op-timeout", 30*time.Second, "per-operation deadline before a silent peer is declared failed (0 disables)")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second, "heartbeat interval keeping slow ranks alive under -op-timeout (0 disables)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 30*time.Second, "total budget for establishing the mesh")
-	fs.IntVar(&o.retries, "retries", 3, "reconnect attempts after a transient connection loss")
-	fs.DurationVar(&o.retryBackoff, "retry-backoff", 10*time.Millisecond, "initial reconnect backoff (doubles per attempt)")
 	fs.StringVar(&o.chaos, "chaos", "", "fault plan applied to this rank's connections, in the faultinject grammar (e.g. 'corrupt:rank=1,after=2,fires=1'; testing only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -309,8 +312,6 @@ func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *
 		DialTimeout:       o.dialTimeout,
 		OpTimeout:         o.opTimeout,
 		HeartbeatInterval: o.heartbeat,
-		MaxRetries:        o.retries,
-		RetryBackoff:      o.retryBackoff,
 		WrapConn:          wrap,
 	})
 	if err != nil {
@@ -331,6 +332,12 @@ func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *
 	}
 
 	remotes := shipSpans(ep, o.rank, layout.P, rec, logger)
+	// The world fence of MPI_Finalize: a rank closing while a peer still
+	// reads its last frames would reset the connection under them (a socket
+	// closed with unread bytes, such as a peer's heartbeat, sends RST).
+	if err := ep.AgreeEpoch(); err != nil {
+		return nil, nil, fmt.Errorf("closing fence: %w", err)
+	}
 	spans := append([]obs.Span(nil), rec.Spans()...)
 	for _, rt := range remotes {
 		spans = append(spans, rt.Spans...)

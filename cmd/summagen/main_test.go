@@ -140,30 +140,74 @@ func TestRankModeTrace(t *testing.T) {
 // and both layout digests; without the agreement the ranks wait on each
 // other's broadcasts for ever, heartbeats keeping every op alive.
 func TestRankModeLayoutMismatch(t *testing.T) {
-	done := make(chan struct{})
-	var codes []int
-	var errs []bytes.Buffer
-	go func() {
-		defer close(done)
-		codes, _, errs = runRanks(t, func(r int) []string {
-			shape := "square-corner"
-			if r == 2 {
-				shape = "1d-rectangle"
-			}
-			return []string{"-n", "96", "-shape", shape, "-op-timeout", "5s", "-dial-timeout", "10s"}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("ranks that disagree on the layout still run after 10 s")
-	}
+	codes, _, errs := runRanksWithin(t, 10*time.Second, func(r int) []string {
+		shape := "square-corner"
+		if r == 2 {
+			shape = "1d-rectangle"
+		}
+		return []string{"-n", "96", "-shape", shape, "-op-timeout", "5s", "-dial-timeout", "10s"}
+	})
 	mismatch := regexp.MustCompile(`layout agreement: netmpi: rank \d has digest [0-9a-f]{16}, rank \d has [0-9a-f]{16}`)
 	for r := range codes {
 		if codes[r] != 1 || !mismatch.MatchString(errs[r].String()) {
 			t.Errorf("rank %d: exit %d, stderr: %s; want 1 and the layout mismatch", r, codes[r], errs[r].String())
 		}
 	}
+}
+
+// TestRankModeCorruptFrameExitsThree: one corrupt frame — a panel of an
+// N = 512 multiply, larger than any frame a sender could keep for a resend —
+// fails its peer, and every rank exits 3 well inside one -op-timeout, with
+// the default heartbeat feeding every rank's op deadline. The rank that read
+// the frame names the CRC failure.
+func TestRankModeCorruptFrameExitsThree(t *testing.T) {
+	codes, _, errs := runRanksWithin(t, 10*time.Second, func(int) []string {
+		return []string{"-n", "512", "-chaos", "corrupt:rank=1,after=2,fires=1"}
+	})
+	crc := false
+	for r := range codes {
+		if codes[r] != 3 {
+			t.Errorf("rank %d: exit %d, want 3\nstderr: %s", r, codes[r], errs[r].String())
+		}
+		crc = crc || strings.Contains(errs[r].String(), "corrupt frame from rank 1")
+	}
+	if !crc {
+		t.Error("no rank reported the corrupt frame")
+	}
+}
+
+// TestRankModeClosesAfterEveryRankIsDone: on links capped at 1 MB/s the
+// ranks finish at different times, and a rank that closes its connections
+// while a peer still reads what it sent must not cut that read short. Every
+// rank verifies its cells and exits 0.
+func TestRankModeClosesAfterEveryRankIsDone(t *testing.T) {
+	codes, outs, errs := runRanksWithin(t, 20*time.Second, func(int) []string {
+		return []string{"-n", "512", "-chaos", "slowlink:rate=1m", "-op-timeout", "10s"}
+	})
+	for r := range codes {
+		if codes[r] != 0 || !strings.Contains(outs[r].String(), "verification: OK") {
+			t.Errorf("rank %d: exit %d\nstdout: %s\nstderr: %s", r, codes[r], outs[r].String(), errs[r].String())
+		}
+	}
+}
+
+// runRanksWithin is runRanks that fails the test if the ranks have not all
+// returned within d.
+func runRanksWithin(t *testing.T, d time.Duration, args func(r int) []string) ([]int, []bytes.Buffer, []bytes.Buffer) {
+	t.Helper()
+	done := make(chan struct{})
+	var codes []int
+	var outs, errs []bytes.Buffer
+	go func() {
+		defer close(done)
+		codes, outs, errs = runRanks(t, args)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("ranks still running after %v", d)
+	}
+	return codes, outs, errs
 }
 
 // runRanks runs three rank-mode invocations over loopback TCP in this

@@ -55,7 +55,7 @@ func TestCorruptFlipsDeterministically(t *testing.T) {
 	if !bytes.Equal(a[:16], frame[:16]) {
 		t.Fatal("flip landed below PayloadOffset")
 	}
-	// The writer's buffer is never mutated (replay buffers alias it).
+	// The writer's buffer is never mutated.
 	if !bytes.Equal(frame, bytes.Repeat([]byte{0x55}, 64)) {
 		t.Fatal("caller's buffer was mutated")
 	}
@@ -118,8 +118,8 @@ func TestPartitionHeals(t *testing.T) {
 		t.Fatalf("partition fires = %d, want 1 (one event, not per write)", in.Fires(0))
 	}
 
-	// After Heal elapses a reconnect (fresh conn wrapped by the same
-	// injector — the heal clock is global to the rule) passes traffic.
+	// After Heal elapses a fresh conn wrapped by the same injector (the
+	// heal clock is global to the rule) passes traffic.
 	time.Sleep(130 * time.Millisecond)
 	w2, r2 := pipePair(t, in, 0, 1)
 	go readOK(t, r2, 4)

@@ -56,8 +56,8 @@ const (
 	SlowLink
 	// Partition severs the matching direction: from the trigger frame
 	// until Rule.Heal has elapsed since the first triggered write, every
-	// write closes the connection and fails (wrapping net.ErrClosed), so
-	// reconnect attempts keep dying until the network heals; Heal == 0
+	// write closes the connection and fails (wrapping net.ErrClosed), on
+	// every connection the injector wraps, until the network heals; Heal == 0
 	// never heals. Modeled as connection death rather than silent frame
 	// loss because TCP never loses frames on a live connection — a cut
 	// either stalls the stream (SlowLink/Drop territory) or kills it.
@@ -99,8 +99,8 @@ type Rule struct {
 	// Delay is the per-write delay for Action == Delay.
 	Delay time.Duration
 	// MaxFires, when positive, limits how many times the rule acts
-	// across all connections — e.g. 1 makes a Close a single transient
-	// event that a reconnecting runtime can heal. Zero means unlimited.
+	// across all connections — e.g. 1 makes a Close a single event on one
+	// connection. Zero means unlimited.
 	MaxFires int
 	// FlipBits is how many bits Corrupt flips per frame (default 1).
 	FlipBits int
@@ -239,10 +239,10 @@ func (fc *conn) Write(b []byte) (int, error) {
 			}
 		case Partition:
 			// Frame counters are per-connection, but a partition window is
-			// injector-global: once it is open, a fresh reconnect's first
-			// writes (n < AfterFrames on the new conn) must still hit the
-			// heal check, or every reconnect generation would leak its
-			// early frames through a supposedly black link.
+			// injector-global: once it is open, another connection's first
+			// writes (n < AfterFrames on that conn) must still hit the
+			// heal check, or every connection the injector wraps later
+			// would leak its early frames through a supposedly black link.
 			in.mu.Lock()
 			open := !in.partStart[i].IsZero()
 			in.mu.Unlock()
@@ -257,7 +257,7 @@ func (fc *conn) Write(b []byte) (int, error) {
 			// A partition is one event with a duration, not a per-write
 			// fire: the first triggered write starts the heal clock (and
 			// counts as the rule's single fire); every write until Heal
-			// elapses — on this connection or any reconnect the same
+			// elapses — on this connection or any other the same
 			// injector wraps — severs the link, heartbeats included.
 			in.mu.Lock()
 			if in.partStart[i].IsZero() {
@@ -285,8 +285,8 @@ func (fc *conn) Write(b []byte) (int, error) {
 		case Delay:
 			time.Sleep(r.Delay)
 		case Close:
-			// Wrap net.ErrClosed so runtimes that classify transient
-			// socket errors (errors.Is) can elect to reconnect.
+			// Wrap net.ErrClosed so a runtime can tell (errors.Is) a
+			// closed connection from other write errors.
 			fc.Conn.Close()
 			return 0, fmt.Errorf("faultinject: connection closed at frame %d: %w", n, net.ErrClosed)
 		case Corrupt:
@@ -298,8 +298,8 @@ func (fc *conn) Write(b []byte) (int, error) {
 
 // corruptCopy returns a copy of frame with the rule's bit flips applied.
 // Positions derive from (Seed, frame index) alone, so a run reproduces its
-// flips exactly; the caller's buffer is never mutated (the transport may
-// retransmit it from a replay buffer).
+// flips exactly; the caller's buffer is never mutated (a Write must leave
+// what its caller passed in as it was).
 func corruptCopy(frame []byte, r Rule, n int) []byte {
 	nb := append([]byte(nil), frame...)
 	flips := r.FlipBits

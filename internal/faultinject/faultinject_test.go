@@ -76,7 +76,7 @@ func TestCloseAtNthFrameOnce(t *testing.T) {
 	if err == nil || n != 0 {
 		t.Fatalf("frame 2 must fail with 0 bytes written, got n=%d err=%v", n, err)
 	}
-	// The rule is exhausted: a fresh (reconnected) wrapped conn passes.
+	// The rule is exhausted: a freshly wrapped conn passes.
 	w2, r2 := pipePair(t, in, 0, 1)
 	go readOK(t, r2, 8)
 	for i := 0; i < 2; i++ {

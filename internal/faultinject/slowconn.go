@@ -20,6 +20,10 @@ import (
 // application deadline fire mid-drain would corrupt the model (real
 // in-transit latency is invisible to the sender). Read deadlines pass
 // through untouched.
+//
+// Close delivers what is still queued, unpaced and within flushTimeout,
+// before it closes the wire: a real socket closed after a write still sends
+// the written bytes ahead of its FIN.
 type slowConn struct {
 	net.Conn
 	rate   int64
@@ -31,7 +35,16 @@ type slowConn struct {
 	err    error // sticky drain error, surfaced on later Writes
 	closed bool
 	wake   chan struct{}
+
+	closing   sync.Once
+	stop      chan struct{} // closed by Close: the drain stops pacing
+	drained   chan struct{} // closed when the drain goroutine returns
+	closeWire error
 }
+
+// flushTimeout bounds how long Close spends delivering the queue to a peer
+// that does not read.
+const flushTimeout = time.Second
 
 // newSlowConn wraps c with the rule's transit queue; a non-positive rate
 // disables the wrapper.
@@ -40,11 +53,13 @@ func newSlowConn(c net.Conn, r Rule) net.Conn {
 		return c
 	}
 	sc := &slowConn{
-		Conn:   c,
-		rate:   r.Rate,
-		jitter: r.Jitter,
-		rng:    rand.New(rand.NewSource(r.Seed)),
-		wake:   make(chan struct{}, 1),
+		Conn:    c,
+		rate:    r.Rate,
+		jitter:  r.Jitter,
+		rng:     rand.New(rand.NewSource(r.Seed)),
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	go sc.drain()
 	return sc
@@ -65,11 +80,16 @@ func (sc *slowConn) Write(b []byte) (int, error) {
 }
 
 func (sc *slowConn) Close() error {
-	sc.mu.Lock()
-	sc.closed = true
-	sc.signal()
-	sc.mu.Unlock()
-	return sc.Conn.Close()
+	sc.closing.Do(func() {
+		sc.mu.Lock()
+		sc.closed = true
+		sc.mu.Unlock()
+		_ = sc.Conn.SetWriteDeadline(time.Now().Add(flushTimeout))
+		close(sc.stop)
+		<-sc.drained
+		sc.closeWire = sc.Conn.Close()
+	})
+	return sc.closeWire
 }
 
 // SetWriteDeadline is a no-op: enqueueing never blocks, and transit
@@ -88,6 +108,7 @@ func (sc *slowConn) signal() {
 }
 
 func (sc *slowConn) drain() {
+	defer close(sc.drained)
 	for {
 		sc.mu.Lock()
 		for len(sc.q) == 0 {
@@ -96,7 +117,10 @@ func (sc *slowConn) drain() {
 				return
 			}
 			sc.mu.Unlock()
-			<-sc.wake
+			select {
+			case <-sc.wake:
+			case <-sc.stop:
+			}
 			sc.mu.Lock()
 		}
 		b := sc.q[0]
@@ -106,7 +130,12 @@ func (sc *slowConn) drain() {
 			cost += time.Duration(sc.rng.Int63n(int64(sc.jitter)))
 		}
 		sc.mu.Unlock()
-		time.Sleep(cost)
+		pace := time.NewTimer(cost)
+		select {
+		case <-pace.C:
+		case <-sc.stop:
+			pace.Stop()
+		}
 		if _, err := sc.Conn.Write(b); err != nil {
 			sc.mu.Lock()
 			if sc.err == nil {

@@ -7,8 +7,8 @@ import (
 
 // Proc adapts the endpoint to the engine's runtime contract, so
 // core.MultiplyOn executes SummaGen over TCP. Network failures — a peer
-// resetting, going silent past Config.OpTimeout, or exhausting the
-// reconnect budget — surface as a typed *PeerFailedError returned from the
+// resetting, going silent past Config.OpTimeout, or sending a frame that
+// fails its CRC — surface as a typed *PeerFailedError returned from the
 // collectives, which the engine wraps with the failing stage and rank and
 // returns to the caller; a lost peer is a clean error for the rank, never a
 // deadlock, and the process supervisor owns recovery.

@@ -84,8 +84,8 @@ type clockSync struct {
 
 // noteBeat records an incoming beat: it always refreshes the echo state,
 // and for beats that echo one of ours it adds an offset sample.
-// Negative round trips (clock steps mid-exchange, duplicated echoes after
-// a reconnect) are discarded rather than clamped — a fabricated zero-RTT
+// Negative round trips (clock steps mid-exchange, duplicated echoes) are
+// discarded rather than clamped — a fabricated zero-RTT
 // sample would win the min-RTT filter with a corrupt offset.
 func (cs *clockSync) noteBeat(sendTs, echoTs, echoHold, nowLocal float64) {
 	cs.mu.Lock()

@@ -2,6 +2,7 @@ package netmpi
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -62,34 +63,6 @@ func TestDialCanceledByContext(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
-}
-
-// TestReconnectWaitCanceledByContext: a rank parked waiting for a failed
-// peer to redial must give up as soon as the context cancels, not after
-// the reconnect budget.
-func TestReconnectWaitCanceledByContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	eps := faultWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.OpTimeout = 20 * time.Second // reconnect budget = min(OpTimeout, DialTimeout)
-		cfg.DialTimeout = 20 * time.Second
-		cfg.MaxRetries = 3
-		cfg.Ctx = ctx
-	})
-	// Rank 0 (accept side) loses its connection to rank 1 and waits for a
-	// redial that never comes: rank 1's endpoint is closed entirely.
-	eps[1].Close()
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := eps[0].Recv(1, 7)
-	if err == nil {
-		t.Fatal("Recv from a closed peer succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Recv took %v — the canceled context should have cut the reconnect wait", elapsed)
-	}
 }
 
 // TestEpochMismatchRejectedAtHello: mesh setup must fail when ranks
@@ -193,5 +166,39 @@ func TestAgreeDigestMismatch(t *testing.T) {
 		if err != nil {
 			t.Errorf("rank %d: equal digests: %v", r, err)
 		}
+	}
+}
+
+// TestLeaseFenceAllocatesNothing: the epoch fence a leased mesh runs before
+// every job exchanges its P values over the cached world communicator into
+// each endpoint's own buffer — a warm fence allocates nothing on any rank.
+func TestLeaseFenceAllocatesNothing(t *testing.T) {
+	eps := faultWorld(t, 3, func(rank int, cfg *Config) {
+		cfg.OpTimeout = 10 * time.Second
+		cfg.Epoch = 5
+	})
+	start, done := make(chan bool), make(chan error, 2)
+	for _, ep := range eps[1:] {
+		go func() {
+			for range start {
+				done <- ep.AgreeEpoch()
+			}
+		}()
+	}
+	defer close(start)
+	fence := func() {
+		start <- true
+		start <- true
+		err := eps[0].AgreeEpoch()
+		for range eps[1:] {
+			err = errors.Join(err, <-done)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fence()
+	if allocs := testing.AllocsPerRun(50, fence); allocs != 0 && !raceEnabled {
+		t.Errorf("a warm 3-rank epoch fence allocates %v times", allocs)
 	}
 }

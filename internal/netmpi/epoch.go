@@ -7,7 +7,7 @@ import (
 
 // AgreeEpoch is the collective half of epoch fencing. The pairwise hello
 // check (see Dial) already rejects connections whose epoch differs, but it
-// only runs where connections are (re-)established; AgreeEpoch runs a
+// only runs where connections are established; AgreeEpoch runs a
 // world-wide exchange of this endpoint's epoch and fails if any member
 // reports a different one. Run it after Dial and before the first real
 // collective of a recovered job: it doubles as a barrier, so no rank

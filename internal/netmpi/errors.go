@@ -3,18 +3,17 @@ package netmpi
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"syscall"
 )
 
 // PeerFailedError reports that a peer rank has been declared failed. It is
 // the runtime's single failure type: every way a peer can die — its
 // connection resets, its socket goes silent past the operation deadline, a
-// reconnect budget is exhausted, the initial dial never succeeds — converts
+// frame from it fails its CRC, the initial dial never succeeds — converts
 // a potential hang into this error, which propagates out of the collectives
 // (Bcast, Barrier, the epoch and digest agreements), through the core.Proc
-// adapter, and up to the caller of core.MultiplyOn.
+// adapter, and up to the caller of core.MultiplyOn. The failure is
+// permanent: the endpoint never reconnects to the peer.
 type PeerFailedError struct {
 	// Rank is the world rank of the peer declared failed.
 	Rank int
@@ -23,7 +22,7 @@ type PeerFailedError struct {
 	// "heartbeat").
 	Op string
 	// Err is the underlying cause (an I/O error, a deadline expiry, or a
-	// reconnect failure).
+	// *CorruptFrameError).
 	Err error
 }
 
@@ -37,10 +36,9 @@ func (e *PeerFailedError) Unwrap() error { return e.Err }
 // contents, or whose header claimed more than maxFrameElems elements. Header
 // fields are as read off the wire and therefore untrusted — the corruption
 // may sit in the header itself.
-// A bounded number of re-requests (maxRerequests) is attempted through the
-// reconnect handshake; when they are exhausted, or the sender has no
-// replay copy, the error becomes the cause of a *PeerFailedError and the
-// job-level survivor-replan recovery takes over.
+// The error becomes the cause of a *PeerFailedError at once: a corrupt
+// frame fails its peer, and recovery, if any, is the job's (the scheduler
+// replans on the survivors).
 type CorruptFrameError struct {
 	// Peer is the world rank the frame arrived from.
 	Peer int
@@ -100,19 +98,4 @@ func (e *DegradedPeerError) Error() string {
 func isTimeoutErr(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// transientNetErr reports whether err is a socket error that a reconnect
-// could plausibly heal: a reset/closed connection or a clean EOF. Deadline
-// expiries are never transient — they are the failure detector firing.
-func transientNetErr(err error) bool {
-	if err == nil || isTimeoutErr(err) {
-		return false
-	}
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, syscall.ECONNREFUSED)
 }

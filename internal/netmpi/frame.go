@@ -55,8 +55,7 @@ const (
 	// algorithm traffic only.
 	spanCommID = 0xFFFFFFFD
 	// probeCommID carries the handshake probe each side sends right after
-	// the hello is on the wire: it names the frame, if any, the speaker
-	// wants retransmitted. See the handshake in netmpi.go.
+	// the hello is on the wire. See the handshake in netmpi.go.
 	probeCommID = 0xFFFFFFFC
 )
 
@@ -120,15 +119,14 @@ type frameScratch [headerBytes + crcTrailerBytes]byte
 // one the caller is waiting for — its key equals want and it carries exactly
 // len(into) elements, into non-nil — the payload is read off r straight
 // into into and the returned slice is into itself; the CRC is checked in
-// place, and since a corrupt frame's re-request reads into the same buffer,
-// nothing the failed read left behind survives. Any other frame (another
+// place, and a corrupt frame fails its peer, so nothing reads what the failed
+// read left behind as data. Any other frame (another
 // key, another length, or no into at all) is decoded into a freshly
 // allocated []float64 the caller owns, because it will be parked or handed
 // out as is (see pool.go for who owns what). A count above maxFrameElems or
 // a CRC32C trailer that does not match returns a *CorruptFrameError that
-// still carries the header fields as read (the re-request path needs the
-// key; the caller must treat it as untrusted, since the corruption may sit
-// in the header itself).
+// still carries the header fields as read, for the diagnostic (untrusted,
+// since the corruption may sit in the header itself).
 func readFrame(r io.Reader, sc *frameScratch, want frameKey, into []float64) (frameKey, []float64, error) {
 	hdr := sc[:headerBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -177,33 +175,20 @@ func IsHeartbeatFrame(b []byte) bool {
 	return len(b) >= headerBytes && binary.LittleEndian.Uint32(b[0:]) == heartbeatCommID
 }
 
-// rerequest names one frame a receiver wants retransmitted after a CRC
-// failure. It rides the handshake probe of the reconnect that follows the
-// failure (see the handshake in netmpi.go).
-type rerequest struct {
-	key     frameKey
-	present bool
-}
+// probeFrame is the handshake probe each side sends right after the hello:
+// an empty frame on the reserved probe comm id. It only acknowledges — a
+// side that gets no probe back refuses the connection.
+var probeFrame = appendFrame(nil, probeCommID, 0, nil)
 
-// appendProbe appends the handshake probe frame: the reserved probe comm id
-// and a 3-float payload encoding an optional re-request [present, comm, tag].
-func appendProbe(dst []byte, rr rerequest) []byte {
-	payload := [3]float64{0, float64(rr.key.comm), float64(rr.key.tag)}
-	if rr.present {
-		payload[0] = 1
-	}
-	return appendFrame(dst, probeCommID, 0, payload[:])
-}
-
-// readProbe reads the peer's handshake probe off r; anything but a valid
-// probe is an error.
-func readProbe(r io.Reader) (rerequest, error) {
+// readProbe reads the peer's handshake probe off r; anything but a probe is
+// an error.
+func readProbe(r io.Reader) error {
 	key, data, err := readFrame(r, new(frameScratch), frameKey{}, nil)
 	if err != nil {
-		return rerequest{}, err
+		return err
 	}
-	if key.comm != probeCommID || len(data) != 3 {
-		return rerequest{}, fmt.Errorf("expected a handshake probe, got a frame for comm %#x with %d elements", key.comm, len(data))
+	if key.comm != probeCommID || len(data) != 0 {
+		return fmt.Errorf("expected a handshake probe, got a frame for comm %#x with %d elements", key.comm, len(data))
 	}
-	return rerequest{key: frameKey{comm: uint32(data[1]), tag: uint32(data[2])}, present: data[0] != 0}, nil
+	return nil
 }

@@ -59,8 +59,7 @@ func (rc *rankConn) beat(interval time.Duration) {
 		return // a real frame is being written; that is liveness enough
 	}
 	defer rc.wmu.Unlock()
-	c, _, failure := rc.snapshot()
-	if failure != nil || c == nil {
+	if rc.failed() != nil {
 		return
 	}
 	fb := getFrameBuf()
@@ -69,8 +68,8 @@ func (rc *rankConn) beat(interval time.Duration) {
 	echoTs, echoHold := rc.clk.echoState(now)
 	ts := [3]float64{now, echoTs, echoHold}
 	fb.b = appendFrame(fb.b[:0], heartbeatCommID, 0, ts[:])
-	_ = c.SetWriteDeadline(time.Now().Add(interval))
-	_, _ = c.Write(fb.b) // best-effort: the next real op surfaces errors
+	_ = rc.c.SetWriteDeadline(time.Now().Add(interval))
+	_, _ = rc.c.Write(fb.b) // best-effort: the next real op surfaces errors
 }
 
 // nowUnixSeconds returns the local clock as float64 Unix seconds — the

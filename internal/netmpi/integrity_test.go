@@ -62,9 +62,8 @@ func worldWith(t *testing.T, cfgs []Config) []*Endpoint {
 
 // corruptor flips one payload bit of selected data frames on the write
 // side — the frame arrives with intact framing but a failing checksum.
-// State is shared across connections (reconnects get fresh wrappers but
-// the same counters), so "corrupt the first data frame" means first ever,
-// not first per conn — a retransmit on a fresh conn goes through clean.
+// State is shared across an endpoint's connections, so "corrupt the first
+// data frame" means the endpoint's first, not the first per conn.
 type corruptor struct {
 	mu    sync.Mutex
 	from  int // corrupt data frames starting at this 1-based index…
@@ -238,118 +237,64 @@ func checkArbitraryFrame(t *testing.T, raw []byte) {
 	}
 }
 
-// TestCorruptFrameHealedByRerequest injects a single payload bit flip into
-// a frame in flight and asserts the receiver gets the original bytes back
-// through the re-request path — no failure surfaces to the caller, and the
-// corrupt frame never pollutes the data counters.
-func TestCorruptFrameHealedByRerequest(t *testing.T) {
-	want := []float64{3.5, -1.25, 88, 0.0625}
-	co := &corruptor{from: 1, count: 1}
-	cfgs := []Config{
-		{OpTimeout: 4 * time.Second, MaxRetries: 3, WrapConn: co.wrap},
-		{OpTimeout: 4 * time.Second, MaxRetries: 3},
-	}
-	eps := worldWith(t, cfgs)
-
-	var wg sync.WaitGroup
-	var sendErr, recvErr error
-	var got []float64
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		sendErr = eps[0].Send(1, 7, want)
-	}()
-	go func() {
-		defer wg.Done()
-		got, recvErr = eps[1].Recv(0, 7)
-	}()
-	wg.Wait()
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("send err %v, recv err %v", sendErr, recvErr)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d floats, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("payload[%d] = %v, want %v (retransmit served wrong bytes)", i, got[i], want[i])
-		}
-	}
-
-	rs := eps[1].Stats().Peers[0]
-	if rs.CorruptFrames != 1 || rs.Rerequests != 1 {
-		t.Fatalf("receiver: corrupt=%d rerequests=%d, want 1/1", rs.CorruptFrames, rs.Rerequests)
-	}
-	if rs.FramesRecv != 1 || rs.BytesRecv != int64(8*len(want)) {
-		t.Fatalf("receiver data counters polluted by corrupt frame: frames=%d bytes=%d",
-			rs.FramesRecv, rs.BytesRecv)
-	}
-	// The sender counts a retransmit (frames, then bytes) once its write
-	// returns, which can be after the receiver's Recv returned the frame.
-	sender := func() PeerStats { p := eps[0].Stats().Peers; return p[len(p)-1] }
-	ss := sender()
-	for deadline := time.Now().Add(5 * time.Second); (ss.RetransmitFrames == 0 || ss.RetransmitBytes == 0) && time.Now().Before(deadline); ss = sender() {
-		time.Sleep(time.Millisecond)
-	}
-	if ss.RetransmitFrames != 1 || ss.RetransmitBytes != int64(8*len(want)) {
-		t.Fatalf("sender: retransmits=%d bytes=%d, want 1/%d", ss.RetransmitFrames, ss.RetransmitBytes, 8*len(want))
-	}
-	if ss.FramesSent != 1 {
-		t.Fatalf("sender counted the retransmit as a data frame: frames=%d", ss.FramesSent)
-	}
-}
-
-// TestCorruptFrameRerequestsExhausted corrupts every copy of a frame —
-// original and each retransmit — and asserts the bounded re-request
-// protocol gives up with a PeerFailedError wrapping a CorruptFrameError
-// instead of looping forever.
-func TestCorruptFrameRerequestsExhausted(t *testing.T) {
-	co := &corruptor{from: 1, count: 0} // corrupt everything, retransmits included
-	cfgs := []Config{
-		{OpTimeout: 4 * time.Second, MaxRetries: 10, WrapConn: co.wrap},
-		{OpTimeout: 4 * time.Second, MaxRetries: 10},
-	}
-	eps := worldWith(t, cfgs)
-
-	go func() { _ = eps[0].Send(1, 7, []float64{1, 2, 3}) }()
-	_, err := eps[1].Recv(0, 7)
-	var pf *PeerFailedError
-	if !errors.As(err, &pf) {
-		t.Fatalf("got %v, want PeerFailedError", err)
-	}
-	var cfe *CorruptFrameError
-	if !errors.As(err, &cfe) {
-		t.Fatalf("failure cause %v, want CorruptFrameError", err)
-	}
-	rs := eps[1].Stats().Peers[0]
-	if rs.CorruptFrames != maxRerequests+1 {
-		t.Fatalf("corrupt frames seen: %d, want %d (bounded re-requests)", rs.CorruptFrames, maxRerequests+1)
-	}
-}
-
-// TestCorruptFrameWithoutRetriesFailsAtOnce: with MaxRetries 0 no
-// reconnect can carry a re-request, so a CRC-caught frame fails the peer
-// at once and nothing is re-requested or counted as one.
+// TestCorruptFrameWithoutRetriesFailsAtOnce: a CRC-caught frame fails its
+// peer at once — nothing reconnects or re-requests it — whatever the frame's
+// size, with heartbeats feeding the op deadline, and when the payload was
+// being read into the caller's own buffer, which the caller does not get
+// back as data.
 func TestCorruptFrameWithoutRetriesFailsAtOnce(t *testing.T) {
-	co := &corruptor{from: 1, count: 1}
-	cfgs := []Config{
-		{OpTimeout: 4 * time.Second, WrapConn: co.wrap},
-		{OpTimeout: 4 * time.Second},
-	}
-	eps := worldWith(t, cfgs)
-
-	go func() { _ = eps[0].Send(1, 7, []float64{1, 2, 3}) }()
-	_, err := eps[1].Recv(0, 7)
-	var pf *PeerFailedError
-	if !errors.As(err, &pf) {
-		t.Fatalf("got %v, want PeerFailedError", err)
-	}
-	var cfe *CorruptFrameError
-	if !errors.As(err, &cfe) {
-		t.Fatalf("failure cause %v, want CorruptFrameError", err)
-	}
-	if rs := eps[1].Stats().Peers[0]; rs.CorruptFrames != 1 || rs.Rerequests != 0 {
-		t.Fatalf("receiver: corrupt=%d rerequests=%d, want 1/0", rs.CorruptFrames, rs.Rerequests)
+	const opTimeout = 4 * time.Second
+	world := []int{0, 1}
+	for _, tc := range []struct {
+		name      string
+		elems     int
+		heartbeat time.Duration
+		bcast     bool // a Bcast into a caller buffer, else a Send/Recv
+	}{
+		{name: "small-send", elems: 3},
+		{name: "over-64KiB-heartbeats-on", elems: 64<<10/8 + 1, heartbeat: 50 * time.Millisecond},
+		{name: "bcast-into-caller-buffer", elems: 4, bcast: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := &corruptor{from: 1, count: 1}
+			eps := worldWith(t, []Config{
+				{OpTimeout: opTimeout, HeartbeatInterval: tc.heartbeat, WrapConn: co.wrap},
+				{OpTimeout: opTimeout, HeartbeatInterval: tc.heartbeat},
+			})
+			want := make([]float64, tc.elems)
+			for i := range want {
+				want[i] = float64(i) + 0.5
+			}
+			into := make([]float64, tc.elems)
+			var got []float64
+			var err error
+			start := time.Now()
+			if tc.bcast {
+				go func() { _, _ = eps[0].Split(world).Bcast(want, len(want), 0) }()
+				got, err = eps[1].Split(world).Bcast(into, len(into), 0)
+			} else {
+				go func() { _ = eps[0].Send(1, 7, want) }()
+				got, err = eps[1].Recv(0, 7)
+			}
+			elapsed := time.Since(start)
+			var pf *PeerFailedError
+			if !errors.As(err, &pf) || pf.Rank != 0 {
+				t.Fatalf("got %v, want a PeerFailedError naming rank 0", err)
+			}
+			var cfe *CorruptFrameError
+			if !errors.As(err, &cfe) {
+				t.Fatalf("failure cause %v, want CorruptFrameError", err)
+			}
+			if got != nil {
+				t.Fatalf("the failed receive returned %d elements as data", len(got))
+			}
+			if elapsed > opTimeout/2 {
+				t.Fatalf("the receiver took %v to fail, want well inside the %v op deadline", elapsed, opTimeout)
+			}
+			if rs := eps[1].Stats().Peers[0]; rs.CorruptFrames != 1 || rs.FramesRecv != 0 {
+				t.Fatalf("receiver: corrupt=%d frames=%d, want 1/0", rs.CorruptFrames, rs.FramesRecv)
+			}
+		})
 	}
 }
 
@@ -427,8 +372,7 @@ func TestHandshakeLateReply(t *testing.T) {
 
 // TestLegacyPeerInterop: a peer of an earlier build — one that sends a bare
 // hello and never a probe, or never answers ours — is refused within
-// DialTimeout whichever side it plays, and no connection to it is
-// installed: mesh setup fails, and a live mesh keeps its connection.
+// DialTimeout whichever side it plays, and mesh setup fails.
 func TestLegacyPeerInterop(t *testing.T) {
 	const dialTimeout = time.Second
 	const bound = 2 * dialTimeout // the deadline plus scheduling slack
@@ -509,70 +453,46 @@ func TestLegacyPeerInterop(t *testing.T) {
 		}
 	})
 
+	// A legacy rank that redials a live mesh — or a one-rank world, which
+	// connects to nothing — finds no listener; the mesh keeps its conns.
 	t.Run("v1-redialer-on-live-mesh", func(t *testing.T) {
 		eps := worldWith(t, []Config{
 			{OpTimeout: 4 * time.Second, DialTimeout: dialTimeout},
 			{OpTimeout: 4 * time.Second, DialTimeout: dialTimeout},
 		})
-		_, genBefore, _ := eps[0].conns[1].snapshot()
-		start := time.Now()
-		if err := refused(helloOnly(t, eps[0].listener.Addr().String()), start); err != nil {
-			t.Fatal(err)
-		}
-		if _, genAfter, _ := eps[0].conns[1].snapshot(); genAfter != genBefore {
-			t.Fatalf("the legacy redial displaced the live conn: gen %d -> %d", genBefore, genAfter)
-		}
+		refusesDial(t, eps[0].cfg.Addrs[0])
+		solo := worldWith(t, []Config{{}})
+		refusesDial(t, solo[0].cfg.Addrs[0])
 		exchange(t, eps, 1)
 	})
 }
 
+// refusesDial checks that addr accepts no connection: the listener serves
+// mesh setup only, so once the mesh is up a dial to a rank's address — a
+// rank of a stale mesh generation, a peer of an earlier build — is refused
+// before it can send a hello.
+func refusesDial(t *testing.T, addr string) {
+	t.Helper()
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Fatalf("%s still accepts connections after mesh setup", addr)
+	}
+}
+
 // TestStaleEpochRedialRejectedAfterPartition covers the fencing half of
 // the asymmetric-partition story: a rank still living in a pre-recovery
-// mesh generation redials a rebuilt mesh; the stale half-connection must
-// be rejected at the hello — counted, closed, and invisible to the live
-// conn — while traffic on the current epoch keeps flowing.
+// mesh generation redials a rebuilt mesh. Its dial is refused — no
+// listener serves a live mesh — while traffic on the current epoch keeps
+// flowing.
 func TestStaleEpochRedialRejectedAfterPartition(t *testing.T) {
-	cfgs := []Config{
+	eps := worldWith(t, []Config{
 		{OpTimeout: 4 * time.Second, Epoch: 7},
 		{OpTimeout: 4 * time.Second, Epoch: 7},
+	})
+	exchange(t, eps, 1)
+	// Rank 1's previous incarnation knocks on every rank of the rebuilt mesh.
+	for _, addr := range eps[0].cfg.Addrs {
+		refusesDial(t, addr)
 	}
-	eps := worldWith(t, cfgs)
-	addr0 := eps[0].listener.Addr().String()
-
-	// Live-epoch traffic before the stale knock.
-	go func() { _ = eps[0].Send(1, 1, []float64{1}) }()
-	if _, err := eps[1].Recv(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, genBefore, _ := eps[0].conns[1].snapshot()
-
-	// The stale half-connection: rank 1's previous incarnation redials
-	// with the pre-recovery epoch.
-	stale, err := net.Dial("tcp", addr0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stale.Close()
-	// A bare hello (no probe): the reject happens at the epoch check,
-	// before the probe is read, and the close drains cleanly.
-	if _, err := stale.Write(helloBytes(1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	stale.SetReadDeadline(time.Now().Add(4 * time.Second))
-	if _, err := io.ReadAll(stale); err != nil {
-		t.Fatalf("expected the stale conn closed cleanly, got read error %v", err)
-	}
-
-	if got := eps[0].Stats().EpochRejects; got != 1 {
-		t.Fatalf("EpochRejects = %d, want 1", got)
-	}
-	if _, genAfter, _ := eps[0].conns[1].snapshot(); genAfter != genBefore {
-		t.Fatalf("stale redial displaced the live conn: gen %d -> %d", genBefore, genAfter)
-	}
-
-	// The current epoch still speaks.
-	go func() { _ = eps[0].Send(1, 2, []float64{2}) }()
-	if _, err := eps[1].Recv(0, 2); err != nil {
-		t.Fatalf("live epoch broken after stale reject: %v", err)
-	}
+	exchange(t, eps, 2)
 }

@@ -14,12 +14,13 @@
 // stragglers are the norm, so every blocking operation is bounded.
 // Config.OpTimeout puts a read/write deadline on each frame; the heartbeat
 // loop (heartbeat.go) keeps live-but-slow peers from tripping it. Any
-// detected failure — reset, silence past the deadline, exhausted reconnect
-// budget — permanently marks the peer connection failed and surfaces as a
-// typed *PeerFailedError from the collectives instead of a hang.
-// Transient socket errors are retried with exponential-backoff reconnect
-// (retry.go) up to Config.MaxRetries. Config.WrapConn lets tests inject
-// deterministic faults (see internal/faultinject).
+// detected failure — a reset, silence past the deadline, a frame that fails
+// its CRC — permanently marks the peer connection failed and surfaces as a
+// typed *PeerFailedError from the collectives instead of a hang. There is no
+// in-connection recovery, as in MPI, where a failed rank aborts the job: the
+// caller recovers, by replanning the job on the survivors (internal/sched)
+// or by exiting. Config.WrapConn lets tests inject deterministic faults (see
+// internal/faultinject).
 package netmpi
 
 import (
@@ -47,7 +48,8 @@ type Config struct {
 	// listens on Addrs[Rank] unless Listener is supplied.
 	Addrs []string
 	// Listener optionally supplies a pre-bound listener for this rank
-	// (used by tests with :0 addresses).
+	// (used by tests with :0 addresses). It serves mesh setup only: Dial
+	// closes it before returning.
 	Listener net.Listener
 	// DialTimeout bounds each outgoing connection attempt (default 10 s);
 	// dialing retries with exponential backoff until the deadline to
@@ -63,19 +65,8 @@ type Config struct {
 	// peer keeps resetting its peers' read deadlines. Use with OpTimeout
 	// of at least 3× the interval.
 	HeartbeatInterval time.Duration
-	// MaxRetries is the number of reconnect attempts made when an
-	// operation hits a transient socket error (reset, EOF). Zero means
-	// fail fast: the first error declares the peer failed. Only with
-	// MaxRetries > 0 are sent frames retained for retransmit: a re-request
-	// that reaches an endpoint with zero misses, as one for an evicted
-	// frame does.
-	MaxRetries int
-	// RetryBackoff is the initial reconnect backoff (default 10 ms,
-	// doubling per attempt, capped at 500 ms).
-	RetryBackoff time.Duration
-	// WrapConn, when non-nil, wraps every established peer connection
-	// (including reconnects). Test hook for deterministic fault
-	// injection; see internal/faultinject.
+	// WrapConn, when non-nil, wraps every established peer connection.
+	// Test hook for deterministic fault injection; see internal/faultinject.
 	WrapConn func(peer int, c net.Conn) net.Conn
 	// WireVersion has no effect: there is one wire protocol, and every
 	// frame carries a CRC32C trailer. The field remains only because the
@@ -87,10 +78,10 @@ type Config struct {
 	// join the rebuilt mesh. AgreeEpoch additionally runs a collective
 	// barrier-agreement over the whole world.
 	Epoch uint32
-	// Ctx, when non-nil, aborts mesh dialing, reconnect backoff and
-	// reconnect waits once canceled — the drain path: a shutting-down
-	// service must not leak goroutines parked in redials. Canceling does
-	// not tear down an established, healthy mesh; use Close for that.
+	// Ctx, when non-nil, aborts mesh setup (dials, their backoff, and
+	// accepts) and stops the heartbeat loop once canceled — the drain path:
+	// a shutting-down service must not leak goroutines parked in setup.
+	// Canceling does not tear down an established mesh; use Close for that.
 	Ctx context.Context
 }
 
@@ -98,9 +89,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
 	}
 	return cfg
 }
@@ -112,7 +100,6 @@ type Endpoint struct {
 	size  int
 	conns []*rankConn // indexed by peer rank; nil at self
 
-	listener net.Listener
 	done     chan struct{}
 	closing  sync.Once
 	closeErr error
@@ -124,10 +111,6 @@ type Endpoint struct {
 	// live-but-stuck ranks keep each other's deadlines fed forever.
 	poisoned atomic.Bool
 
-	// epochRejects counts reconnect hellos dropped for carrying a stale
-	// epoch (see Stats).
-	epochRejects atomic.Int64
-
 	// world and agreed are the communicator and buffer of agree (epoch.go).
 	world  *Comm
 	agreed []float64
@@ -138,19 +121,16 @@ type Endpoint struct {
 	commSecs    float64
 }
 
-// rankConn wraps one peer connection with framed, tag-matched I/O and the
-// failure/reconnect state machine. A connection moves through generations:
-// each successful reconnect bumps gen and swaps c; a detected failure is
+// rankConn wraps one peer connection with framed, tag-matched I/O. The
+// connection is fixed for the endpoint's life; a detected failure is
 // permanent and poisons every subsequent operation on the peer.
 type rankConn struct {
 	ep   *Endpoint
 	peer int
+	c    net.Conn
 
 	mu      sync.Mutex
-	c       net.Conn
-	gen     int
 	failure *PeerFailedError
-	swapped chan struct{} // closed on every replace and on failure
 
 	wmu sync.Mutex // serializes writers
 
@@ -158,185 +138,39 @@ type rankConn struct {
 	pending map[frameKey][][]float64
 	rscr    frameScratch // header/trailer read buffer, guarded by rmu
 
-	// replay holds slab copies of recently sent small frames so a peer
-	// whose CRC check failed can ask for a retransmit through the reconnect
-	// handshake (FIFO, bounded, armed endpoints only; see recordReplay).
-	replayMu sync.Mutex
-	replay   []replayEntry
-
-	// rrPending is the frame the next reconnect handshake should ask the
-	// peer to retransmit; rrAttempts bounds re-requests per frame key.
-	rrMu       sync.Mutex
-	rrPending  rerequest
-	rrAttempts map[frameKey]int
-
 	stats peerCounters
 	clk   clockSync
 }
-
-// replayEntry is one retained sent frame.
-type replayEntry struct {
-	key  frameKey
-	data []float64
-}
-
-// Re-request bounds. Frames above replayMaxFrameBytes are not retained —
-// the engine may reuse its send buffers, so retention must copy, and the
-// copy cost has to stay off the bulk hot path. A corrupt frame that was
-// never retained (or was evicted from the FIFO) simply escalates to
-// job-level survivor-replan recovery via the receiver's op deadline, which
-// still converges to the fault-free digest. maxRerequests bounds how many
-// times one (comm, tag) key may be re-requested before the connection is
-// declared failed outright.
-const (
-	replayDepth         = 8
-	replayMaxFrameBytes = 64 << 10
-	maxRerequests       = 3
-)
 
 type frameKey struct {
 	comm uint32
 	tag  uint32
 }
 
-// snapshot returns the current connection, its generation, and any
-// permanent failure.
-func (rc *rankConn) snapshot() (net.Conn, int, *PeerFailedError) {
+// failed returns the peer's permanent failure, nil while it is healthy.
+func (rc *rankConn) failed() *PeerFailedError {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.c, rc.gen, rc.failure
-}
-
-// fail permanently marks the peer failed (first cause wins), closes the
-// connection so any other blocked user wakes, and returns the error.
-func (rc *rankConn) fail(op string, cause error) *PeerFailedError {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.failure == nil {
-		rc.failure = &PeerFailedError{Rank: rc.peer, Op: op, Err: cause}
-		if rc.c != nil {
-			rc.c.Close()
-		}
-		close(rc.swapped)
-		rc.ep.poisoned.Store(true)
-	}
 	return rc.failure
 }
 
-// replace swaps in a fresh connection, waking waiters. Returns false when
-// the peer is already failed (the new connection is closed).
-func (rc *rankConn) replace(c net.Conn) bool {
+// fail permanently marks the peer failed (first cause wins), closes the
+// connection so any other blocked user wakes, and returns the error. The
+// close runs outside mu: a wrapped connection's Close may block (a slow
+// link delivers its queue first), and failed must not wait for it.
+func (rc *rankConn) fail(op string, cause error) *PeerFailedError {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.failure != nil {
-		c.Close()
-		return false
+	first := rc.failure == nil
+	if first {
+		rc.failure = &PeerFailedError{Rank: rc.peer, Op: op, Err: cause}
 	}
-	if rc.c != nil {
+	failure := rc.failure
+	rc.mu.Unlock()
+	if first {
+		rc.ep.poisoned.Store(true)
 		rc.c.Close()
 	}
-	rc.c = c
-	rc.gen++
-	rc.stats.reconnects.Add(1)
-	close(rc.swapped)
-	rc.swapped = make(chan struct{})
-	return true
-}
-
-// recordReplay retains a copy of a just-sent frame for possible
-// retransmission. Only frames up to replayMaxFrameBytes are kept: the
-// caller's buffer cannot be aliased (the engine reuses send buffers), and
-// copying bulk payloads would tax the hot path the re-request feature
-// exists to protect. An endpoint with MaxRetries 0 keeps none: it never
-// reconnects, and a re-request an armed peer's redial brings it misses as
-// one for an evicted frame does. The copy is drawn from the slab and the
-// evicted entry goes back there, so a warm connection retains without
-// allocating whatever sizes it alternates between.
-func (rc *rankConn) recordReplay(comm, tag uint32, data []float64) {
-	if rc.ep.cfg.MaxRetries == 0 || 8*len(data) > replayMaxFrameBytes {
-		return
-	}
-	buf := slab.Get(len(data))
-	copy(buf, data)
-	rc.replayMu.Lock()
-	if len(rc.replay) == replayDepth {
-		slab.Put(rc.replay[0].data)
-		copy(rc.replay, rc.replay[1:])
-		rc.replay = rc.replay[:replayDepth-1]
-	}
-	rc.replay = append(rc.replay, replayEntry{key: frameKey{comm, tag}, data: buf})
-	rc.replayMu.Unlock()
-}
-
-// replayLookup copies the oldest retained frame matching key into recycled
-// staging the caller must put back (nil when none is retained). A copy,
-// because the retained buffer is overwritten by the next eviction. Oldest
-// first: if the (rare) same key was sent twice back to back, the corrupt one
-// a receiver asks about is the earlier of the two still retained.
-func (rc *rankConn) replayLookup(key frameKey) []float64 {
-	rc.replayMu.Lock()
-	defer rc.replayMu.Unlock()
-	for _, e := range rc.replay {
-		if e.key == key {
-			st := slab.Get(len(e.data))
-			copy(st, e.data)
-			return st
-		}
-	}
-	return nil
-}
-
-// noteCorrupt bumps and returns the re-request count for a frame key.
-func (rc *rankConn) noteCorrupt(key frameKey) int {
-	rc.rrMu.Lock()
-	defer rc.rrMu.Unlock()
-	if rc.rrAttempts == nil {
-		rc.rrAttempts = map[frameKey]int{}
-	}
-	rc.rrAttempts[key]++
-	return rc.rrAttempts[key]
-}
-
-// setRerequest stages a frame key for the next reconnect handshake to ask
-// the peer to retransmit.
-func (rc *rankConn) setRerequest(key frameKey) {
-	rc.rrMu.Lock()
-	rc.rrPending = rerequest{key: key, present: true}
-	rc.rrMu.Unlock()
-}
-
-// takeRerequest consumes the staged re-request (exactly-once: a retransmit
-// arriving twice would corrupt collective ordering).
-func (rc *rankConn) takeRerequest() rerequest {
-	rc.rrMu.Lock()
-	rr := rc.rrPending
-	rc.rrPending = rerequest{}
-	rc.rrMu.Unlock()
-	return rr
-}
-
-// serveRetransmit answers a peer's re-request on a not-yet-published
-// connection. Writing before replace() publishes the conn needs no write
-// lock and guarantees the replayed frame precedes any new traffic on the
-// fresh stream. A miss (frame too large to retain, or evicted) writes
-// nothing: the receiver's op deadline then escalates to job-level
-// recovery.
-func (rc *rankConn) serveRetransmit(c net.Conn, rr rerequest) {
-	data := rc.replayLookup(rr.key)
-	if data == nil {
-		return
-	}
-	defer slab.Put(data)
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
-	if d := rc.ep.cfg.OpTimeout; d > 0 {
-		_ = c.SetWriteDeadline(time.Now().Add(d))
-		defer func() { _ = c.SetWriteDeadline(time.Time{}) }()
-	}
-	if _, err := writeFrame(c, fb, rr.key.comm, rr.key.tag, data); err == nil {
-		rc.stats.retransmitFrames.Add(1)
-		rc.stats.retransmitBytes.Add(int64(8 * len(data)))
-	}
+	return failure
 }
 
 // Dial connects the rank into the mesh and blocks until every pairwise
@@ -359,6 +193,9 @@ func Dial(cfg Config) (*Endpoint, error) {
 		comms: map[uint32]*Comm{},
 	}
 	if size == 1 {
+		if cfg.Listener != nil {
+			cfg.Listener.Close()
+		}
 		return ep, nil
 	}
 	world := make([]int, size)
@@ -374,7 +211,9 @@ func Dial(cfg Config) (*Endpoint, error) {
 			return nil, fmt.Errorf("netmpi: rank %d listen: %w", cfg.Rank, err)
 		}
 	}
-	ep.listener = ln
+	// Once every pair is connected nothing may join, so a dial that
+	// arrives later is refused.
+	defer ln.Close()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -429,7 +268,7 @@ func Dial(cfg Config) (*Endpoint, error) {
 					cfg.Rank, peer, epoch, cfg.Epoch)
 				return
 			}
-			if _, herr := ep.acceptHandshake(c, nil); herr != nil {
+			if herr := acceptHandshake(c); herr != nil {
 				c.Close()
 				errs[0] = fmt.Errorf("netmpi: rank %d handshake with rank %d: %w", cfg.Rank, peer, herr)
 				return
@@ -442,13 +281,13 @@ func Dial(cfg Config) (*Endpoint, error) {
 	go func() {
 		defer wg.Done()
 		for peer := 0; peer < cfg.Rank; peer++ {
-			c, err := dialRetry(cfg.Ctx, cfg.Addrs[peer], cfg.DialTimeout, cfg.RetryBackoff)
+			c, err := dialRetry(cfg.Ctx, cfg.Addrs[peer], cfg.DialTimeout)
 			if err != nil {
 				errs[1] = &PeerFailedError{Rank: peer, Op: "dial",
 					Err: fmt.Errorf("rank %d dialing %s: %w", cfg.Rank, cfg.Addrs[peer], err)}
 				return
 			}
-			if _, herr := ep.dialHandshake(c, rerequest{}, cfg.DialTimeout); herr != nil {
+			if herr := ep.dialHandshake(c); herr != nil {
 				c.Close()
 				errs[1] = fmt.Errorf("netmpi: rank %d hello to %d: %w", cfg.Rank, peer, herr)
 				return
@@ -463,131 +302,51 @@ func Dial(cfg Config) (*Endpoint, error) {
 			return nil, err
 		}
 	}
-	// The mesh is up: clear the setup deadline and keep accepting so
-	// peers can reconnect after transient errors, and start beating if
-	// configured.
-	if dl, ok := ln.(deadlineListener); ok {
-		_ = dl.SetDeadline(time.Time{})
-	}
-	go ep.acceptLoop()
 	if cfg.HeartbeatInterval > 0 {
 		go ep.heartbeatLoop()
 	}
 	return ep, nil
 }
 
-// prepConn applies socket options and the fault-injection hook to a raw
-// peer connection.
-func (e *Endpoint) prepConn(peer int, c net.Conn) net.Conn {
+// newRankConn applies socket options and the fault-injection hook to a
+// handshaken peer connection and wraps it.
+func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	if e.cfg.WrapConn != nil {
 		c = e.cfg.WrapConn(peer, c)
 	}
-	return c
-}
-
-func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
-	return &rankConn{
-		ep:      e,
-		peer:    peer,
-		c:       e.prepConn(peer, c),
-		swapped: make(chan struct{}),
-		pending: map[frameKey][][]float64{},
-	}
+	return &rankConn{ep: e, peer: peer, c: c, pending: map[frameKey][][]float64{}}
 }
 
 // The handshake: the dialer writes its hello and its probe in one Write;
-// the acceptor reads both and answers with its own probe. Each probe
-// carries the frame its sender wants retransmitted, if any. A side that
+// the acceptor reads both and answers with its own probe. A side that
 // receives anything but a probe, or nothing before its deadline, refuses
-// the connection.
+// the connection — so a peer that never answers cannot join the mesh.
 
-// dialHandshake writes the hello and this side's probe (carrying rr) on a
-// freshly dialed conn, then reads the acceptor's probe within budget.
-// Returns the peer's re-request.
-func (e *Endpoint) dialHandshake(c net.Conn, rr rerequest, budget time.Duration) (rerequest, error) {
-	if _, err := c.Write(appendProbe(helloBytes(e.rank, e.cfg.Epoch), rr)); err != nil {
-		return rerequest{}, err
+// dialHandshake writes the hello and the probe on a freshly dialed conn,
+// then reads the acceptor's probe within DialTimeout.
+func (e *Endpoint) dialHandshake(c net.Conn) error {
+	if _, err := c.Write(append(helloBytes(e.rank, e.cfg.Epoch), probeFrame...)); err != nil {
+		return err
 	}
-	_ = c.SetReadDeadline(time.Now().Add(budget))
-	peerRR, err := readProbe(c)
+	_ = c.SetReadDeadline(time.Now().Add(e.cfg.DialTimeout))
+	err := readProbe(c)
 	_ = c.SetReadDeadline(time.Time{})
-	return peerRR, err
+	return err
 }
 
 // acceptHandshake completes the acceptor's side after the hello has been
 // read, under the read deadline the hello was read with: read the dialer's
-// probe, clear the deadline, and answer with our own probe (carrying rc's
-// pending re-request when rc is an established conn being re-dialed; nil
-// rc means initial mesh setup). Returns the dialer's re-request.
-func (e *Endpoint) acceptHandshake(c net.Conn, rc *rankConn) (rerequest, error) {
-	rr, err := readProbe(c)
-	if err != nil {
-		return rerequest{}, err
+// probe, clear the deadline, and answer with our own probe.
+func acceptHandshake(c net.Conn) error {
+	if err := readProbe(c); err != nil {
+		return err
 	}
 	_ = c.SetReadDeadline(time.Time{})
-	var mine rerequest
-	if rc != nil {
-		mine = rc.takeRerequest()
-	}
-	fb := getFrameBuf()
-	fb.b = appendProbe(fb.b[:0], mine)
-	_, werr := c.Write(fb.b)
-	putFrameBuf(fb)
-	if werr != nil {
-		if rc != nil && mine.present {
-			rc.setRerequest(mine.key)
-		}
-		return rerequest{}, werr
-	}
-	return rr, nil
-}
-
-// acceptLoop services reconnects after the initial mesh is up: a higher
-// rank that lost its connection redials and re-sends its hello, and the
-// fresh connection is swapped in under the existing rankConn.
-func (e *Endpoint) acceptLoop() {
-	for {
-		c, err := e.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go e.handleReconnect(c)
-	}
-}
-
-func (e *Endpoint) handleReconnect(c net.Conn) {
-	c.SetReadDeadline(time.Now().Add(e.cfg.DialTimeout))
-	peer, epoch, err := readHello(c)
-	if err != nil {
-		c.Close()
-		return
-	}
-	// A stale-epoch redial is a rank still running a pre-recovery mesh
-	// generation; dropping the connection (rather than swapping it in)
-	// leaves its collectives to time out against the dead communicator.
-	if peer <= e.rank || peer >= e.size || e.conns[peer] == nil || epoch != e.cfg.Epoch {
-		if peer > e.rank && peer < e.size && e.conns[peer] != nil && epoch != e.cfg.Epoch {
-			e.epochRejects.Add(1)
-		}
-		c.Close()
-		return
-	}
-	rc := e.conns[peer]
-	rr, err := e.acceptHandshake(c, rc)
-	if err != nil {
-		c.Close()
-		return
-	}
-	wrapped := e.prepConn(peer, c)
-	if rr.present {
-		// Serve the dialer's re-request before publishing: the replayed
-		// frame must precede any new traffic on the fresh stream.
-		rc.serveRetransmit(wrapped, rr)
-	}
-	rc.replace(wrapped)
+	_, err := c.Write(probeFrame)
+	return err
 }
 
 // helloBytes encodes the 8-byte hello frame: [rank u32][epoch u32], both
@@ -618,7 +377,7 @@ func (e *Endpoint) ctxDone() <-chan struct{} {
 	return e.cfg.Ctx.Done()
 }
 
-// Close tears down all connections and the listener. It is idempotent.
+// Close tears down all connections. It is idempotent.
 func (e *Endpoint) Close() error {
 	e.closing.Do(func() {
 		close(e.done)
@@ -626,16 +385,7 @@ func (e *Endpoint) Close() error {
 			if rc == nil {
 				continue
 			}
-			rc.mu.Lock()
-			if rc.c != nil {
-				if err := rc.c.Close(); err != nil && e.closeErr == nil {
-					e.closeErr = err
-				}
-			}
-			rc.mu.Unlock()
-		}
-		if e.listener != nil {
-			if err := e.listener.Close(); err != nil && e.closeErr == nil {
+			if err := rc.c.Close(); err != nil && e.closeErr == nil {
 				e.closeErr = err
 			}
 		}
@@ -660,8 +410,8 @@ func (e *Endpoint) FailPeer(rank int, cause error) bool {
 
 // Healthy reports whether the endpoint is open and no peer connection has
 // been declared failed. An endpoint that is not healthy can never finish
-// another collective; one that is can — reconnects after transient errors
-// included — which is what lets an owner keep a mesh for its next run.
+// another collective; one that is can, which is what lets an owner keep a
+// mesh for its next run.
 func (e *Endpoint) Healthy() bool {
 	select {
 	case <-e.done:
@@ -717,7 +467,7 @@ const writevMinPayload = 4 << 10
 // preserving the one-Write-per-frame contract that fault injectors count
 // frames by (wrapped connections are never *net.TCPConn, so they can never
 // take the scatter/gather path).
-func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64) (int64, error) {
+func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64) error {
 	if tc, ok := c.(*net.TCPConn); ok && hostLittleEndian && 8*len(data) >= writevMinPayload {
 		fb.b = appendHeader(fb.b[:0], comm, tag, len(data))
 		view := float64LEBytes(data)
@@ -727,18 +477,19 @@ func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64) (int
 		// address, so a local one would be heap-allocated per frame.
 		fb.vec = [3][]byte{fb.b[:headerBytes], view, fb.b[headerBytes:]}
 		fb.bufs = fb.vec[:]
-		n, err := fb.bufs.WriteTo(tc)
+		_, err := fb.bufs.WriteTo(tc)
 		fb.vec = [3][]byte{} // do not pin the caller's payload in the pool
-		return n, err
+		return err
 	}
 	fb.b = appendFrame(fb.b[:0], comm, tag, data)
-	n, err := c.Write(fb.b)
-	return int64(n), err
+	_, err := c.Write(fb.b)
+	return err
 }
 
-// send writes one frame to a peer, retrying transient errors through the
-// reconnect machinery up to Config.MaxRetries. op tags any resulting
-// PeerFailedError with the operation that detected the failure.
+// send writes one frame to a peer. Any write error — a partial write loses
+// the frame boundary, a deadline expiry is the failure detector firing —
+// fails the peer; op tags the resulting PeerFailedError with the operation
+// that detected the failure.
 func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) error {
 	rc := e.conns[peer]
 	if rc == nil {
@@ -748,51 +499,38 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 		return fmt.Errorf("netmpi: rank %d: a %d-element frame exceeds the %d-element cap", e.rank, len(data), maxFrameElems)
 	}
 	fb := getFrameBuf()
-	defer putFrameBuf(fb) // every exit — failure, timeout, reconnect error — returns the scratch
+	defer putFrameBuf(fb) // every exit — failure, timeout — returns the scratch
 	start := time.Now()
 	rc.wmu.Lock()
 	defer rc.wmu.Unlock()
 	defer func() { rc.stats.sendNanos.Add(time.Since(start).Nanoseconds()) }()
-	for attempt := 0; ; attempt++ {
-		c, gen, failure := rc.snapshot()
-		if failure != nil {
-			return failure
-		}
-		if d := e.cfg.OpTimeout; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		} else {
-			c.SetWriteDeadline(time.Time{})
-		}
-		n, err := writeFrame(c, fb, comm, tag, data)
-		if err == nil {
-			if comm == spanCommID {
-				// Control traffic: kept out of the data counters so the
-				// comm-volume audit sees algorithm payload only.
-				rc.stats.spanBytesSent.Add(int64(8 * len(data)))
-			} else {
-				rc.stats.framesSent.Add(1)
-				rc.stats.bytesSent.Add(int64(8 * len(data)))
-			}
-			rc.recordReplay(comm, tag, data)
-			return nil
-		}
-		// A partial write loses the frame boundary; a deadline expiry is
-		// the failure detector firing. Both are permanent.
-		if n != 0 || attempt >= e.cfg.MaxRetries || !transientNetErr(err) {
-			return rc.fail(op, err)
-		}
-		rc.stats.retries.Add(1)
-		if rerr := e.reconnect(rc, gen, attempt); rerr != nil {
-			return rc.fail(op, fmt.Errorf("reconnect after %v: %w", err, rerr))
-		}
+	if failure := rc.failed(); failure != nil {
+		return failure
 	}
+	if d := e.cfg.OpTimeout; d > 0 {
+		rc.c.SetWriteDeadline(time.Now().Add(d))
+	} else {
+		rc.c.SetWriteDeadline(time.Time{})
+	}
+	if err := writeFrame(rc.c, fb, comm, tag, data); err != nil {
+		return rc.fail(op, err)
+	}
+	if comm == spanCommID {
+		// Control traffic: kept out of the data counters so the
+		// comm-volume audit sees algorithm payload only.
+		rc.stats.spanBytesSent.Add(int64(8 * len(data)))
+	} else {
+		rc.stats.framesSent.Add(1)
+		rc.stats.bytesSent.Add(int64(8 * len(data)))
+	}
+	return nil
 }
 
 // recv blocks until a frame with the given communicator and tag arrives
 // from the peer, queueing frames for other (comm, tag) pairs and
 // discarding heartbeat frames (which only serve to reset the deadline).
 // A read deadline expiry — no frame, not even a beat, within OpTimeout —
-// declares the peer failed.
+// a read error, or a frame that fails its CRC declares the peer failed.
 //
 // into, when non-nil, is where the caller wants the payload: if the frame
 // carries exactly len(into) elements the returned slice IS into — read off
@@ -826,68 +564,36 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 		}
 		return data, nil
 	}
-	attempt := 0
 	for {
-		c, gen, failure := rc.snapshot()
-		if failure != nil {
+		if failure := rc.failed(); failure != nil {
 			return nil, failure
 		}
 		if d := e.cfg.OpTimeout; d > 0 {
-			c.SetReadDeadline(time.Now().Add(d))
+			rc.c.SetReadDeadline(time.Now().Add(d))
 		} else {
-			c.SetReadDeadline(time.Time{})
+			rc.c.SetReadDeadline(time.Time{})
 		}
 		readStart := time.Now()
-		got, data, err := readFrame(c, &rc.rscr, want, into)
+		got, data, err := readFrame(rc.c, &rc.rscr, want, into)
 		rc.stats.recvNanos.Add(time.Since(readStart).Nanoseconds())
 		if err != nil {
 			var cfe *CorruptFrameError
 			if errors.As(err, &cfe) {
 				// A failed checksum poisons the whole stream, not just the
-				// frame: the corruption may sit in the count field, so the
-				// only safe resync point is a fresh connection. When a
-				// reconnect is allowed, stage a re-request for the frame
-				// (by its untrusted key — a payload flip leaves the key
-				// intact, the common case for bulk frames) and run it; the
-				// handshake carries the request and the peer's replay
-				// buffer retransmits ahead of new traffic. With no retries
-				// left the peer fails at once and nothing is re-requested.
-				// Corrupt frames are never counted as received payload, so
-				// the comm-volume audit stays exact.
+				// frame: the corruption may sit in the count field, so no
+				// later frame boundary can be trusted. Corrupt frames are
+				// never counted as received payload, so the comm-volume
+				// audit stays exact.
 				cfe.Peer = peer
 				rc.stats.corruptFrames.Add(1)
-				key := frameKey{cfe.Comm, cfe.Tag}
-				if rc.noteCorrupt(key) > maxRerequests {
-					return nil, rc.fail(op, cfe)
-				}
-				if key.comm != heartbeatCommID && attempt < e.cfg.MaxRetries {
-					rc.setRerequest(key)
-					rc.stats.rerequests.Add(1)
-				}
-				c.Close()
-				if attempt < e.cfg.MaxRetries {
-					attempt++
-					rc.stats.retries.Add(1)
-					if rerr := e.reconnect(rc, gen, attempt-1); rerr == nil {
-						continue
-					}
-				}
 				return nil, rc.fail(op, cfe)
 			}
 			if isTimeoutErr(err) {
 				return nil, rc.fail(op, fmt.Errorf("rank %d heard nothing from rank %d for %v: %w",
 					e.rank, peer, e.cfg.OpTimeout, err))
 			}
-			if attempt < e.cfg.MaxRetries && transientNetErr(err) {
-				attempt++
-				rc.stats.retries.Add(1)
-				if rerr := e.reconnect(rc, gen, attempt-1); rerr == nil {
-					continue
-				}
-			}
 			return nil, rc.fail(op, fmt.Errorf("rank %d read from %d: %w", e.rank, peer, err))
 		}
-		attempt = 0
 		if got.comm == heartbeatCommID {
 			// Never delivered. A beat is [sendTs, echoTs, echoHold]: the
 			// sender's clock gives a one-way delay sample, the echo pair

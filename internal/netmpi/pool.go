@@ -13,11 +13,11 @@ import (
 //
 //   - A buffer is checked out with getFrameBuf and MUST be returned with
 //     putFrameBuf on every path out of the function that took it — the
-//     send and heartbeat paths do this with a defer so that timeouts,
-//     reconnect failures and epoch rejections all return the buffer.
+//     send and heartbeat paths do this with a defer so that timeouts
+//     and write failures return the buffer too.
 //   - A pooled buffer never escapes the function that checked it out: it
 //     is valid only until its put, so nothing downstream (pending queues,
-//     the replay FIFO, stats, user code) may retain it.
+//     stats, user code) may retain it.
 //   - Buffers are returned regardless of how large they grew; the pool
 //     recycles capacity across bursts and the GC trims it between them.
 //
@@ -29,15 +29,15 @@ import (
 // decoded into a fresh allocation: it is parked in rankConn.pending and
 // handed over (copied, if the eventual caller brought a buffer) when its key
 // is awaited, at which point the queue slot and the emptied key are dropped.
-// A CRC-corrupt frame leaves garbage in the caller's buffer only until the
-// re-requested copy is read over it.
+// A CRC-corrupt frame leaves garbage in the caller's buffer, but the call
+// fails with the peer, so nothing reads it as data.
 //
 // Panel staging (slab.Get/slab.Put, the process's one recycled-buffer free
 // list) holds one packed panel for the duration of one BcastPanel call on
 // one rank: the root packs its strided source into it before the sends, a
 // receiver reads the frame into it and Puts it into its destination. send
-// returns only once the kernel has the bytes (and recordReplay has copied
-// what it retains), so the deferred put cannot race a write.
+// returns only once the kernel has the bytes, so the deferred put cannot
+// race a write.
 //
 // The get/put counters exist so tests can assert the invariant: after a
 // run quiesces, checkouts and returns must balance (see FramePoolStats).

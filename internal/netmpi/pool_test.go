@@ -10,7 +10,7 @@ import (
 // TestFramePoolBalancedAfterChaos asserts the frame-buffer pool's ownership
 // contract: every buffer checked out by a sender is returned, even when the
 // send path exits through its error branches (injected connection close,
-// write timeouts, failed reconnects). The counters are package-global, which
+// write timeouts, failed peers). The counters are package-global, which
 // is safe here because netmpi tests never run in parallel.
 func TestFramePoolBalancedAfterChaos(t *testing.T) {
 	gets0, _, _ := FramePoolStats()
@@ -23,7 +23,6 @@ func TestFramePoolBalancedAfterChaos(t *testing.T) {
 	eps := faultWorld(t, 3, func(rank int, cfg *Config) {
 		cfg.OpTimeout = 1500 * time.Millisecond
 		cfg.HeartbeatInterval = 100 * time.Millisecond
-		cfg.MaxRetries = 0
 		cfg.WrapConn = inj.WrapConn(rank)
 	})
 	errs := runAllErrs(t, eps, testBudget(t, 30*time.Second), func(ep *Endpoint) error {

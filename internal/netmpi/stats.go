@@ -6,9 +6,9 @@ import (
 )
 
 // Transport metrics: every rankConn carries a peerCounters block updated
-// on the send/recv/reconnect paths, and Endpoint.Stats() snapshots them.
-// Counters are atomics because the three paths run under three different
-// locks (wmu, rmu, mu).
+// on the send and recv paths, and Endpoint.Stats() snapshots them.
+// Counters are atomics because the two paths run under different locks
+// (wmu, rmu) and Stats takes neither.
 
 // peerCounters accumulates one peer connection's transport totals.
 type peerCounters struct {
@@ -18,22 +18,16 @@ type peerCounters struct {
 	framesRecv atomic.Int64
 	sendNanos  atomic.Int64 // wall time inside blocking sends
 	recvNanos  atomic.Int64 // wall time inside blocking frame reads
-	retries    atomic.Int64 // reconnect attempts entered
-	reconnects atomic.Int64 // connections successfully replaced
 	heartbeats atomic.Int64 // beat frames received
 	hbDelay    atomic.Int64 // cumulative beat one-way delay, nanos
 
 	spanBytesSent atomic.Int64 // span-shipping control payload (see span.go)
 	spanBytesRecv atomic.Int64
 
-	// Wire-integrity counters. Corrupt frames are never counted in
-	// bytesRecv/framesRecv, and retransmits are counted here rather than in
-	// bytesSent — the comm-volume audit compares the partition model
-	// against exactly-once algorithm traffic.
-	corruptFrames    atomic.Int64 // frames that failed the CRC32C check or the count cap
-	rerequests       atomic.Int64 // retransmissions asked of the peer
-	retransmitFrames atomic.Int64 // replay frames served to the peer
-	retransmitBytes  atomic.Int64
+	// Frames that failed the CRC32C check or the count cap, never counted
+	// in bytesRecv/framesRecv: the comm-volume audit compares the
+	// partition model against exactly-once algorithm traffic.
+	corruptFrames atomic.Int64
 }
 
 // PeerStats is a snapshot of one peer connection's transport counters.
@@ -49,10 +43,9 @@ type PeerStats struct {
 	// frame writes and reads (recv time includes waits that ended in a
 	// heartbeat: it measures time blocked on the wire).
 	SendSeconds, RecvSeconds float64
-	// Retries counts reconnect attempts entered after transient errors;
-	// Reconnects counts connections actually re-established (both
-	// directions: redials out and replacements accepted in).
-	Retries, Reconnects int64
+	// Retries is always 0: a connection error fails the peer, and nothing
+	// reconnects. The field stays because the bench module reads it.
+	Retries int64
 	// Heartbeats counts beat frames received; HeartbeatDelaySeconds
 	// totals their one-way delay (sender timestamp to local receipt —
 	// meaningful when the clocks are shared, e.g. the loopback runner).
@@ -71,16 +64,11 @@ type PeerStats struct {
 	ClockOffsetSeconds      float64
 	ClockUncertaintySeconds float64
 	ClockSamples            int64
-	// CorruptFrames counts frames that failed the CRC check; Rerequests
-	// counts retransmissions this side asked the peer for;
-	// RetransmitFrames/RetransmitBytes count replayed frames this side
-	// served to the peer. All excluded from the Bytes/Frames data
+	// CorruptFrames counts frames that failed the CRC check (at most one:
+	// the first fails the peer), excluded from the Bytes/Frames data
 	// counters so the comm-volume audit stays exact under injected
 	// corruption.
-	CorruptFrames    int64
-	Rerequests       int64
-	RetransmitFrames int64
-	RetransmitBytes  int64
+	CorruptFrames int64
 	// RTT signals from the heartbeat clock exchange, for gray-failure
 	// detection: the EWMA (α = 1/8), the p99 over a 128-sample ring, and
 	// the windowed minimum that serves as the healthy baseline. Valid
@@ -98,10 +86,6 @@ type PeerStats struct {
 type Stats struct {
 	// Rank is this endpoint's world rank.
 	Rank int
-	// EpochRejects counts connections dropped because their hello carried
-	// a stale epoch — ranks of a pre-recovery mesh generation knocking on
-	// a rebuilt mesh.
-	EpochRejects int64
 	// Peers holds one entry per established peer connection, ascending by
 	// peer rank.
 	Peers []PeerStats
@@ -119,7 +103,7 @@ func (s Stats) TotalRecvBytes() int64 {
 
 // Stats snapshots the endpoint's transport counters.
 func (e *Endpoint) Stats() Stats {
-	st := Stats{Rank: e.rank, EpochRejects: e.epochRejects.Load()}
+	st := Stats{Rank: e.rank}
 	for peer, rc := range e.conns {
 		if rc == nil {
 			continue
@@ -134,8 +118,6 @@ func (e *Endpoint) Stats() Stats {
 			FramesRecv:              rc.stats.framesRecv.Load(),
 			SendSeconds:             time.Duration(rc.stats.sendNanos.Load()).Seconds(),
 			RecvSeconds:             time.Duration(rc.stats.recvNanos.Load()).Seconds(),
-			Retries:                 rc.stats.retries.Load(),
-			Reconnects:              rc.stats.reconnects.Load(),
 			Heartbeats:              rc.stats.heartbeats.Load(),
 			HeartbeatDelaySeconds:   time.Duration(rc.stats.hbDelay.Load()).Seconds(),
 			SpanBytesSent:           rc.stats.spanBytesSent.Load(),
@@ -144,9 +126,6 @@ func (e *Endpoint) Stats() Stats {
 			ClockUncertaintySeconds: uncertainty,
 			ClockSamples:            samples,
 			CorruptFrames:           rc.stats.corruptFrames.Load(),
-			Rerequests:              rc.stats.rerequests.Load(),
-			RetransmitFrames:        rc.stats.retransmitFrames.Load(),
-			RetransmitBytes:         rc.stats.retransmitBytes.Load(),
 			RTTEWMASeconds:          ewma,
 			RTTP99Seconds:           p99,
 			RTTMinSeconds:           minRTT,

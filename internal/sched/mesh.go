@@ -30,9 +30,8 @@ import (
 type mesh struct {
 	eps   []*netmpi.Endpoint
 	procs []core.Proc // eps[i].Proc()
-	lns   []net.Listener
-	// cancel ends the mesh's own context, which aborts its dial and its
-	// reconnect waits and stops its heartbeats.
+	// cancel ends the mesh's own context, which aborts its dial and stops
+	// its heartbeats.
 	cancel context.CancelFunc
 	// folded is what each endpoint had counted when the mesh's previous run
 	// ended (zero for a new mesh).
@@ -46,11 +45,6 @@ func (m *mesh) close() {
 	for _, ep := range m.eps {
 		if ep != nil {
 			ep.Close()
-		}
-	}
-	for _, ln := range m.lns {
-		if ln != nil {
-			ln.Close()
 		}
 	}
 }
@@ -204,18 +198,21 @@ func (r *NetmpiRunner) dial(p, epoch int, wraps []func(int, net.Conn) net.Conn, 
 	}
 	m := &mesh{
 		eps:    make([]*netmpi.Endpoint, p),
-		lns:    make([]net.Listener, p),
 		cancel: cancel,
 		folded: make([]netmpi.Stats, p),
 	}
-	addrs := make([]string, p)
-	for i := range m.lns {
+	// Each rank's Dial closes its listener when it returns.
+	lns, addrs := make([]net.Listener, p), make([]string, p)
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
 			m.close()
 			return nil, fmt.Errorf("sched: netmpi listen: %w", err)
 		}
-		m.lns[i], addrs[i] = ln, ln.Addr().String()
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	errs := make([]error, p)
 	var wg sync.WaitGroup
@@ -226,11 +223,10 @@ func (r *NetmpiRunner) dial(p, epoch int, wraps []func(int, net.Conn) net.Conn, 
 			cfg := netmpi.Config{
 				Rank:              rank,
 				Addrs:             addrs,
-				Listener:          m.lns[rank],
+				Listener:          lns[rank],
 				DialTimeout:       r.dialTimeout(),
 				OpTimeout:         r.opTimeout(),
 				HeartbeatInterval: r.heartbeat(),
-				MaxRetries:        r.MaxRetries,
 				Epoch:             uint32(epoch),
 				Ctx:               mctx,
 			}

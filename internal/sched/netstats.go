@@ -19,14 +19,11 @@ type NetPeerCounters struct {
 	BytesSent, BytesRecv     uint64
 	FramesSent, FramesRecv   uint64
 	SendSeconds, RecvSeconds float64
-	Retries, Reconnects      uint64
 	Heartbeats               uint64
 	HeartbeatDelaySeconds    float64
-	// Wire-integrity totals: CRC failures observed, re-requests
-	// issued, and replay frames/bytes served — kept apart from the data
+	// CorruptFrames totals CRC failures observed, kept apart from the data
 	// counters so the comm-volume audit stays exact under corruption.
-	CorruptFrames, Rerequests         uint64
-	RetransmitFrames, RetransmitBytes uint64
+	CorruptFrames uint64
 }
 
 // NetCounters is the transport-metric snapshot.
@@ -35,8 +32,6 @@ type NetCounters struct {
 	// cardinality is bounded by P² of the largest platform (≤ 16 series
 	// for the 4-rank platforms).
 	PerPeer map[NetPeerKey]NetPeerCounters
-	// EpochRejects totals stale-epoch connection rejections.
-	EpochRejects uint64
 	// GrayDegraded totals ranks condemned by the gray-failure monitor
 	// (NetmpiRunner.GrayFail) — each is a proactive replan trigger.
 	GrayDegraded uint64

@@ -67,8 +67,8 @@ type RunOpts struct {
 	// netmpi runner tags its mesh generation with it so stale ranks can
 	// never join a rebuilt mesh.
 	Epoch int
-	// Ctx, when non-nil, aborts mesh dialing and reconnect waits once
-	// canceled — the drain path.
+	// Ctx, when non-nil, aborts mesh dialing once canceled — the drain
+	// path.
 	Ctx context.Context
 	// Span is the attempt's observability span; runners hang engine-stage
 	// children off it and annotate it with transport facts. The zero value
@@ -112,8 +112,6 @@ type NetmpiRunner struct {
 	HeartbeatInterval time.Duration
 	// DialTimeout bounds mesh establishment; default 10s.
 	DialTimeout time.Duration
-	// MaxRetries is the reconnect budget per transient fault.
-	MaxRetries int
 	// WrapConn, when non-nil, wraps every rank's connections — the
 	// fault-injection hook (see internal/faultinject). It receives the
 	// job id and the recovery epoch so tests can target one job's mesh
@@ -143,11 +141,10 @@ type NetmpiRunner struct {
 	// Transport-metric aggregation (see NetMetrics). Endpoint counters are
 	// folded in as each run on a mesh ends; comm volumes only for
 	// successful attempts, keyed by partition shape.
-	netMu           sync.Mutex
-	netPeers        map[NetPeerKey]NetPeerCounters
-	netEpochRejects uint64
-	grayDegraded    uint64 // ranks condemned by the gray-failure monitor
-	volumes         map[string]CommVolume
+	netMu        sync.Mutex
+	netPeers     map[NetPeerKey]NetPeerCounters
+	grayDegraded uint64 // ranks condemned by the gray-failure monitor
+	volumes      map[string]CommVolume
 }
 
 // Name implements Runner.
@@ -222,7 +219,7 @@ func (r *NetmpiRunner) Run(jobID string, plan *Plan, a, b, c *matrix.Dense, opts
 // it.
 func (r *NetmpiRunner) runOn(m *mesh, leased, poolable bool, jobID string, plan *Plan, a, b, c *matrix.Dense, opts RunOpts) (rep *core.Report, err error) {
 	// Cancelling the job's context closes the mesh under the run, so a drain
-	// or a job timeout cuts dials, reconnect waits and blocked frames short.
+	// or a job timeout cuts dials and blocked frames short.
 	stop := func() bool { return true }
 	if opts.Ctx != nil {
 		stop = context.AfterFunc(opts.Ctx, m.close)
@@ -368,7 +365,6 @@ func (r *NetmpiRunner) foldStats(m *mesh, now []netmpi.Stats) {
 	}
 	for i := range now {
 		st, was := now[i], m.folded[i]
-		r.netEpochRejects += uint64(st.EpochRejects - was.EpochRejects)
 		for j, ps := range st.Peers {
 			var w netmpi.PeerStats
 			if j < len(was.Peers) {
@@ -382,14 +378,9 @@ func (r *NetmpiRunner) foldStats(m *mesh, now []netmpi.Stats) {
 			c.FramesRecv += uint64(ps.FramesRecv - w.FramesRecv)
 			c.SendSeconds += ps.SendSeconds - w.SendSeconds
 			c.RecvSeconds += ps.RecvSeconds - w.RecvSeconds
-			c.Retries += uint64(ps.Retries - w.Retries)
-			c.Reconnects += uint64(ps.Reconnects - w.Reconnects)
 			c.Heartbeats += uint64(ps.Heartbeats - w.Heartbeats)
 			c.HeartbeatDelaySeconds += ps.HeartbeatDelaySeconds - w.HeartbeatDelaySeconds
 			c.CorruptFrames += uint64(ps.CorruptFrames - w.CorruptFrames)
-			c.Rerequests += uint64(ps.Rerequests - w.Rerequests)
-			c.RetransmitFrames += uint64(ps.RetransmitFrames - w.RetransmitFrames)
-			c.RetransmitBytes += uint64(ps.RetransmitBytes - w.RetransmitBytes)
 			r.netPeers[k] = c
 		}
 	}
@@ -433,7 +424,7 @@ func (r *NetmpiRunner) auditVolume(plan *Plan, was, now []netmpi.Stats, span obs
 func (r *NetmpiRunner) NetMetrics() (NetCounters, map[string]CommVolume) {
 	r.netMu.Lock()
 	defer r.netMu.Unlock()
-	nc := NetCounters{EpochRejects: r.netEpochRejects, GrayDegraded: r.grayDegraded, PerPeer: make(map[NetPeerKey]NetPeerCounters, len(r.netPeers))}
+	nc := NetCounters{GrayDegraded: r.grayDegraded, PerPeer: make(map[NetPeerKey]NetPeerCounters, len(r.netPeers))}
 	for k, v := range r.netPeers {
 		nc.PerPeer[k] = v
 	}

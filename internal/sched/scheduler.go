@@ -186,8 +186,8 @@ type Scheduler struct {
 
 	// drainStart closes the moment Drain begins: recovery backoffs abort
 	// immediately instead of delaying shutdown. lifeCtx cancels when a
-	// drain completes or is abandoned, unsticking netmpi dial/reconnect
-	// waits of any still-running job.
+	// drain completes or is abandoned, unsticking netmpi dial waits of
+	// any still-running job.
 	drainStart chan struct{}
 	drainOnce  sync.Once
 	lifeCtx    context.Context

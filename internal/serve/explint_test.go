@@ -82,7 +82,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 		for _, want := range []string{
 			"summagen_net_sent_bytes_total{rank=",
 			"summagen_net_recv_bytes_total{rank=",
-			"summagen_net_epoch_rejects_total",
 			`summagen_comm_volume_bytes_total{shape="square-corner",kind="predicted"}`,
 			`summagen_comm_volume_bytes_total{shape="square-corner",kind="observed"}`,
 			`summagen_comm_volume_ratio{shape="square-corner"}`,

@@ -145,19 +145,9 @@ func registerNetCollectors(m *metricsRegistry) {
 	perPeer("summagen_net_recv_frames_total", func(c sched.NetPeerCounters) float64 { return float64(c.FramesRecv) })
 	perPeer("summagen_net_send_seconds_total", func(c sched.NetPeerCounters) float64 { return c.SendSeconds })
 	perPeer("summagen_net_recv_seconds_total", func(c sched.NetPeerCounters) float64 { return c.RecvSeconds })
-	perPeer("summagen_net_retries_total", func(c sched.NetPeerCounters) float64 { return float64(c.Retries) })
-	perPeer("summagen_net_reconnects_total", func(c sched.NetPeerCounters) float64 { return float64(c.Reconnects) })
 	perPeer("summagen_net_heartbeats_total", func(c sched.NetPeerCounters) float64 { return float64(c.Heartbeats) })
 	perPeer("summagen_net_heartbeat_delay_seconds_total", func(c sched.NetPeerCounters) float64 { return c.HeartbeatDelaySeconds })
 	perPeer("summagen_net_corrupt_frames_total", func(c sched.NetPeerCounters) float64 { return float64(c.CorruptFrames) })
-	perPeer("summagen_net_rerequests_total", func(c sched.NetPeerCounters) float64 { return float64(c.Rerequests) })
-	perPeer("summagen_net_retransmit_frames_total", func(c sched.NetPeerCounters) float64 { return float64(c.RetransmitFrames) })
-	perPeer("summagen_net_retransmit_bytes_total", func(c sched.NetPeerCounters) float64 { return float64(c.RetransmitBytes) })
-	reg.CollectCounter("summagen_net_epoch_rejects_total", nil, func(emit metrics.Emit) {
-		if m.snap.Net != nil {
-			emit(float64(m.snap.Net.EpochRejects))
-		}
-	})
 	reg.CollectCounter("summagen_net_gray_degraded_total", nil, func(emit metrics.Emit) {
 		if m.snap.Net != nil {
 			emit(float64(m.snap.Net.GrayDegraded))

@@ -1,8 +1,7 @@
 // Package slab is the process's one free list of recycled []float64
 // buffers. The engine's working matrices WA and WB, the DGEMM kernel's packed
-// panels, netmpi's panel staging, the scheduler's job operands and the
-// recovery checkpoint's cell copies all come from it and go back to it
-// (DESIGN.md §11, §16).
+// panels, netmpi's panel staging and the scheduler's job operands all come
+// from it and go back to it (DESIGN.md §11, §16).
 //
 // Buffers are binned by size class. A class covers the lengths up to a size
 // with at most four significant bits (8 to 15 times a power of two, or any

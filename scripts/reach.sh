@@ -19,8 +19,8 @@
 #
 # -cover builds the same binaries with -cover -coverpkg=repro/..., runs
 # each entry point with GOCOVERDIR set (the serve smoke, summagen on the
-# five shapes, as a traced 3-rank TCP mesh and as one that heals a corrupt
-# frame by re-request, experiments -quick all,
+# five shapes, as a traced 3-rank TCP mesh and as one whose corrupt frame
+# fails every rank with exit 3, experiments -quick all,
 # every example, partview, fpmprof, and the four bench workloads at
 # --seconds 3, untraced and traced), then prints every function no run
 # entered and the statement total. It is a report, not a gate.
@@ -75,21 +75,31 @@ cover() {
     pids+=($!)
   done
   for r in "${pids[@]}"; do wait "$r"; done
-  # The same mesh with one corrupt frame: the default -retries 3 arms the
-  # re-request path (the receiver redials, the sender replays the frame from
-  # its ring), and every rank must still verify.
+  # The same mesh with one corrupt frame: the CRC fails the sending peer at
+  # once, so every rank must exit 3 (peer failure), and the rank that read
+  # the frame must name the CorruptFrameError.
   hosts=127.0.0.1:19893,127.0.0.1:19894,127.0.0.1:19895 pids=()
   for r in 0 1 2; do
     "$bin/summagen" -rank "$r" -hosts "$hosts" -n 128 \
       -chaos 'corrupt:rank=1,after=2,fires=1' >"$tmp/chaos$r.log" 2>&1 &
     pids+=($!)
   done
+  local named=0 status
   for r in 0 1 2; do
-    if ! wait "${pids[$r]}" || ! grep -q '^verification: OK' "$tmp/chaos$r.log"; then
+    status=0
+    wait "${pids[$r]}" || status=$?
+    if [ "$status" -ne 3 ]; then
       cat "$tmp/chaos$r.log" >&2
+      echo "reach: rank $r of the corrupt mesh exited $status, want 3" >&2
       exit 1
     fi
+    if grep -q 'corrupt frame from rank 1' "$tmp/chaos$r.log"; then named=1; fi
   done
+  if [ "$named" -ne 1 ]; then
+    cat "$tmp"/chaos?.log >&2
+    echo "reach: no rank of the corrupt mesh names the corrupt frame" >&2
+    exit 1
+  fi
   "$bin/experiments" -quick all >/dev/null
   for pkg in $mains; do
     case "$pkg" in */examples/*) "$bin/${pkg##*/}" >/dev/null ;; esac
