@@ -19,12 +19,14 @@
 //	acc = 0; acc = fma(alpha*A[i,l], B[l,j], acc) for l in the panel, in order; C[i,j] += acc
 //
 // with alpha*A[i,l] rounded once when A is packed. The register-tiled
-// micro-kernel does this for an 8×8 tile of C at a time, in one of three
-// bodies chosen once at start-up: on amd64, an AVX-512F assembly body (one
-// ZMM accumulator per row of the tile) where the CPU has AVX-512F and the OS
-// saves ZMM state, else an AVX2/FMA assembly body run over the tile's two
-// 4×8 halves where the CPU has AVX2 and FMA; a math.FMA body everywhere else
-// and under the noasm build tag. Fringe tiles go through the same body on a
+// micro-kernel does this for one tile of C at a time, in one of three bodies
+// chosen once at start-up: on amd64, an AVX-512F assembly body where the CPU
+// has AVX-512F and the OS saves ZMM state, which runs an 8×24 tile (three ZMM
+// accumulators per row of the tile) wherever eight full rows of C meet three
+// full strips of B and an 8×8 tile (one ZMM accumulator per row) elsewhere;
+// else an AVX2/FMA assembly body run over an 8×8 tile's two 4×8 halves where
+// the CPU has AVX2 and FMA; a math.FMA body over 8×8 tiles everywhere else
+// and under the noasm build tag. Fringe tiles go through the 8×8 tile on a
 // padded copy. The bodies are bit-identical, and C[i,j] depends only on row
 // i of A, column j of B and blockKC: not on m, n, the tile, the body, the
 // position of a tile, the number of workers, or how a caller cuts C into
@@ -84,28 +86,43 @@ const (
 )
 
 // Blocking parameters for the packed kernel. MC×KC panels of A and KC×NC
-// panels of B are packed into contiguous buffers; the micro-kernel updates
-// microM×microN register tiles (8 ZMM accumulators with AVX-512, 8 YMM per
-// 4×8 half with AVX2). One KC×microN strip of B and one microM×KC strip of
-// A (16 KiB each) stay in L1 while a tile runs; the MC×KC panel of A
-// (256 KiB) stays in L2. MC 64–256, KC 128–512 and NC 256–1024 all measured
-// within noise of each other on the 2-vCPU Xeon this was tuned on (with the
-// 4×8 tile), and an 8×16 tile was no faster than 8×8.
+// panels of B are packed into contiguous buffers (DgemmPacked's arrive
+// packed) as strips of microM rows of A or microN columns of B. The AVX-512
+// body updates 8×24 register tiles (24 ZMM accumulators, three B strips per
+// call) wherever eight full rows meet three full B strips, and 8×8 tiles (8
+// ZMM accumulators) elsewhere; the AVX2 body updates 8×8 tiles as two 4×8
+// halves (8 YMM accumulators each). In the 8×24 loop each microM×KC strip of
+// A (16 KiB) stays in L1 while it meets every group of three B strips in a
+// KC×wideNC block of B (384 KiB), which stays in L2 beside the MC×KC panel of
+// A (256 KiB): 640 KiB, inside a 1 MiB L2 as well as the 2 MiB of the Xeon
+// this was tuned on. In the 8×8 loop one KC×microN strip of B and one
+// microM×KC strip of A (16 KiB each) stay in L1 while a tile runs. MC 64–256,
+// KC 128–512 and NC 256–1024 all measured within noise of each other (with
+// the 4×8 tile). Holding each A strip in L1 while the B strips pass beat
+// holding each group of three B strips (48 KiB, all of L1d) while the A
+// strips pass, and bounding the B block to wideNC columns measured no slower
+// than passing the whole KC×NC panel (EXPERIMENTS.md "PR 62").
 const (
 	blockMC = 128 // multiple of microM
 	blockKC = 256 // part of the rounding contract: changing it changes the bits
 	blockNC = 512 // multiple of microN
 	microM  = 8   // the micro-kernel bodies, PackA and PackB are written out
-	microN  = 8   // for an 8×8 tile; these name it, they do not set it
+	microN  = 8   // for 8-wide strips; these name the width, they do not set it
+	wideN   = 24  // the 8×24 tile's columns: three B strips
+	wideNC  = 192 // columns of the B block the 8×24 loop holds in L2; a multiple of wideN
 )
 
 // parallelMinWork is the number of multiply-adds a worker must have before
 // blockedMul starts one, so two workers start from 8.4 M. Measured on a
 // 2-vCPU Xeon VM, where handing a goroutine to an idle P takes 70 µs at best,
-// with the AVX-512 body in 10 alternated pairs: two workers lose to one at
-// 128³ (31 vs 42 GFLOP/s), break even at 160³ (4.1 M multiply-adds), win 8 of
-// 10 pairs at 192³ (39 vs 37) and every pair from 224³ (60 vs 46) and
-// 260×180×512 (64 vs 39) up. The 4×8 AVX2 tile broke even at 192³.
+// with the AVX-512 body's 8×24 tile in 10 alternated pairs of Dgemm: two
+// workers lose to one at 128³ (46 vs 48 GFLOP/s), break even at 160³ (4.1 M
+// multiply-adds), win 9 of 10 pairs at 168³ and 8 of 10 at 176³, and every
+// pair from 184³ (54 vs 47) and 192³ (56 vs 46) up to 260×180×512 (71 vs
+// 43). Two workers from 6.3 M instead read 2.7 % slower on the in-process
+// N = 512 multiply (3 of 10 pairs won), whose ranks already keep both CPUs
+// busy, so the threshold stays. With the 8×8 tile two workers won 8 of 10
+// pairs at 192³; the 4×8 AVX2 tile broke even at 192³.
 const parallelMinWork = 1 << 22
 
 func checkGemmArgs(m, n, k, lda, ldb, ldc int, a, b, c []float64) error {
@@ -506,12 +523,42 @@ func packedStrips(s0 int, own []float64, heights, widths []int, k int, pb, c []f
 // macroKernel multiplies kc steps of mc rows of packed A by nc columns of
 // packed B into C, or with store set writes the product there: strip s of A
 // starts at pa[s*sa], strip t of B at pb[t*sb], each at the panel's first
-// step. Fringe tiles go through the same micro-kernel on a full-size copy of
-// the tile (strips are padded to whole strips; with store set nothing is
-// copied in) and only the rows and columns that exist are copied back, so an
-// element of C gets the same arithmetic wherever the tile grid happens to put
-// it.
+// step. With the 8×24 tile (wideTile), each block of wideNC columns is
+// swept A strip by A strip, each strip of full rows meeting every group of
+// three B strips in the block through microKernel8x24 (see the blocking
+// parameters for which operand stays in which cache). The 0–2 strips left
+// after the last group, and the fringe rows under the groups, go through
+// macroKernel8x8. Every lane gets the same arithmetic from either tile.
 func macroKernel(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c []float64, ldc int, store bool) {
+	if !wideTile() {
+		macroKernel8x8(mc, nc, kc, pa, sa, pb, sb, c, ldc, store)
+		return
+	}
+	full, wide := mc-mc%microM, nc-nc%wideN
+	for j0 := 0; j0 < wide; j0 += wideNC {
+		j1 := min(wide, j0+wideNC)
+		for i := 0; i < full; i += microM {
+			aPanel := pa[i/microM*sa:][:kc*microM]
+			for j := j0; j < j1; j += wideN {
+				t := j / microN * sb
+				microKernel8x24(kc, aPanel, pb[t:], pb[t+sb:], pb[t+2*sb:], c[i*ldc+j:], ldc, store)
+			}
+		}
+	}
+	if full < mc && wide > 0 {
+		macroKernel8x8(mc-full, wide, kc, pa[full/microM*sa:], sa, pb, sb, c[full*ldc:], ldc, store)
+	}
+	if wide < nc {
+		macroKernel8x8(mc, nc-wide, kc, pa, sa, pb[wide/microN*sb:], sb, c[wide:], ldc, store)
+	}
+}
+
+// macroKernel8x8 is macroKernel with the 8×8 tile alone. Fringe tiles go
+// through the same micro-kernel on a full-size copy of the tile (strips are
+// padded to whole strips; with store set nothing is copied in) and only the
+// rows and columns that exist are copied back, so an element of C gets the
+// same arithmetic wherever the tile grid happens to put it.
+func macroKernel8x8(mc, nc, kc int, pa []float64, sa int, pb []float64, sb int, c []float64, ldc int, store bool) {
 	for j := 0; j < nc; j += microN {
 		jb := min(microN, nc-j)
 		bPanel := pb[j/microN*sb:][:kc*microN]

@@ -8,6 +8,9 @@ import "unsafe"
 func kernel8x8AVX512(kc int, ap, bp, c *float64, ldc int, store bool)
 
 //go:noescape
+func kernel8x24AVX512(kc int, ap, bp0, bp1, bp2, c *float64, ldc int, store bool)
+
+//go:noescape
 func kernel4x8FMA(kc int, ap, bp, c *float64, ldc int, store bool)
 
 //go:noescape
@@ -15,6 +18,10 @@ func packAStripAVX512(kc, rows int, a *float64, lda int, dst *float64, alpha flo
 
 //go:noescape
 func packBAVX512(kc, n int, b *float64, ldb int, dst *float64, stride int)
+
+func fmaPeakAVX512(n int)
+
+func fmaPeakAVX2(n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -28,7 +35,7 @@ type body int
 const (
 	bodyFMA    body = iota // the portable math.FMA body
 	bodyAVX2               // the 4×8 AVX2/FMA assembly, twice per tile
-	bodyAVX512             // the 8×8 AVX-512F assembly
+	bodyAVX512             // the 8×8 and 8×24 AVX-512F assembly
 )
 
 // kernelBody is decided once at start-up.
@@ -83,6 +90,25 @@ func microKernel(kc int, ap, bp, c []float64, ldc int, store bool) {
 	// (ap is empty only when kc is 0 and it is not read).
 	kernel4x8FMA(kc, a, b, &c[0], ldc, store)
 	kernel4x8FMA(kc, unsafe.SliceData(ap[min(4, len(ap)):]), b, &c[4*ldc], ldc, store)
+}
+
+// wideTile reports whether macroKernel runs microKernel8x24 over full rows
+// and groups of three full B strips: with the AVX-512 body only, whose 32
+// registers hold the 24 accumulators.
+func wideTile() bool { return kernelBody == bodyAVX512 }
+
+// microKernel8x24 computes C[0:microM,0:wideN] += Ap·[Bp0 Bp1 Bp2] over kc
+// packed steps, or C[0:microM,0:wideN] = Ap·[Bp0 Bp1 Bp2] + 0 with store
+// set: columns 0–7 from strip bp0, 8–15 from bp1 and 16–23 from bp2. Every
+// lane gets the arithmetic microKernel gives it. It runs AVX-512 code
+// whatever the body, so only where wideTile holds.
+func microKernel8x24(kc int, ap, bp0, bp1, bp2, c []float64, ldc int, store bool) {
+	// The assembly does no bounds checks of its own.
+	if kc < 0 || len(ap) < kc*microM || len(bp0) < kc*microN || len(bp1) < kc*microN || len(bp2) < kc*microN ||
+		ldc < 0 || len(c) < (microM-1)*ldc+wideN {
+		panic("blas: micro-kernel operands out of range")
+	}
+	kernel8x24AVX512(kc, unsafe.SliceData(ap), unsafe.SliceData(bp0), unsafe.SliceData(bp1), unsafe.SliceData(bp2), &c[0], ldc, store)
 }
 
 // packA is PackA: with the AVX-512 body, one packAStripAVX512 call per
