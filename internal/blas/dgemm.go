@@ -27,10 +27,13 @@
 // else an AVX2/FMA assembly body run over an 8×8 tile's two 4×8 halves where
 // the CPU has AVX2 and FMA; a math.FMA body over 8×8 tiles everywhere else
 // and under the noasm build tag. Fringe tiles go through the 8×8 tile on a
-// padded copy. The bodies are bit-identical, and C[i,j] depends only on row
-// i of A, column j of B and blockKC: not on m, n, the tile, the body, the
-// position of a tile, the number of workers, or how a caller cuts C into
-// sub-rectangles. Results differ in the last bits from the unfused 4×4
+// padded copy. The bodies are bit-identical but for one thing: the payload
+// of a NaN produced where two NaNs meet in one operation is unspecified (the
+// CPU keeps one operand's by operand order, and the bodies order operands
+// differently); every other bit is identical, whether a result is a NaN
+// included. C[i,j] depends only on row i of A, column j of B and blockKC: not
+// on m, n, the tile, the body, the position of a tile, the number of
+// workers, or how a caller cuts C into sub-rectangles. Results differ in the last bits from the unfused 4×4
 // kernel of builds before this contract; golden_test.go pins the digests of
 // a few products across builds since.
 //

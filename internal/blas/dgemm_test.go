@@ -328,6 +328,26 @@ func BenchmarkDgemmBlocked512(b *testing.B) { benchDgemm(b, KernelBlocked, 512, 
 // directions, two KC panels.
 func BenchmarkDgemmBlockedCell(b *testing.B) { benchDgemm(b, KernelBlocked, 260, 180, 512) }
 
+// BenchmarkMacroKernel times one macroKernel call on one goroutine over
+// packed strips that fit L1 (an 8×24×128 block: 8 KiB of A, 24 KiB of B) and
+// over ones that fit L2 but not L1 (128×192×256: 256 KiB of A, 384 KiB of
+// B), so the two GFLOPS figures show what leaving L1 costs the kernel.
+func BenchmarkMacroKernel(b *testing.B) {
+	for _, sz := range []struct{ m, n, k int }{{8, 24, 128}, {128, 192, 256}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.n, sz.k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			sa, sb := sz.k*microM, sz.k*microN
+			pa, pb := randSlice(sa*Strips(sz.m), rng), randSlice(sb*Strips(sz.n), rng)
+			c := make([]float64, sz.m*sz.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				macroKernel(sz.m, sz.n, sz.k, pa, sa, pb, sb, c, sz.n, true)
+			}
+			b.ReportMetric(GemmFlops(sz.m, sz.n, sz.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
+}
+
 func benchDgemm(b *testing.B, kern Kernel, m, n, k int) {
 	rng := rand.New(rand.NewSource(1))
 	a := randSlice(m*k, rng)

@@ -225,8 +225,8 @@ var (
 // leading dimensions, whose padding must stay untouched. Unlike
 // FuzzDgemmPacked, which compares DgemmPacked with Dgemm through one
 // macroKernel, the oracle here runs no wide tile: the portable body has none.
-// Where two NaNs meet in one operation, which payload survives is the CPU's
-// choice of operand order, not the contract's: any NaN matches any NaN.
+// Any NaN matches any NaN: the contract leaves unspecified the payload of a
+// NaN produced where two NaNs meet (the package comment, DESIGN.md §6).
 func FuzzDgemmBodies(f *testing.F) {
 	for _, s := range []struct {
 		seed                 int64

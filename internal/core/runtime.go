@@ -45,28 +45,47 @@ type Proc interface {
 
 // Comm is a communicator over a subset of ranks.
 type Comm interface {
+	// Reserve begins the communicator's share of a stage of n broadcasts,
+	// which are its slots 0…n-1 in schedule order. Every member reserves
+	// the same n before any broadcast of the stage, so a runtime can key a
+	// broadcast's messages by its slot rather than by when it is called:
+	// a root that posts its panel early (PostPanel) cannot take another
+	// broadcast's key.
+	Reserve(n int)
 	// BcastPanel broadcasts the root's dst.Rows×dst.Cols panel src into
-	// every member's dst, the root's own included. Every member writes its
-	// dst with dst.Put, so the engine chooses the form its working
-	// matrices take (it receives straight into the DGEMM's packed strips)
-	// and the runtime never stages a panel for it. How the elements travel
-	// is the runtime's business (in-process, each member Puts straight out
-	// of the shared view; the TCP runtime reads src on the root and packs
-	// one frame). src must stay unwritten until the multiply returns — the
-	// engine only ever passes views of its read-only A and B. It returns an
-	// error — never hangs — when a member has been declared failed. A
-	// member whose dimensions disagree with the root's is a bug the runtime
-	// reports (netmpi with a *LengthMismatchError) instead of copying what
-	// fits.
-	BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root int) error
+	// every member's dst, the root's own included, as the stage's
+	// broadcast slot. Every member writes its dst with dst.Put, so the
+	// engine chooses the form its working matrices take (it receives
+	// straight into the DGEMM's packed strips) and the runtime never
+	// stages a panel for it. How the elements travel is the runtime's
+	// business (in-process, each member Puts straight out of the shared
+	// view; the TCP runtime reads src on the root and packs one frame).
+	// src must stay unwritten until the multiply returns — the engine only
+	// ever passes views of its read-only A and B. It returns an error —
+	// never hangs — when a member has been declared failed. A member whose
+	// dimensions disagree with the root's is a bug the runtime reports
+	// (netmpi with a *LengthMismatchError) instead of copying what fits.
+	BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root, slot int) error
+	// PostPanel is the post pass's call (see assembleBands) for the
+	// broadcast BcastPanel(p, src, dst, root, slot) would run, made in
+	// schedule order before any BcastPanel of the stage. It reports
+	// whether the pass may go on past the broadcast. On the root, it may
+	// only once the runtime has run the whole broadcast, which it does
+	// only if no member can make it wait. On another member PostPanel runs
+	// nothing — its receive is left to BcastPanel — and reports whether
+	// the member sends nothing in the broadcast, so that what this rank
+	// posts later cannot overtake a frame it forwards.
+	PostPanel(p Proc, src matrix.Dense, dst matrix.Dest, root, slot int) (bool, error)
 }
 
 // --- The in-process executor behind Multiply and MultiplyOn ---
 
 // shmRank is one rank of an in-process multiply, its Proc and its only Comm.
 // The ranks share A and B, so a broadcast is each member's own copy out of
-// the shared operand: no rank ever waits for another, and Split is a no-op.
-// A shmRank holds no state, so a schedule's ranks serve every multiply.
+// the shared operand: no rank ever waits for another, Split and Reserve are
+// no-ops, and PostPanel runs nothing: with no wait, there is nothing to
+// overlap. A shmRank
+// holds no state, so a schedule's ranks serve every multiply.
 type shmRank struct{ rank, size int }
 
 func (r *shmRank) Rank() int                      { return r.rank }
@@ -74,8 +93,14 @@ func (r *shmRank) Size() int                      { return r.size }
 func (r *shmRank) Split([]int) Comm               { return r }
 func (*shmRank) Compute(float64, float64, string) {}
 
-func (*shmRank) BcastPanel(_ Proc, src matrix.Dense, dst matrix.Dest, _ int) error {
+func (*shmRank) Reserve(int) {}
+
+func (*shmRank) BcastPanel(_ Proc, src matrix.Dense, dst matrix.Dest, _, _ int) error {
 	return dst.Put(&src)
+}
+
+func (*shmRank) PostPanel(Proc, matrix.Dense, matrix.Dest, int, int) (bool, error) {
+	return false, nil
 }
 
 // shmWorld returns the p ranks of an in-process world.

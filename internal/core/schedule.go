@@ -58,6 +58,11 @@ type bandOp struct {
 	band              int   // grid row i is band i, grid column j band GridRows+j
 	root              int   // communicator rank of the rectangle's owner
 	r0, c0, h, w, off int
+	// slot is the broadcast's place among the stage's broadcasts over its
+	// member set, which every member counts alike; slots, on the set's
+	// first broadcast of the stage only, is how many there are, which the
+	// stage reserves (Comm.Reserve).
+	slot, slots int
 }
 
 // rect is one stage-3 DGEMM: the owned cells of grid rows [i0, i1) and
@@ -140,6 +145,8 @@ func compile(l *partition.Layout) *schedule {
 		rs := &s.ranks[r]
 		rs.ops[axisA], rs.rowStrip, rs.waStrips = s.bandOps(r, axisA, rowProcs)
 		rs.ops[axisB], rs.colStrip, rs.wbStrips = s.bandOps(r, axisB, colProcs)
+		numberSlots(rs.ops[axisA])
+		numberSlots(rs.ops[axisB])
 		for k, o := range l.Owner {
 			if o == r {
 				rs.cells = append(rs.cells, [2]int{k / l.GridCols, k % l.GridCols})
@@ -204,6 +211,21 @@ func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, firs
 		}
 	}
 	return ops, first, strips
+}
+
+// numberSlots gives each broadcast of a stage its slot and each member set's
+// first broadcast the set's count. Two bands with the same members share one
+// communicator, so their broadcasts share one count. The first broadcast
+// over a set is its first band's first, which creates the communicator.
+func numberSlots(ops []bandOp) {
+	for i := range ops {
+		if ops[i].procs == nil {
+			continue
+		}
+		first := slices.IndexFunc(ops, func(o bandOp) bool { return o.procs != nil && slices.Equal(o.procs, ops[i].procs) })
+		ops[i].slot = ops[first].slots
+		ops[first].slots++
+	}
 }
 
 // findRects covers the cells todo accepts with rectangles: a maximal run of

@@ -20,14 +20,19 @@
 //     partitions.
 //
 // Every rank runs the three stages back to back on its own goroutine, on
-// every runtime: one schedule, no helper goroutines. MultiplyOn runs the
-// ranks one process hosts on the in-process executor (runtime.go), rank 0 on
-// the caller's goroutine: Multiply runs them all on shared memory, where a
-// broadcast is each member's own copy out of the shared A or B, with no
-// rendezvous, and a netmpi process runs its endpoints. Simulate
-// walks the same compiled schedule on one virtual clock per rank instead
-// (simulate.go): it models ranks waiting for each other, and paper-scale
-// problems (N ≈ 38k) cost it microseconds.
+// every runtime: one schedule, no helper goroutines. Within stages 1 and 2 a
+// rank first sends the panels it owns, as far as the runtime takes them
+// without making it wait (netmpi: within a send-buffer budget; shared
+// memory: none), and then runs the rest of the stage in schedule order
+// (assembleBands), so its own broadcasts do not queue behind its receives.
+// MultiplyOn runs the ranks one process hosts on the in-process executor
+// (runtime.go), rank 0 on the caller's goroutine: Multiply runs them all on
+// shared memory, where a broadcast is each member's own copy out of the
+// shared A or B, with no rendezvous, and a netmpi process runs its
+// endpoints. Simulate walks the same compiled schedule on one virtual clock
+// per rank instead (simulate.go): it models ranks waiting for each other,
+// broadcasts in schedule order, and paper-scale problems (N ≈ 38k) cost it
+// microseconds.
 //
 // Stages 1 and 2 are one routine (assembleBands) run over an axis, and they
 // move each element once per receiving rank, packed once, on receipt. WA and
@@ -287,10 +292,25 @@ func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[
 // the rank's band ops gather every band of m (grid row of A, grid column of
 // B) it owns a cell in into w, WA or WB, as packed strips (rows of A, columns
 // of B), each broadcast going straight from the owner's view of m into every
-// member's strips, over the communicator the band's first broadcast creates.
-// Each split and broadcast is recorded as one Comm event that spans the
-// whole call, the receiver's Put included. A failure is tagged with the
-// stage.
+// member's strips.
+//
+// A stage first creates every communicator it uses and reserves its slots,
+// one per broadcast over it (Comm.Reserve), so that a broadcast's messages
+// are keyed by its place in the schedule, not by when it runs. Then it makes
+// two passes over the ops:
+//
+//  1. Post: the broadcasts this rank roots go out before it waits for any
+//     other's, as far as the runtime takes them now (Comm.PostPanel). The
+//     pass stops at the first broadcast the runtime does not take, so a
+//     rank's posted frames precede, on every connection, everything it
+//     sends later.
+//  2. In order: everything else, in schedule order — local copies,
+//     receives, and the broadcasts the post pass did not run.
+//
+// The shared-memory runtime posts nothing, so in-process the second pass
+// runs the whole stage. Each split and broadcast is recorded as one Comm
+// event that spans the whole call, the receiver's Put included, in the pass
+// that runs it. A failure is tagged with the stage.
 func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *matrix.Dense, w []float64) (err error) {
 	rank := p.Rank()
 	sp := cfg.Span.Child(ax.spanName()).OnRank(rank)
@@ -305,8 +325,37 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 	if ax == axisB {
 		into = matrix.IntoColStrips
 	}
-	var comm Comm
-	for _, o := range s.ranks[rank].ops[ax] {
+	ops := s.ranks[rank].ops[ax]
+	for i := range ops {
+		if o := &ops[i]; o.split {
+			t := rec.now()
+			if c := p.Split(o.procs); o.slots > 0 {
+				c.Reserve(o.slots)
+			}
+			rec.add(rank, trace.Comm, s.labels[o.band][0], 0, 0, t)
+		}
+	}
+	posted := 0 // the broadcasts this rank roots in ops[:posted] have run
+	for i := range ops {
+		o := &ops[i]
+		if o.procs == nil {
+			continue
+		}
+		src, dst, t := subPanel(m, o.r0, o.c0, o.h, o.w), into(w[o.off:], stride, o.h, o.w), rec.now()
+		ok, err := p.Split(o.procs).PostPanel(p, src, dst, o.root, o.slot)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if o.procs[o.root] == rank {
+			rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t)
+		}
+		posted = i + 1
+	}
+	for i := range ops {
+		o := &ops[i]
 		src, dst := subPanel(m, o.r0, o.c0, o.h, o.w), into(w[o.off:], stride, o.h, o.w)
 		if o.procs == nil {
 			if err := dst.Put(&src); err != nil {
@@ -314,15 +363,14 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 			}
 			continue
 		}
-		label, t := &s.labels[o.band], rec.now()
-		if o.split {
-			comm = p.Split(o.procs)
-			t = rec.add(rank, trace.Comm, label[0], 0, 0, t)
+		if i < posted && o.procs[o.root] == rank {
+			continue
 		}
-		if err := comm.BcastPanel(p, src, dst, o.root); err != nil {
+		t := rec.now()
+		if err := p.Split(o.procs).BcastPanel(p, src, dst, o.root, o.slot); err != nil {
 			return err
 		}
-		rec.add(rank, trace.Comm, label[1], 8*o.h*o.w, 0, t)
+		rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t)
 	}
 	return nil
 }

@@ -23,6 +23,12 @@ func (p netProc) Split(ranks []int) core.Comm            { return netComm{p.ep.S
 
 type netComm struct{ c *Comm }
 
-func (nc netComm) BcastPanel(_ core.Proc, src matrix.Dense, dst matrix.Dest, root int) error {
-	return nc.c.BcastPanel(src, dst, root)
+func (nc netComm) Reserve(n int) { nc.c.Reserve(n) }
+
+func (nc netComm) BcastPanel(_ core.Proc, src matrix.Dense, dst matrix.Dest, root, slot int) error {
+	return nc.c.BcastPanel(src, dst, root, slot)
+}
+
+func (nc netComm) PostPanel(_ core.Proc, src matrix.Dense, dst matrix.Dest, root, slot int) (bool, error) {
+	return nc.c.PostPanel(src, dst, root, slot)
 }

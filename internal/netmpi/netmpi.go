@@ -140,6 +140,13 @@ type rankConn struct {
 
 	stats peerCounters
 	clk   clockSync
+
+	// budget is how many frame bytes a stage may post to the peer (see
+	// PostPanel): half the connection's send buffer, which netmpi sets and
+	// reads back itself (newRankConn), or 0 — nothing is posted — where it
+	// cannot. posted is what the current stage has posted so far; Reserve
+	// restarts it. Only the rank's own goroutine touches either.
+	budget, posted int
 }
 
 type frameKey struct {
@@ -308,16 +315,31 @@ func Dial(cfg Config) (*Endpoint, error) {
 	return ep, nil
 }
 
+// sendBufferRequest is the send buffer netmpi asks for on every mesh
+// connection; the kernel caps it at its own limit (Linux: net.core.wmem_max),
+// and what it grants is read back. Setting the buffer turns off Linux's send
+// buffer autotuning, so the request is sized for the links the runtime
+// serves, not for posting: it covers the bandwidth-delay product of 10 Gb/s
+// at an 800 µs round trip.
+const sendBufferRequest = 1 << 20
+
 // newRankConn applies socket options and the fault-injection hook to a
-// handshaken peer connection and wraps it.
+// handshaken peer connection and wraps it. A bare TCP connection gets its
+// post budget: half the send buffer it reads back (Linux reports twice what
+// it grants, the other half being its bookkeeping). A wrapped connection
+// gets none: a wrapper may block a write that the buffer would take.
 func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
+	budget := 0
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
+		if e.cfg.WrapConn == nil && tc.SetWriteBuffer(sendBufferRequest) == nil {
+			budget = sendBuffer(tc) / 2
+		}
 	}
 	if e.cfg.WrapConn != nil {
 		c = e.cfg.WrapConn(peer, c)
 	}
-	return &rankConn{ep: e, peer: peer, c: c, pending: map[frameKey][][]float64{}}
+	return &rankConn{ep: e, peer: peer, c: c, pending: map[frameKey][][]float64{}, budget: budget}
 }
 
 // The handshake: the dialer writes its hello and its probe in one Write;
@@ -634,7 +656,10 @@ type Comm struct {
 	ep    *Endpoint
 	ranks []int // ascending world ranks
 	id    uint32
-	seq   uint32 // collectives issued so far; guarded by ep.mu
+	seq   uint32 // tags issued or reserved so far; guarded by ep.mu
+	// base and slots are the stage's reservation (Reserve): broadcast slot
+	// i carries tag base+i. Only the rank's own goroutine touches them.
+	base, slots uint32
 }
 
 // Split returns the communicator over the given world ranks. Creation is
@@ -694,6 +719,24 @@ func (c *Comm) nextTag() uint32 {
 	defer c.ep.mu.Unlock()
 	c.seq++
 	return c.seq
+}
+
+// Reserve takes the next n tags as the stage's broadcast slots 0…n-1, for
+// BcastPanel and PostPanel, and restarts the stage's post budget on every
+// member's connection. Every member reserves the same n at the same point of
+// the schedule, so the counters stay in lockstep and a broadcast's tag is
+// its slot's, whenever it runs; tags still only grow, so a frame of an
+// earlier stage or multiply can never match.
+func (c *Comm) Reserve(n int) {
+	c.ep.mu.Lock()
+	c.base, c.slots = c.seq+1, uint32(n)
+	c.seq += uint32(n)
+	c.ep.mu.Unlock()
+	for _, r := range c.ranks {
+		if rc := c.ep.conns[r]; rc != nil {
+			rc.posted = 0
+		}
+	}
 }
 
 // addCommSecs charges the wall time since start to the communication
@@ -762,24 +805,28 @@ func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
 }
 
 // BcastPanel broadcasts the root's rows×cols panel src into every member's
-// dst, the root's included; the dimensions are dst's and src is read on the
-// root only. The root packs the panel once into recycled staging and sends
+// dst, the root's included, under the tag of the stage's broadcast slot (see
+// Reserve); the dimensions are dst's and src is read on the root only. The
+// root packs the panel once into recycled staging and sends
 // that one frame down the tree — same frames and bytes on the wire as a
 // Bcast of the packed panel — then Puts its own src into dst. A receiver
 // reads the frame off the socket into recycled staging and Puts that into
 // dst, whatever form dst has; in steady state nothing is allocated on either
 // side. A member whose dimensions disagree with the root's fails with a
 // *LengthMismatchError.
-func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root int) error {
+func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root, slot int) error {
 	if root < 0 || root >= len(c.ranks) {
 		return fmt.Errorf("netmpi: BcastPanel root %d out of range (size %d)", root, len(c.ranks))
+	}
+	if slot < 0 || slot >= int(c.slots) {
+		return fmt.Errorf("netmpi: BcastPanel slot %d outside the %d reserved", slot, c.slots)
 	}
 	h, w := dst.Rows, dst.Cols
 	isRoot := c.RankOf(c.ep.rank) == root
 	if isRoot && (src.Rows != h || src.Cols != w) {
 		return fmt.Errorf("netmpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, h, w)
 	}
-	tag := c.nextTag()
+	tag := c.base + uint32(slot)
 	defer c.ep.addCommSecs(time.Now())
 	buf := slab.Get(h * w)
 	defer slab.Put(buf)
@@ -794,6 +841,41 @@ func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root int) error {
 		return dst.Put(&src)
 	}
 	return dst.Put(&matrix.Dense{Rows: h, Cols: w, Stride: w, Data: buf})
+}
+
+// PostPanel runs BcastPanel(src, dst, root, slot) on the root now if its
+// frames fit what is left of the stage's post budget on every member's
+// connection, and reports whether it did. Within the budget a write cannot
+// block (DESIGN.md §11), so the root sends its panel before it waits for any
+// other; past it, the broadcast waits for its turn in schedule order. A
+// member that is not the root runs nothing and reports true: with at most
+// three members the binomial tree's root sends to every member itself, so a
+// receiver sends nothing that a later post could overtake. On a larger
+// communicator, where the tree forwards, PostPanel reports false on every
+// member.
+func (c *Comm) PostPanel(src matrix.Dense, dst matrix.Dest, root, slot int) (bool, error) {
+	if len(c.ranks) > 3 {
+		return false, nil
+	}
+	if c.RankOf(c.ep.rank) != root {
+		return true, nil
+	}
+	frame := headerBytes + 8*dst.Rows*dst.Cols + crcTrailerBytes
+	for _, r := range c.ranks {
+		if rc := c.ep.conns[r]; rc != nil && rc.posted+frame > rc.budget {
+			return false, nil
+		}
+	}
+	if err := c.BcastPanel(src, dst, root, slot); err != nil {
+		return true, err
+	}
+	for _, r := range c.ranks {
+		if rc := c.ep.conns[r]; rc != nil {
+			rc.posted += frame
+			rc.stats.framesPosted.Add(1)
+		}
+	}
+	return true, nil
 }
 
 // Send transmits data to world rank `to` under the given user tag. User

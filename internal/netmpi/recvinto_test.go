@@ -142,7 +142,8 @@ func TestBcastLengthMismatch(t *testing.T) {
 	check("BcastPanel", func(ep *Endpoint, c *Comm, n int) error {
 		src := matrix.New(n/2, 2)
 		dst := matrix.New(n/2, 3)
-		return c.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), 0)
+		c.Reserve(1)
+		return c.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), 0, 0)
 	})
 }
 
@@ -168,7 +169,8 @@ func TestBcastPanelStridedAndContiguous(t *testing.T) {
 			back := matrix.New(h, stride)
 			back.Fill(-1)
 			dst := matrix.Dense{Rows: h, Cols: w, Stride: stride, Data: back.Data}
-			if err := c.BcastPanel(src, matrix.Into(dst), root); err != nil {
+			c.Reserve(1)
+			if err := c.BcastPanel(src, matrix.Into(dst), root, 0); err != nil {
 				return err
 			}
 			for i := 0; i < h; i++ {

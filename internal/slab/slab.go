@@ -25,6 +25,9 @@
 //     buffer, and only once per Get. A caller that cannot prove that (a
 //     goroutine it did not wait for may still hold the buffer) does not put
 //     it back and leaves it to the garbage collector.
+//
+// Built with -tags slabcheck, the package checks both rules at run time
+// (check.go).
 package slab
 
 import (
@@ -75,13 +78,16 @@ func Get(n int) []float64 {
 	for j := k; j <= min(k+reach, len(classes)-1); j++ {
 		if s := classes[j].pop(); s != nil {
 			s = s[:n]
+			checkOut(s, true)
 			if h := reuseHook.Load(); h != nil {
 				(*h)(s)
 			}
 			return s
 		}
 	}
-	return make([]float64, n, size)
+	s := make([]float64, n, size)
+	checkOut(s, false)
+	return s
 }
 
 // pop takes the most recently returned buffer of the class, or nil.
@@ -106,6 +112,7 @@ func Put(s []float64) {
 	if size == 0 || size != cap(s) {
 		return
 	}
+	checkIn(s)
 	c := &classes[k]
 	c.mu.Lock()
 	if len(c.free) < maxPerClass {

@@ -111,20 +111,19 @@ func TestReuseHookSeesRecycledOnly(t *testing.T) {
 
 // TestReachUpToTwiceTheLength: a request whose class is empty is served by a
 // recycled buffer of up to twice its length — nearby sizes share buffers —
-// but never by a longer one, and never by a shorter one.
+// but never by a longer one, and never by a shorter one. The buffers come
+// from Get, as every buffer Put takes back must.
 func TestReachUpToTwiceTheLength(t *testing.T) {
 	const n = 50000 // a size range no other test uses
 	k, size := classOf(n)
-	for j := k - 8; j <= k+reach+1; j++ { // whatever earlier runs left there
+	for j := k - 8; j <= k+2*reach+1; j++ { // whatever earlier runs left there
 		for classes[j].pop() != nil {
 		}
 	}
 	_, twiceSize := classOf(2 * size)       // class k+8: one doubling up
 	_, beyondSize := classOf(2*size + 1)    // class k+9
 	_, shorterSize := classOf(size * 7 / 8) // the class below k
-	twice := make([]float64, twiceSize)
-	beyond := make([]float64, beyondSize)
-	shorter := make([]float64, shorterSize)
+	twice, beyond, shorter := Get(twiceSize), Get(beyondSize), Get(shorterSize)
 	Put(beyond)
 	Put(shorter)
 	if s := Get(n); &s[:1][0] == &beyond[0] || &s[:1][0] == &shorter[0] {
