@@ -335,14 +335,18 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 			rec.add(rank, trace.Comm, s.labels[o.band][0], 0, 0, t)
 		}
 	}
-	posted := 0 // the broadcasts this rank roots in ops[:posted] have run
+	var comm Comm // the band's: its ops are consecutive, and its first splits
+	posted := 0   // the broadcasts this rank roots in ops[:posted] have run
 	for i := range ops {
 		o := &ops[i]
 		if o.procs == nil {
 			continue
 		}
+		if o.split {
+			comm = p.Split(o.procs)
+		}
 		src, dst, t := subPanel(m, o.r0, o.c0, o.h, o.w), into(w[o.off:], stride, o.h, o.w), rec.now()
-		ok, err := p.Split(o.procs).PostPanel(p, src, dst, o.root, o.slot)
+		ok, err := comm.PostPanel(p, src, dst, o.root, o.slot)
 		if err != nil {
 			return err
 		}
@@ -363,11 +367,14 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 			}
 			continue
 		}
+		if o.split {
+			comm = p.Split(o.procs)
+		}
 		if i < posted && o.procs[o.root] == rank {
 			continue
 		}
 		t := rec.now()
-		if err := p.Split(o.procs).BcastPanel(p, src, dst, o.root, o.slot); err != nil {
+		if err := comm.BcastPanel(p, src, dst, o.root, o.slot); err != nil {
 			return err
 		}
 		rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t)
