@@ -317,27 +317,31 @@ func Dial(cfg Config) (*Endpoint, error) {
 
 // sendBufferRequest is the send buffer netmpi asks for on every mesh
 // connection; the kernel caps it at its own limit (Linux: net.core.wmem_max),
-// and what it grants is read back. Setting the buffer turns off Linux's send
-// buffer autotuning, so the request is sized for the links the runtime
-// serves, not for posting: it covers the bandwidth-delay product of 10 Gb/s
-// at an 800 µs round trip.
+// and what it grants is read back. It is sized for posting (PostPanel): in
+// one stage a root posts a peer at most its own cells of A or B, under
+// 8·N² bytes, which is 512 KiB at N = 256, the largest order the benchmark
+// workloads run over netmpi. The request is twice that, so that the frame
+// headers fit and every root panel is posted up to N = 360. Setting the
+// buffer turns off Linux's send-buffer autotuning for all the connection's
+// traffic (DESIGN.md §11 has what that was measured to cost).
 const sendBufferRequest = 1 << 20
 
 // newRankConn applies socket options and the fault-injection hook to a
-// handshaken peer connection and wraps it. A bare TCP connection gets its
-// post budget: half the send buffer it reads back (Linux reports twice what
-// it grants, the other half being its bookkeeping). A wrapped connection
-// gets none: a wrapper may block a write that the buffer would take.
+// handshaken peer connection and wraps it. Every TCP connection gets the
+// send buffer above; a bare one gets its post budget: half the send buffer
+// it reads back (Linux reports twice what it grants, the other half being
+// its bookkeeping). A wrapped connection gets none: a wrapper may block a
+// write that the buffer would take.
 func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
 	budget := 0
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
-		if e.cfg.WrapConn == nil && tc.SetWriteBuffer(sendBufferRequest) == nil {
+		if tc.SetWriteBuffer(sendBufferRequest) == nil {
 			budget = sendBuffer(tc) / 2
 		}
 	}
 	if e.cfg.WrapConn != nil {
-		c = e.cfg.WrapConn(peer, c)
+		c, budget = e.cfg.WrapConn(peer, c), 0
 	}
 	return &rankConn{ep: e, peer: peer, c: c, pending: map[frameKey][][]float64{}, budget: budget}
 }

@@ -88,9 +88,11 @@ func requireDgemm(t *testing.T, what string, a, b, got *matrix.Dense) {
 // sentFrames returns every endpoint's data frames sent and posted.
 func sentFrames(eps []*Endpoint) (sent, posted int64) {
 	for _, ep := range eps {
-		for _, ps := range ep.Stats().Peers {
-			sent += ps.FramesSent
-			posted += ps.FramesPosted
+		for _, rc := range ep.conns {
+			if rc != nil {
+				sent += rc.stats.framesSent.Load()
+				posted += rc.stats.framesPosted.Load()
+			}
 		}
 	}
 	return sent, posted
@@ -236,10 +238,11 @@ func requirePeerFailed(t *testing.T, errs []error) {
 }
 
 // TestCorruptFramePostedPanel: the first data frame rank 0 writes, a panel
-// its first stage posts, fails its CRC. The connections are wrapped by the
-// corruptor, which never holds a write back, and given a post budget by
-// hand. Every rank must end with a *PeerFailedError, the receiver's naming
-// rank 0 and the corrupt frame, within the op deadlines.
+// its first stage posts, fails its CRC. Rank 0's connections are wrapped by
+// the corruptor, which never holds a write back, so they get by hand the
+// post budget the bare connections of ranks 1 and 2 read back. Every rank
+// must end with a *PeerFailedError, the receiver's naming rank 0 and the
+// corrupt frame, within the op deadlines.
 func TestCorruptFramePostedPanel(t *testing.T) {
 	const n, opTimeout = 128, 1500 * time.Millisecond
 	co := &corruptor{from: 1, count: 1}
@@ -250,7 +253,7 @@ func TestCorruptFramePostedPanel(t *testing.T) {
 			cfg.WrapConn = co.wrap
 		}
 	})
-	setPostBudget(eps, 1<<20)
+	setPostBudget(eps, postBudget(t, eps[1:]))
 	rng := rand.New(rand.NewSource(3))
 	a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
 	l := benchLayouts(t, n)[0]

@@ -17,7 +17,7 @@ type peerCounters struct {
 	framesSent atomic.Int64 // data frames (heartbeats excluded)
 	framesRecv atomic.Int64
 	// framesPosted counts the data frames a stage's post pass sent
-	// (Comm.PostPanel), a share of framesSent.
+	// (Comm.PostPanel), a share of framesSent; only the tests read it.
 	framesPosted atomic.Int64
 	sendNanos    atomic.Int64 // wall time inside blocking sends
 	recvNanos    atomic.Int64 // wall time inside blocking frame reads
@@ -42,9 +42,6 @@ type PeerStats struct {
 	BytesSent, BytesRecv int64
 	// FramesSent/FramesRecv count data frames.
 	FramesSent, FramesRecv int64
-	// FramesPosted counts the sent data frames that a stage posted ahead of
-	// its receives (Comm.PostPanel).
-	FramesPosted int64
 	// SendSeconds/RecvSeconds total the wall time spent inside blocking
 	// frame writes and reads (recv time includes waits that ended in a
 	// heartbeat: it measures time blocked on the wire).
@@ -122,7 +119,6 @@ func (e *Endpoint) Stats() Stats {
 			BytesRecv:               rc.stats.bytesRecv.Load(),
 			FramesSent:              rc.stats.framesSent.Load(),
 			FramesRecv:              rc.stats.framesRecv.Load(),
-			FramesPosted:            rc.stats.framesPosted.Load(),
 			SendSeconds:             time.Duration(rc.stats.sendNanos.Load()).Seconds(),
 			RecvSeconds:             time.Duration(rc.stats.recvNanos.Load()).Seconds(),
 			Heartbeats:              rc.stats.heartbeats.Load(),
