@@ -59,7 +59,8 @@ type Comm interface {
 	// straight into the DGEMM's packed strips) and the runtime never
 	// stages a panel for it. How the elements travel is the runtime's
 	// business (in-process, each member Puts straight out of the shared
-	// view; the TCP runtime reads src on the root and packs one frame).
+	// view; the TCP runtime Puts src into the root's dst and sends dst's
+	// own strips, which receivers read straight into theirs).
 	// src must stay unwritten until the multiply returns — the engine only
 	// ever passes views of its read-only A and B. It returns an error —
 	// never hangs — when a member has been declared failed. A member whose

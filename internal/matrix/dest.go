@@ -61,3 +61,79 @@ func (d Dest) Put(from *Dense) error {
 	}
 	return nil
 }
+
+// Runs appends to runs the stretches of d's storage that hold its whole
+// strips, or its rows, in storage order, and returns them together with the
+// length of d's fringe: the valid lanes of a last strip that StripWidth does
+// not fill, which GatherFringe and ScatterFringe move through a buffer of
+// that length. The runs and then the fringe are d's Rows·Cols elements in
+// the order a panel travels (DESIGN.md §11): each full strip's
+// StripWidth·len contiguous elements, for a panel len long along its strips,
+// then the fringe's valid lanes step by step, so padding never travels; for
+// a row-major Dest, its rows. Runs that touch are merged into one.
+func (d Dest) Runs(runs [][]float64) ([][]float64, int) {
+	if d.Rows == 0 || d.Cols == 0 {
+		return runs, 0
+	}
+	if d.form == rowMajor {
+		return appendRuns(runs, d.data, d.stride, d.Cols, d.Rows), 0
+	}
+	lanes, steps := d.strips()
+	return appendRuns(runs, d.data, d.stride, blas.StripWidth*steps, lanes/blas.StripWidth), lanes % blas.StripWidth * steps
+}
+
+// GatherFringe copies the valid lanes of d's fringe strip into buf, as many
+// as Runs reports, step by step.
+func (d Dest) GatherFringe(buf []float64) {
+	strip, r := d.fringe()
+	for l := 0; r > 0 && l < len(buf)/r; l++ {
+		copy(buf[l*r:][:r], strip[l*blas.StripWidth:])
+	}
+}
+
+// ScatterFringe writes buf, laid out as GatherFringe lays it out, into the
+// valid lanes of d's fringe strip and zeros its padding lanes, as Put does.
+func (d Dest) ScatterFringe(buf []float64) {
+	strip, r := d.fringe()
+	for l := 0; r > 0 && l < len(buf)/r; l++ {
+		lane := strip[l*blas.StripWidth:][:blas.StripWidth]
+		clear(lane[copy(lane, buf[l*r:][:r]):])
+	}
+}
+
+// strips returns the lanes of a strip-form Dest, the rows or columns its
+// strips hold, and its steps, the length of each strip.
+func (d Dest) strips() (lanes, steps int) {
+	if d.form == rowStrips {
+		return d.Rows, d.Cols
+	}
+	return d.Cols, d.Rows
+}
+
+// fringe returns the storage of d's fringe strip and its valid lanes; a
+// Dest with no fringe returns no storage.
+func (d Dest) fringe() ([]float64, int) {
+	if d.form == rowMajor || d.Rows == 0 || d.Cols == 0 {
+		return nil, 0
+	}
+	lanes, steps := d.strips()
+	if lanes%blas.StripWidth == 0 {
+		return nil, 0
+	}
+	return d.data[lanes/blas.StripWidth*d.stride:][:blas.StripWidth*steps], lanes % blas.StripWidth
+}
+
+// appendRuns appends count runs of n elements, stride apart from data[0],
+// as one run when they touch.
+func appendRuns(runs [][]float64, data []float64, stride, n, count int) [][]float64 {
+	if count == 0 {
+		return runs
+	}
+	if stride == n {
+		return append(runs, data[:n*count])
+	}
+	for i := range count {
+		runs = append(runs, data[i*stride:][:n])
+	}
+	return runs
+}

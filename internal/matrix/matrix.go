@@ -205,8 +205,7 @@ func CopyBlock(dst, src *Dense, rows, cols int) error {
 }
 
 // PackBlock copies a rows×cols block out of src into a contiguous buffer,
-// appending to buf (which may be nil) and returning the result. This is the
-// send-side staging used before a broadcast.
+// appending to buf (which may be nil) and returning the result.
 func PackBlock(buf []float64, src *Dense, rows, cols int) []float64 {
 	for i := 0; i < rows; i++ {
 		buf = append(buf, src.Data[i*src.Stride:i*src.Stride+cols]...)

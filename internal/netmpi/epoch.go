@@ -53,11 +53,11 @@ func (e *Endpoint) agree(v uint64) (rank int, got uint64, err error) {
 	tag := c.nextTag()
 	if e.rank == 0 {
 		for r := 1; r < e.size; r++ {
-			part, err := e.recv(r, c.id, tag, vals[r:r+1], "allgather")
+			part, _, err := e.recv(r, c.id, tag, [][]float64{vals[r : r+1]}, "allgather")
 			if err != nil {
 				return -1, 0, err
 			}
-			if len(part) != 1 {
+			if part != nil {
 				return -1, 0, &LengthMismatchError{Rank: e.rank, Want: 1, Got: len(part)}
 			}
 		}

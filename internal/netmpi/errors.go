@@ -78,6 +78,19 @@ func (e *LengthMismatchError) Error() string {
 		e.Rank, e.Want, e.Got)
 }
 
+// WireFormatError reports a peer whose handshake probe names another wire
+// format than this build's: its panels travel in another order (see
+// wireFormat), so mesh setup refuses it instead of exchanging panels that
+// would pass every CRC and land in the wrong places.
+type WireFormatError struct {
+	// Ours is this build's wire format, Theirs the peer's.
+	Ours, Theirs uint32
+}
+
+func (e *WireFormatError) Error() string {
+	return fmt.Sprintf("netmpi: peer speaks wire format %d, this build speaks %d", e.Theirs, e.Ours)
+}
+
 // DegradedPeerError is the cause a gray-failure monitor injects when it
 // proactively fails a slow-but-alive peer (see Endpoint.FailPeer and
 // internal/grayfail). It ranks above every passively-detected cause in

@@ -16,12 +16,14 @@ import (
 // corruption surfaces as a typed *CorruptFrameError instead of a wrong
 // answer.
 //
-// The hot path avoids per-element conversion: on little-endian hosts (the
-// wire byte order) a []float64 payload and its wire image are the same
-// bytes, so sends view the payload in place and receives decode straight
-// into the result slice. Big-endian hosts fall back to element-wise
-// conversion, keeping the wire format identical. The CRC is likewise
-// computed over the pooled header scratch and the in-place payload view —
+// A payload may live in several runs of memory — a panel's strips in WA or
+// WB (matrix.Dest.Runs) — and travels as their concatenation: sends gather
+// the runs, receives scatter into them. The hot path avoids per-element
+// conversion: on little-endian hosts (the wire byte order) a []float64 and
+// its wire image are the same bytes, so sends view the runs in place and
+// receives decode straight into the caller's. Big-endian hosts fall back to
+// element-wise conversion, keeping the wire format identical. The CRC is
+// likewise computed over the header and the in-place payload views —
 // integrity never adds a payload copy.
 
 const (
@@ -110,50 +112,161 @@ func appendFrame(dst []byte, comm, tag uint32, data []float64) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// frameScratch is a reader's fixed-size header and trailer buffer. One lives
-// on each rankConn (guarded by its read lock) so that reading a frame whose
-// payload lands in the caller's buffer allocates nothing at all.
-type frameScratch [headerBytes + crcTrailerBytes]byte
+// updatePayload returns sum updated with the wire image of each of segs in
+// turn. Little-endian hosts checksum the elements in place; others convert
+// them eight bytes at a time, so the checksum is always the wire's.
+func updatePayload(sum uint32, segs [][]float64) uint32 {
+	for _, s := range segs {
+		if hostLittleEndian {
+			sum = crc32.Update(sum, castagnoli, float64LEBytes(s))
+			continue
+		}
+		var b [8]byte
+		for _, v := range s {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			sum = updateSmall(sum, b[:])
+		}
+	}
+	return sum
+}
+
+// updateSmall is crc32.Update with the Castagnoli table for a few bytes, a
+// header or one element. crc32.Update reaches its fast path through a
+// function variable, so whatever it is passed escapes; updateSmall lets a
+// frame's header stay on its sender's stack.
+func updateSmall(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, v := range p {
+		crc = castagnoli[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
+}
+
+// segsLen returns how many elements segs hold.
+func segsLen(segs [][]float64) int {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
+}
+
+// An outFrame is one frame ready for the wire: its payload as the runs of
+// memory that hold it, in order, and its header and CRC32C trailer, built
+// once. A broadcast sends the same outFrame to every child, so a panel is
+// checksummed once however many peers it goes to.
+type outFrame struct {
+	comm uint32
+	segs [][]float64
+	n    int                                 // payload elements
+	ends [headerBytes + crcTrailerBytes]byte // the header, then the trailer
+}
+
+// newOutFrame returns the frame of (comm, tag) carrying segs; seal sets its
+// trailer.
+func newOutFrame(comm, tag uint32, segs [][]float64) outFrame {
+	f := outFrame{comm: comm, segs: segs, n: segsLen(segs)}
+	appendHeader(f.ends[:0], comm, tag, f.n)
+	return f
+}
+
+// checksum computes the frame's CRC32C over its header and payload.
+func (f *outFrame) checksum() uint32 {
+	return updatePayload(updateSmall(0, f.ends[:headerBytes]), f.segs)
+}
+
+// seal sets the frame's trailer to sum: its checksum, or, on a member that
+// forwards what it received, the CRC32C it verified on the way in.
+func (f *outFrame) seal(sum uint32) {
+	binary.LittleEndian.PutUint32(f.ends[headerBytes:], sum)
+}
+
+// frameScratch is a reader's header and trailer buffer and the list of byte
+// views one frame's payload and trailer are read into. One lives on each
+// rankConn (guarded by its read lock), so that reading a frame whose payload
+// lands in the caller's buffers allocates nothing at all.
+type frameScratch struct {
+	ends [headerBytes + crcTrailerBytes]byte
+	vec  [][]byte
+}
+
+// A vectorReader fills several buffers in order with as few reads as the
+// bytes' arrival allows: readv(2) on a bare TCP connection (readv_linux.go).
+type vectorReader interface {
+	readFullv(bufs [][]byte) error
+}
+
+// readFullv fills bufs in order from r, with r's vectored read where it has
+// one and with one io.ReadFull per buffer elsewhere, and fails as one
+// io.ReadFull of their concatenation would: io.EOF if no byte came,
+// io.ErrUnexpectedEOF if some did. It may reslice the elements of bufs.
+func readFullv(r io.Reader, bufs [][]byte) error {
+	if vr, ok := r.(vectorReader); ok {
+		return vr.readFullv(bufs)
+	}
+	some := false
+	for _, b := range bufs {
+		n, err := io.ReadFull(r, b)
+		if err == io.EOF && some {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		some = some || n > 0
+	}
+	return nil
+}
 
 // readFrame blocks until one full frame arrives on r. When the frame is the
 // one the caller is waiting for — its key equals want and it carries exactly
-// len(into) elements, into non-nil — the payload is read off r straight
-// into into and the returned slice is into itself; the CRC is checked in
-// place, and a corrupt frame fails its peer, so nothing reads what the failed
-// read left behind as data. Any other frame (another
-// key, another length, or no into at all) is decoded into a freshly
-// allocated []float64 the caller owns, because it will be parked or handed
-// out as is (see pool.go for who owns what). A count above maxFrameElems or
-// a CRC32C trailer that does not match returns a *CorruptFrameError that
-// still carries the header fields as read, for the diagnostic (untrusted,
-// since the corruption may sit in the header itself).
-func readFrame(r io.Reader, sc *frameScratch, want frameKey, into []float64) (frameKey, []float64, error) {
-	hdr := sc[:headerBytes]
+// as many elements as into's segments hold, into non-nil — the payload is
+// read off r straight into the segments, in order, and readFrame returns no
+// payload; the CRC is checked in place, and a corrupt frame fails its peer,
+// so nothing reads what the failed read left behind as data. Any other frame
+// (another key, another length, or no into at all) is decoded into a freshly
+// allocated, non-nil []float64 the caller owns, because it will be parked or
+// handed out as is (see pool.go for who owns what). Either way the frame's
+// key and its verified CRC32C come back. A count above maxFrameElems or a
+// CRC32C trailer that does not match returns a *CorruptFrameError that still
+// carries the header fields as read, for the diagnostic (untrusted, since the
+// corruption may sit in the header itself).
+func readFrame(r io.Reader, sc *frameScratch, want frameKey, into [][]float64) (frameKey, []float64, uint32, error) {
+	hdr := sc.ends[:headerBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return frameKey{}, nil, err
+		return frameKey{}, nil, 0, err
 	}
 	key := frameKey{binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint32(hdr[4:])}
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	if count > maxFrameElems {
-		return key, nil, &CorruptFrameError{Comm: key.comm, Tag: key.tag, Count: count}
+		return key, nil, 0, &CorruptFrameError{Comm: key.comm, Tag: key.tag, Count: count}
 	}
 	var data []float64
-	if into != nil && key == want && count == uint64(len(into)) {
-		data = into
-	} else if count > 0 {
+	segs := into
+	if into == nil || key != want || count != uint64(segsLen(into)) {
 		data = make([]float64, count)
+		segs = [][]float64{data}
 	}
-	view := float64LEBytes(data)
-	if _, err := io.ReadFull(r, view); err != nil {
-		return frameKey{}, nil, err
+	vec := sc.vec[:0]
+	for _, s := range segs {
+		if len(s) > 0 {
+			vec = append(vec, float64LEBytes(s))
+		}
 	}
-	tr := sc[headerBytes:]
-	if _, err := io.ReadFull(r, tr); err != nil {
-		return frameKey{}, nil, err
+	tr := sc.ends[headerBytes:]
+	sc.vec = append(vec, tr)
+	err := readFullv(r, sc.vec)
+	clear(sc.vec) // do not pin the caller's buffers
+	if err != nil {
+		return frameKey{}, nil, 0, err
 	}
 	claimed := binary.LittleEndian.Uint32(tr)
-	if got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, view); got != claimed {
-		return key, nil, &CorruptFrameError{
+	got := crc32.Update(0, castagnoli, hdr)
+	for _, s := range segs {
+		got = crc32.Update(got, castagnoli, float64LEBytes(s)) // the wire image, whatever the host
+	}
+	if got != claimed {
+		return key, nil, 0, &CorruptFrameError{
 			Comm: key.comm, Tag: key.tag, Count: count, WantCRC: claimed, GotCRC: got,
 		}
 	}
@@ -161,11 +274,14 @@ func readFrame(r io.Reader, sc *frameScratch, want frameKey, into []float64) (fr
 		// In-place fix-up: each element's LE image is read before the
 		// native value is stored over it. Done after the CRC check — the
 		// checksum covers the wire image.
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(view[8*i:]))
+		for _, s := range segs {
+			view := float64LEBytes(s)
+			for i := range s {
+				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(view[8*i:]))
+			}
 		}
 	}
-	return key, data, nil
+	return key, data, claimed, nil
 }
 
 // IsHeartbeatFrame reports whether b begins with a heartbeat frame header.
@@ -175,20 +291,32 @@ func IsHeartbeatFrame(b []byte) bool {
 	return len(b) >= headerBytes && binary.LittleEndian.Uint32(b[0:]) == heartbeatCommID
 }
 
+// wireFormat numbers the order in which a panel's elements travel. The
+// handshake probe carries it as its tag, and a peer whose number differs is
+// refused at setup with a *WireFormatError: the two orders have the same
+// lengths, so every CRC would pass and a peer of the other order would put
+// the panels in the wrong places. Format 0 sent a panel's rows; format 1
+// sends its destination's strips (DESIGN.md §11).
+const wireFormat = 1
+
 // probeFrame is the handshake probe each side sends right after the hello:
-// an empty frame on the reserved probe comm id. It only acknowledges — a
-// side that gets no probe back refuses the connection.
-var probeFrame = appendFrame(nil, probeCommID, 0, nil)
+// an empty frame on the reserved probe comm id, tagged with the wire format.
+// A side that gets no probe back, or one of another format, refuses the
+// connection.
+var probeFrame = appendFrame(nil, probeCommID, wireFormat, nil)
 
 // readProbe reads the peer's handshake probe off r; anything but a probe is
-// an error.
+// an error, and a probe of another wire format a *WireFormatError.
 func readProbe(r io.Reader) error {
-	key, data, err := readFrame(r, new(frameScratch), frameKey{}, nil)
+	key, data, _, err := readFrame(r, new(frameScratch), frameKey{}, nil)
 	if err != nil {
 		return err
 	}
 	if key.comm != probeCommID || len(data) != 0 {
 		return fmt.Errorf("expected a handshake probe, got a frame for comm %#x with %d elements", key.comm, len(data))
+	}
+	if key.tag != wireFormat {
+		return &WireFormatError{Ours: wireFormat, Theirs: key.tag}
 	}
 	return nil
 }

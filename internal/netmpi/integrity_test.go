@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -104,7 +106,7 @@ func (cc *corruptConn) Write(b []byte) (int, error) {
 func TestFrameCRCRoundTrip(t *testing.T) {
 	data := []float64{1.5, -2.25, 3.125, 0}
 	frame := appendFrame(nil, 42, 7, data)
-	key, got, err := readFrame(bytes.NewReader(frame), new(frameScratch), frameKey{}, nil)
+	key, got, _, err := readFrame(bytes.NewReader(frame), new(frameScratch), frameKey{}, nil)
 	if err != nil {
 		t.Fatalf("clean frame: %v", err)
 	}
@@ -119,14 +121,14 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 
 	// Empty payloads carry (and check) a trailer too.
 	empty := appendFrame(nil, 1, 2, nil)
-	if _, _, err := readFrame(bytes.NewReader(empty), new(frameScratch), frameKey{}, nil); err != nil {
+	if _, _, _, err := readFrame(bytes.NewReader(empty), new(frameScratch), frameKey{}, nil); err != nil {
 		t.Fatalf("empty frame: %v", err)
 	}
 
 	// A flipped payload bit must surface as a typed CorruptFrameError.
 	bad := append([]byte(nil), frame...)
 	bad[headerBytes+3] ^= 0x01
-	_, _, err = readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil)
+	_, _, _, err = readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil)
 	var cfe *CorruptFrameError
 	if !errors.As(err, &cfe) {
 		t.Fatalf("payload flip: got %v, want CorruptFrameError", err)
@@ -138,26 +140,31 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 	// A flipped trailer bit too.
 	bad = append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x80
-	if _, _, err := readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil); !errors.As(err, &cfe) {
+	if _, _, _, err := readFrame(bytes.NewReader(bad), new(frameScratch), frameKey{}, nil); !errors.As(err, &cfe) {
 		t.Fatalf("trailer flip: got %v, want CorruptFrameError", err)
 	}
 }
 
-// FuzzReadFrame drives the frame decoder with untrusted bytes. Three
+// FuzzReadFrame drives the frame decoder with untrusted bytes. Four
 // properties: arbitrary input never panics, never allocates past what its
 // count (at most maxFrameElems) asks for, and re-encodes to itself when it
-// decodes; a well-formed frame built from (comm, tag, payload) round-trips,
-// into a fresh slice and in place into the caller's buffer; and one
+// decodes; read into a split of segments as the awaited frame, it gives
+// exactly the key, bytes and error of one contiguous read; a well-formed
+// frame built from (comm, tag, payload) round-trips, into a fresh slice and
+// in place into the caller's segments, however they split it; and one
 // flipped bit anywhere in that frame is reported as a *CorruptFrameError.
 func FuzzReadFrame(f *testing.F) {
 	good := appendFrame(nil, 9, 3, []float64{1.5, -2, 3.25})
 	countFlip := append([]byte(nil), good...)
 	countFlip[15] ^= 0x80 // the count's top bit: a 2⁶³-element claim
-	f.Add(countFlip, []byte("eight by"), uint32(9), uint32(3), uint(15*8+7))
-	f.Add(good, []byte{}, uint32(heartbeatCommID), uint32(0), uint(0))
-	f.Add(good[:20], []byte("sixteen bytes!!!"), uint32(probeCommID), uint32(1), uint(8*8+3))
-	f.Fuzz(func(t *testing.T, raw, payload []byte, comm, tag uint32, bit uint) {
+	f.Add(countFlip, []byte("eight by"), uint32(9), uint32(3), uint(15*8+7), []byte{})
+	f.Add(good, []byte{}, uint32(heartbeatCommID), uint32(0), uint(0), []byte{1, 0, 2})
+	f.Add(good[:20], []byte("sixteen bytes!!!"), uint32(probeCommID), uint32(1), uint(8*8+3), []byte{0, 1})
+	f.Add(good[:len(good)-1], []byte("twenty-four bytes, three"), uint32(1), uint32(2), uint(3), []byte{2, 0, 0, 1})
+	f.Add(good[:headerBytes+8], []byte{}, uint32(0), uint32(0), uint(0), []byte{1}) // ends where a segment does
+	f.Fuzz(func(t *testing.T, raw, payload []byte, comm, tag uint32, bit uint, cuts []byte) {
 		checkArbitraryFrame(t, raw)
+		checkSegmentedRead(t, raw, cuts)
 
 		data := make([]float64, len(payload)/8)
 		for i := range data {
@@ -165,14 +172,17 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		key := frameKey{comm, tag}
 		frame := appendFrame(nil, comm, tag, data)
-		into := make([]float64, len(data))
-		for _, dst := range [][]float64{nil, into} {
-			got, back, err := readFrame(bytes.NewReader(frame), new(frameScratch), key, dst)
-			if err != nil || got != key || len(back) != len(data) {
-				t.Fatalf("round trip (into %v): key %v, %d elements, err %v", dst != nil, got, len(back), err)
+		into := splitSegs(len(data), cuts)
+		for _, dst := range [][][]float64{nil, into} {
+			got, back, _, err := readFrame(bytes.NewReader(frame), new(frameScratch), key, dst)
+			if err != nil || got != key || (dst == nil) != (back != nil) {
+				t.Fatalf("round trip (into %v): key %v, payload returned %v, err %v", dst != nil, got, back != nil, err)
 			}
-			if dst != nil && len(dst) > 0 && &back[0] != &dst[0] {
-				t.Fatal("the awaited frame was not read into the caller's buffer")
+			if dst != nil {
+				back = slices.Concat(dst...)
+			}
+			if len(back) != len(data) {
+				t.Fatalf("round trip (into %v): %d elements, want %d", dst != nil, len(back), len(data))
 			}
 			for i := range data {
 				if math.Float64bits(back[i]) != math.Float64bits(data[i]) {
@@ -194,10 +204,53 @@ func FuzzReadFrame(f *testing.F) {
 			flipped = append(flipped, make([]byte, 8*grow)...)
 		}
 		var cfe *CorruptFrameError
-		if _, _, err := readFrame(bytes.NewReader(flipped), new(frameScratch), key, into); !errors.As(err, &cfe) {
+		if _, _, _, err := readFrame(bytes.NewReader(flipped), new(frameScratch), key, into); !errors.As(err, &cfe) {
 			t.Fatalf("bit %d flipped: got %v, want a CorruptFrameError", pos, err)
 		}
 	})
+}
+
+// splitSegs returns n elements' worth of segments, split where cuts say:
+// each cut byte is the next segment's length modulo 5 (zero-length segments
+// included), and the last segment takes what is left.
+func splitSegs(n int, cuts []byte) [][]float64 {
+	segs := [][]float64{}
+	for _, c := range cuts {
+		k := min(int(c%5), n)
+		segs, n = append(segs, make([]float64, k)), n-k
+	}
+	return append(segs, make([]float64, n))
+}
+
+// checkSegmentedRead reads raw as the frame its header names, once into one
+// contiguous buffer and once into segments split where cuts say, and checks
+// the two reads agree: key, error, the bytes that land and how far into raw
+// each read.
+func checkSegmentedRead(t *testing.T, raw, cuts []byte) {
+	t.Helper()
+	if len(raw) < headerBytes {
+		return
+	}
+	key := frameKey{binary.LittleEndian.Uint32(raw[0:]), binary.LittleEndian.Uint32(raw[4:])}
+	count := binary.LittleEndian.Uint64(raw[8:])
+	if count > fuzzAllocElems {
+		return // see fuzzAllocElems
+	}
+	whole := [][]float64{make([]float64, count)}
+	split := splitSegs(int(count), cuts)
+	rdW, rdS := bytes.NewReader(raw), bytes.NewReader(raw)
+	keyW, dataW, sumW, errW := readFrame(rdW, new(frameScratch), key, whole)
+	keyS, dataS, sumS, errS := readFrame(rdS, new(frameScratch), key, split)
+	if keyW != keyS || sumW != sumS || !reflect.DeepEqual(errW, errS) || (dataW == nil) != (dataS == nil) {
+		t.Fatalf("split %v: key %v, sum %#x, err %v; contiguous: key %v, sum %#x, err %v",
+			cuts, keyS, sumS, errS, keyW, sumW, errW)
+	}
+	if rdW.Len() != rdS.Len() {
+		t.Fatalf("split %v read to offset %d, contiguous to %d", cuts, len(raw)-rdS.Len(), len(raw)-rdW.Len())
+	}
+	if errW == nil && !bytes.Equal(float64LEBytes(whole[0]), float64LEBytes(slices.Concat(split...))) {
+		t.Fatalf("split %v landed other bytes than a contiguous read", cuts)
+	}
 }
 
 // fuzzAllocElems bounds the counts FuzzReadFrame lets the decoder allocate
@@ -224,7 +277,7 @@ func checkArbitraryFrame(t *testing.T, raw []byte) {
 	rd, sc := bytes.NewReader(raw), new(frameScratch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	key, data, err := readFrame(rd, sc, frameKey{}, nil)
+	key, data, _, err := readFrame(rd, sc, frameKey{}, nil)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > due {
 		t.Fatalf("a %d-element claim allocated %d bytes, more than %d", count, grew, due)
@@ -464,6 +517,75 @@ func TestLegacyPeerInterop(t *testing.T) {
 		solo := worldWith(t, []Config{{}})
 		refusesDial(t, solo[0].cfg.Addrs[0])
 		exchange(t, eps, 1)
+	})
+}
+
+// TestWireFormatMismatchRefused: a peer whose handshake probe names wire
+// format 0 — a build that sends a panel's rows where this one sends its
+// strips, with the same lengths, so every CRC would pass — is refused at
+// setup, within the dial bound, whichever side it plays, with a
+// *WireFormatError that names both formats.
+func TestWireFormatMismatchRefused(t *testing.T) {
+	const dialTimeout = time.Second
+	const bound = 2 * dialTimeout
+	oldProbe := appendFrame(nil, probeCommID, 0, nil)
+	listen := func(t *testing.T) net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		return ln
+	}
+	// refused checks that Dial failed within bound of start with the
+	// mismatch.
+	refused := func(t *testing.T, cfg Config, start time.Time) {
+		cfg.DialTimeout = dialTimeout
+		ep, err := Dial(cfg)
+		if err == nil {
+			ep.Close()
+			t.Fatal("mesh setup accepted a peer of wire format 0")
+		}
+		if took := time.Since(start); took > bound {
+			t.Errorf("refusal took %v, want within %v", took, bound)
+		}
+		var wf *WireFormatError
+		if !errors.As(err, &wf) || wf.Ours != wireFormat || wf.Theirs != 0 {
+			t.Fatalf("got %v, want a WireFormatError{Ours: %d, Theirs: 0}", err, wireFormat)
+		}
+	}
+
+	t.Run("old-dialer", func(t *testing.T) {
+		ln := listen(t)
+		start := time.Now()
+		go func() {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			c.Write(append(helloBytes(1, 0), oldProbe...))
+			io.Copy(io.Discard, c) // until the acceptor hangs up
+		}()
+		refused(t, Config{Rank: 0, Addrs: []string{ln.Addr().String(), "127.0.0.1:1"}, Listener: ln}, start)
+	})
+
+	t.Run("old-acceptor", func(t *testing.T) {
+		old := listen(t)
+		go func() {
+			c, err := old.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			var hello [8 + headerBytes + crcTrailerBytes]byte // the hello and the dialer's probe
+			if _, err := io.ReadFull(c, hello[:]); err != nil {
+				return
+			}
+			c.Write(oldProbe)
+			io.Copy(io.Discard, c)
+		}()
+		refused(t, Config{Rank: 1, Addrs: []string{old.Addr().String(), "127.0.0.1:1"}, Listener: listen(t)}, time.Now())
 	})
 }
 

@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"slices"
@@ -37,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/slab"
 )
 
 // Config describes one rank's view of the world.
@@ -135,7 +133,8 @@ type rankConn struct {
 	wmu sync.Mutex // serializes writers
 
 	rmu     sync.Mutex // serializes the demand-driven reader
-	pending map[frameKey][][]float64
+	rd      io.Reader  // what frames are read from: c, or its vectored reader (newFrameReader)
+	pending map[frameKey][]parkedFrame
 	rscr    frameScratch // header/trailer read buffer, guarded by rmu
 
 	stats peerCounters
@@ -152,6 +151,13 @@ type rankConn struct {
 type frameKey struct {
 	comm uint32
 	tag  uint32
+}
+
+// parkedFrame is a frame that arrived before it was awaited: its payload and
+// its verified CRC32C, which a member that forwards it sends on.
+type parkedFrame struct {
+	data []float64
+	sum  uint32
 }
 
 // failed returns the peer's permanent failure, nil while it is healthy.
@@ -343,7 +349,7 @@ func (e *Endpoint) newRankConn(peer int, c net.Conn) *rankConn {
 	if e.cfg.WrapConn != nil {
 		c, budget = e.cfg.WrapConn(peer, c), 0
 	}
-	return &rankConn{ep: e, peer: peer, c: c, pending: map[frameKey][][]float64{}, budget: budget}
+	return &rankConn{ep: e, peer: peer, c: c, rd: newFrameReader(c), pending: map[frameKey][]parkedFrame{}, budget: budget}
 }
 
 // The handshake: the dialer writes its hello and its probe in one Write;
@@ -483,46 +489,60 @@ func (e *Endpoint) Breakdown() (computeSecs, commSecs float64, bytesMoved int64)
 // wire write.
 const writevMinPayload = 4 << 10
 
-// writeFrame writes one frame to c. Large payloads on a bare TCP
-// connection (little-endian host) go out as a writev group — header and
-// CRC trailer from pooled scratch, payload viewed in place, zero copies:
-// the checksum is computed over the scratch header and the in-place
-// payload view before the writev, so integrity never costs a payload copy.
-// Everything else — small or control frames, wrapped connections,
-// big-endian hosts — is coalesced into fb and written in one call,
-// preserving the one-Write-per-frame contract that fault injectors count
-// frames by (wrapped connections are never *net.TCPConn, so they can never
-// take the scatter/gather path).
-func writeFrame(c net.Conn, fb *frameBuf, comm, tag uint32, data []float64) error {
-	if tc, ok := c.(*net.TCPConn); ok && hostLittleEndian && 8*len(data) >= writevMinPayload {
-		fb.b = appendHeader(fb.b[:0], comm, tag, len(data))
-		view := float64LEBytes(data)
-		sum := crc32.Update(crc32.Update(0, castagnoli, fb.b), castagnoli, view)
-		fb.b = binary.LittleEndian.AppendUint32(fb.b, sum)
+// writeFrame writes the frame f to c. A large payload on a bare TCP
+// connection (little-endian host) goes out as one writev group — header and
+// trailer from pooled scratch, every payload segment viewed in place, zero
+// copies; the trailer is the checksum f was sealed with, so writing a frame
+// to several peers checksums it once. Everything else — small or control
+// frames, wrapped connections, big-endian hosts — is coalesced into fb and
+// written in one call, preserving the one-Write-per-frame contract that
+// fault injectors count frames by (wrapped connections are never
+// *net.TCPConn, so they can never take the scatter/gather path).
+func writeFrame(c net.Conn, fb *frameBuf, f *outFrame) error {
+	fb.b = append(fb.b[:0], f.ends[:]...)
+	if tc, ok := c.(*net.TCPConn); ok && hostLittleEndian && 8*f.n >= writevMinPayload {
 		// The iovec lives in the pooled scratch: WriteTo takes the slice's
 		// address, so a local one would be heap-allocated per frame.
-		fb.vec = [3][]byte{fb.b[:headerBytes], view, fb.b[headerBytes:]}
-		fb.bufs = fb.vec[:]
+		fb.vec = append(fb.vec[:0], fb.b[:headerBytes])
+		for _, s := range f.segs {
+			if len(s) > 0 {
+				fb.vec = append(fb.vec, float64LEBytes(s))
+			}
+		}
+		fb.vec = append(fb.vec, fb.b[headerBytes:])
+		fb.bufs = fb.vec
 		_, err := fb.bufs.WriteTo(tc)
-		fb.vec = [3][]byte{} // do not pin the caller's payload in the pool
+		clear(fb.vec) // do not pin the caller's payload in the pool
 		return err
 	}
-	fb.b = appendFrame(fb.b[:0], comm, tag, data)
+	fb.b = fb.b[:headerBytes]
+	for _, s := range f.segs {
+		fb.b = appendPayload(fb.b, s)
+	}
+	fb.b = append(fb.b, f.ends[headerBytes:]...)
 	_, err := c.Write(fb.b)
 	return err
 }
 
-// send writes one frame to a peer. Any write error — a partial write loses
-// the frame boundary, a deadline expiry is the failure detector firing —
-// fails the peer; op tags the resulting PeerFailedError with the operation
-// that detected the failure.
+// send writes one frame of data to a peer, checksummed here; sendFrame
+// writes a frame already sealed.
 func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) error {
+	f := newOutFrame(comm, tag, [][]float64{data})
+	f.seal(f.checksum())
+	return e.sendFrame(peer, &f, op)
+}
+
+// sendFrame writes the frame f to a peer. Any write error — a partial write
+// loses the frame boundary, a deadline expiry is the failure detector firing
+// — fails the peer; op tags the resulting PeerFailedError with the operation
+// that detected the failure.
+func (e *Endpoint) sendFrame(peer int, f *outFrame, op string) error {
 	rc := e.conns[peer]
 	if rc == nil {
 		return fmt.Errorf("netmpi: rank %d has no connection to rank %d", e.rank, peer)
 	}
-	if len(data) > maxFrameElems {
-		return fmt.Errorf("netmpi: rank %d: a %d-element frame exceeds the %d-element cap", e.rank, len(data), maxFrameElems)
+	if f.n > maxFrameElems {
+		return fmt.Errorf("netmpi: rank %d: a %d-element frame exceeds the %d-element cap", e.rank, f.n, maxFrameElems)
 	}
 	fb := getFrameBuf()
 	defer putFrameBuf(fb) // every exit — failure, timeout — returns the scratch
@@ -538,16 +558,16 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 	} else {
 		rc.c.SetWriteDeadline(time.Time{})
 	}
-	if err := writeFrame(rc.c, fb, comm, tag, data); err != nil {
+	if err := writeFrame(rc.c, fb, f); err != nil {
 		return rc.fail(op, err)
 	}
-	if comm == spanCommID {
+	if f.comm == spanCommID {
 		// Control traffic: kept out of the data counters so the
 		// comm-volume audit sees algorithm payload only.
-		rc.stats.spanBytesSent.Add(int64(8 * len(data)))
+		rc.stats.spanBytesSent.Add(int64(8 * f.n))
 	} else {
 		rc.stats.framesSent.Add(1)
-		rc.stats.bytesSent.Add(int64(8 * len(data)))
+		rc.stats.bytesSent.Add(int64(8 * f.n))
 	}
 	return nil
 }
@@ -558,41 +578,45 @@ func (e *Endpoint) send(peer int, comm, tag uint32, data []float64, op string) e
 // A read deadline expiry — no frame, not even a beat, within OpTimeout —
 // a read error, or a frame that fails its CRC declares the peer failed.
 //
-// into, when non-nil, is where the caller wants the payload: if the frame
-// carries exactly len(into) elements the returned slice IS into — read off
-// the socket in place when the frame arrives while it is awaited, copied
-// from the parked frame when it arrived earlier — and recv allocates
-// nothing. A frame of any other length comes back as a slice the caller
-// owns; telling the two apart (and deciding whether a length mismatch is an
-// error) is the caller's job.
-func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) ([]float64, error) {
+// into, when non-nil, lists where the caller wants the payload, in order: if
+// the frame carries exactly as many elements as into's segments hold, they
+// land there — read off the socket in place when the frame arrives while it
+// is awaited, copied from the parked frame when it arrived earlier — recv
+// returns no payload, and it allocates nothing. A frame of any other length
+// comes back as a non-nil slice the caller owns; telling the two apart (and
+// deciding whether a length mismatch is an error) is the caller's job.
+// Either way recv returns the frame's verified CRC32C.
+func (e *Endpoint) recv(peer int, comm, tag uint32, into [][]float64, op string) ([]float64, uint32, error) {
 	rc := e.conns[peer]
 	if rc == nil {
-		return nil, fmt.Errorf("netmpi: rank %d has no connection to rank %d", e.rank, peer)
+		return nil, 0, fmt.Errorf("netmpi: rank %d has no connection to rank %d", e.rank, peer)
 	}
 	want := frameKey{comm, tag}
 	rc.rmu.Lock()
 	defer rc.rmu.Unlock()
 	if q := rc.pending[want]; len(q) > 0 {
-		data := q[0]
+		p := q[0]
 		// Tags are per-collective sequence numbers, so a key is never
 		// awaited twice: drop the slot and the emptied key, or a long-lived
 		// mesh retains every frame that ever arrived early.
-		q[0] = nil
+		q[0] = parkedFrame{}
 		if len(q) == 1 {
 			delete(rc.pending, want)
 		} else {
 			rc.pending[want] = q[1:]
 		}
-		if into != nil && len(data) == len(into) {
-			copy(into, data)
-			return into, nil
+		if into != nil && len(p.data) == segsLen(into) {
+			rest := p.data
+			for _, s := range into {
+				rest = rest[copy(s, rest):]
+			}
+			return nil, p.sum, nil
 		}
-		return data, nil
+		return p.data, p.sum, nil
 	}
 	for {
 		if failure := rc.failed(); failure != nil {
-			return nil, failure
+			return nil, 0, failure
 		}
 		if d := e.cfg.OpTimeout; d > 0 {
 			rc.c.SetReadDeadline(time.Now().Add(d))
@@ -600,7 +624,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 			rc.c.SetReadDeadline(time.Time{})
 		}
 		readStart := time.Now()
-		got, data, err := readFrame(rc.c, &rc.rscr, want, into)
+		got, data, sum, err := readFrame(rc.rd, &rc.rscr, want, into)
 		rc.stats.recvNanos.Add(time.Since(readStart).Nanoseconds())
 		if err != nil {
 			var cfe *CorruptFrameError
@@ -612,13 +636,17 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 				// audit stays exact.
 				cfe.Peer = peer
 				rc.stats.corruptFrames.Add(1)
-				return nil, rc.fail(op, cfe)
+				return nil, 0, rc.fail(op, cfe)
 			}
 			if isTimeoutErr(err) {
-				return nil, rc.fail(op, fmt.Errorf("rank %d heard nothing from rank %d for %v: %w",
+				return nil, 0, rc.fail(op, fmt.Errorf("rank %d heard nothing from rank %d for %v: %w",
 					e.rank, peer, e.cfg.OpTimeout, err))
 			}
-			return nil, rc.fail(op, fmt.Errorf("rank %d read from %d: %w", e.rank, peer, err))
+			return nil, 0, rc.fail(op, fmt.Errorf("rank %d read from %d: %w", e.rank, peer, err))
+		}
+		n := len(data)
+		if data == nil {
+			n = segsLen(into)
 		}
 		if got.comm == heartbeatCommID {
 			// Never delivered. A beat is [sendTs, echoTs, echoHold]: the
@@ -643,15 +671,15 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into []float64, op string) (
 			// separately: the comm-volume audit compares the partition
 			// model's prediction against algorithm traffic, which a
 			// trace blob is not.
-			rc.stats.spanBytesRecv.Add(int64(8 * len(data)))
+			rc.stats.spanBytesRecv.Add(int64(8 * n))
 		} else {
 			rc.stats.framesRecv.Add(1)
-			rc.stats.bytesRecv.Add(int64(8 * len(data)))
+			rc.stats.bytesRecv.Add(int64(8 * n))
 		}
 		if got == want {
-			return data, nil
+			return data, sum, nil
 		}
-		rc.pending[got] = append(rc.pending[got], data)
+		rc.pending[got] = append(rc.pending[got], parkedFrame{data, sum})
 	}
 }
 
@@ -662,8 +690,12 @@ type Comm struct {
 	id    uint32
 	seq   uint32 // tags issued or reserved so far; guarded by ep.mu
 	// base and slots are the stage's reservation (Reserve): broadcast slot
-	// i carries tag base+i. Only the rank's own goroutine touches them.
+	// i carries tag base+i. segs and fringe are BcastPanel's scratch: the
+	// list of a panel's runs, and its fringe lanes (matrix.Dest.Runs). Only
+	// the rank's own goroutine touches any of them.
 	base, slots uint32
+	segs        [][]float64
+	fringe      []float64
 }
 
 // Split returns the communicator over the given world ranks. Creation is
@@ -751,45 +783,60 @@ func (e *Endpoint) addCommSecs(start time.Time) {
 	e.mu.Unlock()
 }
 
-// bcastTree moves one contiguous payload down the MPICH binomial tree
-// rooted at comm rank root. The root passes the payload as data; every
-// other member receives its parent's frame — into into when that is non-nil
-// and the frame carries exactly len(into) elements (see recv) — and forwards
-// what it received to its children. It returns the payload. A frame that
-// does not fit a non-nil into is still forwarded, so that every member
-// sees the mismatch, and then reported as a *LengthMismatchError.
-func (c *Comm) bcastTree(tag uint32, root int, data, into []float64) ([]float64, error) {
+// bcastTree moves one payload down the MPICH binomial tree rooted at comm
+// rank root, as one frame per edge. The root passes its payload as segs, the
+// runs of memory that hold it in order, and checksums it once for all its
+// children. Every other member receives its parent's frame into segs — when
+// segs is non-nil and the frame carries exactly as many elements as segs
+// hold (see recv) — and forwards what it received, under the CRC32C it
+// verified on the way in, to its children. It returns nil when the payload
+// is in segs, and otherwise the received payload. A frame that does not fit
+// a non-nil segs is still forwarded, so that every member sees the mismatch,
+// and then reported as a *LengthMismatchError.
+func (c *Comm) bcastTree(tag uint32, root int, segs [][]float64) ([]float64, error) {
 	k := len(c.ranks)
 	rel := (c.RankOf(c.ep.rank) - root + k) % k
+	var got []float64
+	var sum uint32
 	// Receive phase.
 	mask := 1
 	for mask < k {
 		if rel&mask != 0 {
 			src := c.ranks[(rel-mask+root)%k]
-			got, err := c.ep.recv(src, c.id, tag, into, "bcast")
-			if err != nil {
+			var err error
+			if got, sum, err = c.ep.recv(src, c.id, tag, segs, "bcast"); err != nil {
 				return nil, err
 			}
-			data = got
 			break
 		}
 		mask <<= 1
 	}
-	// Send phase.
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < k {
-			dst := c.ranks[(rel+mask+root)%k]
-			if err := c.ep.send(dst, c.id, tag, data, "bcast"); err != nil {
-				return nil, err
-			}
+	// Send phase: the frame is built on the first send.
+	payload := segs
+	if got != nil {
+		payload = [][]float64{got}
+	}
+	var f outFrame
+	built := false
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask >= k {
+			continue
 		}
-		mask >>= 1
+		if !built {
+			f, built = newOutFrame(c.id, tag, payload), true
+			if rel == 0 {
+				sum = f.checksum()
+			}
+			f.seal(sum)
+		}
+		if err := c.ep.sendFrame(c.ranks[(rel+mask+root)%k], &f, "bcast"); err != nil {
+			return nil, err
+		}
 	}
-	if rel != 0 && into != nil && len(data) != len(into) {
-		return nil, &LengthMismatchError{Rank: c.ep.rank, Want: len(into), Got: len(data)}
+	if rel != 0 && segs != nil && got != nil {
+		return nil, &LengthMismatchError{Rank: c.ep.rank, Want: segsLen(segs), Got: len(got)}
 	}
-	return data, nil
+	return got, nil
 }
 
 // Bcast broadcasts the root's buffer over the communicator with a binomial
@@ -805,17 +852,27 @@ func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
 	}
 	tag := c.nextTag()
 	defer c.ep.addCommSecs(time.Now())
-	return c.bcastTree(tag, root, buf, buf)
+	var segs [][]float64
+	if buf != nil {
+		segs = [][]float64{buf}
+	}
+	got, err := c.bcastTree(tag, root, segs)
+	if got == nil && err == nil {
+		return buf, nil
+	}
+	return got, err
 }
 
 // BcastPanel broadcasts the root's rows×cols panel src into every member's
 // dst, the root's included, under the tag of the stage's broadcast slot (see
 // Reserve); the dimensions are dst's and src is read on the root only. The
-// root packs the panel once into recycled staging and sends
-// that one frame down the tree — same frames and bytes on the wire as a
-// Bcast of the packed panel — then Puts its own src into dst. A receiver
-// reads the frame off the socket into recycled staging and Puts that into
-// dst, whatever form dst has; in steady state nothing is allocated on either
+// panel travels as dst's own storage: the root Puts src into its dst, then
+// sends one frame whose payload is dst's runs and fringe (matrix.Dest.Runs)
+// straight out of its strips, checksummed once for all its children. A
+// receiver reads the frame off the socket straight into its dst's strips,
+// its fringe lanes through a small scratch, and writes the fringe's padding
+// zeros, as Put does. The frames and bytes on the wire are those of a Bcast
+// of the packed panel, and in steady state nothing is allocated on either
 // side. A member whose dimensions disagree with the root's fails with a
 // *LengthMismatchError.
 func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root, slot int) error {
@@ -825,26 +882,32 @@ func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root, slot int) err
 	if slot < 0 || slot >= int(c.slots) {
 		return fmt.Errorf("netmpi: BcastPanel slot %d outside the %d reserved", slot, c.slots)
 	}
-	h, w := dst.Rows, dst.Cols
 	isRoot := c.RankOf(c.ep.rank) == root
-	if isRoot && (src.Rows != h || src.Cols != w) {
-		return fmt.Errorf("netmpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, h, w)
+	if isRoot && (src.Rows != dst.Rows || src.Cols != dst.Cols) {
+		return fmt.Errorf("netmpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols)
 	}
 	tag := c.base + uint32(slot)
 	defer c.ep.addCommSecs(time.Now())
-	buf := slab.Get(h * w)
-	defer slab.Put(buf)
-	var data []float64
 	if isRoot {
-		data = matrix.PackBlock(buf[:0], &src, h, w)
+		if err := dst.Put(&src); err != nil {
+			return err
+		}
 	}
-	if _, err := c.bcastTree(tag, root, data, buf); err != nil {
-		return err
+	segs, fringe := dst.Runs(c.segs[:0])
+	if fringe > 0 {
+		c.fringe = slices.Grow(c.fringe[:0], fringe)[:fringe]
+		if isRoot {
+			dst.GatherFringe(c.fringe)
+		}
+		segs = append(segs, c.fringe)
 	}
-	if isRoot {
-		return dst.Put(&src)
+	c.segs = segs
+	_, err := c.bcastTree(tag, root, segs)
+	clear(segs) // do not pin the strips
+	if err == nil && !isRoot && fringe > 0 {
+		dst.ScatterFringe(c.fringe)
 	}
-	return dst.Put(&matrix.Dense{Rows: h, Cols: w, Stride: w, Data: buf})
+	return err
 }
 
 // PostPanel runs BcastPanel(src, dst, root, slot) on the root now if its
@@ -892,7 +955,8 @@ func (e *Endpoint) Send(to, tag int, data []float64) error {
 // Recv blocks until a Send with the tag arrives from world rank `from`.
 func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 	defer e.addCommSecs(time.Now())
-	return e.recv(from, userCommID, uint32(tag), nil, "recv")
+	data, _, err := e.recv(from, userCommID, uint32(tag), nil, "recv")
+	return data, err
 }
 
 // Barrier blocks until every member has arrived: a gather to comm rank 0
@@ -907,7 +971,7 @@ func (c *Comm) Barrier() error {
 	me := c.RankOf(c.ep.rank)
 	if me == 0 {
 		for i := 1; i < k; i++ {
-			if _, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "barrier"); err != nil {
+			if _, _, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "barrier"); err != nil {
 				return err
 			}
 		}

@@ -140,7 +140,7 @@ func TestMeshSendRecv(t *testing.T) {
 		if err := ep.send(next, 1, 7, []float64{float64(ep.Rank())}, "test"); err != nil {
 			return err
 		}
-		got, err := ep.recv(prev, 1, 7, nil, "test")
+		got, _, err := ep.recv(prev, 1, 7, nil, "test")
 		if err != nil {
 			return err
 		}
@@ -164,11 +164,11 @@ func TestRecvTagReordering(t *testing.T) {
 			}
 			return nil
 		}
-		first, err := ep.recv(0, 9, 1, nil, "test")
+		first, _, err := ep.recv(0, 9, 1, nil, "test")
 		if err != nil {
 			return err
 		}
-		second, err := ep.recv(0, 9, 2, nil, "test")
+		second, _, err := ep.recv(0, 9, 2, nil, "test")
 		if err != nil {
 			return err
 		}

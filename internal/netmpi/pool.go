@@ -6,8 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Pooled scratch for building outgoing frames, and recycled staging for
-// strided panels.
+// Pooled scratch for building outgoing frames.
 //
 // Ownership rules (DESIGN.md §11):
 //
@@ -22,22 +21,22 @@ import (
 //     recycles capacity across bursts and the GC trims it between them.
 //
 // Who owns a received payload: a frame that arrives while it is awaited,
-// with the length the waiting caller sized its buffer for, is read off the
-// socket straight into that buffer — the caller's own memory, before and
-// after (Comm.Bcast's buf, or BcastPanel's staging). Only
-// a frame nobody is waiting for yet — or of an unexpected length — is
+// with the length the waiting caller sized its segments for, is read off
+// the socket straight into those segments — the caller's own memory, before
+// and after (Comm.Bcast's buf, or the strips of BcastPanel's destination).
+// Only a frame nobody is waiting for yet — or of an unexpected length — is
 // decoded into a fresh allocation: it is parked in rankConn.pending and
-// handed over (copied, if the eventual caller brought a buffer) when its key
-// is awaited, at which point the queue slot and the emptied key are dropped.
-// A CRC-corrupt frame leaves garbage in the caller's buffer, but the call
-// fails with the peer, so nothing reads it as data.
+// handed over (copied into the segments, if the eventual caller brought
+// them) when its key is awaited, at which point the queue slot and the
+// emptied key are dropped. A CRC-corrupt frame leaves garbage in the
+// caller's segments, but the call fails with the peer, so nothing reads it
+// as data.
 //
-// Panel staging (slab.Get/slab.Put, the process's one recycled-buffer free
-// list) holds one packed panel for the duration of one BcastPanel call on
-// one rank: the root packs its strided source into it before the sends, a
-// receiver reads the frame into it and Puts it into its destination. send
-// returns only once the kernel has the bytes, so the deferred put cannot
-// race a write.
+// No panel is staged: a root sends its destination's strips, and a receiver
+// reads into its own. The one panel scratch is the communicator's fringe
+// buffer (Comm.fringe), which only the rank's own goroutine touches, and
+// send returns only once the kernel has the bytes, so the next BcastPanel
+// cannot overwrite a fringe still being written.
 //
 // The get/put counters exist so tests can assert the invariant: after a
 // run quiesces, checkouts and returns must balance (see FramePoolStats).
@@ -47,14 +46,20 @@ import (
 // header would).
 type frameBuf struct {
 	b []byte
-	// vec backs bufs, the writev group of a large frame (see writeFrame).
-	vec  [3][]byte
+	// vec backs bufs, the writev group of a large frame (see writeFrame):
+	// the header, the payload's runs and the trailer. arr backs vec, so
+	// that a fresh buffer's first writev of a panel of up to 14 runs
+	// allocates nothing for it.
+	vec  [][]byte
+	arr  [16][]byte
 	bufs net.Buffers
 }
 
 var framePool = sync.Pool{New: func() any {
 	framePoolNews.Add(1)
-	return &frameBuf{}
+	fb := &frameBuf{}
+	fb.vec = fb.arr[:0]
+	return fb
 }}
 
 var (

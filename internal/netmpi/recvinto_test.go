@@ -2,8 +2,10 @@ package netmpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,57 +13,58 @@ import (
 )
 
 // TestReadFrameIntoCallerBuffer pins the receive-into contract at the frame
-// reader: the awaited frame is decoded in the caller's own memory with no
-// allocation at all; anything else — another key, another length — comes
-// back as a slice the reader allocated, and the caller's buffer is left
-// alone.
+// reader: the awaited frame is decoded in the caller's own segments, in
+// order, with no allocation at all; anything else — another key, another
+// length — comes back as a slice the reader allocated, and the caller's
+// segments are left alone.
 func TestReadFrameIntoCallerBuffer(t *testing.T) {
-	payload := []float64{1.5, -2, 3.25, 4}
+	payload := []float64{1.5, -2, 3.25, 4, 5.5}
 	want := frameKey{comm: 9, tag: 3}
 	wire := appendFrame(nil, want.comm, want.tag, payload)
 	rd := bytes.NewReader(wire)
 	var sc frameScratch
-	into := make([]float64, len(payload))
+	into := [][]float64{make([]float64, 2), nil, make([]float64, 3)}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		rd.Reset(wire)
-		key, got, err := readFrame(rd, &sc, want, into)
-		if err != nil || key != want || len(got) != len(into) || &got[0] != &into[0] {
-			t.Fatalf("awaited frame: key %v err %v, payload in caller's buffer: %v", key, err, len(got) == len(into) && &got[0] == &into[0])
+		key, got, _, err := readFrame(rd, &sc, want, into)
+		if err != nil || key != want || got != nil {
+			t.Fatalf("awaited frame: key %v err %v, payload returned apart from the caller's segments: %v", key, err, got != nil)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("awaited frame cost %v allocations, want 0", allocs)
 	}
-	for i, v := range payload {
-		if into[i] != v {
-			t.Fatalf("into[%d] = %v, want %v", i, into[i], v)
-		}
+	if got := slices.Concat(into...); !slices.Equal(got, payload) {
+		t.Fatalf("segments hold %v, want %v", got, payload)
 	}
 
 	for name, tc := range map[string]struct {
 		want frameKey
-		into []float64
+		into [][]float64
 	}{
-		"other key":    {frameKey{comm: 9, tag: 4}, make([]float64, len(payload))},
-		"longer into":  {want, make([]float64, len(payload)+1)},
-		"shorter into": {want, make([]float64, len(payload)-1)},
+		"other key":    {frameKey{comm: 9, tag: 4}, [][]float64{make([]float64, len(payload))}},
+		"longer into":  {want, [][]float64{make([]float64, 2), make([]float64, len(payload)-1)}},
+		"shorter into": {want, [][]float64{make([]float64, len(payload)-1)}},
 	} {
-		for i := range tc.into {
-			tc.into[i] = -7
+		for _, s := range tc.into {
+			for i := range s {
+				s[i] = -7
+			}
 		}
 		rd.Reset(wire)
-		_, got, err := readFrame(rd, &sc, tc.want, tc.into)
+		_, got, _, err := readFrame(rd, &sc, tc.want, tc.into)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got) != len(payload) || &got[0] == &tc.into[0] {
-			t.Errorf("%s: payload must come back in an owned slice of %d elements (got %d, aliased %v)",
-				name, len(payload), len(got), &got[0] == &tc.into[0])
+		if !slices.Equal(got, payload) {
+			t.Errorf("%s: payload must come back in an owned slice, got %v", name, got)
 		}
-		for i, v := range tc.into {
-			if v != -7 {
-				t.Errorf("%s: caller's buffer[%d] overwritten with %v", name, i, v)
+		for _, s := range tc.into {
+			for i, v := range s {
+				if v != -7 {
+					t.Errorf("%s: caller's buffer[%d] overwritten with %v", name, i, v)
+				}
 			}
 		}
 	}
@@ -69,9 +72,9 @@ func TestReadFrameIntoCallerBuffer(t *testing.T) {
 
 // TestRecvIntoAwaitedAndParked drives the same contract through an
 // endpoint: a frame that arrives while awaited lands in the caller's
-// buffer; one that arrived early is parked, then copied into it; and after
-// a burst of out-of-order deliveries nothing stays parked — neither the
-// payloads nor their keys.
+// segments; one that arrived early is parked, then copied into them, and
+// its CRC with it; and after a burst of out-of-order deliveries nothing
+// stays parked — neither the payloads nor their keys.
 func TestRecvIntoAwaitedAndParked(t *testing.T) {
 	const burst = 64
 	eps := localWorld(t, 2)
@@ -80,7 +83,7 @@ func TestRecvIntoAwaitedAndParked(t *testing.T) {
 			// Tags go out in descending order, the receiver awaits them
 			// ascending: every frame but the last arrives early.
 			for tag := burst; tag >= 1; tag-- {
-				if err := ep.send(1, 9, uint32(tag), []float64{float64(tag), float64(-tag)}, "test"); err != nil {
+				if err := ep.send(1, 9, uint32(tag), []float64{float64(tag), 0.5, float64(-tag)}, "test"); err != nil {
 					return err
 				}
 			}
@@ -88,13 +91,18 @@ func TestRecvIntoAwaitedAndParked(t *testing.T) {
 		}
 		parked := 0
 		for tag := 1; tag <= burst; tag++ {
-			into := []float64{0, 0}
-			got, err := ep.recv(0, 9, uint32(tag), into, "test")
+			head, tail := []float64{0}, []float64{0, 0}
+			got, sum, err := ep.recv(0, 9, uint32(tag), [][]float64{head, tail}, "test")
 			if err != nil {
 				return err
 			}
-			if &got[0] != &into[0] || into[0] != float64(tag) || into[1] != float64(-tag) {
-				return fmt.Errorf("tag %d: got %v in caller's buffer: %v", tag, got, &got[0] == &into[0])
+			want := []float64{float64(tag), 0.5, float64(-tag)}
+			if got != nil || head[0] != want[0] || tail[0] != want[1] || tail[1] != want[2] {
+				return fmt.Errorf("tag %d: segments hold %v %v, payload returned apart: %v", tag, head, tail, got)
+			}
+			wire := appendFrame(nil, 9, uint32(tag), want)
+			if trailer := binary.LittleEndian.Uint32(wire[len(wire)-crcTrailerBytes:]); sum != trailer {
+				return fmt.Errorf("tag %d: recv reports CRC %#x, the frame carries %#x", tag, sum, trailer)
 			}
 			if tag == 1 {
 				parked = len(ep.conns[0].pending)
@@ -111,8 +119,8 @@ func TestRecvIntoAwaitedAndParked(t *testing.T) {
 }
 
 // TestBcastLengthMismatch: a receiver whose buffer is not the root's length
-// gets a typed error from both broadcast entry points, never a partial
-// copy.
+// gets a typed error from both broadcast entry points, whatever form the
+// panel's destination has, never a partial copy.
 func TestBcastLengthMismatch(t *testing.T) {
 	eps := localWorld(t, 2)
 	world := []int{0, 1}
@@ -144,6 +152,11 @@ func TestBcastLengthMismatch(t *testing.T) {
 		dst := matrix.New(n/2, 3)
 		c.Reserve(1)
 		return c.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), 0, 0)
+	})
+	check("BcastPanel into strips", func(ep *Endpoint, c *Comm, n int) error {
+		dst, _ := stripsOf(n/2, 2, true) // all fringe: the receiver reads its 6 lanes' worth into the fringe buffer
+		c.Reserve(1)
+		return c.BcastPanel(*matrix.New(n/2, 2), dst, 0, 0)
 	})
 }
 
