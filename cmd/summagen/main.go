@@ -204,7 +204,6 @@ func (o *options) multiply(stdout, stderr io.Writer, ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		rep.Imbalance = obs.AnalyzeStageSpans(rec.Spans())
 	} else {
 		owner, mode = o.rank, fmt.Sprintf("rank %d of %d", o.rank, layout.P)
 		rep, remotes, err = o.runRank(layout, a, b, c, rec, stderr, ln)

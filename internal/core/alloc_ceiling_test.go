@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
@@ -232,6 +233,64 @@ func TestWarmRunRankAllocs(t *testing.T) {
 		t.Logf("%v: %v allocations per rank", shape, got)
 		if got > ceiling {
 			t.Errorf("%v: a warm core.RunRank at N=%d makes %v allocations per rank, ceiling %d", shape, n, got, ceiling)
+		}
+	}
+}
+
+// nopCheckpointer restores nothing and saves nowhere: a first attempt's
+// Checkpointer, which still makes the engine look up and save every cell.
+type nopCheckpointer struct{}
+
+func (nopCheckpointer) Restore(int, int, int, int) bool { return false }
+func (nopCheckpointer) Save(int, int, int, int)         {}
+
+// TestSpanAllocCeiling: a traced multiply takes its span times from the
+// record its ranks already write and adds its spans to the recorder in one
+// batch, so on the four shapes at N = 128, with and without a Checkpointer,
+// spans cost at most 2 allocations beyond a bare recorder and its root span.
+// With a span per stage, rectangle and checkpointed cell, each made by the
+// rank that ran it, they cost 7–9 allocations (about 3.5 KB) and 23–55 with
+// a Checkpointer. The allocations counted include the Report's Imbalance.
+func TestSpanAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch on purpose")
+	}
+	const n, ceiling = 128, 2
+	rng := rand.New(rand.NewSource(13))
+	a, b, c := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	// perOp returns the allocations and bytes per multiply of cfg, each under
+	// a fresh recorder's root span, which traced hands the multiply.
+	perOp := func(cfg core.Config, traced bool) (allocs, bytes float64) {
+		const warm, runs = 5, 40
+		var before, after runtime.MemStats
+		for i := 0; i < warm+runs; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			rec := obs.NewRecorder()
+			root := rec.Root("op")
+			if traced {
+				cfg.Span = root
+			}
+			if _, err := core.Multiply(a, b, c, cfg); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, ck := range []core.Checkpointer{nil, nopCheckpointer{}} {
+		for _, shape := range partition.Shapes {
+			cfg := core.Config{Layout: shapeLayout(t, shape, n, []float64{1.0, 2.0, 0.9}), Checkpoint: ck}
+			bare, bareB := perOp(cfg, false)
+			traced, tracedB := perOp(cfg, true)
+			t.Logf("%v, checkpointer %v: %.1f allocations and %.0f B per multiply, %.1f and %.0f B traced: spans cost %+.1f, %+.0f B",
+				shape, ck != nil, bare, bareB, traced, tracedB, traced-bare, tracedB-bareB)
+			if traced-bare > ceiling {
+				t.Errorf("%v, checkpointer %v: spans cost a multiply %.1f allocations, ceiling %d", shape, ck != nil, traced-bare, ceiling)
+			}
 		}
 	}
 }

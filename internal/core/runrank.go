@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/slab"
+	"repro/internal/trace"
 )
 
 // RunRank executes one rank's share of C = A·B over an externally-managed
@@ -18,7 +21,9 @@ import (
 // B populated, and owns its partition of C afterwards. Passing fully
 // replicated matrices also works and is the easy path for demos.
 //
-// RunRank keeps no Timeline: the runtime's own totals (p.Compute, and for
+// RunRank keeps no Timeline unless cfg.Span is enabled, and then only to
+// stamp the rank's spans, which it adds under cfg.Span once the rank
+// returns, as MultiplyOn does: the runtime's own totals (p.Compute, and for
 // netmpi Endpoint.Breakdown) are the rank's record. Every program runs its
 // ranks through MultiplyOn, which returns a Report; the benchmark module
 // (bench/), which is frozen, is RunRank's only caller outside tests, and
@@ -31,9 +36,19 @@ func RunRank(p Proc, cfg Config, a, b, c *matrix.Dense) error {
 	if p.Size() != cfg.Layout.P {
 		return fmt.Errorf("core: runtime has %d ranks but layout has %d processors", p.Size(), cfg.Layout.P)
 	}
-	waLen, wbLen := s.ranks[p.Rank()].workLens(s.layout.N)
+	rs := &s.ranks[p.Rank()]
+	var tl *trace.Timeline
+	if cfg.Span != (obs.SpanHandle{}) {
+		tl = trace.NewCap(rs.events)
+		tl.Origin = time.Now()
+	}
+	rec := newRecord(tl, s.layout.P, cfg.Span)
+	defer rec.release()
+	waLen, wbLen := rs.workLens(s.layout.N)
 	wa, wb := slab.Get(waLen), slab.Get(wbLen)
 	defer slab.Put(wa)
 	defer slab.Put(wb)
-	return rankMain(p, &cfg, s, record{}, a, b, c, wa, wb)
+	err = rankMain(p, &cfg, s, rec, a, b, c, wa, wb)
+	rec.spans(cfg.Span, cfg.Checkpoint != nil)
+	return err
 }

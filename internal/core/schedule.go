@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/blas"
+	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
@@ -41,6 +42,7 @@ type rankSchedule struct {
 	ops                [2][]bandOp // stages 1 and 2, indexed by axis
 	rects              []rect      // stage 3: one DGEMM each
 	cells              [][2]int    // owned cells (i, j), row-major, for checkpoint restore
+	events             int         // the rank's share of schedule.events
 }
 
 // workLens returns the lengths of the rank's WA and WB for an N×N product:
@@ -71,6 +73,7 @@ type rect struct {
 	i0, i1, j0, j1, r0, c0, h, w int
 	flops                        float64
 	label                        string
+	attrs                        [1]obs.Attr // its DGEMM span's: the flops
 }
 
 // maxSchedules bounds the schedule cache. A service multiplies one layout
@@ -153,17 +156,18 @@ func compile(l *partition.Layout) *schedule {
 			}
 		}
 		rs.rects = s.findRects(func(i, j int) bool { return l.OwnerAt(i, j) == r })
-		s.events += len(rs.rects)
+		rs.events = len(rs.rects)
 		for _, ops := range rs.ops {
 			for _, o := range ops {
 				if o.procs != nil {
-					s.events++
+					rs.events++
 				}
 				if o.split {
-					s.events++
+					rs.events++
 				}
 			}
 		}
+		s.events += rs.events
 	}
 	return s
 }
@@ -260,8 +264,10 @@ func (s *schedule) findRects(todo func(i, j int) bool) []rect {
 			}
 			r0, c0 := s.rowStart[i0], s.colStart[j0]
 			h, w := s.rowStart[i1]-r0, s.colStart[j1]-c0
+			flops := blas.GemmFlops(h, w, l.N)
 			rects = append(rects, rect{i0: i0, i1: i1, j0: j0, j1: j1, r0: r0, c0: c0, h: h, w: w,
-				flops: blas.GemmFlops(h, w, l.N), label: fmt.Sprintf("dgemm[%d:%d,%d:%d]", i0, i1, j0, j1)})
+				flops: flops, label: fmt.Sprintf("dgemm[%d:%d,%d:%d]", i0, i1, j0, j1),
+				attrs: [1]obs.Attr{{Key: "flops", Kind: obs.KindFloat, Float: flops}}})
 		}
 	}
 	return rects

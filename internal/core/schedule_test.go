@@ -190,7 +190,7 @@ func TestTimelineSizedFromSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := rep.Timeline.Len(); got != s.events {
+			if got := len(rep.Timeline.Recorded()); got != s.events {
 				t.Errorf("P=%d layout %+v: Multiply recorded %d events, the schedule counts %d", p, l, got, s.events)
 			}
 			sim, err := Simulate(Config{Layout: l, Platform: testPlatform(p)})

@@ -26,7 +26,7 @@ func Simulate(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildReport(&cfg, s, tl)
+	return buildReport(&cfg, s, tl, nil)
 }
 
 // simRank is one rank's place in the walk.

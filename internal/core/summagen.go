@@ -48,6 +48,12 @@
 // to it once the rank has returned, since only the rank's own goroutine ever
 // writes them. A and B are read-only to the engine, and the caller must not
 // write them while a multiply runs: in-process, every rank reads them.
+//
+// A multiply has one record (record.go), one stamp per instant: each rank
+// writes its ops on the Report's Timeline and, when Config.Span is enabled,
+// its stage boundaries, and makes no obs call. Once the ranks return, the
+// stage, DGEMM and checkpoint spans are made from that record and added to
+// the recorder in one batch, and the Report's Imbalance is read off them.
 package core
 
 import (
@@ -89,8 +95,9 @@ type Config struct {
 	Checkpoint Checkpointer
 	// Span, when enabled, is the parent under which Multiply and RunRank
 	// record per-rank stage spans (bcastA, bcastB, dgemm), per-rectangle
-	// DGEMM spans and per-cell checkpoint restore/save spans. The zero
-	// value disables span recording at no cost (see internal/obs).
+	// DGEMM spans and a rank's checkpoint restore span and a save span per
+	// rectangle, once the ranks have returned (see record). The zero value
+	// disables span recording at no cost.
 	Span obs.SpanHandle
 	// DisableOverlap has no effect: every rank runs the one sequential
 	// bcastA → bcastB → dgemm schedule. The field remains only so that
@@ -144,9 +151,9 @@ type Report struct {
 	// serialization (internal/trace).
 	Timeline *trace.Timeline `json:"-"`
 	// Imbalance is the per-rank stage breakdown and load-imbalance ratio
-	// derived from recorded spans (max/mean dgemm stage time — the
-	// figure of merit the paper's FPM partitions drive to 1.0); nil when
-	// observability is off.
+	// derived from the spans recorded under Config.Span (max/mean dgemm
+	// stage time — the figure of merit the paper's FPM partitions drive to
+	// 1.0); nil when Config.Span is disabled.
 	Imbalance *obs.ImbalanceReport `json:"imbalance,omitempty"`
 }
 
@@ -223,55 +230,36 @@ func MultiplyOn(procs []Proc, a, b, c *matrix.Dense, cfg Config) (*Report, error
 	}
 	tl := trace.NewCap(s.events)
 	tl.Origin = time.Now()
-	rec := record{tl}
-	if err := runShared(s, procs, func(p Proc, wa, wb []float64) error { return rankMain(p, &cfg, s, rec, a, b, c, wa, wb) }); err != nil {
+	rec := newRecord(tl, s.layout.P, cfg.Span)
+	defer rec.release()
+	err = runShared(s, procs, func(p Proc, wa, wb []float64) error { return rankMain(p, &cfg, s, rec, a, b, c, wa, wb) })
+	spans := rec.spans(cfg.Span, cfg.Checkpoint != nil)
+	if err != nil {
 		return nil, err
 	}
-	return buildReport(&cfg, s, tl)
-}
-
-// record is the Timeline a multiply's ranks record their ops on, each
-// event's times in seconds since its Origin; its labels, bytes and flops are
-// the schedule op's own. RunRank runs with the zero record, which records
-// nothing and reads no clock.
-type record struct{ tl *trace.Timeline }
-
-// now returns the seconds since the Timeline's Origin, or 0 without one.
-func (r record) now() float64 {
-	if r.tl == nil {
-		return 0
-	}
-	return time.Since(r.tl.Origin).Seconds()
-}
-
-// add records rank's op of kind from start until now, and returns now.
-func (r record) add(rank int, kind trace.Kind, label string, bytes int, flops, start float64) float64 {
-	if r.tl == nil {
-		return 0
-	}
-	end := r.now()
-	r.tl.Add(trace.Event{Rank: rank, Kind: kind, Start: start, End: end, Bytes: bytes, Flops: flops, Label: label})
-	return end
+	return buildReport(&cfg, s, tl, spans)
 }
 
 // rankMain runs one rank's three stages back to back on the calling
-// goroutine, as its compiled schedule lists them, and records each op on
-// rec. The caller draws WA and WB un-zeroed, since stages 1 and 2 write every
-// element stage 3 reads, padding included, and puts them back however the
-// rank returns: no other goroutine writes them.
+// goroutine, as its compiled schedule lists them, and records each op and
+// stage on rec. The caller draws WA and WB un-zeroed, since stages 1 and 2
+// write every element stage 3 reads, padding included, and puts them back
+// however the rank returns: no other goroutine writes them.
 func rankMain(p Proc, cfg *Config, s *schedule, rec record, a, b, c *matrix.Dense, wa, wb []float64) error {
-	if err := assembleBands(p, cfg, s, rec, axisA, a, wa); err != nil {
-		return err
+	rank := p.Rank()
+	rec.stage(rank, nil)
+	if err := assembleBands(p, s, rec, axisA, a, wa); err != nil {
+		return rec.fail(rank, axisA.String(), err)
 	}
-	if err := assembleBands(p, cfg, s, rec, axisB, b, wb); err != nil {
-		return err
+	rec.stage(rank, nil)
+	if err := assembleBands(p, s, rec, axisB, b, wb); err != nil {
+		return rec.fail(rank, axisB.String(), err)
 	}
-	sp := cfg.Span.Child("dgemm").OnRank(p.Rank())
-	if err := localCompute(p, cfg, s, rec, wa, wb, c, sp); err != nil {
-		sp.Str("error", err.Error()).End()
-		return fmt.Errorf("compute stage: %w", err)
+	rec.stage(rank, nil)
+	if err := localCompute(p, cfg, s, rec, wa, wb, c); err != nil {
+		return rec.fail(rank, "compute", err)
 	}
-	sp.End()
+	rec.stage(rank, nil)
 	return nil
 }
 
@@ -285,14 +273,13 @@ const (
 	axisB             // vertical: bands are grid columns, broadcast over column communicators
 )
 
-func (ax axis) spanName() string { return [...]string{"bcastA", "bcastB"}[ax] }
-func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[ax] }
+func (ax axis) String() string { return [...]string{"horizontal", "vertical"}[ax] }
 
-// assembleBands runs stage 1 (ax = axisA) or 2 (axisB) under its span:
-// the rank's band ops gather every band of m (grid row of A, grid column of
-// B) it owns a cell in into w, WA or WB, as packed strips (rows of A, columns
-// of B), each broadcast going straight from the owner's view of m into every
-// member's strips.
+// assembleBands runs stage 1 (ax = axisA) or 2 (axisB): the rank's band
+// ops gather every band of m (grid row of A, grid column of B) it owns a cell
+// in into w, WA or WB, as packed strips (rows of A, columns of B), each
+// broadcast going straight from the owner's view of m into every member's
+// strips.
 //
 // A stage first creates every communicator it uses and reserves its slots,
 // one per broadcast over it (Comm.Reserve), so that a broadcast's messages
@@ -310,17 +297,9 @@ func (ax axis) String() string   { return [...]string{"horizontal", "vertical"}[
 // The shared-memory runtime posts nothing, so in-process the second pass
 // runs the whole stage. Each split and broadcast is recorded as one Comm
 // event that spans the whole call, the receiver's Put included, in the pass
-// that runs it. A failure is tagged with the stage.
-func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *matrix.Dense, w []float64) (err error) {
+// that runs it.
+func assembleBands(p Proc, s *schedule, rec record, ax axis, m *matrix.Dense, w []float64) error {
 	rank := p.Rank()
-	sp := cfg.Span.Child(ax.spanName()).OnRank(rank)
-	defer func() {
-		if err != nil {
-			sp.Str("error", err.Error())
-			err = fmt.Errorf("%v stage: %w", ax, err)
-		}
-		sp.End()
-	}()
 	into, stride := matrix.IntoRowStrips, blas.StripWidth*s.layout.N
 	if ax == axisB {
 		into = matrix.IntoColStrips
@@ -332,7 +311,7 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 			if c := p.Split(o.procs); o.slots > 0 {
 				c.Reserve(o.slots)
 			}
-			rec.add(rank, trace.Comm, s.labels[o.band][0], 0, 0, t)
+			rec.add(rank, trace.Comm, s.labels[o.band][0], 0, 0, t, rec.now())
 		}
 	}
 	var comm Comm // the band's: its ops are consecutive, and its first splits
@@ -354,7 +333,7 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 			break
 		}
 		if o.procs[o.root] == rank {
-			rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t)
+			rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t, rec.now())
 		}
 		posted = i + 1
 	}
@@ -377,7 +356,7 @@ func assembleBands(p Proc, cfg *Config, s *schedule, rec record, ax axis, m *mat
 		if err := comm.BcastPanel(p, src, dst, o.root, o.slot); err != nil {
 			return err
 		}
-		rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t)
+		rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t, rec.now())
 	}
 	return nil
 }
@@ -401,10 +380,9 @@ var computeFault error
 // rounding contract, changes no bit of C. With a Checkpointer every owned
 // cell is looked up first; a restored cell cuts its run, so the rectangles
 // are found again over the cells left, and each computed cell is saved
-// after its rectangle's DGEMM. stage is the rank's "dgemm" span;
-// per-rectangle spans hang off it. Each DGEMM is recorded on rec, and a
-// restored cell as an instant compute event of no flops.
-func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64, c *matrix.Dense, stage obs.SpanHandle) error {
+// after its rectangle's DGEMM. Each DGEMM is recorded on rec, and a restored
+// cell as an instant compute event of no flops.
+func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64, c *matrix.Dense) error {
 	l, rank := &s.layout, p.Rank()
 	rs := &s.ranks[rank]
 	rects := rs.rects
@@ -413,58 +391,65 @@ func localCompute(p Proc, cfg *Config, s *schedule, rec record, wa, wb []float64
 		for _, cell := range rs.cells {
 			i, j := cell[0], cell[1]
 			r0, c0 := s.rowStart[i], s.colStart[j]
-			rsp := stage.Child("ckpt-restore").OnRank(rank).Int("i", int64(i)).Int("j", int64(j))
-			hit := int64(0)
 			if cfg.Checkpoint.Restore(r0, c0, s.rowStart[i+1]-r0, s.colStart[j+1]-c0) {
-				hit, restored[cell] = 1, true
+				restored[cell] = true
 				if rec.tl != nil { // RunRank formats no label it would not record
-					rec.add(rank, trace.Compute, fmt.Sprintf("dgemm[%d,%d]/restored", i, j), 0, 0, rec.now())
+					t := rec.now()
+					rec.add(rank, trace.Compute, fmt.Sprintf("dgemm[%d,%d]/restored", i, j), 0, 0, t, t)
 				}
 			}
-			rsp.Int("hit", hit).End()
 		}
 		if len(restored) > 0 {
 			rects = s.findRects(func(i, j int) bool { return l.OwnerAt(i, j) == rank && !restored[[2]int{i, j}] })
 		}
 	}
+	if rec.sc != nil {
+		rec.sc.ranks[rank].rects = rects
+	}
 	stride := blas.StripWidth * l.N
 	for _, rc := range rects {
 		block := c.Data[rc.r0*c.Stride+rc.c0:]
 		pa, pb := wa[rs.rowStrip[rc.i0]*stride:], wb[rs.colStrip[rc.j0]*stride:]
-		csp := stage.Child(rc.label).OnRank(rank).Float("flops", rc.flops)
-		t, start := rec.now(), time.Now()
+		t := rec.now()
 		err := computeFault
 		if err == nil {
 			err = blas.DgemmPacked(l.RowHeights[rc.i0:rc.i1], l.ColWidths[rc.j0:rc.j1], l.N, pa, pb, block, c.Stride)
 		}
 		if err != nil {
-			csp.Str("error", err.Error()).End()
 			return err
 		}
-		p.Compute(time.Since(start).Seconds(), rc.flops, rc.label)
-		rec.add(rank, trace.Compute, rc.label, 0, rc.flops, t)
-		csp.End()
+		end := rec.now()
+		p.Compute((end - t).Seconds(), rc.flops, rc.label)
+		rec.add(rank, trace.Compute, rc.label, 0, rc.flops, t, end)
 		// The checkpoint unit stays the cell, whatever rectangle computed it.
 		for i := rc.i0; i < rc.i1 && cfg.Checkpoint != nil; i++ {
 			for j := rc.j0; j < rc.j1; j++ {
 				r, col := s.rowStart[i], s.colStart[j]
-				ssp := stage.Child("ckpt-save").OnRank(rank).Int("i", int64(i)).Int("j", int64(j))
 				cfg.Checkpoint.Save(r, col, s.rowStart[i+1]-r, s.colStart[j+1]-col)
-				ssp.End()
 			}
 		}
 	}
 	return nil
 }
 
-func buildReport(cfg *Config, s *schedule, tl *trace.Timeline) (*Report, error) {
-	bs := tl.Summarize()
-	rep := &Report{
-		N:               s.layout.N,
-		PerRank:         bs,
-		Timeline:        tl,
-		OptimalityRatio: s.ratio,
+// buildReport builds a multiply's Report from its Timeline and, when spans
+// are on, its Imbalance from the spans it recorded.
+func buildReport(cfg *Config, s *schedule, tl *trace.Timeline, spans []obs.Span) (*Report, error) {
+	var rep *Report
+	if spans == nil {
+		rep = new(Report)
+	} else {
+		// A traced report and its imbalance are one allocation.
+		r := new(struct {
+			Report
+			imbalance obs.ImbalanceReport
+		})
+		if rep = &r.Report; r.imbalance.Analyze(spans) {
+			rep.Imbalance = &r.imbalance
+		}
 	}
+	bs := tl.Summarize()
+	rep.N, rep.PerRank, rep.Timeline, rep.OptimalityRatio = s.layout.N, bs, tl, s.ratio
 	rep.ExecutionTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.Finish })
 	rep.ComputeTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.ComputeTime })
 	rep.CommTime = trace.MaxOver(bs, func(b trace.Breakdown) float64 { return b.CommTime })

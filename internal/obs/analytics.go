@@ -1,6 +1,10 @@
 package obs
 
-import "strings"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Straggler and load-imbalance analytics over recorded stage spans. The
 // paper sizes partitions with functional performance models so that every
@@ -58,14 +62,33 @@ type ImbalanceReport struct {
 // ratio from a flat span slice. Returns nil when no rank-tagged stage
 // spans are present (observability off, or a service-only trace).
 func AnalyzeStageSpans(spans []Span) *ImbalanceReport {
-	byRank := map[int]*RankStageStats{}
-	get := func(rank int) *RankStageStats {
-		st := byRank[rank]
-		if st == nil {
-			st = &RankStageStats{Rank: rank}
-			byRank[rank] = st
+	rep := new(ImbalanceReport)
+	if !rep.Analyze(spans) {
+		return nil
+	}
+	return rep
+}
+
+// Analyze sets r to what AnalyzeStageSpans(spans) returns, and reports
+// whether that is a report rather than nil.
+func (r *ImbalanceReport) Analyze(spans []Span) bool {
+	// Spans mostly come grouped by rank, as an engine's batch does: the
+	// rank changes bound the ranks, and a rank is looked up from the last.
+	n, last := 0, -1
+	for _, s := range spans {
+		if s.Rank >= 0 && s.Rank != last {
+			n, last = n+1, s.Rank
 		}
-		return st
+	}
+	*r = ImbalanceReport{Ranks: make([]RankStageStats, 0, n), SlowestRank: -1}
+	get := func(rank int) *RankStageStats {
+		for i := len(r.Ranks) - 1; i >= 0; i-- {
+			if r.Ranks[i].Rank == rank {
+				return &r.Ranks[i]
+			}
+		}
+		r.Ranks = append(r.Ranks, RankStageStats{Rank: rank})
+		return &r.Ranks[len(r.Ranks)-1]
 	}
 	for _, s := range spans {
 		if s.Rank < 0 {
@@ -91,23 +114,14 @@ func AnalyzeStageSpans(spans []Span) *ImbalanceReport {
 			}
 		}
 	}
-	if len(byRank) == 0 {
-		return nil
+	if len(r.Ranks) == 0 {
+		return false
 	}
-	rep := &ImbalanceReport{SlowestRank: -1}
-	for rank := range byRank {
-		rep.Ranks = append(rep.Ranks, *byRank[rank])
-	}
-	// map iteration order is random; report ranks in rank order.
-	for i := 1; i < len(rep.Ranks); i++ {
-		for j := i; j > 0 && rep.Ranks[j].Rank < rep.Ranks[j-1].Rank; j-- {
-			rep.Ranks[j], rep.Ranks[j-1] = rep.Ranks[j-1], rep.Ranks[j]
-		}
-	}
+	slices.SortFunc(r.Ranks, func(a, b RankStageStats) int { return cmp.Compare(a.Rank, b.Rank) })
 	var dgemmSum, dgemmMax float64
 	dgemmRanks := 0
-	for i := range rep.Ranks {
-		st := &rep.Ranks[i]
+	for i := range r.Ranks {
+		st := &r.Ranks[i]
 		if st.DgemmCellSeconds > 0 {
 			st.DgemmGFLOPS = st.DgemmFlops / st.DgemmCellSeconds / 1e9
 		}
@@ -118,13 +132,13 @@ func AnalyzeStageSpans(spans []Span) *ImbalanceReport {
 			}
 			dgemmRanks++
 		}
-		if busy := st.BusySeconds(); rep.SlowestRank < 0 || busy > rep.SlowestBusySeconds {
-			rep.SlowestRank = st.Rank
-			rep.SlowestBusySeconds = busy
+		if busy := st.BusySeconds(); r.SlowestRank < 0 || busy > r.SlowestBusySeconds {
+			r.SlowestRank = st.Rank
+			r.SlowestBusySeconds = busy
 		}
 	}
 	if dgemmRanks > 0 && dgemmSum > 0 {
-		rep.ImbalanceRatio = dgemmMax / (dgemmSum / float64(dgemmRanks))
+		r.ImbalanceRatio = dgemmMax / (dgemmSum / float64(dgemmRanks))
 	}
-	return rep
+	return true
 }

@@ -3,12 +3,12 @@
 // dependencies. One Recorder is created per job at admission; handles to
 // its spans thread through the scheduler, the runners and the engine, so a
 // single job yields one coherent tree covering admission, queue wait,
-// planning, every recovery attempt, and — inside internal/core — the three
-// SummaGen stages and per-rectangle DGEMMs.
+// planning, every recovery attempt, and — added by internal/core in one
+// batch once its ranks return (AddChildren) — the three SummaGen stages and
+// per-rectangle DGEMMs of every rank.
 //
 // The disabled path is free: a zero-value SpanHandle (or any handle rooted
-// in a nil *Recorder) no-ops on every method without allocating, so the
-// engine's hot loops carry instrumentation unconditionally. Attribute
+// in a nil *Recorder) no-ops on every method without allocating. Attribute
 // setters are fixed-arity and typed (no variadic ...any) precisely so the
 // disabled calls never box their arguments onto the heap.
 package obs
@@ -74,8 +74,7 @@ func (s Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// Recorder collects one job's spans. Safe for concurrent use; the engine's
-// rank goroutines all append through it.
+// Recorder collects one job's spans. Safe for concurrent use.
 type Recorder struct {
 	t0 time.Time
 
@@ -129,7 +128,9 @@ func (r *Recorder) Len() int {
 }
 
 // Spans returns a deep copy of the recorded spans; indices (and therefore
-// Parent links) match the recorder's internal order, which is start order.
+// Parent links) match the recorder's internal order: start order, except
+// that a batch (AddChildren) keeps its own order. A parent always precedes
+// its children.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -170,6 +171,28 @@ func (h SpanHandle) End() {
 	h.r.mu.Lock()
 	if h.r.spans[h.idx].End.IsZero() {
 		h.r.spans[h.idx].End = time.Now()
+	}
+	h.r.mu.Unlock()
+}
+
+// AddChildren records finished spans under h in one batch, in their order:
+// a span whose Parent is -1 becomes a child of h, and any other Parent is the
+// index in spans of an earlier span. The recorder keeps the spans' Attrs
+// slices, which the caller must not write afterwards. No-op on a disabled
+// handle.
+func (h SpanHandle) AddChildren(spans []Span) {
+	if h.r == nil {
+		return
+	}
+	h.r.mu.Lock()
+	base := len(h.r.spans)
+	h.r.spans = append(h.r.spans, spans...)
+	for i := base; i < len(h.r.spans); i++ {
+		if p := &h.r.spans[i].Parent; *p < 0 {
+			*p = h.idx
+		} else {
+			*p += base
+		}
 	}
 	h.r.mu.Unlock()
 }

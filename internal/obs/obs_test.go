@@ -158,3 +158,25 @@ func TestSpansReturnsDeepCopy(t *testing.T) {
 		t.Errorf("attr append after snapshot lost: %+v", fresh[0].Attrs)
 	}
 }
+
+// TestAddChildrenBatch: a batch keeps its order and tree: a span with
+// Parent -1 hangs off the handle, any other off the batch span it names, and
+// a disabled handle records nothing.
+func TestAddChildrenBatch(t *testing.T) {
+	rec := NewRecorder()
+	root := rec.Root("job")
+	att := root.Child("attempt")
+	at := time.Now()
+	att.AddChildren([]Span{
+		{Name: "dgemm", Rank: 1, Parent: -1, Start: at, End: at.Add(time.Millisecond)},
+		{Name: "dgemm[0:1,0:1]", Rank: 1, Parent: 0, Start: at, End: at.Add(time.Microsecond)},
+	})
+	SpanHandle{}.AddChildren([]Span{{Name: "lost", Parent: -1}})
+	spans := rec.Spans()
+	if len(spans) != 4 || spans[2].Name != "dgemm" || spans[3].Name != "dgemm[0:1,0:1]" {
+		t.Fatalf("spans %+v, want job, attempt, then the batch in order", spans)
+	}
+	if spans[2].Parent != 1 || spans[3].Parent != 2 || spans[3].Rank != 1 {
+		t.Errorf("batch parents %d and %d, rank %d: want attempt (1), the batch's dgemm (2), rank 1", spans[2].Parent, spans[3].Parent, spans[3].Rank)
+	}
+}

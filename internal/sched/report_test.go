@@ -15,7 +15,7 @@ func TestNetmpiReportIsTheEngines(t *testing.T) {
 	specs := []JobSpec{{N: n, Shape: "square-corner", Seed: 2}, {N: n, Shape: "1d-rectangle", Seed: 2}}
 	for _, v := range runSpecs(t, s, specs) {
 		rep, p := v.Report, v.Plan.Layout.P
-		if rep.Timeline == nil || rep.Timeline.Len() == 0 {
+		if rep.Timeline == nil || len(rep.Timeline.Recorded()) == 0 {
 			t.Fatalf("%s: the report has no Timeline", v.Plan.Shape)
 		}
 		if len(rep.PerRank) != p {

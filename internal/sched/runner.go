@@ -101,8 +101,9 @@ func (r *InprocRunner) Run(_ string, plan *Plan, a, b, c *matrix.Dense, opts Run
 // The ranks share the a, b and c matrices: the engine reads only owned
 // partitions and writes disjoint C cells per rank, so no synchronization
 // beyond the final join is needed. They share the job's recorder and
-// clock too: every rank records its stage spans under RunOpts.Span and its
-// ops on the Report's Timeline, as on the in-process runner.
+// clock too: every rank records its ops on the Report's Timeline, and
+// MultiplyOn adds every rank's stage spans under RunOpts.Span, as on the
+// in-process runner.
 type NetmpiRunner struct {
 	// OpTimeout bounds every blocking frame operation (the failure
 	// detector); default 10s.

@@ -517,11 +517,6 @@ func (s *Scheduler) runJob(j *job, plan *Plan) {
 	rep := res.rep
 	plan = res.plan
 	rep.Shape = plan.Shape
-	// Straggler analytics over the stage spans of the attempt that produced
-	// the report: a recovered job's surviving ranks only.
-	if j.rec != nil {
-		rep.Imbalance = obs.AnalyzeStageSpans(lastAttemptSpans(j.rec.Spans()))
-	}
 
 	dsp := j.root.Child("digest")
 	digest := matrix.Digest(c)
@@ -675,30 +670,6 @@ func (s *Scheduler) runWithRecovery(ctx context.Context, j *job, root obs.SpanHa
 	}
 }
 
-// lastAttemptSpans filters spans, a job recorder's in start order, down to
-// its last attempt span and every span under it. A parent starts before its
-// children, so one pass in start order finds the whole subtree.
-func lastAttemptSpans(spans []obs.Span) []obs.Span {
-	last := -1
-	for i, sp := range spans {
-		if sp.Name == "attempt" {
-			last = i
-		}
-	}
-	if last < 0 {
-		return nil
-	}
-	in := make([]bool, len(spans))
-	out := spans[:0]
-	for i := last; i < len(spans); i++ {
-		if p := spans[i].Parent; i == last || p >= 0 && in[p] {
-			in[i] = true
-			out = append(out, spans[i])
-		}
-	}
-	return out
-}
-
 // endAttempt closes an attempt span, tagging failures.
 func endAttempt(att obs.SpanHandle, err error) {
 	if err != nil {
@@ -787,7 +758,7 @@ func (s *Scheduler) finish(j *job, rep *core.Report, digest string, verified boo
 }
 
 // maxTracedJobs bounds how many terminal jobs keep their trace (span
-// recorder and engine Timeline, ~7 KB each with Observe on), and
+// recorder and engine Timeline, ~6 KB each with Observe on), and
 // maxTerminalJobs how many keep their status (~1.5 KB each). Older terminal
 // jobs lose the one and then the other, so a scheduler holds about 2 MB of
 // traces and 6 MB of statuses however long it runs. Queued, planning and

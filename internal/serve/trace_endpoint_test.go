@@ -122,7 +122,9 @@ func TestTraceEndpointMergesTimelineLane(t *testing.T) {
 // TestTraceTimelineAligned: on both runners the export places the engine's
 // Timeline (pid 2) from its own Origin, on the spans' clock: every Timeline
 // event lies inside the attempt span, and each DGEMM starts where the
-// engine's span of the same rectangle on the same rank (pid 1) starts.
+// engine's span of the same rectangle on the same rank (pid 1) starts. Both
+// are one stamp, so they may differ by the export's float rounding only
+// (1 µs); taken as two clock reads they were up to 103 µs apart.
 func TestTraceTimelineAligned(t *testing.T) {
 	for _, runner := range []sched.Runner{&sched.InprocRunner{}, &sched.NetmpiRunner{OpTimeout: 10 * time.Second}} {
 		t.Run(runner.Name(), func(t *testing.T) {
@@ -159,7 +161,7 @@ func TestTraceTimelineAligned(t *testing.T) {
 			if attempt == nil {
 				t.Fatal("no attempt span in the trace")
 			}
-			const slackUs, dgemmUs = 1, 100
+			const slackUs, dgemmUs = 1, 1
 			tlEvents, dgemms := 0, 0
 			for _, e := range events {
 				if e.PID != obs.ChromePIDTimeline {

@@ -98,11 +98,13 @@ func (t *Timeline) Events() []Event {
 	return out
 }
 
-// Len returns the number of recorded events.
-func (t *Timeline) Len() int {
+// Recorded returns the events recorded so far in the order they were added,
+// without copying: the slice is the timeline's own, to read and never write.
+// Later Adds do not change it.
+func (t *Timeline) Recorded() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.events[:len(t.events):len(t.events)]
 }
 
 // Breakdown is the per-rank aggregate the experiment harness consumes.

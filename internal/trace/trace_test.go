@@ -30,7 +30,7 @@ func TestAddAndEventsSorted(t *testing.T) {
 	tl.Add(Event{Rank: 0, Kind: Compute, Start: 2, End: 3})
 	tl.Add(Event{Rank: 0, Kind: Compute, Start: 0, End: 1})
 	ev := tl.Events()
-	if len(ev) != 3 || tl.Len() != 3 {
+	if len(ev) != 3 || len(tl.Recorded()) != 3 {
 		t.Fatalf("got %d events", len(ev))
 	}
 	if ev[0].Rank != 0 || ev[0].Start != 0 || ev[2].Rank != 1 {
@@ -83,8 +83,8 @@ func TestConcurrentAdd(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if tl.Len() != 800 {
-		t.Fatalf("got %d events, want 800", tl.Len())
+	if len(tl.Recorded()) != 800 {
+		t.Fatalf("got %d events, want 800", len(tl.Recorded()))
 	}
 	bs := tl.Summarize()
 	if len(bs) != 8 {
