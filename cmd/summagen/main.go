@@ -285,8 +285,8 @@ func (o *options) buildLayout(pl *device.Platform) (*partition.Layout, string, e
 // runRank joins the TCP mesh as rank o.rank, computes this rank's cells of
 // C and, after a successful run, ships span trees to rank 0. The report is
 // the engine's over this rank alone: one PerRank entry, parallel time = this
-// rank's finish; stage analytics are cluster-wide on rank 0 and rank-local
-// elsewhere.
+// rank's finish; stage analytics are cluster-wide on rank 0 and the
+// engine's own, rank-local, elsewhere.
 func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *obs.Recorder, logw io.Writer, ln net.Listener) (*core.Report, []obs.RemoteTrace, error) {
 	addrs := strings.Split(o.hosts, ",")
 	if layout.P != len(addrs) {
@@ -337,11 +337,15 @@ func (o *options) runRank(layout *partition.Layout, a, b, c *matrix.Dense, rec *
 	if err := ep.AgreeEpoch(); err != nil {
 		return nil, nil, fmt.Errorf("closing fence: %w", err)
 	}
-	spans := append([]obs.Span(nil), rec.Spans()...)
-	for _, rt := range remotes {
-		spans = append(spans, rt.Spans...)
+	// MultiplyOn's Imbalance covers this rank; rank 0's covers every rank
+	// whose spans reached it. Spans returns a copy, which takes theirs.
+	if o.rank == 0 {
+		spans := rec.Spans()
+		for _, rt := range remotes {
+			spans = append(spans, rt.Spans...)
+		}
+		rep.Imbalance = obs.AnalyzeStageSpans(spans)
 	}
-	rep.Imbalance = obs.AnalyzeStageSpans(spans)
 	return rep, remotes, nil
 }
 

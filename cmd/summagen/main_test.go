@@ -79,14 +79,17 @@ func TestRankMode(t *testing.T) {
 // TestRankModeTrace: in rank mode every rank ships its stage spans to rank 0,
 // whose -trace file holds one remote lane (pid ChromePIDRemoteBase + r) per
 // peer r with that rank's bcastA, bcastB and dgemm spans, and whose report's
-// imbalance covers all three ranks. Its per_rank entry is the engine's
-// record of rank 0, flops included.
+// imbalance covers all three ranks; rank 1's covers rank 1 alone. Rank 0's
+// per_rank entry is the engine's record of rank 0, flops included.
 func TestRankModeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	codes, outs, errs := runRanks(t, func(r int) []string {
 		args := []string{"-n", "80", "-seed", "7", "-op-timeout", "20s", "-dial-timeout", "20s"}
-		if r == 0 {
+		switch r {
+		case 0:
 			args = append(args, "-json", "-trace", path)
+		case 1:
+			args = append(args, "-json")
 		}
 		return args
 	})
@@ -107,6 +110,15 @@ func TestRankModeTrace(t *testing.T) {
 	}
 	if len(rep.PerRank) != 1 || rep.PerRank[0].Rank != 0 || rep.PerRank[0].Flops <= 0 {
 		t.Errorf("rank 0 per_rank = %+v, want one entry, rank 0's, with its flops", rep.PerRank)
+	}
+	var rep1 struct {
+		Imbalance *obs.ImbalanceReport `json:"imbalance"`
+	}
+	if err := json.Unmarshal(outs[1].Bytes(), &rep1); err != nil {
+		t.Fatalf("rank 1 stdout is not one JSON report (%v): %s", err, outs[1].String())
+	}
+	if rep1.Imbalance == nil || len(rep1.Imbalance.Ranks) != 1 || rep1.Imbalance.Ranks[0].Rank != 1 {
+		t.Errorf("rank 1 imbalance = %+v, want rank 1 alone", rep1.Imbalance)
 	}
 
 	raw, err := os.ReadFile(path)

@@ -18,12 +18,14 @@ import (
 	"repro/internal/trace"
 )
 
-// commEventCounts tallies Comm events per rank, keyed by label prefix, so
-// traces from different modes can be compared structurally.
-func commEventCounts(tl *trace.Timeline) map[int]int {
+// bcastEventCounts tallies broadcast events per rank, so traces from
+// different modes can be compared structurally. Simulate also charges each
+// band's communicator creation ("split@" events), which a real run, whose
+// broadcasts are keyed by the schedule, does not make.
+func bcastEventCounts(tl *trace.Timeline) map[int]int {
 	counts := map[int]int{}
 	for _, e := range tl.Events() {
-		if e.Kind == trace.Comm {
+		if e.Kind == trace.Comm && strings.HasPrefix(e.Label, "bcast@") {
 			counts[e.Rank]++
 		}
 	}
@@ -56,11 +58,11 @@ func TestRealAndSimulatedTracesStructurallyEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		realCounts := commEventCounts(realRep.Timeline)
-		simCounts := commEventCounts(simRep.Timeline)
+		realCounts := bcastEventCounts(realRep.Timeline)
+		simCounts := bcastEventCounts(simRep.Timeline)
 		for r := 0; r < 3; r++ {
-			if realCounts[r] != simCounts[r] {
-				t.Fatalf("%v rank %d: %d real comm events vs %d simulated",
+			if realCounts[r] == 0 || realCounts[r] != simCounts[r] {
+				t.Fatalf("%v rank %d: %d real broadcast events vs %d simulated",
 					shape, r, realCounts[r], simCounts[r])
 			}
 		}

@@ -11,12 +11,13 @@ import (
 )
 
 // The engine is transport-generic: it executes over any runtime that
-// provides ranks, sub-communicators and broadcasts — shared memory
+// provides ranks and keyed broadcasts over a band's members — shared memory
 // (Multiply) or the distributed TCP runtime internal/netmpi (MultiplyOn over
 // a process's endpoints), the paper's future-work setting of
-// distributed-memory nodes. Either way the ranks of one process run on the
-// executor below. Simulate needs no runtime: it walks the compiled schedule
-// itself.
+// distributed-memory nodes. A runtime keeps no communicators: the compiled
+// schedule names each broadcast's members and its key. Either way the ranks
+// of one process run on the executor below. Simulate needs no runtime: it
+// walks the compiled schedule itself.
 //
 // Error contract: a runtime must never let a dead or failed peer block a
 // collective forever. When a peer is declared failed, in-flight and
@@ -31,10 +32,41 @@ type Proc interface {
 	// Rank returns this rank's id; Size the world size.
 	Rank() int
 	Size() int
-	// Split collectively creates (or reuses) the communicator over the
-	// given ascending world ranks; the caller must be a member, and
-	// ranks[i] is communicator rank i.
-	Split(ranks []int) Comm
+	// BeginStage begins a stage of n broadcasts, the stage's count over the
+	// whole schedule, and returns its first key: the stage's broadcast i
+	// (bandOp.key) is keyed first+i. Every rank of the world calls it with
+	// the same n at the start of each stage, whether or not it is a member
+	// of any of the stage's broadcasts, so a runtime can key a broadcast's
+	// messages by its place in the schedule rather than by when it is
+	// called: a root that posts its panel early (PostPanel) cannot take
+	// another broadcast's key. It also starts the stage's post budget.
+	BeginStage(n int) (first int)
+	// BcastPanel broadcasts the dst.Rows×dst.Cols panel src of members[root]
+	// into every member's dst, the root's own included, under the key of
+	// the stage's broadcast; members lists the band's world ranks in
+	// ascending order, this rank among them. Every member writes its dst
+	// with dst.Put, so the engine chooses the form its working matrices take
+	// (it receives straight into the DGEMM's packed strips) and the runtime
+	// never stages a panel for it. How the elements travel is the runtime's
+	// business (in-process, each member Puts straight out of the shared
+	// view; the TCP runtime Puts src into the root's dst and sends dst's own
+	// strips, which receivers read straight into theirs). src must stay
+	// unwritten until the multiply returns — the engine only ever passes
+	// views of its read-only A and B. It returns an error — never hangs —
+	// when a member has been declared failed. A member whose dimensions
+	// disagree with the root's is a bug the runtime reports (netmpi with a
+	// *LengthMismatchError) instead of copying what fits.
+	BcastPanel(src matrix.Dense, dst matrix.Dest, members []int, root, key int) error
+	// PostPanel is the post pass's call (see assembleBands) for the
+	// broadcast BcastPanel(src, dst, members, root, key) would run, made in
+	// schedule order before any BcastPanel of the stage. It reports whether
+	// the pass may go on past the broadcast. On the root, it may only once
+	// the runtime has run the whole broadcast, which it does only if no
+	// member can make it wait. On another member PostPanel runs nothing —
+	// its receive is left to BcastPanel — and reports whether the member
+	// sends nothing in the broadcast, so that what this rank posts later
+	// cannot overtake a frame it forwards.
+	PostPanel(src matrix.Dense, dst matrix.Dest, members []int, root, key int) (bool, error)
 	// Compute adds d seconds of local computation of `flops`
 	// floating-point operations, just finished, to the runtime's own
 	// compute total (netmpi's Breakdown). The shared-memory ranks keep
@@ -43,64 +75,25 @@ type Proc interface {
 	Compute(d, flops float64, label string)
 }
 
-// Comm is a communicator over a subset of ranks.
-type Comm interface {
-	// Reserve begins the communicator's share of a stage of n broadcasts,
-	// which are its slots 0…n-1 in schedule order. Every member reserves
-	// the same n before any broadcast of the stage, so a runtime can key a
-	// broadcast's messages by its slot rather than by when it is called:
-	// a root that posts its panel early (PostPanel) cannot take another
-	// broadcast's key.
-	Reserve(n int)
-	// BcastPanel broadcasts the root's dst.Rows×dst.Cols panel src into
-	// every member's dst, the root's own included, as the stage's
-	// broadcast slot. Every member writes its dst with dst.Put, so the
-	// engine chooses the form its working matrices take (it receives
-	// straight into the DGEMM's packed strips) and the runtime never
-	// stages a panel for it. How the elements travel is the runtime's
-	// business (in-process, each member Puts straight out of the shared
-	// view; the TCP runtime Puts src into the root's dst and sends dst's
-	// own strips, which receivers read straight into theirs).
-	// src must stay unwritten until the multiply returns — the engine only
-	// ever passes views of its read-only A and B. It returns an error —
-	// never hangs — when a member has been declared failed. A member whose
-	// dimensions disagree with the root's is a bug the runtime reports
-	// (netmpi with a *LengthMismatchError) instead of copying what fits.
-	BcastPanel(p Proc, src matrix.Dense, dst matrix.Dest, root, slot int) error
-	// PostPanel is the post pass's call (see assembleBands) for the
-	// broadcast BcastPanel(p, src, dst, root, slot) would run, made in
-	// schedule order before any BcastPanel of the stage. It reports
-	// whether the pass may go on past the broadcast. On the root, it may
-	// only once the runtime has run the whole broadcast, which it does
-	// only if no member can make it wait. On another member PostPanel runs
-	// nothing — its receive is left to BcastPanel — and reports whether
-	// the member sends nothing in the broadcast, so that what this rank
-	// posts later cannot overtake a frame it forwards.
-	PostPanel(p Proc, src matrix.Dense, dst matrix.Dest, root, slot int) (bool, error)
-}
-
 // --- The in-process executor behind Multiply and MultiplyOn ---
 
-// shmRank is one rank of an in-process multiply, its Proc and its only Comm.
-// The ranks share A and B, so a broadcast is each member's own copy out of
-// the shared operand: no rank ever waits for another, Split and Reserve are
-// no-ops, and PostPanel runs nothing: with no wait, there is nothing to
-// overlap. A shmRank
-// holds no state, so a schedule's ranks serve every multiply.
+// shmRank is one rank of an in-process multiply. The ranks share A and B, so
+// a broadcast is each member's own copy out of the shared operand: no rank
+// ever waits for another, keys go unused, and PostPanel runs nothing: with no
+// wait, there is nothing to overlap. A shmRank holds no state, so a
+// schedule's ranks serve every multiply.
 type shmRank struct{ rank, size int }
 
 func (r *shmRank) Rank() int                      { return r.rank }
 func (r *shmRank) Size() int                      { return r.size }
-func (r *shmRank) Split([]int) Comm               { return r }
+func (*shmRank) BeginStage(int) int               { return 0 }
 func (*shmRank) Compute(float64, float64, string) {}
 
-func (*shmRank) Reserve(int) {}
-
-func (*shmRank) BcastPanel(_ Proc, src matrix.Dense, dst matrix.Dest, _, _ int) error {
+func (*shmRank) BcastPanel(src matrix.Dense, dst matrix.Dest, _ []int, _, _ int) error {
 	return dst.Put(&src)
 }
 
-func (*shmRank) PostPanel(Proc, matrix.Dense, matrix.Dest, int, int) (bool, error) {
+func (*shmRank) PostPanel(matrix.Dense, matrix.Dest, []int, int, int) (bool, error) {
 	return false, nil
 }
 

@@ -21,13 +21,17 @@ type schedule struct {
 	ratio              float64          // partition.OptimalityRatio, 0 when it has none
 	ranks              []rankSchedule
 	shm                []Proc // the shared-memory ranks Multiply runs (shmWorld)
-	// labels holds, per band (grid rows, then grid columns), the labels a
-	// band's split and broadcasts are recorded under: "split@[0 2]" and
+	// labels holds, per band (grid rows, then grid columns), the label of
+	// the communicator creation Simulate charges before the band's
+	// broadcasts, "split@[0 2]", and the label they are recorded under,
 	// "bcast@[0 2]"; empty for a band with one member.
 	labels [][2]string
-	// events is how many Timeline events a multiply records: one split per
-	// band, one bcast per broadcast op and one compute per rectangle, on
-	// every member (a walk adds its idle events on top).
+	// keys is how many broadcasts stages 1 and 2 run, over all bands: every
+	// rank begins each stage with its count (Proc.BeginStage).
+	keys [2]int
+	// events is how many Timeline events a multiply records: one bcast per
+	// broadcast op and one compute per rectangle, on every member (a walk
+	// adds its split and idle events on top).
 	events int
 }
 
@@ -56,15 +60,14 @@ func (rs *rankSchedule) workLens(n int) (wa, wb int) {
 // is the band's first strip at the rectangle's first k.
 type bandOp struct {
 	procs             []int // the band's members, one slice shared by all; nil: a local copy
-	split             bool  // the band's first broadcast creates its communicator
+	split             bool  // the band's first broadcast, which Simulate charges the communicator's creation
 	band              int   // grid row i is band i, grid column j band GridRows+j
-	root              int   // communicator rank of the rectangle's owner
+	root              int   // index in procs of the rectangle's owner
 	r0, c0, h, w, off int
-	// slot is the broadcast's place among the stage's broadcasts over its
-	// member set, which every member counts alike; slots, on the set's
-	// first broadcast of the stage only, is how many there are, which the
-	// stage reserves (Comm.Reserve).
-	slot, slots int
+	// key is the broadcast's place among all the stage's broadcasts, in
+	// band order, the same on every member: its frames' key is the stage's
+	// first key plus key.
+	key int
 }
 
 // rect is one stage-3 DGEMM: the owned cells of grid rows [i0, i1) and
@@ -146,10 +149,8 @@ func compile(l *partition.Layout) *schedule {
 	}
 	for r := range s.ranks {
 		rs := &s.ranks[r]
-		rs.ops[axisA], rs.rowStrip, rs.waStrips = s.bandOps(r, axisA, rowProcs)
-		rs.ops[axisB], rs.colStrip, rs.wbStrips = s.bandOps(r, axisB, colProcs)
-		numberSlots(rs.ops[axisA])
-		numberSlots(rs.ops[axisB])
+		rs.ops[axisA], rs.rowStrip, rs.waStrips, s.keys[axisA] = s.bandOps(r, axisA, rowProcs)
+		rs.ops[axisB], rs.colStrip, rs.wbStrips, s.keys[axisB] = s.bandOps(r, axisB, colProcs)
 		for k, o := range l.Owner {
 			if o == r {
 				rs.cells = append(rs.cells, [2]int{k / l.GridCols, k % l.GridCols})
@@ -160,9 +161,6 @@ func compile(l *partition.Layout) *schedule {
 		for _, ops := range rs.ops {
 			for _, o := range ops {
 				if o.procs != nil {
-					rs.events++
-				}
-				if o.split {
 					rs.events++
 				}
 			}
@@ -185,8 +183,10 @@ func prefixSums(xs []int) []int {
 // over the members per maximal run of same-owner cells, or one local copy
 // if it owns the band alone (the paper's special case). first is each
 // band's first strip in the working matrix (-1 if not a member), strips
-// their total.
-func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, first []int, strips int) {
+// their total. Every broadcast of the stage, the rank's or not, is numbered
+// in band order, so a broadcast has one key on all its members; keys is
+// the stage's count, the same for every rank.
+func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, first []int, strips, keys int) {
 	l := &s.layout
 	bs, cs, ownerAt, band0 := s.rowStart, s.colStart, l.OwnerAt, 0
 	if ax == axisB {
@@ -195,41 +195,31 @@ func (s *schedule) bandOps(rank int, ax axis, procs [][]int) (ops []bandOp, firs
 	}
 	first = make([]int, len(procs))
 	for b := range procs {
-		if first[b] = -1; !slices.Contains(procs[b], rank) {
-			continue
+		member, bcast := slices.Contains(procs[b], rank), len(procs[b]) > 1
+		if first[b] = -1; member {
+			first[b], strips = strips, strips+blas.Strips(bs[b+1]-bs[b])
 		}
-		first[b], strips = strips, strips+blas.Strips(bs[b+1]-bs[b])
 		for x0, x1 := 0, 1; x0 < len(cs)-1; x0, x1 = x1, x1+1 {
-			for x1 < len(cs)-1 && (len(procs[b]) == 1 || ownerAt(b, x1) == ownerAt(b, x0)) {
+			for x1 < len(cs)-1 && (!bcast || ownerAt(b, x1) == ownerAt(b, x0)) {
 				x1++
 			}
-			o := bandOp{band: band0 + b, r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0],
-				off: (first[b]*l.N + cs[x0]) * blas.StripWidth}
-			if ax == axisB {
-				o.r0, o.c0, o.h, o.w = o.c0, o.r0, o.w, o.h
+			if member {
+				o := bandOp{band: band0 + b, r0: bs[b], h: bs[b+1] - bs[b], c0: cs[x0], w: cs[x1] - cs[x0],
+					off: (first[b]*l.N + cs[x0]) * blas.StripWidth}
+				if ax == axisB {
+					o.r0, o.c0, o.h, o.w = o.c0, o.r0, o.w, o.h
+				}
+				if bcast {
+					o.procs, o.split, o.root, o.key = procs[b], x0 == 0, slices.Index(procs[b], ownerAt(b, x0)), keys
+				}
+				ops = append(ops, o)
 			}
-			if len(procs[b]) > 1 {
-				o.procs, o.split, o.root = procs[b], x0 == 0, slices.Index(procs[b], ownerAt(b, x0))
+			if bcast {
+				keys++
 			}
-			ops = append(ops, o)
 		}
 	}
-	return ops, first, strips
-}
-
-// numberSlots gives each broadcast of a stage its slot and each member set's
-// first broadcast the set's count. Two bands with the same members share one
-// communicator, so their broadcasts share one count. The first broadcast
-// over a set is its first band's first, which creates the communicator.
-func numberSlots(ops []bandOp) {
-	for i := range ops {
-		if ops[i].procs == nil {
-			continue
-		}
-		first := slices.IndexFunc(ops, func(o bandOp) bool { return o.procs != nil && slices.Equal(o.procs, ops[i].procs) })
-		ops[i].slot = ops[first].slots
-		ops[first].slots++
-	}
+	return ops, first, strips, keys
 }
 
 // findRects covers the cells todo accepts with rectangles: a maximal run of

@@ -170,11 +170,10 @@ func TestScheduleCacheEvictsOne(t *testing.T) {
 }
 
 // TestTimelineSizedFromSchedule: a checkpoint-free multiply records exactly
-// the events its schedule counts (one split per band, one bcast per
-// broadcast op and one compute per rectangle, on every member), so the
-// Timeline that Multiply sizes from the schedule never grows. Checked on
-// random layouts at P = 1–6; Simulate records the same ops plus its idle
-// events.
+// the events its schedule counts (one bcast per broadcast op and one compute
+// per rectangle, on every member), so the Timeline that Multiply sizes from
+// the schedule never grows. Checked on random layouts at P = 1–6; Simulate
+// records the same ops plus its split and idle events.
 func TestTimelineSizedFromSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for p := 1; p <= 6; p++ {
@@ -199,7 +198,7 @@ func TestTimelineSizedFromSchedule(t *testing.T) {
 			}
 			ops := 0
 			for _, e := range sim.Timeline.Events() {
-				if e.Kind != trace.Idle {
+				if e.Kind != trace.Idle && !strings.HasPrefix(e.Label, "split@") {
 					ops++
 				}
 			}
@@ -207,5 +206,53 @@ func TestTimelineSizedFromSchedule(t *testing.T) {
 				t.Errorf("P=%d layout %+v: Simulate recorded %d op events, the schedule counts %d", p, l, ops, s.events)
 			}
 		}
+	}
+}
+
+// TestScheduleKeysEveryBroadcast: compile numbers each stage's broadcasts
+// 0…keys-1 once, schedule-wide: every member of a broadcast holds it under
+// one key, no two broadcasts of a stage share a key, and each rank meets its
+// keys in ascending order, the order it runs them. Checked on random layouts
+// at P = 1–6.
+func TestScheduleKeysEveryBroadcast(t *testing.T) {
+	type bcast struct{ band, r0, c0 int }
+	rng := rand.New(rand.NewSource(37))
+	total := 0
+	for p := 1; p <= 6; p++ {
+		for k := 0; k < 6; k++ {
+			l := randomLayout(rng, 8*p+rng.Intn(24), p)
+			s := compile(l)
+			for ax := range s.keys {
+				total += s.keys[ax]
+				keyOf := map[bcast]int{}
+				ofKey := map[int]bcast{}
+				for r := range s.ranks {
+					last := -1
+					for _, o := range s.ranks[r].ops[ax] {
+						if o.procs == nil {
+							continue
+						}
+						b := bcast{o.band, o.r0, o.c0}
+						if o.key <= last || o.key >= s.keys[ax] {
+							t.Fatalf("P=%d layout %+v stage %d: rank %d meets key %d after %d, of %d", p, l, ax+1, r, o.key, last, s.keys[ax])
+						}
+						last = o.key
+						if k, ok := keyOf[b]; ok && k != o.key {
+							t.Fatalf("P=%d layout %+v stage %d: broadcast %+v has keys %d and %d", p, l, ax+1, b, k, o.key)
+						}
+						if c, ok := ofKey[o.key]; ok && c != b {
+							t.Fatalf("P=%d layout %+v stage %d: broadcasts %+v and %+v share key %d", p, l, ax+1, c, b, o.key)
+						}
+						keyOf[b], ofKey[o.key] = o.key, b
+					}
+				}
+				if len(ofKey) != s.keys[ax] {
+					t.Fatalf("P=%d layout %+v stage %d: %d broadcasts, %d keys", p, l, ax+1, len(ofKey), s.keys[ax])
+				}
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no layout broadcast anything")
 	}
 }

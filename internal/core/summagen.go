@@ -40,7 +40,7 @@
 // (package blas), WA as strips of 8 rows of A per grid row the rank belongs
 // to and WB as strips of 8 columns of B per grid column, each band padded to
 // whole strips. A run's owner hands the runtime its view of A or B, every
-// member a matrix.Dest over its strips of WA or WB (Comm.BcastPanel), and
+// member a matrix.Dest over its strips of WA or WB (Proc.BcastPanel), and
 // the runtime's Put writes the strips as the panel lands; stage 3 then
 // multiplies the strips in place and packs nothing. WA and WB are recycled
 // through the process-wide slab free list (internal/slab), un-zeroed — a
@@ -110,7 +110,7 @@ type Config struct {
 // it from the Timeline their ranks record, so the figures mean the same on
 // every runtime: on a netmpi mesh, ExecutionTime starts when MultiplyOn is
 // called (after a service's mesh lease and epoch fence), CommTime sums the
-// engine's broadcasts and splits only (no other collective), and PerRank
+// engine's broadcasts only (no other collective), and PerRank
 // counts 8·h·w bytes per broadcast on every member (not bytes received) and
 // the rank's flops. Reports marshal to JSON with the tagged field names
 // below — the one serialization shared by cmd/summagen (in-process and rank
@@ -281,13 +281,13 @@ func (ax axis) String() string { return [...]string{"horizontal", "vertical"}[ax
 // broadcast going straight from the owner's view of m into every member's
 // strips.
 //
-// A stage first creates every communicator it uses and reserves its slots,
-// one per broadcast over it (Comm.Reserve), so that a broadcast's messages
-// are keyed by its place in the schedule, not by when it runs. Then it makes
-// two passes over the ops:
+// A stage first takes its keys, one per broadcast of the whole stage
+// (Proc.BeginStage), so that a broadcast's messages are keyed by its place
+// in the schedule, not by when it runs. Then it makes two passes over the
+// ops:
 //
 //  1. Post: the broadcasts this rank roots go out before it waits for any
-//     other's, as far as the runtime takes them now (Comm.PostPanel). The
+//     other's, as far as the runtime takes them now (Proc.PostPanel). The
 //     pass stops at the first broadcast the runtime does not take, so a
 //     rank's posted frames precede, on every connection, everything it
 //     sends later.
@@ -295,9 +295,9 @@ func (ax axis) String() string { return [...]string{"horizontal", "vertical"}[ax
 //     receives, and the broadcasts the post pass did not run.
 //
 // The shared-memory runtime posts nothing, so in-process the second pass
-// runs the whole stage. Each split and broadcast is recorded as one Comm
-// event that spans the whole call, the receiver's Put included, in the pass
-// that runs it.
+// runs the whole stage. Each broadcast is recorded as one Comm event that
+// spans the whole call, the receiver's Put included, in the pass that runs
+// it.
 func assembleBands(p Proc, s *schedule, rec record, ax axis, m *matrix.Dense, w []float64) error {
 	rank := p.Rank()
 	into, stride := matrix.IntoRowStrips, blas.StripWidth*s.layout.N
@@ -305,27 +305,15 @@ func assembleBands(p Proc, s *schedule, rec record, ax axis, m *matrix.Dense, w 
 		into = matrix.IntoColStrips
 	}
 	ops := s.ranks[rank].ops[ax]
-	for i := range ops {
-		if o := &ops[i]; o.split {
-			t := rec.now()
-			if c := p.Split(o.procs); o.slots > 0 {
-				c.Reserve(o.slots)
-			}
-			rec.add(rank, trace.Comm, s.labels[o.band][0], 0, 0, t, rec.now())
-		}
-	}
-	var comm Comm // the band's: its ops are consecutive, and its first splits
-	posted := 0   // the broadcasts this rank roots in ops[:posted] have run
+	key := p.BeginStage(s.keys[ax])
+	posted := 0 // the broadcasts this rank roots in ops[:posted] have run
 	for i := range ops {
 		o := &ops[i]
 		if o.procs == nil {
 			continue
 		}
-		if o.split {
-			comm = p.Split(o.procs)
-		}
 		src, dst, t := subPanel(m, o.r0, o.c0, o.h, o.w), into(w[o.off:], stride, o.h, o.w), rec.now()
-		ok, err := comm.PostPanel(p, src, dst, o.root, o.slot)
+		ok, err := p.PostPanel(src, dst, o.procs, o.root, key+o.key)
 		if err != nil {
 			return err
 		}
@@ -346,14 +334,11 @@ func assembleBands(p Proc, s *schedule, rec record, ax axis, m *matrix.Dense, w 
 			}
 			continue
 		}
-		if o.split {
-			comm = p.Split(o.procs)
-		}
 		if i < posted && o.procs[o.root] == rank {
 			continue
 		}
 		t := rec.now()
-		if err := comm.BcastPanel(p, src, dst, o.root, o.slot); err != nil {
+		if err := p.BcastPanel(src, dst, o.procs, o.root, key+o.key); err != nil {
 			return err
 		}
 		rec.add(rank, trace.Comm, s.labels[o.band][1], 8*o.h*o.w, 0, t, rec.now())

@@ -39,8 +39,8 @@ func (e *Endpoint) AgreeDigest(d uint64) error {
 	return nil
 }
 
-// agree gathers v on rank 0 and broadcasts the P values back over the world
-// communicator, as the bits of one float64 each, into the endpoint's own
+// agree gathers v on rank 0 and broadcasts the P values back over the world,
+// as the bits of one float64 each, into the endpoint's own
 // buffer: a warm agreement allocates nothing, and one runs per endpoint at a
 // time. It returns the first rank whose value differs and that value, or
 // rank -1, and doubles as a barrier.
@@ -48,12 +48,12 @@ func (e *Endpoint) agree(v uint64) (rank int, got uint64, err error) {
 	if e.size == 1 {
 		return -1, 0, nil
 	}
-	c, vals := e.world, e.agreed
+	vals := e.agreed
 	vals[e.rank] = math.Float64frombits(v)
-	tag := c.nextTag()
+	key := e.nextKeys(1)
 	if e.rank == 0 {
 		for r := 1; r < e.size; r++ {
-			part, _, err := e.recv(r, c.id, tag, [][]float64{vals[r : r+1]}, "allgather")
+			part, _, err := e.recv(r, meshCommID, key, [][]float64{vals[r : r+1]}, "allgather")
 			if err != nil {
 				return -1, 0, err
 			}
@@ -61,10 +61,10 @@ func (e *Endpoint) agree(v uint64) (rank int, got uint64, err error) {
 				return -1, 0, &LengthMismatchError{Rank: e.rank, Want: 1, Got: len(part)}
 			}
 		}
-	} else if err := e.send(0, c.id, tag, vals[e.rank:e.rank+1], "allgather"); err != nil {
+	} else if err := e.send(0, meshCommID, key, vals[e.rank:e.rank+1], "allgather"); err != nil {
 		return -1, 0, err
 	}
-	if _, err := c.Bcast(vals, e.size, 0); err != nil {
+	if _, err := e.Bcast(vals, e.size, 0); err != nil {
 		return -1, 0, err
 	}
 	for r, w := range vals {

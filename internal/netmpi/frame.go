@@ -10,7 +10,7 @@ import (
 )
 
 // Frames are length-prefixed binary: a 16-byte header (communicator id,
-// sequence/tag, payload count), count little-endian float64s, and a 4-byte
+// key or tag, payload count), count little-endian float64s, and a 4-byte
 // CRC32C trailer over header+payload. Every frame carries the trailer —
 // data, span, heartbeat and the handshake probe alike — so silent bit
 // corruption surfaces as a typed *CorruptFrameError instead of a wrong
@@ -40,9 +40,11 @@ const (
 // -max-n defaults to 4096.
 const maxFrameElems = 1 << 28
 
-// Reserved communicator ids. Collective ids come from a 32-bit FNV hash of
-// the rank list; the reserved values sit at the top of the id space.
+// Communicator ids, at the top of the id space.
 const (
+	// meshCommID carries every collective: the engine's broadcasts and the
+	// world collectives, each under its key (Endpoint.keys).
+	meshCommID = 0xFFFFFFFB
 	// userCommID carries point-to-point Send/Recv traffic.
 	userCommID = 0xFFFFFFFF
 	// heartbeatCommID carries liveness beats. Beats are consumed and
@@ -296,8 +298,11 @@ func IsHeartbeatFrame(b []byte) bool {
 // refused at setup with a *WireFormatError: the two orders have the same
 // lengths, so every CRC would pass and a peer of the other order would put
 // the panels in the wrong places. Format 0 sent a panel's rows; format 1
-// sends its destination's strips (DESIGN.md §11).
-const wireFormat = 1
+// sends its destination's strips (DESIGN.md §11) and keyed collectives by a
+// hash of their member set and a tag counter per set, which a peer of format
+// 2 would never match, so it would wait out OpTimeout on every frame; format
+// 2 keys every collective by the endpoint's one key counter (meshCommID).
+const wireFormat = 2
 
 // probeFrame is the handshake probe each side sends right after the hello:
 // an empty frame on the reserved probe comm id, tagged with the wire format.

@@ -520,15 +520,15 @@ func TestLegacyPeerInterop(t *testing.T) {
 	})
 }
 
-// TestWireFormatMismatchRefused: a peer whose handshake probe names wire
-// format 0 — a build that sends a panel's rows where this one sends its
-// strips, with the same lengths, so every CRC would pass — is refused at
-// setup, within the dial bound, whichever side it plays, with a
-// *WireFormatError that names both formats.
+// TestWireFormatMismatchRefused: a peer whose handshake probe names an
+// older wire format is refused at setup, within the dial bound, whichever
+// side it plays, with a *WireFormatError that names both formats. Format 0
+// sends a panel's rows where this build sends its strips, with the same
+// lengths, so every CRC would pass; format 1 keys collectives by a hashed
+// member set, so each side would wait out its op deadline on every frame.
 func TestWireFormatMismatchRefused(t *testing.T) {
 	const dialTimeout = time.Second
 	const bound = 2 * dialTimeout
-	oldProbe := appendFrame(nil, probeCommID, 0, nil)
 	listen := func(t *testing.T) net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -538,54 +538,59 @@ func TestWireFormatMismatchRefused(t *testing.T) {
 		return ln
 	}
 	// refused checks that Dial failed within bound of start with the
-	// mismatch.
-	refused := func(t *testing.T, cfg Config, start time.Time) {
+	// mismatch against format old.
+	refused := func(t *testing.T, cfg Config, start time.Time, old uint32) {
 		cfg.DialTimeout = dialTimeout
 		ep, err := Dial(cfg)
 		if err == nil {
 			ep.Close()
-			t.Fatal("mesh setup accepted a peer of wire format 0")
+			t.Fatalf("mesh setup accepted a peer of wire format %d", old)
 		}
 		if took := time.Since(start); took > bound {
-			t.Errorf("refusal took %v, want within %v", took, bound)
+			t.Errorf("format %d: refusal took %v, want within %v", old, took, bound)
 		}
 		var wf *WireFormatError
-		if !errors.As(err, &wf) || wf.Ours != wireFormat || wf.Theirs != 0 {
-			t.Fatalf("got %v, want a WireFormatError{Ours: %d, Theirs: 0}", err, wireFormat)
+		if !errors.As(err, &wf) || wf.Ours != wireFormat || wf.Theirs != old {
+			t.Fatalf("got %v, want a WireFormatError{Ours: %d, Theirs: %d}", err, wireFormat, old)
 		}
 	}
+	olds := []uint32{0, 1}
 
 	t.Run("old-dialer", func(t *testing.T) {
-		ln := listen(t)
-		start := time.Now()
-		go func() {
-			c, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			c.Write(append(helloBytes(1, 0), oldProbe...))
-			io.Copy(io.Discard, c) // until the acceptor hangs up
-		}()
-		refused(t, Config{Rank: 0, Addrs: []string{ln.Addr().String(), "127.0.0.1:1"}, Listener: ln}, start)
+		for _, old := range olds {
+			ln := listen(t)
+			start := time.Now()
+			go func() {
+				c, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				c.Write(append(helloBytes(1, 0), appendFrame(nil, probeCommID, old, nil)...))
+				io.Copy(io.Discard, c) // until the acceptor hangs up
+			}()
+			refused(t, Config{Rank: 0, Addrs: []string{ln.Addr().String(), "127.0.0.1:1"}, Listener: ln}, start, old)
+		}
 	})
 
 	t.Run("old-acceptor", func(t *testing.T) {
-		old := listen(t)
-		go func() {
-			c, err := old.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			var hello [8 + headerBytes + crcTrailerBytes]byte // the hello and the dialer's probe
-			if _, err := io.ReadFull(c, hello[:]); err != nil {
-				return
-			}
-			c.Write(oldProbe)
-			io.Copy(io.Discard, c)
-		}()
-		refused(t, Config{Rank: 1, Addrs: []string{old.Addr().String(), "127.0.0.1:1"}, Listener: listen(t)}, time.Now())
+		for _, old := range olds {
+			ln := listen(t)
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				var hello [8 + headerBytes + crcTrailerBytes]byte // the hello and the dialer's probe
+				if _, err := io.ReadFull(c, hello[:]); err != nil {
+					return
+				}
+				c.Write(appendFrame(nil, probeCommID, old, nil))
+				io.Copy(io.Discard, c)
+			}()
+			refused(t, Config{Rank: 1, Addrs: []string{ln.Addr().String(), "127.0.0.1:1"}, Listener: listen(t)}, time.Now(), old)
+		}
 	})
 }
 

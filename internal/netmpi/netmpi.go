@@ -1,14 +1,17 @@
 // Package netmpi is a fault-tolerant TCP message-passing runtime for
 // running SummaGen across OS processes or machines — the paper's stated
 // future work ("we will study the efficiency of SummaGen for
-// distributed-memory nodes and large clusters"). It implements the same
-// Proc/Comm contract as the in-process runtime (see internal/core), so the
-// unmodified engine runs over real sockets.
+// distributed-memory nodes and large clusters"). An Endpoint is a core.Proc,
+// the runtime contract the in-process ranks implement too (see
+// internal/core), so the unmodified engine runs over real sockets.
 //
 // Topology: a full mesh. Rank i listens on Addrs[i]; every pair of ranks
 // holds one TCP connection (the higher rank dials the lower). Frames are
 // length-prefixed binary (see frame.go). Collectives are built from
-// point-to-point messages; broadcast uses the binomial tree of MPICH.
+// point-to-point messages; broadcast uses the binomial tree of MPICH. There
+// are no communicators: an engine broadcast names its members, the world
+// collectives run over every rank, and each collective's frames carry the
+// next key of one counter per endpoint, which every rank advances alike.
 //
 // Fault model: at the scales the roadmap targets, dead peers and
 // stragglers are the norm, so every blocking operation is bounded.
@@ -109,12 +112,27 @@ type Endpoint struct {
 	// live-but-stuck ranks keep each other's deadlines fed forever.
 	poisoned atomic.Bool
 
-	// world and agreed are the communicator and buffer of agree (epoch.go).
-	world  *Comm
+	// keys is the last key taken. Every collective frame — an engine
+	// broadcast (BeginStage) or a world collective (Bcast, Barrier and the
+	// agree exchange) — carries meshCommID and a key from it. Every rank
+	// runs every multiply and every world collective, in the same order, so
+	// the counters stay in step on every rank and a key names one
+	// collective on all of them. Keys only grow, so a frame of an earlier
+	// stage or multiply can never match a later one.
+	keys atomic.Uint32
+
+	// world lists the world's ranks, the members of a world collective;
+	// agreed is agree's buffer (epoch.go).
+	world  []int
 	agreed []float64
 
+	// segs and fringe are BcastPanel's scratch: the list of a panel's runs,
+	// and its fringe lanes (matrix.Dest.Runs). Only the rank's own
+	// goroutine touches them.
+	segs   [][]float64
+	fringe []float64
+
 	mu          sync.Mutex
-	comms       map[uint32]*Comm // by id, one per rank set Split has seen; never evicted, as each tag counter must stay in step
 	computeSecs float64
 	commSecs    float64
 }
@@ -143,8 +161,8 @@ type rankConn struct {
 	// budget is how many frame bytes a stage may post to the peer (see
 	// PostPanel): half the connection's send buffer, which netmpi sets and
 	// reads back itself (newRankConn), or 0 — nothing is posted — where it
-	// cannot. posted is what the current stage has posted so far; Reserve
-	// restarts it. Only the rank's own goroutine touches either.
+	// cannot. posted is what the current stage has posted so far;
+	// BeginStage restarts it. Only the rank's own goroutine touches either.
 	budget, posted int
 }
 
@@ -198,12 +216,16 @@ func Dial(cfg Config) (*Endpoint, error) {
 		return nil, fmt.Errorf("netmpi: rank %d outside [0,%d)", cfg.Rank, size)
 	}
 	ep := &Endpoint{
-		cfg:   cfg,
-		rank:  cfg.Rank,
-		size:  size,
-		conns: make([]*rankConn, size),
-		done:  make(chan struct{}),
-		comms: map[uint32]*Comm{},
+		cfg:    cfg,
+		rank:   cfg.Rank,
+		size:   size,
+		conns:  make([]*rankConn, size),
+		done:   make(chan struct{}),
+		world:  make([]int, size),
+		agreed: make([]float64, size),
+	}
+	for i := range ep.world {
+		ep.world[i] = i
 	}
 	if size == 1 {
 		if cfg.Listener != nil {
@@ -211,11 +233,6 @@ func Dial(cfg Config) (*Endpoint, error) {
 		}
 		return ep, nil
 	}
-	world := make([]int, size)
-	for i := range world {
-		world[i] = i
-	}
-	ep.world, ep.agreed = ep.Split(world), make([]float64, size)
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
@@ -572,7 +589,7 @@ func (e *Endpoint) sendFrame(peer int, f *outFrame, op string) error {
 	return nil
 }
 
-// recv blocks until a frame with the given communicator and tag arrives
+// recv blocks until a frame with the given communicator id and tag arrives
 // from the peer, queueing frames for other (comm, tag) pairs and
 // discarding heartbeat frames (which only serve to reset the deadline).
 // A read deadline expiry — no frame, not even a beat, within OpTimeout —
@@ -596,7 +613,7 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into [][]float64, op string)
 	defer rc.rmu.Unlock()
 	if q := rc.pending[want]; len(q) > 0 {
 		p := q[0]
-		// Tags are per-collective sequence numbers, so a key is never
+		// A collective's key is taken once, so it is never
 		// awaited twice: drop the slot and the emptied key, or a long-lived
 		// mesh retains every frame that ever arrived early.
 		q[0] = parkedFrame{}
@@ -683,96 +700,37 @@ func (e *Endpoint) recv(peer int, comm, tag uint32, into [][]float64, op string)
 	}
 }
 
-// Comm is a communicator over a subset of world ranks.
-type Comm struct {
-	ep    *Endpoint
-	ranks []int // ascending world ranks
-	id    uint32
-	seq   uint32 // tags issued or reserved so far; guarded by ep.mu
-	// base and slots are the stage's reservation (Reserve): broadcast slot
-	// i carries tag base+i. segs and fringe are BcastPanel's scratch: the
-	// list of a panel's runs, and its fringe lanes (matrix.Dest.Runs). Only
-	// the rank's own goroutine touches any of them.
-	base, slots uint32
-	segs        [][]float64
-	fringe      []float64
-}
-
-// Split returns the communicator over the given world ranks. Creation is
-// deterministic (no wire traffic): the communicator id is the FNV-1a hash of
-// the sorted rank list, identical on every member. The endpoint keeps one
-// Comm per rank set; a second rank set whose id collides with a kept one's
-// would share its tags and frame keys, so it panics instead.
-func (e *Endpoint) Split(ranks []int) *Comm {
-	rs := ranks
-	if !slices.IsSorted(rs) {
-		rs = slices.Clone(ranks)
-		slices.Sort(rs)
-	}
-	id := uint32(2166136261)
-	for _, r := range rs {
-		if r < 0 || r >= e.size {
-			panic(fmt.Sprintf("netmpi: Split with invalid rank %d", r))
-		}
-		for k := 0; k < 4; k++ { // the rank's four little-endian bytes
-			id = (id ^ uint32(byte(r>>(8*k)))) * 16777619
+// Split returns the world communicator, which is the endpoint itself: its
+// Bcast and Barrier run over every rank. ranks must list the whole world, in
+// any order; a proper subset is refused with a panic. The engine needs no
+// communicator (its broadcasts name their members, BcastPanel), so the world
+// is the only one there is.
+func (e *Endpoint) Split(ranks []int) *Endpoint {
+	for r := range e.size {
+		if len(ranks) != e.size || !slices.Contains(ranks, r) {
+			panic(fmt.Sprintf("netmpi: rank %d: Split of %v, not the %d-rank world", e.rank, ranks, e.size))
 		}
 	}
-	if !slices.Contains(rs, e.rank) {
-		panic(fmt.Sprintf("netmpi: rank %d not in group %v", e.rank, rs))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c := e.comms[id]; c != nil {
-		if !slices.Equal(c.ranks, rs) {
-			panic(fmt.Sprintf("netmpi: rank sets %v and %v hash to the same communicator id %#x", c.ranks, rs, id))
-		}
-		return c
-	}
-	c := &Comm{ep: e, ranks: slices.Clone(rs), id: id}
-	e.comms[id] = c
-	return c
+	return e
 }
 
-// Size returns the communicator size; RankOf maps world→comm rank.
-func (c *Comm) Size() int { return len(c.ranks) }
-
-// RankOf returns the communicator rank of a world rank, or -1.
-func (c *Comm) RankOf(worldRank int) int {
-	for i, r := range c.ranks {
-		if r == worldRank {
-			return i
-		}
-	}
-	return -1
+// nextKeys takes the next n keys and returns the first.
+func (e *Endpoint) nextKeys(n int) uint32 {
+	return e.keys.Add(uint32(n)) - uint32(n) + 1
 }
 
-// nextTag returns the next collective sequence number for this
-// communicator. MPI ordering rules (all members issue collectives in the
-// same order) keep the counters in lockstep across members.
-func (c *Comm) nextTag() uint32 {
-	c.ep.mu.Lock()
-	defer c.ep.mu.Unlock()
-	c.seq++
-	return c.seq
-}
-
-// Reserve takes the next n tags as the stage's broadcast slots 0…n-1, for
-// BcastPanel and PostPanel, and restarts the stage's post budget on every
-// member's connection. Every member reserves the same n at the same point of
-// the schedule, so the counters stay in lockstep and a broadcast's tag is
-// its slot's, whenever it runs; tags still only grow, so a frame of an
-// earlier stage or multiply can never match.
-func (c *Comm) Reserve(n int) {
-	c.ep.mu.Lock()
-	c.base, c.slots = c.seq+1, uint32(n)
-	c.seq += uint32(n)
-	c.ep.mu.Unlock()
-	for _, r := range c.ranks {
-		if rc := c.ep.conns[r]; rc != nil {
+// BeginStage takes the next n keys as the stage's broadcast keys, returns the
+// first, and restarts the stage's post budget on every connection. Every rank
+// begins every stage with the stage's count over the whole schedule, so the
+// counters stay in step and the stage's broadcast i carries key first+i,
+// whenever it runs.
+func (e *Endpoint) BeginStage(n int) int {
+	for _, rc := range e.conns {
+		if rc != nil {
 			rc.posted = 0
 		}
 	}
+	return int(e.nextKeys(n))
 }
 
 // addCommSecs charges the wall time since start to the communication
@@ -783,9 +741,10 @@ func (e *Endpoint) addCommSecs(start time.Time) {
 	e.mu.Unlock()
 }
 
-// bcastTree moves one payload down the MPICH binomial tree rooted at comm
-// rank root, as one frame per edge. The root passes its payload as segs, the
-// runs of memory that hold it in order, and checksums it once for all its
+// bcastTree moves one payload down the MPICH binomial tree over members (a
+// list of world ranks, this one among them) rooted at members[root], as one
+// frame per edge keyed by key. The root passes its payload as segs, the runs
+// of memory that hold it in order, and checksums it once for all its
 // children. Every other member receives its parent's frame into segs — when
 // segs is non-nil and the frame carries exactly as many elements as segs
 // hold (see recv) — and forwards what it received, under the CRC32C it
@@ -793,18 +752,18 @@ func (e *Endpoint) addCommSecs(start time.Time) {
 // is in segs, and otherwise the received payload. A frame that does not fit
 // a non-nil segs is still forwarded, so that every member sees the mismatch,
 // and then reported as a *LengthMismatchError.
-func (c *Comm) bcastTree(tag uint32, root int, segs [][]float64) ([]float64, error) {
-	k := len(c.ranks)
-	rel := (c.RankOf(c.ep.rank) - root + k) % k
+func (e *Endpoint) bcastTree(members []int, key uint32, root int, segs [][]float64) ([]float64, error) {
+	k := len(members)
+	rel := (slices.Index(members, e.rank) - root + k) % k
 	var got []float64
 	var sum uint32
 	// Receive phase.
 	mask := 1
 	for mask < k {
 		if rel&mask != 0 {
-			src := c.ranks[(rel-mask+root)%k]
+			src := members[(rel-mask+root)%k]
 			var err error
-			if got, sum, err = c.ep.recv(src, c.id, tag, segs, "bcast"); err != nil {
+			if got, sum, err = e.recv(src, meshCommID, key, segs, "bcast"); err != nil {
 				return nil, err
 			}
 			break
@@ -823,121 +782,119 @@ func (c *Comm) bcastTree(tag uint32, root int, segs [][]float64) ([]float64, err
 			continue
 		}
 		if !built {
-			f, built = newOutFrame(c.id, tag, payload), true
+			f, built = newOutFrame(meshCommID, key, payload), true
 			if rel == 0 {
 				sum = f.checksum()
 			}
 			f.seal(sum)
 		}
-		if err := c.ep.sendFrame(c.ranks[(rel+mask+root)%k], &f, "bcast"); err != nil {
+		if err := e.sendFrame(members[(rel+mask+root)%k], &f, "bcast"); err != nil {
 			return nil, err
 		}
 	}
 	if rel != 0 && segs != nil && got != nil {
-		return nil, &LengthMismatchError{Rank: c.ep.rank, Want: segsLen(segs), Got: len(got)}
+		return nil, &LengthMismatchError{Rank: e.rank, Want: segsLen(segs), Got: len(got)}
 	}
 	return got, nil
 }
 
-// Bcast broadcasts the root's buffer over the communicator with a binomial
-// tree. On the root, buf is the source; on receivers the payload lands in
-// buf when buf is non-nil — which must then be exactly as long as the
-// root's buffer, or the call fails with a *LengthMismatchError instead of
-// leaving a stale tail — and is returned either way (count is not used: the
-// frame carries the length). A dead or silent peer turns the broadcast into
-// a *PeerFailedError within Config.OpTimeout.
-func (c *Comm) Bcast(buf []float64, count, root int) ([]float64, error) {
-	if root < 0 || root >= len(c.ranks) {
-		return nil, fmt.Errorf("netmpi: Bcast root %d out of range (size %d)", root, len(c.ranks))
+// Bcast broadcasts the root's buffer over the world with a binomial tree. On
+// the root, buf is the source; on receivers the payload lands in buf when
+// buf is non-nil — which must then be exactly as long as the root's buffer,
+// or the call fails with a *LengthMismatchError instead of leaving a stale
+// tail — and is returned either way (count is not used: the frame carries
+// the length). A dead or silent peer turns the broadcast into a
+// *PeerFailedError within Config.OpTimeout.
+func (e *Endpoint) Bcast(buf []float64, count, root int) ([]float64, error) {
+	if root < 0 || root >= e.size {
+		return nil, fmt.Errorf("netmpi: Bcast root %d out of range (size %d)", root, e.size)
 	}
-	tag := c.nextTag()
-	defer c.ep.addCommSecs(time.Now())
+	key := e.nextKeys(1)
+	defer e.addCommSecs(time.Now())
 	var segs [][]float64
 	if buf != nil {
 		segs = [][]float64{buf}
 	}
-	got, err := c.bcastTree(tag, root, segs)
+	got, err := e.bcastTree(e.world, key, root, segs)
 	if got == nil && err == nil {
 		return buf, nil
 	}
 	return got, err
 }
 
-// BcastPanel broadcasts the root's rows×cols panel src into every member's
-// dst, the root's included, under the tag of the stage's broadcast slot (see
-// Reserve); the dimensions are dst's and src is read on the root only. The
-// panel travels as dst's own storage: the root Puts src into its dst, then
-// sends one frame whose payload is dst's runs and fringe (matrix.Dest.Runs)
-// straight out of its strips, checksummed once for all its children. A
-// receiver reads the frame off the socket straight into its dst's strips,
-// its fringe lanes through a small scratch, and writes the fringe's padding
-// zeros, as Put does. The frames and bytes on the wire are those of a Bcast
-// of the packed panel, and in steady state nothing is allocated on either
-// side. A member whose dimensions disagree with the root's fails with a
-// *LengthMismatchError.
-func (c *Comm) BcastPanel(src matrix.Dense, dst matrix.Dest, root, slot int) error {
-	if root < 0 || root >= len(c.ranks) {
-		return fmt.Errorf("netmpi: BcastPanel root %d out of range (size %d)", root, len(c.ranks))
+// BcastPanel broadcasts the rows×cols panel src of members[root] into every
+// member's dst, the root's included, under key (see BeginStage); members
+// lists world ranks in ascending order, this one among them, the dimensions
+// are dst's and src is read on the root only. The panel travels as dst's own
+// storage: the root Puts src into its dst, then sends one frame whose
+// payload is dst's runs and fringe (matrix.Dest.Runs) straight out of its
+// strips, checksummed once for all its children. A receiver reads the frame
+// off the socket straight into its dst's strips, its fringe lanes through a
+// small scratch, and writes the fringe's padding zeros, as Put does. The
+// frames and bytes on the wire are those of a Bcast of the packed panel, and
+// in steady state nothing is allocated on either side. A member whose
+// dimensions disagree with the root's fails with a *LengthMismatchError.
+func (e *Endpoint) BcastPanel(src matrix.Dense, dst matrix.Dest, members []int, root, key int) error {
+	if root < 0 || root >= len(members) {
+		return fmt.Errorf("netmpi: BcastPanel root %d out of range (size %d)", root, len(members))
 	}
-	if slot < 0 || slot >= int(c.slots) {
-		return fmt.Errorf("netmpi: BcastPanel slot %d outside the %d reserved", slot, c.slots)
+	if !slices.Contains(members, e.rank) {
+		return fmt.Errorf("netmpi: rank %d is not a member of %v", e.rank, members)
 	}
-	isRoot := c.RankOf(c.ep.rank) == root
+	isRoot := members[root] == e.rank
 	if isRoot && (src.Rows != dst.Rows || src.Cols != dst.Cols) {
 		return fmt.Errorf("netmpi: BcastPanel root source is %dx%d, destination %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols)
 	}
-	tag := c.base + uint32(slot)
-	defer c.ep.addCommSecs(time.Now())
+	defer e.addCommSecs(time.Now())
 	if isRoot {
 		if err := dst.Put(&src); err != nil {
 			return err
 		}
 	}
-	segs, fringe := dst.Runs(c.segs[:0])
+	segs, fringe := dst.Runs(e.segs[:0])
 	if fringe > 0 {
-		c.fringe = slices.Grow(c.fringe[:0], fringe)[:fringe]
+		e.fringe = slices.Grow(e.fringe[:0], fringe)[:fringe]
 		if isRoot {
-			dst.GatherFringe(c.fringe)
+			dst.GatherFringe(e.fringe)
 		}
-		segs = append(segs, c.fringe)
+		segs = append(segs, e.fringe)
 	}
-	c.segs = segs
-	_, err := c.bcastTree(tag, root, segs)
+	e.segs = segs
+	_, err := e.bcastTree(members, uint32(key), root, segs)
 	clear(segs) // do not pin the strips
 	if err == nil && !isRoot && fringe > 0 {
-		dst.ScatterFringe(c.fringe)
+		dst.ScatterFringe(e.fringe)
 	}
 	return err
 }
 
-// PostPanel runs BcastPanel(src, dst, root, slot) on the root now if its
-// frames fit what is left of the stage's post budget on every member's
+// PostPanel runs BcastPanel(src, dst, members, root, key) on the root now if
+// its frames fit what is left of the stage's post budget on every member's
 // connection, and reports whether it did. Within the budget a write cannot
 // block (DESIGN.md §11), so the root sends its panel before it waits for any
 // other; past it, the broadcast waits for its turn in schedule order. A
 // member that is not the root runs nothing and reports true: with at most
 // three members the binomial tree's root sends to every member itself, so a
-// receiver sends nothing that a later post could overtake. On a larger
-// communicator, where the tree forwards, PostPanel reports false on every
-// member.
-func (c *Comm) PostPanel(src matrix.Dense, dst matrix.Dest, root, slot int) (bool, error) {
-	if len(c.ranks) > 3 {
+// receiver sends nothing that a later post could overtake. Over more
+// members, where the tree forwards, PostPanel reports false on every member.
+func (e *Endpoint) PostPanel(src matrix.Dense, dst matrix.Dest, members []int, root, key int) (bool, error) {
+	if len(members) > 3 {
 		return false, nil
 	}
-	if c.RankOf(c.ep.rank) != root {
+	if members[root] != e.rank {
 		return true, nil
 	}
 	frame := headerBytes + 8*dst.Rows*dst.Cols + crcTrailerBytes
-	for _, r := range c.ranks {
-		if rc := c.ep.conns[r]; rc != nil && rc.posted+frame > rc.budget {
+	for _, r := range members {
+		if rc := e.conns[r]; rc != nil && rc.posted+frame > rc.budget {
 			return false, nil
 		}
 	}
-	if err := c.BcastPanel(src, dst, root, slot); err != nil {
+	if err := e.BcastPanel(src, dst, members, root, key); err != nil {
 		return true, err
 	}
-	for _, r := range c.ranks {
-		if rc := c.ep.conns[r]; rc != nil {
+	for _, r := range members {
+		if rc := e.conns[r]; rc != nil {
 			rc.posted += frame
 			rc.stats.framesPosted.Add(1)
 		}
@@ -947,7 +904,7 @@ func (c *Comm) PostPanel(src matrix.Dense, dst matrix.Dest, root, slot int) (boo
 
 // Send transmits data to world rank `to` under the given user tag. User
 // tags live in a communicator id namespace of their own so they never
-// collide with collective sequence numbers.
+// collide with collective keys.
 func (e *Endpoint) Send(to, tag int, data []float64) error {
 	return e.send(to, userCommID, uint32(tag), data, "send")
 }
@@ -959,25 +916,23 @@ func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 	return data, err
 }
 
-// Barrier blocks until every member has arrived: a gather to comm rank 0
-// followed by a broadcast. A member that never arrives (dead or silent
-// past OpTimeout) turns the barrier into a *PeerFailedError.
-func (c *Comm) Barrier() error {
-	k := len(c.ranks)
-	if k == 1 {
+// Barrier blocks until every rank has arrived: a gather to rank 0 followed
+// by a broadcast. A rank that never arrives (dead or silent past OpTimeout)
+// turns the barrier into a *PeerFailedError.
+func (e *Endpoint) Barrier() error {
+	if e.size == 1 {
 		return nil
 	}
-	tag := c.nextTag()
-	me := c.RankOf(c.ep.rank)
-	if me == 0 {
-		for i := 1; i < k; i++ {
-			if _, _, err := c.ep.recv(c.ranks[i], c.id, tag, nil, "barrier"); err != nil {
+	key := e.nextKeys(1)
+	if e.rank == 0 {
+		for r := 1; r < e.size; r++ {
+			if _, _, err := e.recv(r, meshCommID, key, nil, "barrier"); err != nil {
 				return err
 			}
 		}
-	} else if err := c.ep.send(c.ranks[0], c.id, tag, nil, "barrier"); err != nil {
+	} else if err := e.send(0, meshCommID, key, nil, "barrier"); err != nil {
 		return err
 	}
-	_, err := c.Bcast(nil, 0, 0)
+	_, err := e.Bcast(nil, 0, 0)
 	return err
 }

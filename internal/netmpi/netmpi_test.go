@@ -210,30 +210,31 @@ func TestBcastAllRootsAndSizes(t *testing.T) {
 	}
 }
 
+// TestBcastSubCommunicator: two broadcasts of one stage over disjoint
+// member lists of a four-rank world, {0, 2} from rank 0 and {1, 3} from
+// rank 1, each under its own key of the stage, reach exactly their members.
 func TestBcastSubCommunicator(t *testing.T) {
 	eps := localWorld(t, 4)
 	runAll(t, eps, func(ep *Endpoint) error {
-		var group []int
-		if ep.Rank()%2 == 0 {
-			group = []int{0, 2}
-		} else {
-			group = []int{3, 1}
+		first := ep.BeginStage(2)
+		group, key := []int{0, 2}, first
+		if ep.Rank()%2 == 1 {
+			group, key = []int{1, 3}, first+1
 		}
-		c := ep.Split(group)
-		buf := make([]float64, 1)
-		if c.RankOf(ep.Rank()) == 0 {
-			buf[0] = float64(100 + ep.Rank())
+		buf := matrix.New(1, 1)
+		src := matrix.New(1, 1)
+		if group[0] == ep.Rank() {
+			src.Data[0] = float64(100 + ep.Rank())
 		}
-		got, err := c.Bcast(buf, 1, 0)
-		if err != nil {
+		if err := ep.BcastPanel(*src, matrix.Into(*buf), group, 0, key); err != nil {
 			return err
 		}
 		want := 100.0
 		if ep.Rank()%2 == 1 {
 			want = 101
 		}
-		if got[0] != want {
-			return fmt.Errorf("rank %d got %v want %v", ep.Rank(), got[0], want)
+		if got := buf.Data[0]; got != want {
+			return fmt.Errorf("rank %d got %v want %v", ep.Rank(), got, want)
 		}
 		return nil
 	})
@@ -268,14 +269,24 @@ func TestBarrier(t *testing.T) {
 	})
 }
 
+// TestSplitMisuse: Split returns the world communicator, the endpoint
+// itself, and refuses a proper subset of the world, with this rank or
+// without it.
 func TestSplitMisuse(t *testing.T) {
-	eps := localWorld(t, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Split with non-member must panic")
-		}
-	}()
-	eps[0].Split([]int{1})
+	eps := localWorld(t, 3)
+	if c := eps[0].Split([]int{2, 0, 1}); c != eps[0] {
+		t.Fatal("Split of the whole world is not the endpoint")
+	}
+	for _, ranks := range [][]int{{0}, {1}, {0, 2}, {0, 1, 1}, {0, 1, 2, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Split(%v) of a 3-rank world did not panic", ranks)
+				}
+			}()
+			eps[0].Split(ranks)
+		}()
+	}
 }
 
 func TestSummaGenOverTCP(t *testing.T) {

@@ -63,9 +63,9 @@ func TestPanelFringeLanesOverTCP(t *testing.T) {
 	}
 }
 
-// TestBcastPanelParkedIntoStrips: the root sends slot 1's panel before
-// slot 0's, so the receiver, awaiting slot 0, parks slot 1's frame; when it
-// then awaits slot 1, the parked payload is copied into its strips, fringe
+// TestBcastPanelParkedIntoStrips: the root sends the stage's second panel
+// before its first, so the receiver, awaiting the first, parks the second's
+// frame; when it then awaits the second, the parked payload is copied into its strips, fringe
 // lanes and padding zeros included, exactly as a frame read off the socket
 // into them would be.
 func TestBcastPanelParkedIntoStrips(t *testing.T) {
@@ -84,15 +84,14 @@ func TestBcastPanelParkedIntoStrips(t *testing.T) {
 			want[s] = data
 		}
 		runAll(t, eps, func(ep *Endpoint) error {
-			c := ep.Split(world)
-			c.Reserve(2)
+			first := ep.BeginStage(2)
 			order := []int{0, 1}
 			if ep.Rank() == 0 {
 				order = []int{1, 0}
 			}
 			for _, slot := range order {
 				dst, data := stripsOf(h, w, rows)
-				if err := c.BcastPanel(*panels[slot], dst, 0, slot); err != nil {
+				if err := ep.BcastPanel(*panels[slot], dst, world, 0, first+slot); err != nil {
 					return err
 				}
 				if ep.Rank() == 1 && slot == 0 {
@@ -123,9 +122,7 @@ func TestCorruptPanelIntoStrips(t *testing.T) {
 	}
 	errs := runAllErrs(t, eps, testBudget(t, 10*time.Second), func(ep *Endpoint) error {
 		dst, _ := stripsOf(h, w, true)
-		c := ep.Split([]int{0, 1})
-		c.Reserve(1)
-		return c.BcastPanel(*matrix.New(h, w), dst, 0, 0)
+		return ep.BcastPanel(*matrix.New(h, w), dst, []int{0, 1}, 0, ep.BeginStage(1))
 	})
 	var pf *PeerFailedError
 	var cfe *CorruptFrameError

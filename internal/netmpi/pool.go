@@ -23,7 +23,7 @@ import (
 // Who owns a received payload: a frame that arrives while it is awaited,
 // with the length the waiting caller sized its segments for, is read off
 // the socket straight into those segments — the caller's own memory, before
-// and after (Comm.Bcast's buf, or the strips of BcastPanel's destination).
+// and after (Bcast's buf, or the strips of BcastPanel's destination).
 // Only a frame nobody is waiting for yet — or of an unexpected length — is
 // decoded into a fresh allocation: it is parked in rankConn.pending and
 // handed over (copied into the segments, if the eventual caller brought
@@ -33,8 +33,8 @@ import (
 // as data.
 //
 // No panel is staged: a root sends its destination's strips, and a receiver
-// reads into its own. The one panel scratch is the communicator's fringe
-// buffer (Comm.fringe), which only the rank's own goroutine touches, and
+// reads into its own. The one panel scratch is the endpoint's fringe
+// buffer (Endpoint.fringe), which only the rank's own goroutine touches, and
 // send returns only once the kernel has the bytes, so the next BcastPanel
 // cannot overwrite a fringe still being written.
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -175,27 +176,78 @@ func TestBcastPanelPostNoHangN2048(t *testing.T) {
 	requireDgemm(t, "N=2048", a, b, c)
 }
 
-// commSeqs returns, per communicator id, the tag counter of each member
-// endpoint in eps.
-func commSeqs(eps []*Endpoint) map[uint32][]uint32 {
-	seqs := map[uint32][]uint32{}
-	for _, ep := range eps {
-		ep.mu.Lock()
-		for id, c := range ep.comms {
-			seqs[id] = append(seqs[id], c.seq)
+// TestBeginStageTakesFreshKeys: the root begins two stages of one broadcast
+// each and sends the second stage's panel before the first's; the receiver
+// begins them in turn and, awaiting the first stage's panel, parks the
+// second's. Each stage has keys of its own, so each panel lands where it
+// belongs: a stage that reused an earlier stage's keys would take the other
+// panel.
+func TestBeginStageTakesFreshKeys(t *testing.T) {
+	eps := localWorld(t, 2)
+	world := []int{0, 1}
+	rng := rand.New(rand.NewSource(19))
+	panels := []*matrix.Dense{matrix.Random(4, 3, rng), matrix.Random(4, 3, rng)}
+	runAll(t, eps, func(ep *Endpoint) error {
+		if ep.Rank() == 0 {
+			first := []int{ep.BeginStage(1), ep.BeginStage(1)}
+			for _, stage := range []int{1, 0} {
+				if err := ep.BcastPanel(*panels[stage], matrix.Into(*matrix.New(4, 3)), world, 0, first[stage]); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		ep.mu.Unlock()
+		for stage, want := range panels {
+			got := matrix.New(4, 3)
+			if err := ep.BcastPanel(matrix.Dense{}, matrix.Into(*got), world, 0, ep.BeginStage(1)); err != nil {
+				return err
+			}
+			if !matrix.Equal(got, want) {
+				return fmt.Errorf("stage %d received %v, want %v", stage, got.Data, want.Data)
+			}
+		}
+		return nil
+	})
+}
+
+// TestBeginStageRestartsPostBudget: with every connection's post budget cut
+// to what one stage at N = 128 can post to a peer (a root's own cells, under
+// 8·N² bytes, and their frames' headers and trailers), every root panel is
+// still posted, multiply after multiply: each stage starts with the whole
+// budget. A budget that ran on across stages would refuse posts by the
+// second stage.
+func TestBeginStageRestartsPostBudget(t *testing.T) {
+	const n = 128
+	eps := localWorld(t, 3)
+	layouts := benchLayouts(t, n)
+	stage := 8*n*n + (headerBytes+crcTrailerBytes)*len(layouts[0].Owner)
+	if postBudget(t, eps) < stage {
+		t.Skipf("the send buffer read back holds less than one stage's %d bytes", stage)
 	}
-	return seqs
+	setPostBudget(eps, stage)
+	rng := rand.New(rand.NewSource(23))
+	a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+	for round := range 2 {
+		for k, l := range layouts {
+			sent0, posted0 := sentFrames(eps)
+			c, _ := multiplyShared(t, eps, l, a, b, testBudget(t, 30*time.Second))
+			sent1, posted1 := sentFrames(eps)
+			what := fmt.Sprintf("round %d, %v", round, partition.Shapes[k])
+			if posted1-posted0 != sent1-sent0 {
+				t.Fatalf("%s: %d of %d data frames posted, want all", what, posted1-posted0, sent1-sent0)
+			}
+			requireDgemm(t, what, a, b, c)
+		}
+	}
 }
 
 // TestLeaseFenceKeepsPostedTagsInStep: two multiplies of different layouts,
 // each followed by the AgreeEpoch fence a leased mesh runs, back to back on
-// one warm mesh with posting on. After each, every member of every
-// communicator holds the same tag counter, nothing is parked, and both
-// products are exact: a posted broadcast takes its tag from the schedule,
-// and the fence's own tag, on the world communicator the square-rectangle
-// layout broadcasts over too, comes out the same on every rank.
+// one warm mesh with posting on. After each, every endpoint's one key
+// counter holds the same value, nothing is parked, and both products are
+// exact: a posted broadcast takes its key from the schedule, and the
+// fence's keys, drawn from the counter the broadcasts draw from, come out
+// the same on every rank.
 func TestLeaseFenceKeepsPostedTagsInStep(t *testing.T) {
 	eps := faultWorld(t, 3, func(_ int, cfg *Config) { cfg.OpTimeout = 5 * time.Second })
 	postBudget(t, eps)
@@ -214,12 +266,12 @@ func TestLeaseFenceKeepsPostedTagsInStep(t *testing.T) {
 		what := fmt.Sprintf("round %d (%v, N=%d)", round, partition.Shapes[step.shape], step.n)
 		requireDgemm(t, what, a, b, c)
 		runAll(t, eps, func(ep *Endpoint) error { return ep.AgreeEpoch() })
-		for id, seqs := range commSeqs(eps) {
-			for _, s := range seqs {
-				if s != seqs[0] {
-					t.Fatalf("round %d: communicator %#x has tag counters %v", round, id, seqs)
-				}
-			}
+		keys := make([]uint32, len(eps))
+		for r, ep := range eps {
+			keys[r] = ep.keys.Load()
+		}
+		if keys[0] == 0 || slices.Min(keys) != slices.Max(keys) {
+			t.Fatalf("round %d: the endpoints' key counters are %v", round, keys)
 		}
 		requireNothingParked(t, what, eps)
 	}

@@ -124,14 +124,14 @@ func TestRecvIntoAwaitedAndParked(t *testing.T) {
 func TestBcastLengthMismatch(t *testing.T) {
 	eps := localWorld(t, 2)
 	world := []int{0, 1}
-	check := func(name string, op func(ep *Endpoint, c *Comm, n int) error) {
+	check := func(name string, op func(ep *Endpoint, n int) error) {
 		errs := make([]error, 2)
 		var wg sync.WaitGroup
 		for r, ep := range eps {
 			wg.Add(1)
 			go func(r int, ep *Endpoint) {
 				defer wg.Done()
-				errs[r] = op(ep, ep.Split(world), 4+2*r) // rank 1 expects 6, the root sends 4
+				errs[r] = op(ep, 4+2*r) // rank 1 expects 6, the root sends 4
 			}(r, ep)
 		}
 		wg.Wait()
@@ -143,20 +143,18 @@ func TestBcastLengthMismatch(t *testing.T) {
 			t.Errorf("%s: receiver got %v, want LengthMismatchError{Rank: 1, Want: 6, Got: 4}", name, errs[1])
 		}
 	}
-	check("Bcast", func(ep *Endpoint, c *Comm, n int) error {
-		_, err := c.Bcast(make([]float64, n), n, 0)
+	check("Bcast", func(ep *Endpoint, n int) error {
+		_, err := ep.Bcast(make([]float64, n), n, 0)
 		return err
 	})
-	check("BcastPanel", func(ep *Endpoint, c *Comm, n int) error {
+	check("BcastPanel", func(ep *Endpoint, n int) error {
 		src := matrix.New(n/2, 2)
 		dst := matrix.New(n/2, 3)
-		c.Reserve(1)
-		return c.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), 0, 0)
+		return ep.BcastPanel(*src, matrix.Into(matrix.Dense{Rows: n / 2, Cols: 2, Stride: 3, Data: dst.Data}), world, 0, ep.BeginStage(1))
 	})
-	check("BcastPanel into strips", func(ep *Endpoint, c *Comm, n int) error {
+	check("BcastPanel into strips", func(ep *Endpoint, n int) error {
 		dst, _ := stripsOf(n/2, 2, true) // all fringe: the receiver reads its 6 lanes' worth into the fringe buffer
-		c.Reserve(1)
-		return c.BcastPanel(*matrix.New(n/2, 2), dst, 0, 0)
+		return ep.BcastPanel(*matrix.New(n/2, 2), dst, world, 0, ep.BeginStage(1))
 	})
 }
 
@@ -173,7 +171,6 @@ func TestBcastPanelStridedAndContiguous(t *testing.T) {
 	}
 	for root := range eps {
 		runAll(t, eps, func(ep *Endpoint) error {
-			c := ep.Split(world)
 			src := matrix.Dense{Rows: h, Cols: w, Stride: full.Stride, Data: full.Data[1*full.Stride+2:]}
 			stride := w
 			if ep.Rank()%2 == 1 {
@@ -182,8 +179,7 @@ func TestBcastPanelStridedAndContiguous(t *testing.T) {
 			back := matrix.New(h, stride)
 			back.Fill(-1)
 			dst := matrix.Dense{Rows: h, Cols: w, Stride: stride, Data: back.Data}
-			c.Reserve(1)
-			if err := c.BcastPanel(src, matrix.Into(dst), root, 0); err != nil {
+			if err := ep.BcastPanel(src, matrix.Into(dst), world, root, ep.BeginStage(1)); err != nil {
 				return err
 			}
 			for i := 0; i < h; i++ {

@@ -2,13 +2,16 @@ package netmpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	"strings"
+	"slices"
 	"testing"
+
+	"repro/internal/matrix"
 )
 
-// fnvCommID is the communicator id of a sorted rank set as the wire has
-// always carried it: 32-bit FNV-1a over the ranks' little-endian bytes.
+// fnvCommID is the id that wire format 1 gave the communicator of a sorted
+// rank set: 32-bit FNV-1a over the ranks' little-endian bytes.
 func fnvCommID(ranks []int) uint32 {
 	h := fnv.New32a()
 	for _, r := range ranks {
@@ -19,34 +22,11 @@ func fnvCommID(ranks []int) uint32 {
 	return h.Sum32()
 }
 
-// TestSplitCachesCommPerRankSet: Split hands out one Comm per rank set,
-// whatever the order the ranks come in, under the id the wire has always
-// used for it.
-func TestSplitCachesCommPerRankSet(t *testing.T) {
-	ep := &Endpoint{rank: 1, size: 4, comms: map[uint32]*Comm{}}
-	c := ep.Split([]int{3, 1, 0})
-	if got := ep.Split([]int{0, 1, 3}); got != c {
-		t.Fatal("a second Split of the same rank set built a new Comm")
-	}
-	if want := fnvCommID([]int{0, 1, 3}); c.id != want {
-		t.Fatalf("comm id %#x, want %#x", c.id, want)
-	}
-	if d := ep.Split([]int{1, 2}); d == c || d.id != fnvCommID([]int{1, 2}) {
-		t.Fatalf("rank set [1 2] got comm %v with id %#x", d.ranks, d.id)
-	}
-	set := []int{0, 1, 3}
-	if n := testing.AllocsPerRun(100, func() { ep.Split(set) }); n != 0 {
-		t.Fatalf("a cached Split allocates %v times", n)
-	}
-}
-
-// TestSplitRejectsCommIDCollision searches the rank sets of a 20-rank world
-// that contain rank 0 for two whose 32-bit ids collide (one turns up after
-// about 228 000 sets), then splits both on rank 0's endpoint: the second
-// Split must fail loudly instead of sharing the first one's tag sequence
-// and frame keys.
-func TestSplitRejectsCommIDCollision(t *testing.T) {
-	const size = 20
+// collidingRankSets searches the rank sets of a size-rank world that
+// contain rank 0 for two whose fnvCommIDs collide (at size 20 a pair turns
+// up after about 228 000 sets).
+func collidingRankSets(t *testing.T, size int) (x, y []int) {
+	t.Helper()
 	ranksOf := func(mask uint32) []int {
 		var rs []int
 		for r := 0; r < size; r++ {
@@ -57,24 +37,53 @@ func TestSplitRejectsCommIDCollision(t *testing.T) {
 		return rs
 	}
 	seen := map[uint32]uint32{} // id → rank-set mask
-	var x, y []int
-	for mask := uint32(1); mask < 1<<size && x == nil; mask += 2 { // odd: rank 0 is a member
+	for mask := uint32(1); mask < 1<<size; mask += 2 { // odd: rank 0 is a member
 		id := fnvCommID(ranksOf(mask))
 		if prev, ok := seen[id]; ok {
-			x, y = ranksOf(prev), ranksOf(mask)
+			return ranksOf(prev), ranksOf(mask)
 		}
 		seen[id] = mask
 	}
-	if x == nil {
-		t.Fatalf("no two of the %d rank sets share an id", len(seen))
-	}
-	ep := &Endpoint{rank: 0, size: size, comms: map[uint32]*Comm{}}
-	ep.Split(x)
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "same communicator id") {
-			t.Fatalf("splitting %v after %v (one id): got %q, want a collision panic", y, x, msg)
+	t.Fatalf("no two of the %d rank sets share an id", len(seen))
+	return nil, nil
+}
+
+// TestBcastPanelCollidingRankSets: on a 20-rank loopback mesh, one stage
+// broadcasts over two rank sets whose hashed communicator ids collided when
+// frames were keyed by member set, each from its highest rank and with
+// panels of different shapes. Keyed by the schedule, every member of each
+// set receives its root's exact panel.
+func TestBcastPanelCollidingRankSets(t *testing.T) {
+	const size = 20
+	x, y := collidingRankSets(t, size)
+	t.Logf("rank sets %v and %v share FNV id %#x", x, y, fnvCommID(x))
+	sets := [][]int{x, y}
+	panels := make([]*matrix.Dense, len(sets))
+	for i := range panels {
+		panels[i] = matrix.New(3+i, 5)
+		for k := range panels[i].Data {
+			panels[i].Data[k] = float64(1000*i + k)
 		}
-	}()
-	ep.Split(y)
+	}
+	eps := localWorld(t, size)
+	runAll(t, eps, func(ep *Endpoint) error {
+		first := ep.BeginStage(len(sets))
+		for i, members := range sets {
+			if !slices.Contains(members, ep.Rank()) {
+				continue
+			}
+			root, src := len(members)-1, matrix.Dense{}
+			if members[root] == ep.Rank() {
+				src = *panels[i]
+			}
+			dst := matrix.New(panels[i].Rows, panels[i].Cols)
+			if err := ep.BcastPanel(src, matrix.Into(*dst), members, root, first+i); err != nil {
+				return err
+			}
+			if !matrix.Equal(dst, panels[i]) {
+				return fmt.Errorf("rank %d in %v received %v, want %v", ep.Rank(), members, dst.Data, panels[i].Data)
+			}
+		}
+		return nil
+	})
 }

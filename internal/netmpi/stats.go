@@ -17,7 +17,7 @@ type peerCounters struct {
 	framesSent atomic.Int64 // data frames (heartbeats excluded)
 	framesRecv atomic.Int64
 	// framesPosted counts the data frames a stage's post pass sent
-	// (Comm.PostPanel), a share of framesSent; only the tests read it.
+	// (Endpoint.PostPanel), a share of framesSent; only the tests read it.
 	framesPosted atomic.Int64
 	sendNanos    atomic.Int64 // wall time inside blocking sends
 	recvNanos    atomic.Int64 // wall time inside blocking frame reads
