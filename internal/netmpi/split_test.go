@@ -36,7 +36,7 @@ func collidingRankSets(t *testing.T, size int) (x, y []int) {
 		}
 		return rs
 	}
-	seen := map[uint32]uint32{} // id → rank-set mask
+	seen := map[uint32]uint32{}                        // id → rank-set mask
 	for mask := uint32(1); mask < 1<<size; mask += 2 { // odd: rank 0 is a member
 		id := fnvCommID(ranksOf(mask))
 		if prev, ok := seen[id]; ok {
